@@ -85,6 +85,7 @@ class Bootstrapper:
         self.sin_degree = sin_degree
         self.arcsine_correction = arcsine_correction
         self.q0 = math.prod(params.base_primes)
+        self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)
         self._build_transforms(baby_steps)
         self._build_evalmod()
 
@@ -162,12 +163,15 @@ class Bootstrapper:
 
     def _mul_by_i(self, ct: Ciphertext, sign: int) -> Ciphertext:
         """Exact multiplication by +-i (the monomial X^(N/2))."""
-        n = self.params.degree
-        coeffs = np.zeros(n, dtype=np.int64)
-        coeffs[n // 2] = sign
-        mono = RnsPolynomial.from_int_coeffs(
-            self.context.ring, ct.moduli, coeffs
-        ).to_ntt()
+        mono = self._monomials.get((ct.moduli, sign))
+        if mono is None:
+            n = self.params.degree
+            coeffs = np.zeros(n, dtype=np.int64)
+            coeffs[n // 2] = sign
+            mono = RnsPolynomial.from_int_coeffs(
+                self.context.ring, ct.moduli, coeffs
+            ).to_ntt()
+            self._monomials[(ct.moduli, sign)] = mono
         return Ciphertext(ct.c0 * mono, ct.c1 * mono, ct.level, ct.scale)
 
     def _eval_mod(self, ct: Ciphertext) -> Ciphertext:

@@ -13,6 +13,7 @@ short-word accelerator would (paper S3.1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.params.primes import (
     find_ds_pairs,
     find_ss_primes,
 )
+from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RingContext, RnsPolynomial
 from repro.secrecy import declassified, redacted_digest
@@ -33,6 +35,7 @@ __all__ = [
     "LevelStep",
     "CkksParams",
     "SecretKey",
+    "EvalKey",
     "KeySet",
     "CkksContext",
     "make_params",
@@ -322,6 +325,58 @@ class SecretKey:
     __str__ = __repr__
 
 
+class EvalKey:
+    """A hybrid key-switching key: ``dnum`` digits over the full basis.
+
+    The digits live once, as the stacked ``(dnum, L+K, N)`` tensors
+    ``b`` and ``a`` the key-switch inner product consumes; iterating
+    yields the per-digit ``(b_j, a_j)`` polynomials as row views of
+    them.  On float-lane chains the key also owns its exact
+    float-Shoup quotients (:meth:`shoup_tables`), built on first use and
+    freed with the key.  A quotient depends only on its row's modulus,
+    so the key at any level is the row slice ``[:d, :level]`` plus
+    ``[:d, L:]`` of the same tensors — one table per key, however many
+    levels use it.
+    """
+
+    def __init__(self, digits: Sequence[tuple[RnsPolynomial, RnsPolynomial]]):
+        if not digits:
+            raise ValueError("an evaluation key needs at least one digit")
+        first = digits[0][0]
+        for poly in (poly for pair in digits for poly in pair):
+            if poly.moduli != first.moduli or poly.ntt_form != first.ntt_form:
+                raise ValueError("evaluation-key digits disagree on basis or form")
+        self.ring = first.ring
+        self.moduli = first.moduli
+        self.b = np.stack([b_j.limbs for b_j, _ in digits])
+        self.a = np.stack([a_j.limbs for _, a_j in digits])
+        self._digits = [
+            (
+                RnsPolynomial(self.ring, self.moduli, b_rows, first.ntt_form),
+                RnsPolynomial(self.ring, self.moduli, a_rows, first.ntt_form),
+            )
+            for b_rows, a_rows in zip(self.b, self.a)
+        ]
+        self._shoup_f: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._digits)
+
+    def __iter__(self) -> Iterator[tuple[RnsPolynomial, RnsPolynomial]]:
+        return iter(self._digits)
+
+    def shoup_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``fl(floor(w * 2**64 / q)) * 2**-64`` for every word of ``b`` and ``a``."""
+        if self._shoup_f is None:
+            q = self.ring.mod_column(self.moduli)
+            b_f, a_f = (
+                kernels.shoup_precompute(stack, q).astype(np.float64) * 2.0**-64
+                for stack in (self.b, self.a)
+            )
+            self._shoup_f = (b_f, a_f)
+        return self._shoup_f
+
+
 class KeySet:
     """Secret key plus lazily generated public/evaluation keys.
 
@@ -338,7 +393,7 @@ class KeySet:
         self.rng = rng
         self.secret = SecretKey(coeffs=self._sample_secret())
         self._secret_cache: dict[tuple[int, ...], RnsPolynomial] = {}
-        self._evk_cache: dict[object, list[tuple[RnsPolynomial, RnsPolynomial]]] = {}
+        self._evk_cache: dict[object, EvalKey] = {}
         self._public_key: tuple[RnsPolynomial, RnsPolynomial] | None = None
         # Digit selectors g_j as big ints over the full Q.
         q_primes = params.q_primes
@@ -407,7 +462,7 @@ class KeySet:
         "hybrid ksk digit: P*g_j*s_src is masked by -a_j*s + e_j "
         "(uniform pad plus fresh noise)"
     )
-    def _make_evk(self, src_secret: RnsPolynomial) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    def _make_evk(self, src_secret: RnsPolynomial) -> EvalKey:
         """Key-switching key from ``src_secret`` to the main secret."""
         params = self.params
         basis = params.full_basis
@@ -421,9 +476,9 @@ class KeySet:
             msg = src_secret.scalar_mul([factor % q for q in basis])
             b_j = -(a_j * s) + e_j + msg
             digits.append((b_j, a_j))
-        return digits
+        return EvalKey(digits)
 
-    def relinearization_key(self) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    def relinearization_key(self) -> EvalKey:
         """evk_mult: switches ``s**2`` back to ``s``."""
         key = "mult"
         if key not in self._evk_cache:
@@ -432,7 +487,7 @@ class KeySet:
             self._evk_cache[key] = self._make_evk(s * s)
         return self._evk_cache[key]
 
-    def galois_key(self, galois: int) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    def galois_key(self, galois: int) -> EvalKey:
         """evk_rot for one automorphism: switches ``s(X**g)`` back to ``s``."""
         key = ("galois", galois)
         if key not in self._evk_cache:
@@ -497,7 +552,7 @@ class KeySet:
 
     def make_switch_key(
         self, target_pk: tuple[RnsPolynomial, RnsPolynomial]
-    ) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+    ) -> EvalKey:
         """Key-switching key from *this* secret to a public key's owner.
 
         Each hybrid digit ``P * g_j * s`` is public-key-encrypted under
@@ -514,7 +569,7 @@ class KeySet:
             factor = p_big * g_j
             msg = src.scalar_mul([factor % q for q in basis])
             digits.append(self.pk_encrypt_poly(msg, target_pk))
-        return digits
+        return EvalKey(digits)
 
 
 class CkksContext:

@@ -11,49 +11,48 @@ back down by ``P`` (ModDown).
 The same evaluation key works at every level because the digit
 selectors ``g_j`` are built over the full chain and remain valid CRT
 selectors for any prefix of it.
+
+The planned path is two halves: :meth:`KeySwitcher.decompose` (ModUp,
+a function of the polynomial alone) and :meth:`KeySwitcher.apply`
+(inner product with one key + ModDown).  ``switch`` is their
+composition; callers that switch one polynomial under many keys
+(hoisted rotations) decompose once.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-from repro.ckks.context import CkksContext
+from repro.ckks.context import CkksContext, EvalKey
 from repro.rns import kernels
-from repro.rns.bconv import CONVERTERS
+from repro.rns.bconv import CONVERTERS, BaseConverter
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RnsPolynomial
 
 __all__ = ["KeySwitcher"]
 
-# Evaluation-key stacks pinned per switch plan (a server typically holds
-# one relinearization key plus a handful of rotation keys per context).
-_EVK_STACK_CAPACITY = 8
-
 
 class _SwitchPlan:
     """Precomputed state for planned key-switching over one active chain.
 
-    Freezes everything `switch` needs beyond the polynomial itself: the
-    per-digit base converters, the scatter indices mapping each digit's
-    converted rows into the ``(D, E, N)`` extended tensor, the evk row
-    selector, the doubled chains that let ModDown run both output
-    polynomials through single NTT/BConv calls, and the ``P^{-1}``
-    Shoup columns.  Built once per active chain and cached on the
-    :class:`KeySwitcher`.
+    Freezes everything `switch` needs beyond the polynomial and the key:
+    the per-digit base converters, the scatter indices mapping each
+    digit's converted rows into the ``(D, E, N)`` extended tensor, the
+    doubled chains that let ModDown run both output polynomials through
+    single NTT/BConv calls, and the ``P^{-1}`` Shoup columns.  Built
+    once per active chain and cached on the :class:`KeySwitcher`.
     """
 
-    def __init__(self, switcher: "KeySwitcher", active: tuple):
+    def __init__(self, switcher: "KeySwitcher", active: tuple[int, ...]) -> None:
         params = switcher.params
         ring = switcher.ring
         aux = params.aux_primes
         self.active = active
         self.target = active + aux
-        self.digits = []
-        rest_moduli = []
-        row_digit = []
-        row_target = []
+        self.digits: list[tuple[int, int, BaseConverter]] = []
+        rest_moduli: list[int] = []
+        row_digit: list[int] = []
+        row_target: list[int] = []
         for d, (start, stop) in enumerate(params.digit_spans()):
             stop = min(stop, len(active))
             if start >= len(active):
@@ -72,9 +71,6 @@ class _SwitchPlan:
         self.rest_moduli = tuple(rest_moduli)
         self.row_digit = np.array(row_digit, dtype=np.intp)
         self.row_target = np.array(row_target, dtype=np.intp)
-        self.keep = list(range(len(active))) + [
-            len(params.q_primes) + i for i in range(len(aux))
-        ]
         self.kern = ring.chain_kernel(self.target)
         # Doubled chains: ModDown transforms/converts (u0, u1) pairs in
         # one batched call each — rows stack for the NTT, columns
@@ -87,52 +83,18 @@ class _SwitchPlan:
         self.p_inv_col = np.array(p_inv + p_inv, dtype=np.uint64).reshape(-1, 1)
         self.p_inv_shoup = self.kern2.shoup(p_inv + p_inv)
         self.p_inv_shoup_f = self.p_inv_shoup.astype(np.float64) * 2.0**-64
-        self._evk_stacks: OrderedDict = OrderedDict()
-
-    def evk_stack(
-        self, evk: list
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``(D, E, N)`` stacks of the evk rows this chain consumes.
-
-        Keyed by identity — evaluation keys are immutable and few; the
-        pinned reference keeps the id stable for the cache's lifetime.
-        On float-lane chains the entry also carries per-element float
-        Shoup quotients for both stacks: the evk is a *constant*
-        operand, so the inner product can run as a 6-pass Shoup multiply
-        instead of the ~3x more expensive variable product.
-        """
-        entry = self._evk_stacks.get(id(evk))
-        if entry is not None:
-            self._evk_stacks.move_to_end(id(evk))
-            return entry[1], entry[2], entry[3], entry[4]
-        d = len(self.digits)
-        b_stack = np.stack([b_j.limbs[self.keep] for b_j, _ in evk[:d]])
-        a_stack = np.stack([a_j.limbs[self.keep] for _, a_j in evk[:d]])
-        b_shoup_f = a_shoup_f = None
-        if self.kern.float_ok:
-            b_shoup_f = self._stack_shoup_f(b_stack)
-            a_shoup_f = self._stack_shoup_f(a_stack)
-        self._evk_stacks[id(evk)] = (evk, b_stack, a_stack, b_shoup_f, a_shoup_f)
-        while len(self._evk_stacks) > _EVK_STACK_CAPACITY:
-            self._evk_stacks.popitem(last=False)
-        return b_stack, a_stack, b_shoup_f, a_shoup_f
-
-    def _stack_shoup_f(self, stack: np.ndarray) -> np.ndarray:
-        """Exact per-element float Shoup quotients against the chain rows."""
-        shoup = kernels.shoup_precompute(stack, self.kern.q)
-        return shoup.astype(np.float64) * 2.0**-64
 
 
 class KeySwitcher:
     """Performs hybrid key-switching against a context's parameters."""
 
-    def __init__(self, context: CkksContext):
+    def __init__(self, context: CkksContext) -> None:
         self.context = context
         self.params = context.params
         self.ring = context.ring
-        self._plans: dict[tuple, _SwitchPlan] = {}
+        self._plans: dict[tuple[int, ...], _SwitchPlan] = {}
 
-    def _plan(self, active: tuple) -> _SwitchPlan:
+    def _plan(self, active: tuple[int, ...]) -> _SwitchPlan:
         plan = self._plans.get(active)
         if plan is None:
             plan = _SwitchPlan(self, active)
@@ -187,18 +149,14 @@ class KeySwitcher:
         p_inv = [mod_inverse(params.aux_product % q, q) for q in active]
         return diff.scalar_mul(p_inv)
 
-    def switch(
-        self,
-        poly: RnsPolynomial,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
-    ) -> tuple[RnsPolynomial, RnsPolynomial]:
+    def switch(self, poly: RnsPolynomial, evk: EvalKey) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Full key-switch of ``poly`` (NTT form, active basis).
 
         Returns ``(u0, u1)`` over the active basis such that
         ``u0 + u1*s ~ poly * s_src``.
         """
         if self.ring.use_plans:
-            return self._switch_planned(poly, evk)
+            return self.apply(self.decompose(poly), evk)
         active = poly.moduli
         target = active + self.params.aux_primes
         extended = self.mod_up(poly.from_ntt())
@@ -213,20 +171,14 @@ class KeySwitcher:
             acc1 = acc1 + ext * a_j.keep_limbs(keep)
         return self.mod_down(acc0), self.mod_down(acc1)
 
-    def _switch_planned(
-        self,
-        poly: RnsPolynomial,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
-    ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Planned key-switch: batched transforms, one fused inner product.
+    def decompose(self, poly: RnsPolynomial) -> np.ndarray:
+        """Planned ModUp: the ``(D, E, N)`` extended digits of ``poly``, NTT form.
 
-        Bit-exact with the legacy path: the extended tensor's digit rows
-        reuse the input's NTT-form limbs directly (``NTT(INTT(x)) = x``
-        exactly), every digit's converted rows go through *one* batched
-        forward transform, the evk inner product runs as a single lazy
-        accumulation, and ModDown processes the ``(u0, u1)`` pair through
-        doubled-chain transforms.  Canonical residues are unique, so the
-        outputs match the sequential path bit for bit.
+        Bit-exact with :meth:`mod_up`: the digit rows reuse the input's
+        NTT-form limbs directly (``NTT(INTT(x)) = x`` exactly) and every
+        digit's converted rows go through *one* batched forward
+        transform.  The result depends on ``poly`` alone, so it can be
+        shared by every :meth:`apply` against the same polynomial.
         """
         ring = self.ring
         if not poly.ntt_form:
@@ -234,8 +186,7 @@ class KeySwitcher:
         plan = self._plan(poly.moduli)
         coeff = poly.from_ntt()
         n = ring.degree
-        num_digits = len(plan.digits)
-        ext = np.empty((num_digits, len(plan.target), n), dtype=np.uint64)
+        ext = np.empty((len(plan.digits), len(plan.target), n), dtype=np.uint64)
         rest_rows = np.empty((len(plan.rest_moduli), n), dtype=np.uint64)
         pos = 0
         for d, (start, stop, conv) in enumerate(plan.digits):
@@ -247,13 +198,28 @@ class KeySwitcher:
             ring.plan(plan.rest_moduli), rest_rows
         )
         ext[plan.row_digit, plan.row_target] = rest_ntt
-        b_stack, a_stack, b_shoup_f, a_shoup_f = plan.evk_stack(evk)
+        return ext
+
+    def apply(self, ext: np.ndarray, evk: EvalKey) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """Inner product of decomposed digits with ``evk``, then paired ModDown.
+
+        The evk operands are row slices of the key's own tensors (see
+        :class:`~repro.ckks.context.EvalKey`), the inner product runs as
+        a single lazy accumulation, and ModDown processes the
+        ``(u0, u1)`` pair through doubled-chain transforms.  Canonical
+        residues are unique, so ``apply(decompose(x), evk)`` matches the
+        sequential path bit for bit.
+        """
+        ring = self.ring
+        n = ring.degree
+        aux_count = len(self.params.aux_primes)
+        level = ext.shape[1] - aux_count
+        plan = self._plan(self.params.q_primes[:level])
+        b_f, a_f = evk.shoup_tables() if plan.kern.float_ok else (None, None)
         acc0, acc1 = ring.backend.keyswitch_inner(
-            plan.kern, ext, b_stack, a_stack, b_shoup_f, a_shoup_f
+            plan.kern, ext, evk.b, evk.a, b_f, a_f, level
         )
         # Paired ModDown: divide both accumulators by P in one sweep.
-        level = len(plan.active)
-        aux_count = len(self.params.aux_primes)
         p_pair = np.concatenate([acc0[level:], acc1[level:]])
         p_coeff = ring.backend.ntt_inverse_all(ring.plan(plan.aux2), p_pair)
         cat = np.concatenate(

@@ -8,19 +8,31 @@ phase whose ``bs``/``gs`` split SHARP tunes to its memory capacity).
 
 R-linear maps that also involve the conjugate (needed by CoeffToSlot /
 SlotToCoeff) carry a second matrix applied to ``conj(z)``.
+
+The diagonals are operands, not work: a transform compiles them into
+encoded plaintexts on its first application at an operating point and
+reuses them afterwards (bootstrapping applies the same two transforms
+at the same point every time).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro.ckks.cipher import Ciphertext
+from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.ops import Evaluator
 
 __all__ = ["LinearTransform", "bsgs_split"]
+
+# One matrix of a transform, compiled: the baby rotation amounts it
+# needs, and per giant step ``i`` (rotation ``i * bs``) its
+# ``(baby amount, pre-rotated diagonal plaintext)`` terms.
+_Part = tuple[list[int], list[tuple[int, list[tuple[int, Plaintext]]]]]
 
 
 def bsgs_split(n_diagonals: int, baby: int | None = None) -> tuple[int, int]:
@@ -45,8 +57,14 @@ class LinearTransform:
     matrix: np.ndarray  # applied to z
     conj_matrix: np.ndarray | None = None  # applied to conj(z)
     baby_steps: int | None = None
+    # The one compiled plan: (operating point, per part: baby amounts and
+    # giant steps of (baby, plaintext) terms).  Replaced when the point
+    # changes, so a transform holds at most 2n plaintexts.
+    _compiled: tuple[Any, list[_Part]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self):
+    def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
@@ -96,52 +114,57 @@ class LinearTransform:
         n = self.size
         if ev.params.slots != n:
             raise ValueError("transform size must equal the slot count")
-        parts = [(self.matrix, ct)]
+        target_scale = output_scale if output_scale is not None else ct.scale
+        bs, gs = bsgs_split(n, self.baby_steps)
+        point = (ev.context, ct.level, ct.scale, target_scale, bs)
+        if self._compiled is None or self._compiled[0] != point:
+            self._compiled = (point, self._compile(ev, ct, target_scale, bs, gs))
+        bases = [ct]
         if self.conj_matrix is not None:
-            parts.append((self.conj_matrix, ev.conjugate(ct)))
+            bases.append(ev.conjugate(ct))
 
         acc: Ciphertext | None = None
-        target_scale = output_scale if output_scale is not None else ct.scale
-        for matrix, base in parts:
-            scale_cut = 1e-14 * (np.max(np.abs(matrix)) + 1e-300)
-            diags = self._diagonals(matrix, tol=scale_cut)
-            if not diags:
-                continue
-            bs, gs = bsgs_split(n, self.baby_steps)
-            # Baby rotations rot_j(base) for j in [0, bs).
-            baby_cts: dict[int, Ciphertext] = {}
-            needed_babies = {d % bs for d in diags}
-            for j in sorted(needed_babies):
-                baby_cts[j] = ev.rotate(base, j) if j else base
-            step_scale = ev.params.step_at(ct.level).scale
-            for i in range(gs):
-                inner: Ciphertext | None = None
-                for j in range(bs):
-                    d = i * bs + j
-                    if d not in diags:
-                        continue
-                    # Pre-rotate the diagonal so the outer rotation by
-                    # i*bs lands it in place.
-                    diag = np.roll(diags[d], i * bs)
-                    src = baby_cts[j]
-                    pt_scale = target_scale * step_scale / src.scale
-                    pt = ev.context.encode(diag, level=src.level, scale=pt_scale)
-                    term = ev.multiply_plain(src, pt, rescale=False)
-                    inner = term if inner is None else ev.add(inner, term)
-                if inner is None:
-                    continue
-                if i * bs:
-                    inner = ev.rescale(inner)
-                    inner = Ciphertext(
-                        inner.c0, inner.c1, inner.level, target_scale
-                    )
-                    rotated = ev.rotate(inner, i * bs)
-                else:
-                    rotated = ev.rescale(inner)
-                    rotated = Ciphertext(
-                        rotated.c0, rotated.c1, rotated.level, target_scale
-                    )
+        for base, (babies, giants) in zip(bases, self._compiled[1]):
+            # Baby rotations rot_j(base): one shared decomposition.
+            baby_cts = dict(zip(babies, ev.rotate_hoisted(base, babies))) if babies else {}
+            for shift, terms in giants:
+                inner = functools.reduce(
+                    ev.add,
+                    (ev.multiply_plain(baby_cts[j], pt, rescale=False) for j, pt in terms),
+                )
+                inner = ev.rescale(inner)
+                inner = Ciphertext(inner.c0, inner.c1, inner.level, target_scale)
+                rotated = ev.rotate(inner, shift) if shift else inner
                 acc = rotated if acc is None else ev.add(acc, rotated)
         if acc is None:
             raise ValueError("transform is numerically zero")
         return acc
+
+    def _compile(
+        self, ev: Evaluator, ct: Ciphertext, target_scale: float, bs: int, gs: int
+    ) -> list[_Part]:
+        """Extract the diagonals and encode them for ``ct``'s operating point."""
+        # Rotations keep level and scale, so every baby shares ct's.
+        pt_scale = target_scale * ev.params.step_at(ct.level).scale / ct.scale
+        matrices = [self.matrix]
+        if self.conj_matrix is not None:
+            matrices.append(self.conj_matrix)
+        parts: list[_Part] = []
+        for matrix in matrices:
+            scale_cut = 1e-14 * (np.max(np.abs(matrix)) + 1e-300)
+            diags = self._diagonals(matrix, tol=scale_cut)
+            giants = []
+            for i in range(gs):
+                # Pre-rotate each diagonal so the outer rotation by
+                # i*bs lands it in place.
+                terms = [
+                    (j, ev.context.encode(
+                        np.roll(diags[i * bs + j], i * bs), level=ct.level, scale=pt_scale
+                    ))
+                    for j in range(bs)
+                    if i * bs + j in diags
+                ]
+                if terms:
+                    giants.append((i * bs, terms))
+            parts.append((sorted({d % bs for d in diags}), giants))
+        return parts

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext, Plaintext
-from repro.ckks.context import CkksContext
+from repro.ckks.context import CkksContext, EvalKey
 from repro.ckks.keyswitch import KeySwitcher
 from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
@@ -85,10 +85,25 @@ class Evaluator:
         return Ciphertext(ct.c0 + pt.poly, ct.c1, ct.level, scale)
 
     def add_scalar(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        pt = self.context.encode(
-            np.full(self.params.slots, value), level=ct.level, scale=ct.scale
-        )
-        return self.add_plain(ct, pt)
+        return self.add_plain(ct, self._encode_scalar(value, ct.level, ct.scale))
+
+    def _encode_scalar(self, value: complex, level: int, scale: float) -> Plaintext:
+        """Encode ``value`` in every slot.
+
+        A real constant is the constant polynomial ``round(value*scale)``,
+        whose evaluation form is that residue in every lane: no FFT, no
+        NTT.  Complex constants take the general encoder.
+        """
+        value = complex(value)
+        if value.imag:
+            return self.context.encode(
+                np.full(self.params.slots, value), level=level, scale=scale
+            )
+        moduli = self.params.active_moduli(level)
+        const = round(value.real * scale)
+        column = np.array([const % q for q in moduli], dtype=np.uint64).reshape(-1, 1)
+        limbs = np.repeat(column, self.ring.degree, axis=1)
+        return Plaintext(RnsPolynomial(self.ring, moduli, limbs, ntt_form=True), scale)
 
     # -- multiplicative ops ---------------------------------------------------------
 
@@ -108,9 +123,7 @@ class Evaluator:
     ) -> Ciphertext:
         """CMult via an encoded constant at the step scale."""
         step_scale = self.params.step_at(ct.level).scale
-        pt = self.context.encode(
-            np.full(self.params.slots, value), level=ct.level, scale=step_scale
-        )
+        pt = self._encode_scalar(value, ct.level, step_scale)
         return self.multiply_plain(ct, pt, rescale=rescale)
 
     def multiply(
@@ -402,16 +415,42 @@ class Evaluator:
         u0, u1 = self.switcher.switch(c1, self.context.keys.galois_key(galois))
         return Ciphertext(c0 + u0, u1, ct.level, ct.scale)
 
+    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int]) -> list[Ciphertext]:
+        """``[rotate(ct, r) for r in amounts]`` sharing one ModUp.
+
+        The digit decomposition commutes with the automorphism (a lane
+        permutation in evaluation form), so ``ct.c1`` is decomposed once
+        and each amount pays only the permutation, the inner product
+        with its Galois key and a ModDown.  Against :meth:`rotate` the
+        outputs differ by the fast-BConv overflow multiple of a digit
+        modulus — the same noise class, not the same bits.
+        """
+        ext = self.switcher.decompose(ct.c1)
+        out = []
+        for amount in amounts:
+            amount %= self.params.slots
+            if amount == 0:
+                out.append(ct)
+                continue
+            galois = self.ring.galois_element(amount)
+            perm = self.ring.automorphism_eval_permutation(galois)
+            u0, u1 = self.switcher.apply(
+                ext[:, :, perm], self.context.keys.galois_key(galois)
+            )
+            c0 = ct.c0.automorphism(galois)
+            out.append(Ciphertext(c0 + u0, u1, ct.level, ct.scale))
+        return out
+
     # -- re-encryption ----------------------------------------------------------------
 
     def apply_switch_key(
         self,
         ct: Ciphertext,
-        evk: list[tuple[RnsPolynomial, RnsPolynomial]],
+        evk: EvalKey,
     ) -> Ciphertext:
         """Re-encrypt under the secret ``evk`` switches to.
 
-        ``evk`` is a hybrid digit list from ``KeySet.make_switch_key``
+        ``evk`` is a hybrid key from ``KeySet.make_switch_key``
         (or ``_make_evk``): switching ``c1`` yields ``(u0, u1)`` with
         ``u0 + u1*s_dst ~ c1*s_src``, so ``(c0 + u0, u1)`` decrypts to
         the same message under the destination secret.  This is the

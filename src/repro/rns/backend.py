@@ -96,6 +96,7 @@ class KernelBackend(Protocol):
         a_stack: np.ndarray,
         b_shoup_f: np.ndarray | None = None,
         a_shoup_f: np.ndarray | None = None,
+        level: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
     def close(self) -> None: ...
@@ -107,12 +108,9 @@ class NumpyBackend:
     name = "numpy"
 
     def __init__(self) -> None:
-        # (D, E, N)-shaped scratch for the key-switch inner product,
-        # keyed by shape — steady state allocates nothing.
-        self._ks_scratch: dict[
-            tuple[int, ...],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
+        # (D, E, N) scratch of the key-switch inner product — steady
+        # state allocates nothing.
+        self._scratch = kernels.ScratchPool()
 
     def mul(self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if kern.float_ok and kern.split:
@@ -140,8 +138,15 @@ class NumpyBackend:
         a_stack: np.ndarray,
         b_shoup_f: np.ndarray | None = None,
         a_shoup_f: np.ndarray | None = None,
+        level: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(sum_d ext_d * b_d, sum_d ext_d * a_d)`` mod the chain.
+
+        The stacks either match ``ext``'s ``(D, E, N)`` shape or are a
+        key's full-basis ``(dnum, L+K, N)`` tensors with ``level`` given:
+        then ``ext``'s first ``level`` rows pair with the stacks' first
+        rows and its remaining (auxiliary) rows with their last rows, so
+        one table per key serves every level without a gather.
 
         The fused paths keep the ``D`` digit products lazy, sum them as
         plain uint64 (the gates guarantee no wraparound), and pay one
@@ -152,32 +157,31 @@ class NumpyBackend:
         6-pass Shoup multiply left lazy in ``[0, 3q)`` instead of the
         ~3x more expensive variable split product.
         """
-        digits = ext.shape[0]
+        digits, rows = ext.shape[:2]
+        blocks = [(slice(None), slice(None))]  # (ext rows, stack rows)
+        if level is not None and b_stack.shape[1] != rows:
+            aux = b_stack.shape[1] - (rows - level)
+            blocks = [(slice(0, level), slice(0, level)), (slice(level, rows), slice(aux, None))]
         if (
             b_shoup_f is not None
             and a_shoup_f is not None
             and kern.float_ok
             and digits * 3 * int(kern.q_max) < (1 << 63)
         ):
-            sc = self._ks_scratch.get(ext.shape)
-            if sc is None:
-                sc = (
-                    np.empty(ext.shape, dtype=np.float64),
-                    np.empty(ext.shape, dtype=np.uint64),
-                    np.empty(ext.shape, dtype=np.uint64),
-                    np.empty(ext.shape[1:], dtype=np.uint64),
-                )
-                self._ks_scratch[ext.shape] = sc
-            f, qhat, r, acc = sc
+            (f,) = self._scratch.take(np.float64, ext.shape)
+            qhat, r, acc = self._scratch.take(np.uint64, ext.shape, ext.shape, ext.shape[1:])
             outs = []
             for stack, shoup_f in ((b_stack, b_shoup_f), (a_stack, a_shoup_f)):
-                np.multiply(ext, shoup_f, out=f)
-                np.copyto(qhat, f, casting="unsafe")
-                qhat *= kern.q
-                np.multiply(ext, stack, out=r)
-                r -= qhat
-                np.add(r, kern.q, out=qhat)
-                np.minimum(r, qhat, out=r)  # wrap fix: [0, 3q)
+                for mine, theirs in blocks:
+                    x, q = ext[:, mine], kern.q[mine]
+                    f_, qhat_, r_ = f[:, mine], qhat[:, mine], r[:, mine]
+                    np.multiply(x, shoup_f[:digits, theirs], out=f_)
+                    np.copyto(qhat_, f_, casting="unsafe")
+                    qhat_ *= q
+                    np.multiply(x, stack[:digits, theirs], out=r_)
+                    r_ -= qhat_
+                    np.add(r_, q, out=qhat_)
+                    np.minimum(r_, qhat_, out=r_)  # wrap fix: [0, 3q)
                 # Unrolled digit sum, < digits*3*q < 2**63.
                 if digits == 1:
                     np.copyto(acc, r[0])
@@ -187,6 +191,12 @@ class NumpyBackend:
                         acc += r[d]
                 outs.append(kern.reduce64_f(acc))
             return outs[0], outs[1]
+        b_stack, a_stack = b_stack[:digits], a_stack[:digits]
+        if len(blocks) > 1:  # wide moduli: gather the rows, the products dominate
+            b_stack, a_stack = (
+                np.concatenate([stack[:, theirs] for _, theirs in blocks], axis=1)
+                for stack in (b_stack, a_stack)
+            )
         fused = (
             kern.float_ok
             and kern.split

@@ -31,6 +31,11 @@ from repro.rns.poly import RnsPolynomial
 
 __all__ = ["BaseConverter"]
 
+# (K, L, N) scratch of the fused path, shared by every converter (ModUp
+# and ModDown between them keep hundreds alive): allocation-free in
+# steady state at the footprint of the single largest conversion.
+_POOL = kernels.ScratchPool()
+
 
 class BaseConverter:
     """Precomputed base conversion from ``src_moduli`` to ``dst_moduli``.
@@ -110,9 +115,6 @@ class BaseConverter:
         )
         self._src_float = self._src_kernel.float_ok
         self._inv_shoup_f = self._inv_shoup.astype(np.float64) * 2.0**-64
-        # (K, L, N) scratch per seen N — the fused path is allocation-free
-        # in steady state (ModDown calls it with both N and 2N widths).
-        self._scratch: dict[int, tuple] = {}
         if self._fused_ok:
             self._table3 = self.table[:, :, None]
             self._table_f = (
@@ -178,18 +180,9 @@ class BaseConverter:
         legacy per-row loop bit for bit.
         """
         y, overflow = self._scaled_src(limbs)
-        n = limbs.shape[-1]
-        sc = self._scratch.get(n)
-        if sc is None:
-            shape = (len(self.dst_moduli), len(self.src_moduli), n)
-            sc = (
-                np.empty(shape, dtype=np.float64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape[::2], dtype=np.uint64),
-            )
-            self._scratch[n] = sc
-        f, qhat, r, acc = sc
+        shape = (len(self.dst_moduli), len(self.src_moduli), limbs.shape[-1])
+        (f,) = _POOL.take(np.float64, shape)
+        qhat, r, acc = _POOL.take(np.uint64, shape, shape, shape[::2])
         np.multiply(y, self._table_f, out=f)
         np.copyto(qhat, f, casting="unsafe")
         qhat *= self._dst_q3

@@ -37,6 +37,7 @@ single broadcast expression over the whole matrix).
 from __future__ import annotations
 
 import functools
+import math
 from functools import lru_cache
 from typing import Any, Callable, TypeVar
 
@@ -75,6 +76,7 @@ __all__ = [
     "shoup_precompute",
     "shoup_mul_lazy",
     "shoup_mul",
+    "ScratchPool",
     "ModulusKernel",
     "kernel_for",
     "kernel_cache_stats",
@@ -114,6 +116,7 @@ SPLIT_SHIFT = 20
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
+_U16 = np.uint64(16)
 _SPLIT_SHIFT = np.uint64(SPLIT_SHIFT)
 _SPLIT_MASK = np.uint64((1 << SPLIT_SHIFT) - 1)
 _INV_2_64 = 2.0**-64
@@ -184,13 +187,27 @@ def neg_mod(a, q) -> np.ndarray:
     return np.where(a == zero, zero, q - a)
 
 
-def shoup_precompute(w, q: int):
+def shoup_precompute(w, q):
     """Shoup quotient ``floor(w * 2**64 / q)`` for constants ``w < q``.
 
-    ``w`` may be a Python int or an integer array; the division is done
-    in arbitrary precision (setup-time only) and returned as uint64.
+    ``w`` may be a Python int or an integer array, ``q`` an int or an
+    array broadcasting against it.  Fixed-width arrays over moduli
+    below ``2**48`` take four rounds of exact 16-bit uint64 long
+    division; everything else divides in arbitrary precision
+    (setup-time only).  Returned as uint64.
     """
     if isinstance(w, np.ndarray):
+        fixed_width = w.dtype != object and np.asarray(q).dtype != object
+        if fixed_width and np.max(q) < FLOAT_QHAT_LIMIT:
+            divisor = np.asarray(q, dtype=np.uint64)
+            rem = w.astype(np.uint64)
+            quotient = np.zeros(np.broadcast(rem, divisor).shape, dtype=np.uint64)
+            for _ in range(4):
+                rem = rem << _U16  # rem < q < 2**48, so no bit is lost
+                digit = rem // divisor
+                rem -= digit * divisor
+                quotient = (quotient << _U16) | digit
+            return quotient
         if w.dtype == object:
             wide = w << 64
         else:
@@ -217,6 +234,42 @@ def shoup_mul(a, w, w_shoup, q) -> np.ndarray:
     """``a * w mod q`` canonical, via one conditional subtraction."""
     r = shoup_mul_lazy(a, w, w_shoup, q)
     return np.where(r >= q, r - q, r)
+
+
+class ScratchPool:
+    """Grow-only flat scratch: one buffer per dtype, viewed per call.
+
+    The high-water mark is the largest single request, however many
+    shapes pass through.  Views from one :meth:`take` alias the next
+    call's, so a pool serves one non-reentrant code path; every user is
+    single-threaded by invariant (``parallel`` workers are processes
+    and own theirs).
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[Any, np.ndarray] = {}
+
+    def take(self, dtype: Any, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """Disjoint ``dtype`` arrays of the given shapes (contents undefined)."""
+        sizes = [math.prod(shape) for shape in shapes]
+        total = sum(sizes)
+        flat = self._flat.get(dtype)
+        if flat is None or flat.size < total:
+            flat = self._flat[dtype] = np.empty(total, dtype=dtype)
+        views, start = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(flat[start : start + size].reshape(shape))
+            start += size
+        return views
+
+    @property
+    def nbytes(self) -> int:
+        return sum(flat.nbytes for flat in self._flat.values())
+
+
+# Intermediate scratch shared by every ModulusKernel: the float-lane ops
+# run entirely on ``out=`` passes and allocate only their result array.
+_POOL = ScratchPool()
 
 
 class ModulusKernel:
@@ -271,22 +324,6 @@ class ModulusKernel:
         # 53 bits — precisely the operand the float-lane error analysis
         # (repro.check.bounds.prove_float_barrett) models.
         self.v64_f = self.v64.astype(np.float64) * _INV_2_64
-        # Intermediate scratch per broadcast shape: the float-lane ops
-        # below run entirely on ``out=`` passes, allocating only their
-        # result array in steady state.  Kernels are cached process-wide
-        # (``kernel_for``), so the pool amortizes across every call.
-        self._pool: dict[tuple, tuple] = {}
-
-    def _scratch3(self, shape) -> tuple:
-        sc = self._pool.get(shape)
-        if sc is None:
-            sc = (
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.uint64),
-                np.empty(shape, dtype=np.float64),
-            )
-            self._pool[shape] = sc
-        return sc
 
     # -- element-wise ring ops -------------------------------------------
 
@@ -294,7 +331,7 @@ class ModulusKernel:
     def add(self, a, b) -> np.ndarray:
         """``(a + b) mod q`` for canonical residues (min-trick)."""
         shape = np.broadcast(a, b, self.q).shape
-        u1, _, _ = self._scratch3(shape)
+        (u1,) = _POOL.take(np.uint64, shape)
         s = np.empty(shape, dtype=np.uint64)
         np.add(a, b, out=s)
         np.subtract(s, self.q, out=u1)
@@ -305,7 +342,7 @@ class ModulusKernel:
     def sub(self, a, b) -> np.ndarray:
         """``(a - b) mod q`` for canonical residues (min-trick)."""
         shape = np.broadcast(a, b, self.q).shape
-        u1, _, _ = self._scratch3(shape)
+        (u1,) = _POOL.take(np.uint64, shape)
         d = np.empty(shape, dtype=np.uint64)
         np.subtract(a, b, out=d)
         np.add(d, self.q, out=u1)
@@ -348,7 +385,7 @@ class ModulusKernel:
         before the wrap fix and one conditional subtraction.
         """
         shape = np.broadcast(x, self.v64_f).shape
-        u1, _, f = self._scratch3(shape)
+        (u1,), (f,) = _POOL.take(np.uint64, shape), _POOL.take(np.float64, shape)
         np.multiply(x, self.v64_f, out=f)
         np.copyto(u1, f, casting="unsafe")
         u1 *= self.q
@@ -364,7 +401,7 @@ class ModulusKernel:
     def reduce64_f(self, x) -> np.ndarray:
         """Float-lane Barrett, canonical ``[0, q)`` (requires ``float_ok``)."""
         r = self.reduce64_f_lazy(x)
-        u1, _, _ = self._scratch3(r.shape)
+        (u1,) = _POOL.take(np.uint64, r.shape)
         np.subtract(r, self.q, out=u1)
         np.minimum(r, u1, out=r)
         return r
@@ -378,7 +415,7 @@ class ModulusKernel:
         ``float_ok``; ``lazy=True`` returns ``[0, 2q)``.
         """
         shape = np.broadcast(a, w, self.q).shape
-        u1, _, f = self._scratch3(shape)
+        (u1,), (f,) = _POOL.take(np.uint64, shape), _POOL.take(np.float64, shape)
         np.multiply(a, w_shoup_f, out=f)
         np.copyto(u1, f, casting="unsafe")
         u1 *= self.q
@@ -408,7 +445,7 @@ class ModulusKernel:
         Requires ``float_ok and split``; ``lazy=True`` returns ``[0, 2q)``.
         """
         shape = np.broadcast(a, b, self.q).shape
-        u1, u2, f = self._scratch3(shape)
+        (u1, u2), (f,) = _POOL.take(np.uint64, shape, shape), _POOL.take(np.float64, shape)
         t = np.empty(shape, dtype=np.uint64)
         if np.shape(b) == shape:
             bh = np.right_shift(b, _SPLIT_SHIFT, out=u2)

@@ -194,9 +194,10 @@ class ParallelBackend:
         a_stack: np.ndarray,
         b_shoup_f: np.ndarray | None = None,
         a_shoup_f: np.ndarray | None = None,
+        level: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         return self._numpy.keyswitch_inner(
-            kern, ext, b_stack, a_stack, b_shoup_f, a_shoup_f
+            kern, ext, b_stack, a_stack, b_shoup_f, a_shoup_f, level
         )
 
     # -- sharded ops -------------------------------------------------------

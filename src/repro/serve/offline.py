@@ -170,14 +170,14 @@ class TenantKeys:
     """Client-side product of the offline ceremony (see module doc)."""
 
     context: "CkksContext" = field(repr=False)
-    evk_in: SwitchKey = field(repr=False, default_factory=list)
+    evk_in: SwitchKey | None = field(repr=False, default=None)
 
     def __repr__(self) -> str:
         # Digest-only: the context holds the tenant secret, and evk_in is
         # megabytes of limbs — neither belongs in a log line.
         return (
             f"TenantKeys(secret={self.context.keys.secret.digest()}, "
-            f"evk_digits={len(self.evk_in)}, redacted)"
+            f"evk_digits={len(self.evk_in or ())}, redacted)"
         )
 
     __str__ = __repr__

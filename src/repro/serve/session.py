@@ -22,10 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.ckks.context import EvalKey as SwitchKey
+
 if TYPE_CHECKING:
     from repro.rns.poly import RnsPolynomial
-
-SwitchKey = list[tuple["RnsPolynomial", "RnsPolynomial"]]
 
 __all__ = ["SwitchKey", "TenantSession"]
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext
-from repro.ckks.context import CkksParams
+from repro.ckks.context import CkksParams, EvalKey
 from repro.rns.poly import RnsPolynomial
 from repro.serve.program import EvalProgram, ProgramError
 
@@ -280,9 +280,7 @@ def decode_public_key(
     return (b, a)
 
 
-def encode_switch_key(
-    digits: list[tuple[RnsPolynomial, RnsPolynomial]],
-) -> bytes:
+def encode_switch_key(digits: EvalKey) -> bytes:
     out = bytearray(_KEY_COUNT.pack(len(digits)))
     for b_j, a_j in digits:
         out += encode_poly(b_j)
@@ -290,9 +288,7 @@ def encode_switch_key(
     return bytes(out)
 
 
-def decode_switch_key(
-    data: bytes, ring: "RingContext"
-) -> list[tuple[RnsPolynomial, RnsPolynomial]]:
+def decode_switch_key(data: bytes, ring: "RingContext") -> EvalKey:
     if len(data) < _KEY_COUNT.size:
         raise WireError("truncated switch-key digit count")
     (count,) = _KEY_COUNT.unpack_from(data)
@@ -306,7 +302,10 @@ def decode_switch_key(
         digits.append((b_j, a_j))
     if offset != len(data):
         raise WireError(f"{len(data) - offset} trailing bytes after switch key")
-    return digits
+    try:
+        return EvalKey(digits)
+    except ValueError as exc:
+        raise WireError(f"malformed switch key: {exc}") from exc
 
 
 # -- parameters and programs -------------------------------------------------

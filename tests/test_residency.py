@@ -1,0 +1,349 @@
+"""Operand residency of the key-switch layer.
+
+Evaluation-key tables live on the key (one per key, every level a row
+slice), linear transforms compile their diagonals once, baby-step
+rotations share one decomposition, and the scratch pools are bounded by
+their largest request.  Bit-identity claims are checked against the
+legacy per-limb engine (``REPRO_KERNEL_PLANS=off``), which the backend
+parity suite pins to the planned path.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams
+from repro.ckks.bootstrap import Bootstrapper
+from repro.ckks.context import CkksContext, CkksParams, EvalKey, make_params
+from repro.ckks.linear import LinearTransform
+from repro.ckks.ops import Evaluator
+from repro.params.presets import build_native_ckks_params
+from repro.params.primes import find_ntt_primes
+from repro.rns import bconv, kernels
+from repro.rns.bconv import BaseConverter
+from repro.rns.poly import RnsPolynomial
+
+
+_PARAMS: dict[int, CkksParams] = {}
+
+
+def _preset(bits: int, monkeypatch=None, backend: str = "numpy", legacy: bool = False):
+    if bits not in _PARAMS and bits == 62:
+        # The native 62-bit preset's 68-bit base is a DS pair whose prime
+        # search takes a minute; a 54-bit scale keeps every prime single
+        # and still exercises the widest (128-bit product) kernel regime.
+        _PARAMS[bits] = make_params(degree=1 << 10, scale_bits=54, depth=3, word_bits=62)
+    elif bits not in _PARAMS:
+        _PARAMS[bits] = build_native_ckks_params(bits, degree=1 << 10, depth=3)
+    params = _PARAMS[bits]
+    if legacy:
+        monkeypatch.setenv("REPRO_KERNEL_PLANS", "off")
+    ctx = CkksContext(params, seed=17, kernel_backend=backend)
+    if legacy:
+        monkeypatch.delenv("REPRO_KERNEL_PLANS")
+    return ctx
+
+
+def _message(ctx: CkksContext, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, ctx.params.slots) + 1j * rng.uniform(-1, 1, ctx.params.slots)
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so each call appends its arguments to the returned list."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# -- (i) evk tables on the key ------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", (28, 36))
+def test_table_row_slices_match_per_level_stacks(bits):
+    ctx = _preset(bits)
+    params = ctx.params
+    evk = ctx.keys.galois_key(5)
+    total, aux = len(params.q_primes), len(params.aux_primes)
+    assert evk.b.shape == (params.dnum, total + aux, params.degree)
+    assert all(np.shares_memory(b_j.limbs, evk.b) for b_j, _ in evk)  # no second copy
+    tables = evk.shoup_tables()
+    assert evk.shoup_tables() is tables
+    for level in range(params.max_level + 1):
+        active = params.active_moduli(level)
+        keep = list(range(len(active))) + [total + i for i in range(aux)]
+        digits = sum(start < len(active) for start, _ in params.digit_spans())
+        q = np.array(active + params.aux_primes, dtype=object).reshape(-1, 1)
+        for index, tensor in enumerate((evk.b, evk.a)):
+            former = np.stack([pair[index].limbs[keep] for pair in list(evk)[:digits]])
+            rows = np.concatenate(
+                [tensor[:digits, : len(active)], tensor[:digits, total:]], axis=1
+            )
+            assert np.array_equal(rows, former)
+            # The former float-Shoup stack, through arbitrary precision.
+            exact = ((former.astype(object) << 64) // q).astype(np.uint64)
+            shoup_rows = np.concatenate(
+                [tables[index][:digits, : len(active)], tables[index][:digits, total:]],
+                axis=1,
+            )
+            assert np.array_equal(shoup_rows, exact.astype(np.float64) * 2.0**-64)
+
+
+@pytest.mark.parametrize("backend", ("numpy", "parallel"))
+@pytest.mark.parametrize("bits", (28, 36, 50, 62))
+def test_switch_bit_identical_to_legacy_engine(bits, backend, monkeypatch):
+    ctx = _preset(bits, backend=backend)
+    legacy = _preset(bits, monkeypatch, legacy=True)
+    assert ctx.ring.use_plans and not legacy.ring.use_plans
+    ev, ev_legacy = Evaluator(ctx), Evaluator(legacy)
+    # Same seed, same draw order: both contexts hold the same two keys.
+    pairs = [
+        (c.keys.relinearization_key(), c.keys.galois_key(25)) for c in (ctx, legacy)
+    ]
+    try:
+        for level in range(ctx.params.max_level + 1):
+            c1 = ctx.encrypt(_message(ctx), level=level).c1
+            twin = RnsPolynomial(legacy.ring, c1.moduli, c1.limbs, True)
+            for evk, evk_legacy in zip(*pairs):
+                assert np.array_equal(evk.b, evk_legacy.b)
+                u0, u1 = ev.switcher.switch(c1, evk)
+                w0, w1 = ev_legacy.switcher.switch(twin, evk_legacy)
+                assert np.array_equal(u0.limbs, w0.limbs)
+                assert np.array_equal(u1.limbs, w1.limbs)
+    finally:
+        ctx.ring.backend.close()
+
+
+# -- (ii) decompose / apply and hoisted rotations -----------------------------
+
+
+def test_decompose_equals_mod_up(small_context, small_evaluator):
+    switcher = small_evaluator.switcher
+    for level in (small_context.params.max_level, 2, 0):
+        c1 = small_context.encrypt(_message(small_context), level=level).c1
+        ext = switcher.decompose(c1)
+        reference = switcher.mod_up(c1.from_ntt())
+        assert ext.shape[0] == len(reference)
+        for got, want in zip(ext, reference):
+            assert np.array_equal(got, want.limbs)
+
+
+@pytest.mark.parametrize("slots", (256, 1 << 10), ids=("sparse", "full"))
+def test_rotate_hoisted_within_static_rotate_bound(slots):
+    params = make_params(degree=1 << 11, slots=slots, scale_bits=28, depth=3, dnum=3)
+    ctx = CkksContext(params, seed=4)
+    ev = Evaluator(ctx)
+    z = _message(ctx, seed=3)
+    ct = ctx.encrypt(z)
+    static = NoiseCheckEvaluator(NoiseParams(scale_bits=28.0))
+    bound = static.rotate(static.encrypt(mag=2.0)).worst_error
+    amounts = [1, 2, 5]
+    hoisted = ev.rotate_hoisted(ct, amounts)
+    for amount, got in zip(amounts, hoisted):
+        want = np.roll(z, -amount)
+        assert (got.level, got.scale) == (ct.level, ct.scale)
+        assert np.max(np.abs(ctx.decrypt(got) - want)) <= bound
+        assert np.max(np.abs(ctx.decrypt(ev.rotate(ct, amount)) - want)) <= bound
+    assert ev.rotate_hoisted(ct, [0, slots])[0] is ct
+
+
+# -- (iii) compiled linear transforms -----------------------------------------
+
+
+def test_linear_transform_compiles_once(small_context, small_evaluator, monkeypatch):
+    ctx, ev = small_context, small_evaluator
+    n = ctx.params.slots
+    rng = np.random.default_rng(8)
+    lt = LinearTransform(
+        rng.standard_normal((n, n)) / n, rng.standard_normal((n, n)) / n, baby_steps=8
+    )
+    z = _message(ctx, seed=1)
+    ct = ctx.encrypt(z)
+    encodes = _count_calls(monkeypatch, CkksContext, "encode")
+    first = lt.apply(ev, ct)
+    assert len(encodes) == 2 * n
+    plan = lt._compiled
+    second = lt.apply(ev, ct)
+    assert len(encodes) == 2 * n  # zero new encodes
+    assert lt._compiled is plan
+    assert np.array_equal(first.c0.limbs, second.c0.limbs)
+    assert np.array_equal(first.c1.limbs, second.c1.limbs)
+    assert np.max(np.abs(ctx.decrypt(first) - lt.reference_apply(z))) < 1e-3
+    # A new operating point recompiles and replaces the plan.
+    lower = ev.drop_to_level(ct, ct.level - 1)
+    lt.apply(ev, lower)
+    assert len(encodes) == 4 * n
+    assert lt._compiled is not plan and lt._compiled[0][1] == lower.level
+    lt.apply(ev, lower, output_scale=ct.scale * 2)
+    assert len(encodes) == 6 * n
+    held = sum(len(terms) for _, giants in lt._compiled[1] for _, terms in giants)
+    assert held <= 2 * n
+
+
+# -- (iv) steady-state bootstrap -----------------------------------------------
+
+
+def test_second_bootstrap_rebuilds_nothing(monkeypatch):
+    params = make_params(
+        degree=1 << 9, slots=256, scale_bits=23, depth=2,
+        boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
+    )  # fmt: skip
+    ctx = CkksContext(params, seed=2)
+    boot = Bootstrapper(ctx, Evaluator(ctx))
+    z = _message(ctx, seed=5)
+    boot.bootstrap(ctx.encrypt(z, level=0))
+    precomputes = _count_calls(monkeypatch, kernels, "shoup_precompute")
+    encodes = _count_calls(monkeypatch, CkksContext, "encode")
+    out, report = boot.bootstrap(ctx.encrypt(z, level=0))
+    assert len(precomputes) == 0
+    assert len(encodes) <= 120
+    assert report.output_level == 2
+    assert np.max(np.abs(ctx.decrypt(out) - z)) < 2.0**-12
+
+
+# -- (v) table lifetime ---------------------------------------------------------
+
+
+def test_tables_die_with_their_key(small_context, small_evaluator, monkeypatch):
+    ctx, ev = small_context, small_evaluator
+    other = CkksContext(ctx.params, seed=77)
+    precomputes = _count_calls(monkeypatch, kernels, "shoup_precompute")
+    keys = [ctx.keys.make_switch_key(other.keys.public_key()) for _ in range(3)]
+    for level in range(ctx.params.max_level + 1):
+        c1 = ctx.encrypt(_message(ctx), level=level).c1
+        for key in keys:
+            ev.switcher.switch(c1, key)
+    # One table pair per key, however many levels used it (the other
+    # calls are the per-chain plan constants, columns not tensors).
+    assert sum(np.ndim(args[0]) == 3 for args in precomputes) == 2 * len(keys)
+    assert all(isinstance(key, EvalKey) for key in keys)
+    key_ref = weakref.ref(keys[0])
+    table_refs = [weakref.ref(table) for table in keys[0].shoup_tables()]
+    survivor = weakref.ref(keys[1].shoup_tables()[0])
+    del keys[0], key
+    gc.collect()
+    # The switcher and its per-level plans are still alive; nothing pins the key.
+    assert key_ref() is None
+    assert all(ref() is None for ref in table_refs)
+    assert survivor() is not None
+
+
+def test_wire_rejects_digits_on_different_bases(small_context):
+    from repro.serve import wire
+
+    evk = small_context.keys.galois_key(5)
+    b, a = next(iter(evk))
+    short = (b.drop_limbs(1), a.drop_limbs(1))
+    blob = wire._KEY_COUNT.pack(2) + b"".join(
+        wire.encode_poly(p) for pair in ((b, a), short) for p in pair
+    )
+    with pytest.raises(wire.WireError, match="malformed switch key"):
+        wire.decode_switch_key(blob, small_context.ring)
+
+
+# -- (vi) bounded scratch ---------------------------------------------------------
+
+
+def test_scratch_high_water_independent_of_converter_count():
+    degree = 1 << 8
+    primes = tuple(find_ntt_primes(2 * degree, 2.0**29, 36, max_value=1 << 30))
+    limbs = np.stack(
+        [np.random.default_rng(i).integers(0, 1 << 20, degree, dtype=np.uint64) for i in range(2)]
+    )
+    marks = []
+    for i in range(12):
+        src, dst = primes[3 * i : 3 * i + 2], primes[3 * i + 2 : 3 * i + 3]
+        conv = BaseConverter(src, dst)
+        assert conv._fused_ok
+        conv.convert_rows(limbs)
+        marks.append(bconv._POOL.nbytes)
+    assert len(set(marks)) == 1
+
+    pool = kernels.ScratchPool()
+    a, b = pool.take(np.uint64, (4, 8), (8,))
+    assert a.shape == (4, 8) and b.shape == (8,) and not np.shares_memory(a, b)
+    high = pool.nbytes
+    pool.take(np.uint64, (2, 3))
+    pool.take(np.uint64, (5, 8))
+    assert pool.nbytes == high == 40 * 8
+
+
+# -- satellites: exact vectorised Shoup quotients, real-scalar fast path -----------
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(min_value=14, max_value=47), seed=st.integers(0, 2**32 - 1))
+def test_vectorised_shoup_precompute_is_exact(bits, seed):
+    (q,) = find_ntt_primes(
+        2, 0.75 * 2.0**bits, 1, max_value=(1 << bits) - 1, min_value=1 << (bits - 1)
+    )
+    rng = np.random.default_rng(seed)
+    w = rng.integers(0, q, 64, dtype=np.uint64)
+    w[:2] = (0, q - 1)
+    got = kernels.shoup_precompute(w, q)
+    want = [(int(x) << 64) // q for x in w]
+    assert got.dtype == np.uint64 and [int(x) for x in got] == want
+    # Column moduli broadcast like the evk tables do, and agree with big ints.
+    column = np.array([q, 65537], dtype=np.uint64).reshape(-1, 1)
+    both = kernels.shoup_precompute(np.stack([w, w % np.uint64(65537)]), column)
+    assert np.array_equal(both[0], got)
+    assert [int(x) for x in both[1]] == [(int(x) % 65537 << 64) // 65537 for x in w]
+    # prove_float_qhat_shoup's operand: fl(floor(w * 2**64 / q)) * 2**-64 keeps
+    # the quotient estimate within one unit for any lazy a < 4q.
+    table = got.astype(np.float64) * 2.0**-64
+    a = rng.integers(0, 4 * q, 64, dtype=np.uint64)
+    estimate = (a * table).astype(np.uint64)
+    for a_i, w_i, e_i in zip(a, w, estimate):
+        assert abs(int(e_i) - int(a_i) * int(w_i) // q) <= 1
+
+
+def test_wide_moduli_keep_the_bigint_path():
+    q = (1 << 61) - 1
+    w = np.array([0, 1, q - 1, 123456789012345678], dtype=np.uint64)
+    assert [int(x) for x in kernels.shoup_precompute(w, q)] == [(int(x) << 64) // q for x in w]
+
+
+def _general_encoding(ctx: CkksContext, value: float, ct):
+    """The general encoder's plaintext of ``value`` at ``ct``'s point."""
+    return ctx.encode(np.full(ctx.params.slots, value), level=ct.level, scale=ct.scale)
+
+
+@pytest.mark.parametrize("value", (1.0, -0.37, 123.456))
+def test_real_scalar_fast_path(small_context, small_evaluator, value, monkeypatch):
+    ctx, ev = small_context, small_evaluator
+    z = _message(ctx, seed=6)
+    ct = ctx.encrypt(z)
+    step_scale = ctx.params.step_at(ct.level).scale
+    old_pt = ctx.encode(np.full(ctx.params.slots, value), level=ct.level, scale=step_scale)
+    encodes = _count_calls(monkeypatch, CkksContext, "encode")
+    pt = ev._encode_scalar(value, ct.level, step_scale)
+    constant = [round(value * step_scale)] + [0] * (ctx.params.degree - 1)
+    reference = RnsPolynomial.from_int_coeffs(ctx.ring, ct.moduli, constant).to_ntt()
+    assert pt.moduli == reference.moduli and np.array_equal(pt.poly.limbs, reference.limbs)
+    for new, old in (
+        (ev.multiply_scalar(ct, value), ev.multiply_plain(ct, old_pt)),
+        (
+            ev.add_scalar(ct, value),
+            ev.add_plain(ct, _general_encoding(ctx, value, ct)),
+        ),
+    ):
+        got, want = ctx.decrypt(new), ctx.decrypt(old)
+        assert np.max(np.abs(got - want)) <= 2.0**-40 * max(1.0, np.max(np.abs(want)))
+    assert len(encodes) == 1  # only _general_encoding's reference encode
+    # Complex constants still go through the encoder.
+    rotated = ev.multiply_scalar(ct, 1j)
+    assert len(encodes) == 2
+    assert np.max(np.abs(ctx.decrypt(rotated) - 1j * z)) < 1e-4
+
