@@ -12,8 +12,9 @@ Since PR 7 the end-to-end HMult / key-switch section also measures the
 algorithms, no NTT plans, no batched key-switch) live in the same run,
 once per kernel backend requested with ``--backend``.  Gating on the
 same-run legacy/planned ratio makes the speedup bar robust to machine
-load; the absolute PR 6 numbers recorded on the reference box are kept
-alongside as ``baseline_ms_pr6`` for the cross-PR trajectory.
+load.  The two planned hot kernels — the blocked lazy ``NttPlan``
+(``ns_per_butterfly``) and the matmul BConv — are recorded as median
+plus interquartile range over the repeats.
 
 Run directly (not under pytest):
 
@@ -31,28 +32,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, as in benchmarks/e2e: the BConv dgemm is a few MFLOP
+# and waking OpenBLAS's workers costs more than the product (stalls of
+# several ms on a small shared box).  Must precede the numpy import.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from repro.ntt.reference import NttChain, NttContext
-from repro.params.primes import find_ntt_primes
-from repro.rns import kernels
-from repro.rns.bconv import BaseConverter
-from repro.rns.poly import RingContext, RnsPolynomial
+import numpy as np  # noqa: E402
+
+from repro.ntt.plan import NttPlan  # noqa: E402
+from repro.ntt.reference import NttContext  # noqa: E402
+from repro.params.primes import find_ntt_primes  # noqa: E402
+from repro.rns import kernels  # noqa: E402
+from repro.rns.bconv import BaseConverter  # noqa: E402
+from repro.rns.poly import RingContext, RnsPolynomial  # noqa: E402
 
 WORD_BITS = 36
-
-# Absolute end-to-end timings the PR 6 benchmark recorded on the
-# reference box, keyed by (degree, limbs).  Stale numbers — never gated
-# on directly (machine load and hardware vary); kept so BENCH_kernels
-# .json carries the cross-PR trajectory next to the live measurements.
-PR6_BASELINE_MS: dict[tuple[int, int], dict[str, float]] = {
-    (1 << 12, 6): {"hmult": 106.508, "keyswitch_rotate": 92.186},
-    (1 << 10, 6): {"hmult": 27.167, "keyswitch_rotate": 23.762},
-}
 
 # Same-run planned-vs-legacy HMult bars (see module doc).
 FULL_HMULT_SPEEDUP_BAR = 3.0
@@ -70,15 +71,26 @@ def _primes(two_n: int, bits: int, count: int, exclude=None) -> list[int]:
     )
 
 
-def _time(fn, reps: int) -> float:
-    """Best-of-``reps`` wall seconds (one untimed warmup)."""
+def _samples(fn, reps: int) -> list[float]:
+    """``reps`` wall-second samples (one untimed warmup)."""
     fn()
-    best = float("inf")
+    samples = []
     for _ in range(reps):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        samples.append(time.perf_counter() - t0)
+    return samples
+
+
+def _time(fn, reps: int) -> float:
+    """Best-of-``reps`` wall seconds (one untimed warmup)."""
+    return min(_samples(fn, reps))
+
+
+def _spread(samples: list[float], scale: float) -> tuple[float, float]:
+    """(median, interquartile range) of ``samples`` times ``scale``."""
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return median * scale, (q3 - q1) * scale
 
 
 # -- object-array baselines (the pre-kernel wide-modulus path) -------------
@@ -160,28 +172,37 @@ def bench_ntt(n: int, reps: int) -> dict:
     }
 
 
-def bench_ntt_chain(n: int, limbs: int, reps: int) -> dict:
+def bench_ntt_plan(n: int, limbs: int, reps: int) -> list[dict]:
+    """The production transform: ns per butterfly over an (L, N) matrix."""
     mods = _primes(2 * n, WORD_BITS, limbs)
-    plans = [NttContext(n, q) for q in mods]
-    chain = NttChain(plans)
+    plan = NttPlan([NttContext(n, q) for q in mods])
     rng = np.random.default_rng(3)
     mat = np.stack([rng.integers(0, q, n, dtype=np.uint64) for q in mods])
-    t_chain = _time(lambda: chain.forward_all(mat), reps)
-    t_loop = _time(
-        lambda: np.stack([p.forward(mat[i]) for i, p in enumerate(plans)]), reps
-    )
-    return {
-        "op": "ntt_forward_all",
-        "n": n,
-        "limbs": limbs,
-        "prime_bits": WORD_BITS,
-        "kernel_ms": t_chain * 1e3,
-        "per_limb_loop_ms": t_loop * 1e3,
-        "speedup": t_loop / t_chain,
-    }
+    assert np.array_equal(plan.inverse_all(plan.forward_all(mat)), mat)
+    butterflies = limbs * (n // 2) * int(math.log2(n))
+    rows = []
+    for direction, fn in (("forward", plan.forward_all), ("inverse", plan.inverse_all)):
+        samples = _samples(lambda: fn(mat), reps)
+        ns, ns_iqr = _spread(samples, 1e9 / butterflies)
+        rows.append(
+            {
+                "op": "ns_per_butterfly",
+                "direction": direction,
+                "n": n,
+                "limbs": limbs,
+                "prime_bits": WORD_BITS,
+                "kernel_ms": statistics.median(samples) * 1e3,
+                "ns_per_butterfly": ns,
+                "ns_per_butterfly_iqr": ns_iqr,
+                "repeats": reps,
+            }
+        )
+    return rows
 
 
-def bench_bconv(n: int, src_limbs: int, dst_limbs: int, reps: int) -> dict:
+def bench_bconv(
+    n: int, src_limbs: int, dst_limbs: int, reps: int, spread_reps: int
+) -> dict:
     src = _primes(2 * n, WORD_BITS, src_limbs)
     dst = _primes(2 * n, WORD_BITS - 1, dst_limbs, exclude=set(src))
     conv = BaseConverter(src, dst, centered=False)
@@ -191,7 +212,9 @@ def bench_bconv(n: int, src_limbs: int, dst_limbs: int, reps: int) -> dict:
     poly = RnsPolynomial(ring, tuple(src), limbs, ntt_form=False)
     y = kernels.shoup_mul(limbs, conv._inv_col, conv._inv_shoup, conv._src_kernel.q)
     y_obj = y.astype(object)
-    t_kernel = _time(lambda: conv.convert(poly), reps)
+    samples = _samples(lambda: conv.convert(poly), spread_reps)
+    t_kernel = min(samples)
+    median_ms, iqr_ms = _spread(samples, 1e3)
     t_object = _time(lambda: _object_bconv(y_obj, conv.table, dst), reps)
     ref = np.stack(
         [r.astype(np.uint64) for r in _object_bconv(y_obj, conv.table, dst)]
@@ -204,6 +227,9 @@ def bench_bconv(n: int, src_limbs: int, dst_limbs: int, reps: int) -> dict:
         "dst_limbs": dst_limbs,
         "prime_bits": WORD_BITS,
         "kernel_ms": t_kernel * 1e3,
+        "kernel_ms_median": median_ms,
+        "kernel_ms_iqr": iqr_ms,
+        "repeats": spread_reps,
         "object_ms": t_object * 1e3,
         "speedup": t_object / t_kernel,
     }
@@ -260,7 +286,6 @@ def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]
     t_rot_legacy = _time(lambda: ev_legacy.rotate(la, 1), reps)
 
     limbs = len(ct_a.moduli)
-    pr6 = PR6_BASELINE_MS.get((degree, limbs), {})
     common = {
         "n": degree,
         "prime_bits": WORD_BITS,
@@ -272,17 +297,15 @@ def bench_ckks_ops(degree: int, reps: int, backend: str = "numpy") -> list[dict]
         ("hmult", t_hmult, t_hmult_legacy),
         ("keyswitch_rotate", t_rot, t_rot_legacy),
     ):
-        row = {
-            "op": op,
-            "kernel_ms": t_planned * 1e3,
-            "legacy_ms": t_legacy * 1e3,
-            "speedup": t_legacy / t_planned,
-            **common,
-        }
-        if op in pr6:
-            row["baseline_ms_pr6"] = pr6[op]
-            row["speedup_vs_pr6"] = pr6[op] / (t_planned * 1e3)
-        rows.append(row)
+        rows.append(
+            {
+                "op": op,
+                "kernel_ms": t_planned * 1e3,
+                "legacy_ms": t_legacy * 1e3,
+                "speedup": t_legacy / t_planned,
+                **common,
+            }
+        )
 
     ctx.ring.backend.close()  # releases the pool for the parallel backend
     return rows
@@ -319,17 +342,17 @@ def main(argv=None) -> int:
           f"({len(certificate.proofs)} chains)")
 
     if args.quick:
-        n, reps, degree = 1 << 10, 1, 1 << 10
+        n, reps, spread_reps, degree = 1 << 10, 1, 3, 1 << 10
         limbs, src_l, dst_l = 4, 4, 3
     else:
-        n, reps, degree = 1 << 14, 3, 1 << 12
-        limbs, src_l, dst_l = 8, 8, 4
+        n, reps, spread_reps, degree = 1 << 14, 3, 15, 1 << 12
+        limbs, src_l, dst_l = 12, 8, 4
 
     results = [
         bench_mulmod(n, reps),
         bench_ntt(n, reps),
-        bench_ntt_chain(n, limbs, reps),
-        bench_bconv(n, src_l, dst_l, reps),
+        *bench_ntt_plan(n, limbs, spread_reps),
+        bench_bconv(n, src_l, dst_l, reps, spread_reps),
     ]
     for backend in backends:
         results.extend(bench_ckks_ops(degree, reps, backend=backend))
@@ -346,20 +369,23 @@ def main(argv=None) -> int:
 
     print(
         f"{'op':<18} {'n':>6} {'backend':>9} {'kernel_ms':>10} "
-        f"{'baseline_ms':>12} {'speedup':>8} {'vs_pr6':>8}"
+        f"{'baseline_ms':>12} {'speedup':>8}  spread"
     )
     for r in results:
-        base = r.get("object_ms", r.get("per_limb_loop_ms", r.get("legacy_ms")))
+        base = r.get("object_ms", r.get("legacy_ms"))
         base_s = "-" if base is None else f"{base:.3f}"
         speed_s = "-" if "speedup" not in r else f"{r['speedup']:.1f}x"
-        pr6_s = (
-            "-"
-            if "speedup_vs_pr6" not in r
-            else f"{r['speedup_vs_pr6']:.1f}x"
-        )
+        spread_s = ""
+        if "ns_per_butterfly" in r:
+            spread_s = (
+                f"{r['direction']}: {r['ns_per_butterfly']:.2f} ns/butterfly "
+                f"(IQR {r['ns_per_butterfly_iqr']:.2f})"
+            )
+        elif "kernel_ms_median" in r:
+            spread_s = f"median {r['kernel_ms_median']:.3f} ms (IQR {r['kernel_ms_iqr']:.3f})"
         print(
             f"{r['op']:<18} {r['n']:>6} {r.get('backend', '-'):>9} "
-            f"{r['kernel_ms']:>10.3f} {base_s:>12} {speed_s:>8} {pr6_s:>8}"
+            f"{r['kernel_ms']:>10.3f} {base_s:>12} {speed_s:>8}  {spread_s}"
         )
     print(f"\nwrote {args.out}")
 
@@ -379,24 +405,20 @@ def main(argv=None) -> int:
         return 1
 
     # PR 7 bars.  Full mode holds the numpy plan path to >= 3x HMult at
-    # N = 2^12 / 6 limbs, taking the better of the same-run legacy
-    # ratio and the recorded-PR 6 ratio: on a loaded box both paths
-    # slow together and the same-run ratio holds; on different hardware
-    # the recorded baseline would mislead, but the same-run ratio is
-    # live.  Quick mode only requires every backend to not lose to the
-    # legacy path (CI boxes are small, loaded, and often single-core).
+    # N = 2^12 / 6 limbs against the same-run legacy path: on a loaded
+    # box both paths slow together and the ratio holds.  Quick mode
+    # only requires every backend to not lose to the legacy path (CI
+    # boxes are small, loaded, and often single-core).
     failed = False
     for r in (r for r in results if r["op"] == "hmult"):
-        measured = max(r["speedup"], r.get("speedup_vs_pr6", 0.0))
         bar = QUICK_HMULT_SPEEDUP_BAR
         if not args.quick and r["backend"] == "numpy":
             bar = FULL_HMULT_SPEEDUP_BAR
-        if measured < bar:
+        if r["speedup"] < bar:
             print(
                 f"FAIL: hmult[{r['backend']}] at {r['speedup']:.2f}x the "
-                f"same-run legacy path / "
-                f"{r.get('speedup_vs_pr6', 0.0):.2f}x the recorded PR 6 "
-                f"baseline (bar {bar:.1f}x, n={r['n']}, limbs={r['limbs']})"
+                f"same-run legacy path (bar {bar:.1f}x, n={r['n']}, "
+                f"limbs={r['limbs']})"
             )
             failed = True
     return 1 if failed else 0

@@ -32,6 +32,7 @@ __all__ = [
     "BoundProof",
     "BoundCertificate",
     "certify_report",
+    "proofs_report",
     "prove_mul_hi",
     "prove_forward_butterfly",
     "prove_inverse_butterfly",
@@ -42,6 +43,8 @@ __all__ = [
     "prove_float_qhat_shoup",
     "prove_float_split_mul",
     "prove_bconv_accumulator",
+    "prove_lazy_ntt_schedule",
+    "prove_bconv_matmul",
     "prove_ds_reconstruction",
     "certify_word_bits",
     "max_safe_word_bits",
@@ -54,6 +57,10 @@ U63_MAX = 2**63 - 1
 # basis in play is Q + P of the deepest Set_k chain (L = 35, K = 12).
 # Prove with generous slack so deeper future chains stay covered.
 DEFAULT_BCONV_TERMS = 128
+
+# The lazy NTT schedule is proved at the largest ring in play
+# (SHARP's N = 2**16) plus one stage of slack.
+DEFAULT_NTT_LOG_N = 17
 
 
 @dataclass(frozen=True)
@@ -213,7 +220,7 @@ def prove_variable_product(q_max: int) -> BoundProof:
 
 
 def prove_narrow_split_mul(q_max: int) -> BoundProof:
-    """``ModulusKernel.mul``, split regime (``q < 2**42``).
+    """``ModulusKernel.mul``, split regime (``q < 2**41``).
 
     One operand splits at ``SPLIT_SHIFT`` bits: ``b = b1 * 2**s + b0``.
     The partial ``a * b1`` must fit uint64 before its lazy Barrett
@@ -253,7 +260,7 @@ def _float_window(q_max: int, upper: int) -> int:
 
 
 def prove_float_barrett(q_max: int) -> BoundProof:
-    """``reduce64_f_lazy``: float-quotient Barrett on any uint64 input.
+    """``reduce64_f``: float-quotient Barrett on any input below ``2**63``.
 
     The quotient estimate is ``trunc(RN(RN(x) * v64_f))`` with
     ``v64_f = v64 * 2**-64`` and ``v64 = floor(2**64 / q)`` — exactly
@@ -346,8 +353,9 @@ def prove_float_split_mul(q_max: int) -> BoundProof:
     (wrap fix plus one conditional subtraction).  The high partial
     ``a * b1`` must fit uint64 before its reduction, and the
     recombination ``(r1 << s) + a * b0`` with ``r1 < 2q`` must fit
-    again before the second reduction — both clamped to the split
-    regime ``q < 2**42``, which sits inside the float window.
+    again before the second reduction — both below ``2**63``, the
+    float Barrett's operand bound, and both clamped to the split
+    regime ``q < 2**41``, which sits inside the float window.
     """
     q = _float_window(q_max, kernels.NARROW_SPLIT_LIMIT)
     s = kernels.SPLIT_SHIFT
@@ -361,9 +369,9 @@ def prove_float_split_mul(q_max: int) -> BoundProof:
             q,
             kernels.NARROW_SPLIT_LIMIT - 1,
         ),
-        BoundStep("a * b1 (high partial)", a * b1, U64_MAX),
-        BoundStep("r1 = reduce64_f_lazy(a * b1) < 2q", r1, U64_MAX),
-        BoundStep(f"(r1 << {s}) + a * b0", (r1 << s) + a * b0, U64_MAX),
+        BoundStep("a * b1 (high partial)", a * b1, U63_MAX),
+        BoundStep("r1 = reduce64_f(a * b1, lazy) < 2q", r1, U64_MAX),
+        BoundStep(f"(r1 << {s}) + a * b0", (r1 << s) + a * b0, U63_MAX),
         BoundStep("second float Barrett output < 2q", 2 * q - 1, U64_MAX),
     )
     return BoundProof("float_split_mul", q_max, steps)
@@ -391,6 +399,79 @@ def prove_bconv_accumulator(
         BoundStep("s = shoup_mul_lazy(hi) + reduce64_lazy(lo)", s, U64_MAX),
     )
     return BoundProof("bconv_sum_mod", q_max, steps)
+
+
+def prove_lazy_ntt_schedule(
+    q_max: int,
+    log_n: int = DEFAULT_NTT_LOG_N,
+    schedule: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> BoundProof:
+    """``NttPlan``: lazy butterflies under ``lazy_schedule(q_max, log_n)``.
+
+    Values are signed representatives ``|x| < bound``.  A twiddle
+    multiply takes an operand up to ``FLOAT_OPERAND_LIMIT`` (the float
+    quotient then errs by less than one, so the truncated remainder
+    stays below ``2q``); a CT stage adds it to ``u`` both ways (``bound
+    += 2q``), a GS stage multiplies ``u - v`` and keeps ``u + v``
+    (``bound *= 2``), and a float-Barrett pass at a scheduled stage
+    restarts from ``2q``.  ``schedule`` overrides the derived one, so a
+    late reduction can be shown to fail.
+    """
+    from repro.ntt.plan import lazy_schedule
+
+    q = _float_window(q_max, kernels.FLOAT_QHAT_LIMIT)
+    limit = kernels.FLOAT_OPERAND_LIMIT
+    forward, inverse = schedule or lazy_schedule(q, log_n)
+    scale = 1 << 53
+    error = math.ceil(Fraction(limit, 2**51) * scale) + math.ceil(
+        Fraction(limit, 2**64) * scale
+    )
+    steps = [
+        BoundStep("quotient error at the operand limit (x 2**53) < 1", error, scale - 1),
+        BoundStep("truncated remainder |r| < 2q", 2 * q - 1, U63_MAX),
+    ]
+    bound = q  # canonical input
+    for stage in range(log_n):
+        bound = 2 * q if stage in forward else bound
+        steps.append(BoundStep(f"forward stage {stage}: operand v", bound, limit))
+        bound += 2 * q
+    steps.append(BoundStep("forward final Barrett operand exact in float64", bound, scale - 1))
+    barrett = math.ceil(Fraction(bound, kernels.FLOAT_BARRETT_MIN * 2**51) * scale)
+    steps.append(BoundStep("its quotient error (x 2**53) < 1", barrett, scale - 1))
+    bound = q
+    for stage in range(log_n):
+        bound = 2 * q if stage in inverse else bound
+        steps.append(BoundStep(f"inverse stage {stage}: operand u - v", 2 * bound, limit))
+        bound *= 2
+    return BoundProof("lazy_ntt_schedule", q_max, tuple(steps))
+
+
+def prove_bconv_matmul(
+    q_max: int,
+    src_count: int = DEFAULT_BCONV_TERMS,
+    digit_bits: int = kernels.BCONV_DIGIT_BITS,
+) -> BoundProof:
+    """``BaseConverter._convert_rows_matmul``: BConv as one float64 dgemm.
+
+    Residues and base-table entries (words of at most two digits — the
+    converter takes the per-row path otherwise) split into
+    ``digit_bits``-wide digits; a digit sum adds ``2L`` digit products
+    plus the overflow count times a correction digit and must be an
+    exact float64 integer in any summation order.  The two sums
+    recombine as ``S0 + (S1 << digit_bits)``, which the float Barrett
+    converts through an int64 view.
+    """
+    q = min(q_max, (1 << 2 * digit_bits) - 1)
+    digit = (1 << digit_bits) - 1
+    terms = 2 * src_count + 1
+    dot = terms * digit * digit
+    steps = (
+        BoundStep("high digit of a word fits a digit", (q - 1) >> digit_bits, digit),
+        BoundStep("overflow count e <= L fits a digit", src_count, digit),
+        BoundStep(f"digit dot product, {terms} terms", dot, 1 << 53),
+        BoundStep(f"recombined S0 + (S1 << {digit_bits})", dot + (dot << digit_bits), U63_MAX),
+    )
+    return BoundProof("bconv_matmul", q_max, steps)
 
 
 def prove_ds_reconstruction(pair_product_max: int) -> BoundProof:
@@ -446,9 +527,24 @@ def certify_word_bits(
         prove_float_qhat_shoup(q_max),
         prove_float_split_mul(q_max),
         prove_bconv_accumulator(q_max, terms=bconv_terms),
+        prove_lazy_ntt_schedule(q_max),
+        prove_bconv_matmul(q_max, src_count=bconv_terms),
         prove_ds_reconstruction(1 << _boot_pair_product_bits(word_bits)),
     )
     return BoundCertificate(word_bits=word_bits, q_max=q_max, proofs=proofs)
+
+
+def proofs_report(subject: str, proofs: tuple[BoundProof, ...]) -> CheckReport:
+    """Failed steps of ``proofs`` as a :class:`CheckReport` (KB-* codes)."""
+    report = CheckReport("bounds", subject)
+    for proof in proofs:
+        for step in proof.failures():
+            report.error(
+                "KB-OVERFLOW",
+                f"{proof.chain}: {step.label} reaches {step.magnitude} "
+                f"(limit {step.limit}) at q_max = {proof.q_max}",
+            )
+    return report
 
 
 def certify_report(
@@ -456,14 +552,7 @@ def certify_report(
 ) -> CheckReport:
     """Certificate rendered as a :class:`CheckReport` (KB-* codes)."""
     certificate = certify_word_bits(word_bits, bconv_terms=bconv_terms)
-    report = CheckReport("bounds", f"word_bits={word_bits}")
-    for chain, step in certificate.failures():
-        report.error(
-            "KB-OVERFLOW",
-            f"{chain}: {step.label} reaches {step.magnitude} "
-            f"(limit {step.limit}) at q_max = 2**{word_bits} - 1",
-        )
-    return report
+    return proofs_report(f"word_bits={word_bits}", certificate.proofs)
 
 
 def max_safe_word_bits(limit: int = 64) -> int:

@@ -14,7 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.check.bounds import certify_report
+from repro.check.bounds import (
+    certify_report,
+    proofs_report,
+    prove_bconv_matmul,
+    prove_lazy_ntt_schedule,
+)
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator, check_program
 from repro.check.diagnostics import CheckReport
 from repro.check.equiv import check_equivalence
@@ -613,6 +618,31 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
             "word-bits-64", "bounds", lambda: certify_report(64), ("KB-OVERFLOW",)
         )
     )
+
+
+    def late_ntt_reduction() -> CheckReport:
+        # The inverse NTT's one reduction at 36 bits, taken a stage late:
+        # the doubled operand passes the float-quotient limit.
+        from repro.ntt.plan import lazy_schedule
+
+        q_max = (1 << 36) - 1
+        forward, inverse = lazy_schedule(q_max, 16)
+        late = (forward, tuple(stage + 1 for stage in inverse))
+        return proofs_report(
+            "ntt-late-reduction", (prove_lazy_ntt_schedule(q_max, 16, schedule=late),)
+        )
+
+    def wide_bconv_digits() -> CheckReport:
+        # 54-bit words as two 27-bit digits: eight source limbs already
+        # push a digit sum past the float64 mantissa.
+        proof = prove_bconv_matmul((1 << 54) - 1, src_count=8, digit_bits=27)
+        return proofs_report("bconv-wide-digits", (proof,))
+
+    for name, run in (
+        ("ntt-late-reduction", late_ntt_reduction),
+        ("bconv-wide-digits", wide_bconv_digits),
+    ):
+        cases.append(MutationCase(name, "bounds", run, ("KB-OVERFLOW",)))
 
     # -- noise-domain violations --------------------------------------------
     def inflated_scale() -> CheckReport:

@@ -234,7 +234,7 @@ class KeySwitcher:
         diff = plan.kern2.sub(q_pair, corr_ntt)
         if plan.kern2.float_ok:
             out = plan.kern2.shoup_mul_f(
-                diff, plan.p_inv_col, plan.p_inv_shoup_f
+                diff, plan.p_inv_col, plan.p_inv_shoup_f, out=diff
             )
         else:
             out = kernels.shoup_mul(

@@ -154,7 +154,7 @@ class Evaluator:
             t = kern.mul_f(a.c0.limbs, b.c1.limbs, lazy=True)
             t += kern.mul_f(a.c1.limbs, b.c0.limbs, lazy=True)
             return RnsPolynomial(
-                self.ring, a.c0.moduli, kern.reduce64_f(t), ntt_form=True
+                self.ring, a.c0.moduli, kern.reduce64_f(t, out=t), ntt_form=True
             )
         return a.c0 * b.c1 + a.c1 * b.c0
 
@@ -292,7 +292,7 @@ class Evaluator:
         head_pair = np.concatenate([p0.limbs[:level], p1.limbs[:level]])
         diff = kern2.sub(head_pair, corr_ntt)
         if kern2.float_ok:
-            out = kern2.shoup_mul_f(diff, inv_col, inv_shoup_f)
+            out = kern2.shoup_mul_f(diff, inv_col, inv_shoup_f, out=diff)
         else:
             out = kernels.shoup_mul(diff, inv_col, inv_shoup, kern2.q)
         return (

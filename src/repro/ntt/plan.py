@@ -1,58 +1,157 @@
-"""Precomputed NTT plans: fused tables, scratch reuse, zero re-dispatch.
+"""Precomputed NTT plans: lazy short-word butterflies over cache-sized blocks.
 
 An :class:`NttPlan` freezes everything the hot transform loop needs for
-one (moduli chain, degree) pair at context-build time: stacked Shoup
-twiddle tables, their float64 mirrors for the float-quotient lane, the
-bit-reversal permutation, broadcast-ready modulus columns, and
-preallocated scratch buffers.  ``forward_all``/``inverse_all`` then run
-in-place strided butterfly passes with `out=` ufuncs — no table
-recomputation, no per-call shape dispatch, no intermediate allocation.
+one (moduli chain, degree) pair at context-build time: stacked twiddle
+tables with their float64 Shoup mirrors, the bit-reversal permutation
+and the reduction schedule.  ``forward_all``/``inverse_all`` then run
+strided butterfly passes with ``out=`` ufuncs — no table recomputation,
+no per-call shape dispatch, no allocation beyond the result.
 
-The float-quotient lane (``repro.rns.kernels.FLOAT_QHAT_LIMIT``)
-replaces the 128-bit emulated Shoup high product with a single float64
-multiply whose truncation is provably within one of the integer Shoup
-quotient for ``q < 2**48`` (see ``repro.check.bounds``); the remainder
-lands in ``(-q, 3q)`` wrapped mod ``2**64`` and is repaired with the
-``min(r, r + q)`` wrap trick plus a conditional subtraction.  Lazy
-representatives on
-this lane may differ from the integer path by a multiple of ``q``, but
-canonical outputs are bit-identical — the parity suite asserts exact
-equality against :class:`repro.ntt.reference.NttChain`.
+Two things keep the transform cheap:
 
-Chains containing a modulus outside ``[2**14, 2**48)`` (the 50/62-bit
-presets) fall back to the reference chain transforms behind the same
-interface.
+* **Lazy reduction.**  A 36-bit residue leaves 28 bits of a 64-bit lane
+  unused, so the butterflies never repair their outputs.  Values are
+  signed two's-complement representatives; a twiddle multiply is the
+  float-quotient Shoup product (``repro.rns.kernels``) left at ``|r| <
+  2q``, a CT stage is ``v = u - r; u += r`` (magnitudes grow by ``2q``)
+  and a GS stage is ``t = u - v; u += v; v = t * w`` (magnitudes
+  double).  :func:`lazy_schedule` derives from ``(q_max, log N)`` the
+  stages before which a float-Barrett pass must bring magnitudes back
+  under ``2q`` so that every multiplied operand stays below
+  ``kernels.FLOAT_OPERAND_LIMIT`` — never for a 36-bit chain up to
+  ``N = 2**14``, every other stage for a 47-bit one — and
+  ``repro.check.bounds.prove_lazy_ntt_schedule`` proves the result.
+* **Row blocking.**  Rows transform independently, so the matrix is
+  walked in blocks of :func:`_block_rows` rows whose data and scratch
+  stay L2-resident across all ``log N`` stages; scratch is one block,
+  not one matrix.
+
+Canonical outputs are bit-identical to
+:class:`repro.ntt.reference.NttChain` (residues are unique), which the
+parity suite asserts.  Chains containing a modulus outside ``[2**14,
+2**48)`` (the 50/62-bit presets) fall back to the reference chain
+transforms behind the same interface.
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Iterator
+from typing import Any
+
 import numpy as np
 
-from repro.rns import kernels
 from repro.ntt.reference import NttChain, NttContext
+from repro.rns import kernels
 
-__all__ = ["NttPlan"]
+__all__ = ["NttPlan", "lazy_schedule"]
 
 _INV_2_64 = 2.0**-64
 
 # Butterfly span at which the transform switches to the transposed chunk
-# layout (see NttPlan._build_tail).
+# layout (see NttPlan._tail_tables).
 _TAIL_T = 32
+
+# Working set of one block: half of a 2 MiB L2, the other half left to
+# the twiddles streaming through (each entry is read once per row).  Per
+# coefficient a row holds its data, the transposed copy and three
+# half-length scratch lanes.  Derived, not configurable: a larger block
+# only trades cache misses for fewer Python dispatches and the optimum
+# is flat around it (EXPERIMENTS "Short-word kernels").
+_BLOCK_BYTES = 1 << 20
+_BYTES_PER_COEFF = 8 + 8 + 3 * 4
+
+_POOL = kernels.ScratchPool()
+_ONE = np.uint64(1)
+
+
+@contextlib.contextmanager
+def _unbuffered() -> Iterator[None]:
+    """The ufunc buffer at its minimum (and uint64 wraparound silenced).
+
+    numpy stages a broadcast or strided operand through its cast buffer
+    whenever an inner run is shorter than the buffer (8192 elements by
+    default) — one extra copy per pass for every twiddle column and
+    every u / v half below that span.  No pass here casts inside a
+    ufunc, so with the smallest buffer each reads its operands in place.
+    """
+    with np.errstate(over="ignore"):
+        saved = np.setbufsize(16)
+        try:
+            yield
+        finally:
+            np.setbufsize(saved)
+
+
+_Stage = tuple[tuple[int, ...], np.ndarray, np.ndarray]
+
+
+def _block_rows(degree: int) -> int:
+    return max(1, _BLOCK_BYTES // (_BYTES_PER_COEFF * degree))
+
+
+def lazy_schedule(q_max: int, log_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Stages before which the forward / inverse transform must reduce.
+
+    Walks the worst-case magnitude ``|x| < bound`` through the ``log_n``
+    stages: canonical input (``q``), ``+2q`` per CT stage, ``x2`` per GS
+    stage, back to ``2q`` after a float-Barrett pass.  A stage's
+    multiplied operand (``v``, resp. ``u - v``) must not exceed
+    ``kernels.FLOAT_OPERAND_LIMIT``.
+    """
+    limit = kernels.FLOAT_OPERAND_LIMIT
+    forward: list[int] = []
+    inverse: list[int] = []
+    bound = q_max
+    for stage in range(log_n):
+        if bound > limit:
+            forward.append(stage)
+            bound = 2 * q_max
+        bound += 2 * q_max
+    bound = q_max
+    for stage in range(log_n):
+        if 2 * bound > limit:
+            inverse.append(stage)
+            bound = 2 * q_max
+        bound *= 2
+    return tuple(forward), tuple(inverse)
+
+
+def _lazy_mul(
+    x: np.ndarray, w: np.ndarray | np.uint64, w_f: np.ndarray, q: np.ndarray,
+    out: np.ndarray, qhat: np.ndarray, f: np.ndarray, canonical: bool = False,
+) -> None:  # fmt: skip
+    """``out = x * w mod q`` for signed ``|x| <= FLOAT_OPERAND_LIMIT + 2q``.
+
+    The float quotient is within one of ``x * w / q``, so truncation
+    leaves ``|out| < 2q``; ``canonical`` floors instead (remainder in
+    ``(-q, 2q)``) and collapses to ``[0, q)``.  ``w = 1`` with the
+    float reciprocal of ``q`` is the float-Barrett reduction.  ``out``
+    may be ``x``; ``qhat`` and ``f`` are scratch of its shape.
+    """
+    kernels.float_qhat_times_q(x, w_f, q, qhat, f, floor=canonical)
+    np.multiply(x, w, out=out)
+    np.subtract(out, qhat, out=out)
+    if canonical:
+        np.add(out, q, out=qhat)
+        np.minimum(out, qhat, out=out)  # wrap fix: [0, 2q)
+        np.subtract(out, q, out=qhat)
+        np.minimum(out, qhat, out=out)
 
 
 class NttPlan:
-    """Fused, preallocated (L, N) limb-matrix transform plan.
+    """Fused, blocked (L, N) limb-matrix transform plan.
 
     Built once per (chain, degree) by :meth:`repro.rns.poly.RingContext.plan`
     and cached for the life of the ring; the per-modulus twiddle tables
     are shared with the cached :class:`NttContext` objects, so a plan
-    costs one ``np.stack`` per table plus scratch buffers.
+    costs one ``np.stack`` per table.
 
-    Plans are single-threaded objects (scratch is reused across calls);
+    Plans are single-threaded objects (block scratch is module-wide);
     the parallel backend builds one plan per worker process.
     """
 
-    def __init__(self, contexts: list[NttContext]):
+    def __init__(self, contexts: list[NttContext]) -> None:
         if not contexts:
             raise ValueError("a plan needs at least one NTT context")
         degree = contexts[0].degree
@@ -65,72 +164,62 @@ class NttPlan:
             for q in self.moduli
         )
         self._chain = NttChain(list(contexts))
-        self._rev = contexts[0]._rev
-        self._tail = False
         if not self.float_lane:
             return
 
-        rows = len(contexts)
         n = degree
-        q = np.array(self.moduli, dtype=np.uint64)
-        self._q3 = q.reshape(-1, 1, 1)
-        self._two_q3 = (q * np.uint64(2)).reshape(-1, 1, 1)
-        self._q4 = q.reshape(-1, 1, 1, 1)
-        self._two_q4 = (q * np.uint64(2)).reshape(-1, 1, 1, 1)
-        self._q2 = q.reshape(-1, 1)
-        self._two_q2 = (q * np.uint64(2)).reshape(-1, 1)
-        self._psi = np.stack([c._psi_rev for c in contexts])
-        self._psi_f = (
-            np.stack([c._psi_rev_shoup for c in contexts]).astype(np.float64)
-            * _INV_2_64
+        self._fwd_reduce, self._inv_reduce = lazy_schedule(
+            max(self.moduli), n.bit_length() - 1
         )
-        self._psi_inv = np.stack([c._psi_inv_rev for c in contexts])
-        self._psi_inv_f = (
-            np.stack([c._psi_inv_rev_shoup for c in contexts]).astype(np.float64)
-            * _INV_2_64
-        )
-        self._n_inv = np.array([c.n_inv for c in contexts], dtype=np.uint64).reshape(
-            -1, 1
-        )
-        self._n_inv_f = (
-            np.array([c._n_inv_shoup for c in contexts], dtype=np.uint64)
-            .astype(np.float64)
-            .reshape(-1, 1)
-            * _INV_2_64
-        )
-        # Last-GS-stage twiddles with n^{-1} folded in: the inverse's
+        self._q = np.array(self.moduli, dtype=np.uint64)
+        self._q_inv_f = 1.0 / self._q.astype(np.float64)
+        psi = np.stack([c._psi_rev for c in contexts])
+        psi_inv = np.stack([c._psi_inv_rev for c in contexts])
+        psi_f = np.stack([c._psi_rev_shoup for c in contexts]).astype(np.float64)
+        psi_inv_f = np.stack([c._psi_inv_rev_shoup for c in contexts]).astype(np.float64)
+        psi_f *= _INV_2_64
+        psi_inv_f *= _INV_2_64
+        # Last-GS-stage constants with n^{-1} folded in: the inverse's
         # final scaling comes for free inside the stage's Shoup multiply
         # (the u half pays one extra multiply by n^{-1} alone).
-        w_last = np.array(
-            [
-                (int(c._psi_inv_rev[1]) * int(c.n_inv)) % c.modulus
-                for c in contexts
-            ],
-            dtype=np.uint64,
-        )
-        self._last3 = w_last.reshape(-1, 1, 1)
-        self._last3_f = (
-            np.array(
-                [(int(w) << 64) // c.modulus for w, c in zip(w_last, contexts)],
-                dtype=np.uint64,
+        n_inv = [int(c.n_inv) for c in contexts]
+        last = [int(c._psi_inv_rev[1]) * ni % c.modulus for c, ni in zip(contexts, n_inv)]
+        self._n_inv, self._last = (
+            (
+                np.array(vals, dtype=np.uint64)[:, None],
+                np.array([(v << 64) // q for v, q in zip(vals, self.moduli)], dtype=np.uint64)
+                .astype(np.float64)[:, None] * _INV_2_64,
             )
-            .astype(np.float64)
-            .reshape(-1, 1, 1)
-            * _INV_2_64
-        )
-        self._ninv3 = self._n_inv.reshape(-1, 1, 1)
-        self._ninv3_f = self._n_inv_f.reshape(-1, 1, 1)
-        # Flat scratch, reshaped to the (rows, m, t) stage view on use.
-        half = rows * (n // 2)
-        self._h0 = np.empty(half, dtype=np.uint64)
-        self._h1 = np.empty(half, dtype=np.uint64)
-        self._h2 = np.empty(half, dtype=np.uint64)
-        self._hf = np.empty(half, dtype=np.float64)
-        self._c0 = np.empty((rows, n), dtype=np.uint64)
-        self._cf = np.empty((rows, n), dtype=np.float64)
-        self._build_tail(contexts)
+            for vals in (n_inv, last)
+        )  # fmt: skip
 
-    def _build_tail(self, contexts: list[NttContext]) -> None:
+        # One entry per CT stage and its mirror GS stage: (view shape of
+        # a row, twiddles, float mirrors).  A view shape is (groups, 2,
+        # span...) — axis 1 picks the u / v half.
+        self._tail = n >= 32 * _TAIL_T
+        head_t = 2 * _TAIL_T if self._tail else 1
+        fwd: list[_Stage] = []
+        inv: list[_Stage] = []
+        m = 1
+        while n // m > head_t:
+            shape, cols = (m, 2, n // (2 * m)), slice(m, 2 * m)
+            fwd.append((shape, psi[:, cols, None], psi_f[:, cols, None]))
+            inv.append((shape, psi_inv[:, cols, None], psi_inv_f[:, cols, None]))
+            m *= 2
+        self._head = len(fwd)
+        rev = contexts[0]._rev
+        self._fwd_perm = self._inv_perm = rev
+        if self._tail:
+            tail_fwd, tail_inv = self._tail_tables(psi, psi_f, psi_inv, psi_inv_f, rev)
+            fwd += tail_fwd
+            inv += tail_inv
+        self._fwd = fwd
+        self._inv = inv[:0:-1]  # GS runs the CT stages backwards; stage 0 is fused
+
+    def _tail_tables(
+        self, psi: np.ndarray, psi_f: np.ndarray, psi_inv: np.ndarray, psi_inv_f: np.ndarray,
+        rev: np.ndarray,
+    ) -> tuple[list[_Stage], list[_Stage]]:  # fmt: skip
         """Precompute the transposed-layout tables for the tail stages.
 
         Once the butterfly span ``t`` drops to ``_TAIL_T`` every
@@ -144,209 +233,129 @@ class NttPlan:
         build time; the chunk transpose composes with the bit-reversal
         gather on both ends, so it costs one extra copy per transform.
         """
-        n = self.degree
-        self._tail = self.float_lane and n >= 32 * _TAIL_T
-        if not self._tail:
-            return
-        rows = len(self.moduli)
-        t_cap = _TAIL_T
-        chunk = 2 * t_cap
+        n, rows = self.degree, len(self.moduli)
+        chunk = 2 * _TAIL_T
         c_count = n // chunk
-        rev = self._rev
 
         def relayout(table: np.ndarray, m: int, b: int) -> np.ndarray:
             # table[:, m:2m] indexed by group g = c*B + b -> (rows, B, 1, C)
             s = table[:, m : 2 * m].reshape(rows, c_count, b)
             return np.ascontiguousarray(s.transpose(0, 2, 1))[:, :, None, :]
 
-        self._tail_psi = {}
-        self._tail_psi_f = {}
-        self._tail_psi_inv = {}
-        self._tail_psi_inv_f = {}
-        t = t_cap
+        fwd: list[_Stage] = []
+        inv: list[_Stage] = []
+        t = _TAIL_T
         while t >= 1:
-            m = n // (2 * t)
-            b = t_cap // t
-            self._tail_psi[t] = relayout(self._psi, m, b)
-            self._tail_psi_f[t] = relayout(self._psi_f, m, b)
-            self._tail_psi_inv[t] = relayout(self._psi_inv, m, b)
-            self._tail_psi_inv_f[t] = relayout(self._psi_inv_f, m, b)
+            m, b = n // (2 * t), _TAIL_T // t
+            shape = (b, 2, t, c_count)
+            fwd.append((shape, relayout(psi, m, b), relayout(psi_f, m, b)))
+            inv.append((shape, relayout(psi_inv, m, b), relayout(psi_inv_f, m, b)))
             t //= 2
         # Forward output: natural j reads transposed flat p*C + c where
         # rev[j] = c*chunk + p.  Inverse input: transposed (p, c) reads
         # limbs[rev[c*chunk + p]].
         self._fwd_perm = (rev % chunk) * c_count + rev // chunk
         self._inv_perm = rev.reshape(c_count, chunk).T.reshape(-1)
-
-    # -- float-lane Shoup stage multiply -----------------------------------
-
-    def _shoup_stage(self, v, s, s_f, out, tmp, f, q, two_q):
-        """``v * s mod q`` into ``out``, lazy ``[0, 2q)``, all in scratch.
-
-        ``v`` holds values below ``4q``; the float64 quotient is within
-        one of the integer Shoup quotient, so the wrapped remainder sits
-        in ``(-q, 3q)`` and one wrap fix plus one conditional subtract
-        repair it.
-        """
-        np.multiply(v, s_f, out=f)
-        np.copyto(tmp, f, casting="unsafe")  # truncated quotient
-        tmp *= q
-        np.multiply(v, s, out=out)
-        out -= tmp  # remainder, wrapped from (-q, 3q)
-        np.add(out, q, out=tmp)
-        np.minimum(out, tmp, out=out)  # [0, 3q)
-        np.subtract(out, two_q, out=tmp)
-        np.minimum(out, tmp, out=out)  # [0, 2q)
-
-    def _butterfly_fwd(self, u, v, s, s_f, shape, q, two_q):
-        """One CT stage: lazy inputs below ``4q``, outputs below ``4q``."""
-        ub = self._h0.reshape(shape)
-        vb = self._h1.reshape(shape)
-        tb = self._h2.reshape(shape)
-        fb = self._hf.reshape(shape)
-        np.subtract(u, two_q, out=tb)
-        np.minimum(u, tb, out=ub)  # [0, 2q)
-        self._shoup_stage(v, s, s_f, vb, tb, fb, q, two_q)
-        np.add(ub, vb, out=u)  # < 4q
-        np.subtract(ub, vb, out=v)
-        v += two_q  # u + 2q - v, < 4q
-
-    def _butterfly_inv(self, u, v, s, s_f, shape, q, two_q):
-        """One GS stage: lazy inputs below ``2q``, outputs below ``2q``."""
-        total = self._h0.reshape(shape)
-        diff = self._h1.reshape(shape)
-        tb = self._h2.reshape(shape)
-        fb = self._hf.reshape(shape)
-        np.add(u, v, out=total)  # < 4q
-        np.subtract(u, v, out=diff)
-        diff += two_q  # < 4q
-        np.subtract(total, two_q, out=tb)
-        np.minimum(total, tb, out=u)  # [0, 2q)
-        self._shoup_stage(diff, s, s_f, total, tb, fb, q, two_q)
-        v[...] = total
+        return fwd, inv
 
     # -- transforms --------------------------------------------------------
 
+    def _blocks(self, limbs: np.ndarray) -> Iterator[tuple[Any, ...]]:
+        """Per row block: its rows, then work, spare, qhat, r and f scratch."""
+        rows, n = limbs.shape
+        step = _block_rows(n)
+        for lo in range(0, rows, step):
+            r = min(step, rows - lo)
+            a, b, qhat, rem = _POOL.take(
+                np.uint64, (r, n), (r, n), (r, n // 2), (r, n // 2)
+            )
+            (f,) = _POOL.take(np.float64, (r, n // 2))
+            yield slice(lo, lo + r), a, b, qhat, rem, f
+
+    def _reduce(
+        self, a: np.ndarray, rows: slice, qhat: np.ndarray, f: np.ndarray, canonical: bool = False
+    ) -> None:
+        """Float-Barrett over the block, half a row at a time."""
+        half = self.degree // 2
+        q, q_inv_f = self._q[rows, None], self._q_inv_f[rows, None]
+        for part in (a[:, :half], a[:, half:]):
+            _lazy_mul(part, _ONE, q_inv_f, q, part, qhat, f, canonical)
+
+    @staticmethod
+    def _halves(
+        a: np.ndarray, shape: tuple[int, ...], q: np.ndarray, *scratch: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """The u and v halves of a stage view, then the moduli as a
+        column against them and scratch shaped like one."""
+        view = a.reshape(a.shape[:1] + shape)
+        lane = view.shape[:2] + view.shape[3:]
+        column = q.reshape((-1,) + (1,) * (len(lane) - 1))
+        return (view[:, :, 0], view[:, :, 1], column, *(s.reshape(lane) for s in scratch))
+
+    @_unbuffered()
     def forward_all(self, limbs: np.ndarray) -> np.ndarray:
         """Forward-transform every limb row; natural order in and out."""
         if not self.float_lane:
             return self._chain.forward_all(limbs)
+        limbs = np.asarray(limbs, dtype=np.uint64)
         rows, n = limbs.shape
-        a = np.array(limbs, dtype=np.uint64)
-        t = n
-        m = 1
-        floor = _TAIL_T if self._tail else 0
-        while m < n and t > 2 * floor:
-            t //= 2
-            view = a.reshape(rows, m, 2 * t)
-            self._butterfly_fwd(
-                view[:, :, :t],
-                view[:, :, t:],
-                self._psi[:, m : 2 * m, None],
-                self._psi_f[:, m : 2 * m, None],
-                (rows, m, t),
-                self._q3,
-                self._two_q3,
-            )
-            m *= 2
-        if self._tail:
-            chunk = 2 * _TAIL_T
-            c_count = n // chunk
-            a = np.ascontiguousarray(
-                a.reshape(rows, c_count, chunk).transpose(0, 2, 1)
-            )
-            ts = _TAIL_T
-            while ts >= 1:
-                blocks = _TAIL_T // ts
-                view = a.reshape(rows, blocks, 2 * ts, c_count)
-                self._butterfly_fwd(
-                    view[:, :, :ts, :],
-                    view[:, :, ts:, :],
-                    self._tail_psi[ts],
-                    self._tail_psi_f[ts],
-                    (rows, blocks, ts, c_count),
-                    self._q4,
-                    self._two_q4,
-                )
-                ts //= 2
-            a = a.reshape(rows, n)
-            perm = self._fwd_perm
-        else:
-            perm = self._rev
-        np.subtract(a, self._two_q2, out=self._c0)
-        np.minimum(a, self._c0, out=a)
-        np.subtract(a, self._q2, out=self._c0)
-        np.minimum(a, self._c0, out=a)
-        return a[:, perm]
+        out = np.empty((rows, n), dtype=np.uint64)
+        chunk = 2 * _TAIL_T
+        for block, a, b, qhat, rem, f in self._blocks(limbs):
+            np.copyto(a, limbs[block])
+            for index, (shape, w, w_f) in enumerate(self._fwd):
+                if index in self._fwd_reduce:
+                    self._reduce(a, block, qhat, f)
+                if self._tail and index == self._head:
+                    np.copyto(
+                        b.reshape(-1, chunk, n // chunk),
+                        a.reshape(-1, n // chunk, chunk).transpose(0, 2, 1),
+                    )
+                    a = b
+                u, v, q, qb, r, fb = self._halves(a, shape, self._q[block], qhat, rem, f)
+                _lazy_mul(v, w[block], w_f[block], q, r, qb, fb)
+                np.subtract(u, r, out=v)
+                np.add(u, r, out=u)
+            self._reduce(a, block, qhat, f, canonical=True)
+            np.take(a, self._fwd_perm, axis=1, out=out[block], mode="clip")
+        return out
 
+    @_unbuffered()
     def inverse_all(self, limbs: np.ndarray) -> np.ndarray:
         """Inverse-transform every limb row; natural order in and out."""
         if not self.float_lane:
             return self._chain.inverse_all(limbs)
+        limbs = np.asarray(limbs, dtype=np.uint64)
         rows, n = limbs.shape
-        t = 1
-        m = n
-        if self._tail:
-            chunk = 2 * _TAIL_T
-            c_count = n // chunk
-            a = np.asarray(limbs, dtype=np.uint64)[:, self._inv_perm]
-            while t <= _TAIL_T:
-                blocks = _TAIL_T // t
-                view = a.reshape(rows, blocks, 2 * t, c_count)
-                self._butterfly_inv(
-                    view[:, :, :t, :],
-                    view[:, :, t:, :],
-                    self._tail_psi_inv[t],
-                    self._tail_psi_inv_f[t],
-                    (rows, blocks, t, c_count),
-                    self._q4,
-                    self._two_q4,
-                )
-                t *= 2
-                m //= 2
-            a = np.ascontiguousarray(
-                a.reshape(rows, chunk, c_count).transpose(0, 2, 1)
-            ).reshape(rows, n)
-        else:
-            a = np.asarray(limbs, dtype=np.uint64)[:, self._rev]
-        while m > 2:
-            h = m // 2
-            view = a.reshape(rows, h, 2 * t)
-            self._butterfly_inv(
-                view[:, :, :t],
-                view[:, :, t:],
-                self._psi_inv[:, h : 2 * h, None],
-                self._psi_inv_f[:, h : 2 * h, None],
-                (rows, h, t),
-                self._q3,
-                self._two_q3,
-            )
-            t *= 2
-            m = h
-        # Fused last stage: u' = (u + v) * n^{-1}, v' = (u - v) * s_1 *
-        # n^{-1}, both canonicalized in place of the separate n^{-1}
-        # fold the plain GS recursion would need.
-        view = a.reshape(rows, 1, n)
-        u = view[:, :, :t]
-        v = view[:, :, t:]
-        shape = (rows, 1, t)
-        total = self._h0.reshape(shape)
-        diff = self._h1.reshape(shape)
-        tb = self._h2.reshape(shape)
-        fb = self._hf.reshape(shape)
-        np.add(u, v, out=total)  # < 4q
-        np.subtract(u, v, out=diff)
-        diff += self._two_q3  # < 4q
-        self._shoup_stage(
-            total, self._ninv3, self._ninv3_f, total, tb, fb,
-            self._q3, self._two_q3,
-        )
-        np.subtract(total, self._q3, out=tb)
-        np.minimum(total, tb, out=u)  # canonical
-        self._shoup_stage(
-            diff, self._last3, self._last3_f, diff, tb, fb,
-            self._q3, self._two_q3,
-        )
-        np.subtract(diff, self._q3, out=tb)
-        np.minimum(diff, tb, out=v)  # canonical
-        return a
+        out = np.empty((rows, n), dtype=np.uint64)
+        chunk, half = 2 * _TAIL_T, n // 2
+        tail_stages = len(self._fwd) - self._head
+        for block, a, b, qhat, rem, f in self._blocks(limbs):
+            np.take(limbs[block], self._inv_perm, axis=1, out=a, mode="clip")
+            for index, (shape, w, w_f) in enumerate(self._inv):
+                if index in self._inv_reduce:
+                    self._reduce(a, block, qhat, f)
+                if self._tail and index == tail_stages:
+                    np.copyto(
+                        b.reshape(-1, n // chunk, chunk),
+                        a.reshape(-1, chunk, n // chunk).transpose(0, 2, 1),
+                    )
+                    a = b
+                u, v, q, qb, t, fb = self._halves(a, shape, self._q[block], qhat, rem, f)
+                np.subtract(u, v, out=t)
+                np.add(u, v, out=u)
+                _lazy_mul(t, w[block], w_f[block], q, v, qb, fb)
+            # Fused last stage: u' = (u + v) * n^{-1}, v' = (u - v) * s_1 *
+            # n^{-1}, both canonicalized in place of the separate n^{-1}
+            # fold the plain GS recursion would need.
+            if len(self._inv) in self._inv_reduce:
+                self._reduce(a, block, qhat, f)
+            u, v, q = a[:, :half], a[:, half:], self._q[block, None]
+            np.subtract(u, v, out=rem)
+            np.add(u, v, out=u)
+            for x, (w, w_f), dst in (
+                (u, self._n_inv, out[block, :half]),
+                (rem, self._last, out[block, half:]),
+            ):
+                _lazy_mul(x, w[block], w_f[block], q, dst, qhat, f, canonical=True)
+        return out

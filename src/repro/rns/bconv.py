@@ -7,12 +7,14 @@ another ``{p_j}`` without leaving RNS:
 
 which is a matrix-matrix multiplication between the ``L x N`` limb
 matrix and a precomputed ``K x L`` *base table* — the computation
-SHARP's 2-D systolic BConvU streams (S4.5).  Both factors of each term
-are constants known at setup, so the inner products run entirely on
-Shoup precomputed-quotient multiplies (:mod:`repro.rns.kernels`) with a
-split-accumulator reduction (``ModulusKernel.sum_mod``) instead of a
-per-limb Python loop — valid for any modulus below ``2**62``, covering
-SHARP's native 36-bit primes.  The conversion is the *approximate*
+SHARP's 2-D systolic BConvU streams (S4.5).  For short words (every
+modulus below ``2**36``) it runs as exactly that: residues and table
+entries split into 18-bit digits, one float64 matrix product whose
+digit sums stay below ``2**53``, one reduction per destination row
+(:meth:`BaseConverter._convert_rows_matmul`).  Wider moduli, up to
+``2**62``, take a per-destination-row loop of Shoup multiplies
+(:mod:`repro.rns.kernels`) with a split-accumulator reduction
+(``ModulusKernel.sum_mod``).  The conversion is the *approximate*
 (HPS-style) variant: the result may be off by a small multiple
 ``e * Q`` with ``0 <= e < L``, which downstream CKKS noise absorbs —
 the same behaviour as every RNS-CKKS library.
@@ -23,18 +25,26 @@ pattern the paper's dataflow optimizes for).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.rns import kernels
+from repro.rns.kernels import _i64
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RnsPolynomial
 
 __all__ = ["BaseConverter"]
 
-# (K, L, N) scratch of the fused path, shared by every converter (ModUp
-# and ModDown between them keep hundreds alive): allocation-free in
-# steady state at the footprint of the single largest conversion.
+# Operand and digit-sum scratch of the matmul path, shared by every
+# converter (ModUp and ModDown between them keep hundreds alive): the
+# only per-call allocation is the result, at the footprint of the single
+# largest conversion.
 _POOL = kernels.ScratchPool()
+
+_DIGIT_BITS = kernels.BCONV_DIGIT_BITS
+_DIGIT_SHIFT = np.uint64(_DIGIT_BITS)
+_DIGIT_MASK = np.uint64((1 << _DIGIT_BITS) - 1)
 
 
 class BaseConverter:
@@ -48,7 +58,12 @@ class BaseConverter:
     canonical embedding amplifies by ``O(N)`` in the worst slot.
     """
 
-    def __init__(self, src_moduli, dst_moduli, centered: bool = True):
+    def __init__(
+        self,
+        src_moduli: Sequence[int],
+        dst_moduli: Sequence[int],
+        centered: bool = True,
+    ) -> None:
         self.src_moduli = tuple(src_moduli)
         self.dst_moduli = tuple(dst_moduli)
         self.centered = centered
@@ -67,8 +82,7 @@ class BaseConverter:
         # quotients, consumed by the chain-mode source kernel.
         self._src_kernel = kernels.ModulusKernel(self.src_moduli)
         inv = [mod_inverse((q_big // q) % q, q) for q in self.src_moduli]
-        self._inv = np.array(inv, dtype=np.uint64)
-        self._inv_col = self._inv.reshape(-1, 1)
+        self._inv_col = np.array(inv, dtype=np.uint64).reshape(-1, 1)
         self._inv_shoup = np.array(
             [(v << 64) // q for v, q in zip(inv, self.src_moduli)],
             dtype=np.uint64,
@@ -84,9 +98,6 @@ class BaseConverter:
             dtype=np.uint64,
         )
         self._dst_kernels = [kernels.kernel_for(p) for p in self.dst_moduli]
-        self._q_mod_dst = np.array(
-            [q_big % p for p in self.dst_moduli], dtype=np.uint64
-        )
         # Centered correction constant (-Q mod p_j) with Shoup quotient.
         corr = [(p - q_big % p) % p for p in self.dst_moduli]
         self._corr = np.array(corr, dtype=np.uint64)
@@ -97,36 +108,45 @@ class BaseConverter:
         self._src_inv_float = np.array(
             [1.0 / q for q in self.src_moduli]
         ).reshape(-1, 1)
-        # Fused (K, L, N) path: all destination Shoup multiplies run on
-        # the float-quotient lane with lazy terms in [0, 3p_j), summed as
-        # plain uint64 and reduced once per destination row.  Safe iff
-        # every p_j admits the float lane, the canonical y_i (< q_src)
-        # fit the float-Shoup operand bound, and the L-term lazy sum
-        # stays below 2**63 (cf. prove_bconv_accumulator).
-        p_max = max(self.dst_moduli)
         self._dst_chain_kernel = kernels.kernel_for(self.dst_moduli)
-        self._fused_ok = (
-            all(
-                kernels.FLOAT_BARRETT_MIN <= p < kernels.FLOAT_QHAT_LIMIT
-                for p in self.dst_moduli
-            )
-            and max(self.src_moduli) < kernels.FLOAT_QHAT_LIMIT
-            and len(self.src_moduli) * 3 * p_max < (1 << 63)
-        )
-        self._src_float = self._src_kernel.float_ok
         self._inv_shoup_f = self._inv_shoup.astype(np.float64) * 2.0**-64
-        if self._fused_ok:
-            self._table3 = self.table[:, :, None]
-            self._table_f = (
-                self.table_shoup.astype(np.float64)[:, :, None] * 2.0**-64
-            )
-            self._dst_q3 = np.array(
-                self.dst_moduli, dtype=np.uint64
-            ).reshape(-1, 1, 1)
-            self._corr_col = self._corr.reshape(-1, 1)
-            self._corr_shoup_f = (
-                self._corr_shoup.reshape(-1, 1).astype(np.float64) * 2.0**-64
-            )
+        # Matmul path: exact iff every residue and table entry is two
+        # digits, each digit dot product (2L + 1 terms) fits a float64
+        # mantissa and the recombined S0 + (S1 << 18) an int64
+        # (cf. prove_bconv_matmul); the one reduction per destination
+        # row runs on the float lane.
+        dot = (2 * len(self.src_moduli) + 1) * int(_DIGIT_MASK) ** 2
+        self._matmul_ok = (
+            self._dst_chain_kernel.float_ok
+            and max(self.src_moduli + self.dst_moduli) < 1 << (2 * _DIGIT_BITS)
+            and dot < 1 << 53
+            and dot + (dot << _DIGIT_BITS) < 1 << 63
+        )
+        if self._matmul_ok:
+            self._digits = self._digit_matrix(table, corr)
+
+    def _digit_matrix(self, table: list[list[int]], corr: list[int]) -> np.ndarray:
+        """The ``2K x (2L + 1)`` float64 left operand of the matmul path.
+
+        With ``y = y0 + y1 * 2**18`` and ``T' = T * 2**18 mod p`` a term
+        ``y * T`` is congruent to ``y0 * T + y1 * T'``; splitting ``T``
+        and ``T'`` into digits too gives ``S0 + S1 * 2**18`` with ``S0``
+        (rows ``[0, K)``) and ``S1`` (rows ``[K, 2K)``) plain sums of
+        digit products.  The last column carries the centered
+        correction ``-Q mod p`` against the overflow count ``e``.
+        """
+        shifted = [
+            [(w << _DIGIT_BITS) % p for w in row]
+            for row, p in zip(table, self.dst_moduli)
+        ]
+        words = np.array(
+            [
+                row + high + ([c] if self.centered else [])
+                for row, high, c in zip(table, shifted, corr)
+            ],
+            dtype=np.uint64,
+        )
+        return np.concatenate([words & _DIGIT_MASK, words >> _DIGIT_SHIFT]).astype(np.float64)
 
     @property
     def flop_shape(self) -> tuple[int, int]:
@@ -147,71 +167,60 @@ class BaseConverter:
 
     def convert_rows(self, limbs: np.ndarray) -> np.ndarray:
         """Raw ``(L, N) -> (K, N)`` conversion (backend entry point)."""
-        if self._fused_ok:
-            return self._convert_rows_fused(limbs)
+        if self._matmul_ok:
+            return self._convert_rows_matmul(limbs)
         return self._convert_rows_legacy(limbs)
 
-    def _scaled_src(self, limbs: np.ndarray):
-        """``y_i = [a_i * q_hat_i^(-1)]_{q_i}`` plus the overflow estimate."""
-        if self._src_float:
-            y = self._src_kernel.shoup_mul_f(
-                limbs, self._inv_col, self._inv_shoup_f
-            )
-        else:
-            y = kernels.shoup_mul(
-                limbs, self._inv_col, self._inv_shoup, self._src_kernel.q
-            )
-        overflow = None
-        if self.centered:
-            overflow = np.rint((y * self._src_inv_float).sum(axis=0)).astype(
-                np.uint64
-            )
-        return y, overflow
+    def _scaled_src(self, limbs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``y_i = [a_i * q_hat_i^(-1)]_{q_i}``, canonical."""
+        kern = self._src_kernel
+        if kern.float_ok:
+            return kern.shoup_mul_f(limbs, self._inv_col, self._inv_shoup_f, out=out)
+        return kernels.shoup_mul(limbs, self._inv_col, self._inv_shoup, kern.q)
 
     @kernels._wrapping
-    def _convert_rows_fused(self, limbs: np.ndarray) -> np.ndarray:
-        """One broadcast (K, L, N) pass on the float-quotient lane.
+    def _convert_rows_matmul(self, limbs: np.ndarray) -> np.ndarray:
+        """Word-split dense matmul: one dgemm, one reduction per row.
 
-        Terms stay lazy in ``[0, 3p_j)`` — the wrap fix after the float
-        Shoup multiply is enough, no conditional subtract — and the sum
-        over the ``L`` source limbs is a plain uint64 reduction bounded
-        by ``3 * L * p_max < 2**63``, paying exactly one float-Barrett
-        reduction per destination row.  Canonical outputs match the
-        legacy per-row loop bit for bit.
+        The right operand stacks the low digits of ``y``, its high
+        digits and (centered) the overflow count; ``_digits @ operand``
+        yields ``S0`` over ``S1`` exactly (sums below ``2**53``), and
+        ``S0 + (S1 << 18) < 2**63`` is congruent to the converted value,
+        so one float-Barrett pass canonicalizes it.  Canonical outputs
+        match the per-row loop bit for bit.
         """
-        y, overflow = self._scaled_src(limbs)
-        shape = (len(self.dst_moduli), len(self.src_moduli), limbs.shape[-1])
-        (f,) = _POOL.take(np.float64, shape)
-        qhat, r, acc = _POOL.take(np.uint64, shape, shape, shape[::2])
-        np.multiply(y, self._table_f, out=f)
-        np.copyto(qhat, f, casting="unsafe")
-        qhat *= self._dst_q3
-        np.multiply(y, self._table3, out=r)
-        r -= qhat
-        np.add(r, self._dst_q3, out=qhat)
-        np.minimum(r, qhat, out=r)  # wrap fix: [0, 3p)
-        # Unrolled middle-axis sum: contiguous-slice adds beat numpy's
-        # strided reduce ~2x at these (K, L, N) shapes.
-        src_count = r.shape[1]
-        if src_count == 1:
-            np.copyto(acc, r[:, 0])
-        else:
-            np.add(r[:, 0], r[:, 1], out=acc)
-            for i in range(2, src_count):
-                acc += r[:, i]
-        # (K, N), < 3*L*p < 2**63
-        kern = self._dst_chain_kernel
-        out = kern.reduce64_f(acc)
-        if overflow is not None:
-            corr = kern.shoup_mul_f(
-                overflow, self._corr_col, self._corr_shoup_f
-            )
-            out = kern.add(out, corr)
-        return out
+        src_count, width = limbs.shape
+        dst_count = len(self.dst_moduli)
+        y, digit = _POOL.take(np.uint64, limbs.shape, limbs.shape)
+        (hi,) = _POOL.take(np.uint64, (dst_count, width))
+        operand, sums, ratio = _POOL.take(
+            np.float64,
+            (self._digits.shape[1], width),
+            (2 * dst_count, width),
+            limbs.shape,
+        )
+        y = self._scaled_src(limbs, out=y)
+        np.bitwise_and(y, _DIGIT_MASK, out=digit)
+        np.copyto(operand[:src_count], _i64(digit))
+        np.right_shift(y, _DIGIT_SHIFT, out=digit)
+        np.copyto(operand[src_count : 2 * src_count], _i64(digit))
+        if self.centered:  # overflow count e = round(sum_i y_i / q_i)
+            np.copyto(ratio, _i64(y))
+            ratio *= self._src_inv_float
+            np.rint(np.sum(ratio, axis=0, out=operand[-1]), out=operand[-1])
+        np.matmul(self._digits, operand, out=sums)
+        out = np.empty((dst_count, width), dtype=np.uint64)
+        np.copyto(_i64(out), sums[:dst_count], casting="unsafe")
+        np.copyto(_i64(hi), sums[dst_count:], casting="unsafe")
+        np.left_shift(hi, _DIGIT_SHIFT, out=hi)
+        out += hi
+        return self._dst_chain_kernel.reduce64_f(out, out=out)
 
     def _convert_rows_legacy(self, limbs: np.ndarray) -> np.ndarray:
         """Per-destination-row Shoup/sum_mod loop (any modulus < 2**62)."""
-        y, overflow = self._scaled_src(limbs)
+        y = self._scaled_src(limbs)
+        if self.centered:
+            overflow = np.rint((y * self._src_inv_float).sum(axis=0)).astype(np.uint64)
         out_rows = []
         for j, kern in enumerate(self._dst_kernels):
             # terms[i] = y_i * table[j, i] mod p_j, lazy in [0, 2p_j):
@@ -235,10 +244,10 @@ class BaseConverter:
 class _ConverterCache:
     """Process-wide cache keyed by (src, dst) bases."""
 
-    def __init__(self):
-        self._cache: dict[tuple, BaseConverter] = {}
+    def __init__(self) -> None:
+        self._cache: dict[tuple[tuple[int, ...], tuple[int, ...]], BaseConverter] = {}
 
-    def get(self, src_moduli, dst_moduli) -> BaseConverter:
+    def get(self, src_moduli: Sequence[int], dst_moduli: Sequence[int]) -> BaseConverter:
         key = (tuple(src_moduli), tuple(dst_moduli))
         conv = self._cache.get(key)
         if conv is None:

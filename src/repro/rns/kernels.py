@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import Any, Callable, TypeVar
 
@@ -68,6 +69,8 @@ __all__ = [
     "FLOAT_QHAT_BITS",
     "FLOAT_QHAT_LIMIT",
     "FLOAT_BARRETT_MIN_BITS",
+    "FLOAT_OPERAND_LIMIT",
+    "BCONV_DIGIT_BITS",
     "mul_hi",
     "mul_wide",
     "add_mod",
@@ -76,6 +79,7 @@ __all__ = [
     "shoup_precompute",
     "shoup_mul_lazy",
     "shoup_mul",
+    "float_qhat_times_q",
     "ScratchPool",
     "ModulusKernel",
     "kernel_for",
@@ -93,26 +97,62 @@ FAST_MODULUS_LIMIT = 1 << FAST_MODULUS_BITS
 # so ``floor`` of the float product is the true quotient up to +-1 and
 # the remainder ``v*w - qhat*q`` lands in ``(-q, 3q)`` — repaired by the
 # ``min(r, r + q)`` wrap trick and collapsed with conditional
-# subtractions (see :meth:`ModulusKernel._wrap_fix`).  That is
+# subtractions (see :meth:`ModulusKernel._collapse`).  That is
 # ~half the vector passes of the integer half-word decomposition.  The
-# lower bound 2**14 keeps the Barrett variant exact for *any* 64-bit
-# input (quotients up to ``2**50`` keep the float error under 3/8).
+# lower bound 2**14 keeps the Barrett variant exact for any input below
+# ``2**63`` (quotients up to ``2**49`` keep the float error under 3/8).
 # ``repro.check.bounds`` proves both error chains exactly.
 FLOAT_QHAT_BITS = 48
 FLOAT_QHAT_LIMIT = 1 << FLOAT_QHAT_BITS
 FLOAT_BARRETT_MIN_BITS = 14
 FLOAT_BARRETT_MIN = 1 << FLOAT_BARRETT_MIN_BITS
+# Largest operand a float-Shoup multiply takes (``4q`` at the window
+# ceiling): the budget the lazy NTT spends between reductions.
+FLOAT_OPERAND_LIMIT = 4 * FLOAT_QHAT_LIMIT
+# BConv-as-matmul digit width: a short word is two 18-bit digits whose
+# pairwise products (< 2**36) sum exactly in a float64 mantissa.
+BCONV_DIGIT_BITS = 18
 
-# Moduli below 2**42 admit a cheaper variable product than the full
+# Moduli below 2**41 admit a cheaper variable product than the full
 # 128-bit decomposition: split one operand at SPLIT_SHIFT bits, fold the
 # high part through lazy Barrett, and recombine — two vector multiplies
 # and two reductions instead of the four-partial-product mul_wide.  The
-# bound chain (`repro.check.bounds.prove_narrow_split_mul`):
-#   a * b_hi  <= (2**42 - 1) * (2**22 - 1)          < 2**64
-#   (r1 << SPLIT_SHIFT) + a * b_lo < 2q * 2**20 + q * 2**20 < 2**64
-NARROW_SPLIT_BITS = 42
+# bound chain (`repro.check.bounds.prove_narrow_split_mul`) keeps both
+# partials below 2**63, so the float lane may convert them through
+# int64 views (see `_i64`):
+#   a * b_hi  <= (2**41 - 1) * (2**21 - 1)          < 2**62
+#   (r1 << SPLIT_SHIFT) + a * b_lo < 2q * 2**20 + q * 2**20 < 2**63
+NARROW_SPLIT_BITS = 41
 NARROW_SPLIT_LIMIT = 1 << NARROW_SPLIT_BITS
 SPLIT_SHIFT = 20
+
+def _i64(a: np.ndarray) -> np.ndarray:
+    """Signed view of a uint64 array, for conversions to and from float64.
+
+    numpy converts int64 about 1.5x faster than uint64 in either
+    direction (no unsigned fix-up per element), and the results are
+    identical below ``2**63`` — which ``repro.check.bounds`` proves of
+    every float-lane operand.
+    """
+    return a.view(np.int64)
+
+
+def float_qhat_times_q(x, ratio_f, q, qhat, f, floor: bool = False) -> None:
+    """``qhat = trunc(x * ratio_f) * q``: the float-lane quotient pass.
+
+    ``x`` is any operand below ``2**63`` in magnitude (see :func:`_i64`),
+    ``ratio_f`` the float mirror of a Barrett ratio or Shoup quotient;
+    the estimate is within one (Shoup) or two (Barrett) of the true
+    quotient, so ``x*w - qhat`` lands in ``(-q, 3q)`` for ``x >= 0``.
+    ``floor`` rounds a signed estimate down instead of toward zero.
+    """
+    np.copyto(f, _i64(x))
+    np.multiply(f, ratio_f, out=f)
+    if floor:
+        np.floor(f, out=f)
+    np.copyto(_i64(qhat), f, casting="unsafe")
+    np.multiply(qhat, q, out=qhat)
+
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
@@ -281,7 +321,7 @@ class ModulusKernel:
     columns and broadcast row-wise over an ``(L, N)`` limb matrix.
     """
 
-    def __init__(self, moduli):
+    def __init__(self, moduli: int | Sequence[int]) -> None:
         if isinstance(moduli, (int, np.integer)):
             mods = (int(moduli),)
             scalar = True
@@ -363,73 +403,53 @@ class ModulusKernel:
         r = self.reduce64_lazy(x)
         return np.where(r >= self.q, r - self.q, r)
 
-    def _wrap_fix(self, r) -> np.ndarray:
-        """Map a wrapped remainder in ``(-q, 3q)`` into ``[0, 3q)``.
+    def _collapse(self, r, tmp, lazy: bool) -> None:
+        """Wrapped remainder in ``(-q, 3q)`` to ``[0, 2q)`` or canonical.
 
         A negative remainder wrapped mod ``2**64`` sits at or above
         ``2**64 - q``, so adding ``q`` wraps it back to the true value
         plus ``q`` (in ``[0, q)``), while a non-negative one lands in
         ``[q, 4q)`` without wrapping — the minimum picks the repaired
-        branch unambiguously.  Undecorated on purpose: ``self.q`` is an
-        array, so the wrap runs on the (warning-free) array path, and
-        every hot caller is already inside a ``_wrapping`` scope.
+        branch unambiguously; conditional subtractions do the rest.
         """
-        return np.minimum(r, r + self.q)
+        np.add(r, self.q, out=tmp)
+        np.minimum(r, tmp, out=r)  # wrap fix: [0, 3q)
+        np.subtract(r, self.two_q, out=tmp)
+        np.minimum(r, tmp, out=r)
+        if not lazy:
+            np.subtract(r, self.q, out=tmp)
+            np.minimum(r, tmp, out=r)
 
-    def reduce64_f_lazy(self, x) -> np.ndarray:
-        """Float-lane Barrett: any uint64 ``x`` to ``[0, 2q)``.
+    @_wrapping
+    def reduce64_f(self, x, lazy: bool = False, out=None) -> np.ndarray:
+        """Float-lane Barrett: ``x < 2**63`` to ``[0, q)`` (``lazy``: ``[0, 2q)``).
 
-        Requires ``float_ok``.  The quotient is the float64 product
-        ``x * (v64 * 2**-64)`` truncated — off by at most one from the
-        integer Barrett quotient, so the remainder lands in ``(-q, 3q)``
-        before the wrap fix and one conditional subtraction.
+        Requires ``float_ok``.  ``out`` may be ``x`` itself.
         """
         shape = np.broadcast(x, self.v64_f).shape
         (u1,), (f,) = _POOL.take(np.uint64, shape), _POOL.take(np.float64, shape)
-        np.multiply(x, self.v64_f, out=f)
-        np.copyto(u1, f, casting="unsafe")
-        u1 *= self.q
-        r = np.empty(shape, dtype=np.uint64)
+        r = np.empty(shape, dtype=np.uint64) if out is None else out
+        float_qhat_times_q(x, self.v64_f, self.q, u1, f)
         np.subtract(x, u1, out=r)
-        np.add(r, self.q, out=u1)
-        np.minimum(r, u1, out=r)  # wrap fix: [0, 3q)
-        np.subtract(r, self.two_q, out=u1)
-        np.minimum(r, u1, out=r)
+        self._collapse(r, u1, lazy)
         return r
 
     @_wrapping
-    def reduce64_f(self, x) -> np.ndarray:
-        """Float-lane Barrett, canonical ``[0, q)`` (requires ``float_ok``)."""
-        r = self.reduce64_f_lazy(x)
-        (u1,) = _POOL.take(np.uint64, r.shape)
-        np.subtract(r, self.q, out=u1)
-        np.minimum(r, u1, out=r)
-        return r
-
-    @_wrapping
-    def shoup_mul_f(self, a, w, w_shoup_f, lazy: bool = False) -> np.ndarray:
+    def shoup_mul_f(self, a, w, w_shoup_f, lazy: bool = False, out=None) -> np.ndarray:
         """Constant multiply on the float-quotient lane.
 
         ``w_shoup_f`` is the Shoup quotient scaled by ``2**-64`` (see
         :meth:`shoup_f`); ``a`` may be lazy up to ``4q``.  Requires
-        ``float_ok``; ``lazy=True`` returns ``[0, 2q)``.
+        ``float_ok``; ``lazy=True`` returns ``[0, 2q)``; ``out`` may be
+        ``a`` itself.
         """
         shape = np.broadcast(a, w, self.q).shape
         (u1,), (f,) = _POOL.take(np.uint64, shape), _POOL.take(np.float64, shape)
-        np.multiply(a, w_shoup_f, out=f)
-        np.copyto(u1, f, casting="unsafe")
-        u1 *= self.q
-        r = np.empty(shape, dtype=np.uint64)
+        r = np.empty(shape, dtype=np.uint64) if out is None else out
+        float_qhat_times_q(a, w_shoup_f, self.q, u1, f)
         np.multiply(a, w, out=r)
         r -= u1
-        np.add(r, self.q, out=u1)
-        np.minimum(r, u1, out=r)  # wrap fix: [0, 3q)
-        np.subtract(r, self.two_q, out=u1)
-        np.minimum(r, u1, out=r)
-        if lazy:
-            return r
-        np.subtract(r, self.q, out=u1)
-        np.minimum(r, u1, out=r)
+        self._collapse(r, u1, lazy)
         return r
 
     def shoup_f(self, w) -> np.ndarray:
@@ -437,29 +457,25 @@ class ModulusKernel:
         return self.shoup(w).astype(np.float64) * _INV_2_64
 
     @_wrapping
-    def mul_f(self, a, b, lazy: bool = False) -> np.ndarray:
-        """Variable product on the float-quotient lane (``q < 2**42``).
+    def mul_f(self, a, b, lazy: bool = False, out=None) -> np.ndarray:
+        """Variable product on the float-quotient lane (``q < 2**41``).
 
         Same split-operand shape as the integer split regime, but both
         reductions run on float64 quotients: ~60% of the vector passes.
-        Requires ``float_ok and split``; ``lazy=True`` returns ``[0, 2q)``.
+        Requires ``float_ok and split``; ``lazy=True`` returns
+        ``[0, 2q)``; ``out`` must not alias an operand.
         """
         shape = np.broadcast(a, b, self.q).shape
         (u1, u2), (f,) = _POOL.take(np.uint64, shape, shape), _POOL.take(np.float64, shape)
-        t = np.empty(shape, dtype=np.uint64)
+        t = np.empty(shape, dtype=np.uint64) if out is None else out
         if np.shape(b) == shape:
             bh = np.right_shift(b, _SPLIT_SHIFT, out=u2)
         else:
             bh = b >> _SPLIT_SHIFT
         np.multiply(a, bh, out=t)
-        np.multiply(t, self.v64_f, out=f)
-        np.copyto(u1, f, casting="unsafe")
-        u1 *= self.q
+        float_qhat_times_q(t, self.v64_f, self.q, u1, f)
         t -= u1
-        np.add(t, self.q, out=u1)
-        np.minimum(t, u1, out=t)  # wrap fix: [0, 3q)
-        np.subtract(t, self.two_q, out=u1)
-        np.minimum(t, u1, out=t)  # r1 in [0, 2q)
+        self._collapse(t, u1, lazy=True)  # r1 in [0, 2q)
         np.left_shift(t, _SPLIT_SHIFT, out=t)
         if np.shape(b) == shape:
             bl = np.bitwise_and(b, _SPLIT_MASK, out=u2)
@@ -467,18 +483,9 @@ class ModulusKernel:
             bl = b & _SPLIT_MASK
         np.multiply(a, bl, out=u1)
         t += u1  # < 3q * 2**20
-        np.multiply(t, self.v64_f, out=f)
-        np.copyto(u1, f, casting="unsafe")
-        u1 *= self.q
+        float_qhat_times_q(t, self.v64_f, self.q, u1, f)
         t -= u1
-        np.add(t, self.q, out=u1)
-        np.minimum(t, u1, out=t)  # wrap fix
-        np.subtract(t, self.two_q, out=u1)
-        np.minimum(t, u1, out=t)
-        if lazy:
-            return t
-        np.subtract(t, self.q, out=u1)
-        np.minimum(t, u1, out=t)
+        self._collapse(t, u1, lazy)
         return t
 
     @_wrapping
@@ -488,7 +495,7 @@ class ModulusKernel:
         Three regimes, fastest applicable wins:
 
         * ``q < 2**31`` — both residues fit 32 bits, plain numpy.
-        * ``q < 2**42`` — split ``b`` at ``SPLIT_SHIFT``; the high part
+        * ``q < 2**41`` — split ``b`` at ``SPLIT_SHIFT``; the high part
           folds through lazy Barrett before recombining, so no 128-bit
           emulation is needed (SHARP's 36-bit primes land here).
         * otherwise — full 128-bit product: the high half folds through

@@ -1,0 +1,278 @@
+"""Exactness of the short-word kernels: lazy blocked NTT, matmul BConv.
+
+Both kernels keep unreduced values in flight (the NTT for whole
+transforms, BConv inside a float64 matrix product), so "fast" is only
+interesting if the canonical outputs are *exactly* those of the
+reference chain and of plain Python-integer arithmetic — on the inputs
+that stress the lazy bounds (all ``q - 1``, alternating ``0 / q - 1``)
+as much as on random ones, for every row count that changes the block
+walk, and with the wide-word chains still routed to the reference path.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.check.bounds import prove_bconv_matmul, prove_lazy_ntt_schedule
+from repro.ntt import plan as plan_module
+from repro.ntt.plan import NttPlan, lazy_schedule
+from repro.ntt.reference import NttChain, NttContext
+from repro.params.primes import find_ntt_primes
+from repro.rns import kernels
+from repro.rns.backend import NumpyBackend
+from repro.rns.bconv import BaseConverter
+from repro.rns.parallel import ParallelBackend
+from tests.test_backends import _limbs
+
+WORD_BITS = (28, 36)
+DEGREES = (1 << 9, 1 << 12, 1 << 14)
+ROW_COUNTS = (1, 3, 12, 21)
+DST_ROWS = 5
+
+_PRIMES: dict[tuple[int, int], tuple[int, ...]] = {}
+_CONTEXTS: dict[tuple[int, int], NttContext] = {}
+
+
+def _chain(degree: int, bits: int, count: int, skip: int = 0) -> tuple[int, ...]:
+    """``count`` NTT primes just below ``2**bits`` (cached; ``skip`` offsets)."""
+    key = (degree, bits)
+    need = skip + count
+    if len(_PRIMES.get(key, ())) < need:
+        _PRIMES[key] = tuple(
+            find_ntt_primes(
+                2 * degree,
+                float(2**bits * 0.9),
+                max(need, ROW_COUNTS[-1] + DST_ROWS),
+                max_value=min(2**bits, kernels.FAST_MODULUS_LIMIT) - 1,
+                min_value=2 ** (bits - 1),
+            )
+        )
+    return _PRIMES[key][skip:need]
+
+
+def _contexts(degree: int, moduli: tuple[int, ...]) -> list[NttContext]:
+    for q in moduli:
+        if (degree, q) not in _CONTEXTS:
+            _CONTEXTS[degree, q] = NttContext(degree, q)
+    return [_CONTEXTS[degree, q] for q in moduli]
+
+
+def _edge_inputs(moduli: tuple[int, ...], width: int) -> dict[str, np.ndarray]:
+    top = np.array(moduli, dtype=np.uint64).reshape(-1, 1) - np.uint64(1)
+    full = np.broadcast_to(top, (len(moduli), width)).copy()
+    alternating = full.copy()
+    alternating[:, ::2] = 0
+    return {"zero": np.zeros_like(full), "q-1": full, "alternating": alternating}
+
+
+# -- NTT -----------------------------------------------------------------------
+
+
+def _ntt_oracle(context: NttContext, coeffs: np.ndarray, slot: int) -> int:
+    """Evaluation at ``psi**(2*slot + 1)`` in Python integers (Horner)."""
+    q = context.modulus
+    point = pow(context.psi, 2 * slot + 1, q)
+    acc = 0
+    for c in coeffs[::-1]:
+        acc = (acc * point + int(c)) % q
+    return acc
+
+
+def _check_ntt(degree: int, moduli: tuple[int, ...], x: np.ndarray) -> None:
+    contexts = _contexts(degree, moduli)
+    plan, chain = NttPlan(contexts), NttChain(contexts)
+    forward = plan.forward_all(x)
+    assert forward.dtype == np.uint64 and forward is not x
+    assert np.array_equal(forward, chain.forward_all(x.copy()))
+    assert np.array_equal(plan.inverse_all(x), chain.inverse_all(x.copy()))
+    assert np.array_equal(plan.inverse_all(forward), x)  # forward . inverse = id
+    row = len(moduli) - 1
+    for slot in (0, degree // 3, degree - 1):
+        assert int(forward[row, slot]) == _ntt_oracle(contexts[row], x[row], slot)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("bits", WORD_BITS)
+def test_ntt_matches_reference_and_oracle(bits, degree, rows):
+    moduli = _chain(degree, bits, rows)
+    assert NttPlan(_contexts(degree, moduli)).float_lane
+    for x in _edge_inputs(moduli, degree).values():
+        _check_ntt(degree, moduli, x)
+    _check_ntt(degree, moduli, _limbs(moduli, degree, seed=rows))
+
+
+@pytest.mark.parametrize("bits", WORD_BITS)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_ntt_drawn_inputs(bits, seed):
+    degree, rows = 1 << 9, 3
+    moduli = _chain(degree, bits, rows)
+    _check_ntt(degree, moduli, _limbs(moduli, degree, seed))
+
+
+@pytest.mark.parametrize("bits", (40, 44, 47))
+def test_ntt_wide_float_lane_reduces_on_schedule(bits):
+    """Wider words leave less headroom: the derived schedule reduces
+    mid-transform (every other stage at 47 bits) and stays exact."""
+    degree, rows = 1 << 11, 3
+    moduli = _chain(degree, bits, rows)
+    forward, inverse = lazy_schedule(max(moduli), 11)
+    assert inverse and bool(forward) == (bits == 47)
+    assert prove_lazy_ntt_schedule(max(moduli), 11).ok
+    for x in (*_edge_inputs(moduli, degree).values(), _limbs(moduli, degree, 5)):
+        _check_ntt(degree, moduli, x)
+
+
+def test_ntt_schedule_is_derived_and_minimal():
+    q36 = (1 << 36) - 1
+    assert lazy_schedule(q36, 14) == ((), ())  # ops_n14: no reduction in flight
+    assert lazy_schedule(q36, 16) == ((), (14,))
+    late = ((), (15,))
+    assert not prove_lazy_ntt_schedule(q36, 16, schedule=late).ok
+    for bits in (20, 28, 36, 41, 45, 48):
+        for log_n in (9, 14, 17):
+            assert prove_lazy_ntt_schedule((1 << bits) - 1, log_n).ok, (bits, log_n)
+
+
+def test_ntt_blocks_cover_partial_last_block(monkeypatch):
+    """A block size that does not divide the row count, and one row per
+    block, walk the same rows to the same bits."""
+    degree, rows = 1 << 9, 7
+    moduli = _chain(degree, 36, rows)
+    x = _limbs(moduli, degree, seed=9)
+    plan = NttPlan(_contexts(degree, moduli))
+    want = plan.forward_all(x)
+    for block_rows in (1, 3, 4):
+        monkeypatch.setattr(plan_module, "_block_rows", lambda degree, r=block_rows: r)
+        assert np.array_equal(plan.forward_all(x), want)
+        assert np.array_equal(plan.inverse_all(want), x)
+
+
+def test_wide_chain_takes_reference_path():
+    degree = 1 << 9
+    moduli = _chain(degree, 50, 3)
+    contexts = _contexts(degree, moduli)
+    plan = NttPlan(contexts)
+    assert not plan.float_lane and not hasattr(plan, "_fwd")
+    x = _limbs(moduli, degree, seed=3)
+    assert np.array_equal(plan.forward_all(x.copy()), NttChain(contexts).forward_all(x.copy()))
+    conv = BaseConverter(moduli[:2], moduli[2:])
+    assert not conv._matmul_ok
+    assert np.array_equal(conv.convert_rows(x[:2]), conv._convert_rows_legacy(x[:2]))
+
+
+# -- BConv ---------------------------------------------------------------------
+
+
+def _bconv_oracle(conv: BaseConverter, limbs: np.ndarray, columns: list[int]) -> np.ndarray:
+    """Python-integer base conversion of the chosen columns."""
+    src, dst = conv.src_moduli, conv.dst_moduli
+    big = 1
+    for q in src:
+        big *= q
+    inverses = [pow(big // q % q, -1, q) for q in src]
+    out = np.empty((len(dst), len(columns)), dtype=np.uint64)
+    for k, column in enumerate(columns):
+        y = [int(limbs[i, column]) * inv % q for i, (q, inv) in enumerate(zip(src, inverses))]
+        total = sum(yi * (big // q) for yi, q in zip(y, src))
+        if conv.centered:
+            total -= round(sum(Fraction(yi, q) for yi, q in zip(y, src))) * big
+        out[:, k] = [total % p for p in dst]
+    return out
+
+
+def _check_bconv(conv: BaseConverter, x: np.ndarray) -> None:
+    got = conv.convert_rows(x)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, conv._convert_rows_legacy(x))
+    columns = [0, 1, x.shape[1] // 2, x.shape[1] - 1]
+    assert np.array_equal(got[:, columns], _bconv_oracle(conv, x, columns))
+
+
+@pytest.mark.parametrize("centered", (True, False))
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize("bits", WORD_BITS)
+def test_bconv_matches_row_loop_and_oracle(bits, degree, rows, centered):
+    src = _chain(degree, bits, rows)
+    dst = _chain(degree, bits, DST_ROWS, skip=rows)
+    conv = BaseConverter(src, dst, centered=centered)
+    assert conv._matmul_ok
+    for x in _edge_inputs(src, degree).values():
+        _check_bconv(conv, x)
+    _check_bconv(conv, _limbs(src, degree, seed=rows))
+
+
+@pytest.mark.parametrize("bits", WORD_BITS)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_bconv_drawn_inputs(bits, seed):
+    degree = 1 << 9
+    src, dst = _chain(degree, bits, 3), _chain(degree, bits, DST_ROWS, skip=3)
+    _check_bconv(BaseConverter(src, dst), _limbs(src, degree, seed))
+
+
+def test_bconv_matmul_gate_tracks_the_proof():
+    """The converter takes the matmul path exactly where the proof holds."""
+    degree = 1 << 9
+    narrow = _chain(degree, 36, 4)
+    assert BaseConverter(narrow[:2], narrow[2:])._matmul_ok
+    assert prove_bconv_matmul(max(narrow), src_count=2).ok
+    wide = _chain(degree, 38, 4)
+    assert not BaseConverter(wide[:2], wide[2:])._matmul_ok
+    assert not BaseConverter(wide[:2], narrow[2:])._matmul_ok
+    assert not prove_bconv_matmul((1 << 54) - 1, src_count=8, digit_bits=27).ok
+    assert prove_bconv_matmul((1 << 36) - 1, src_count=255).ok
+    assert not prove_bconv_matmul((1 << 36) - 1, src_count=256).ok
+
+
+# -- kernels: out= and the int64 conversion lane -----------------------------------
+
+
+@pytest.mark.parametrize("bits", (28, 36, 40))
+def test_float_lane_out_matches_fresh_result(bits):
+    degree = 1 << 9
+    moduli = _chain(degree, bits, 3)
+    kern = kernels.ModulusKernel(moduli)
+    a, b = _limbs(moduli, degree, 1), _limbs(moduli, degree, 2)
+    q_col = np.array(moduli, dtype=object).reshape(-1, 1)
+    want = (a.astype(object) * b.astype(object) % q_col).astype(np.uint64)
+    out = np.empty_like(a)
+    assert kern.mul_f(a, b, out=out) is out and np.array_equal(out, want)
+    assert np.array_equal(kern.mul_f(a, b), want)
+    w = np.array([q // 3 for q in moduli], dtype=np.uint64).reshape(-1, 1)
+    want = (a.astype(object) * w.astype(object) % q_col).astype(np.uint64)
+    assert np.array_equal(kern.shoup_mul_f(a, w, kern.shoup_f(w.ravel())), want)
+    scratch = a.copy()
+    assert kern.shoup_mul_f(scratch, w, kern.shoup_f(w.ravel()), out=scratch) is scratch
+    assert np.array_equal(scratch, want)
+    big = a * np.uint64(1 << 20) + b  # < 2**61
+    want = (big.astype(object) % q_col).astype(np.uint64)
+    assert np.array_equal(kern.reduce64_f(big), want)
+    assert kern.reduce64_f(big, out=big) is big and np.array_equal(big, want)
+
+
+# -- parallel backend --------------------------------------------------------------
+
+
+def test_parallel_backend_parity_on_blocked_kernels():
+    degree, rows = 1 << 12, 12
+    moduli = _chain(degree, 36, rows)
+    plan = NttPlan(_contexts(degree, moduli))
+    x = _limbs(moduli, degree, seed=21)
+    reference = NumpyBackend()
+    backend = ParallelBackend(workers=2, min_shard_elems=1)
+    try:
+        want = reference.ntt_forward_all(plan, x)
+        assert np.array_equal(backend.ntt_forward_all(plan, x), want)
+        assert np.array_equal(backend.ntt_inverse_all(plan, want), x)
+        conv = BaseConverter(moduli[:3], moduli[3:])
+        assert np.array_equal(backend.bconv(conv, x[:3]), reference.bconv(conv, x[:3]))
+    finally:
+        backend.close()

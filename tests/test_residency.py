@@ -266,7 +266,7 @@ def test_scratch_high_water_independent_of_converter_count():
     for i in range(12):
         src, dst = primes[3 * i : 3 * i + 2], primes[3 * i + 2 : 3 * i + 3]
         conv = BaseConverter(src, dst)
-        assert conv._fused_ok
+        assert conv._matmul_ok
         conv.convert_rows(limbs)
         marks.append(bconv._POOL.nbytes)
     assert len(set(marks)) == 1
