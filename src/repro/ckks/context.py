@@ -573,24 +573,11 @@ class KeySet:
 
 
 class CkksContext:
-    """Top-level handle: parameters, ring, encoder, keys, enc/dec.
+    """Top-level handle: parameters, ring, encoder, keys, enc/dec."""
 
-    ``kernel_backend`` selects the execution engine for the ring's hot
-    paths — a registered backend name (``"numpy"``, ``"parallel"``,
-    ``"numba"``), a :class:`~repro.rns.backend.KernelBackend` instance,
-    or ``None`` to fall back to ``$REPRO_KERNEL_BACKEND`` / numpy (see
-    :func:`repro.params.presets.preset_kernel_backend` for the
-    word-length-aware resolution ``repro.serve`` uses).
-    """
-
-    def __init__(
-        self,
-        params: CkksParams,
-        seed: int = 2023,
-        kernel_backend: object = None,
-    ):
+    def __init__(self, params: CkksParams, seed: int = 2023):
         self.params = params
-        self.ring = RingContext(params.degree, backend=kernel_backend)
+        self.ring = RingContext(params.degree)
         self.encoder = CkksEncoder(self.ring, params.slots)
         self.rng = np.random.default_rng(seed)
         self.keys = KeySet(params, self.ring, self.rng)

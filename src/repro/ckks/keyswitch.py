@@ -12,11 +12,11 @@ The same evaluation key works at every level because the digit
 selectors ``g_j`` are built over the full chain and remain valid CRT
 selectors for any prefix of it.
 
-The planned path is two halves: :meth:`KeySwitcher.decompose` (ModUp,
-a function of the polynomial alone) and :meth:`KeySwitcher.apply`
-(inner product with one key + ModDown).  ``switch`` is their
-composition; callers that switch one polynomial under many keys
-(hoisted rotations) decompose once.
+A switch is two halves: :meth:`KeySwitcher.decompose` (ModUp, a
+function of the polynomial alone) and :meth:`KeySwitcher.apply` (inner
+product with one key + ModDown).  ``switch`` is their composition;
+callers that switch one polynomial under many keys (hoisted rotations)
+decompose once.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = ["KeySwitcher"]
 
 
 class _SwitchPlan:
-    """Precomputed state for planned key-switching over one active chain.
+    """Precomputed state for key-switching over one active chain.
 
     Freezes everything `switch` needs beyond the polynomial and the key:
     the per-digit base converters, the scatter indices mapping each
@@ -101,84 +101,23 @@ class KeySwitcher:
             self._plans[active] = plan
         return plan
 
-    def mod_up(self, poly: RnsPolynomial) -> list[RnsPolynomial]:
-        """Digit-decompose and raise to the extended basis ``C + P``.
-
-        ``poly`` must be in coefficient form over the active q-basis C.
-        Returns one extended polynomial per (active) digit, in NTT form.
-        """
-        params = self.params
-        active = poly.moduli
-        target = active + params.aux_primes
-        extended = []
-        for start, stop in params.digit_spans():
-            stop = min(stop, len(active))
-            if start >= len(active):
-                break
-            digit_moduli = active[start:stop]
-            digit_poly = poly.keep_limbs(range(start, stop))
-            rest = [
-                (i, q) for i, q in enumerate(target) if not (start <= i < stop)
-            ]
-            conv = CONVERTERS.get(digit_moduli, tuple(q for _, q in rest))
-            converted = conv.convert(digit_poly)
-            rows = np.empty(
-                (len(target), self.ring.degree), dtype=np.uint64
-            )
-            rows[start:stop] = digit_poly.limbs
-            for row_idx, (i, _q) in enumerate(rest):
-                rows[i] = converted.limbs[row_idx]
-            ext = RnsPolynomial(self.ring, target, rows, ntt_form=False)
-            extended.append(ext.to_ntt())
-        return extended
-
-    def mod_down(self, poly: RnsPolynomial) -> RnsPolynomial:
-        """Divide an extended-basis polynomial by ``P`` (rounded in RNS).
-
-        ``poly`` is over ``C + P`` in NTT form; the result is over ``C``.
-        """
-        params = self.params
-        k = len(params.aux_primes)
-        active = poly.moduli[:-k]
-        # P-part to coefficient form, convert into the q-basis.
-        p_part = poly.keep_limbs(range(len(active), len(poly.moduli))).from_ntt()
-        conv = CONVERTERS.get(params.aux_primes, active)
-        correction = conv.convert(p_part).to_ntt()
-        q_part = poly.keep_limbs(range(len(active)))
-        diff = q_part - correction
-        p_inv = [mod_inverse(params.aux_product % q, q) for q in active]
-        return diff.scalar_mul(p_inv)
-
     def switch(self, poly: RnsPolynomial, evk: EvalKey) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Full key-switch of ``poly`` (NTT form, active basis).
 
         Returns ``(u0, u1)`` over the active basis such that
         ``u0 + u1*s ~ poly * s_src``.
         """
-        if self.ring.use_plans:
-            return self.apply(self.decompose(poly), evk)
-        active = poly.moduli
-        target = active + self.params.aux_primes
-        extended = self.mod_up(poly.from_ntt())
-        acc0 = RnsPolynomial.zero(self.ring, target, ntt_form=True)
-        acc1 = RnsPolynomial.zero(self.ring, target, ntt_form=True)
-        keep = list(range(len(active))) + [
-            len(self.params.q_primes) + i
-            for i in range(len(self.params.aux_primes))
-        ]
-        for ext, (b_j, a_j) in zip(extended, evk):
-            acc0 = acc0 + ext * b_j.keep_limbs(keep)
-            acc1 = acc1 + ext * a_j.keep_limbs(keep)
-        return self.mod_down(acc0), self.mod_down(acc1)
+        return self.apply(self.decompose(poly), evk)
 
     def decompose(self, poly: RnsPolynomial) -> np.ndarray:
-        """Planned ModUp: the ``(D, E, N)`` extended digits of ``poly``, NTT form.
+        """ModUp: the ``(D, E, N)`` extended digits of ``poly``, NTT form.
 
-        Bit-exact with :meth:`mod_up`: the digit rows reuse the input's
-        NTT-form limbs directly (``NTT(INTT(x)) = x`` exactly) and every
-        digit's converted rows go through *one* batched forward
-        transform.  The result depends on ``poly`` alone, so it can be
-        shared by every :meth:`apply` against the same polynomial.
+        Digit ``d`` keeps its own rows of ``poly`` (already in NTT form)
+        and gets every other row of ``C + P`` by base conversion of its
+        coefficient form; all digits' converted rows go through *one*
+        batched forward transform.  The result depends on ``poly``
+        alone, so it can be shared by every :meth:`apply` against the
+        same polynomial.
         """
         ring = self.ring
         if not poly.ntt_form:
@@ -206,9 +145,7 @@ class KeySwitcher:
         The evk operands are row slices of the key's own tensors (see
         :class:`~repro.ckks.context.EvalKey`), the inner product runs as
         a single lazy accumulation, and ModDown processes the
-        ``(u0, u1)`` pair through doubled-chain transforms.  Canonical
-        residues are unique, so ``apply(decompose(x), evk)`` matches the
-        sequential path bit for bit.
+        ``(u0, u1)`` pair through doubled-chain transforms.
         """
         ring = self.ring
         n = ring.degree

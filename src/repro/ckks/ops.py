@@ -37,8 +37,8 @@ class Evaluator:
         self.params = context.params
         self.ring = context.ring
         self.switcher = KeySwitcher(context)
-        # (remaining, dropped) -> cached rescale constants for the
-        # paired fast path (doubled-chain kernel, drop^-1 Shoup columns).
+        # (remaining, dropped) -> cached rescale constants (doubled-chain
+        # kernel, drop^-1 Shoup columns).
         self._rescale_consts: dict[tuple, tuple] = {}
 
     # -- level and scale alignment ----------------------------------------------
@@ -142,15 +142,15 @@ class Evaluator:
         return self.multiply(ct, ct, rescale=rescale)
 
     def _tensor_cross(self, a: Ciphertext, b: Ciphertext) -> RnsPolynomial:
-        """``a0*b1 + a1*b0`` with one reduction on the planned path.
+        """``a0*b1 + a1*b0``, with one reduction for short words.
 
         Both lazy split products stay in ``[0, 2q)``; their plain uint64
         sum is below ``4q < 2**63``, so a single float-Barrett reduction
-        canonicalizes the cross term — bit-exact with the two canonical
-        multiplies plus modular add it replaces.
+        canonicalizes the cross term.  Wide moduli take two canonical
+        multiplies and a modular add.
         """
         kern = self.ring.chain_kernel(a.c0.moduli)
-        if self.ring.use_plans and kern.float_ok and kern.split:
+        if kern.float_ok and kern.split:
             t = kern.mul_f(a.c0.limbs, b.c1.limbs, lazy=True)
             t += kern.mul_f(a.c1.limbs, b.c0.limbs, lazy=True)
             return RnsPolynomial(
@@ -225,11 +225,7 @@ class Evaluator:
         if ct.level == 0:
             raise ValueError("no rescaling levels left (bootstrap needed)")
         step = self.params.step_at(ct.level)
-        if self.ring.use_plans:
-            c0, c1 = self._rescale_pair(ct.c0, ct.c1, step.primes)
-        else:
-            c0 = self._rescale_poly(ct.c0, step.primes)
-            c1 = self._rescale_poly(ct.c1, step.primes)
+        c0, c1 = self._rescale_pair(ct.c0, ct.c1, step.primes)
         return Ciphertext(c0, c1, ct.level - 1, ct.scale / step.scale)
 
     def _rescale_pair(
@@ -238,13 +234,11 @@ class Evaluator:
         p1: RnsPolynomial,
         dropped: tuple[int, ...],
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Rescale ``(c0, c1)`` together through doubled-chain transforms.
+        """``(p - [p]_drop) / drop`` over the remaining limbs, for ``(c0, c1)``.
 
-        Both tails share one planned INTT (rows stacked), both centered
-        corrections share one planned NTT, and the final ``drop^{-1}``
-        multiply runs on cached Shoup columns — bit-exact with
-        :meth:`_rescale_poly` applied twice (canonical residues are
-        unique and every constant is identical).
+        Both tails share one INTT (rows stacked), both centered
+        corrections share one NTT, and the final ``drop^{-1}`` multiply
+        runs on cached Shoup columns.
         """
         count = len(dropped)
         remaining = p0.moduli[:-count]
@@ -272,8 +266,7 @@ class Evaluator:
         if kern_r.float_ok:
             # Fast centered residues: one float-Barrett reduction across
             # the whole remaining chain, then the precomputed ``-drop``
-            # shift where the value exceeds ``drop/2`` — bit-exact with
-            # the per-target ``%`` loop (canonical residues are unique).
+            # shift where the value exceeds ``drop/2``.
             if values is None:
                 values = self._garner_pair(cat, dropped)
             over = values > half
@@ -328,29 +321,6 @@ class Evaluator:
             )
             self._rescale_consts[key] = entry
         return entry
-
-    def _rescale_poly(
-        self, poly: RnsPolynomial, dropped: tuple[int, ...]
-    ) -> RnsPolynomial:
-        """(poly - [poly]_drop) / drop over the remaining limbs (NTT form)."""
-        count = len(dropped)
-        remaining = poly.moduli[:-count]
-        if tuple(poly.moduli[-count:]) != tuple(dropped):
-            raise ValueError("chain tail does not match the rescale step")
-        tail = poly.keep_limbs(
-            range(len(poly.moduli) - count, len(poly.moduli))
-        ).from_ntt()
-        if count == 1:
-            centered = self._centered_residues(tail.limbs[0], dropped[0], remaining)
-        else:
-            centered = self._centered_crt_pair(tail.limbs, dropped, remaining)
-        correction = RnsPolynomial(
-            self.ring, remaining, centered, ntt_form=False
-        ).to_ntt()
-        drop_product = math.prod(dropped)
-        inv = [mod_inverse(drop_product % q, q) for q in remaining]
-        head = poly.keep_limbs(range(len(remaining)))
-        return (head - correction).scalar_mul(inv)
 
     @staticmethod
     def _centered_residues(values: np.ndarray, modulus: int, targets) -> np.ndarray:

@@ -27,10 +27,10 @@ Two things keep the transform cheap:
   not one matrix.
 
 Canonical outputs are bit-identical to
-:class:`repro.ntt.reference.NttChain` (residues are unique), which the
-parity suite asserts.  Chains containing a modulus outside ``[2**14,
-2**48)`` (the 50/62-bit presets) fall back to the reference chain
-transforms behind the same interface.
+:class:`repro.ntt.reference.NttChain` (residues are unique), which
+``tests/test_kernels_exact.py`` asserts.  Chains containing a modulus
+outside ``[2**14, 2**48)`` (the 50/62-bit presets) run the reference
+chain transforms behind the same interface.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ class NttPlan:
     are shared with the cached :class:`NttContext` objects, so a plan
     costs one ``np.stack`` per table.
 
-    Plans are single-threaded objects (block scratch is module-wide);
-    the parallel backend builds one plan per worker process.
+    Plans are single-threaded objects (block scratch is module-wide).
     """
 
     def __init__(self, contexts: list[NttContext]) -> None:

@@ -33,7 +33,6 @@ levels at the *normal* scale.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from repro.params.primes import (
@@ -59,7 +58,6 @@ __all__ = [
     "boot_plan",
     "native_scale_bits",
     "negotiate_word_bits",
-    "preset_kernel_backend",
 ]
 
 WORD_LENGTHS = (28, 32, 36, 40, 44, 48, 52, 56, 60, 64)
@@ -412,25 +410,6 @@ def negotiate_word_bits(
         f"no supported word length >= {requested_bits} bits "
         f"(supported: {tuple(sorted(supported))})"
     )
-
-
-def preset_kernel_backend(word_bits: int | None = None) -> str:
-    """Kernel backend name for a word-length preset.
-
-    Deployment knob, resolved most-specific first: the per-preset
-    ``REPRO_KERNEL_BACKEND_<word_bits>`` variable (so e.g. the 62-bit
-    preset can stay on numpy while 36-bit tenants shard across a
-    ``parallel`` pool), then the global ``REPRO_KERNEL_BACKEND``, then
-    ``"numpy"``.  Every registered backend is bit-exact with numpy
-    (``tests/test_backends.py``), so this changes throughput only —
-    never ciphertext bits — which is what makes it safe to pick per
-    enrolled preset in :mod:`repro.serve`.
-    """
-    if word_bits is not None:
-        per_preset = os.environ.get(f"REPRO_KERNEL_BACKEND_{int(word_bits)}")
-        if per_preset:
-            return per_preset
-    return os.environ.get("REPRO_KERNEL_BACKEND") or "numpy"
 
 
 def build_native_ckks_params(

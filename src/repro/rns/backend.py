@@ -1,43 +1,25 @@
-"""Kernel backend registry: one interface, swappable execution engines.
+"""The kernel backend: the six hot operations behind a ``RingContext``.
 
-A :class:`KernelBackend` owns the five hot operations of the RNS-CKKS
-evaluator — elementwise modular mul/add over an ``(L, N)`` limb matrix,
-the batched forward/inverse NTT over a precomputed
+:class:`NumpyBackend` owns the hot operations of the RNS-CKKS evaluator
+— elementwise modular mul/add over an ``(L, N)`` limb matrix, the
+batched forward/inverse NTT over a precomputed
 :class:`~repro.ntt.plan.NttPlan`, base conversion through a
 :class:`~repro.rns.bconv.BaseConverter`, and the key-switch inner
-product over the digit decomposition.  ``RingContext`` resolves a
-backend once at construction (explicit argument, then the
-``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``) and
-every polynomial op dispatches through it; ``repro.serve`` picks a
-backend per preset at enrollment.
+product over the digit decomposition.  Every ``RingContext`` holds one
+and every polynomial op dispatches through it, which makes these six
+methods the seam a compiled butterfly would replace and the points the
+traced benchmark wraps from outside.
 
-Registered backends:
-
-``numpy``
-    The vectorized single-process baseline.  Uses the float-quotient
-    lane (``kernels.FLOAT_QHAT_LIMIT``) for variable products and the
-    fused key-switch inner product when the chain's bounds certificate
-    allows it; bit-exact with the legacy per-limb paths by construction
-    (canonical residues are unique).
-``parallel``
-    Shards the ``(L, N)`` limb matrix across a ``multiprocessing``
-    shared-memory pool for the NTT and BConv; elementwise ops delegate
-    to numpy (they are memory-bound).  See :mod:`repro.rns.parallel`.
-``numba``
-    Optional JIT backend; degrades to ``numpy`` with a warning when
-    the import fails.  See :mod:`repro.rns.numba_backend`.
-
-Every backend must be *bit-exact* with ``numpy`` — the parity suite in
-``tests/test_backends.py`` enforces this across the 28/36/50/62-bit
-presets, which is what makes backend choice a pure deployment knob
-rather than a numerical decision.
+Short words (every modulus below ``kernels.FLOAT_QHAT_LIMIT``) run on
+the float-quotient lane; wider moduli take the exact 128-bit paths of
+:mod:`repro.rns.kernels`.  The choice follows from the moduli alone, and
+canonical residues are unique, so both produce the bits of plain integer
+arithmetic (``tests/oracle.py``).
 """
 
 from __future__ import annotations
 
-import importlib
-import os
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,61 +27,10 @@ from repro.rns import kernels
 
 if TYPE_CHECKING:
     from repro.ntt.plan import NttPlan
+    from repro.rns.bconv import BaseConverter
     from repro.rns.kernels import ModulusKernel
 
-__all__ = [
-    "KernelBackend",
-    "NumpyBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
-    "resolve_backend",
-    "BACKEND_ENV_VAR",
-]
-
-BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-
-
-class _SupportsConvertRows(Protocol):
-    """Structural stand-in for BaseConverter (avoids a circular import)."""
-
-    def convert_rows(self, limbs: np.ndarray) -> np.ndarray: ...
-
-
-class KernelBackend(Protocol):
-    """The pluggable execution engine behind a ``RingContext``."""
-
-    name: str
-
-    def mul(
-        self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray: ...
-
-    def add(
-        self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray
-    ) -> np.ndarray: ...
-
-    def ntt_forward_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray: ...
-
-    def ntt_inverse_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray: ...
-
-    def bconv(
-        self, conv: _SupportsConvertRows, limbs: np.ndarray
-    ) -> np.ndarray: ...
-
-    def keyswitch_inner(
-        self,
-        kern: ModulusKernel,
-        ext: np.ndarray,
-        b_stack: np.ndarray,
-        a_stack: np.ndarray,
-        b_shoup_f: np.ndarray | None = None,
-        a_shoup_f: np.ndarray | None = None,
-        level: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def close(self) -> None: ...
+__all__ = ["NumpyBackend", "resolve_backend"]
 
 
 class NumpyBackend:
@@ -126,7 +57,7 @@ class NumpyBackend:
     def ntt_inverse_all(self, plan: NttPlan, limbs: np.ndarray) -> np.ndarray:
         return plan.inverse_all(limbs)
 
-    def bconv(self, conv: _SupportsConvertRows, limbs: np.ndarray) -> np.ndarray:
+    def bconv(self, conv: BaseConverter, limbs: np.ndarray) -> np.ndarray:
         return conv.convert_rows(limbs)
 
     @kernels._wrapping
@@ -136,32 +67,27 @@ class NumpyBackend:
         ext: np.ndarray,
         b_stack: np.ndarray,
         a_stack: np.ndarray,
-        b_shoup_f: np.ndarray | None = None,
-        a_shoup_f: np.ndarray | None = None,
-        level: int | None = None,
+        b_shoup_f: np.ndarray | None,
+        a_shoup_f: np.ndarray | None,
+        level: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(sum_d ext_d * b_d, sum_d ext_d * a_d)`` mod the chain.
 
-        The stacks either match ``ext``'s ``(D, E, N)`` shape or are a
-        key's full-basis ``(dnum, L+K, N)`` tensors with ``level`` given:
-        then ``ext``'s first ``level`` rows pair with the stacks' first
-        rows and its remaining (auxiliary) rows with their last rows, so
-        one table per key serves every level without a gather.
+        ``ext`` is the ``(D, level + K, N)`` decomposition and the stacks
+        are a key's full-basis ``(dnum, L+K, N)`` tensors: ``ext``'s
+        first ``level`` rows pair with the stacks' first rows and its
+        remaining (auxiliary) rows with their last ``K`` rows, so one
+        table per key serves every level without a gather.
 
-        The fused paths keep the ``D`` digit products lazy, sum them as
-        plain uint64 (the gates guarantee no wraparound), and pay one
-        float-Barrett reduction per output row — versus the legacy
-        ``2D`` canonical multiplies plus ``2(D-1)`` modular additions.
-        When the caller supplies precomputed per-element float Shoup
-        quotients for the (constant) evk stacks, each digit product is a
-        6-pass Shoup multiply left lazy in ``[0, 3q)`` instead of the
-        ~3x more expensive variable split product.
+        With the key's float Shoup quotients (short words; ``None`` for
+        wide moduli) each digit product is a 6-pass Shoup multiply left
+        lazy in ``[0, 3q)``, the ``D`` products sum as plain uint64 (the
+        gate guarantees no wraparound) and each output row pays one
+        float-Barrett reduction.  Wide moduli take ``2D`` canonical
+        multiplies and ``2(D-1)`` modular additions.
         """
         digits, rows = ext.shape[:2]
-        blocks = [(slice(None), slice(None))]  # (ext rows, stack rows)
-        if level is not None and b_stack.shape[1] != rows:
-            aux = b_stack.shape[1] - (rows - level)
-            blocks = [(slice(0, level), slice(0, level)), (slice(level, rows), slice(aux, None))]
+        aux = b_stack.shape[1] - (rows - level)
         if (
             b_shoup_f is not None
             and a_shoup_f is not None
@@ -170,6 +96,11 @@ class NumpyBackend:
         ):
             (f,) = self._scratch.take(np.float64, ext.shape)
             qhat, r, acc = self._scratch.take(np.uint64, ext.shape, ext.shape, ext.shape[1:])
+            # (ext rows, stack rows): the q-part, then the auxiliary part.
+            blocks = (
+                (slice(0, level), slice(0, level)),
+                (slice(level, rows), slice(aux, None)),
+            )
             outs = []
             for stack, shoup_f in ((b_stack, b_shoup_f), (a_stack, a_shoup_f)):
                 for mine, theirs in blocks:
@@ -191,21 +122,11 @@ class NumpyBackend:
                         acc += r[d]
                 outs.append(kern.reduce64_f(acc))
             return outs[0], outs[1]
-        b_stack, a_stack = b_stack[:digits], a_stack[:digits]
-        if len(blocks) > 1:  # wide moduli: gather the rows, the products dominate
-            b_stack, a_stack = (
-                np.concatenate([stack[:, theirs] for _, theirs in blocks], axis=1)
-                for stack in (b_stack, a_stack)
-            )
-        fused = (
-            kern.float_ok
-            and kern.split
-            and digits * 2 * int(kern.q_max) < (1 << 63)
+        # Wide moduli: gather the rows, the 128-bit products dominate.
+        b_stack, a_stack = (
+            np.concatenate([stack[:digits, :level], stack[:digits, aux:]], axis=1)
+            for stack in (b_stack, a_stack)
         )
-        if fused:
-            t0 = kern.mul_f(ext, b_stack, lazy=True).sum(axis=0)
-            t1 = kern.mul_f(ext, a_stack, lazy=True).sum(axis=0)
-            return kern.reduce64_f(t0), kern.reduce64_f(t1)
         acc0 = kern.mul(ext[0], b_stack[0])
         acc1 = kern.mul(ext[0], a_stack[0])
         for d in range(1, digits):
@@ -213,61 +134,7 @@ class NumpyBackend:
             acc1 = kern.add(acc1, kern.mul(ext[d], a_stack[d]))
         return acc0, acc1
 
-    def close(self) -> None:
-        """Nothing to release."""
 
-
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
-
-# Optional backends resolve lazily by module path: importing them here
-# would create an import cycle (they subclass NumpyBackend from this
-# module) and would pay pool/JIT import costs nobody asked for.
-_LAZY: dict[str, tuple[str, str]] = {
-    "parallel": ("repro.rns.parallel", "ParallelBackend"),
-    "numba": ("repro.rns.numba_backend", "NumbaBackend"),
-}
-
-
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend class under ``name`` (idempotent overwrite)."""
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend`, registered first."""
-    return tuple(dict.fromkeys((*_REGISTRY, *_LAZY)))
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Instantiate the backend registered (or lazily loadable) as ``name``."""
-    factory = _REGISTRY.get(name)
-    if factory is None and name in _LAZY:
-        module_name, attr = _LAZY[name]
-        factory = getattr(importlib.import_module(module_name), attr)
-        _REGISTRY[name] = factory
-    if factory is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
-    backend: KernelBackend = factory()
-    return backend
-
-
-def resolve_backend(spec: object = None) -> KernelBackend:
-    """Resolve a backend from an explicit spec, the environment, or default.
-
-    ``spec`` may be a backend instance (returned as-is), a registered
-    name, or ``None`` — in which case ``$REPRO_KERNEL_BACKEND`` is
-    consulted and ``"numpy"`` is the fallback.
-    """
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    if isinstance(spec, str):
-        return get_backend(spec)
-    if hasattr(spec, "keyswitch_inner"):
-        return spec  # type: ignore[return-value]
-    raise TypeError(f"backend spec must be a name or KernelBackend, got {spec!r}")
-
-
-register_backend("numpy", NumpyBackend)
+def resolve_backend() -> NumpyBackend:
+    """A fresh backend for one ``RingContext``."""
+    return NumpyBackend()

@@ -159,17 +159,14 @@ class BaseConverter:
             raise ValueError("BConv requires the coefficient representation")
         if poly.moduli != self.src_moduli:
             raise ValueError("polynomial basis does not match the converter")
-        if poly.ring.use_plans:
-            rows = poly.ring.backend.bconv(self, poly.limbs)
-        else:
-            rows = self._convert_rows_legacy(poly.limbs)
+        rows = poly.ring.backend.bconv(self, poly.limbs)
         return RnsPolynomial(poly.ring, self.dst_moduli, rows, ntt_form=False)
 
     def convert_rows(self, limbs: np.ndarray) -> np.ndarray:
         """Raw ``(L, N) -> (K, N)`` conversion (backend entry point)."""
         if self._matmul_ok:
             return self._convert_rows_matmul(limbs)
-        return self._convert_rows_legacy(limbs)
+        return self._convert_rows_wide(limbs)
 
     def _scaled_src(self, limbs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``y_i = [a_i * q_hat_i^(-1)]_{q_i}``, canonical."""
@@ -216,7 +213,7 @@ class BaseConverter:
         out += hi
         return self._dst_chain_kernel.reduce64_f(out, out=out)
 
-    def _convert_rows_legacy(self, limbs: np.ndarray) -> np.ndarray:
+    def _convert_rows_wide(self, limbs: np.ndarray) -> np.ndarray:
         """Per-destination-row Shoup/sum_mod loop (any modulus < 2**62)."""
         y = self._scaled_src(limbs)
         if self.centered:

@@ -282,8 +282,7 @@ class ScratchPool:
     The high-water mark is the largest single request, however many
     shapes pass through.  Views from one :meth:`take` alias the next
     call's, so a pool serves one non-reentrant code path; every user is
-    single-threaded by invariant (``parallel`` workers are processes
-    and own theirs).
+    single-threaded by invariant.
     """
 
     def __init__(self) -> None:

@@ -10,7 +10,7 @@ All limb arithmetic dispatches through :mod:`repro.rns.kernels`, whose
 emulated 128-bit products keep the vectorized path exact for any
 modulus below ``2**62`` — SHARP's 36-bit primes (and the 62-bit
 bootstrapping scale) run natively, with no object-array fallback.
-Per-chain state (modulus columns, kernels, stacked NTT plans) is cached
+Per-chain state (modulus columns, kernels, NTT plans) is cached
 on the shared :class:`RingContext` so repeated ops rebuild nothing.
 
 Polynomials carry a representation flag: *coefficient* or *evaluation*
@@ -20,19 +20,18 @@ match); ring multiplication requires the evaluation representation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.rns import kernels
+from repro.rns.backend import NumpyBackend, resolve_backend
 from repro.rns.modmath import mod_inverse
 
 if TYPE_CHECKING:  # deferred at runtime: repro.ntt.reference imports kernels
     from repro.ntt.plan import NttPlan
-    from repro.ntt.reference import NttChain, NttContext
-    from repro.rns.backend import KernelBackend
+    from repro.ntt.reference import NttContext
 
 __all__ = ["RingContext", "RnsPolynomial"]
 
@@ -41,26 +40,17 @@ class RingContext:
     """Shared per-ring state: NTT plans, kernels, and automorphism maps.
 
     One context serves every modulus chain over the same degree; NTT
-    plans, stacked chain transforms, modulus kernels, and permutation
-    tables are created lazily and cached.
+    plans, modulus kernels, and permutation tables are created lazily
+    and cached.
     """
 
-    def __init__(self, degree: int, backend=None):
+    def __init__(self, degree: int):
         if degree & (degree - 1) or degree < 4:
             raise ValueError("degree must be a power of two >= 4")
         self.degree = degree
-        # Execution engine for the hot paths (see repro.rns.backend);
-        # resolved once here, from the argument, $REPRO_KERNEL_BACKEND,
-        # or the numpy default.  REPRO_KERNEL_PLANS=off disables every
-        # planned/fused fast path (plan NTT, float-lane products, fused
-        # BConv/key-switch) and restores the legacy per-limb code — the
-        # live reference the benchmark speedup gates compare against.
-        from repro.rns.backend import resolve_backend
-
-        self.backend: KernelBackend = resolve_backend(backend)
-        self.use_plans = os.environ.get("REPRO_KERNEL_PLANS", "on") != "off"
+        # Every hot path dispatches through it (see repro.rns.backend).
+        self.backend: NumpyBackend = resolve_backend()
         self._ntt: dict[int, NttContext] = {}
-        self._chains: dict[tuple[int, ...], NttChain] = {}
         self._plans: dict[tuple[int, ...], NttPlan] = {}
         self._kernels: dict[tuple[int, ...], kernels.ModulusKernel] = {}
         self._auto_eval: dict[int, np.ndarray] = {}
@@ -74,16 +64,6 @@ class RingContext:
             plan = NttContext(self.degree, modulus)
             self._ntt[modulus] = plan
         return plan
-
-    def chain(self, moduli: tuple[int, ...]) -> NttChain:
-        """Stacked NTT plans transforming a whole limb matrix at once."""
-        chain = self._chains.get(moduli)
-        if chain is None:
-            from repro.ntt.reference import NttChain
-
-            chain = NttChain([self.ntt(q) for q in moduli])
-            self._chains[moduli] = chain
-        return chain
 
     def plan(self, moduli: tuple[int, ...]) -> NttPlan:
         """Cached fused NTT plan for a chain (built once per moduli tuple)."""
@@ -221,23 +201,13 @@ class RnsPolynomial:
     def to_ntt(self) -> "RnsPolynomial":
         if self.ntt_form:
             return self
-        if self.ring.use_plans:
-            out = self.ring.backend.ntt_forward_all(
-                self.ring.plan(self.moduli), self.limbs
-            )
-        else:
-            out = self.ring.chain(self.moduli).forward_all(self.limbs)
+        out = self.ring.backend.ntt_forward_all(self.ring.plan(self.moduli), self.limbs)
         return RnsPolynomial(self.ring, self.moduli, out, True)
 
     def from_ntt(self) -> "RnsPolynomial":
         if not self.ntt_form:
             return self
-        if self.ring.use_plans:
-            out = self.ring.backend.ntt_inverse_all(
-                self.ring.plan(self.moduli), self.limbs
-            )
-        else:
-            out = self.ring.chain(self.moduli).inverse_all(self.limbs)
+        out = self.ring.backend.ntt_inverse_all(self.ring.plan(self.moduli), self.limbs)
         return RnsPolynomial(self.ring, self.moduli, out, False)
 
     # -- arithmetic ------------------------------------------------------------
@@ -282,10 +252,7 @@ class RnsPolynomial:
         self._check_compatible(other)
         if not self.ntt_form:
             raise ValueError("ring multiplication requires evaluation form")
-        if self.ring.use_plans:
-            out = self.ring.backend.mul(self._kernel(), self.limbs, other.limbs)
-        else:
-            out = self._kernel().mul(self.limbs, other.limbs)
+        out = self.ring.backend.mul(self._kernel(), self.limbs, other.limbs)
         return RnsPolynomial(self.ring, self.moduli, out, True)
 
     def scalar_mul(self, scalars) -> "RnsPolynomial":

@@ -52,15 +52,7 @@ SERVE_DEPTH = 4
 
 @dataclass
 class ServePreset:
-    """One lazily-built word-length tier of the service.
-
-    ``kernel_backend`` records the execution engine this tier's ring was
-    built with — resolved per preset at build time (see
-    :func:`repro.params.presets.preset_kernel_backend`), so one server
-    can e.g. shard its 36-bit tier across a ``parallel`` pool while the
-    62-bit tier stays on single-process numpy.  Backends are bit-exact
-    with each other, so this is a pure throughput knob.
-    """
+    """One lazily-built word-length tier of the service."""
 
     word_bits: int
     params: "CkksParams" = field(repr=False)
@@ -68,26 +60,17 @@ class ServePreset:
     evaluator: "Evaluator" = field(repr=False)
     abstract: AbstractParams = field(repr=False)
     noise: NoiseParams = field(repr=False)
-    kernel_backend: str = "numpy"
 
     @classmethod
-    def build(
-        cls, word_bits: int, seed: int, kernel_backend: str | None = None
-    ) -> "ServePreset":
+    def build(cls, word_bits: int, seed: int) -> "ServePreset":
         from repro.ckks.context import CkksContext
         from repro.ckks.ops import Evaluator
-        from repro.params.presets import (
-            boot_plan,
-            build_native_ckks_params,
-            preset_kernel_backend,
-        )
+        from repro.params.presets import boot_plan, build_native_ckks_params
 
-        if kernel_backend is None:
-            kernel_backend = preset_kernel_backend(word_bits)
         params = build_native_ckks_params(
             word_bits, degree=SERVE_DEGREE, depth=SERVE_DEPTH
         )
-        context = CkksContext(params, seed=seed, kernel_backend=kernel_backend)
+        context = CkksContext(params, seed=seed)
         boot_scale, _ = boot_plan(word_bits)
         return cls(
             word_bits=word_bits,
@@ -100,7 +83,6 @@ class ServePreset:
                 boot_scale_bits=boot_scale,
                 word_bits=word_bits,
             ),
-            kernel_backend=context.ring.backend.name,
         )
 
     @property

@@ -573,10 +573,6 @@ class FheServer:
         payload = self.metrics.to_dict()
         payload["sessions"] = len(self.sessions)
         payload["presets_built"] = sorted(self.offline._presets)
-        payload["kernel_backends"] = {
-            bits: preset.kernel_backend
-            for bits, preset in sorted(self.offline._presets.items())
-        }
         return payload
 
     def _send_error(self, writer: asyncio.StreamWriter, message: str) -> None:

@@ -11,8 +11,6 @@ walk, and with the wide-word chains still routed to the reference path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +22,8 @@ from repro.ntt.plan import NttPlan, lazy_schedule
 from repro.ntt.reference import NttChain, NttContext
 from repro.params.primes import find_ntt_primes
 from repro.rns import kernels
-from repro.rns.backend import NumpyBackend
 from repro.rns.bconv import BaseConverter
-from repro.rns.parallel import ParallelBackend
+from tests.oracle import bconv_oracle, ntt_oracle
 from tests.test_backends import _limbs
 
 WORD_BITS = (28, 36)
@@ -73,16 +70,6 @@ def _edge_inputs(moduli: tuple[int, ...], width: int) -> dict[str, np.ndarray]:
 # -- NTT -----------------------------------------------------------------------
 
 
-def _ntt_oracle(context: NttContext, coeffs: np.ndarray, slot: int) -> int:
-    """Evaluation at ``psi**(2*slot + 1)`` in Python integers (Horner)."""
-    q = context.modulus
-    point = pow(context.psi, 2 * slot + 1, q)
-    acc = 0
-    for c in coeffs[::-1]:
-        acc = (acc * point + int(c)) % q
-    return acc
-
-
 def _check_ntt(degree: int, moduli: tuple[int, ...], x: np.ndarray) -> None:
     contexts = _contexts(degree, moduli)
     plan, chain = NttPlan(contexts), NttChain(contexts)
@@ -93,7 +80,7 @@ def _check_ntt(degree: int, moduli: tuple[int, ...], x: np.ndarray) -> None:
     assert np.array_equal(plan.inverse_all(forward), x)  # forward . inverse = id
     row = len(moduli) - 1
     for slot in (0, degree // 3, degree - 1):
-        assert int(forward[row, slot]) == _ntt_oracle(contexts[row], x[row], slot)
+        assert int(forward[row, slot]) == ntt_oracle(contexts[row], x[row], slot)
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
@@ -164,35 +151,19 @@ def test_wide_chain_takes_reference_path():
     assert np.array_equal(plan.forward_all(x.copy()), NttChain(contexts).forward_all(x.copy()))
     conv = BaseConverter(moduli[:2], moduli[2:])
     assert not conv._matmul_ok
-    assert np.array_equal(conv.convert_rows(x[:2]), conv._convert_rows_legacy(x[:2]))
+    assert np.array_equal(conv.convert_rows(x[:2]), conv._convert_rows_wide(x[:2]))
 
 
 # -- BConv ---------------------------------------------------------------------
 
 
-def _bconv_oracle(conv: BaseConverter, limbs: np.ndarray, columns: list[int]) -> np.ndarray:
-    """Python-integer base conversion of the chosen columns."""
-    src, dst = conv.src_moduli, conv.dst_moduli
-    big = 1
-    for q in src:
-        big *= q
-    inverses = [pow(big // q % q, -1, q) for q in src]
-    out = np.empty((len(dst), len(columns)), dtype=np.uint64)
-    for k, column in enumerate(columns):
-        y = [int(limbs[i, column]) * inv % q for i, (q, inv) in enumerate(zip(src, inverses))]
-        total = sum(yi * (big // q) for yi, q in zip(y, src))
-        if conv.centered:
-            total -= round(sum(Fraction(yi, q) for yi, q in zip(y, src))) * big
-        out[:, k] = [total % p for p in dst]
-    return out
-
-
 def _check_bconv(conv: BaseConverter, x: np.ndarray) -> None:
     got = conv.convert_rows(x)
     assert got.dtype == np.uint64
-    assert np.array_equal(got, conv._convert_rows_legacy(x))
+    assert np.array_equal(got, conv._convert_rows_wide(x))
     columns = [0, 1, x.shape[1] // 2, x.shape[1] - 1]
-    assert np.array_equal(got[:, columns], _bconv_oracle(conv, x, columns))
+    want = bconv_oracle(conv.src_moduli, conv.dst_moduli, x, columns, conv.centered)
+    assert np.array_equal(got[:, columns], want)
 
 
 @pytest.mark.parametrize("centered", (True, False))
@@ -256,23 +227,3 @@ def test_float_lane_out_matches_fresh_result(bits):
     want = (big.astype(object) % q_col).astype(np.uint64)
     assert np.array_equal(kern.reduce64_f(big), want)
     assert kern.reduce64_f(big, out=big) is big and np.array_equal(big, want)
-
-
-# -- parallel backend --------------------------------------------------------------
-
-
-def test_parallel_backend_parity_on_blocked_kernels():
-    degree, rows = 1 << 12, 12
-    moduli = _chain(degree, 36, rows)
-    plan = NttPlan(_contexts(degree, moduli))
-    x = _limbs(moduli, degree, seed=21)
-    reference = NumpyBackend()
-    backend = ParallelBackend(workers=2, min_shard_elems=1)
-    try:
-        want = reference.ntt_forward_all(plan, x)
-        assert np.array_equal(backend.ntt_forward_all(plan, x), want)
-        assert np.array_equal(backend.ntt_inverse_all(plan, want), x)
-        conv = BaseConverter(moduli[:3], moduli[3:])
-        assert np.array_equal(backend.bconv(conv, x[:3]), reference.bconv(conv, x[:3]))
-    finally:
-        backend.close()

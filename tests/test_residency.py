@@ -4,8 +4,7 @@ Evaluation-key tables live on the key (one per key, every level a row
 slice), linear transforms compile their diagonals once, baby-step
 rotations share one decomposition, and the scratch pools are bounded by
 their largest request.  Bit-identity claims are checked against the
-legacy per-limb engine (``REPRO_KERNEL_PLANS=off``), which the backend
-parity suite pins to the planned path.
+Python-integer oracle in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams
 from repro.ckks.bootstrap import Bootstrapper
-from repro.ckks.context import CkksContext, CkksParams, EvalKey, make_params
+from repro.ckks.context import CkksContext, EvalKey, make_params
 from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
 from repro.params.presets import build_native_ckks_params
@@ -28,26 +27,26 @@ from repro.params.primes import find_ntt_primes
 from repro.rns import bconv, kernels
 from repro.rns.bconv import BaseConverter
 from repro.rns.poly import RnsPolynomial
+from tests.oracle import decompose_oracle, switch_oracle
 
 
-_PARAMS: dict[int, CkksParams] = {}
+_PRESETS: dict[object, CkksContext] = {}
 
 
-def _preset(bits: int, monkeypatch=None, backend: str = "numpy", legacy: bool = False):
-    if bits not in _PARAMS and bits == 62:
-        # The native 62-bit preset's 68-bit base is a DS pair whose prime
-        # search takes a minute; a 54-bit scale keeps every prime single
-        # and still exercises the widest (128-bit product) kernel regime.
-        _PARAMS[bits] = make_params(degree=1 << 10, scale_bits=54, depth=3, word_bits=62)
-    elif bits not in _PARAMS:
-        _PARAMS[bits] = build_native_ckks_params(bits, degree=1 << 10, depth=3)
-    params = _PARAMS[bits]
-    if legacy:
-        monkeypatch.setenv("REPRO_KERNEL_PLANS", "off")
-    ctx = CkksContext(params, seed=17, kernel_backend=backend)
-    if legacy:
-        monkeypatch.delenv("REPRO_KERNEL_PLANS")
-    return ctx
+def _preset(bits) -> CkksContext:
+    """The ``bits``-wide preset at N = 2^9 (``"ds"``: a 35-bit scale on DS prime pairs)."""
+    if bits not in _PRESETS:
+        if bits == "ds":
+            params = make_params(degree=1 << 9, scale_bits=35, depth=3)
+        elif bits == 62:
+            # The native 62-bit preset's 68-bit base is a DS pair whose prime
+            # search takes a minute; a 54-bit scale keeps every prime single
+            # and still exercises the widest (128-bit product) kernel regime.
+            params = make_params(degree=1 << 9, scale_bits=54, depth=3, word_bits=62)
+        else:
+            params = build_native_ckks_params(bits, degree=1 << 9, depth=3)
+        _PRESETS[bits] = CkksContext(params, seed=17)
+    return _PRESETS[bits]
 
 
 def _message(ctx: CkksContext, seed: int = 0) -> np.ndarray:
@@ -101,43 +100,34 @@ def test_table_row_slices_match_per_level_stacks(bits):
             assert np.array_equal(shoup_rows, exact.astype(np.float64) * 2.0**-64)
 
 
-@pytest.mark.parametrize("backend", ("numpy", "parallel"))
+def _levels(ctx: CkksContext) -> tuple[int, int, int]:
+    top = ctx.params.max_level
+    return top, top // 2, 0
+
+
 @pytest.mark.parametrize("bits", (28, 36, 50, 62))
-def test_switch_bit_identical_to_legacy_engine(bits, backend, monkeypatch):
-    ctx = _preset(bits, backend=backend)
-    legacy = _preset(bits, monkeypatch, legacy=True)
-    assert ctx.ring.use_plans and not legacy.ring.use_plans
-    ev, ev_legacy = Evaluator(ctx), Evaluator(legacy)
-    # Same seed, same draw order: both contexts hold the same two keys.
-    pairs = [
-        (c.keys.relinearization_key(), c.keys.galois_key(25)) for c in (ctx, legacy)
-    ]
-    try:
-        for level in range(ctx.params.max_level + 1):
-            c1 = ctx.encrypt(_message(ctx), level=level).c1
-            twin = RnsPolynomial(legacy.ring, c1.moduli, c1.limbs, True)
-            for evk, evk_legacy in zip(*pairs):
-                assert np.array_equal(evk.b, evk_legacy.b)
-                u0, u1 = ev.switcher.switch(c1, evk)
-                w0, w1 = ev_legacy.switcher.switch(twin, evk_legacy)
-                assert np.array_equal(u0.limbs, w0.limbs)
-                assert np.array_equal(u1.limbs, w1.limbs)
-    finally:
-        ctx.ring.backend.close()
+def test_switch_bit_identical_to_oracle(bits):
+    ctx = _preset(bits)
+    switcher = Evaluator(ctx).switcher
+    for level in _levels(ctx):
+        c1 = ctx.encrypt(_message(ctx), level=level).c1
+        for evk in (ctx.keys.relinearization_key(), ctx.keys.galois_key(25)):
+            u0, u1 = switcher.switch(c1, evk)
+            w0, w1 = switch_oracle(ctx.params, c1, evk)
+            assert np.array_equal(u0.limbs, w0)
+            assert np.array_equal(u1.limbs, w1)
 
 
 # -- (ii) decompose / apply and hoisted rotations -----------------------------
 
 
-def test_decompose_equals_mod_up(small_context, small_evaluator):
-    switcher = small_evaluator.switcher
-    for level in (small_context.params.max_level, 2, 0):
-        c1 = small_context.encrypt(_message(small_context), level=level).c1
-        ext = switcher.decompose(c1)
-        reference = switcher.mod_up(c1.from_ntt())
-        assert ext.shape[0] == len(reference)
-        for got, want in zip(ext, reference):
-            assert np.array_equal(got, want.limbs)
+def test_decompose_equals_mod_up():
+    for bits in (28, 36, 50, 62):
+        ctx = _preset(bits)
+        switcher = Evaluator(ctx).switcher
+        for level in _levels(ctx):
+            c1 = ctx.encrypt(_message(ctx), level=level).c1
+            assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
 
 
 @pytest.mark.parametrize("slots", (256, 1 << 10), ids=("sparse", "full"))
