@@ -274,6 +274,10 @@ class SymbolicEvaluator:
         )
         return self._make(ct.level, scale, call)
 
+    def add_scalar(self, ct: AbstractCiphertext, value: complex) -> AbstractCiphertext:
+        """A constant is encoded at the ciphertext's own scale."""
+        return self.add_plain(ct)
+
     # -- multiplicative ops -----------------------------------------------------
 
     def _step_scale(self, level: int, call: int) -> float:
@@ -335,8 +339,9 @@ class SymbolicEvaluator:
         return self._make(level, scale, call)
 
     def multiply_scalar(
-        self, ct: AbstractCiphertext, rescale: bool = True
+        self, ct: AbstractCiphertext, value: complex, rescale: bool = True
     ) -> AbstractCiphertext:
+        """A constant is encoded at the step scale, whatever its value."""
         return self.multiply_plain(ct, pt_scale=None, rescale=rescale)
 
     # -- rescaling / rotations --------------------------------------------------

@@ -83,7 +83,7 @@ def _demo_program(ev: SymbolicEvaluator) -> None:
     acc = ev.add(acc, ct)
     while acc.level > 1:
         acc = ev.multiply(acc, ev.fresh(level=acc.level), rescale=True)
-    ev.multiply_scalar(acc, rescale=True)
+    ev.multiply_scalar(acc, 1.0, rescale=True)
 
 
 def _report_lines(report: CheckReport, verbose: bool) -> list[str]:

@@ -384,11 +384,22 @@ class NoiseCheckEvaluator:
     def sub(self, a: NoiseState, b: NoiseState) -> NoiseState:
         return self.add(a, b)
 
+    def negate(self, ct: NoiseState) -> NoiseState:
+        """A sign flip moves no energy: noise-free, and not a charged call."""
+        return ct
+
+    def match(self, a: NoiseState, b: NoiseState) -> tuple[NoiseState, NoiseState]:
+        """The scale correction is one plaintext multiply on the adjusted operand."""
+        return self.multiply_plain(a, pt_mag=1.0), b
+
     def add_plain(self, ct: NoiseState, pt_mag: float = 1.0) -> NoiseState:
         call = self._next()
         if ct.poisoned:
             return self._poison(call)
         return self._make(ct.mag + pt_mag, ct.drift, ct.std, ct.worst, call)
+
+    def add_scalar(self, ct: NoiseState, value: complex) -> NoiseState:
+        return self.add_plain(ct, pt_mag=abs(value))
 
     # -- multiplicative ops --------------------------------------------------
 
@@ -426,8 +437,15 @@ class NoiseCheckEvaluator:
         std = _quad(ct.std * pt_mag, out_bound * p.relative_std, p.op_std)
         return self._make(ct.mag * pt_mag, ct.drift, std, worst, call)
 
-    def multiply_scalar(self, ct: NoiseState, c: float) -> NoiseState:
-        return self.multiply_plain(ct, pt_mag=abs(c))
+    def multiply_scalar(self, ct: NoiseState, value: complex) -> NoiseState:
+        return self.multiply_plain(ct, pt_mag=abs(value))
+
+    def square(self, ct: NoiseState) -> NoiseState:
+        return self.multiply(ct, ct)
+
+    def consume_level(self, ct: NoiseState) -> NoiseState:
+        """A multiply by an encoding of one, then the rescale."""
+        return self.multiply_plain(ct, pt_mag=1.0)
 
     def linear(
         self,
@@ -469,6 +487,10 @@ class NoiseCheckEvaluator:
             ct.worst + K_SIGMA * p.op_std,
             call,
         )
+
+    def conjugate(self, ct: NoiseState) -> NoiseState:
+        """One key switch, exactly like a rotation."""
+        return self.rotate(ct)
 
     def rescale(self, ct: NoiseState) -> NoiseState:
         """An explicit rescale: relative prime-vs-scale jitter only."""

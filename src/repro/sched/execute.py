@@ -12,15 +12,18 @@ preserved the source program's semantics:
 * a certificate for a *different* source or schedule (digest
   mismatch), or from a different checker version -> same refusal.
 
-Execution itself walks the scheduled op order and replays the source
-program's evaluator calls through
-``EvalProgram.apply_op``: a fused ``PMADD`` trace op covers the
-plaintext-multiply *and* the additions it absorbed, so the walk
-advances a cursor over the source ops until each scheduled op's result
-value is materialized.  The scheduled trace never reorders surviving
-ops relative to the source (fusion is a peephole), which is exactly
-what the certificate's bisimulation layer proved — the cursor cannot
-skip or double-execute an op for a certified pair.
+A certificate speaks about traces, so the gate is followed by a *bind*
+step: ``program`` must be the program ``source`` was lowered from, op
+for op (trace kind, ``dst``, ``srcs``, key identity, whether a level is
+spent).  A certificate minted for one program therefore cannot admit
+another that merely reuses its value names.
+
+Execution is then ``program.run(evaluator, ct_in)`` — the one fold over
+the serve IR.  Fusion is a peephole that never reorders surviving ops
+(which is what the certificate's bisimulation layer proved), so running
+the source program in order computes exactly what the certified
+schedule computes; the schedule's own order and residency decisions
+matter to the accelerator model, not to the software evaluator.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def execute_scheduled(
     ct_in: "Ciphertext",
     certificate: "EquivCertificate | None",
 ) -> "Ciphertext":
-    """Run a scheduled trace on the real evaluator — gate first.
+    """Run a certified program on the real evaluator: gate, bind, fold.
 
     ``source`` is the unfused lowering of ``program`` (the artifact the
     certificate's source digest binds to); ``scheduled`` is its fused +
@@ -73,28 +76,9 @@ def execute_scheduled(
             + "; ".join(d.message for d in gate.errors)
         )
 
-    env: dict[str, Ciphertext] = {program.input: ct_in}
-    program_dsts = {op.dst for op in program.ops}
-    cursor = 0
-    for hop in scheduled.ops:
-        dst = hop.dst
-        if dst is None or dst not in program_dsts:
-            # A fusion-fresh intermediate (count-split PMADD mid): its
-            # work is covered when the consuming scheduled op lands.
-            continue
-        while dst not in env:
-            if cursor >= len(program.ops):
-                raise CertificateError(
-                    f"scheduled op result {dst!r} is not produced by the "
-                    "source program — certificate verification should "
-                    "have rejected this pair"
-                )
-            op = program.ops[cursor]
-            cursor += 1
-            env[op.dst] = program.apply_op(evaluator, op, env)
-    if program.output not in env:
+    if not program.lowers_to(source):
         raise CertificateError(
-            f"scheduled trace retired without materializing the source "
-            f"output {program.output!r}"
+            f"refusing to execute program {program.name!r}: it is not the "
+            f"program the certified source trace {source.name!r} was lowered from"
         )
-    return env[program.output]
+    return program.run(evaluator, ct_in)

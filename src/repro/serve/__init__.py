@@ -10,9 +10,9 @@ The service splits the paper's stack into the classic two-phase shape:
   where every submitted program is *statically verified* by
   :mod:`repro.check` before it may touch the engine, admitted jobs are
   SIMD slot-packed into shared ciphertexts
-  (:mod:`repro.serve.batching`), executed in
-  :func:`repro.sched.schedule_trace` op order, and returned to each
-  tenant re-encrypted under its own key.
+  (:mod:`repro.serve.batching`), scheduled, certified and run through
+  the gate of :func:`repro.sched.execute.execute_scheduled`, and
+  returned to each tenant re-encrypted under its own key.
 
 Programs travel as the SSA IR of :mod:`repro.serve.program`; all bytes
 on the wire use the versioned frames of :mod:`repro.serve.wire`.

@@ -19,25 +19,28 @@ The packing scheme (documented in DESIGN.md):
   ``+offset`` back to the tenant's frame, then switch to the tenant's
   key via its ``evk_out``.
 
-The admission wrapper in :func:`service_wrapped` makes the static
-passes see the same pipeline the batcher executes: a key switch on the
-way in, the tenant's program, then mask-multiply and key switch on the
-way out.  A program that only balances at the service's full level
-budget with nothing to spare is therefore rejected up front.
+The admission wrapper :func:`service_wrapped` makes the static passes
+see the same pipeline the batcher executes: a key switch on the way
+in, the tenant's program (:meth:`EvalProgram.run` over the pass's own
+domain), then mask-multiply and key switch on the way out.  A program
+that only balances at the service's full level budget with nothing to
+spare is therefore rejected up front.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence, TypeVar
 
-from repro.serve.program import EvalProgram, ProgramOp
+from repro.serve.program import EvalProgram
 
 if TYPE_CHECKING:
     from repro.ckks.cipher import Ciphertext
     from repro.serve.session import TenantSession
 
 __all__ = ["BatchJob", "BatchPlan", "plan_batches", "service_wrapped"]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -120,44 +123,19 @@ def plan_batches(
     return plans
 
 
-def service_wrapped(program: EvalProgram) -> EvalProgram:
-    """The program as the service actually runs it, for admission.
+def service_wrapped(program: EvalProgram, domain: Any, x: T) -> T:
+    """Fold the program as the service actually runs it, for admission.
 
     Wraps the tenant's circuit in the batching pipeline's fixed
-    overhead so the static passes charge for it:
+    overhead so whichever ``domain`` is folded charges for it:
 
-    * prologue ``rotate`` — stands in for the ingress key switch and
+    * ingress ``rotate`` — stands in for the ingress key switch and
       lane placement (one key-switch noise term, no level);
-    * epilogue ``consume_level`` — the egress lane mask is a plaintext
+    * egress ``consume_level`` — the egress lane mask is a plaintext
       multiply and burns one level, so any program that ends at level 0
       fails admission with ``CKKS-LEVEL-UNDERFLOW`` instead of failing
       at egress time;
-    * epilogue ``rotate`` — the rotate-back plus egress key switch.
+    * egress ``rotate`` — the rotate-back plus egress key switch.
     """
-    taken = {program.input, program.output}
-    for op in program.ops:
-        taken.add(op.dst)
-        taken.update(op.srcs)
-
-    def unique(base: str) -> str:
-        name = base
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        return name
-
-    wire_in = unique("__ingress")
-    masked = unique("__mask")
-    wire_out = unique("__egress")
-    ops = (
-        ProgramOp("rotate", program.input, (wire_in,), amount=1),
-        *program.ops,
-        ProgramOp("consume_level", masked, (program.output,)),
-        ProgramOp("rotate", wire_out, (masked,), amount=1),
-    )
-    return EvalProgram(
-        name=f"{program.name}__served",
-        ops=ops,
-        input=wire_in,
-        output=wire_out,
-    )
+    served = program.run(domain, domain.rotate(x, 1))
+    return domain.rotate(domain.consume_level(served), 1)

@@ -1,75 +1,84 @@
 """The portable evaluator-program IR clients submit to the service.
 
 A submitted job is *code*, not data: a straight-line SSA program over
-the CKKS evaluator ops of Table 1.  The same program object drives four
-interpreters, which is the property the admission pipeline rests on:
+the CKKS evaluator ops of Table 1.  Everything kind-specific lives in
+one table, :data:`OPS` (operand count, scalar/rotation operand, scale
+matching, level cost, trace kind, evaluation key), and everything that
+walks a program is one of two folds over it:
 
-* :meth:`EvalProgram.run_symbolic` — the ``(level, scale)`` abstract
-  domain of :mod:`repro.check.ckks_check`;
-* :meth:`EvalProgram.run_noise` — the noise-budget domain of
-  :mod:`repro.check.noise_check`;
+* :meth:`EvalProgram.run` — ``run(domain, x)`` calls the evaluator
+  method each op names on ``domain``.  The domains speak the real
+  evaluator's vocabulary: :class:`repro.ckks.ops.Evaluator`
+  (ciphertexts; only reached through admission and the certificate
+  gate), :class:`repro.check.ckks_check.SymbolicEvaluator` (``(level,
+  scale)``) and :class:`repro.check.noise_check.NoiseCheckEvaluator`
+  (the noise budget).  What an op *means* in a domain is that domain's
+  method and nowhere else;
 * :meth:`EvalProgram.lower_to_trace` — an SSA-annotated
-  :class:`repro.hw.isa.Trace` for :func:`repro.sched.schedule_trace`;
-* :meth:`EvalProgram.run_concrete` — the real
-  :class:`repro.ckks.ops.Evaluator`, executed only after the static
-  interpreters admitted the job.
+  :class:`repro.hw.isa.Trace` for :func:`repro.sched.schedule_trace`.
 
 Programs are single-input (one packed message vector per request —
 the unit the slot-packing batcher multiplexes), single-output, and
 must be dead-code-free; :meth:`EvalProgram.validate` enforces the SSA
-discipline so a malformed program is rejected before any interpreter
-runs.  ``to_json``/``from_json`` round-trip the IR over the wire, and
+discipline so a malformed program is rejected before any fold runs.
+``to_json``/``from_json`` round-trip the IR over the wire, and
 :meth:`EvalProgram.digest` names it content-addressably — jobs with
 equal digests run the same SIMD program and may share a batch.
 """
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, TypeVar
 
 if TYPE_CHECKING:
-    from repro.check.ckks_check import AbstractCiphertext, SymbolicEvaluator
-    from repro.check.noise_check import NoiseCheckEvaluator, NoiseState
-    from repro.ckks.cipher import Ciphertext
-    from repro.ckks.ops import Evaluator
     from repro.hw.isa import Trace
     from repro.params.presets import WordLengthSetting
 
-__all__ = ["ProgramError", "ProgramOp", "EvalProgram", "ProgramBuilder"]
+__all__ = ["ProgramError", "OpSpec", "OPS", "ProgramOp", "EvalProgram", "ProgramBuilder"]
+
+T = TypeVar("T")
 
 
 class ProgramError(ValueError):
     """A structurally invalid program (bad SSA, unknown op, bad arity)."""
 
 
-# kind -> number of ciphertext operands
-ARITY: Mapping[str, int] = {
-    "add": 2,
-    "sub": 2,
-    "add_matched": 2,
-    "sub_matched": 2,
-    "multiply": 2,
-    "square": 1,
-    "negate": 1,
-    "multiply_scalar": 1,
-    "add_scalar": 1,
-    "rotate": 1,
-    "conjugate": 1,
-    "consume_level": 1,
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the IR's consumers need to know about one op kind."""
+
+    arity: int  # ciphertext operands
+    trace: str  # name of the repro.hw.isa.OpKind the lowering emits
+    method: str  # evaluator method the fold calls on the domain
+    operand: str | None = None  # ProgramOp field passed after the ciphertexts
+    matched: bool = False  # operands are reconciled by ``match`` first
+    consumes_level: bool = False  # fused rescale in the lowered trace
+    key: str | None = None  # evk identity, formatted with the op's amount
+
+
+OPS: Mapping[str, OpSpec] = {
+    "add": OpSpec(2, "HADD", "add"),
+    "sub": OpSpec(2, "HADD", "sub"),
+    # ``match`` spends a plaintext multiply and a level only when both
+    # operands sit at the same level with drifted scales — the lowering
+    # charges that worst case (a PMADD with a level drop).
+    "add_matched": OpSpec(2, "PMADD", "add", matched=True, consumes_level=True),
+    "sub_matched": OpSpec(2, "PMADD", "sub", matched=True, consumes_level=True),
+    "multiply": OpSpec(2, "HMULT", "multiply", consumes_level=True, key="mult"),
+    "square": OpSpec(1, "HMULT", "square", consumes_level=True, key="mult"),
+    "negate": OpSpec(1, "PMULT", "negate"),
+    "multiply_scalar": OpSpec(
+        1, "PMULT", "multiply_scalar", operand="value", consumes_level=True
+    ),
+    "add_scalar": OpSpec(1, "HADD", "add_scalar", operand="value"),
+    "rotate": OpSpec(1, "HROT", "rotate", operand="amount", key="rot_{amount}"),
+    "conjugate": OpSpec(1, "CONJ", "conjugate", key="conj"),
+    "consume_level": OpSpec(1, "PMULT", "consume_level", consumes_level=True),
 }
-_VALUE_KINDS = frozenset({"multiply_scalar", "add_scalar"})
-_AMOUNT_KINDS = frozenset({"rotate"})
-_ROTATION_KINDS = frozenset({"rotate", "conjugate"})
-# Ops that consume one level (fused rescale) in the lowered trace.  The
-# matched additive ops reconcile operand scales via ``Evaluator.match``,
-# which spends a level only when both operands sit at the same level
-# with drifted scales — the lowering charges the worst case.
-_LEVEL_KINDS = frozenset(
-    {"multiply", "square", "multiply_scalar", "consume_level", "add_matched", "sub_matched"}
-)
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,12 @@ class ProgramOp:
     srcs: tuple[str, ...]
     value: complex | None = None  # multiply_scalar / add_scalar constant
     amount: int | None = None  # rotate slot count
+
+    @property
+    def key_id(self) -> str | None:
+        """The evaluation key this op switches with, if any."""
+        key = OPS[self.kind].key
+        return None if key is None else key.format(amount=self.amount)
 
     def to_dict(self) -> dict[str, object]:
         value: list[float] | None = None
@@ -126,18 +141,18 @@ class EvalProgram:
     # -- structure -----------------------------------------------------------
 
     def validate(self) -> None:
-        """SSA discipline: reject before any interpreter ever runs."""
+        """SSA discipline: reject before any fold ever runs."""
         if not self.ops:
             raise ProgramError("program has no ops")
         defined: set[str] = {self.input}
         used: set[str] = set()
         for i, op in enumerate(self.ops):
-            arity = ARITY.get(op.kind)
-            if arity is None:
+            spec = OPS.get(op.kind)
+            if spec is None:
                 raise ProgramError(f"op {i}: unknown kind {op.kind!r}")
-            if len(op.srcs) != arity:
+            if len(op.srcs) != spec.arity:
                 raise ProgramError(
-                    f"op {i} ({op.kind}): expected {arity} operands, "
+                    f"op {i} ({op.kind}): expected {spec.arity} operands, "
                     f"got {len(op.srcs)}"
                 )
             for src in op.srcs:
@@ -146,16 +161,16 @@ class EvalProgram:
                 used.add(src)
             if op.dst in defined:
                 raise ProgramError(f"op {i} ({op.kind}): redefines {op.dst!r}")
-            if (op.value is not None) != (op.kind in _VALUE_KINDS):
-                raise ProgramError(
-                    f"op {i} ({op.kind}): scalar value "
-                    f"{'missing' if op.value is None else 'not allowed'}"
-                )
-            if (op.amount is not None) != (op.kind in _AMOUNT_KINDS):
-                raise ProgramError(
-                    f"op {i} ({op.kind}): rotation amount "
-                    f"{'missing' if op.amount is None else 'not allowed'}"
-                )
+            for name in ("value", "amount"):
+                if (getattr(op, name) is not None) != (spec.operand == name):
+                    raise ProgramError(
+                        f"op {i} ({op.kind}): {name} "
+                        f"{'missing' if spec.operand == name else 'not allowed'}"
+                    )
+            # Every comparison against NaN is false, so a non-finite
+            # constant would sail through both static passes.
+            if op.value is not None and not cmath.isfinite(op.value):
+                raise ProgramError(f"op {i} ({op.kind}): value is not finite")
             defined.add(op.dst)
         if self.output not in defined:
             raise ProgramError(f"output {self.output!r} is never defined")
@@ -169,16 +184,7 @@ class EvalProgram:
         """Rotating programs cross slot-lane boundaries, so the batcher
         must run them exclusively (a shared ciphertext would leak slots
         between tenants)."""
-        return any(op.kind in _ROTATION_KINDS for op in self.ops)
-
-    @property
-    def multiplicative_depth(self) -> int:
-        """Levels the deepest path consumes (fused-rescale ops only)."""
-        depth: dict[str, int] = {self.input: 0}
-        for op in self.ops:
-            cost = 1 if op.kind in _LEVEL_KINDS else 0
-            depth[op.dst] = max(depth[s] for s in op.srcs) + cost
-        return depth[self.output]
+        return any(OPS[op.kind].trace in ("HROT", "CONJ") for op in self.ops)
 
     # -- serialization ---------------------------------------------------------
 
@@ -207,7 +213,7 @@ class EvalProgram:
                 input=str(raw["input"]),
                 output=str(raw["output"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ProgramError):
                 raise
             raise ProgramError(f"malformed program payload: {exc}") from exc
@@ -216,127 +222,24 @@ class EvalProgram:
         """Content address (sha256 of the canonical JSON form)."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    # -- interpreters ----------------------------------------------------------
+    # -- the fold and the lowering ---------------------------------------------
 
-    def run_symbolic(self, ev: "SymbolicEvaluator") -> "AbstractCiphertext":
-        """Drive the ``(level, scale)`` checker; diagnostics land in its report."""
-        env: dict[str, AbstractCiphertext] = {self.input: ev.fresh()}
-        for op in self.ops:
-            a = env[op.srcs[0]]
-            if op.kind == "add":
-                out = ev.add(a, env[op.srcs[1]])
-            elif op.kind == "sub":
-                out = ev.sub(a, env[op.srcs[1]])
-            elif op.kind == "add_matched":
-                a2, b2 = ev.match(a, env[op.srcs[1]])
-                out = ev.add(a2, b2)
-            elif op.kind == "sub_matched":
-                a2, b2 = ev.match(a, env[op.srcs[1]])
-                out = ev.sub(a2, b2)
-            elif op.kind == "multiply":
-                out = ev.multiply(a, env[op.srcs[1]])
-            elif op.kind == "square":
-                out = ev.square(a)
-            elif op.kind == "negate":
-                out = ev.negate(a)
-            elif op.kind == "multiply_scalar":
-                out = ev.multiply_scalar(a)
-            elif op.kind == "add_scalar":
-                out = ev.add_plain(a)
-            elif op.kind == "rotate":
-                out = ev.rotate(a, op.amount if op.amount is not None else 1)
-            elif op.kind == "conjugate":
-                out = ev.conjugate(a)
-            else:  # consume_level
-                out = ev.consume_level(a)
-            env[op.dst] = out
-        return env[self.output]
+    def run(self, domain: Any, x: T) -> T:
+        """Fold the ops over ``domain``, starting from the input value ``x``.
 
-    def run_noise(self, ev: "NoiseCheckEvaluator", mag: float = 1.0) -> "NoiseState":
-        """Drive the noise-domain checker.
-
-        Noise-domain approximations: ``negate`` is noise-free (sign
-        flips move no energy), scalar ops charge ``multiply_plain`` /
-        ``add_plain`` with the constant's magnitude, and ``conjugate``
-        costs one key switch exactly like a rotation.
+        ``domain`` is anything with :class:`repro.ckks.ops.Evaluator`'s
+        methods; the result is whatever the domain's values are (a
+        ciphertext, a ``(level, scale)`` pair, a noise state).
         """
-        env: dict[str, NoiseState] = {self.input: ev.encrypt(mag=mag)}
+        env: dict[str, T] = {self.input: x}
         for op in self.ops:
-            a = env[op.srcs[0]]
-            if op.kind == "add":
-                out = ev.add(a, env[op.srcs[1]])
-            elif op.kind == "sub":
-                out = ev.sub(a, env[op.srcs[1]])
-            elif op.kind in ("add_matched", "sub_matched"):
-                # The match's scale correction is one plaintext multiply
-                # on the adjusted operand.
-                out = ev.add(ev.multiply_plain(a, pt_mag=1.0), env[op.srcs[1]])
-            elif op.kind == "multiply":
-                out = ev.multiply(a, env[op.srcs[1]])
-            elif op.kind == "square":
-                out = ev.multiply(a, a)
-            elif op.kind == "negate":
-                out = a
-            elif op.kind == "multiply_scalar":
-                assert op.value is not None
-                out = ev.multiply_scalar(a, abs(op.value))
-            elif op.kind == "add_scalar":
-                assert op.value is not None
-                out = ev.add_plain(a, pt_mag=abs(op.value))
-            elif op.kind in ("rotate", "conjugate"):
-                out = ev.rotate(a)
-            else:  # consume_level
-                out = ev.multiply_plain(a, pt_mag=1.0)
-            env[op.dst] = out
-        return env[self.output]
-
-    @staticmethod
-    def apply_op(
-        ev: "Evaluator", op: ProgramOp, env: Mapping[str, "Ciphertext"]
-    ) -> "Ciphertext":
-        """Execute one program op against the real evaluator.
-
-        The single concrete-semantics definition of every IR kind —
-        shared by :meth:`run_concrete`, the batching server, and the
-        certificate-gated scheduled executor
-        (:func:`repro.sched.execute.execute_scheduled`), so the three
-        paths cannot drift apart.
-        """
-        a = env[op.srcs[0]]
-        if op.kind == "add":
-            return ev.add(a, env[op.srcs[1]])
-        if op.kind == "sub":
-            return ev.sub(a, env[op.srcs[1]])
-        if op.kind == "add_matched":
-            a2, b2 = ev.match(a, env[op.srcs[1]])
-            return ev.add(a2, b2)
-        if op.kind == "sub_matched":
-            a2, b2 = ev.match(a, env[op.srcs[1]])
-            return ev.sub(a2, b2)
-        if op.kind == "multiply":
-            return ev.multiply(a, env[op.srcs[1]])
-        if op.kind == "square":
-            return ev.square(a)
-        if op.kind == "negate":
-            return ev.negate(a)
-        if op.kind == "multiply_scalar":
-            assert op.value is not None
-            return ev.multiply_scalar(a, op.value)
-        if op.kind == "add_scalar":
-            assert op.value is not None
-            return ev.add_scalar(a, op.value)
-        if op.kind == "rotate":
-            return ev.rotate(a, op.amount if op.amount is not None else 1)
-        if op.kind == "conjugate":
-            return ev.conjugate(a)
-        assert op.kind == "consume_level", f"unknown op kind {op.kind!r}"
-        return ev.consume_level(a)
-
-    def run_concrete(self, ev: "Evaluator", ct_in: "Ciphertext") -> "Ciphertext":
-        """Execute on ciphertext — only reachable through admission."""
-        env: dict[str, Ciphertext] = {self.input: ct_in}
-        for op in self.ops:
-            env[op.dst] = self.apply_op(ev, op, env)
+            spec = OPS[op.kind]
+            args: list[Any] = [env[src] for src in op.srcs]
+            if spec.matched:
+                args = list(domain.match(*args))
+            if spec.operand is not None:
+                args.append(getattr(op, spec.operand))
+            env[op.dst] = getattr(domain, spec.method)(*args)
         return env[self.output]
 
     def lower_to_trace(self, setting: "WordLengthSetting") -> "Trace":
@@ -352,54 +255,42 @@ class EvalProgram:
         normal = setting.group("normal")
         base = setting.base_prime_count
         ppl = normal.primes_per_level
-        depth = self.multiplicative_depth
-        if depth > normal.levels:
-            raise ProgramError(
-                f"program depth {depth} exceeds the setting's "
-                f"{normal.levels} normal levels"
-            )
-
-        kind_map = {
-            "add": OpKind.HADD,
-            "sub": OpKind.HADD,
-            # Matched adds may spend a plaintext multiply on the scale
-            # correction — PMADD with a worst-case level drop.
-            "add_matched": OpKind.PMADD,
-            "sub_matched": OpKind.PMADD,
-            "add_scalar": OpKind.HADD,
-            "multiply": OpKind.HMULT,
-            "square": OpKind.HMULT,
-            "multiply_scalar": OpKind.PMULT,
-            "consume_level": OpKind.PMULT,
-            "negate": OpKind.PMULT,
-            "rotate": OpKind.HROT,
-            "conjugate": OpKind.CONJ,
-        }
         level: dict[str, int] = {self.input: normal.levels}
         ops: list[HeOp] = []
         for op in self.ops:
+            spec = OPS[op.kind]
             lvl = min(level[s] for s in op.srcs)
-            limbs = base + lvl * ppl
-            consumes = 1 if op.kind in _LEVEL_KINDS else 0
-            key_id: str | None = None
-            if op.kind in ("multiply", "square"):
-                key_id = "mult"
-            elif op.kind == "rotate":
-                key_id = f"rot_{op.amount}"
-            elif op.kind == "conjugate":
-                key_id = "conj"
+            consumes = int(spec.consumes_level)
+            if lvl < consumes:
+                raise ProgramError(
+                    f"program depth exceeds the setting's {normal.levels} "
+                    f"normal levels at {op.dst!r}"
+                )
             ops.append(
                 HeOp(
-                    kind_map[op.kind],
-                    limbs,
+                    OpKind[spec.trace],
+                    base + lvl * ppl,
                     drop=ppl * consumes,
-                    key_id=key_id,
+                    key_id=op.key_id,
                     dst=op.dst,
                     srcs=op.srcs,
                 )
             )
             level[op.dst] = lvl - consumes
         return Trace(name=f"serve_{self.name}_{self.digest()[:12]}", ops=ops)
+
+    def lowers_to(self, trace: "Trace") -> bool:
+        """Does ``trace`` have the shape :meth:`lower_to_trace` gives this
+        program — op for op the same kind, names, key and level spending?
+        Limb counts depend on the setting and are not compared."""
+        shape = [
+            (OPS[op.kind].trace, op.dst, op.srcs, op.key_id, OPS[op.kind].consumes_level)
+            for op in self.ops
+        ]
+        return shape == [
+            (hop.kind.name, hop.dst, hop.srcs, hop.key_id, hop.drop > 0)
+            for hop in trace.ops
+        ]
 
 
 @dataclass

@@ -7,8 +7,8 @@ Request lifecycle (the load-bearing design point is step 3):
 2. **submit** — a ``JOB`` frame carries the program IR plus one
    ciphertext encrypted under the tenant's own key;
 3. **admit** — the program, wrapped in the batching pipeline's fixed
-   overhead (:func:`repro.serve.batching.service_wrapped`), runs
-   through the static passes of :mod:`repro.check.admission`.  A
+   overhead (:func:`repro.serve.batching.service_wrapped`), is folded
+   over the abstract domains of :mod:`repro.check.admission`.  A
    rejected job is answered from the verdict's diagnostic codes and
    *never reaches the engine*: the rejection path executes zero
    evaluator operations, zero NTTs — the server's compute stays
@@ -20,8 +20,9 @@ Request lifecycle (the load-bearing design point is step 3):
    and scheduled by :func:`repro.sched.schedule_trace` against the
    configured on-chip capacity, *proven equivalent to the source
    lowering* by :mod:`repro.check.equiv` (certificates are cached per
-   program digest), and only then run through the certificate-gated
-   executor :func:`repro.sched.execute.execute_scheduled`;
+   program digest, least recently used evicted), and only then run
+   through the certificate-gated executor
+   :func:`repro.sched.execute.execute_scheduled`;
    ingress/egress key switches bridge tenant and batch keys;
 6. **respond** — each tenant gets its masked lane back under its own
    key, with per-request metrics (queue wait, verify time, execute
@@ -34,14 +35,15 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Collection
 
 from repro.check.admission import AdmissionVerdict, admit_program
 from repro.serve import wire
 from repro.serve.batching import BatchJob, BatchPlan, plan_batches, service_wrapped
 from repro.serve.offline import ServeOffline, ServePreset
-from repro.serve.program import EvalProgram, ProgramError
+from repro.serve.program import EvalProgram
 from repro.serve.session import TenantSession
 
 if TYPE_CHECKING:
@@ -59,8 +61,17 @@ __all__ = ["FheServer", "ServerMetrics"]
 # verifies this statically.
 _log = logging.getLogger("repro.serve.server")
 
+# A long-lived server's memory must not grow with the number of jobs or
+# of distinct programs it has seen.
+CERTIFICATE_CACHE_SIZE = 64  # certified schedules kept, least recently used out
+METRIC_WINDOW = 4096  # most recent samples each STATS series keeps
 
-def _percentile(samples: list[float], fraction: float) -> float:
+
+def _window() -> "deque[Any]":
+    return deque(maxlen=METRIC_WINDOW)
+
+
+def _percentile(samples: Collection[float], fraction: float) -> float:
     if not samples:
         return 0.0
     ordered = sorted(samples)
@@ -82,12 +93,12 @@ class ServerMetrics:
     schedules_certified: int = 0  # equivalence certificates minted
     # Digest-only audit trail of what was certified: program *digests*,
     # never program bodies, reach the metrics/STATS surface.
-    certified_digests: list[str] = field(default_factory=list)
+    certified_digests: "deque[str]" = field(default_factory=_window)
     verify_seconds_total: float = 0.0
-    queue_wait: list[float] = field(default_factory=list)
-    execute_seconds: list[float] = field(default_factory=list)
-    total_latency: list[float] = field(default_factory=list)
-    occupancies: list[float] = field(default_factory=list)
+    queue_wait: "deque[float]" = field(default_factory=_window)
+    execute_seconds: "deque[float]" = field(default_factory=_window)
+    total_latency: "deque[float]" = field(default_factory=_window)
+    occupancies: "deque[float]" = field(default_factory=_window)
 
     def to_dict(self) -> dict[str, Any]:
         mean_occ = (
@@ -147,9 +158,9 @@ class FheServer:
         self.min_floor_bits = min_floor_bits
         self.metrics = ServerMetrics()
         self.sessions: dict[str, TenantSession] = {}
-        self._certified: dict[
+        self._certified: OrderedDict[
             "tuple[int, str]", "tuple[Trace, ScheduledTrace, EquivCertificate]"
-        ] = {}
+        ] = OrderedDict()
         self._queue: asyncio.Queue[_PendingJob] = asyncio.Queue()
         self._server: asyncio.AbstractServer | None = None
         self._worker: asyncio.Task[None] | None = None
@@ -318,19 +329,10 @@ class FheServer:
         # Admission: static verification of the program as the batching
         # pipeline will actually run it.  Nothing past this point
         # executes unless every pass is clean.
-        try:
-            wrapped = service_wrapped(program)
-        except ProgramError as exc:
-            self.metrics.jobs_rejected += 1
-            session.jobs_rejected += 1
-            _log.info("job rejected job=%s codes=PROGRAM-INVALID", job_id)
-            self._send_rejection(writer, job_id, ["PROGRAM-INVALID"], str(exc))
-            await writer.drain()
-            return
         verdict = admit_program(
-            wrapped.run_symbolic,
+            lambda ev: service_wrapped(program, ev, ev.fresh()),
             preset.abstract,
-            noise_program=wrapped.run_noise,
+            noise_program=lambda ev: service_wrapped(program, ev, ev.encrypt()),
             noise_params=preset.noise,
             min_floor_bits=self.min_floor_bits,
             label=job_id,
@@ -531,12 +533,16 @@ class FheServer:
         digest = program.digest()
         key = (preset.word_bits, digest)
         cached = self._certified.get(key)
-        if cached is None:
+        if cached is not None:
+            self._certified.move_to_end(key)
+        else:
             setting = build_sharp_setting(preset.word_bits)
             cached = certify_for_execution(
                 program, setting, sharp_config().onchip_capacity_bytes
             )
             self._certified[key] = cached
+            if len(self._certified) > CERTIFICATE_CACHE_SIZE:
+                self._certified.popitem(last=False)
             self.metrics.schedules_certified += 1
             self.metrics.certified_digests.append(digest)
             _log.info(

@@ -36,7 +36,7 @@ from repro.sched import (
 )
 from repro.sched.events import ScheduleLog
 from repro.sched.trace import ScheduledTrace
-from repro.serve.program import EvalProgram, ProgramBuilder
+from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp
 from repro.workloads.traces import evaluation_traces
 
 WORKLOADS = ("bootstrap", "helr256", "helr1024", "resnet20", "sorting")
@@ -279,6 +279,31 @@ class TestGatedExecution:
             execute_scheduled(
                 program, source, scheduled, None, None, other_cert
             )
+
+    @pytest.mark.parametrize(
+        "certified, impostor",
+        [
+            (("negate", {}), ("square", {})),  # another trace kind
+            (("negate", {}), ("consume_level", {})),  # same kind, spends a level
+            (("rotate", {"amount": 1}), ("rotate", {"amount": 2})),  # another key
+        ],
+        ids=["kind", "level", "key"],
+    )
+    def test_transplanted_program_is_refused(
+        self, setting, capacity, certified, impostor
+    ):
+        # A valid certificate for one program must not run another that
+        # merely reuses its value names: the gate binds program to source.
+        kind, operands = certified
+        program = EvalProgram("A", (ProgramOp(kind, "out", ("in",), **operands),))
+        source, scheduled, certificate = certify_for_execution(
+            program, setting, capacity
+        )
+        kind, operands = impostor
+        other = EvalProgram("B", (ProgramOp(kind, "out", ("in",), **operands),))
+        # evaluator=None: any evaluator call would be an AttributeError.
+        with pytest.raises(CertificateError, match="not the program"):
+            execute_scheduled(other, source, scheduled, None, None, certificate)
 
     def test_certified_execution_matches_reference(
         self, setting, capacity, small_context, small_evaluator, rng

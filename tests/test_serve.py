@@ -181,3 +181,56 @@ class TestTwoTenantEndToEnd:
             await client.close()
 
         _run(scenario, batch_window=0.01)
+
+
+class TestBoundedMemory:
+    def test_certificate_cache_and_metric_windows_are_capped(self, monkeypatch):
+        # A long-lived server sees unboundedly many programs and jobs;
+        # what it remembers about them must not grow with either.
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "CERTIFICATE_CACHE_SIZE", 2)
+        monkeypatch.setattr(server_module, "METRIC_WINDOW", 2)
+
+        def scaled(c: float) -> EvalProgram:
+            b = ProgramBuilder(f"scale_{c}")
+            return b.build(b.multiply_scalar(b.input, c))
+
+        async def scenario(server: FheServer) -> None:
+            client = FheClient("127.0.0.1", server.port, seed=81)
+            await client.enroll(36, width=2)
+            programs = [scaled(c) for c in (0.25, 0.5, 0.75)]
+            for program in programs:  # cap + 1 distinct programs
+                res = await client.submit(program, [0.5, 1.0])
+                assert res.values[0].real == pytest.approx(
+                    0.5 * program.ops[0].value.real, abs=1e-3
+                )
+            assert server.metrics.schedules_certified == 3
+            digests = [key[1] for key in server._certified]
+            assert digests == [p.digest() for p in programs[1:]]  # oldest evicted
+            # A cached program is a hit; the evicted one certifies again.
+            await client.submit(programs[2], [0.5, 1.0])
+            assert server.metrics.schedules_certified == 3
+            await client.submit(programs[0], [0.5, 1.0])
+            assert server.metrics.schedules_certified == 4
+            assert len(server._certified) == 2
+
+            metrics = server.metrics
+            assert metrics.jobs_completed == metrics.batches_executed == 5
+            for series in (
+                metrics.queue_wait,
+                metrics.execute_seconds,
+                metrics.total_latency,
+                metrics.occupancies,
+                metrics.certified_digests,
+            ):
+                assert len(series) == 2
+            stats = await client.stats()
+            assert stats["certified_digests"] == [
+                programs[2].digest(),
+                programs[0].digest(),
+            ]
+            assert stats["latency_p50_s"] > 0 and stats["mean_batch_occupancy"] > 0
+            await client.close()
+
+        _run(scenario, batch_window=0.01)

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.check import AbstractParams, NoiseParams, admit_program
 from repro.check.admission import AdmissionVerdict
 from repro.params.presets import boot_plan, build_native_ckks_params
+from repro.serve import wire
 from repro.serve.batching import service_wrapped
 from repro.serve.client import FheClient, JobRejected
-from repro.serve.program import EvalProgram, ProgramBuilder
+from repro.serve.program import EvalProgram, ProgramBuilder, ProgramError
 from repro.serve.server import FheServer
 from repro.workloads.noise_programs import noise_programs
 
@@ -54,13 +56,18 @@ def _well_formed() -> EvalProgram:
     return b.build(b.add_matched(half, x))
 
 
+def _rotate_conjugate() -> EvalProgram:
+    b = ProgramBuilder("rotconj")
+    x = b.input
+    return b.build(b.add(b.rotate(x, 1), b.conjugate(b.negate(b.add_scalar(x, 0.25)))))
+
+
 class TestAdmissionTable:
     def _admit(self, program: EvalProgram, **kwargs: object) -> AdmissionVerdict:
-        wrapped = service_wrapped(program)
         return admit_program(
-            wrapped.run_symbolic,
+            lambda ev: service_wrapped(program, ev, ev.fresh()),
             PARAMS,
-            noise_program=wrapped.run_noise,
+            noise_program=lambda ev: service_wrapped(program, ev, ev.encrypt()),
             noise_params=NOISE,
             label=program.name,
             **kwargs,  # type: ignore[arg-type]
@@ -95,7 +102,7 @@ class TestAdmissionTable:
         # paper's robustness boundary, reproduced as a rejection.
         helr = noise_programs()["helr"]
         verdict = admit_program(
-            _well_formed().run_symbolic,
+            lambda ev: _well_formed().run(ev, ev.fresh()),
             PARAMS,
             noise_program=helr.build,
             noise_params=NoiseParams(
@@ -123,6 +130,84 @@ class TestAdmissionTable:
         assert payload["admitted"] is False
         assert "CKKS-SCALE-MISMATCH" in payload["error_codes"]
         assert isinstance(payload["verify_seconds"], float)
+
+    # Verdicts pinned to the last digit: the one fold over the abstract
+    # domains must keep returning what the per-domain interpreters did.
+
+    @pytest.mark.parametrize(
+        "build, floor",
+        [(_well_formed, 13.192191989401557), (_rotate_conjugate, 13.556529771443063)],
+    )
+    def test_same_floor(self, build, floor):
+        verdict = self._admit(build(), min_floor_bits=1.0)
+        assert verdict.admitted and verdict.codes == ()
+        assert verdict.proven_floor_bits == floor
+
+    def test_same_rejection_provenance(self):
+        verdict = self._admit(_scale_mismatch(), min_floor_bits=1.0)
+        assert verdict.error_codes == ("CKKS-SCALE-MISMATCH",)
+        (diag,) = verdict.reports[0].errors
+        assert diag.op_index == 6
+
+
+class TestNonFiniteConstants:
+    """Every comparison against NaN is false, so a non-finite constant
+    used to pass both static passes; it is refused at every door."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0, -float("inf"))])
+    @pytest.mark.parametrize("kind", ["multiply_scalar", "add_scalar"])
+    def test_builder(self, kind, value):
+        b = ProgramBuilder("bad")
+        out = getattr(b, kind)(b.input, value)
+        with pytest.raises(ProgramError, match="not finite"):
+            b.build(out)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["value", "amount"])
+    def test_from_json_and_wire(self, field, literal):
+        b = ProgramBuilder("bad")
+        text = b.build(b.rotate(b.multiply_scalar(b.input, 0.5), 7)).to_json()
+        old = {"value": "[0.5,0.0]", "amount": '"amount":7'}[field]
+        new = {"value": f"[{literal},0.0]", "amount": f'"amount":{literal}'}[field]
+        assert old in text
+        bad = text.replace(old, new)
+        with pytest.raises(ProgramError):
+            EvalProgram.from_json(bad)
+        with pytest.raises(wire.WireError, match="invalid program"):
+            wire.decode_program(bad.encode("utf-8"))
+
+    def test_server_refuses_raw_job_frame(self):
+        async def scenario() -> None:
+            server = FheServer(batch_window=0.01)
+            await server.start()
+            try:
+                client = FheClient("127.0.0.1", server.port, seed=78)
+                await client.enroll(36, width=2)
+                good = _well_formed().to_json()
+                assert "[0.5,0.0]" in good
+                ct = client.keys.context.encrypt(np.zeros(client.slots))
+                wire.write_frame(
+                    client._writer,
+                    wire.Kind.JOB,
+                    wire.encode_blobs(
+                        [
+                            wire.encode_json({"program": "poly"}),
+                            good.replace("[0.5,0.0]", "[NaN,0.0]").encode("utf-8"),
+                            wire.encode_ciphertext(ct),
+                        ]
+                    ),
+                )
+                await client._writer.drain()
+                kind, payload = await wire.read_frame(client._reader)
+                assert kind == wire.Kind.ERROR
+                assert "invalid program" in wire.decode_json(payload)["error"]
+                assert server.metrics.engine_invocations == 0
+                assert server.metrics.jobs_admitted == 0
+                await client.close()
+            finally:
+                await server.close()
+
+        asyncio.run(scenario())
 
 
 class TestRejectionBurnsNothing:
