@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.check.ckks_check import AbstractParams, SymbolicEvaluator, check_program
+from repro.check.ckks_check import AbstractCiphertext, AbstractParams, SymbolicEvaluator
 from repro.check.diagnostics import CheckReport
 from repro.check.noise_check import (
     NoiseCheckEvaluator,
@@ -49,6 +49,7 @@ class AdmissionVerdict:
     reports: tuple[CheckReport, ...]
     noise: NoiseSummary | None
     verify_seconds: float
+    spare_levels: int = 0  # fresh levels the verified pipeline drops at ingress
 
     @property
     def codes(self) -> tuple[str, ...]:
@@ -87,34 +88,46 @@ class AdmissionVerdict:
 
 
 def admit_program(
-    program: Callable[[SymbolicEvaluator], object],
+    program: Callable[[SymbolicEvaluator, int], AbstractCiphertext],
     params: AbstractParams,
-    noise_program: Callable[[NoiseCheckEvaluator], object] | None = None,
+    noise_program: Callable[[NoiseCheckEvaluator, int], object] | None = None,
     noise_params: NoiseParams | None = None,
     min_floor_bits: float | None = None,
     label: str = "job",
 ) -> AdmissionVerdict:
     """Statically verify one program; nothing here touches ciphertext.
 
-    ``program`` drives the symbolic ``(level, scale)`` evaluator.  When
+    ``program(evaluator, level)`` drives the symbolic ``(level, scale)``
+    evaluator from a fresh ciphertext dropped to ``level``.  It is folded
+    at the full chain first; the level that fold ends at is spare, and
+    the verdict is about the fold *trimmed* by that many levels — the
+    pipeline the caller then runs (``spare_levels`` says how to).  When
     ``noise_program`` and ``noise_params`` are given, the noise pass
     runs too, and ``min_floor_bits`` (if set) imposes the floor rule:
     a program whose *proven* precision floor lands below the target is
     rejected with ``NOISE-FLOOR`` even if its budget never explodes.
     """
     t0 = time.perf_counter()
-    reports: list[CheckReport] = []
     summary: NoiseSummary | None = None
 
-    ckks_report = check_program(program, params, label=label)
-    reports.append(ckks_report)
+    def fold(level: int) -> tuple[CheckReport, AbstractCiphertext]:
+        report = CheckReport("ckks", label)
+        return report, program(SymbolicEvaluator(params, report), level)
+
+    ckks_report, end = fold(params.fresh_level)
+    spare = end.level if ckks_report.ok else 0
+    if spare:
+        ckks_report, _ = fold(params.fresh_level - spare)
+    reports = [ckks_report]
 
     if noise_program is not None and noise_params is not None:
         noise_report = CheckReport("noise", label)
         noise_params.validate_into(noise_report)
         if noise_report.ok:
             noise_report, summary = check_noise_program(
-                noise_program, noise_params, label=label
+                lambda ev: noise_program(ev, params.fresh_level - spare),
+                noise_params,
+                label=label,
             )
             if min_floor_bits is not None and not summary.exploded:
                 if summary.proven_floor_bits < min_floor_bits:
@@ -133,6 +146,7 @@ def admit_program(
         reports=tuple(reports),
         noise=summary,
         verify_seconds=time.perf_counter() - t0,
+        spare_levels=spare,
     )
 
 

@@ -388,6 +388,10 @@ class NoiseCheckEvaluator:
         """A sign flip moves no energy: noise-free, and not a charged call."""
         return ct
 
+    def drop_to_level(self, ct: NoiseState, level: int) -> NoiseState:
+        """Dropping limbs reduces the modulus, not the message: noise-free."""
+        return ct
+
     def match(self, a: NoiseState, b: NoiseState) -> tuple[NoiseState, NoiseState]:
         """The scale correction is one plaintext multiply on the adjusted operand."""
         return self.multiply_plain(a, pt_mag=1.0), b

@@ -2,29 +2,30 @@
 
 The packing scheme (documented in DESIGN.md):
 
+* Every session owns fixed *home lanes* ``[lane_offset, lane_offset +
+  width)``, assigned at enrollment.  The tenant encrypts its values
+  there and leaves every other slot zero, so ingress is ``drop the
+  limbs no op will use, switch-to-batch-key, HADD`` into the shared
+  ciphertext — no rotation, no masking on the way in.  The zero slots
+  are an *integrity* assumption (a tenant that breaks it corrupts its
+  batch-mates' inputs), not a confidentiality one: egress masks every
+  lane.
 * Jobs are batchable together only when they share a *batch key* —
   ``(word_bits, program digest)`` — because one SIMD program runs once
-  over the packed vector and every lane must want the same circuit at
-  the same parameters.
-* Each job owns a contiguous lane block ``[offset, offset + width)``;
-  offsets are assigned greedily in submission order.  Tenants encrypt
-  their ``width`` values in slots ``[0, width)`` (the rest zero), so
-  ingress is ``switch-to-batch-key, rotate by -offset, HADD`` into the
-  accumulating shared ciphertext — no masking needed on the way in.
+  over the packed vector, and only when their home lanes are disjoint
+  (lanes are reused once more sessions enrolled than the ring holds).
 * Programs that rotate or conjugate cross lane boundaries, which would
   leak one tenant's slots into another's; such jobs run *exclusively*
   (a batch of one).
 * Egress re-isolates each lane: multiply by the one-hot lane mask
-  (burns one level — the admission wrapper charges for it), rotate by
-  ``+offset`` back to the tenant's frame, then switch to the tenant's
-  key via its ``evk_out``.
+  (burns one level — the admission wrapper charges for it), then switch
+  to the tenant's key via its ``evk_out``.
 
-The admission wrapper :func:`service_wrapped` makes the static passes
-see the same pipeline the batcher executes: a key switch on the way
-in, the tenant's program (:meth:`EvalProgram.run` over the pass's own
-domain), then mask-multiply and key switch on the way out.  A program
-that only balances at the service's full level budget with nothing to
-spare is therefore rejected up front.
+The admission wrapper :func:`service_wrapped` is that pipeline, folded
+over the static passes' own domains: level trim, a key switch, the
+tenant's program (:meth:`EvalProgram.run`), mask-multiply, a key
+switch.  A program that only balances at the service's full level
+budget with nothing to spare is therefore rejected up front.
 """
 
 from __future__ import annotations
@@ -51,11 +52,20 @@ class BatchJob:
     session: "TenantSession"
     program: EvalProgram
     ciphertext: "Ciphertext"
-    offset: int = -1  # lane offset; assigned by plan_batches
+
+    @property
+    def offset(self) -> int:
+        return self.session.lane_offset
 
     @property
     def width(self) -> int:
         return self.session.width
+
+    def overlaps(self, other: "BatchJob") -> bool:
+        return (
+            self.offset < other.offset + other.width
+            and other.offset < self.offset + self.width
+        )
 
 
 @dataclass
@@ -82,60 +92,49 @@ def plan_batches(
     slots: int,
     max_batch: int,
 ) -> list[BatchPlan]:
-    """Greedily pack pending ``(word_bits, job)`` pairs into batch plans.
+    """Pack pending ``(word_bits, job)`` pairs into batch plans.
 
-    Jobs group by ``(word_bits, program digest)`` in arrival order; a
-    group splits whenever the next job would overflow the slot budget
-    or the ``max_batch`` cap.  Rotation-using programs always get a
-    batch of exactly one.
+    Jobs group by ``(word_bits, program digest)`` in arrival order, each
+    at its session's home lanes; a group splits whenever the next job's
+    lanes overlap one already placed or the ``max_batch`` cap is hit.
+    Rotation-using programs always get a batch of exactly one.
     """
     groups: dict[tuple[int, str], list[BatchJob]] = {}
-    order: list[tuple[int, str]] = []
     for word_bits, job in pending:
-        key = (word_bits, job.program.digest())
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(job)
+        groups.setdefault((word_bits, job.program.digest()), []).append(job)
 
     plans: list[BatchPlan] = []
-    for key in order:
-        word_bits, _ = key
-        jobs = groups[key]
+    for (word_bits, _), jobs in groups.items():
         exclusive = jobs[0].program.uses_rotation
         current: list[BatchJob] = []
-        offset = 0
         for job in jobs:
-            overflow = offset + job.width > slots or len(current) >= max_batch
-            if current and (exclusive or overflow):
+            split = exclusive or len(current) >= max_batch or any(
+                job.overlaps(placed) for placed in current
+            )
+            if current and split:
                 plans.append(BatchPlan(word_bits, current[0].program, current, slots))
-                current, offset = [], 0
-            if job.width > slots:
-                raise ValueError(
-                    f"job {job.job_id} wants {job.width} lanes; "
-                    f"the ring only has {slots}"
-                )
-            job.offset = offset
-            offset += job.width
+                current = []
             current.append(job)
-        if current:
-            plans.append(BatchPlan(word_bits, current[0].program, current, slots))
+        plans.append(BatchPlan(word_bits, current[0].program, current, slots))
     return plans
 
 
-def service_wrapped(program: EvalProgram, domain: Any, x: T) -> T:
+def service_wrapped(program: EvalProgram, domain: Any, x: T, level: int) -> T:
     """Fold the program as the service actually runs it, for admission.
 
     Wraps the tenant's circuit in the batching pipeline's fixed
     overhead so whichever ``domain`` is folded charges for it:
 
-    * ingress ``rotate`` — stands in for the ingress key switch and
-      lane placement (one key-switch noise term, no level);
+    * ingress ``drop_to_level`` — the fresh ciphertext is trimmed to
+      ``level`` (admission picks the lowest one the pipeline balances
+      at), so every op downstream runs on that many limbs;
+    * ingress ``rotate`` — stands in for the ingress key switch (one
+      key-switch noise term, no level);
     * egress ``consume_level`` — the egress lane mask is a plaintext
       multiply and burns one level, so any program that ends at level 0
       fails admission with ``CKKS-LEVEL-UNDERFLOW`` instead of failing
       at egress time;
-    * egress ``rotate`` — the rotate-back plus egress key switch.
+    * egress ``rotate`` — the egress key switch.
     """
-    served = program.run(domain, domain.rotate(x, 1))
+    served = program.run(domain, domain.rotate(domain.drop_to_level(x, level), 1))
     return domain.rotate(domain.consume_level(served), 1)

@@ -4,8 +4,9 @@ The client owns the only copy of the tenant secret.  Enrollment builds
 a local :class:`~repro.ckks.context.CkksContext` from the negotiated
 parameter spec, then sends the server two public artifacts: the tenant
 public key and ``evk_in`` (the tenant-to-batch switch key, pk-encrypted
-under the server's batch public key).  After that, :meth:`FheClient.submit`
-is encrypt - send - await - decrypt.
+under the server's batch public key); the server answers with the
+session's home lanes.  After that, :meth:`FheClient.submit` is encrypt
+into those lanes - send - await - decrypt - read them back.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class FheClient:
         self.session_id: str | None = None
         self.word_bits: int | None = None
         self.width: int | None = None
+        self.lane_offset: int | None = None
         self.slots: int | None = None
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
@@ -125,13 +127,17 @@ class FheClient:
         ack = wire.decode_json(payload)
         self.session_id = str(ack["session_id"])
         self.width = int(ack["width"])  # type: ignore[arg-type]
+        self.lane_offset = int(ack["lane_offset"])  # type: ignore[arg-type]
 
     # -- online phase --------------------------------------------------------
 
     async def submit(
         self, program: EvalProgram, values: Sequence[complex]
     ) -> JobResult:
-        """Encrypt ``values`` into lanes ``[0, width)``, run ``program``.
+        """Encrypt ``values`` into the session's home lanes, run ``program``.
+
+        Every other slot is sent as zero: the server packs by adding
+        tenants' ciphertexts (see :mod:`repro.serve.batching`).
 
         Raises :class:`JobRejected` when admission (or execution)
         refuses the job; the exception carries the verdict's diagnostic
@@ -139,12 +145,13 @@ class FheClient:
         """
         if self.keys is None or self._reader is None or self._writer is None:
             raise RuntimeError("enroll() first")
-        if self.width is None or self.slots is None:
+        if self.width is None or self.slots is None or self.lane_offset is None:
             raise RuntimeError("enroll() first")
         if len(values) > self.width:
             raise ValueError(f"{len(values)} values exceed lane width {self.width}")
         message = np.zeros(self.slots, dtype=np.complex128)
-        message[: len(values)] = np.asarray(values, dtype=np.complex128)
+        start = self.lane_offset
+        message[start : start + len(values)] = np.asarray(values, dtype=np.complex128)
         ct = self.keys.context.encrypt(message)
 
         wire.write_frame(
@@ -168,7 +175,7 @@ class FheClient:
         meta_blob, ct_blob = wire.decode_blobs(payload)
         meta = wire.decode_json(meta_blob)
         ct_out = wire.decode_ciphertext(ct_blob, self.keys.context.ring)
-        values_out = self.keys.context.decrypt(ct_out)[: self.width]
+        values_out = self.keys.context.decrypt(ct_out)[start : start + self.width]
         return JobResult(values=values_out, meta=meta)
 
     async def stats(self) -> dict[str, Any]:

@@ -13,7 +13,8 @@ any job is submitted:
    tenant-to-batch switch key, pk-encrypted under the *batch* public
    key so the client needs no server secrets to make it;
 3. the server completes the pair with ``evk_out`` (batch-to-tenant,
-   made under the tenant's public key) and opens the session.
+   made under the tenant's public key), assigns the session its home
+   lanes and opens it.
 
 Presets are built lazily and cached: a server that only ever sees
 36-bit tenants never pays for the 62-bit modulus chain.
@@ -60,6 +61,7 @@ class ServePreset:
     evaluator: "Evaluator" = field(repr=False)
     abstract: AbstractParams = field(repr=False)
     noise: NoiseParams = field(repr=False)
+    lane_cursor: int = 0  # where the next session's home lanes start
 
     @classmethod
     def build(cls, word_bits: int, seed: int) -> "ServePreset":
@@ -88,6 +90,14 @@ class ServePreset:
     @property
     def slots(self) -> int:
         return self.params.slots
+
+    def assign_lanes(self, width: int) -> int:
+        """Offset of the next home-lane block; a block that would run past
+        ``slots`` wraps to 0, after which lanes are shared between sessions
+        (the batcher never packs two overlapping sessions together)."""
+        offset = self.lane_cursor if self.lane_cursor + width <= self.slots else 0
+        self.lane_cursor = offset + width
+        return offset
 
     def batch_public_key(self) -> tuple["RnsPolynomial", "RnsPolynomial"]:
         return self.context.keys.public_key()
@@ -141,6 +151,7 @@ class ServeOffline:
             session_id=TenantSession.fresh_id(),
             word_bits=word_bits,
             width=width,
+            lane_offset=preset.assign_lanes(width),
             tenant_pk=tenant_pk,
             evk_in=evk_in,
             evk_out=evk_out,

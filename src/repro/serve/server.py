@@ -13,21 +13,23 @@ Request lifecycle (the load-bearing design point is step 3):
    *never reaches the engine*: the rejection path executes zero
    evaluator operations, zero NTTs — the server's compute stays
    reserved for jobs that are proven to succeed;
-4. **batch** — admitted jobs wait up to ``batch_window`` seconds for
-   lane-mates with the same ``(word_bits, program digest)`` batch key,
-   then :func:`repro.serve.batching.plan_batches` packs them;
-5. **execute** — the program body is lowered to an HE-op trace, fused
-   and scheduled by :func:`repro.sched.schedule_trace` against the
-   configured on-chip capacity, *proven equivalent to the source
-   lowering* by :mod:`repro.check.equiv` (certificates are cached per
-   program digest, least recently used evicted), and only then run
-   through the certificate-gated executor
-   :func:`repro.sched.execute.execute_scheduled`;
-   ingress/egress key switches bridge tenant and batch keys;
-6. **respond** — each tenant gets its masked lane back under its own
-   key, with per-request metrics (queue wait, verify time, execute
-   time, batch occupancy) echoed in the result metadata and aggregated
-   behind the ``STATS`` endpoint.
+4. **batch** — admitted jobs wait in the batch window.  A connection
+   has one job in flight, so the window closes at the first of:
+   ``max_batch`` jobs or a ring's worth of lanes (``full``), every live
+   session already in it (``drained``), ``batch_window`` seconds
+   (``deadline``); :func:`repro.serve.batching.plan_batches` then packs
+   jobs sharing a ``(word_bits, program digest)`` batch key at their
+   sessions' home lanes;
+5. **execute** — ingress drops each ciphertext to the level admission
+   proved sufficient, switches it to the batch key and adds it into the
+   shared ciphertext; the program body runs through the certificate
+   gate (:meth:`FheServer._execute_scheduled`; certificates are cached
+   per program digest, least recently used evicted); egress masks each
+   session's lanes and switches them to the tenant key;
+6. **respond** — each tenant gets its lanes back under its own key,
+   with per-request metrics (queue wait and what closed the window,
+   verify time, ingress / program / egress time, batch occupancy) in
+   the result metadata and aggregated behind the ``STATS`` endpoint.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Collection
 
+import numpy as np
+
 from repro.check.admission import AdmissionVerdict, admit_program
 from repro.serve import wire
 from repro.serve.batching import BatchJob, BatchPlan, plan_batches, service_wrapped
@@ -48,7 +52,7 @@ from repro.serve.session import TenantSession
 
 if TYPE_CHECKING:
     from repro.check.equiv import EquivCertificate
-    from repro.ckks.cipher import Ciphertext
+    from repro.ckks.cipher import Ciphertext, Plaintext
     from repro.hw.isa import Trace
     from repro.sched.trace import ScheduledTrace
 
@@ -90,7 +94,11 @@ class ServerMetrics:
     jobs_failed: int = 0
     engine_invocations: int = 0  # evaluator ops run for job execution
     batches_executed: int = 0
-    schedules_certified: int = 0  # equivalence certificates minted
+    schedules_certified: int = 0  # equivalence certificates minted (cache misses)
+    certificate_hits: int = 0
+    window_closed_by: dict[str, int] = field(
+        default_factory=lambda: {"full": 0, "drained": 0, "deadline": 0}
+    )
     # Digest-only audit trail of what was certified: program *digests*,
     # never program bodies, reach the metrics/STATS surface.
     certified_digests: "deque[str]" = field(default_factory=_window)
@@ -115,6 +123,11 @@ class ServerMetrics:
             "engine_invocations": self.engine_invocations,
             "batches_executed": self.batches_executed,
             "schedules_certified": self.schedules_certified,
+            "certificate_cache": {
+                "hits": self.certificate_hits,
+                "misses": self.schedules_certified,
+            },
+            "window_closed_by": dict(self.window_closed_by),
             "certified_digests": list(self.certified_digests),
             "verify_seconds_total": self.verify_seconds_total,
             "latency_p50_s": _percentile(self.total_latency, 0.50),
@@ -157,11 +170,12 @@ class FheServer:
         self.max_batch = max_batch
         self.min_floor_bits = min_floor_bits
         self.metrics = ServerMetrics()
-        self.sessions: dict[str, TenantSession] = {}
+        self.sessions: dict[str, TenantSession] = {}  # live connections only
         self._certified: OrderedDict[
             "tuple[int, str]", "tuple[Trace, ScheduledTrace, EquivCertificate]"
         ] = OrderedDict()
-        self._queue: asyncio.Queue[_PendingJob] = asyncio.Queue()
+        # ``None`` wakes the batch worker when a session leaves.
+        self._queue: asyncio.Queue[_PendingJob | None] = asyncio.Queue()
         self._server: asyncio.AbstractServer | None = None
         self._worker: asyncio.Task[None] | None = None
 
@@ -192,10 +206,12 @@ class FheServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        session = None
         try:
             session, preset = await self._enroll(reader, writer)
             if session is None or preset is None:
                 return
+            self.sessions[session.session_id] = session
             while True:
                 try:
                     kind, payload = await wire.read_frame(reader)
@@ -220,7 +236,13 @@ class FheServer:
                 await writer.drain()
             except ConnectionError:
                 pass
+        except ConnectionError:
+            pass  # hung up while a reply was on its way
         finally:
+            if session is not None:
+                # The window rule counts live sessions: let it re-count.
+                del self.sessions[session.session_id]
+                self._queue.put_nowait(None)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -284,7 +306,6 @@ class FheServer:
         evk_in = wire.decode_switch_key(payload, ring)
 
         session = self.offline.enroll(word_bits, width, tenant_pk, evk_in)
-        self.sessions[session.session_id] = session
         _log.info(
             "enrolled session=%s word_bits=%d width=%d",
             session.session_id,
@@ -299,6 +320,7 @@ class FheServer:
                     "session_id": session.session_id,
                     "word_bits": word_bits,
                     "width": width,
+                    "lane_offset": session.lane_offset,
                     "slots": preset.slots,
                 }
             ),
@@ -330,9 +352,11 @@ class FheServer:
         # pipeline will actually run it.  Nothing past this point
         # executes unless every pass is clean.
         verdict = admit_program(
-            lambda ev: service_wrapped(program, ev, ev.fresh()),
+            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
             preset.abstract,
-            noise_program=lambda ev: service_wrapped(program, ev, ev.encrypt()),
+            noise_program=lambda ev, level: service_wrapped(
+                program, ev, ev.encrypt(), level
+            ),
             noise_params=preset.noise,
             min_floor_bits=self.min_floor_bits,
             label=job_id,
@@ -412,35 +436,40 @@ class FheServer:
 
     # -- batching and execution ----------------------------------------------
 
+    def _window_closed(self, batch: list[_PendingJob], slots: int) -> str | None:
+        """Why the batch window is shut already, or ``None`` to keep waiting."""
+        if len(batch) >= self.max_batch or sum(item.job.width for item in batch) >= slots:
+            return "full"
+        # One job in flight per connection: when every live session is
+        # in the window, nobody is left who could join it.
+        if self.sessions.keys() <= {item.job.session.session_id for item in batch}:
+            return "drained"
+        return None
+
     async def _batch_worker(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             first = await self._queue.get()
+            if first is None:
+                continue
             batch = [first]
+            slots = self.offline.preset(first.word_bits).slots  # one ring degree, all tiers
             deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
+            while (closed_by := self._window_closed(batch, slots)) is None:
                 try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                    )
+                    item = await asyncio.wait_for(self._queue.get(), deadline - loop.time())
                 except asyncio.TimeoutError:
+                    closed_by = "deadline"
                     break
-            by_word: dict[int, list[_PendingJob]] = {}
-            for item in batch:
-                by_word.setdefault(item.word_bits, []).append(item)
-            for word_bits, items in by_word.items():
-                preset = self.offline.preset(word_bits)
-                plans = plan_batches(
-                    [(word_bits, item.job) for item in items],
-                    preset.slots,
-                    self.max_batch,
-                )
-                lookup = {item.job.job_id: item for item in items}
-                for plan in plans:
-                    self._run_plan(preset, plan, lookup)
+                if item is not None:
+                    batch.append(item)
+            self.metrics.window_closed_by[closed_by] += 1
+            lookup = {item.job.job_id: item for item in batch}
+            plans = plan_batches(
+                [(item.word_bits, item.job) for item in batch], slots, self.max_batch
+            )
+            for plan in plans:
+                self._run_plan(self.offline.preset(plan.word_bits), plan, lookup, closed_by)
             # Yield so handlers can ship finished results promptly.
             await asyncio.sleep(0)
 
@@ -449,10 +478,12 @@ class FheServer:
         preset: ServePreset,
         plan: BatchPlan,
         lookup: dict[str, _PendingJob],
+        closed_by: str,
     ) -> None:
         t0 = time.perf_counter()
+        spare = lookup[plan.jobs[0].job_id].verdict.spare_levels  # same digest, same verdict
         try:
-            outputs = self._execute_plan(preset, plan)
+            outputs, stages = self._execute_plan(preset, plan, spare)
         except Exception as exc:  # noqa: BLE001 - propagate per-job
             for job in plan.jobs:
                 item = lookup[job.job_id]
@@ -471,7 +502,9 @@ class FheServer:
                 "batch_size": plan.size,
                 "batch_occupancy": plan.occupancy,
                 "queue_wait_seconds": queue_wait,
+                "window_closed_by": closed_by,
                 "execute_seconds": execute_s,
+                **stages,
                 "lane_offset": job.offset,
                 "lane_width": job.width,
             }
@@ -479,42 +512,49 @@ class FheServer:
                 item.future.set_result((ct_out, meta))
 
     def _execute_plan(
-        self, preset: ServePreset, plan: BatchPlan
-    ) -> list["Ciphertext"]:
-        """Ingress-switch, pack, run the scheduled trace, unpack-switch."""
+        self, preset: ServePreset, plan: BatchPlan, spare: int
+    ) -> tuple[list["Ciphertext"], dict[str, float]]:
+        """Trim, ingress-switch, pack; run the scheduled trace; mask, egress-switch."""
         ev = preset.evaluator
-
+        level = preset.abstract.fresh_level - spare
+        t0 = time.perf_counter()
         packed: Ciphertext | None = None
         for job in plan.jobs:
-            ct = ev.apply_switch_key(job.ciphertext, job.session.evk_in)
-            self.metrics.engine_invocations += 1
-            if job.offset:
-                ct = ev.rotate(ct, -job.offset)
-                self.metrics.engine_invocations += 1
-            if packed is None:
-                packed = ct
-            else:
-                packed = ev.add(packed, ct)
-                self.metrics.engine_invocations += 1
+            ct = ev.apply_switch_key(
+                ev.drop_to_level(job.ciphertext, level), job.session.evk_in
+            )
+            packed = ct if packed is None else ev.add(packed, ct)
         assert packed is not None
+        self.metrics.engine_invocations += 2 * plan.size - 1
+        t1 = time.perf_counter()
 
         out = self._execute_scheduled(preset, plan.program, packed)
+        t2 = time.perf_counter()
 
         results: list[Ciphertext] = []
         for job in plan.jobs:
-            mask = [0.0] * preset.slots
-            for lane in range(job.offset, job.offset + job.width):
-                mask[lane] = 1.0
-            pt = preset.context.encode(mask, level=out.level)
-            lane_ct = ev.multiply_plain(out, pt)
-            self.metrics.engine_invocations += 1
-            if job.offset:
-                lane_ct = ev.rotate(lane_ct, job.offset)
-                self.metrics.engine_invocations += 1
-            lane_ct = ev.apply_switch_key(lane_ct, job.session.evk_out)
-            self.metrics.engine_invocations += 1
-            results.append(lane_ct)
-        return results
+            lane_ct = ev.multiply_plain(out, self._lane_mask(preset, job.session, out.level))
+            results.append(ev.apply_switch_key(lane_ct, job.session.evk_out))
+        self.metrics.engine_invocations += 2 * plan.size
+        stages = {
+            "ingress_seconds": t1 - t0,
+            "program_seconds": t2 - t1,
+            "egress_seconds": time.perf_counter() - t2,
+        }
+        return results, stages
+
+    @staticmethod
+    def _lane_mask(preset: ServePreset, session: TenantSession, level: int) -> "Plaintext":
+        """One-hot mask of the session's home lanes, encoded once per level at
+        the step scale (the rescale then restores the scale exactly, as
+        admission's ``consume_level`` assumes)."""
+        if level not in session.masks:
+            mask = np.zeros(preset.slots)
+            mask[session.lane_offset : session.lane_offset + session.width] = 1.0
+            session.masks[level] = preset.context.encode(
+                mask, level=level, scale=preset.params.step_at(level).scale
+            )
+        return session.masks[level]
 
     def _certified_schedule(
         self, preset: ServePreset, program: EvalProgram
@@ -535,6 +575,7 @@ class FheServer:
         cached = self._certified.get(key)
         if cached is not None:
             self._certified.move_to_end(key)
+            self.metrics.certificate_hits += 1
         else:
             setting = build_sharp_setting(preset.word_bits)
             cached = certify_for_execution(

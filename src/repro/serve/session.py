@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from repro.ckks.context import EvalKey as SwitchKey
 
 if TYPE_CHECKING:
+    from repro.ckks.cipher import Plaintext
     from repro.rns.poly import RnsPolynomial
 
 __all__ = ["SwitchKey", "TenantSession"]
@@ -39,12 +40,15 @@ class TenantSession:
     session_id: str
     word_bits: int
     width: int  # slots this tenant owns in any shared ciphertext
+    lane_offset: int  # home lanes: [lane_offset, lane_offset + width), fixed for life
     # Key material is excluded from repr: switch keys are safe to hold
     # (public-key encryptions) but megabytes of limbs have no business in
     # a log line or a debugger echo.
     tenant_pk: tuple["RnsPolynomial", "RnsPolynomial"] = field(repr=False)
     evk_in: SwitchKey = field(repr=False)  # tenant secret -> batch secret
     evk_out: SwitchKey = field(repr=False)  # batch secret -> tenant secret
+    # Egress lane masks by level: encoded on first use, freed with the session.
+    masks: dict[int, "Plaintext"] = field(default_factory=dict, repr=False)
     jobs_submitted: int = 0
     jobs_admitted: int = 0
     jobs_rejected: int = 0

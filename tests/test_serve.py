@@ -14,11 +14,15 @@ from typing import Awaitable, Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.serve.batching import BatchJob, plan_batches
 from repro.serve.client import FheClient, JobRejected
 from repro.serve.offline import ServeOffline
 from repro.serve.program import EvalProgram, ProgramBuilder
 from repro.serve.server import FheServer
+from repro.serve.session import TenantSession
 
 # One offline state for the whole module: presets are loop-independent
 # pure compute, and the 36-bit tier takes seconds to build.
@@ -83,8 +87,17 @@ class TestTwoTenantEndToEnd:
             # Both jobs ran in ONE shared ciphertext.
             assert res_a.meta["batch_size"] == 2
             assert res_b.meta["batch_size"] == 2
-            assert res_a.meta["lane_offset"] != res_b.meta["lane_offset"]
+            # Each at its session's home lanes, no rotation to get there.
+            assert {res_a.meta["lane_offset"], res_b.meta["lane_offset"]} == {
+                alice.lane_offset,
+                bob.lane_offset,
+            }
+            assert alice.lane_offset != bob.lane_offset
             assert server.metrics.batches_executed == 1
+            # ... which closed because both live sessions were in it, not on the timer.
+            for res in (res_a, res_b):
+                assert res.meta["window_closed_by"] == "drained"
+                assert res.meta["queue_wait_seconds"] < 0.25 / 4
             expected_occ = 8 / server.offline.preset(36).slots
             assert res_a.meta["batch_occupancy"] == pytest.approx(expected_occ)
 
@@ -170,9 +183,16 @@ class TestTwoTenantEndToEnd:
         async def scenario(server: FheServer) -> None:
             client = FheClient("127.0.0.1", server.port, seed=71)
             await client.enroll(36, width=2)
-            await client.submit(_poly_program(), [0.25, 0.5])
+            res = await client.submit(_poly_program(), [0.25, 0.5])
+            # The only live session is in the window: nobody to wait for.
+            assert res.meta["window_closed_by"] == "drained"
+            assert res.meta["queue_wait_seconds"] < 1.0 / 4
+            stages = [res.meta[f"{s}_seconds"] for s in ("ingress", "program", "egress")]
+            assert min(stages) > 0 and sum(stages) <= res.meta["execute_seconds"]
             stats = await client.stats()
-            assert stats["sessions"] >= 1
+            assert stats["sessions"] == 1
+            assert stats["window_closed_by"] == {"full": 0, "drained": 1, "deadline": 0}
+            assert stats["certificate_cache"] == {"hits": 0, "misses": 1}
             assert stats["engine_invocations"] > 0
             assert stats["jobs"]["submitted"] == stats["jobs"]["admitted"] == 1
             for key in ("latency_p50_s", "latency_p95_s", "mean_batch_occupancy"):
@@ -180,7 +200,106 @@ class TestTwoTenantEndToEnd:
             assert stats["verify_seconds_total"] > 0
             await client.close()
 
-        _run(scenario, batch_window=0.01)
+        _run(scenario, batch_window=1.0)
+
+
+class TestBatchWindow:
+    """The window closes when nobody is left to wait for, not on a timer.
+    (One live session, and two that both submit: see ``drained`` above.)"""
+
+    def test_an_idle_live_session_holds_the_window_to_its_deadline(self):
+        async def scenario(server: FheServer) -> None:
+            alice = FheClient("127.0.0.1", server.port, seed=94)
+            idle = FheClient("127.0.0.1", server.port, seed=95)
+            await asyncio.gather(alice.enroll(36, width=2), idle.enroll(36, width=2))
+            res = await alice.submit(_poly_program(), [0.5, 0.25])
+            assert res.meta["window_closed_by"] == "deadline"
+            assert res.meta["queue_wait_seconds"] >= 0.9 * 0.2
+            assert server.metrics.window_closed_by["deadline"] == 1
+            await asyncio.gather(alice.close(), idle.close())
+
+        _run(scenario, batch_window=0.2)
+
+    def test_hang_up_mid_window(self):
+        # Bob queues a job and drops the connection; carol never submits
+        # and drops hers a moment later.  Alice, bob's batch-mate, must
+        # not be held to the deadline by either, and the server must
+        # forget both.
+        async def scenario(server: FheServer) -> None:
+            alice, bob, carol = (
+                FheClient("127.0.0.1", server.port, seed=seed) for seed in (96, 97, 98)
+            )
+            await asyncio.gather(*(c.enroll(36, width=2) for c in (alice, bob, carol)))
+            assert len(server.sessions) == 3
+            tasks_before = len(asyncio.all_tasks())
+
+            doomed = asyncio.ensure_future(bob.submit(_poly_program(), [0.1, 0.2]))
+            while server.metrics.jobs_admitted < 1:  # bob's job is in the window
+                await asyncio.sleep(0.01)
+            bob._writer.close()
+            doomed.cancel()
+            asyncio.get_running_loop().call_later(0.1, carol._writer.close)
+
+            res = await alice.submit(_poly_program(), [0.5, 0.25])
+            assert res.meta["batch_size"] == 2  # bob's job ran beside alice's
+            assert res.meta["window_closed_by"] == "drained"
+            assert res.meta["queue_wait_seconds"] < 0.5
+            assert res.values[0].real == pytest.approx(0.625, abs=1e-3)
+
+            for _ in range(100):  # bob's handler notices once its reply bounces
+                if len(server.sessions) == 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert list(server.sessions) == [alice.session_id]
+            assert (await alice.stats())["sessions"] == 1
+            assert len(asyncio.all_tasks()) == tasks_before - 2  # both handlers ended
+            await alice.close()
+
+        _run(scenario, batch_window=1.0)
+
+
+class TestPlanBatchesProperties:
+    SLOTS = 16
+    PROGRAMS = (_poly_program(), _rotation_program(), _too_deep())
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),  # session: six of them on a 16-slot ring
+                st.integers(0, len(PROGRAMS) - 1),
+                st.sampled_from([28, 36]),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_plans(self, draws, max_batch):
+        # Width-4 home lanes handed out the way enrollment does: the
+        # fifth session wraps onto the first one's lanes and must split.
+        sessions = [
+            TenantSession(f"s{i}", 36, 4, (4 * i) % self.SLOTS, None, None, None)  # type: ignore[arg-type]
+            for i in range(6)
+        ]
+        pending = [
+            (bits, BatchJob(f"j{n}", sessions[who], self.PROGRAMS[what], None))  # type: ignore[arg-type]
+            for n, (who, what, bits) in enumerate(draws)
+        ]
+        plans = plan_batches(pending, self.SLOTS, max_batch)
+
+        placed = [job.job_id for plan in plans for job in plan.jobs]
+        assert sorted(placed) == sorted(job.job_id for _, job in pending)
+        for plan in plans:
+            key = (plan.word_bits, plan.program.digest())
+            assert all((plan.word_bits, j.program.digest()) == key for j in plan.jobs)
+            assert 1 <= plan.size <= (1 if plan.program.uses_rotation else max_batch)
+            lanes = [lane for j in plan.jobs for lane in range(j.offset, j.offset + j.width)]
+            assert len(lanes) == len(set(lanes)) and max(lanes) < self.SLOTS
+        # Arrival order survives within every batch key.
+        for key in {(b, j.program.digest()) for b, j in pending}:
+            arrived = [j.job_id for b, j in pending if (b, j.program.digest()) == key]
+            assert [i for i in placed if i in arrived] == arrived
 
 
 class TestBoundedMemory:

@@ -8,16 +8,19 @@ engine runs — zero evaluator invocations, zero NTTs.
 from __future__ import annotations
 
 import asyncio
+import functools
 
 import numpy as np
 import pytest
 
 from repro.check import AbstractParams, NoiseParams, admit_program
 from repro.check.admission import AdmissionVerdict
+from repro.check.ckks_check import SymbolicEvaluator
 from repro.params.presets import boot_plan, build_native_ckks_params
 from repro.serve import wire
-from repro.serve.batching import service_wrapped
+from repro.serve.batching import BatchJob, plan_batches, service_wrapped
 from repro.serve.client import FheClient, JobRejected
+from repro.serve.offline import ServeOffline, TenantKeys
 from repro.serve.program import EvalProgram, ProgramBuilder, ProgramError
 from repro.serve.server import FheServer
 from repro.workloads.noise_programs import noise_programs
@@ -65,9 +68,9 @@ def _rotate_conjugate() -> EvalProgram:
 class TestAdmissionTable:
     def _admit(self, program: EvalProgram, **kwargs: object) -> AdmissionVerdict:
         return admit_program(
-            lambda ev: service_wrapped(program, ev, ev.fresh()),
+            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
             PARAMS,
-            noise_program=lambda ev: service_wrapped(program, ev, ev.encrypt()),
+            noise_program=lambda ev, level: service_wrapped(program, ev, ev.encrypt(), level),
             noise_params=NOISE,
             label=program.name,
             **kwargs,  # type: ignore[arg-type]
@@ -102,9 +105,9 @@ class TestAdmissionTable:
         # paper's robustness boundary, reproduced as a rejection.
         helr = noise_programs()["helr"]
         verdict = admit_program(
-            lambda ev: _well_formed().run(ev, ev.fresh()),
+            lambda ev, level: _well_formed().run(ev, ev.fresh()),
             PARAMS,
-            noise_program=helr.build,
+            noise_program=lambda ev, level: helr.build(ev),
             noise_params=NoiseParams(
                 scale_bits=27.0,
                 boot_scale_bits=boot_plan(28)[0],
@@ -147,7 +150,63 @@ class TestAdmissionTable:
         verdict = self._admit(_scale_mismatch(), min_floor_bits=1.0)
         assert verdict.error_codes == ("CKKS-SCALE-MISMATCH",)
         (diag,) = verdict.reports[0].errors
-        assert diag.op_index == 6
+        assert diag.op_index == 7  # pipeline coordinates: the ingress trim is call 1
+
+
+def _rotsum() -> EvalProgram:
+    b = ProgramBuilder("rotsum")
+    pair = b.add(b.input, b.rotate(b.input, 1))
+    return b.build(b.add(pair, b.rotate(pair, 2)))
+
+
+class TestAdmissionModelsWhatRuns:
+    """The abstract fold and the engine walk the same trimmed pipeline:
+    the ``(level, scale)`` admission proves is the one that comes back."""
+
+    OFFLINE = ServeOffline(word_lengths=(28, 36), seed=99)
+
+    @pytest.mark.parametrize("bits", [28, 36])
+    @pytest.mark.parametrize(
+        "build, spare, lane0",  # lane0: the first home lane's value, from the four sent
+        [
+            (_well_formed, 1, lambda v: 0.5 * v[0] ** 2 + v[0]),
+            (_rotsum, 3, sum),
+            (functools.partial(_level_underflow, 3), 0, lambda v: v[0] ** 8),
+        ],
+        ids=["poly", "rotsum", "depth3"],
+    )
+    def test_abstract_end_state_is_the_real_one(self, bits, build, spare, lane0):
+        program = build()
+        preset = self.OFFLINE.preset(bits)
+        verdict = admit_program(
+            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
+            preset.abstract,
+            noise_program=lambda ev, level: service_wrapped(program, ev, ev.encrypt(), level),
+            noise_params=preset.noise,
+        )
+        assert verdict.admitted and verdict.spare_levels == spare
+        ev = SymbolicEvaluator(preset.abstract)
+        proven = service_wrapped(program, ev, ev.fresh(), preset.abstract.fresh_level - spare)
+        assert ev.report.ok and proven.level == 0
+
+        tenant = TenantKeys.from_spec(
+            preset.params.to_spec(), preset.batch_public_key(), seed=bits
+        )
+        session = self.OFFLINE.enroll(
+            bits, 4, tenant.context.keys.public_key(), tenant.evk_in
+        )
+        values = [0.5, -0.25, 0.125, 0.75]
+        message = np.zeros(preset.slots)
+        message[session.lane_offset : session.lane_offset + 4] = values
+        job = BatchJob("j", session, program, tenant.context.encrypt(message))
+        (plan,) = plan_batches([(bits, job)], preset.slots, 16)
+        server = FheServer(offline=self.OFFLINE)
+        (ct_out,), _ = server._execute_plan(preset, plan, verdict.spare_levels)
+        assert ct_out.level == proven.level
+        assert ct_out.scale == pytest.approx(proven.scale, rel=1e-12)
+        # ... and it still decrypts to the program's value inside the floor.
+        got = tenant.context.decrypt(ct_out)[session.lane_offset]
+        assert abs(got - lane0(values)) <= 2.0 ** -verdict.proven_floor_bits
 
 
 class TestNonFiniteConstants:
@@ -213,7 +272,8 @@ class TestNonFiniteConstants:
 class TestRejectionBurnsNothing:
     """Server-level: rejected jobs cost zero engine invocations."""
 
-    BAD_PROGRAMS = [_scale_mismatch, _level_underflow]
+    # The last one uses every level of the chain: nothing left for egress.
+    BAD_PROGRAMS = [_scale_mismatch, _level_underflow, functools.partial(_level_underflow, 4)]
 
     def test_rejections_execute_nothing(self):
         async def scenario() -> None:
