@@ -475,7 +475,7 @@ def prove_bconv_matmul(
 
 
 def prove_ds_reconstruction(pair_product_max: int) -> BoundProof:
-    """Garner CRT over a DS prime pair (``_centered_crt_pair``).
+    """Garner CRT over a DS prime pair (``repro.rns.poly.garner_pair``).
 
     The reconstructed coefficient reaches ``q_a * q_b - 1`` and the
     intermediate ``a + q_a * t`` equals it, so the pair product must

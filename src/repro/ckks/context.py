@@ -442,9 +442,9 @@ class KeySet:
         return RnsPolynomial(self.ring, tuple(moduli), np.stack(rows), ntt_form=True)
 
     def error_poly(self, moduli: tuple[int, ...]) -> RnsPolynomial:
-        return RnsPolynomial.from_int_coeffs(
-            self.ring, moduli, self._sample_error()
-        ).to_ntt()
+        """Fresh Gaussian noise, in coefficient form (callers add what rides
+        through the transform with it first)."""
+        return RnsPolynomial.from_int_coeffs(self.ring, moduli, self._sample_error())
 
     # -- key material ------------------------------------------------------------
 
@@ -471,7 +471,7 @@ class KeySet:
         digits = []
         for g_j in self._g:
             a_j = self.uniform_poly(basis)
-            e_j = self.error_poly(basis)
+            e_j = self.error_poly(basis).to_ntt()
             factor = p_big * g_j  # reduced per limb inside scalar_mul
             msg = src_secret.scalar_mul([factor % q for q in basis])
             b_j = -(a_j * s) + e_j + msg
@@ -510,18 +510,13 @@ class KeySet:
             basis = self.params.full_basis
             s = self.secret_poly(basis)
             a = self.uniform_poly(basis)
-            e = self.error_poly(basis)
+            e = self.error_poly(basis).to_ntt()
             self._public_key = (-(a * s) + e, a)
         return self._public_key
 
     def ephemeral_poly(self, moduli: tuple[int, ...]) -> RnsPolynomial:
         """Fresh ternary encryption randomness (same shape as a secret)."""
-        n = self.params.degree
-        h = self.params.hamming_weight
-        coeffs = np.zeros(n, dtype=np.int64)
-        idx = self.rng.choice(n, size=h, replace=False)
-        coeffs[idx] = self.rng.choice((-1, 1), size=h)
-        return RnsPolynomial.from_int_coeffs(self.ring, moduli, coeffs).to_ntt()
+        return RnsPolynomial.from_int_coeffs(self.ring, moduli, self._sample_secret()).to_ntt()
 
     @declassified(
         "public-key RLWE encryption: msg is masked by v*pk + fresh noise"
@@ -531,12 +526,13 @@ class KeySet:
         msg: RnsPolynomial,
         pk: tuple[RnsPolynomial, RnsPolynomial],
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Encrypt an NTT-form polynomial under someone else's public key.
+        """Encrypt a coefficient-form polynomial under someone else's public key.
 
         ``(c0, c1) = (v*pk_b + e0 + msg, v*pk_a + e1)`` satisfies
         ``c0 + c1*s = v*e + e0 + e1*s + msg`` — the same contract a
         key-switching digit has, just with slightly more noise.  ``msg``
-        may live on any prefix of the public key's basis.
+        may live on any prefix of the public key's basis; it joins
+        ``e0`` before the transform, so it costs none of its own.
         """
         moduli = msg.moduli
         pk_b, pk_a = pk
@@ -547,8 +543,8 @@ class KeySet:
         a = pk_a.keep_limbs(keep)
         v = self.ephemeral_poly(moduli)
         e0 = self.error_poly(moduli)
-        e1 = self.error_poly(moduli)
-        return (b * v + e0 + msg, a * v + e1)
+        e1 = self.error_poly(moduli).to_ntt()
+        return (b * v + (e0 + msg).to_ntt(), a * v + e1)
 
     def make_switch_key(
         self, target_pk: tuple[RnsPolynomial, RnsPolynomial]
@@ -556,13 +552,15 @@ class KeySet:
         """Key-switching key from *this* secret to a public key's owner.
 
         Each hybrid digit ``P * g_j * s`` is public-key-encrypted under
-        ``target_pk``, so neither party ever sees the other's secret —
-        the proxy-re-encryption ceremony ``repro.serve`` uses to move
-        tenant ciphertexts onto a shared batch key and back.
+        ``target_pk``.  Whoever holds the target *secret* can decrypt
+        the digits and read ``s`` off them, so the key goes to the party
+        doing the switching and never to the target: ``repro.serve``
+        makes one per session, from its own batch secret to the tenant's
+        public key, and keeps it server-side.
         """
         params = self.params
         basis = params.full_basis
-        src = self.secret_poly(basis)
+        src = RnsPolynomial.from_int_coeffs(self.ring, basis, self.secret_coeffs)
         p_big = params.aux_product
         digits = []
         for g_j in self._g:
@@ -597,19 +595,35 @@ class CkksContext:
 
     # -- encryption ---------------------------------------------------------------
 
-    @declassified("RLWE encryption: plaintext is masked by -a*s + fresh noise")
-    def encrypt(self, values, level: int | None = None, scale: float | None = None) -> Ciphertext:
-        """Symmetric-style RLWE encryption of a message vector."""
+    @declassified(
+        "RLWE encryption: plaintext is masked by -a*s + fresh noise, "
+        "or by pk_encrypt_poly's v*pk + fresh noise"
+    )
+    def encrypt(
+        self,
+        values,
+        level: int | None = None,
+        scale: float | None = None,
+        public_key: tuple[RnsPolynomial, RnsPolynomial] | None = None,
+    ) -> Ciphertext:
+        """RLWE encryption of a message vector, to ``public_key``'s owner.
+
+        ``None`` encrypts to this context's own secret (symmetric-style:
+        one noise term).  Either way message and noise meet in
+        coefficient form and share a forward transform.
+        """
         if level is None:
             level = self.params.usable_level
         if scale is None:
             scale = self.params.scale
         moduli = self.params.active_moduli(level)
-        pt = self.encoder.encode(values, moduli, scale)
+        msg = self.encoder.encode_coeffs(values, moduli, scale)
+        if public_key is not None:
+            return Ciphertext(*self.keys.pk_encrypt_poly(msg, public_key), level, scale)
         a = self.keys.uniform_poly(moduli)
         e = self.keys.error_poly(moduli)
         s = self.keys.secret_poly(moduli)
-        b = -(a * s) + e + pt
+        b = -(a * s) + (e + msg).to_ntt()
         return Ciphertext(b, a, level, scale)
 
     def decrypt(self, ct: Ciphertext) -> np.ndarray:

@@ -18,9 +18,11 @@ paper's Table 2 precision study.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.rns.poly import RingContext, RnsPolynomial
+from repro.rns.poly import RingContext, RnsPolynomial, garner_pair
 
 __all__ = ["CkksEncoder"]
 
@@ -76,14 +78,8 @@ class CkksEncoder:
 
     # -- plaintext encode/decode -------------------------------------------------
 
-    def encode(
-        self, values, moduli, scale: float
-    ) -> RnsPolynomial:
-        """Scale, round, and reduce a message into an RNS plaintext.
-
-        Returns the plaintext in evaluation (NTT) form, ready for
-        element-wise HE ops.
-        """
+    def encode_coeffs(self, values, moduli, scale: float) -> RnsPolynomial:
+        """Scale, round, and reduce a message into a coefficient-form plaintext."""
         coeffs = self.coeffs_from_slots(np.asarray(values)) * scale
         max_mag = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
         if max_mag >= 2**62:
@@ -95,11 +91,25 @@ class CkksEncoder:
             ints = np.rint(coeffs).astype(np.int64)
         else:
             ints = [int(round(float(c))) for c in coeffs]
-        poly = RnsPolynomial.from_int_coeffs(self.ring, tuple(moduli), ints)
-        return poly.to_ntt()
+        return RnsPolynomial.from_int_coeffs(self.ring, tuple(moduli), ints)
+
+    def encode(self, values, moduli, scale: float) -> RnsPolynomial:
+        """:meth:`encode_coeffs` in evaluation (NTT) form, ready for
+        element-wise HE ops."""
+        return self.encode_coeffs(values, moduli, scale).to_ntt()
 
     def decode(self, poly: RnsPolynomial, scale: float) -> np.ndarray:
-        """Reconstruct the message from a plaintext (exact CRT path)."""
-        ints = poly.to_int_coeffs()
-        coeffs = np.array([float(c) for c in ints]) / scale
-        return self.slots_from_coeffs(coeffs)
+        """Reconstruct the message from a plaintext (exact CRT).
+
+        One or two limbs below ``2**31`` — every base modulus a result
+        comes back at — reconstruct in ``uint64`` lanes (Garner); longer
+        or wider chains take the big-integer path.
+        """
+        poly = poly.from_ntt()
+        if len(poly.moduli) <= 2 and max(poly.moduli) < 2**31:
+            q_big = math.prod(poly.moduli)
+            x = poly.limbs[0] if len(poly.moduli) == 1 else garner_pair(poly.limbs, poly.moduli)
+            coeffs = (x.astype(np.int64) - np.where(x > q_big // 2, q_big, 0)).astype(np.float64)
+        else:
+            coeffs = np.array([float(c) for c in poly.to_int_coeffs()])
+        return self.slots_from_coeffs(coeffs / scale)

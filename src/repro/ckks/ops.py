@@ -22,7 +22,7 @@ from repro.ckks.context import CkksContext, EvalKey
 from repro.ckks.keyswitch import KeySwitcher
 from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import RnsPolynomial, garner_pair
 
 __all__ = ["Evaluator"]
 
@@ -177,9 +177,7 @@ class Evaluator:
         ct = self.drop_to_level(ct, level + 1)
         step_scale = self.params.step_at(ct.level).scale
         pt_scale = scale * step_scale / ct.scale
-        pt = self.context.encode(
-            np.ones(self.params.slots), level=ct.level, scale=pt_scale
-        )
+        pt = self._encode_scalar(1.0, ct.level, pt_scale)
         out = self.multiply_plain(ct, pt, rescale=True)
         # Guard against float bookkeeping drift.
         return Ciphertext(out.c0, out.c1, out.level, scale)
@@ -212,9 +210,7 @@ class Evaluator:
         workload schedules.
         """
         step_scale = self.params.step_at(ct.level).scale
-        pt = self.context.encode(
-            np.ones(self.params.slots), level=ct.level, scale=step_scale
-        )
+        pt = self._encode_scalar(1.0, ct.level, step_scale)
         out = self.multiply_plain(ct, pt, rescale=True)
         return Ciphertext(out.c0, out.c1, out.level, ct.scale)
 
@@ -254,30 +250,27 @@ class Evaluator:
         kern_r, shift_col, half = consts[4:]
         if count == 1:
             values = np.concatenate([tail[0], tail[1]])  # (2N,)
-            cat = None
         else:
-            cat = np.stack(
+            # The DSU's double-word accumulation (paper Eq. 4): Garner over
+            # the DS pair, values up to q_a * q_b < 2**62.
+            pair = np.stack(
                 [
                     np.concatenate([tail[0], tail[count]]),
                     np.concatenate([tail[1], tail[count + 1]]),
                 ]
             )
-            values = None
+            values = garner_pair(pair, dropped)
         if kern_r.float_ok:
             # Fast centered residues: one float-Barrett reduction across
             # the whole remaining chain, then the precomputed ``-drop``
             # shift where the value exceeds ``drop/2``.
-            if values is None:
-                values = self._garner_pair(cat, dropped)
             over = values > half
             r = kern_r.reduce64_f(values)
             shifted = r + shift_col
             adj = np.minimum(shifted, shifted - kern_r.q)
             centered = np.where(over, adj, r)
-        elif count == 1:
-            centered = self._centered_residues(values, dropped[0], remaining)
         else:
-            centered = self._centered_crt_pair(cat, dropped, remaining)
+            centered = self._centered_residues(values, math.prod(dropped), remaining)
         corr_pair = np.concatenate([centered[:, :n], centered[:, n:]])
         corr_ntt = ring.backend.ntt_forward_all(
             ring.plan(remaining + remaining), corr_pair
@@ -331,35 +324,6 @@ class Evaluator:
         for q in targets:
             r = values % np.uint64(q)
             adj = (r + np.uint64(q) - np.uint64(modulus % q)) % np.uint64(q)
-            rows.append(np.where(over, adj, r))
-        return np.stack(rows)
-
-    @staticmethod
-    def _garner_pair(limbs: np.ndarray, pair) -> np.ndarray:
-        """Garner CRT combine over a DS prime pair: ``x < q_a * q_b``."""
-        qa, qb = int(pair[0]), int(pair[1])
-        a = limbs[0]
-        b = limbs[1]
-        qa_inv = mod_inverse(qa % qb, qb)
-        t = (b + np.uint64(qb) - a % np.uint64(qb)) * np.uint64(qa_inv) % np.uint64(qb)
-        return a + np.uint64(qa) * t  # < qa*qb < 2**62
-
-    @staticmethod
-    def _centered_crt_pair(limbs: np.ndarray, pair, targets) -> np.ndarray:
-        """Garner CRT over a DS prime pair, centered, reduced per target.
-
-        This is the double-word-accumulation step a DSU performs in
-        hardware (paper Eq. 4): values reach ``q_a * q_b < 2**62``.
-        """
-        qa, qb = int(pair[0]), int(pair[1])
-        x = Evaluator._garner_pair(limbs, pair)
-        product = qa * qb
-        half = product // 2
-        over = x > half
-        rows = []
-        for q in targets:
-            r = x % np.uint64(q)
-            adj = (r + np.uint64(q) - np.uint64(product % q)) % np.uint64(q)
             rows.append(np.where(over, adj, r))
         return np.stack(rows)
 

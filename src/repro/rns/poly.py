@@ -33,7 +33,21 @@ if TYPE_CHECKING:  # deferred at runtime: repro.ntt.reference imports kernels
     from repro.ntt.plan import NttPlan
     from repro.ntt.reference import NttContext
 
-__all__ = ["RingContext", "RnsPolynomial"]
+__all__ = ["RingContext", "RnsPolynomial", "garner_pair"]
+
+
+def garner_pair(limbs: np.ndarray, pair) -> np.ndarray:
+    """Garner CRT combine of two limbs: ``x < q_a * q_b``.
+
+    Exact in ``uint64`` lanes while ``2 * q_b**2 < 2**64`` — any pair of
+    moduli below ``2**31``, which covers every DS prime pair.
+    """
+    qa, qb = int(pair[0]), int(pair[1])
+    a = limbs[0]
+    b = limbs[1]
+    qa_inv = mod_inverse(qa % qb, qb)
+    t = (b + np.uint64(qb) - a % np.uint64(qb)) * np.uint64(qa_inv) % np.uint64(qb)
+    return a + np.uint64(qa) * t  # < qa*qb < 2**62
 
 
 class RingContext:

@@ -4,8 +4,9 @@ The service splits the paper's stack into the classic two-phase shape:
 
 * **offline** (:mod:`repro.serve.offline`) — parameter negotiation
   against the word-length catalogue, per-tenant key generation, and the
-  proxy re-encryption ceremony that bridges each tenant's secret to the
-  preset's shared batch secret (both directions, public-key only);
+  ceremony that bridges each tenant to the preset's shared batch secret:
+  tenants encrypt *to* the batch public key, and one server-side
+  re-encryption key per session brings results back under the tenant's;
 * **online** (:mod:`repro.serve.server`) — an asyncio request queue
   where every submitted program is *statically verified* by
   :mod:`repro.check` before it may touch the engine, admitted jobs are

@@ -4,9 +4,10 @@ The packing scheme (documented in DESIGN.md):
 
 * Every session owns fixed *home lanes* ``[lane_offset, lane_offset +
   width)``, assigned at enrollment.  The tenant encrypts its values
-  there and leaves every other slot zero, so ingress is ``drop the
-  limbs no op will use, switch-to-batch-key, HADD`` into the shared
-  ciphertext — no rotation, no masking on the way in.  The zero slots
+  there *to the batch public key* and leaves every other slot zero, so
+  ingress is ``drop the limbs no op will use, HADD`` into the shared
+  ciphertext — no key switch, no rotation, no masking on the way in.
+  The zero slots
   are an *integrity* assumption (a tenant that breaks it corrupts its
   batch-mates' inputs), not a confidentiality one: egress masks every
   lane.
@@ -22,9 +23,9 @@ The packing scheme (documented in DESIGN.md):
   to the tenant's key via its ``evk_out``.
 
 The admission wrapper :func:`service_wrapped` is that pipeline, folded
-over the static passes' own domains: level trim, a key switch, the
-tenant's program (:meth:`EvalProgram.run`), mask-multiply, a key
-switch.  A program that only balances at the service's full level
+over the static passes' own domains: level trim, the tenant's program
+(:meth:`EvalProgram.run`), mask-multiply, one key switch.  A program
+that only balances at the service's full level
 budget with nothing to spare is therefore rejected up front.
 """
 
@@ -127,14 +128,15 @@ def service_wrapped(program: EvalProgram, domain: Any, x: T, level: int) -> T:
 
     * ingress ``drop_to_level`` — the fresh ciphertext is trimmed to
       ``level`` (admission picks the lowest one the pipeline balances
-      at), so every op downstream runs on that many limbs;
-    * ingress ``rotate`` — stands in for the ingress key switch (one
-      key-switch noise term, no level);
+      at), so every op downstream runs on that many limbs; packing is a
+      HADD of ciphertexts already under the batch key, which costs
+      neither a level nor a key-switch noise term;
     * egress ``consume_level`` — the egress lane mask is a plaintext
       multiply and burns one level, so any program that ends at level 0
       fails admission with ``CKKS-LEVEL-UNDERFLOW`` instead of failing
       at egress time;
-    * egress ``rotate`` — the egress key switch.
+    * egress ``rotate`` — stands in for the egress key switch (one
+      key-switch noise term, no level).
     """
-    served = program.run(domain, domain.rotate(domain.drop_to_level(x, level), 1))
+    served = program.run(domain, domain.drop_to_level(x, level))
     return domain.rotate(domain.consume_level(served), 1)

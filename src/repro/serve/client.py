@@ -2,11 +2,12 @@
 
 The client owns the only copy of the tenant secret.  Enrollment builds
 a local :class:`~repro.ckks.context.CkksContext` from the negotiated
-parameter spec, then sends the server two public artifacts: the tenant
-public key and ``evk_in`` (the tenant-to-batch switch key, pk-encrypted
-under the server's batch public key); the server answers with the
+parameter spec, keeps the server's batch public key, and sends exactly
+one artifact back: the tenant public key — the only image of the tenant
+secret that ever leaves this process.  The server answers with the
 session's home lanes.  After that, :meth:`FheClient.submit` is encrypt
-into those lanes - send - await - decrypt - read them back.
+into those lanes *to the batch key* - send - await - decrypt with the
+tenant secret - read them back.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class FheClient:
         self.width: int | None = None
         self.lane_offset: int | None = None
         self.slots: int | None = None
+        self._frame_limit = wire.HANDSHAKE_FRAME_LIMIT
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
 
@@ -83,7 +85,7 @@ class FheClient:
         )
         await self._writer.drain()
 
-        kind, payload = await wire.read_frame(self._reader)
+        kind, payload = await wire.read_frame(self._reader, self._frame_limit)
         if kind == wire.Kind.ERROR:
             raise JobRejected(wire.decode_json(payload))
         if kind != wire.Kind.PARAMS:
@@ -101,25 +103,22 @@ class FheClient:
 
         params = CkksParams.from_spec(spec)
         context = CkksContext(params, seed=self.seed)
+        self._frame_limit = wire.frame_limit(params)
 
-        kind, payload = await wire.read_frame(self._reader)
+        kind, payload = await wire.read_frame(self._reader, self._frame_limit)
         if kind != wire.Kind.PUBLIC_KEY:
             raise wire.WireError(f"expected PUBLIC_KEY, got {kind.name}")
         batch_pk = wire.decode_public_key(payload, context.ring)
 
-        evk_in = context.keys.make_switch_key(batch_pk)
-        self.keys = TenantKeys(context=context, evk_in=evk_in)
+        self.keys = TenantKeys(context=context, batch_pk=batch_pk)
         wire.write_frame(
             self._writer,
             wire.Kind.PUBLIC_KEY,
             wire.encode_public_key(context.keys.public_key()),
         )
-        wire.write_frame(
-            self._writer, wire.Kind.SWITCH_KEY, wire.encode_switch_key(evk_in)
-        )
         await self._writer.drain()
 
-        kind, payload = await wire.read_frame(self._reader)
+        kind, payload = await wire.read_frame(self._reader, self._frame_limit)
         if kind == wire.Kind.ERROR:
             raise JobRejected(wire.decode_json(payload))
         if kind != wire.Kind.ENROLLED:
@@ -136,8 +135,9 @@ class FheClient:
     ) -> JobResult:
         """Encrypt ``values`` into the session's home lanes, run ``program``.
 
-        Every other slot is sent as zero: the server packs by adding
-        tenants' ciphertexts (see :mod:`repro.serve.batching`).
+        The ciphertext is encrypted to the batch public key and every
+        other slot is sent as zero: the server packs by adding tenants'
+        ciphertexts (see :mod:`repro.serve.batching`).
 
         Raises :class:`JobRejected` when admission (or execution)
         refuses the job; the exception carries the verdict's diagnostic
@@ -152,7 +152,7 @@ class FheClient:
         message = np.zeros(self.slots, dtype=np.complex128)
         start = self.lane_offset
         message[start : start + len(values)] = np.asarray(values, dtype=np.complex128)
-        ct = self.keys.context.encrypt(message)
+        ct = self.keys.context.encrypt(message, public_key=self.keys.batch_pk)
 
         wire.write_frame(
             self._writer,
@@ -167,7 +167,7 @@ class FheClient:
         )
         await self._writer.drain()
 
-        kind, payload = await wire.read_frame(self._reader)
+        kind, payload = await wire.read_frame(self._reader, self._frame_limit)
         if kind == wire.Kind.ERROR:
             raise JobRejected(wire.decode_json(payload))
         if kind != wire.Kind.RESULT:
@@ -183,7 +183,7 @@ class FheClient:
             raise RuntimeError("enroll() first")
         wire.write_frame(self._writer, wire.Kind.STATS_REQUEST)
         await self._writer.drain()
-        kind, payload = await wire.read_frame(self._reader)
+        kind, payload = await wire.read_frame(self._reader, self._frame_limit)
         if kind != wire.Kind.STATS:
             raise wire.WireError(f"expected STATS, got {kind.name}")
         return wire.decode_json(payload)

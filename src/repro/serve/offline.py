@@ -9,12 +9,11 @@ any job is submitted:
    full parameter spec plus the batch public key;
 2. the client builds its own :class:`~repro.ckks.context.CkksContext`
    from the spec (the tenant secret is sampled client-side and never
-   serialized), then sends back its public key and ``evk_in`` — the
-   tenant-to-batch switch key, pk-encrypted under the *batch* public
-   key so the client needs no server secrets to make it;
-3. the server completes the pair with ``evk_out`` (batch-to-tenant,
-   made under the tenant's public key), assigns the session its home
-   lanes and opens it.
+   serialized), keeps the batch public key — every job is encrypted
+   *to* it — and sends back its own public key, nothing else;
+3. the server makes the session's one bridge key, ``evk_out``
+   (batch-to-tenant, under the tenant's public key, never sent
+   anywhere), assigns the session its home lanes and opens it.
 
 Presets are built lazily and cached: a server that only ever sees
 36-bit tenants never pays for the 62-bit modulus chain.
@@ -23,12 +22,12 @@ Presets are built lazily and cached: a server that only ever sees
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.check.ckks_check import AbstractParams
 from repro.check.noise_check import NoiseParams
 from repro.params.presets import negotiate_word_bits
-from repro.serve.session import SwitchKey, TenantSession
+from repro.serve.session import TenantSession
 
 if TYPE_CHECKING:
     from repro.ckks.context import CkksContext, CkksParams
@@ -61,7 +60,6 @@ class ServePreset:
     evaluator: "Evaluator" = field(repr=False)
     abstract: AbstractParams = field(repr=False)
     noise: NoiseParams = field(repr=False)
-    lane_cursor: int = 0  # where the next session's home lanes start
 
     @classmethod
     def build(cls, word_bits: int, seed: int) -> "ServePreset":
@@ -91,13 +89,20 @@ class ServePreset:
     def slots(self) -> int:
         return self.params.slots
 
-    def assign_lanes(self, width: int) -> int:
-        """Offset of the next home-lane block; a block that would run past
-        ``slots`` wraps to 0, after which lanes are shared between sessions
-        (the batcher never packs two overlapping sessions together)."""
-        offset = self.lane_cursor if self.lane_cursor + width <= self.slots else 0
-        self.lane_cursor = offset + width
-        return offset
+    def assign_lanes(self, width: int, live: Iterable[TenantSession] = ()) -> int:
+        """Offset of a new session's home lanes: the ``width``-aligned block
+        the fewest ``live`` sessions of this preset hold, lowest first.
+        Lanes are therefore shared only while more sessions are live than
+        the ring has blocks (the batcher never packs two overlapping
+        sessions together)."""
+
+        def holders(offset: int) -> int:
+            return sum(
+                s.lane_offset < offset + width and offset < s.lane_offset + s.width
+                for s in live
+            )
+
+        return min(range(0, self.slots - width + 1, width), key=holders)
 
     def batch_public_key(self) -> tuple["RnsPolynomial", "RnsPolynomial"]:
         return self.context.keys.public_key()
@@ -138,9 +143,10 @@ class ServeOffline:
         word_bits: int,
         width: int,
         tenant_pk: tuple["RnsPolynomial", "RnsPolynomial"],
-        evk_in: SwitchKey,
+        live: Iterable[TenantSession] = (),
     ) -> TenantSession:
-        """Finish the ceremony server-side and open the session."""
+        """Finish the ceremony server-side and open the session, its home
+        lanes clear of the preset's ``live`` sessions where the ring allows."""
         preset = self.preset(word_bits)
         if width < 1 or width > preset.slots:
             raise ValueError(
@@ -151,9 +157,7 @@ class ServeOffline:
             session_id=TenantSession.fresh_id(),
             word_bits=word_bits,
             width=width,
-            lane_offset=preset.assign_lanes(width),
-            tenant_pk=tenant_pk,
-            evk_in=evk_in,
+            lane_offset=preset.assign_lanes(width, live),
             evk_out=evk_out,
         )
 
@@ -162,29 +166,12 @@ class ServeOffline:
 class TenantKeys:
     """Client-side product of the offline ceremony (see module doc)."""
 
-    context: "CkksContext" = field(repr=False)
-    evk_in: SwitchKey | None = field(repr=False, default=None)
+    context: "CkksContext" = field(repr=False)  # holds the tenant secret
+    batch_pk: tuple["RnsPolynomial", "RnsPolynomial"] = field(repr=False)
 
     def __repr__(self) -> str:
-        # Digest-only: the context holds the tenant secret, and evk_in is
-        # megabytes of limbs — neither belongs in a log line.
-        return (
-            f"TenantKeys(secret={self.context.keys.secret.digest()}, "
-            f"evk_digits={len(self.evk_in or ())}, redacted)"
-        )
+        # Digest-only: the context holds the tenant secret, and a public
+        # key is megabytes of limbs — neither belongs in a log line.
+        return f"TenantKeys(secret={self.context.keys.secret.digest()}, redacted)"
 
     __str__ = __repr__
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: dict[str, object],
-        batch_pk: tuple["RnsPolynomial", "RnsPolynomial"],
-        seed: int,
-    ) -> "TenantKeys":
-        from repro.ckks.context import CkksContext, CkksParams
-
-        params = CkksParams.from_spec(spec)
-        context = CkksContext(params, seed=seed)
-        evk_in = context.keys.make_switch_key(batch_pk)
-        return cls(context=context, evk_in=evk_in)

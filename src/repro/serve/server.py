@@ -5,14 +5,16 @@ Request lifecycle (the load-bearing design point is step 3):
 1. **enroll** — the connection runs the offline ceremony of
    :mod:`repro.serve.offline` and gets a :class:`TenantSession`;
 2. **submit** — a ``JOB`` frame carries the program IR plus one
-   ciphertext encrypted under the tenant's own key;
+   ciphertext the tenant encrypted to the preset's batch public key;
 3. **admit** — the program, wrapped in the batching pipeline's fixed
    overhead (:func:`repro.serve.batching.service_wrapped`), is folded
    over the abstract domains of :mod:`repro.check.admission`.  A
    rejected job is answered from the verdict's diagnostic codes and
    *never reaches the engine*: the rejection path executes zero
    evaluator operations, zero NTTs — the server's compute stays
-   reserved for jobs that are proven to succeed;
+   reserved for jobs that are proven to succeed.  So is a ciphertext
+   not in the preset's fresh state (``WIRE-CT-STATE``): ingress is a
+   bare add, and it would fail its batch-mates too;
 4. **batch** — admitted jobs wait in the batch window.  A connection
    has one job in flight, so the window closes at the first of:
    ``max_batch`` jobs or a ring's worth of lanes (``full``), every live
@@ -21,11 +23,12 @@ Request lifecycle (the load-bearing design point is step 3):
    jobs sharing a ``(word_bits, program digest)`` batch key at their
    sessions' home lanes;
 5. **execute** — ingress drops each ciphertext to the level admission
-   proved sufficient, switches it to the batch key and adds it into the
-   shared ciphertext; the program body runs through the certificate
-   gate (:meth:`FheServer._execute_scheduled`; certificates are cached
-   per program digest, least recently used evicted); egress masks each
-   session's lanes and switches them to the tenant key;
+   proved sufficient and adds it into the shared ciphertext (it is
+   already under the batch key); the program body runs through the
+   certificate gate (:meth:`FheServer._execute_scheduled`; certificates
+   are cached per program digest, least recently used evicted); egress
+   masks each session's lanes and switches them to the tenant key, the
+   one key switch the service adds to a job;
 6. **respond** — each tenant gets its lanes back under its own key,
    with per-request metrics (queue wait and what closed the window,
    verify time, ingress / program / egress time, batch occupancy) in
@@ -35,6 +38,7 @@ Request lifecycle (the load-bearing design point is step 3):
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import time
 from collections import OrderedDict, deque
@@ -209,12 +213,33 @@ class FheServer:
         session = None
         try:
             session, preset = await self._enroll(reader, writer)
-            if session is None or preset is None:
-                return
+            # Live (its home lanes taken, its vote in the window rule) from
+            # here to the ``finally``: no await since the lanes were chosen.
             self.sessions[session.session_id] = session
+            _log.info(
+                "enrolled session=%s word_bits=%d width=%d",
+                session.session_id,
+                session.word_bits,
+                session.width,
+            )
+            wire.write_frame(
+                writer,
+                wire.Kind.ENROLLED,
+                wire.encode_json(
+                    {
+                        "session_id": session.session_id,
+                        "word_bits": session.word_bits,
+                        "width": session.width,
+                        "lane_offset": session.lane_offset,
+                        "slots": preset.slots,
+                    }
+                ),
+            )
+            await writer.drain()
+            limit = wire.frame_limit(preset.params)
             while True:
                 try:
-                    kind, payload = await wire.read_frame(reader)
+                    kind, payload = await wire.read_frame(reader, limit)
                 except asyncio.IncompleteReadError:
                     break  # clean hang-up
                 if kind == wire.Kind.BYE:
@@ -251,12 +276,12 @@ class FheServer:
 
     async def _enroll(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> tuple[TenantSession | None, ServePreset | None]:
-        kind, payload = await wire.read_frame(reader)
+    ) -> tuple[TenantSession, ServePreset]:
+        """Negotiate and exchange public keys; any deviation is a
+        :class:`~repro.serve.wire.WireError` (one ``ERROR``, then closed)."""
+        kind, payload = await wire.read_frame(reader, wire.HANDSHAKE_FRAME_LIMIT)
         if kind != wire.Kind.HELLO:
-            self._send_error(writer, f"expected HELLO, got {kind.name}")
-            await writer.drain()
-            return None, None
+            raise wire.WireError(f"expected HELLO, got {kind.name}")
         hello = wire.decode_json(payload)
         try:
             requested = int(hello["requested_bits"])  # type: ignore[arg-type]
@@ -268,9 +293,7 @@ class FheServer:
                     f"lane width {width} out of range [1, {preset.slots}]"
                 )
         except (KeyError, TypeError, ValueError) as exc:
-            self._send_error(writer, f"negotiation failed: {exc}")
-            await writer.drain()
-            return None, None
+            raise wire.WireError(f"negotiation failed: {exc}") from exc
 
         wire.write_frame(
             writer,
@@ -291,42 +314,15 @@ class FheServer:
         )
         await writer.drain()
 
-        ring = preset.context.ring
-        kind, payload = await wire.read_frame(reader)
+        kind, payload = await wire.read_frame(reader, wire.frame_limit(preset.params))
         if kind != wire.Kind.PUBLIC_KEY:
-            self._send_error(writer, f"expected PUBLIC_KEY, got {kind.name}")
-            await writer.drain()
-            return None, None
-        tenant_pk = wire.decode_public_key(payload, ring)
-        kind, payload = await wire.read_frame(reader)
-        if kind != wire.Kind.SWITCH_KEY:
-            self._send_error(writer, f"expected SWITCH_KEY, got {kind.name}")
-            await writer.drain()
-            return None, None
-        evk_in = wire.decode_switch_key(payload, ring)
-
-        session = self.offline.enroll(word_bits, width, tenant_pk, evk_in)
-        _log.info(
-            "enrolled session=%s word_bits=%d width=%d",
-            session.session_id,
-            word_bits,
-            width,
-        )
-        wire.write_frame(
-            writer,
-            wire.Kind.ENROLLED,
-            wire.encode_json(
-                {
-                    "session_id": session.session_id,
-                    "word_bits": word_bits,
-                    "width": width,
-                    "lane_offset": session.lane_offset,
-                    "slots": preset.slots,
-                }
-            ),
-        )
-        await writer.drain()
-        return session, preset
+            raise wire.WireError(f"expected PUBLIC_KEY, got {kind.name}")
+        tenant_pk = wire.decode_public_key(payload, preset.context.ring)
+        live = [s for s in self.sessions.values() if s.word_bits == word_bits]
+        try:
+            return self.offline.enroll(word_bits, width, tenant_pk, live), preset
+        except ValueError as exc:  # a key over the wrong basis or in the wrong form
+            raise wire.WireError(f"enrollment failed: {exc}") from exc
 
     async def _handle_job(
         self,
@@ -363,30 +359,37 @@ class FheServer:
         )
         self.metrics.verify_seconds_total += verdict.verify_seconds
         if not verdict.admitted:
-            self.metrics.jobs_rejected += 1
-            session.jobs_rejected += 1
-            _log.info(
-                "job rejected job=%s program=%s codes=%s",
-                job_id,
-                program.digest(),
-                ",".join(sorted(verdict.error_codes)),
-            )
-            wire.write_frame(
+            await self._refuse(
+                session,
                 writer,
-                wire.Kind.ERROR,
-                wire.encode_json(
-                    {
-                        "job_id": job_id,
-                        "error": "admission rejected",
-                        "verdict": verdict.to_dict(),
-                    }
-                ),
+                job_id,
+                sorted(verdict.error_codes),
+                "admission rejected",
+                verdict=verdict.to_dict(),
             )
-            await writer.drain()
             return
 
-        # Only now is the ciphertext worth decoding.
+        # Only now is the ciphertext worth decoding.  Ingress is a bare
+        # add into a ciphertext shared with other tenants, so anything
+        # but the preset's fresh state is refused here, for this job only.
         ct_in = wire.decode_ciphertext(ct_blob, preset.context.ring)
+        fresh = preset.params.usable_level
+        if not (
+            ct_in.level == fresh
+            and ct_in.moduli == preset.params.active_moduli(fresh)
+            and ct_in.scale == preset.params.scale
+            and ct_in.c0.ntt_form
+            and ct_in.c1.ntt_form
+        ):
+            await self._refuse(
+                session,
+                writer,
+                job_id,
+                ["WIRE-CT-STATE"],
+                f"ciphertext is not a fresh level-{fresh} encryption at the "
+                f"negotiated scale and chain, in NTT form",
+            )
+            return
         self.metrics.jobs_admitted += 1
         session.jobs_admitted += 1
         _log.info(
@@ -410,7 +413,7 @@ class FheServer:
             ct_out, meta = await future
         except Exception as exc:  # noqa: BLE001 - surfaced to the tenant
             self.metrics.jobs_failed += 1
-            self._send_rejection(writer, job_id, ["EXEC-FAILED"], str(exc))
+            self._send_error(writer, str(exc), job_id=job_id, codes=["EXEC-FAILED"])
             await writer.drain()
             return
         total = time.perf_counter() - submitted_at
@@ -514,18 +517,14 @@ class FheServer:
     def _execute_plan(
         self, preset: ServePreset, plan: BatchPlan, spare: int
     ) -> tuple[list["Ciphertext"], dict[str, float]]:
-        """Trim, ingress-switch, pack; run the scheduled trace; mask, egress-switch."""
+        """Trim and pack (HADD); run the scheduled trace; mask, egress-switch."""
         ev = preset.evaluator
         level = preset.abstract.fresh_level - spare
         t0 = time.perf_counter()
-        packed: Ciphertext | None = None
-        for job in plan.jobs:
-            ct = ev.apply_switch_key(
-                ev.drop_to_level(job.ciphertext, level), job.session.evk_in
-            )
-            packed = ct if packed is None else ev.add(packed, ct)
-        assert packed is not None
-        self.metrics.engine_invocations += 2 * plan.size - 1
+        packed = functools.reduce(
+            ev.add, (ev.drop_to_level(job.ciphertext, level) for job in plan.jobs)
+        )
+        self.metrics.engine_invocations += plan.size - 1
         t1 = time.perf_counter()
 
         out = self._execute_scheduled(preset, plan.program, packed)
@@ -622,22 +621,23 @@ class FheServer:
         payload["presets_built"] = sorted(self.offline._presets)
         return payload
 
-    def _send_error(self, writer: asyncio.StreamWriter, message: str) -> None:
+    def _send_error(self, writer: asyncio.StreamWriter, message: str, **fields: Any) -> None:
         wire.write_frame(
-            writer, wire.Kind.ERROR, wire.encode_json({"error": message})
+            writer, wire.Kind.ERROR, wire.encode_json({"error": message, **fields})
         )
 
-    def _send_rejection(
+    async def _refuse(
         self,
+        session: TenantSession,
         writer: asyncio.StreamWriter,
         job_id: str,
         codes: list[str],
         message: str,
+        **fields: Any,
     ) -> None:
-        wire.write_frame(
-            writer,
-            wire.Kind.ERROR,
-            wire.encode_json(
-                {"job_id": job_id, "error": message, "codes": codes}
-            ),
-        )
+        """Answer a job nothing has run for with its diagnostic codes."""
+        self.metrics.jobs_rejected += 1
+        session.jobs_rejected += 1
+        _log.info("job rejected job=%s codes=%s", job_id, ",".join(codes))
+        self._send_error(writer, message, job_id=job_id, codes=codes, **fields)
+        await writer.drain()

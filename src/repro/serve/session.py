@@ -1,19 +1,20 @@
 """Per-tenant session state on the server side.
 
-A session is the product of the offline enrollment ceremony: the tenant
-holds its own :class:`~repro.ckks.context.CkksContext` (secret never
-leaves the client), the server holds the two proxy re-encryption keys
-that bridge the tenant's secret and the preset's shared batch secret:
+A session is the product of the offline enrollment ceremony.  The
+tenant holds its own :class:`~repro.ckks.context.CkksContext` (its
+secret never leaves the client) and encrypts every job *to the batch
+public key*, so its ciphertexts arrive already under the preset's
+shared batch secret and ingress needs no key at all.  The server holds
+one bridge key per session:
 
-* ``evk_in`` — made *client-side* under the batch public key; switches
-  a tenant-encrypted ciphertext onto the batch secret for packing;
 * ``evk_out`` — made *server-side* under the tenant public key;
-  switches each tenant's masked slice of the batch result back so only
-  that tenant can decrypt it.
+  switches the tenant's masked slice of the batch result onto the
+  tenant's secret, so only that tenant can decrypt it.
 
-Neither party ever sees the other's secret key; both switch keys are
-public-key encryptions of key material, which is exactly why the
-ceremony is safe to run over the wire.
+``evk_out`` is a public-key encryption of the *batch* secret's digits
+under the tenant's key: it stays on the server and must never be sent
+to a tenant, who could decrypt it.  The only image of a tenant secret
+that ever leaves the client is its public key.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.ckks.context import EvalKey as SwitchKey
-
 if TYPE_CHECKING:
     from repro.ckks.cipher import Plaintext
-    from repro.rns.poly import RnsPolynomial
+    from repro.ckks.context import EvalKey
 
-__all__ = ["SwitchKey", "TenantSession"]
+__all__ = ["TenantSession"]
 
 _session_counter = itertools.count(1)
 
@@ -41,12 +40,9 @@ class TenantSession:
     word_bits: int
     width: int  # slots this tenant owns in any shared ciphertext
     lane_offset: int  # home lanes: [lane_offset, lane_offset + width), fixed for life
-    # Key material is excluded from repr: switch keys are safe to hold
-    # (public-key encryptions) but megabytes of limbs have no business in
-    # a log line or a debugger echo.
-    tenant_pk: tuple["RnsPolynomial", "RnsPolynomial"] = field(repr=False)
-    evk_in: SwitchKey = field(repr=False)  # tenant secret -> batch secret
-    evk_out: SwitchKey = field(repr=False)  # batch secret -> tenant secret
+    # Excluded from repr: megabytes of limbs have no business in a log
+    # line or a debugger echo.
+    evk_out: "EvalKey" = field(repr=False)  # batch secret -> tenant secret
     # Egress lane masks by level: encoded on first use, freed with the session.
     masks: dict[int, "Plaintext"] = field(default_factory=dict, repr=False)
     jobs_submitted: int = 0

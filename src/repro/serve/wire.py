@@ -10,8 +10,10 @@ this module defines it.  Every message is one *frame*:
 
 (all little-endian).  A reader rejects — with :class:`WireError`, never
 a crash — bad magic, unknown versions, unknown kinds, truncated
-payloads, and oversized length claims, so a malformed peer cannot wedge
-the server loop.
+payloads, and length claims past its connection's limit
+(:data:`HANDSHAKE_FRAME_LIMIT` until the parameters are negotiated,
+:func:`frame_limit` of them after), so a malformed peer can neither
+wedge the server loop nor make it reserve memory.
 
 Payloads compose from two building blocks:
 
@@ -19,8 +21,9 @@ Payloads compose from two building blocks:
   nest JSON metadata next to binary ciphertext in one frame;
 * *poly blocks* — an ``(limb_count, degree, ntt_flag)`` header, the
   modulus chain as ``u64`` words, then the limb matrix verbatim; the
-  self-describing unit ciphertexts, public keys, and switch-key digit
-  lists are built from.
+  self-describing unit ciphertexts, public keys, and evaluation-key
+  digit lists are built from (no frame carries an evaluation key; the
+  codec serves tests and tooling).
 
 Scales travel as IEEE doubles (they are floats in the library), limbs
 as canonical ``uint64`` residues; decode validates residue ranges so a
@@ -69,12 +72,14 @@ __all__ = [
     "decode_params",
     "encode_program",
     "decode_program",
+    "HANDSHAKE_FRAME_LIMIT",
+    "frame_limit",
     "read_frame",
     "write_frame",
 ]
 
 MAGIC = b"SHRP"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sHHQ")
 _BLOB_LEN = struct.Struct("<I")
@@ -82,17 +87,25 @@ _POLY_HEADER = struct.Struct("<IIB")
 _CT_HEADER = struct.Struct("<Id")
 _KEY_COUNT = struct.Struct("<I")
 
-# A length claim past this is an attack or a bug, not a ciphertext.
-MAX_PAYLOAD_BYTES = 1 << 31
+# The largest payload a peer may announce before the parameters are
+# agreed (HELLO, PARAMS, ERROR: small JSON), and the slack granted on top
+# of the key material afterwards (poly headers, job metadata, program).
+HANDSHAKE_FRAME_LIMIT = 1 << 16
+
+
+def frame_limit(params: CkksParams) -> int:
+    """Payload cap once ``params`` are negotiated: a public key over the
+    full basis — the largest thing either side sends — plus slack."""
+    return 2 * len(params.full_basis) * params.degree * 8 + HANDSHAKE_FRAME_LIMIT
 
 
 class Kind(IntEnum):
-    """Frame kinds of protocol version 1."""
+    """Frame kinds of protocol version 2 (4 was version 1's ``SWITCH_KEY``,
+    the tenant-made switch key: retired, not to be reused)."""
 
     HELLO = 1  # client -> server: negotiation request (JSON)
     PARAMS = 2  # server -> client: negotiated preset (JSON + spec)
-    PUBLIC_KEY = 3  # tenant public key (poly pair)
-    SWITCH_KEY = 4  # client -> server: evk tenant -> batch secret
+    PUBLIC_KEY = 3  # batch key to the client, then tenant key back (poly pair)
     ENROLLED = 5  # server -> client: session acknowledgement (JSON)
     JOB = 6  # client -> server: [meta JSON, program JSON, ciphertext]
     RESULT = 7  # server -> client: [meta JSON, ciphertext]
@@ -113,23 +126,26 @@ def encode_frame(kind: Kind, payload: bytes = b"") -> bytes:
     return _HEADER.pack(MAGIC, VERSION, int(kind), len(payload)) + payload
 
 
-def decode_frame(data: bytes) -> tuple[Kind, bytes]:
-    """Decode one complete frame; rejects anything malformed."""
-    if len(data) < _HEADER.size:
-        raise WireError(f"truncated header: {len(data)} < {_HEADER.size} bytes")
-    magic, version, kind_raw, length = _HEADER.unpack_from(data)
+def _parse_header(header: bytes) -> tuple[Kind, int]:
+    """Frame kind and payload length claim; rejects anything malformed."""
+    magic, version, kind_raw, length = _HEADER.unpack(header)
     if magic != MAGIC:
         # Never echo the received bytes: a frame that missed its magic is
         # attacker- (or bug-) controlled content and must not reach logs.
         raise WireError(f"bad magic in frame header (want {MAGIC!r})")
     if version != VERSION:
         raise WireError(f"unsupported wire version {version} (speak {VERSION})")
-    if length > MAX_PAYLOAD_BYTES:
-        raise WireError(f"payload length {length} exceeds the {MAX_PAYLOAD_BYTES} cap")
     try:
-        kind = Kind(kind_raw)
+        return Kind(kind_raw), length
     except ValueError as exc:
         raise WireError(f"unknown frame kind {kind_raw}") from exc
+
+
+def decode_frame(data: bytes) -> tuple[Kind, bytes]:
+    """Decode one complete frame; rejects anything malformed."""
+    if len(data) < _HEADER.size:
+        raise WireError(f"truncated header: {len(data)} < {_HEADER.size} bytes")
+    kind, length = _parse_header(data[: _HEADER.size])
     payload = data[_HEADER.size :]
     if len(payload) != length:
         raise WireError(
@@ -339,27 +355,19 @@ def decode_program(data: bytes) -> EvalProgram:
 # -- stream I/O --------------------------------------------------------------
 
 
-async def read_frame(reader: "asyncio.StreamReader") -> tuple[Kind, bytes]:
-    """Read exactly one frame from an asyncio stream.
+async def read_frame(reader: "asyncio.StreamReader", limit: int) -> tuple[Kind, bytes]:
+    """Read exactly one frame of at most ``limit`` payload bytes.
 
-    Raises :class:`WireError` on any protocol violation and
+    Raises :class:`WireError` on any protocol violation — a longer
+    length claim is refused before a byte of it is read — and
     ``asyncio.IncompleteReadError`` only for a clean EOF before the
     first header byte (so servers can tell hang-ups from attacks).
     """
     import asyncio
 
-    header = await reader.readexactly(_HEADER.size)
-    magic, version, kind_raw, length = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise WireError(f"bad magic in frame header (want {MAGIC!r})")
-    if version != VERSION:
-        raise WireError(f"unsupported wire version {version} (speak {VERSION})")
-    if length > MAX_PAYLOAD_BYTES:
-        raise WireError(f"payload length {length} exceeds the {MAX_PAYLOAD_BYTES} cap")
-    try:
-        kind = Kind(kind_raw)
-    except ValueError as exc:
-        raise WireError(f"unknown frame kind {kind_raw}") from exc
+    kind, length = _parse_header(await reader.readexactly(_HEADER.size))
+    if length > limit:
+        raise WireError(f"payload length {length} exceeds this connection's {limit} cap")
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:

@@ -54,6 +54,7 @@ class TestModRaise:
             bts.mod_raise(ct)
 
 
+@pytest.mark.slow
 class TestBootstrap:
     def test_precision(self, boot_context, boot_evaluator, bts, rng):
         """Bootstrapping keeps >= 10 bits at the 2^23 working scale,

@@ -5,6 +5,7 @@ HMult, HRot, plus rescaling (single- and double-prime) and level/scale
 management.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,88 @@ class TestEncryptDecrypt:
         ct = small_context.encrypt(msg(rng))
         with pytest.raises(ValueError):
             Ciphertext(ct.c0, ct.c1.drop_limbs(1), ct.level, ct.scale)
+
+    def test_symmetric_bits_are_the_two_transform_form(self, small_context, rng):
+        """Message and noise share one forward transform; under a fixed
+        seed not a bit moves (same draws in the same order, and the NTT is
+        linear on canonical residues) — against the two-transform
+        composition, and against a digest taken before the change."""
+        from repro.ckks.context import CkksContext
+
+        m = msg(np.random.default_rng(7))
+        one, two = (CkksContext(small_context.params, seed=4321) for _ in range(2))
+        digest = hashlib.sha256()
+        for level in (6, 2):
+            ct = one.encrypt(m, level=level)
+            moduli = two.params.active_moduli(level)
+            pt = two.encoder.encode(m, moduli, two.params.scale)
+            a = two.keys.uniform_poly(moduli)
+            e = two.keys.error_poly(moduli).to_ntt()
+            b = -(a * two.keys.secret_poly(moduli)) + e + pt
+            assert np.array_equal(ct.c0.limbs, b.limbs) and np.array_equal(ct.c1.limbs, a.limbs)
+            digest.update(ct.c0.limbs.tobytes() + ct.c1.limbs.tobytes())
+        assert digest.hexdigest() == (
+            "8036f6bce11e32f4036c9e167d2e02fe27c76f1fa2f37e744895bf31d6438895"
+        )
+
+    def test_encrypt_to_a_public_key(self, small_context, rng):
+        """``public_key`` says whom the ciphertext is for: its owner
+        decrypts, at any level (the key restricts limb-wise), and the
+        encryptor's own secret does not."""
+        from repro.ckks.context import CkksContext
+
+        other = CkksContext(small_context.params, seed=77)
+        m = msg(rng)
+        for level in (6, 1):
+            ct = small_context.encrypt(m, level=level, public_key=other.keys.public_key())
+            assert ct.level == level and ct.c0.ntt_form and ct.c1.ntt_form
+            assert np.max(np.abs(other.decrypt(ct) - m)) < 1e-4
+            assert np.max(np.abs(small_context.decrypt(ct) - m)) > 1.0
+        with pytest.raises(ValueError, match="prefix"):
+            pk_b, pk_a = other.keys.public_key()
+            small_context.encrypt(m, public_key=(pk_b.drop_limbs(6), pk_a.drop_limbs(6)))
+
+    @pytest.mark.parametrize("bits", [28, 36, 50, 62])
+    def test_public_key_noise_is_inside_the_modelled_fresh_term(self, bits):
+        """What a serve tenant does — encrypt to the batch key at the
+        preset's scale — must stay under ``NoiseParams.fresh_std``, the
+        source term every admission floor starts from.  Same ring, slot
+        count, secret weight and scale as the serve presets; at 62 bits
+        the chain is built for a 54-bit scale (the native 68-bit base is
+        an 85 s prime search) and only the encryption scale is 2**61 —
+        fresh noise does not depend on the moduli.
+        """
+        from dataclasses import replace
+
+        from repro.check.noise_check import NoiseParams
+        from repro.ckks.context import CkksContext
+        from repro.serve.offline import SERVE_DEGREE
+
+        scale_bits = bits - 1
+        params = replace(
+            make_params(
+                degree=SERVE_DEGREE, scale_bits=min(scale_bits, 54), depth=1, word_bits=bits
+            ),
+            scale_bits=scale_bits,
+        )
+        tenant, batch = CkksContext(params, seed=bits), CkksContext(params, seed=bits + 1)
+        rng = np.random.default_rng(bits)
+
+        def rms(public_key):
+            errors = []
+            for _ in range(4):
+                m = msg(rng, params.slots)
+                ct = tenant.encrypt(m, public_key=public_key)
+                owner = tenant if public_key is None else batch
+                errors.append(owner.decrypt(ct) - m)
+            return float(np.sqrt(np.mean(np.abs(np.concatenate(errors)) ** 2)))
+
+        symmetric, public = rms(None), rms(batch.keys.public_key())
+        modelled = NoiseParams(scale_bits=scale_bits).fresh_std
+        # v*e + e0 + e1*s against e: sqrt(2h + 1) ~ 11x, 3.5 bits (less at
+        # a 2**61 scale, where float64 decoding floors the symmetric error).
+        assert symmetric < public < modelled
+        assert bits == 62 or public > 8 * symmetric
 
 
 class TestAdditive:

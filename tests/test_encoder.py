@@ -1,5 +1,7 @@
 """Tests for the CKKS canonical-embedding encoder."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ckks.encoder import CkksEncoder
 from repro.params.primes import find_ss_primes
-from repro.rns.poly import RingContext
+from repro.rns.poly import RingContext, RnsPolynomial
 
 # Two ~2^30 NTT primes for N = 2^11.
 MODULI = tuple(find_ss_primes(1 << 12, 30, 2, word_bits=31))
@@ -104,3 +106,42 @@ class TestPlaintextEncode:
         pt = encoder.encode(np.full(256, value), MODULI, scale=2.0**24)
         back = encoder.decode(pt, 2.0**24)
         assert np.max(np.abs(back - value)) < 1e-4
+
+
+class TestDecodeReconstruction:
+    """One or two limbs below 2**31 reconstruct in uint64 lanes (Garner);
+    the result must be the big-integer CRT's, to the last bit."""
+
+    # (moduli, takes the vectorised path)
+    CHAINS = [
+        ((2056193,), True),
+        ((2056193, 2101249), True),  # the 36-bit serve preset's base pair
+        ((2147483647, 2147483629), True),  # both just under 2**31
+        ((2101249, 5), True),  # lopsided: the centring wrap is a0-dominated
+        ((2147483659, 2056193), False),  # one limb past 2**31: big-int path
+        (MODULI + (2056193,), False),  # three limbs: big-int path
+    ]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_to_int_coeffs(self, ring, encoder, data):
+        moduli, _ = data.draw(st.sampled_from(self.CHAINS))
+        half = math.prod(moduli) // 2
+        edges = [-half, -half + 1, -1, 0, 1, half - 1, half]
+        coeff = st.one_of(st.sampled_from(edges), st.integers(-half, half))
+        head = data.draw(st.lists(coeff, min_size=len(edges), max_size=32))
+        coeffs = edges + head + [0] * (ring.degree - len(edges) - len(head))
+        poly = RnsPolynomial.from_int_coeffs(ring, moduli, coeffs)
+        assert poly.to_int_coeffs() == coeffs
+        want = encoder.slots_from_coeffs(np.array([float(c) for c in coeffs]) / 2.0**20)
+        assert np.array_equal(encoder.decode(poly, 2.0**20), want)
+
+    @pytest.mark.parametrize("moduli, vectorised", CHAINS)
+    def test_path_taken(self, ring, encoder, monkeypatch, moduli, vectorised):
+        calls = []
+        original = RnsPolynomial.to_int_coeffs
+        monkeypatch.setattr(
+            RnsPolynomial, "to_int_coeffs", lambda self: calls.append(1) or original(self)
+        )
+        encoder.decode(RnsPolynomial.zero(ring, moduli, ntt_form=False), 2.0**20)
+        assert bool(calls) != vectorised

@@ -146,7 +146,10 @@ class TestChainKernel:
             kernels.ModulusKernel([97, 2])
 
 
-@pytest.mark.parametrize("bits", sorted(PRIMES))
+@pytest.mark.parametrize(
+    "bits",
+    [pytest.param(bits, marks=pytest.mark.slow) if bits == 62 else bits for bits in sorted(PRIMES)],
+)
 class TestNttRoundtrip:
     def test_roundtrip_bit_exact(self, bits):
         ctx = NttContext(64, _prime(bits, two_n=128))

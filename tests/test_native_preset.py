@@ -112,6 +112,7 @@ class TestNativeBootstrap:
         normal = native.params.steps[: self.BOOT["depth"]]
         assert all(len(s.primes) == 1 for s in normal)
 
+    @pytest.mark.slow
     def test_bootstrap_same_tolerance(self, boot_pair):
         rng = np.random.default_rng(21)
         m = rng.uniform(-1, 1, 512) + 1j * rng.uniform(-1, 1, 512)

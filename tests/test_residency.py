@@ -152,6 +152,7 @@ def test_rotate_hoisted_within_static_rotate_bound(slots):
 # -- (iii) compiled linear transforms -----------------------------------------
 
 
+@pytest.mark.slow
 def test_linear_transform_compiles_once(small_context, small_evaluator, monkeypatch):
     ctx, ev = small_context, small_evaluator
     n = ctx.params.slots
@@ -185,6 +186,7 @@ def test_linear_transform_compiles_once(small_context, small_evaluator, monkeypa
 # -- (iv) steady-state bootstrap -----------------------------------------------
 
 
+@pytest.mark.slow
 def test_second_bootstrap_rebuilds_nothing(monkeypatch):
     params = make_params(
         degree=1 << 9, slots=256, scale_bits=23, depth=2,
@@ -337,3 +339,48 @@ def test_real_scalar_fast_path(small_context, small_evaluator, value, monkeypatc
     assert len(encodes) == 2
     assert np.max(np.abs(ctx.decrypt(rotated) - 1j * z)) < 1e-4
 
+
+
+@pytest.mark.parametrize("bits", (28, 36))
+def test_level_management_encodes_nothing(bits, monkeypatch):
+    """``adjust`` / ``consume_level`` multiply by the constant 1: the
+    direct constant plaintext is the general encoder's, bit for bit, and
+    neither op reaches the encoder any more."""
+    params = build_native_ckks_params(bits, degree=1 << 10, depth=3)
+    ctx = CkksContext(params, seed=bits)
+    ev = Evaluator(ctx)
+    ones = np.ones(params.slots)
+    z = _message(ctx, seed=8)
+    ct = ctx.encrypt(z)
+    squared = ev.square(ct)  # off the nominal scale: adjust has work to do
+    step = params.step_at(squared.level).scale
+    for level, scale in (
+        (ct.level, params.step_at(ct.level).scale),  # consume_level's plaintext
+        (squared.level, params.scale * step / squared.scale),  # adjust's
+    ):
+        direct = ev._encode_scalar(1.0, level, scale)
+        general = ctx.encode(ones, level=level, scale=scale)
+        assert direct.scale == general.scale and direct.moduli == general.moduli
+        assert np.array_equal(direct.poly.limbs, general.poly.limbs)
+    encodes = _count_calls(monkeypatch, CkksContext, "encode")
+    burned = ev.consume_level(ct)
+    adjusted = ev.adjust(squared, squared.level - 1, params.scale)
+    assert not encodes
+    assert (burned.level, burned.scale) == (ct.level - 1, ct.scale)
+    assert (adjusted.level, adjusted.scale) == (squared.level - 1, params.scale)
+    assert np.max(np.abs(ctx.decrypt(burned) - z)) < 2.0 ** -(bits - 18)
+    assert np.max(np.abs(ctx.decrypt(adjusted) - z * z)) < 2.0 ** -(bits - 18)
+
+
+def test_constant_one_is_exact_at_the_boot_scale(boot_context, boot_evaluator):
+    """At a 2**50 step the encoder's float FFT leaves off-coefficients of
+    order ``scale * 1e-16`` — a rounding step from flipping to 1 — and
+    jitters coefficient 0; the direct plaintext is the constant
+    ``round(scale)`` and nothing else."""
+    params = boot_context.params
+    level = params.max_level
+    scale = params.step_at(level).scale
+    assert scale > 2.0**49
+    pt = boot_evaluator._encode_scalar(1.0, level, scale)
+    coeffs = pt.poly.from_ntt().to_int_coeffs()
+    assert coeffs == [round(scale)] + [0] * (params.degree - 1)

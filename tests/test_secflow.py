@@ -199,7 +199,7 @@ class TestRedaction:
     def test_keyset_and_tenantkeys_reprs_carry_no_coefficients(self):
         context = OFFLINE.preset(36).context
         keys = context.keys
-        blobs = [repr(keys), str(keys), repr(TenantKeys(context=context))]
+        blobs = [repr(keys), str(keys), repr(TenantKeys(context, keys.public_key()))]
         coeff_text = np.array2string(keys.secret.coeffs[:8])
         for text in blobs:
             assert "redacted" in text

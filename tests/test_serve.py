@@ -10,6 +10,7 @@ within the floor the admission pass proved.
 from __future__ import annotations
 
 import asyncio
+import struct
 from typing import Awaitable, Callable
 
 import numpy as np
@@ -17,6 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckks.cipher import Ciphertext
+from repro.ckks.context import CkksParams
+from repro.rns.poly import RnsPolynomial
+from repro.serve import wire
 from repro.serve.batching import BatchJob, plan_batches
 from repro.serve.client import FheClient, JobRejected
 from repro.serve.offline import ServeOffline
@@ -279,7 +284,7 @@ class TestPlanBatchesProperties:
         # Width-4 home lanes handed out the way enrollment does: the
         # fifth session wraps onto the first one's lanes and must split.
         sessions = [
-            TenantSession(f"s{i}", 36, 4, (4 * i) % self.SLOTS, None, None, None)  # type: ignore[arg-type]
+            TenantSession(f"s{i}", 36, 4, (4 * i) % self.SLOTS, None)  # type: ignore[arg-type]
             for i in range(6)
         ]
         pending = [
@@ -353,3 +358,192 @@ class TestBoundedMemory:
             await client.close()
 
         _run(scenario, batch_window=0.01)
+
+
+def _raw_frame(version: int, kind: int, payload: bytes = b"") -> bytes:
+    return struct.pack("<4sHHQ", wire.MAGIC, version, kind, len(payload)) + payload
+
+
+async def _replies(port: int, *frames: bytes) -> list[tuple[wire.Kind, bytes]]:
+    """Send raw bytes, then read to EOF: the server must answer and hang up."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"".join(frames))
+    await writer.drain()
+    data = await asyncio.wait_for(reader.read(-1), timeout=10)  # never a hang
+    writer.close()
+    return list(wire.iter_frames(data))
+
+
+class TestCeremony:
+    """Version 2: the tenant sends HELLO and its public key, nothing else."""
+
+    HELLO = wire.encode_frame(
+        wire.Kind.HELLO, wire.encode_json({"requested_bits": 36, "width": 2})
+    )
+
+    def test_client_sends_hello_and_public_key_only(self, monkeypatch):
+        sent: list[tuple[int, wire.Kind]] = []  # (sender's port, kind)
+        original = wire.write_frame
+
+        def recording(writer, kind, payload=b""):
+            sent.append((writer.get_extra_info("sockname")[1], kind))
+            return original(writer, kind, payload)
+
+        monkeypatch.setattr(wire, "write_frame", recording)
+
+        async def scenario(server: FheServer) -> None:
+            client = FheClient("127.0.0.1", server.port, seed=101)
+            await client.enroll(36, width=2)
+            assert [kind for port, kind in sent if port != server.port] == [
+                wire.Kind.HELLO,
+                wire.Kind.PUBLIC_KEY,
+            ]
+            assert [kind for port, kind in sent if port == server.port] == [
+                wire.Kind.PARAMS,
+                wire.Kind.PUBLIC_KEY,
+                wire.Kind.ENROLLED,
+            ]
+            # One bridge key per session, and it never left the server.
+            (session,) = server.sessions.values()
+            assert not hasattr(session, "evk_in") and len(session.evk_out) > 0
+            await client.close()
+
+        _run(scenario)
+
+    def test_old_peers_and_retired_frames_get_one_error_and_a_closed_door(self):
+        async def scenario(server: FheServer) -> None:
+            assert wire.VERSION == 2 and 4 not in set(wire.Kind)
+            for frames, prefix, needle in (
+                # a version-1 client's HELLO
+                ([_raw_frame(1, 1, wire.encode_json({"requested_bits": 36, "width": 2}))], [], "version 1"),
+                # version 1's SWITCH_KEY, where version 2 expects the tenant key
+                ([self.HELLO, _raw_frame(2, 4, b"\0" * 64)],
+                 [wire.Kind.PARAMS, wire.Kind.PUBLIC_KEY], "kind 4"),
+            ):  # fmt: skip
+                replies = await _replies(server.port, *frames)
+                assert [kind for kind, _ in replies] == [*prefix, wire.Kind.ERROR]
+                assert needle in wire.decode_json(replies[-1][1])["error"]
+            assert not server.sessions
+
+        _run(scenario)
+
+    def test_a_length_claim_is_refused_before_it_is_read(self):
+        # Only headers are sent: a server that tried to read the claimed
+        # payload would wait for it, and _replies would time out.
+        async def scenario(server: FheServer) -> None:
+            params = server.offline.preset(36).params
+            limit = wire.frame_limit(params)
+            assert limit == 2 * len(params.full_basis) * params.degree * 8 + (1 << 16)
+            early = struct.pack("<4sHHQ", wire.MAGIC, wire.VERSION, 1, (1 << 16) + 1)
+            late = struct.pack("<4sHHQ", wire.MAGIC, wire.VERSION, 3, limit + 1)
+            for frames, count in (([early], 1), ([self.HELLO, late], 3)):
+                replies = await _replies(server.port, *frames)
+                assert len(replies) == count and replies[-1][0] == wire.Kind.ERROR
+                assert "cap" in wire.decode_json(replies[-1][1])["error"]
+
+        _run(scenario)
+
+
+class TestCiphertextState:
+    """Ingress is a bare add into a ciphertext shared with other tenants:
+    a job whose ciphertext is not a fresh encryption is refused alone."""
+
+    @staticmethod
+    def _tamper(how: str, ct: Ciphertext, params: CkksParams) -> Ciphertext:
+        if how == "level":
+            keep = len(params.active_moduli(ct.level - 1))
+            c0, c1 = (p.drop_limbs(len(ct.moduli) - keep) for p in (ct.c0, ct.c1))
+            return Ciphertext(c0, c1, ct.level - 1, ct.scale)
+        if how == "level-header":
+            return Ciphertext(ct.c0, ct.c1, ct.level - 1, ct.scale)
+        if how == "scale":
+            return Ciphertext(ct.c0, ct.c1, ct.level, ct.scale * 2)
+        if how == "form":
+            return Ciphertext(ct.c0.from_ntt(), ct.c1.from_ntt(), ct.level, ct.scale)
+        assert how == "chain"
+        moduli = ct.moduli[:-1] + params.aux_primes[:1]
+        c0, c1 = (RnsPolynomial.zero(p.ring, moduli) for p in (ct.c0, ct.c1))
+        return Ciphertext(c0, c1, ct.level, ct.scale)
+
+    @pytest.mark.parametrize("how", ["level", "level-header", "scale", "form", "chain"])
+    def test_refused_alone_at_zero_engine_calls(self, how):
+        async def scenario(server: FheServer) -> None:
+            alice = FheClient("127.0.0.1", server.port, seed=121)
+            bob = FheClient("127.0.0.1", server.port, seed=122)
+            await asyncio.gather(alice.enroll(36, width=2), bob.enroll(36, width=2))
+            context = alice.keys.context
+            honest = context.encrypt
+            context.encrypt = lambda *args, **kwargs: self._tamper(
+                how, honest(*args, **kwargs), context.params
+            )
+            before = server.metrics.engine_invocations
+            with pytest.raises(JobRejected) as exc_info:
+                await alice.submit(_poly_program(), [0.5, 0.25])
+            assert exc_info.value.codes == ("WIRE-CT-STATE",)
+            assert server.metrics.engine_invocations == before
+            assert (server.metrics.jobs_admitted, server.metrics.jobs_rejected) == (0, 1)
+
+            # Side by side with an honest tenant: only alice's job fails.
+            refused, served = await asyncio.gather(
+                alice.submit(_poly_program(), [0.5, 0.25]),
+                bob.submit(_poly_program(), [0.5, 0.25]),
+                return_exceptions=True,
+            )
+            assert isinstance(refused, JobRejected) and refused.codes == ("WIRE-CT-STATE",)
+            assert served.meta["batch_size"] == 1
+            assert served.values[0].real == pytest.approx(0.625, abs=1e-3)
+            assert server.metrics.jobs_failed == 0
+
+            # ... and her session outlives it.
+            del context.encrypt
+            again = await alice.submit(_poly_program(), [0.5, 0.25])
+            assert again.values[0].real == pytest.approx(0.625, abs=1e-3)
+            await asyncio.gather(alice.close(), bob.close())
+
+        _run(scenario, batch_window=0.05)
+
+
+class TestHomeLanes:
+    def test_blocks_go_to_the_least_held_lanes(self):
+        preset = OFFLINE.preset(36)
+        width = preset.slots // 4
+
+        def session(offset: int, width: int = width) -> TenantSession:
+            return TenantSession("s", 36, width, offset, None)  # type: ignore[arg-type]
+
+        live: list[TenantSession] = []
+        for _ in range(5):
+            live.append(session(preset.assign_lanes(width, live)))
+        # Four fill the ring; the fifth has to share, lowest block first.
+        assert [s.lane_offset for s in live] == [0, width, 2 * width, 3 * width, 0]
+        del live[2]
+        live.append(session(preset.assign_lanes(width, live)))
+        assert live[-1].lane_offset == 2 * width  # the one free block
+        assert preset.assign_lanes(width, live) == width  # then the least shared
+        # Another width aligns to itself and still avoids what it can.
+        assert preset.assign_lanes(2 * width, [session(0)]) == 2 * width
+        assert preset.assign_lanes(preset.slots, [session(0)]) == 0
+
+    def test_a_hang_up_returns_its_lanes(self):
+        async def scenario(server: FheServer) -> None:
+            width = server.offline.preset(36).slots // 2
+            offsets = []
+            for cycle in range(3):  # slots / width + 1 sessions, one at a time
+                client = FheClient("127.0.0.1", server.port, seed=130 + cycle)
+                await client.enroll(36, width=width)
+                offsets.append(client.lane_offset)
+                await client.close()
+                for _ in range(200):  # the handler notices the hang-up
+                    if not server.sessions:
+                        break
+                    await asyncio.sleep(0.01)
+                assert not server.sessions
+            assert offsets == [0, 0, 0]  # more sessions than blocks, none shared
+            # Lanes are shared only while that many are live at once.
+            clients = [FheClient("127.0.0.1", server.port, seed=140 + i) for i in range(3)]
+            for client in clients:
+                await client.enroll(36, width=width)
+            assert [c.lane_offset for c in clients] == [0, width, 0]
+            await asyncio.gather(*(c.close() for c in clients))
+
+        _run(scenario)

@@ -16,6 +16,7 @@ import pytest
 from repro.check import AbstractParams, NoiseParams, admit_program
 from repro.check.admission import AdmissionVerdict
 from repro.check.ckks_check import SymbolicEvaluator
+from repro.ckks.context import CkksContext
 from repro.params.presets import boot_plan, build_native_ckks_params
 from repro.serve import wire
 from repro.serve.batching import BatchJob, plan_batches, service_wrapped
@@ -139,18 +140,34 @@ class TestAdmissionTable:
 
     @pytest.mark.parametrize(
         "build, floor",
-        [(_well_formed, 13.192191989401557), (_rotate_conjugate, 13.556529771443063)],
+        [(_well_formed, 13.244646770509181), (_rotate_conjugate, 13.624410577092497)],
+        ids=["poly", "rotconj"],
     )
     def test_same_floor(self, build, floor):
         verdict = self._admit(build(), min_floor_bits=1.0)
         assert verdict.admitted and verdict.codes == ()
         assert verdict.proven_floor_bits == floor
 
+    def test_the_service_charges_one_key_switch(self):
+        """The ``rotconj`` floor by hand, at K = 8 sigmas.
+
+        Two fresh operands meet in the program's ``add`` (``16 f``); the
+        ``8 o`` terms are the program's rotate and conjugate, the egress
+        mask multiply, and *one* service key switch, the egress one —
+        ingress is an add of ciphertexts already under the batch key.
+        The mask multiply's rescale jitters the bound it sees: the
+        message (1 + 1.25) plus the noise accumulated so far.
+        """
+        f, o, r = NOISE.fresh_std, NOISE.op_std, NOISE.relative_std
+        worst = 16 * f + 32 * o + 8 * r * (2.25 + 16 * f + 16 * o)
+        verdict = self._admit(_rotate_conjugate())
+        assert verdict.proven_floor_bits == pytest.approx(-np.log2(worst), rel=1e-12)
+
     def test_same_rejection_provenance(self):
         verdict = self._admit(_scale_mismatch(), min_floor_bits=1.0)
         assert verdict.error_codes == ("CKKS-SCALE-MISMATCH",)
         (diag,) = verdict.reports[0].errors
-        assert diag.op_index == 7  # pipeline coordinates: the ingress trim is call 1
+        assert diag.op_index == 6  # pipeline coordinates: the ingress trim is call 1
 
 
 def _rotsum() -> EvalProgram:
@@ -189,16 +206,13 @@ class TestAdmissionModelsWhatRuns:
         proven = service_wrapped(program, ev, ev.fresh(), preset.abstract.fresh_level - spare)
         assert ev.report.ok and proven.level == 0
 
-        tenant = TenantKeys.from_spec(
-            preset.params.to_spec(), preset.batch_public_key(), seed=bits
-        )
-        session = self.OFFLINE.enroll(
-            bits, 4, tenant.context.keys.public_key(), tenant.evk_in
-        )
+        tenant = TenantKeys(CkksContext(preset.params, seed=bits), preset.batch_public_key())
+        session = self.OFFLINE.enroll(bits, 4, tenant.context.keys.public_key())
         values = [0.5, -0.25, 0.125, 0.75]
         message = np.zeros(preset.slots)
         message[session.lane_offset : session.lane_offset + 4] = values
-        job = BatchJob("j", session, program, tenant.context.encrypt(message))
+        ct = tenant.context.encrypt(message, public_key=tenant.batch_pk)
+        job = BatchJob("j", session, program, ct)
         (plan,) = plan_batches([(bits, job)], preset.slots, 16)
         server = FheServer(offline=self.OFFLINE)
         (ct_out,), _ = server._execute_plan(preset, plan, verdict.spare_levels)
@@ -257,7 +271,7 @@ class TestNonFiniteConstants:
                     ),
                 )
                 await client._writer.drain()
-                kind, payload = await wire.read_frame(client._reader)
+                kind, payload = await wire.read_frame(client._reader, client._frame_limit)
                 assert kind == wire.Kind.ERROR
                 assert "invalid program" in wire.decode_json(payload)["error"]
                 assert server.metrics.engine_invocations == 0
@@ -273,7 +287,11 @@ class TestRejectionBurnsNothing:
     """Server-level: rejected jobs cost zero engine invocations."""
 
     # The last one uses every level of the chain: nothing left for egress.
-    BAD_PROGRAMS = [_scale_mismatch, _level_underflow, functools.partial(_level_underflow, 4)]
+    BAD_PROGRAMS = [
+        (_scale_mismatch, "CKKS-SCALE-MISMATCH"),
+        (_level_underflow, "CKKS-LEVEL-UNDERFLOW"),
+        (functools.partial(_level_underflow, 4), "CKKS-LEVEL-UNDERFLOW"),
+    ]
 
     def test_rejections_execute_nothing(self):
         async def scenario() -> None:
@@ -282,11 +300,10 @@ class TestRejectionBurnsNothing:
             try:
                 client = FheClient("127.0.0.1", server.port, seed=77)
                 await client.enroll(36, width=2)
-                for build in self.BAD_PROGRAMS:
-                    program = build()
+                for build, code in self.BAD_PROGRAMS:
                     with pytest.raises(JobRejected) as exc_info:
-                        await client.submit(program, [0.1, 0.2])
-                    assert exc_info.value.codes  # codes always reported
+                        await client.submit(build(), [0.1, 0.2])
+                    assert code in exc_info.value.codes
                 assert server.metrics.engine_invocations == 0
                 assert server.metrics.jobs_rejected == len(self.BAD_PROGRAMS)
                 assert server.metrics.jobs_admitted == 0

@@ -19,6 +19,12 @@ from repro.serve import wire
 from repro.serve.program import EvalProgram, ProgramBuilder
 
 WORD_LENGTHS = (28, 36, 50, 62)
+# The 62-bit preset's 68-bit base is an ~85 s prime-pair search; whichever
+# test touches it first pays, so all of them sit behind the slow marker.
+PER_WORD_LENGTH = pytest.mark.parametrize(
+    "word_bits",
+    [pytest.param(bits, marks=pytest.mark.slow) if bits == 62 else bits for bits in WORD_LENGTHS],
+)
 
 _CONTEXTS: dict[int, CkksContext] = {}
 
@@ -36,6 +42,7 @@ def _random_message(ctx: CkksContext, seed: int) -> np.ndarray:
     return rng.uniform(-1, 1, slots) + 1j * rng.uniform(-1, 1, slots)
 
 
+@pytest.mark.slow  # draws the 62-bit preset
 class TestCiphertextRoundTrip:
     @given(
         word_bits=st.sampled_from(WORD_LENGTHS),
@@ -68,7 +75,7 @@ class TestCiphertextRoundTrip:
 
 
 class TestKeyRoundTrip:
-    @pytest.mark.parametrize("word_bits", WORD_LENGTHS)
+    @PER_WORD_LENGTH
     def test_public_key(self, word_bits: int):
         ctx = _context(word_bits)
         pk = ctx.keys.public_key()
@@ -77,7 +84,7 @@ class TestKeyRoundTrip:
             assert theirs.moduli == mine.moduli
             assert (theirs.limbs == mine.limbs).all()
 
-    @pytest.mark.parametrize("word_bits", WORD_LENGTHS)
+    @PER_WORD_LENGTH
     def test_switch_key(self, word_bits: int):
         ctx = _context(word_bits)
         other = CkksContext(ctx.params, seed=9000 + word_bits)
@@ -88,7 +95,7 @@ class TestKeyRoundTrip:
             assert (b2.limbs == b1.limbs).all()
             assert (a2.limbs == a1.limbs).all()
 
-    @pytest.mark.parametrize("word_bits", WORD_LENGTHS)
+    @PER_WORD_LENGTH
     def test_params_spec(self, word_bits: int):
         params = _context(word_bits).params
         assert wire.decode_params(wire.encode_params(params)) == params
