@@ -85,9 +85,9 @@ class Evaluator:
         return Ciphertext(ct.c0 + pt.poly, ct.c1, ct.level, scale)
 
     def add_scalar(self, ct: Ciphertext, value: complex) -> Ciphertext:
-        return self.add_plain(ct, self._encode_scalar(value, ct.level, ct.scale))
+        return self.add_plain(ct, self.encode_scalar(value, ct.level, ct.scale))
 
-    def _encode_scalar(self, value: complex, level: int, scale: float) -> Plaintext:
+    def encode_scalar(self, value: complex, level: int, scale: float) -> Plaintext:
         """Encode ``value`` in every slot.
 
         A real constant is the constant polynomial ``round(value*scale)``,
@@ -123,7 +123,7 @@ class Evaluator:
     ) -> Ciphertext:
         """CMult via an encoded constant at the step scale."""
         step_scale = self.params.step_at(ct.level).scale
-        pt = self._encode_scalar(value, ct.level, step_scale)
+        pt = self.encode_scalar(value, ct.level, step_scale)
         return self.multiply_plain(ct, pt, rescale=rescale)
 
     def multiply(
@@ -177,7 +177,7 @@ class Evaluator:
         ct = self.drop_to_level(ct, level + 1)
         step_scale = self.params.step_at(ct.level).scale
         pt_scale = scale * step_scale / ct.scale
-        pt = self._encode_scalar(1.0, ct.level, pt_scale)
+        pt = self.encode_scalar(1.0, ct.level, pt_scale)
         out = self.multiply_plain(ct, pt, rescale=True)
         # Guard against float bookkeeping drift.
         return Ciphertext(out.c0, out.c1, out.level, scale)
@@ -210,7 +210,7 @@ class Evaluator:
         workload schedules.
         """
         step_scale = self.params.step_at(ct.level).scale
-        pt = self._encode_scalar(1.0, ct.level, step_scale)
+        pt = self.encode_scalar(1.0, ct.level, step_scale)
         out = self.multiply_plain(ct, pt, rescale=True)
         return Ciphertext(out.c0, out.c1, out.level, ct.scale)
 

@@ -168,11 +168,7 @@ class ChebyshevEvaluator:
             if target_scale is None:
                 target_scale = src.scale  # keep the ladder's working scale
             pt_scale = target_scale * step_scale / src.scale
-            pt = ev.context.encode(
-                np.full(ev.params.slots, c),
-                level=src.level,
-                scale=pt_scale,
-            )
+            pt = ev.encode_scalar(c, src.level, pt_scale)
             term = ev.multiply_plain(src, pt, rescale=True)
             term = Ciphertext(term.c0, term.c1, term.level, target_scale)
             acc = term if acc is None else ev.add(acc, term)

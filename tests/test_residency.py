@@ -320,7 +320,7 @@ def test_real_scalar_fast_path(small_context, small_evaluator, value, monkeypatc
     step_scale = ctx.params.step_at(ct.level).scale
     old_pt = ctx.encode(np.full(ctx.params.slots, value), level=ct.level, scale=step_scale)
     encodes = _count_calls(monkeypatch, CkksContext, "encode")
-    pt = ev._encode_scalar(value, ct.level, step_scale)
+    pt = ev.encode_scalar(value, ct.level, step_scale)
     constant = [round(value * step_scale)] + [0] * (ctx.params.degree - 1)
     reference = RnsPolynomial.from_int_coeffs(ctx.ring, ct.moduli, constant).to_ntt()
     assert pt.moduli == reference.moduli and np.array_equal(pt.poly.limbs, reference.limbs)
@@ -358,7 +358,7 @@ def test_level_management_encodes_nothing(bits, monkeypatch):
         (ct.level, params.step_at(ct.level).scale),  # consume_level's plaintext
         (squared.level, params.scale * step / squared.scale),  # adjust's
     ):
-        direct = ev._encode_scalar(1.0, level, scale)
+        direct = ev.encode_scalar(1.0, level, scale)
         general = ctx.encode(ones, level=level, scale=scale)
         assert direct.scale == general.scale and direct.moduli == general.moduli
         assert np.array_equal(direct.poly.limbs, general.poly.limbs)
@@ -381,6 +381,6 @@ def test_constant_one_is_exact_at_the_boot_scale(boot_context, boot_evaluator):
     level = params.max_level
     scale = params.step_at(level).scale
     assert scale > 2.0**49
-    pt = boot_evaluator._encode_scalar(1.0, level, scale)
+    pt = boot_evaluator.encode_scalar(1.0, level, scale)
     coeffs = pt.poly.from_ntt().to_int_coeffs()
     assert coeffs == [round(scale)] + [0] * (params.degree - 1)
