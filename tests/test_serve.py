@@ -415,7 +415,7 @@ class TestCeremony:
             assert wire.VERSION == 2 and 4 not in set(wire.Kind)
             for frames, prefix, needle in (
                 # a version-1 client's HELLO
-                ([_raw_frame(1, 1, wire.encode_json({"requested_bits": 36, "width": 2}))], [], "version 1"),
+                ([_raw_frame(1, 1, self.HELLO[16:])], [], "version 1"),
                 # version 1's SWITCH_KEY, where version 2 expects the tenant key
                 ([self.HELLO, _raw_frame(2, 4, b"\0" * 64)],
                  [wire.Kind.PARAMS, wire.Kind.PUBLIC_KEY], "kind 4"),
