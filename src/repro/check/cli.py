@@ -71,6 +71,11 @@ __all__ = ["main", "render_markdown_summary"]
 PROVE_BITS = (28, 36, 50, 62)
 REJECT_BITS = (63,)
 
+# The shipped traces are verified at SHARP's operating point: the
+# 36-bit Set_k chain, Belady eviction.
+SETTING_BITS = 36
+POLICY = "belady"
+
 # How far the statically-derived 36-bit bootstrapping floor may sit
 # from Table 2's measured precision (acceptance criterion: +/- 1 bit).
 ANCHOR_TOLERANCE_BITS = 1.0
@@ -206,17 +211,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.check",
         description="Static verification: traces, schedules, CKKS discipline, "
         "noise budgets, kernel overflow bounds.",
-    )
-    parser.add_argument(
-        "--setting-bits",
-        type=int,
-        default=36,
-        help="word length of the Set_k chain traces are built at (default 36)",
-    )
-    parser.add_argument(
-        "--policy",
-        default="belady",
-        help="eviction policy for the schedule verification (default belady)",
     )
     parser.add_argument(
         "--skip-mutations",
@@ -362,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.sched.trace import schedule_trace
         from repro.workloads.traces import evaluation_traces
 
-        setting = build_sharp_setting(args.setting_bits)
+        setting = build_sharp_setting(SETTING_BITS)
         capacity = sharp_config().onchip_capacity_bytes
 
     if run_full:
@@ -381,9 +375,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     gate_report(fused_report, args.verbose)
 
         for name, trace in evaluation_traces(setting).items():
-            sched = schedule_trace(trace, setting, capacity, policy=args.policy)
+            sched = schedule_trace(trace, setting, capacity, policy=POLICY)
             report = verify_schedule(sched, setting)
-            report.subject = f"{name}@{args.policy}"
+            report.subject = f"{name}@{POLICY}"
             gate_report(report, args.verbose)
 
     # -- pass 3: CKKS program discipline -----------------------------------
@@ -522,11 +516,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         ).items():
             subject = f"{name}{variant}"
             sched = schedule_trace(
-                trace, setting, capacity, policy=args.policy, fuse=True
+                trace, setting, capacity, policy=POLICY, fuse=True
             )
             entry: dict = {
                 "trace": subject,
-                "policy": args.policy,
+                "policy": POLICY,
                 "source_ops": len(trace.ops),
                 "scheduled_ops": len(sched.trace.ops),
             }

@@ -1,34 +1,35 @@
 """Operational-count model (paper Fig. 2(c), observation (5)).
 
-Counts word-length integer operations — general multiplications,
-Montgomery reductions (NTT butterflies), Barrett reductions (BConv and
-element-wise functions) — for complete FHE workloads on any
+Counts word-length integer operations — Montgomery reductions (NTT
+butterflies), Barrett reductions (BConv MACs and element-wise
+multiplies) and additions — for complete FHE workloads on any
 word-length setting, weighting each op kind by its logic-area cost
 relative to an integer multiplier exactly as the paper does.
 
-Costs are *derived* from the setting's actual RNS chain, so
-double-prime scaling automatically doubles limb counts, short words
-automatically inflate L and BConv width (alpha = ceil(L/dnum)), and
-dividing by the setting's L_eff yields the per-level cost the paper
-plots.
-
-The bootstrapping pipeline is modeled as the standard CtS -> EvalMod ->
-StC schedule with documented stage constants (rotations and PMults per
-linear-transform stage, HMults for the Chebyshev ladder), mirroring the
-implementation in :mod:`repro.ckks.bootstrap`.
+This module owns neither the prices nor the workloads:
+:func:`counts_of` folds :meth:`repro.hw.lowering.OpLowering.lower` —
+the per-op costs the simulator charges — over
+:class:`repro.hw.isa.HeOp` records, and the bootstrap and narrow/wide
+workloads are the traces :mod:`repro.workloads.traces` hands the
+simulator, so Fig. 2(c) and Fig. 6 price the same bootstrap.  Costs
+derive from the setting's actual RNS chain: double-prime scaling
+doubles limb counts, short words inflate L and the BConv width.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.alu_model import alu_area
+from repro.hw.isa import HeOp, OpKind
+from repro.hw.lowering import FuWork, OpLowering, ntt_butterflies
 from repro.params.presets import WordLengthSetting
+from repro.workloads.traces import bootstrap_trace, synthetic_trace
 
 __all__ = [
     "WorkCounts",
-    "PrimitiveCosts",
+    "counts_of",
     "hmult_counts",
     "hrot_counts",
     "pmult_counts",
@@ -38,14 +39,6 @@ __all__ = [
     "NARROW_HMULTS_PER_LEVEL",
     "WIDE_HMULTS_PER_LEVEL",
 ]
-
-# Bootstrap schedule constants (see module docstring).
-CTS_STAGES = 3
-STC_STAGES = 3
-LT_ROTATIONS_PER_STAGE = 8  # BSGS baby+giant rotations per stage
-LT_PMULTS_PER_STAGE = 16  # diagonal multiplications per stage
-EVALMOD_HMULTS = 20  # Chebyshev ladder + PS products (both halves)
-EVALMOD_PMULTS = 40  # coefficient foldings
 
 NARROW_HMULTS_PER_LEVEL = 1
 WIDE_HMULTS_PER_LEVEL = 30
@@ -87,155 +80,41 @@ class WorkCounts:
         return getattr(self, which) / max(self.total_muls, 1e-12)
 
 
-@dataclass
-class PrimitiveCosts:
-    """Primary-function op counts for one parameter set."""
+def counts_of(setting: WordLengthSetting, ops: Iterable[HeOp]) -> WorkCounts:
+    """Price ``ops`` with the simulator's lowering, read as op counts.
 
-    degree: int
-    aux_count: int
-    alpha: int
-
-    def ntt(self, limbs: int) -> WorkCounts:
-        n = self.degree
-        muls = limbs * (n // 2) * int(math.log2(n))
-        return WorkCounts(ntt_butterfly_muls=muls, adds=2 * muls)
-
-    def bconv(self, src_limbs: int, dst_limbs: int) -> WorkCounts:
-        n = self.degree
-        muls = (src_limbs * dst_limbs + src_limbs) * n
-        return WorkCounts(bconv_muls=muls, adds=src_limbs * dst_limbs * n)
-
-    def ew_mult(self, limbs: int, operands: int = 1) -> WorkCounts:
-        return WorkCounts(elementwise_muls=operands * limbs * self.degree)
-
-    def ew_add(self, limbs: int, operands: int = 1) -> WorkCounts:
-        return WorkCounts(adds=operands * limbs * self.degree)
-
-    def automorphism(self, limbs: int, polys: int = 2) -> WorkCounts:
-        return WorkCounts(automorphism_words=polys * limbs * self.degree)
-
-    # -- composite subroutines ------------------------------------------------
-
-    def keyswitch(self, limbs: int) -> WorkCounts:
-        """Hybrid key-switching of one polynomial at ``limbs`` active limbs."""
-        k = self.aux_count
-        digits = math.ceil(limbs / self.alpha)
-        out = self.ntt(limbs)  # INTT to coefficient form
-        for d in range(digits):
-            width = min(self.alpha, limbs - d * self.alpha)
-            ext = limbs + k - width
-            out = out + self.bconv(width, ext) + self.ntt(ext)
-        # Inner products against both evk polynomials.
-        out = out + self.ew_mult(digits * (limbs + k), operands=2)
-        out = out + self.ew_add(digits * (limbs + k), operands=2)
-        # ModDown of both accumulator halves.
-        for _ in range(2):
-            out = out + self.ntt(k) + self.bconv(k, limbs) + self.ntt(limbs)
-            out = out + self.ew_mult(limbs) + self.ew_add(limbs)
-        return out
-
-    def rescale(self, limbs: int, drop: int) -> WorkCounts:
-        """Drop ``drop`` limbs from both ciphertext polynomials."""
-        rest = limbs - drop
-        out = WorkCounts()
-        for _ in range(2):
-            out = out + self.ntt(drop) + self.ntt(rest)
-            out = out + self.ew_mult(rest) + self.ew_add(rest)
-        return out
-
-
-def _costs(setting: WordLengthSetting) -> PrimitiveCosts:
-    return PrimitiveCosts(
-        degree=setting.degree,
-        aux_count=setting.k,
-        alpha=math.ceil(setting.max_level / setting.dnum),
+    Additions: two per butterfly, one per BConv MAC and per element-wise
+    multiply (each rides a MAD/AccQ/AccP pass), plus the standalone
+    adds.  DSU words are not multiplier work and stay out.
+    """
+    lowering = OpLowering(setting)
+    work = sum((lowering.lower(op) for op in ops), FuWork())
+    butterflies = ntt_butterflies(work.ntt_words, setting.degree)
+    return WorkCounts(
+        ntt_butterfly_muls=butterflies,
+        bconv_muls=work.bconv_macs,
+        elementwise_muls=work.ew_mults,
+        adds=2 * butterflies + work.bconv_macs + work.ew_mults + work.ew_adds,
+        automorphism_words=work.auto_words,
     )
-
-
-def _consumption_schedule(setting: WordLengthSetting) -> list[tuple[str, int]]:
-    """(group name, primes dropped) per rescale step, top of chain first."""
-    sched: list[tuple[str, int]] = []
-    for name in ("boot", "stc", "normal"):
-        g = setting.group(name)
-        sched.extend((name, g.primes_per_level) for _ in range(g.levels))
-    return sched
 
 
 def hmult_counts(setting: WordLengthSetting, limbs: int, drop: int) -> WorkCounts:
     """One HMult (tensor + relinearize + rescale) at ``limbs`` active limbs."""
-    c = _costs(setting)
-    out = c.ew_mult(limbs, operands=4) + c.ew_add(limbs)
-    out = out + c.keyswitch(limbs)
-    out = out + c.ew_add(limbs, operands=2)
-    out = out + c.rescale(limbs, drop)
-    return out
+    return counts_of(setting, [HeOp(OpKind.HMULT, limbs, drop)])
 
 
 def hrot_counts(setting: WordLengthSetting, limbs: int) -> WorkCounts:
-    c = _costs(setting)
-    return c.automorphism(limbs) + c.keyswitch(limbs) + c.ew_add(limbs)
+    return counts_of(setting, [HeOp(OpKind.HROT, limbs)])
 
 
 def pmult_counts(setting: WordLengthSetting, limbs: int, drop: int) -> WorkCounts:
-    c = _costs(setting)
-    return c.ew_mult(limbs, operands=2) + c.rescale(limbs, drop)
+    return counts_of(setting, [HeOp(OpKind.PMULT, limbs, drop)])
 
 
 def bootstrap_counts(setting: WordLengthSetting) -> WorkCounts:
     """Full bootstrapping: ModRaise, CtS, EvalMod, StC."""
-    c = _costs(setting)
-    sched = _consumption_schedule(setting)
-    base = setting.base_prime_count
-    # Active limbs before consuming step i (top of chain first).
-    primes_per_step = [p for _, p in sched]
-    total_primes = base + sum(primes_per_step)
-
-    out = c.ntt(total_primes).scaled(2)  # ModRaise re-NTTs both polys
-
-    limbs = total_primes
-    step = 0
-
-    def consume() -> int:
-        nonlocal limbs, step
-        drop = primes_per_step[step]
-        cur = limbs
-        limbs -= drop
-        step += 1
-        return cur
-
-    boot_levels = setting.group("boot").levels
-    cts_levels = min(CTS_STAGES, boot_levels)
-    evalmod_levels = boot_levels - cts_levels
-
-    for _ in range(cts_levels):
-        cur = limbs
-        for _ in range(LT_ROTATIONS_PER_STAGE):
-            out = out + hrot_counts(setting, cur)
-        out = out + pmult_counts(setting, cur, primes_per_step[step]).scaled(
-            LT_PMULTS_PER_STAGE
-        )
-        consume()
-
-    if evalmod_levels:
-        hmults_per_level = EVALMOD_HMULTS / evalmod_levels
-        pmults_per_level = EVALMOD_PMULTS / evalmod_levels
-        for _ in range(evalmod_levels):
-            cur = limbs
-            drop = primes_per_step[step]
-            out = out + hmult_counts(setting, cur, drop).scaled(hmults_per_level)
-            out = out + pmult_counts(setting, cur, drop).scaled(pmults_per_level)
-            consume()
-
-    for _ in range(min(STC_STAGES, setting.group("stc").levels)):
-        cur = limbs
-        for _ in range(LT_ROTATIONS_PER_STAGE):
-            out = out + hrot_counts(setting, cur)
-        out = out + pmult_counts(setting, cur, primes_per_step[step]).scaled(
-            LT_PMULTS_PER_STAGE
-        )
-        consume()
-
-    return out
+    return counts_of(setting, bootstrap_trace(setting).ops)
 
 
 def workload_counts(
@@ -245,18 +124,10 @@ def workload_counts(
 
     The paper's *narrow* workload uses 1, *wide* uses 30 (S3.2).
     """
-    out = bootstrap_counts(setting)
-    sched = _consumption_schedule(setting)
-    base = setting.base_prime_count
-    primes_per_step = [p for _, p in sched]
-    # Normal levels sit at the bottom of the schedule.
-    normal = setting.group("normal")
-    limbs = base + sum(primes_per_step[len(sched) - normal.levels :])
-    for i in range(normal.levels):
-        drop = primes_per_step[len(sched) - normal.levels + i]
-        out = out + hmult_counts(setting, limbs, drop).scaled(hmults_per_level)
-        limbs -= drop
-    return out
+    return counts_of(
+        setting,
+        bootstrap_trace(setting).ops + synthetic_trace(setting, hmults_per_level).ops,
+    )
 
 
 def weighted_ops(counts: WorkCounts, word_bits: int) -> float:

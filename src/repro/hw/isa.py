@@ -67,11 +67,6 @@ class Trace:
 
     name: str
     ops: list[HeOp] = field(default_factory=list)
-    # Peak number of live temporary ciphertexts at high (bootstrap)
-    # levels, for the working-set / BSGS spill model.  Annotated traces
-    # get this measured exactly by repro.sched.liveness instead.
-    peak_temporaries: int = 4
-    bootstrap_fraction_hint: float | None = None
     # Divide reported runtimes by this to get the paper's unit of work
     # (per effective level for bootstrap, per iteration for HELR).
     normalize: float = 1.0

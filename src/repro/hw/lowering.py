@@ -4,9 +4,13 @@ The simulator's first stage: each :class:`repro.hw.isa.HeOp` becomes a
 :class:`FuWork` vector quantifying how many words each functional-unit
 class must move or compute — NTTU limb-transforms, BConvU MACs, EWE
 element-wise multiplies/adds, AutoU permutation words, and DSU
-double-word accumulations.  The formulas mirror
-:mod:`repro.core.opcount` but are expressed in unit-level work so
-throughputs (Table 4) convert them to cycles.
+double-word accumulations, in unit-level work so throughputs (Table 4)
+convert them to cycles.
+
+This is the repo's one price list: the simulator charges it per op,
+:mod:`repro.core.opcount` folds it over the same traces for the
+Fig. 2(c)/Fig. 3 op counts, and ``tests/test_price_list.py`` holds its
+NTT and BConv terms equal to what the CKKS engine executes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from repro.hw.isa import HeOp, OpKind
 from repro.params.presets import WordLengthSetting
 
-__all__ = ["FuWork", "OpLowering", "lower_op"]
+__all__ = ["FuWork", "OpLowering", "ntt_butterflies"]
 
 
 @dataclass
@@ -57,6 +61,12 @@ class FuWork:
             self.rf_words * f,
             self.evk_bytes * f,
         )
+
+
+def ntt_butterflies(ntt_words: float, degree: int) -> float:
+    """Butterfly (Montgomery) multiplications behind ``ntt_words``:
+    each limb-transform of N words is (N/2) * log2(N) butterflies."""
+    return ntt_words * math.log2(degree) / 2.0
 
 
 class OpLowering:
@@ -168,6 +178,3 @@ class OpLowering:
             raise ValueError(f"unhandled op kind {op.kind}")
         return work.scaled(op.count)
 
-
-def lower_op(setting: WordLengthSetting, op: HeOp, prng_evk: bool = True) -> FuWork:
-    return OpLowering(setting, prng_evk).lower(op)

@@ -26,13 +26,12 @@ energy and average power, and EDP/EDAP helpers (Figs. 7 and 8).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.config import AcceleratorConfig
 from repro.hw.area import chip_area
 from repro.hw.isa import OpKind, Trace
-from repro.hw.lowering import FuWork, OpLowering
+from repro.hw.lowering import FuWork, OpLowering, ntt_butterflies
 from repro.hw.power import (
     HBM_J_PER_BYTE,
     LEAKAGE_W_PER_MM2,
@@ -296,8 +295,7 @@ class Simulator:
         noc_j = (
             NOC_J_PER_WORD_HIER if config.hierarchical_nttu else NOC_J_PER_WORD_FLAT
         )
-        n = setting.degree
-        ntt_muls = work.ntt_words * math.log2(n) / 2.0
+        ntt_muls = ntt_butterflies(work.ntt_words, setting.degree)
         energy["fu"] += ntt_muls * mult_energy_j("montgomery", setting.word_bits)
         energy["fu"] += (work.bconv_macs + work.ew_mults + work.dsu_words) * (
             mult_energy_j("barrett", setting.word_bits)

@@ -157,13 +157,7 @@ def fuse_trace(trace: Trace) -> tuple[Trace, FusionReport]:
     ops, folded = _fold_rescales(list(trace.ops))
     ops, formed = _form_pmadds(ops)
 
-    fused = Trace(
-        name=trace.name,
-        ops=ops,
-        peak_temporaries=trace.peak_temporaries,
-        bootstrap_fraction_hint=trace.bootstrap_fraction_hint,
-        normalize=trace.normalize,
-    )
+    fused = Trace(name=trace.name, ops=ops, normalize=trace.normalize)
     report = FusionReport(
         trace_name=trace.name,
         before_ops=before_ops,

@@ -3,11 +3,9 @@
 Computes, for every value in a trace, its live range (definition op to
 last consuming op) and byte size, and from those the *exact* per-op
 working set — live ciphertext temporaries plus the evk the op streams.
-This replaces the seed's ``Trace.peak_temporaries`` hint with a
-measured quantity and reproduces the paper's Fig. 5(b) working-set
-curve mechanistically: the (bs + 1) simultaneously-live BSGS
-temporaries fall out of the rotation-ladder dataflow instead of being
-asserted.
+This reproduces the paper's Fig. 5(b) working-set curve
+mechanistically: the (bs + 1) simultaneously-live BSGS temporaries
+fall out of the rotation-ladder dataflow instead of being asserted.
 
 Future-use distances (:meth:`Liveness.next_use`) are what the Belady
 allocator in :mod:`repro.sched.alloc` keys its evictions off.
@@ -107,9 +105,8 @@ class Liveness:
     def peak_temporaries(self, min_limbs: int = 0) -> int:
         """Max simultaneously-live ciphertexts (ops at >= min_limbs).
 
-        The measured replacement for the ``Trace.peak_temporaries``
-        hint; restrict to bootstrap-level ops by passing the bootstrap
-        limb threshold.
+        Restrict to bootstrap-level ops by passing the bootstrap limb
+        threshold.
         """
         counts = [
             c

@@ -43,13 +43,14 @@ __all__ = [
     "evaluation_traces",
 ]
 
-# Bootstrap pipeline constants, mirroring repro.core.opcount.
+# Bootstrap pipeline constants (CtS -> EvalMod -> StC, as in
+# repro.ckks.bootstrap); repro.core.opcount prices the same ops.
 CTS_STAGES = 3
 STC_STAGES = 3
-LT_ROTATIONS_PER_STAGE = 8
-LT_PMULTS_PER_STAGE = 16
-EVALMOD_HMULTS = 20
-EVALMOD_PMULTS = 40
+LT_ROTATIONS_PER_STAGE = 8  # BSGS baby+giant rotations per stage
+LT_PMULTS_PER_STAGE = 16  # diagonal multiplications per stage
+EVALMOD_HMULTS = 20  # Chebyshev ladder + PS products (both halves)
+EVALMOD_PMULTS = 40  # coefficient foldings
 
 
 class _ValueNamer:
@@ -157,7 +158,6 @@ class TraceBuilder:
 
     setting: WordLengthSetting
     name: str
-    peak_temporaries: int = 6
     explicit_rescale: bool = False
 
     def __post_init__(self):
@@ -236,9 +236,7 @@ class TraceBuilder:
             self._pending.append(dst)
 
     def build(self) -> Trace:
-        return Trace(
-            name=self.name, ops=self._ops, peak_temporaries=self.peak_temporaries
-        )
+        return Trace(name=self.name, ops=self._ops)
 
 
 def bootstrap_trace(
@@ -249,7 +247,6 @@ def bootstrap_trace(
     return Trace(
         name="bootstrap",
         ops=ops,
-        peak_temporaries=6,
         normalize=setting.group("normal").levels,
     )
 
@@ -269,9 +266,7 @@ def helr_trace(
     and bootstrapping is charged at its steady-state rate; runtimes
     are normalized per iteration.
     """
-    b = TraceBuilder(
-        setting, f"helr{batch}", peak_temporaries=6, explicit_rescale=explicit_rescale
-    )
+    b = TraceBuilder(setting, f"helr{batch}", explicit_rescale=explicit_rescale)
     streams = max(1, batch // 256)
     features_log = 8  # ceil(log2(196))
     for _it in range(iterations):
@@ -304,9 +299,7 @@ def resnet20_trace(
     inserted whenever the chain runs dry, giving the dozens of
     bootstrap invocations the paper's 59-95% boot share reflects.
     """
-    b = TraceBuilder(
-        setting, "resnet20", peak_temporaries=8, explicit_rescale=explicit_rescale
-    )
+    b = TraceBuilder(setting, "resnet20", explicit_rescale=explicit_rescale)
     for layer in range(20):
         # Multiplexed convolution: rotations + plaintext MACs.
         b.rotations(12, f"conv{layer}")
@@ -330,9 +323,7 @@ def sorting_trace(
     ``k*(k+1)/2`` comparator stages; each stage evaluates a composite
     sign polynomial (depth ~8) on rotated pairs.
     """
-    b = TraceBuilder(
-        setting, "sorting", peak_temporaries=4, explicit_rescale=explicit_rescale
-    )
+    b = TraceBuilder(setting, "sorting", explicit_rescale=explicit_rescale)
     stages = log_elems * (log_elems + 1) // 2
     for stage in range(stages):
         # Reserve the stage's full depth (5 consumed levels + the
@@ -352,7 +343,7 @@ def sorting_trace(
 def synthetic_trace(setting: WordLengthSetting, hmults_per_level: int) -> Trace:
     """The paper's narrow (1) / wide (30) synthetic workloads."""
     label = "narrow" if hmults_per_level == 1 else f"wide{hmults_per_level}"
-    b = TraceBuilder(setting, label, peak_temporaries=4 if hmults_per_level == 1 else 8)
+    b = TraceBuilder(setting, label)
     for _ in range(setting.group("normal").levels):
         b.op(OpKind.HMULT, key_id="mult", consumes=1, count=hmults_per_level)
     return b.build()

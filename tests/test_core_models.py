@@ -15,12 +15,15 @@ from repro.core.efficiency import best_word_length, efficiency_point, efficiency
 from repro.core.opcount import (
     WorkCounts,
     bootstrap_counts,
+    counts_of,
     hmult_counts,
     hrot_counts,
+    pmult_counts,
     weighted_ops,
     workload_counts,
 )
 from repro.params.presets import build_sharp_setting
+from repro.workloads.traces import bootstrap_trace
 
 
 class TestAluModel:
@@ -101,6 +104,54 @@ class TestOpCounts:
         c = (a + b).scaled(2.0)
         assert c.ntt_butterfly_muls == 20 and c.elementwise_muls == 12
         assert c.total_muls == 40
+
+
+# (word, op, limbs, drop, (NTT butterflies, BConv MACs, element-wise
+# multiplies), weighted_ops) as the hand-written per-op table computed
+# them at commit 33b8b9a, before opcount became a fold over
+# hw.lowering: the top of the normal region (the operating point
+# benchmarks/e2e/model.py prints) per word length, and Set_36's top of
+# chain.  Multiplications must not move by a unit; the weighted figure
+# may by the re-derived `adds` field only.
+PARENT_PER_OP_COUNTS = [
+    (28, "hmult", 14, 2, (60_293_120, 44_171_264, 10_878_976), 2.771439e08),
+    (28, "hrot", 14, 2, (45_613_056, 44_171_264, 5_636_096), 2.304298e08),
+    (28, "pmult", 14, 2, (14_680_064, 0, 3_407_872), 4.205314e07),
+    (36, "hmult", 10, 1, (45_088_768, 25_821_184, 7_995_392), 1.875529e08),
+    (36, "hrot", 10, 1, (34_603_008, 25_821_184, 4_194_304), 1.542423e08),
+    (36, "pmult", 10, 1, (10_485_760, 0, 2_490_368), 2.999258e07),
+    (36, "hmult", 35, 1, (159_907_840, 139_919_360, 36_700_160), 8.087947e08),
+    (36, "hrot", 35, 1, (123_207_680, 139_919_360, 23_068_672), 6.913778e08),
+    (36, "pmult", 35, 1, (36_700_160, 0, 9_043_968), 1.058035e08),
+    (64, "hmult", 8, 1, (39_845_888, 13_369_344, 7_995_392), 1.428811e08),
+    (64, "hrot", 8, 1, (31_457_280, 13_369_344, 4_980_736), 1.165475e08),
+    (64, "pmult", 8, 1, (8_388_608, 0, 1_966_080), 2.369305e07),
+]
+
+
+class TestOnePriceList:
+    @pytest.mark.parametrize("word,op,limbs,drop,muls,weighted", PARENT_PER_OP_COUNTS)
+    def test_per_op_multiplications_are_the_parents(
+        self, word, op, limbs, drop, muls, weighted
+    ):
+        setting = build_sharp_setting(word)
+        counts = {
+            "hmult": lambda: hmult_counts(setting, limbs, drop),
+            "hrot": lambda: hrot_counts(setting, limbs),
+            "pmult": lambda: pmult_counts(setting, limbs, drop),
+        }[op]()
+        assert (
+            counts.ntt_butterfly_muls,
+            counts.bconv_muls,
+            counts.elementwise_muls,
+        ) == muls
+        assert weighted_ops(counts, word) == pytest.approx(weighted, rel=5e-3)
+
+    def test_bootstrap_is_the_simulators_trace(self):
+        # Wiring smoke only; the literals above are the proof.
+        setting = build_sharp_setting(36)
+        priced = counts_of(setting, bootstrap_trace(setting).ops)
+        assert bootstrap_counts(setting).total_muls == priced.total_muls
 
 
 class TestEfficiency:
