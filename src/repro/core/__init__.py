@@ -1,11 +1,11 @@
-"""The paper's S3 analysis and accelerator configurations."""
+"""The paper's S3 analysis and accelerator configurations.
+
+``repro.hw`` imports ``core.alu_model`` and ``core.config`` through this
+package, and ``core.efficiency`` / ``core.opcount`` price what ``hw`` and
+``workloads`` define, so the analysis modules are imported by name, not
+re-exported here.
+"""
 
 from repro.core.config import AcceleratorConfig, sharp_config
-from repro.core.efficiency import best_word_length, efficiency_sweep
 
-__all__ = [
-    "AcceleratorConfig",
-    "sharp_config",
-    "best_word_length",
-    "efficiency_sweep",
-]
+__all__ = ["AcceleratorConfig", "sharp_config"]

@@ -1,5 +1,9 @@
 """Tests for the word-length analysis engine (paper S3)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +156,32 @@ class TestOnePriceList:
         setting = build_sharp_setting(36)
         priced = counts_of(setting, bootstrap_trace(setting).ops)
         assert bootstrap_counts(setting).total_muls == priced.total_muls
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.workloads",
+            "repro.workloads.traces",
+            "repro.workloads.datasets",
+            "repro.core.opcount",
+            "repro.core.efficiency",
+            "repro.core",
+            "repro.hw",
+            "repro.analysis.workingset",
+        ],
+    )
+    def test_importable_first_in_a_fresh_process(self, module):
+        # opcount reads workloads.traces and hw reads core.alu_model, so
+        # core/__init__ re-exporting core.efficiency closes a cycle; the suite
+        # itself always imports repro.core or repro.hw first and hides it.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        done = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestEfficiency:
