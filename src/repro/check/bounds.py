@@ -42,6 +42,7 @@ __all__ = [
     "prove_float_barrett",
     "prove_float_qhat_shoup",
     "prove_float_split_mul",
+    "prove_lazy_plain_inner",
     "prove_bconv_accumulator",
     "prove_lazy_ntt_schedule",
     "prove_bconv_matmul",
@@ -377,6 +378,27 @@ def prove_float_split_mul(q_max: int) -> BoundProof:
     return BoundProof("float_split_mul", q_max, steps)
 
 
+def prove_lazy_plain_inner(q_max: int, terms: int | None = None) -> BoundProof:
+    """``NumpyBackend.plain_inner``: ``terms`` split products, reduced once.
+
+    :func:`prove_float_split_mul` with each partial product replaced by
+    a sum of ``terms`` of them — by default the chunk the kernel takes,
+    ``kernels.lazy_inner_terms``, whose clauses are the limits below.
+    """
+    q = _float_window(q_max, kernels.NARROW_SPLIT_LIMIT)
+    s = kernels.SPLIT_SHIFT
+    n = kernels.lazy_inner_terms(q) if terms is None else terms
+    high = n * q * -(-q >> s)  # sum of x * (p >> s)
+    low = n * q << s  # sum of x * (p & mask)
+    steps = (
+        BoundStep(f"sum of {n} high partials x * (p >> {s})", high, U63_MAX),
+        BoundStep("r1 = reduce64_f(high sum, lazy) < 2q", 2 * q - 1, U64_MAX),
+        BoundStep(f"sum of {n} low partials x * (p & mask)", low, U63_MAX),
+        BoundStep(f"(r1 << {s}) + low sum", (2 * q << s) + low, U63_MAX),
+    )
+    return BoundProof("lazy_plain_inner", q_max, steps)
+
+
 def prove_bconv_accumulator(
     q_max: int, terms: int = DEFAULT_BCONV_TERMS
 ) -> BoundProof:
@@ -526,6 +548,7 @@ def certify_word_bits(
         prove_float_barrett(q_max),
         prove_float_qhat_shoup(q_max),
         prove_float_split_mul(q_max),
+        prove_lazy_plain_inner(q_max),
         prove_bconv_accumulator(q_max, terms=bconv_terms),
         prove_lazy_ntt_schedule(q_max),
         prove_bconv_matmul(q_max, src_count=bconv_terms),

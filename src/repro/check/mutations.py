@@ -19,6 +19,7 @@ from repro.check.bounds import (
     proofs_report,
     prove_bconv_matmul,
     prove_lazy_ntt_schedule,
+    prove_lazy_plain_inner,
 )
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator, check_program
 from repro.check.diagnostics import CheckReport
@@ -33,6 +34,7 @@ from repro.check.wordlen_audit import (
 )
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
+from repro.rns import kernels
 from repro.sched.events import ScheduleEvent, ScheduleLog
 from repro.sched.trace import ScheduledTrace, schedule_trace
 from repro.workloads.traces import helr_trace
@@ -638,9 +640,17 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         proof = prove_bconv_matmul((1 << 54) - 1, src_count=8, digit_bits=27)
         return proofs_report("bconv-wide-digits", (proof,))
 
+    def long_plain_inner() -> CheckReport:
+        # The lazy plaintext inner product's chunk one term too long at
+        # 36 bits: the shifted high part plus the low sum passes 2**63.
+        q_max = (1 << 36) - 1
+        proof = prove_lazy_plain_inner(q_max, kernels.lazy_inner_terms(q_max) + 1)
+        return proofs_report("plain-inner-long-chunk", (proof,))
+
     for name, run in (
         ("ntt-late-reduction", late_ntt_reduction),
         ("bconv-wide-digits", wide_bconv_digits),
+        ("plain-inner-long-chunk", long_plain_inner),
     ):
         cases.append(MutationCase(name, "bounds", run, ("KB-OVERFLOW",)))
 

@@ -12,11 +12,12 @@ The same evaluation key works at every level because the digit
 selectors ``g_j`` are built over the full chain and remain valid CRT
 selectors for any prefix of it.
 
-A switch is two halves: :meth:`KeySwitcher.decompose` (ModUp, a
-function of the polynomial alone) and :meth:`KeySwitcher.apply` (inner
-product with one key + ModDown).  ``switch`` is their composition;
-callers that switch one polynomial under many keys (hoisted rotations)
-decompose once.
+A switch is three steps: :meth:`KeySwitcher.decompose` (ModUp, a
+function of the polynomial alone), :meth:`KeySwitcher.inner` (inner
+product with one key) and :meth:`KeySwitcher.mod_down`; ``apply`` is
+the last two and ``switch`` all three.  Callers that switch one
+polynomial under many keys (hoisted rotations) decompose once; callers
+that sum many switches (a BSGS stage's giant steps) ModDown once.
 """
 
 from __future__ import annotations
@@ -140,23 +141,37 @@ class KeySwitcher:
         return ext
 
     def apply(self, ext: np.ndarray, evk: EvalKey) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Inner product of decomposed digits with ``evk``, then paired ModDown.
+        """Inner product of decomposed digits with ``evk``, then paired ModDown."""
+        return self.mod_down(*self.inner(ext, evk))
+
+    def inner(
+        self, ext: np.ndarray, evk: EvalKey, acc: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(sum_d ext_d * b_d, sum_d ext_d * a_d)`` over the extended basis.
 
         The evk operands are row slices of the key's own tensors (see
-        :class:`~repro.ckks.context.EvalKey`), the inner product runs as
-        a single lazy accumulation, and ModDown processes the
-        ``(u0, u1)`` pair through doubled-chain transforms.
+        :class:`~repro.ckks.context.EvalKey`) and the inner product runs
+        as a single lazy accumulation.  ``acc`` — earlier switches'
+        results — is added in, for callers that sum many switches before
+        one :meth:`mod_down` (``Evaluator.rotate_sum``).
         """
+        level = ext.shape[1] - len(self.params.aux_primes)
+        plan = self._plan(self.params.q_primes[:level])
+        b_f, a_f = evk.shoup_tables() if plan.kern.float_ok else (None, None)
+        backend = self.ring.backend
+        out = backend.keyswitch_inner(plan.kern, ext, evk.b, evk.a, b_f, a_f, level)
+        if acc is None:
+            return out
+        return backend.add(plan.kern, acc[0], out[0]), backend.add(plan.kern, acc[1], out[1])
+
+    def mod_down(self, acc0: np.ndarray, acc1: np.ndarray) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """Divide both extended-basis accumulators by ``P`` in one sweep
+        of doubled-chain transforms."""
         ring = self.ring
         n = ring.degree
         aux_count = len(self.params.aux_primes)
-        level = ext.shape[1] - aux_count
+        level = acc0.shape[0] - aux_count
         plan = self._plan(self.params.q_primes[:level])
-        b_f, a_f = evk.shoup_tables() if plan.kern.float_ok else (None, None)
-        acc0, acc1 = ring.backend.keyswitch_inner(
-            plan.kern, ext, evk.b, evk.a, b_f, a_f, level
-        )
-        # Paired ModDown: divide both accumulators by P in one sweep.
         p_pair = np.concatenate([acc0[level:], acc1[level:]])
         p_coeff = ring.backend.ntt_inverse_all(ring.plan(plan.aux2), p_pair)
         cat = np.concatenate(

@@ -17,7 +17,6 @@ at the same point every time).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -123,22 +122,23 @@ class LinearTransform:
         if self.conj_matrix is not None:
             bases.append(ev.conjugate(ct))
 
-        acc: Ciphertext | None = None
+        # Giant step -> every (baby ciphertext, diagonal) term of both
+        # matrices that its rotation carries into place.
+        groups: dict[int, tuple[list[Ciphertext], list[Plaintext]]] = {}
         for base, (babies, giants) in zip(bases, self._compiled[1]):
             # Baby rotations rot_j(base): one shared decomposition.
             baby_cts = dict(zip(babies, ev.rotate_hoisted(base, babies))) if babies else {}
             for shift, terms in giants:
-                inner = functools.reduce(
-                    ev.add,
-                    (ev.multiply_plain(baby_cts[j], pt, rescale=False) for j, pt in terms),
-                )
-                inner = ev.rescale(inner)
-                inner = Ciphertext(inner.c0, inner.c1, inner.level, target_scale)
-                rotated = ev.rotate(inner, shift) if shift else inner
-                acc = rotated if acc is None else ev.add(acc, rotated)
-        if acc is None:
+                cts, pts = groups.setdefault(shift, ([], []))
+                cts.extend(baby_cts[j] for j, _ in terms)
+                pts.extend(pt for _, pt in terms)
+        if not groups:
             raise ValueError("transform is numerically zero")
-        return acc
+        # One multiply-accumulate per giant step, one ModDown for all
+        # the giant rotations, one rescale for the stage.
+        sums = (ev.multiply_plain_sum(cts, pts) for cts, pts in groups.values())
+        out = ev.rescale(ev.rotate_sum(sums, groups))
+        return Ciphertext(out.c0, out.c1, out.level, target_scale)
 
     def _compile(
         self, ev: Evaluator, ct: Ciphertext, target_scale: float, bs: int, gs: int

@@ -13,7 +13,9 @@ DSU (paper S4.5, Eq. 4).
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +29,10 @@ from repro.rns.poly import RnsPolynomial, garner_pair
 __all__ = ["Evaluator"]
 
 _SCALE_MATCH_TOLERANCE = 1e-9
+
+
+def _plus(total: RnsPolynomial | None, term: RnsPolynomial) -> RnsPolynomial:
+    return term if total is None else total + term
 
 
 class Evaluator:
@@ -92,7 +98,8 @@ class Evaluator:
 
         A real constant is the constant polynomial ``round(value*scale)``,
         whose evaluation form is that residue in every lane: no FFT, no
-        NTT.  Complex constants take the general encoder.
+        NTT, and the limb matrix is a read-only broadcast of one column.
+        Complex constants take the general encoder.
         """
         value = complex(value)
         if value.imag:
@@ -102,7 +109,7 @@ class Evaluator:
         moduli = self.params.active_moduli(level)
         const = round(value.real * scale)
         column = np.array([const % q for q in moduli], dtype=np.uint64).reshape(-1, 1)
-        limbs = np.repeat(column, self.ring.degree, axis=1)
+        limbs = np.broadcast_to(column, (len(moduli), self.ring.degree))
         return Plaintext(RnsPolynomial(self.ring, moduli, limbs, ntt_form=True), scale)
 
     # -- multiplicative ops ---------------------------------------------------------
@@ -117,6 +124,29 @@ class Evaluator:
             ct.c0 * pt.poly, ct.c1 * pt.poly, ct.level, ct.scale * pt.scale
         )
         return self.rescale(out) if rescale else out
+
+    def multiply_plain_sum(
+        self, cts: Sequence[Ciphertext], pts: Sequence[Plaintext]
+    ) -> Ciphertext:
+        """``sum_j cts[j] * pts[j]``, unrescaled, as one lazy inner product:
+        bit for bit the ``multiply_plain(rescale=False)`` + ``add`` chain."""
+        moduli = cts[0].moduli
+        if any(x.moduli != moduli for x in (*cts, *pts)):
+            raise ValueError("operands must share one modulus chain")
+        scale = functools.reduce(
+            self._check_scales, (ct.scale * pt.scale for ct, pt in zip(cts, pts))
+        )
+        # A scalar constant (``encode_scalar``) multiplies as its column.
+        ps = [p[:, :1] if p.strides[1] == 0 else p for p in (pt.poly.limbs for pt in pts)]
+        c0, c1 = (
+            self._inner(moduli, [poly.limbs for poly in half], ps)
+            for half in ([ct.c0 for ct in cts], [ct.c1 for ct in cts])
+        )
+        return Ciphertext(c0, c1, cts[0].level, scale)
+
+    def _inner(self, moduli: tuple[int, ...], xs: list, ps: list) -> RnsPolynomial:
+        limbs = self.ring.backend.plain_inner(self.ring.chain_kernel(moduli), xs, ps)
+        return RnsPolynomial(self.ring, moduli, limbs, ntt_form=True)
 
     def multiply_scalar(
         self, ct: Ciphertext, value: complex, rescale: bool = True
@@ -142,21 +172,8 @@ class Evaluator:
         return self.multiply(ct, ct, rescale=rescale)
 
     def _tensor_cross(self, a: Ciphertext, b: Ciphertext) -> RnsPolynomial:
-        """``a0*b1 + a1*b0``, with one reduction for short words.
-
-        Both lazy split products stay in ``[0, 2q)``; their plain uint64
-        sum is below ``4q < 2**63``, so a single float-Barrett reduction
-        canonicalizes the cross term.  Wide moduli take two canonical
-        multiplies and a modular add.
-        """
-        kern = self.ring.chain_kernel(a.c0.moduli)
-        if kern.float_ok and kern.split:
-            t = kern.mul_f(a.c0.limbs, b.c1.limbs, lazy=True)
-            t += kern.mul_f(a.c1.limbs, b.c0.limbs, lazy=True)
-            return RnsPolynomial(
-                self.ring, a.c0.moduli, kern.reduce64_f(t, out=t), ntt_form=True
-            )
-        return a.c0 * b.c1 + a.c1 * b.c0
+        """``a0*b1 + a1*b0``: a two-term inner product, reduced once."""
+        return self._inner(a.moduli, [a.c0.limbs, a.c1.limbs], [b.c1.limbs, b.c0.limbs])
 
     def adjust(self, ct: Ciphertext, level: int, scale: float) -> Ciphertext:
         """Bring a ciphertext to an exact (level, scale) operating point.
@@ -374,6 +391,29 @@ class Evaluator:
             c0 = ct.c0.automorphism(galois)
             out.append(Ciphertext(c0 + u0, u1, ct.level, ct.scale))
         return out
+
+    def rotate_sum(self, cts: Iterable[Ciphertext], amounts: Iterable[int]) -> Ciphertext:
+        """``sum_i rotate(cts[i], amounts[i])`` paying one ModDown.
+
+        Each term is switched as in :meth:`rotate` (a single term is
+        that, bit for bit), but the extended-basis inner products add up
+        before the one division by ``P``: a single switch's rounding
+        noise.  ``cts`` is consumed one term at a time.
+        """
+        c0 = c1 = acc = scale = None
+        for ct, amount in zip(cts, amounts):
+            scale = ct.scale if scale is None else self._check_scales(scale, ct.scale)
+            galois = self.ring.galois_element(amount % self.params.slots)
+            if galois == 1:  # no rotation, nothing to switch
+                c0, c1 = _plus(c0, ct.c0), _plus(c1, ct.c1)
+                continue
+            c0 = _plus(c0, ct.c0.automorphism(galois))
+            ext = self.switcher.decompose(ct.c1.automorphism(galois))
+            acc = self.switcher.inner(ext, self.context.keys.galois_key(galois), acc)
+        if acc is not None:
+            u0, u1 = self.switcher.mod_down(*acc)
+            c0, c1 = c0 + u0, _plus(c1, u1)
+        return Ciphertext(c0, c1, ct.level, scale)
 
     # -- re-encryption ----------------------------------------------------------------
 

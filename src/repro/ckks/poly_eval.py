@@ -157,22 +157,23 @@ class ChebyshevEvaluator:
         # baby level so the sum aligns.
         target_level = min(basis[k].level for k in range(1, degree + 1)) - 1
         target_scale = None
-        acc = None
+        srcs, pts = [], []
         for k in range(degree, 0, -1):
             c = float(coeffs[k])
             if abs(c) < 1e-300:
                 continue
-            t_k = basis[k]
-            src = ev.drop_to_level(t_k, target_level + 1)
+            src = ev.drop_to_level(basis[k], target_level + 1)
             step_scale = ev.params.step_at(src.level).scale
             if target_scale is None:
                 target_scale = src.scale  # keep the ladder's working scale
-            pt_scale = target_scale * step_scale / src.scale
-            pt = ev.encode_scalar(c, src.level, pt_scale)
-            term = ev.multiply_plain(src, pt, rescale=True)
-            term = Ciphertext(term.c0, term.c1, term.level, target_scale)
-            acc = term if acc is None else ev.add(acc, term)
-        if acc is None:  # only the constant term survives
+            # Every product sits at target_scale * step_scale: one
+            # multiply-accumulate, one rescale.
+            srcs.append(src)
+            pts.append(ev.encode_scalar(c, src.level, target_scale * step_scale / src.scale))
+        if srcs:
+            acc = ev.rescale(ev.multiply_plain_sum(srcs, pts))
+            acc = Ciphertext(acc.c0, acc.c1, acc.level, target_scale)
+        else:  # only the constant term survives
             any_t = basis[1]
             acc = ev.multiply_scalar(ev.drop_to_level(any_t, target_level + 1), 0.0)
         if abs(float(coeffs[0])) > 0:

@@ -22,6 +22,8 @@ the paper's conclusion in.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.rns.modmath import is_probable_prime
 
 __all__ = [
@@ -137,20 +139,20 @@ def find_ss_primes(
 
 def _small_side_pool(
     two_n: int, scale_bits: float, word_bits: int, exclude: set[int]
-) -> list[int]:
-    """All NTT primes at or below sqrt(scale), descending (largest first).
+) -> Iterator[int]:
+    """The NTT primes at or below sqrt(scale), descending (largest first).
 
     Every DS pair must have one factor <= sqrt(Delta), so the size of
     this pool bounds the number of distinct DS levels a scale supports.
+    Lazy: :func:`find_ds_pairs` stops at its first ``num_pairs`` matches,
+    a handful of primes into a pool of millions at a 68-bit scale.
     """
     sqrt_target = 2.0 ** (scale_bits / 2.0)
     limit = min(int(sqrt_target), (1 << word_bits) - 1)
-    pool = []
     for k in range(limit // two_n, 0, -1):
         cand = k * two_n + 1
         if cand <= limit and cand not in exclude and is_probable_prime(cand):
-            pool.append(cand)
-    return pool
+            yield cand
 
 
 def find_ds_pairs(
@@ -179,8 +181,6 @@ def find_ds_pairs(
     pairs: list[tuple[int, int]] = []
     used = set(exclude)
     for small in pool:
-        if len(pairs) == num_pairs:
-            break
         if small in used:
             continue
         partner_target = target / small
@@ -202,6 +202,8 @@ def find_ds_pairs(
         pairs.append((small, big))
         used.add(small)
         used.add(big)
+        if len(pairs) == num_pairs:
+            break
     if len(pairs) < num_pairs:
         raise PrimeScarcityError(
             f"only {len(pairs)} DS pairs for scale 2^{scale_bits:g} on "

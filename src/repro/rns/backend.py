@@ -1,14 +1,15 @@
-"""The kernel backend: the six hot operations behind a ``RingContext``.
+"""The kernel backend: the seven hot operations behind a ``RingContext``.
 
 :class:`NumpyBackend` owns the hot operations of the RNS-CKKS evaluator
 — elementwise modular mul/add over an ``(L, N)`` limb matrix, the
 batched forward/inverse NTT over a precomputed
 :class:`~repro.ntt.plan.NttPlan`, base conversion through a
-:class:`~repro.rns.bconv.BaseConverter`, and the key-switch inner
-product over the digit decomposition.  Every ``RingContext`` holds one
-and every polynomial op dispatches through it, which makes these six
-methods the seam a compiled butterfly would replace and the points the
-traced benchmark wraps from outside.
+:class:`~repro.rns.bconv.BaseConverter`, the key-switch inner product
+over the digit decomposition, and the plaintext inner product of a BSGS
+stage.  Every ``RingContext`` holds one and every polynomial op
+dispatches through it, which makes these seven methods the seam a
+compiled butterfly would replace and the points the traced benchmark
+wraps from outside.
 
 Short words (every modulus below ``kernels.FLOAT_QHAT_LIMIT``) run on
 the float-quotient lane; wider moduli take the exact 128-bit paths of
@@ -19,6 +20,7 @@ arithmetic (``tests/oracle.py``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,8 +41,8 @@ class NumpyBackend:
     name = "numpy"
 
     def __init__(self) -> None:
-        # (D, E, N) scratch of the key-switch inner product — steady
-        # state allocates nothing.
+        # Scratch of the two inner products — steady state allocates
+        # only results.
         self._scratch = kernels.ScratchPool()
 
     def mul(self, kern: ModulusKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,6 +135,46 @@ class NumpyBackend:
             acc0 = kern.add(acc0, kern.mul(ext[d], b_stack[d]))
             acc1 = kern.add(acc1, kern.mul(ext[d], a_stack[d]))
         return acc0, acc1
+
+    @kernels._wrapping
+    def plain_inner(
+        self, kern: ModulusKernel, xs: Sequence[np.ndarray], ps: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """``sum_j xs[j] * ps[j]`` mod the chain, reduced once.
+
+        Every ``xs[j]`` is an ``(L, N)`` limb matrix, a ``ps[j]`` one too
+        or the ``(L, 1)`` column of a constant.  Short words split each
+        ``p`` at ``SPLIT_SHIFT`` as ``mul_f`` does, but add the partial
+        products up as plain uint64 sums and reduce only the two totals:
+        six integer passes per term and two float-Barrett passes per
+        ``lazy_inner_terms`` of them.  Wide moduli take canonical ``mul``
+        + ``add``; either way the residues of the same integer.
+        """
+        if not (kern.float_ok and kern.split):
+            out = self.mul(kern, xs[0], ps[0])
+            for x, p in zip(xs[1:], ps[1:]):
+                out = self.add(kern, out, self.mul(kern, x, p))
+            return out
+        chunk = kernels.lazy_inner_terms(kern.q_max)
+        if len(ps) > chunk:
+            head = self.plain_inner(kern, xs[:chunk], ps[:chunk])
+            return kern.add(head, self.plain_inner(kern, xs[chunk:], ps[chunk:]))
+        half, t, high, low = self._scratch.take(np.uint64, *[xs[0].shape] * 4)
+        halves = (
+            (np.right_shift, kernels._SPLIT_SHIFT, high),
+            (np.bitwise_and, kernels._SPLIT_MASK, low),
+        )
+        for j, (x, p) in enumerate(zip(xs, ps)):
+            for split, by, acc in halves:
+                part = split(p, by, out=half) if p.shape == x.shape else split(p, by)
+                if j:
+                    acc += np.multiply(x, part, out=t)
+                else:
+                    np.multiply(x, part, out=acc)
+        r = kern.reduce64_f(high, lazy=True)
+        r <<= kernels._SPLIT_SHIFT
+        r += low
+        return kern.reduce64_f(r, out=r)
 
 
 def resolve_backend() -> NumpyBackend:

@@ -66,6 +66,7 @@ __all__ = [
     "NARROW_SPLIT_BITS",
     "NARROW_SPLIT_LIMIT",
     "SPLIT_SHIFT",
+    "lazy_inner_terms",
     "FLOAT_QHAT_BITS",
     "FLOAT_QHAT_LIMIT",
     "FLOAT_BARRETT_MIN_BITS",
@@ -125,6 +126,23 @@ BCONV_DIGIT_BITS = 18
 NARROW_SPLIT_BITS = 41
 NARROW_SPLIT_LIMIT = 1 << NARROW_SPLIT_BITS
 SPLIT_SHIFT = 20
+
+
+def lazy_inner_terms(q_max: int) -> int:
+    """Products ``x * p`` a split inner product may sum before it reduces.
+
+    ``NumpyBackend.plain_inner`` sums ``x * (p >> SPLIT_SHIFT)`` and ``x *
+    (p & mask)`` over ``n`` terms as plain uint64 and reduces the totals
+    like one split product; both stay float-Barrett operands while
+    ``n * q * ceil(q / 2**20) < 2**63`` and ``(2 + n) * q * 2**20 <
+    2**63`` (`repro.check.bounds.prove_lazy_plain_inner`): 126 terms for
+    a 36-bit word, 4094 at 31 bits, 2 at the split limit.
+    """
+    limit = (1 << 63) - 1
+    return min(
+        limit // (q_max * -(-q_max >> SPLIT_SHIFT)), limit // (q_max << SPLIT_SHIFT) - 2
+    )
+
 
 def _i64(a: np.ndarray) -> np.ndarray:
     """Signed view of a uint64 array, for conversions to and from float64.
@@ -456,13 +474,13 @@ class ModulusKernel:
         return self.shoup(w).astype(np.float64) * _INV_2_64
 
     @_wrapping
-    def mul_f(self, a, b, lazy: bool = False, out=None) -> np.ndarray:
+    def mul_f(self, a, b, out=None) -> np.ndarray:
         """Variable product on the float-quotient lane (``q < 2**41``).
 
         Same split-operand shape as the integer split regime, but both
         reductions run on float64 quotients: ~60% of the vector passes.
-        Requires ``float_ok and split``; ``lazy=True`` returns
-        ``[0, 2q)``; ``out`` must not alias an operand.
+        Requires ``float_ok and split``; ``out`` must not alias an
+        operand.
         """
         shape = np.broadcast(a, b, self.q).shape
         (u1, u2), (f,) = _POOL.take(np.uint64, shape, shape), _POOL.take(np.float64, shape)
@@ -484,7 +502,7 @@ class ModulusKernel:
         t += u1  # < 3q * 2**20
         float_qhat_times_q(t, self.v64_f, self.q, u1, f)
         t -= u1
-        self._collapse(t, u1, lazy)
+        self._collapse(t, u1, lazy=False)
         return t
 
     @_wrapping

@@ -177,6 +177,56 @@ class TestKeyswitchInnerParity:
                 assert np.array_equal(out, (exact % q_col).astype(np.uint64))
 
 
+# -- lazy plaintext inner product parity --------------------------------------
+
+
+def _plain_inner_oracle(moduli, xs, ps) -> np.ndarray:
+    """``sum_j xs[j] * ps[j] mod q`` in Python integers."""
+    q_col = np.array(moduli, dtype=object).reshape(-1, 1)
+    total = sum(x.astype(object) * p.astype(object) for x, p in zip(xs, ps))
+    return (total % q_col).astype(np.uint64)
+
+
+class TestPlainInnerParity:
+    """28/36/40 bits accumulate lazily (40 bits: a chunk of a few terms);
+    50/62 bits take canonical mul + add."""
+
+    @staticmethod
+    def _term_counts(kern) -> tuple[int, ...]:
+        if not (kern.float_ok and kern.split):
+            return (1, 2, 7)
+        n = kernels.lazy_inner_terms(kern.q_max)
+        return (1, n, n + 1, 2 * n + 3) if n < 200 else (1, 2, 7)
+
+    @pytest.mark.parametrize("bits", (28, 36, 40, *WORD_PATTERNS[2:]))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_python_integers(self, bits, data):
+        moduli = _chain(2 * N, bits, 3)
+        kern = kernels.ModulusKernel(moduli)
+        terms = data.draw(st.sampled_from(self._term_counts(kern)))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        scalar = data.draw(st.lists(st.booleans(), min_size=terms, max_size=terms))
+        xs = [_limbs(moduli, N, seed + j) for j in range(terms)]
+        # A scalar-constant plaintext arrives as its (L, 1) column.
+        ps = [_limbs(moduli, 1 if scalar[j] else N, seed + 1000 + j) for j in range(terms)]
+        got = NumpyBackend().plain_inner(kern, xs, ps)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, _plain_inner_oracle(moduli, xs, ps))
+
+    @pytest.mark.parametrize("bits", (28, 36, 40))
+    def test_a_full_chunk_of_worst_case_residues(self, bits):
+        """Every operand ``q - 1``: the partial sums the bound chain walks."""
+        moduli = _chain(2 * N, bits, 3)
+        kern = kernels.ModulusKernel(moduli)
+        n = min(kernels.lazy_inner_terms(kern.q_max), 300)
+        top = np.array(moduli, dtype=np.uint64).reshape(-1, 1) - np.uint64(1)
+        x = np.broadcast_to(top, (len(moduli), N)).copy()
+        for terms in (n, n + 1):
+            got = NumpyBackend().plain_inner(kern, [x] * terms, [x] * terms)
+            assert np.array_equal(got, _plain_inner_oracle(moduli, [x] * terms, [x] * terms))
+
+
 # -- the contract benchmarks/e2e relies on -----------------------------------
 
 

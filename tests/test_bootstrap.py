@@ -111,6 +111,23 @@ class TestBootstrap:
         assert np.max(np.abs(boot_context.decrypt(out) - m * m2)) < 3e-3
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", (11, 12))
+def test_precision_floor_at_the_benchmark_parameters(seed):
+    """``bootstrap_n9``'s parameters: one rescale and one ModDown per BSGS
+    stage round less often than one per giant step (13.9-14.1 bits then,
+    15.1-15.5 now)."""
+    params = make_params(
+        degree=1 << 9, slots=256, scale_bits=23, depth=2,
+        boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
+    )  # fmt: skip
+    ctx = CkksContext(params, seed=seed)
+    m = full_msg(np.random.default_rng(seed), n=256)
+    out, report = Bootstrapper(ctx, Evaluator(ctx)).bootstrap(ctx.encrypt(m, level=0))
+    assert report.output_level == 2
+    assert -math.log2(np.max(np.abs(ctx.decrypt(out) - m))) >= 14.5
+
+
 class TestConstruction:
     def test_requires_full_packing(self):
         params = make_params(

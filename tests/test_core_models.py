@@ -185,7 +185,6 @@ class TestOnePriceList:
 
 
 class TestEfficiency:
-    @pytest.mark.slow
     def test_36_is_the_minimum(self):
         assert best_word_length("narrow") == 36
         assert best_word_length("wide") == 36

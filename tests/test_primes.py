@@ -1,7 +1,11 @@
 """Tests for the NTT-friendly prime search (paper S3.1 machinery)."""
 
+import time
+
 import pytest
 
+from repro.ckks.context import make_params
+from repro.params.presets import build_native_ckks_params
 from repro.params.primes import (
     MAX_DS_PRODUCT_DEVIATION,
     MAX_SS_DEVIATION,
@@ -85,6 +89,53 @@ class TestDsPairs:
     def test_small_ring_has_plenty(self):
         pairs = find_ds_pairs(TWO_N_SMALL, 40, 12, word_bits=31)
         assert len(pairs) == 12
+
+
+class TestLazySmallSidePool:
+    """The small-side pool is walked lazily from the top; these chains
+    were computed with the eager pool (PR 20's tree) and must not move."""
+
+    def test_pairs_are_the_eager_pool_s(self):
+        assert find_ds_pairs(2048, 60.0, 3, 62) == [
+            (1073707009, 1073754113), (1073698817, 1073815553), (1073692673, 1073750017),
+        ]  # fmt: skip
+        assert find_ds_pairs(TWO_N_FULL, 62, 11, word_bits=36) == [
+            (2147352577, 2146959361), (2146041857, 2148794369), (2144468993, 2150760449),
+            (2142502913, 2152071169), (2135818241, 2158231553), (2135162881, 2161508353),
+            (2135031809, 2156265473), (2134638593, 2155610113), (2132279297, 2165702657),
+            (2130706433, 2166620161), (2130444289, 2167013377),
+        ]  # fmt: skip
+
+    def test_bootstrap_n9_chain(self):
+        """The DS boot levels of ``benchmarks/e2e``'s bootstrap parameters."""
+        params = make_params(
+            degree=1 << 9, slots=256, scale_bits=23, depth=2,
+            boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
+        )  # fmt: skip
+        assert params.q_primes == (
+            1073738753, 8380417, 8383489,
+            33550337, 33564673, 33540097, 33573889, 33538049, 33574913, 33533953,
+            33586177, 33519617, 33604609, 33510401, 33616897, 33481729, 33617921,
+            33469441, 33650689, 33461249, 33657857, 33458177, 33673217, 33445889,
+            33681409, 33433601, 33684481, 33426433, 33687553, 33411073, 33697793,
+        )  # fmt: skip
+        assert params.aux_primes == (
+            1073750017, 1073753089, 1073754113, 1073759233, 1073775617,
+            1073814529, 1073815553, 1073820673, 1073842177,
+        )  # fmt: skip
+
+    def test_native_62_bit_preset_builds_fast(self):
+        """Its 68-bit base pair cost 85 s (16.8 M primality tests) eagerly."""
+        start = time.perf_counter()
+        params = build_native_ckks_params(62, degree=1 << 10, depth=3)
+        assert time.perf_counter() - start < 5.0
+        assert params.q_primes == (
+            17179826177, 17179912193,
+            2305843009213683713, 2305843009213704193, 2305843009213745153,
+        )  # fmt: skip
+        assert params.aux_primes == (
+            2305843009213757441, 2305843009213800449, 2305843009213806593,
+        )  # fmt: skip
 
 
 class TestAuxPrimes:

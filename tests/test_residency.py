@@ -39,9 +39,9 @@ def _preset(bits) -> CkksContext:
         if bits == "ds":
             params = make_params(degree=1 << 9, scale_bits=35, depth=3)
         elif bits == 62:
-            # The native 62-bit preset's 68-bit base is a DS pair whose prime
-            # search takes a minute; a 54-bit scale keeps every prime single
-            # and still exercises the widest (128-bit product) kernel regime.
+            # The native 62-bit preset's 68-bit base is a DS pair; a 54-bit
+            # scale keeps every prime single and still exercises the widest
+            # (128-bit product) kernel regime.
             params = make_params(degree=1 << 9, scale_bits=54, depth=3, word_bits=62)
         else:
             params = build_native_ckks_params(bits, degree=1 << 9, depth=3)
@@ -152,7 +152,6 @@ def test_rotate_hoisted_within_static_rotate_bound(slots):
 # -- (iii) compiled linear transforms -----------------------------------------
 
 
-@pytest.mark.slow
 def test_linear_transform_compiles_once(small_context, small_evaluator, monkeypatch):
     ctx, ev = small_context, small_evaluator
     n = ctx.params.slots

@@ -19,12 +19,7 @@ from repro.serve import wire
 from repro.serve.program import EvalProgram, ProgramBuilder
 
 WORD_LENGTHS = (28, 36, 50, 62)
-# The 62-bit preset's 68-bit base is an ~85 s prime-pair search; whichever
-# test touches it first pays, so all of them sit behind the slow marker.
-PER_WORD_LENGTH = pytest.mark.parametrize(
-    "word_bits",
-    [pytest.param(bits, marks=pytest.mark.slow) if bits == 62 else bits for bits in WORD_LENGTHS],
-)
+PER_WORD_LENGTH = pytest.mark.parametrize("word_bits", WORD_LENGTHS)
 
 _CONTEXTS: dict[int, CkksContext] = {}
 
@@ -42,7 +37,6 @@ def _random_message(ctx: CkksContext, seed: int) -> np.ndarray:
     return rng.uniform(-1, 1, slots) + 1j * rng.uniform(-1, 1, slots)
 
 
-@pytest.mark.slow  # draws the 62-bit preset
 class TestCiphertextRoundTrip:
     @given(
         word_bits=st.sampled_from(WORD_LENGTHS),
