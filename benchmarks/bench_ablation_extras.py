@@ -49,12 +49,13 @@ def test_dnum_tradeoff(benchmark):
 def test_prng_evk_traffic_halving(benchmark):
     """S4.1: the PRNG regenerates the evk's A-half from a seed."""
     setting = build_setting(36)
-    op = HeOp(OpKind.HMULT, setting.max_level, drop=2, key_id="mult")
+    limbs = setting.max_level  # the top-level HMult's key
 
     def measure():
-        with_prng = OpLowering(setting, prng_evk=True).lower(op)
-        without = OpLowering(setting, prng_evk=False).lower(op)
-        return with_prng.evk_bytes, without.evk_bytes
+        return (
+            setting.evk_bytes(prng=True, limbs=limbs),
+            setting.evk_bytes(prng=False, limbs=limbs),
+        )
 
     prng_bytes, plain_bytes = benchmark(measure)
     print(

@@ -102,7 +102,6 @@ def test_scheduled_simulation(benchmark, sharp_setting):
     for name, tr in traces.items():
         sched = sim.schedule(tr, policy="belady")
         res = benchmark(sim.run, sched) if name == "bootstrap" else sim.run(sched)
-        legacy = sim.run(tr)
         assert res.spill_bytes == sched.log.spill_bytes  # allocator-attributed
         by_kind = sched.log.spill_by_kind()
         top = max(by_kind, key=by_kind.get).value if by_kind else "-"
@@ -110,14 +109,13 @@ def test_scheduled_simulation(benchmark, sharp_setting):
             [
                 name,
                 f"{res.seconds * 1e3 / tr.normalize:.2f}",
-                f"{legacy.seconds * 1e3 / tr.normalize:.2f}",
                 f"{res.offchip_bytes / GB:.2f}",
                 f"{res.spill_bytes / GB:.3f}",
                 top,
             ]
         )
     print_table(
-        "Scheduled vs legacy simulation on SHARP (ms/unit; traffic GB)",
-        ["workload", "sched ms", "legacy ms", "offchip", "spill", "top spiller"],
+        "Scheduled simulation on SHARP (ms/unit; traffic GB)",
+        ["workload", "ms", "offchip", "spill", "top spiller"],
         rows,
     )

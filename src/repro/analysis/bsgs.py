@@ -71,7 +71,7 @@ def plan_bsgs(
     compute-optimal balanced split is used regardless of capacity.
     """
     ct_bytes = setting.ciphertext_bytes(limbs)
-    evk_bytes = setting.evk_bytes(prng=prng)
+    evk_bytes = setting.evk_bytes(prng=prng, limbs=limbs)
     bs_balanced, _ = balanced_split(d)
     if not fine_tune:
         return _plan(bs_balanced, d, ct_bytes, evk_bytes, capacity_bytes)

@@ -71,11 +71,11 @@ def working_set_curve(
     prng: bool = True,
 ) -> list[LevelPoint]:
     """Fig. 5 data points across the whole chain."""
-    evk_mib = setting.evk_bytes(prng=prng) / MIB
     points = []
     for limbs in _limb_ladder(setting):
         if limbs < setting.base_prime_count + 2:
             continue
+        evk_mib = setting.evk_bytes(prng=prng, limbs=limbs) / MIB
         ct_mib = setting.ciphertext_bytes(limbs) / MIB
         shares = hmult_breakdown(setting, limbs)
         points.append(

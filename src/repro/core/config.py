@@ -3,8 +3,8 @@
 A :class:`AcceleratorConfig` captures everything the performance model
 needs: datapath word length, cluster/lane geometry, functional-unit
 throughputs, memory capacities and bandwidths, and the feature flags
-the Fig. 8 ablation toggles (hierarchical NTTU, 2-D BConvU, EWE, BSGS
-fine-tuning, PRNG evk generation).
+the Fig. 8 ablation toggles (hierarchical NTTU, 2-D BConvU, EWE, PRNG
+evk generation).
 """
 
 from __future__ import annotations
@@ -47,15 +47,10 @@ class AcceleratorConfig:
     bconv_macs_per_lane: int
     ew_mults_per_lane: int
     ew_adds_per_lane: int
-    # Share of RF_main reserved for resident evaluation keys in the
-    # legacy closed-form memory model (the scheduled path decides evk
-    # residency per-op instead).  Capacity sweeps can vary it.
-    evk_capacity_fraction: float = 0.35
     # Feature flags.
     hierarchical_nttu: bool = True
     two_d_bconv: bool = True
     ewe: bool = True
-    bsgs_finetune: bool = True
     prng_evk: bool = True
     dsu: bool = True
 
@@ -158,7 +153,6 @@ def ark36_config(rf_main_mib: int = 180) -> AcceleratorConfig:
         hierarchical_nttu=False,
         two_d_bconv=False,
         ewe=False,
-        bsgs_finetune=False,
         bconv_macs_per_lane=6,
         ew_mults_per_lane=2,
         ew_adds_per_lane=2,
@@ -185,7 +179,6 @@ def clake_plus_config() -> AcceleratorConfig:
         hierarchical_nttu=False,
         two_d_bconv=True,
         ewe=False,
-        bsgs_finetune=False,
         prng_evk=True,
         dsu=False,
     )

@@ -11,8 +11,8 @@ Ops may additionally carry SSA-style dataflow annotations: ``dst`` is
 the value id the op defines and ``srcs`` are the value ids it consumes.
 Annotated traces are what the :mod:`repro.sched` scheduling compiler
 operates on — liveness analysis, Belady/LRU scratchpad allocation and
-operation fusion all key off these ids.  Unannotated traces remain
-valid and take the simulator's legacy closed-form memory model.
+operation fusion all key off these ids, and the simulator prices
+traffic from the schedule, so it needs them too.
 """
 
 from __future__ import annotations
@@ -79,5 +79,6 @@ class Trace:
 
     @property
     def annotated(self) -> bool:
-        """True when every op carries SSA dataflow annotations."""
-        return bool(self.ops) and all(op.annotated for op in self.ops)
+        """True when every op carries SSA dataflow annotations (an
+        empty trace has none to miss)."""
+        return all(op.annotated for op in self.ops)

@@ -36,7 +36,6 @@ class FuWork:
     dsu_words: float = 0.0
     # Traffic accounting (bytes move through RFs regardless of FU).
     rf_words: float = 0.0
-    evk_bytes: float = 0.0  # evk streamed during key-switching
 
     def __add__(self, other: "FuWork") -> "FuWork":
         return FuWork(
@@ -47,7 +46,6 @@ class FuWork:
             self.auto_words + other.auto_words,
             self.dsu_words + other.dsu_words,
             self.rf_words + other.rf_words,
-            self.evk_bytes + other.evk_bytes,
         )
 
     def scaled(self, f: float) -> "FuWork":
@@ -59,7 +57,6 @@ class FuWork:
             self.auto_words * f,
             self.dsu_words * f,
             self.rf_words * f,
-            self.evk_bytes * f,
         )
 
 
@@ -72,13 +69,11 @@ def ntt_butterflies(ntt_words: float, degree: int) -> float:
 class OpLowering:
     """Caches the per-setting constants and lowers ops to work vectors."""
 
-    def __init__(self, setting: WordLengthSetting, prng_evk: bool = True):
+    def __init__(self, setting: WordLengthSetting):
         self.setting = setting
         self.n = setting.degree
         self.k = setting.k
         self.alpha = math.ceil(setting.max_level / setting.dnum)
-        self.word_bytes = setting.word_bits / 8.0
-        self.prng_evk = prng_evk
 
     # -- primary functions -----------------------------------------------------
 
@@ -124,10 +119,6 @@ class OpLowering:
                 + self._ntt(limbs)
                 + self._ew(limbs, mults=1)  # (u - w) * P^-1 fuses (ModD)
             )
-        # Streaming the evk: dnum digits x (limbs + K) limbs x 2 polys,
-        # halved when the A-half is PRNG-regenerated.
-        polys = 1 if self.prng_evk else 2
-        out.evk_bytes = digits * polys * (limbs + self.k) * self.n * self.word_bytes
         return out
 
     def _rescale(self, limbs: int, drop: int) -> FuWork:

@@ -7,18 +7,12 @@ cycles.  Within one HE op the units run as a pipeline — the op's
 latency is its *bottleneck* unit's time — which is what the deeply
 pipelined INTT -> BConv -> NTT dataflow achieves in hardware.
 
-Two memory models coexist:
-
-* **Scheduled** — :meth:`Simulator.run` given a
-  :class:`repro.sched.ScheduledTrace` takes each op's off-chip and
-  spill bytes straight from the scratchpad allocator's event log
-  (Belady/LRU over a unified temporary + evk budget), so traffic is
-  the consequence of recorded decisions rather than a formula.
-* **Legacy closed-form** — plain :class:`Trace` inputs keep the seed
-  heuristics: evk streaming with a fixed residency share
-  (``config.evk_capacity_fraction``), and a working-set overflow
-  fraction at bootstrap levels unless memory-capacity-aware BSGS
-  fine-tuning (observation (12)) reshapes the schedule to fit.
+One memory model: every trace is scheduled before it is priced
+(:meth:`Simulator.schedule` — Belady over a unified temporary + evk
+budget at the config's scratchpad capacity), and each op's off-chip
+and spill bytes come straight from the scratchpad allocator's event
+log, so traffic is the consequence of recorded decisions rather than
+a formula (S5, observation (10)).
 
 Outputs: runtime, per-unit utilization (Fig. 6(b)), off-chip traffic,
 energy and average power, and EDP/EDAP helpers (Figs. 7 and 8).
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.config import AcceleratorConfig
 from repro.hw.area import chip_area
-from repro.hw.isa import OpKind, Trace
+from repro.hw.isa import Trace
 from repro.hw.lowering import FuWork, OpLowering, ntt_butterflies
 from repro.hw.power import (
     HBM_J_PER_BYTE,
@@ -66,7 +60,7 @@ class SimulationResult:
     energy_j: float
     energy_breakdown: dict
     area_mm2: float
-    schedule_policy: str | None = None  # set when a ScheduledTrace ran
+    schedule_policy: str  # eviction policy of the schedule that was priced
 
     @property
     def power_w(self) -> float:
@@ -108,7 +102,7 @@ class Simulator:
     ):
         self.config = config
         self.setting = setting if setting is not None else config.setting()
-        self.lowering = OpLowering(self.setting, prng_evk=config.prng_evk)
+        self.lowering = OpLowering(self.setting)
         self.area = chip_area(config)
 
     # -- per-op timing ------------------------------------------------------------
@@ -144,12 +138,6 @@ class Simulator:
             others = sum(fu.values()) - fu_max
         return bottleneck + SERIALIZATION * others
 
-    def _boot_limb_threshold(self) -> int:
-        """Limb count above which an op belongs to bootstrapping."""
-        s = self.setting
-        normal = s.group("normal")
-        return s.base_prime_count + normal.levels * normal.primes_per_level + 1
-
     # -- scheduling front-end ------------------------------------------------------
 
     def schedule(self, trace: Trace, policy: str = "belady", fuse: bool = False):
@@ -168,121 +156,30 @@ class Simulator:
     # -- the run loop ------------------------------------------------------------
 
     def run(self, trace) -> SimulationResult:
-        """Simulate a :class:`Trace` (legacy memory model) or a
-        :class:`repro.sched.ScheduledTrace` (allocator-driven)."""
+        """Price a :class:`repro.sched.ScheduledTrace`; a plain
+        :class:`Trace` is first scheduled at this config's capacity
+        (Belady, unfused).  Traffic comes from the allocator's per-op
+        decisions."""
         from repro.sched.trace import ScheduledTrace
 
-        if isinstance(trace, ScheduledTrace):
-            return self._run_scheduled(trace)
-        return self._run_legacy(trace)
-
-    def _run_legacy(self, trace: Trace) -> SimulationResult:
-        config = self.config
-        setting = self.setting
-        ct_bytes_per_limb = 2 * setting.degree * setting.word_bits / 8.0
-
-        state = _RunState()
-        seen_keys: set[str] = set()
-        boot_threshold = self._boot_limb_threshold()
-
-        # Storage share reserved for keys (paper S5's residency split).
-        evk_capacity = config.evk_capacity_fraction * config.rf_main_bytes
-        evk_resident = 0.0
-
-        for op in trace.ops:
-            work = self.lowering.lower(op)
-            fu = self._fu_cycles(work)
-            rf_cycles = work.rf_words / config.onchip_bw_words
-            compute_cycles = self._compute_cycles(fu, rf_cycles)
-
-            # Off-chip traffic for this op.
-            op_bytes = 0.0
-            spill_bytes = 0.0
-            if op.key_id is not None and work.evk_bytes > 0:
-                per_use = work.evk_bytes / op.count
-                if op.key_id not in seen_keys:
-                    seen_keys.add(op.key_id)
-                    evk_resident += per_use
-                    op_bytes += per_use  # first fetch
-                elif op.key_id != "mult" and evk_resident > evk_capacity:
-                    # Key set exceeds the residency budget: the compiler
-                    # reloads a key once per use-phase (one trace entry),
-                    # overlapping the stream with compute (obs. (10)).
-                    op_bytes += per_use
-
-            # Working-set management at bootstrap levels (observations
-            # (11)/(12)).  The BSGS subroutine holds (bs + 1) temporary
-            # ciphertexts plus the active evk on-chip; the balanced
-            # split is bs = gs = sqrt(D) with D = 64 (paper S5).
-            if op.limbs >= boot_threshold and op.kind in (
-                OpKind.HMULT,
-                OpKind.HROT,
-                OpKind.PMULT,
-                OpKind.PMADD,
-            ):
-                ct_bytes = op.limbs * ct_bytes_per_limb
-                evk_bytes = setting.evk_bytes(prng=config.prng_evk)
-                bs_gs_product = 64
-                bs = 8
-
-                def working_set(b: int) -> float:
-                    return (b + 1) * ct_bytes + evk_bytes
-
-                if working_set(bs) > config.onchip_capacity_bytes:
-                    if config.bsgs_finetune:
-                        # Shrink bs until the working set fits, paying
-                        # the O(bs + gs) compute increase instead of
-                        # off-chip traffic (observation (12)).
-                        b = bs
-                        while b > 1 and working_set(b) > config.onchip_capacity_bytes:
-                            b //= 2
-                        balanced_cost = bs + bs_gs_product / bs
-                        tuned_cost = b + bs_gs_product / b
-                        compute_cycles *= tuned_cost / balanced_cost
-                    else:
-                        overflow = 1.0 - config.onchip_capacity_bytes / working_set(
-                            bs
-                        )
-                        spill_bytes = 2 * ct_bytes * overflow * op.count
-                        op_bytes += spill_bytes
-
-            self._account_op(state, fu, work, compute_cycles, op_bytes, spill_bytes)
-
-        return self._finish(trace, state)
-
-    def _run_scheduled(self, sched) -> SimulationResult:
-        """Traffic comes from the allocator's per-op decisions."""
+        sched = trace if isinstance(trace, ScheduledTrace) else self.schedule(trace)
         state = _RunState()
         for op, event in zip(sched.trace.ops, sched.log.events):
-            work = self.lowering.lower(op)
-            fu = self._fu_cycles(work)
-            rf_cycles = work.rf_words / self.config.onchip_bw_words
-            compute_cycles = self._compute_cycles(fu, rf_cycles)
             self._account_op(
-                state,
-                fu,
-                work,
-                compute_cycles,
-                event.offchip_bytes,
-                event.spill_bytes,
+                state, self.lowering.lower(op), event.offchip_bytes, event.spill_bytes
             )
-        return self._finish(sched.trace, state, policy=sched.policy)
-
-    # -- shared accounting ---------------------------------------------------------
+        return self._finish(sched.trace, state, sched.policy)
 
     def _account_op(
-        self,
-        state: "_RunState",
-        fu: dict,
-        work: FuWork,
-        compute_cycles: float,
-        op_bytes: float,
-        spill_bytes: float,
+        self, state: "_RunState", work: FuWork, op_bytes: float, spill_bytes: float
     ) -> None:
         config = self.config
         setting = self.setting
         word_bytes = setting.word_bits / 8.0
 
+        fu = self._fu_cycles(work)
+        rf_cycles = work.rf_words / config.onchip_bw_words
+        compute_cycles = self._compute_cycles(fu, rf_cycles)
         mem_cycles = op_bytes / config.offchip_bw_bytes * config.frequency_hz
         state.total_cycles += max(compute_cycles, mem_cycles)
         state.offchip += op_bytes
@@ -307,9 +204,7 @@ class Simulator:
         energy["hbm"] += op_bytes * HBM_J_PER_BYTE
         energy["noc"] += (work.ntt_words + work.auto_words) * noc_j
 
-    def _finish(
-        self, trace, state: "_RunState", policy: str | None = None
-    ) -> SimulationResult:
+    def _finish(self, trace, state: "_RunState", policy: str) -> SimulationResult:
         seconds = state.total_cycles / self.config.frequency_hz
         leakage = LEAKAGE_W_PER_MM2 * self.area.total * seconds
         total_energy = sum(state.energy.values()) + leakage

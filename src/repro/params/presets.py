@@ -181,17 +181,27 @@ class WordLengthSetting:
         limbs = self.max_level if level is None else level
         return 2 * limbs * self.degree * self.word_bytes()
 
-    def evk_bytes(self, prng: bool = False) -> float:
-        """Size of an evaluation key: dnum pairs of (L+K) x N matrices.
+    def evk_bytes(self, prng: bool = False, limbs: int | None = None) -> float:
+        """Size of an evaluation key as used at ``limbs`` limbs.
 
-        With CraterLake-style PRNG generation the ``A`` half of each
-        pair is regenerated from a seed, halving storage (S4.1).
+        A key switch at ``limbs`` limbs reads ``ceil(limbs / alpha)``
+        digits (``alpha = ceil(L / dnum)``) of two ``(limbs + K) x N``
+        matrices each — a prefix of the rows stored for the full chain,
+        which is the size when ``limbs`` is None: dnum pairs of
+        ``(L + K) x N``.  With CraterLake-style PRNG generation the
+        ``A`` half of each pair is regenerated from a seed, halving
+        storage and traffic (S4.1).  Every model that moves or holds a
+        key (simulator, scheduler, BSGS planner, Fig. 5(b)) sizes it
+        here.
         """
+        if limbs is None:
+            limbs = self.max_level
+        alpha = math.ceil(self.max_level / self.dnum)
         polys_per_digit = 1 if prng else 2
         return (
-            self.dnum
+            math.ceil(limbs / alpha)
             * polys_per_digit
-            * (self.max_level + self.k)
+            * (limbs + self.k)
             * self.degree
             * self.word_bytes()
         )

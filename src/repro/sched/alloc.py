@@ -4,9 +4,7 @@ Models the paper's Belady data scheduling (S5, observation (10)): the
 compiler knows the whole trace, so on-chip eviction can use *future*
 use distances — the provably miss-minimal MIN policy for uniform
 lines — instead of recency.  Ciphertext temporaries and evaluation
-keys share one capacity budget, replacing the seed simulator's fixed
-0.35x evk residency share and closed-form overflow fraction with
-per-op decisions.
+keys share one capacity budget, and residency is decided op by op.
 
 Mechanics shared by both policies:
 

@@ -102,18 +102,9 @@ class Liveness:
             evk = self.evk_ranges[f"evk:{op.key_id}"].size_bytes
         return self._live_bytes[index] + evk
 
-    def peak_temporaries(self, min_limbs: int = 0) -> int:
-        """Max simultaneously-live ciphertexts (ops at >= min_limbs).
-
-        Restrict to bootstrap-level ops by passing the bootstrap limb
-        threshold.
-        """
-        counts = [
-            c
-            for c, op in zip(self._live_counts, self.trace.ops)
-            if op.limbs >= min_limbs
-        ]
-        return max(counts, default=0)
+    def peak_temporaries(self) -> int:
+        """Max simultaneously-live ciphertexts across the trace."""
+        return max(self._live_counts, default=0)
 
     def peak_working_set_bytes(self) -> float:
         return max(
@@ -135,9 +126,10 @@ def analyze_liveness(
     """Build live ranges for an SSA-annotated trace.
 
     Ciphertext values are sized from the limb count of their defining
-    op (post-rescale); external inputs from their first consumer; every
-    evaluation key from the setting's evk size.  Raises ``ValueError``
-    on unannotated traces — those take the simulator's legacy path.
+    op (post-rescale); external inputs from their first consumer; an
+    evaluation key at the highest limb count it is used at (a
+    lower-level use reads a prefix of the same rows).  Raises
+    ``ValueError`` on a trace without SSA annotations.
     """
     if not trace.annotated:
         raise ValueError(
@@ -149,6 +141,7 @@ def analyze_liveness(
     sizes: dict[str, float] = {}
     uses: dict[str, list[int]] = {}
     evk_uses: dict[str, list[int]] = {}
+    evk_limbs: dict[str, int] = {}
 
     for i, op in enumerate(trace.ops):
         for src in op.srcs:
@@ -174,13 +167,19 @@ def analyze_liveness(
             evk_uses.setdefault(key, [])
             if not evk_uses[key] or evk_uses[key][-1] != i:
                 evk_uses[key].append(i)
+            evk_limbs[key] = max(evk_limbs.get(key, 0), op.limbs)
 
     ranges = {
         v: LiveRange(v, sizes[v], defs[v], tuple(uses[v])) for v in defs
     }
-    evk_size = setting.evk_bytes(prng=prng_evk)
     evk_ranges = {
-        key: LiveRange(key, evk_size, -1, tuple(indices), is_evk=True)
+        key: LiveRange(
+            key,
+            setting.evk_bytes(prng=prng_evk, limbs=evk_limbs[key]),
+            -1,
+            tuple(indices),
+            is_evk=True,
+        )
         for key, indices in evk_uses.items()
     }
     return Liveness(trace, ranges, evk_ranges)

@@ -2,9 +2,9 @@
 
 A :class:`ScheduledTrace` bundles an (optionally fused) annotated
 trace with the liveness analysis and the scratchpad allocator's event
-log.  ``Simulator.run`` accepts it directly and derives each op's
-off-chip bytes and spill traffic from the recorded decisions instead
-of the legacy closed-form overflow model.
+log.  ``Simulator.run`` prices it: each op's off-chip bytes and spill
+traffic are the recorded decisions (a plain trace handed to ``run`` is
+scheduled first).
 """
 
 from __future__ import annotations

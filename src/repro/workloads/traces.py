@@ -17,8 +17,8 @@ the builder threads a current-value cursor through the op stream, and
 rotation ladders produce temporaries that stay live until the next
 accumulation consumes them — which is exactly the (bs + 1)-ciphertext
 BSGS working set the paper's Fig. 5(b) plots.  The annotations feed
-the :mod:`repro.sched` scheduling compiler; the legacy closed-form
-simulator path ignores them.
+the :mod:`repro.sched` scheduling compiler, whose schedule is what
+the simulator prices traffic from.
 
 With ``explicit_rescale=True`` the builder emits each consuming op
 followed by a standalone ``RESCALE`` instead of folding the drop into

@@ -52,7 +52,7 @@ class TestConfigs:
     def test_flat_config_has_no_groups(self):
         ark = ark36_config(180)
         assert ark.lane_group == 256
-        assert not ark.two_d_bconv and not ark.ewe and not ark.bsgs_finetune
+        assert not ark.two_d_bconv and not ark.ewe
 
     def test_with_features(self, sharp):
         flat = sharp.with_features(hierarchical_nttu=False)
@@ -99,7 +99,7 @@ class TestLowering:
     def test_hmult_exercises_all_units(self, lowering):
         w = lowering.lower(HeOp(OpKind.HMULT, 35, drop=1, key_id="mult"))
         assert w.ntt_words > 0 and w.bconv_macs > 0 and w.ew_mults > 0
-        assert w.evk_bytes > 0
+        assert lowering.setting.evk_bytes(prng=True, limbs=35) > 0
 
     def test_hrot_uses_autou(self, lowering):
         w = lowering.lower(HeOp(OpKind.HROT, 20, key_id="r1"))
@@ -130,11 +130,9 @@ class TestLowering:
         assert many.ntt_words > 0
 
     def test_prng_halves_evk_traffic(self, sharp):
-        with_prng = OpLowering(sharp.setting(), prng_evk=True)
-        without = OpLowering(sharp.setting(), prng_evk=False)
-        op = HeOp(OpKind.HMULT, 35, drop=1, key_id="mult")
-        assert without.lower(op).evk_bytes == pytest.approx(
-            2 * with_prng.lower(op).evk_bytes
+        setting = sharp.setting()
+        assert setting.evk_bytes(prng=False, limbs=35) == pytest.approx(
+            2 * setting.evk_bytes(prng=True, limbs=35)
         )
 
 
@@ -214,13 +212,6 @@ class TestSimulator:
         unique_keys = len({op.key_id for op in tr.ops if op.key_id})
         assert r.offchip_bytes < 3 * unique_keys * evk
 
-    def test_spills_only_without_finetune(self):
-        base = sharp_config()
-        no_ft = base.with_features(bsgs_finetune=False)
-        tr = bootstrap_trace(base.setting())
-        assert Simulator(base).run(tr).spill_bytes == 0
-        assert Simulator(no_ft).run(tr).spill_bytes > 0
-
     def test_empty_trace_reports_zero_power(self, sharp_sim):
         """Regression: power_w on a zero-second run raised ZeroDivisionError."""
         r = sharp_sim.run(Trace("empty"))
@@ -238,16 +229,3 @@ class TestSimulator:
         assert sharp_sim._compute_cycles(fu, 1.0) == pytest.approx(10 + 0.30 * 5)
         # RF-bound: every FU is a non-bottleneck unit now.
         assert sharp_sim._compute_cycles(fu, 100.0) == pytest.approx(100 + 0.30 * 15)
-
-    def test_evk_capacity_fraction_is_sweepable(self, sharp):
-        """Smaller evk residency share -> more key re-streaming traffic."""
-        assert sharp.evk_capacity_fraction == pytest.approx(0.35)
-        # Two rotation keys reused back and forth: they fit the default
-        # residency budget, but a zero share forces a reload per reuse.
-        tr = Trace(
-            "key_reuse",
-            [HeOp(OpKind.HROT, 20, key_id=f"r{i % 2}") for i in range(6)],
-        )
-        tight = Simulator(sharp.with_features(evk_capacity_fraction=0.0)).run(tr)
-        roomy = Simulator(sharp.with_features(evk_capacity_fraction=1.0)).run(tr)
-        assert tight.offchip_bytes > roomy.offchip_bytes

@@ -74,7 +74,12 @@ class TestLiveness:
         tr = bootstrap_trace(setting)
         live = analyze_liveness(tr, setting)
         assert "evk:mult" in live.evk_ranges
-        assert live.evk_ranges["evk:mult"].size_bytes == setting.evk_bytes(prng=True)
+        # Sized at the key's highest use, not at the full chain.
+        top = max(op.limbs for op in tr.ops if op.key_id == "mult")
+        assert top < setting.max_level
+        assert live.evk_ranges["evk:mult"].size_bytes == setting.evk_bytes(
+            prng=True, limbs=top
+        )
 
     def test_working_set_matches_fig5_scale(self, setting):
         """Measured peak working set lands where Fig. 5(b) puts it."""
@@ -304,21 +309,16 @@ class TestSimulatorIntegration:
         assert res.offchip_bytes == pytest.approx(sched.log.offchip_bytes)
         assert res.spill_bytes == pytest.approx(sched.log.spill_bytes)
 
-    def test_legacy_path_untouched_by_scheduler(self, sharp, setting):
-        sim = Simulator(sharp)
-        res = sim.run(evaluation_traces(setting)["bootstrap"])
-        assert res.schedule_policy is None
-
-    def test_scheduled_and_legacy_agree_on_compute(self, sharp, setting):
-        """Same ops -> same FU busy cycles; only traffic differs."""
+    def test_plain_trace_is_scheduled_then_priced(self, sharp, setting):
+        """One path: run(trace) is run(schedule(trace)), field for field."""
         sim = Simulator(sharp)
         tr = evaluation_traces(setting)["helr256"]
-        legacy = sim.run(tr)
-        sched = sim.run(sim.schedule(tr, "belady"))
-        for name in legacy.fu_busy_cycles:
-            assert sched.fu_busy_cycles[name] == pytest.approx(
-                legacy.fu_busy_cycles[name]
-            )
+        assert sim.run(tr) == sim.run(sim.schedule(tr))
+
+    def test_unannotated_trace_rejected_by_run(self, sharp):
+        tr = Trace("bare", [HeOp(OpKind.HADD, LIMBS)])
+        with pytest.raises(ValueError, match="SSA"):
+            Simulator(sharp).run(tr)
 
     def test_schedule_trace_function_fuses(self, sharp, setting):
         tr = helr_trace(setting, 256, iterations=1, explicit_rescale=True)
