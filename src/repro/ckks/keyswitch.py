@@ -15,12 +15,14 @@ selectors for any prefix of it.
 A switch is three steps: :meth:`KeySwitcher.decompose` (ModUp, a
 function of the polynomial alone), :meth:`KeySwitcher.inner` (inner
 product with one key) and :meth:`KeySwitcher.mod_down`; ``apply`` is
-the last two and ``switch`` all three.  Callers that switch one
-polynomial under many keys (hoisted rotations) decompose once; callers
+the last two and ``switch`` all three.  ``decompose`` is memoised per
+limb array (every rotation of a ciphertext shares one ModUp); callers
 that sum many switches (a BSGS stage's giant steps) ModDown once.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -94,6 +96,9 @@ class KeySwitcher:
         self.params = context.params
         self.ring = context.ring
         self._plans: dict[tuple[int, ...], _SwitchPlan] = {}
+        # id(limbs) -> (weak reference to limbs, their read-only digits);
+        # the reference's callback drops the entry with the array.
+        self._digits: dict[int, tuple[weakref.ref[np.ndarray], np.ndarray]] = {}
 
     def _plan(self, active: tuple[int, ...]) -> _SwitchPlan:
         plan = self._plans.get(active)
@@ -116,13 +121,16 @@ class KeySwitcher:
         Digit ``d`` keeps its own rows of ``poly`` (already in NTT form)
         and gets every other row of ``C + P`` by base conversion of its
         coefficient form; all digits' converted rows go through *one*
-        batched forward transform.  The result depends on ``poly``
-        alone, so it can be shared by every :meth:`apply` against the
-        same polynomial.
+        batched forward transform.  The result depends on ``poly`` alone:
+        it is kept, read-only, while ``poly.limbs`` lives and shared.
         """
         ring = self.ring
         if not poly.ntt_form:
             poly = poly.to_ntt()
+        key = id(poly.limbs)
+        hit = self._digits.get(key)
+        if hit is not None and hit[0]() is poly.limbs:
+            return hit[1]
         plan = self._plan(poly.moduli)
         coeff = poly.from_ntt()
         n = ring.degree
@@ -138,6 +146,9 @@ class KeySwitcher:
             ring.plan(plan.rest_moduli), rest_rows
         )
         ext[plan.row_digit, plan.row_target] = rest_ntt
+        ext.flags.writeable = False
+        memo = self._digits  # the callback must not keep the switcher alive
+        memo[key] = (weakref.ref(poly.limbs, lambda _: memo.pop(key, None)), ext)
         return ext
 
     def apply(self, ext: np.ndarray, evk: EvalKey) -> tuple[RnsPolynomial, RnsPolynomial]:

@@ -126,8 +126,8 @@ class LinearTransform:
         # matrices that its rotation carries into place.
         groups: dict[int, tuple[list[Ciphertext], list[Plaintext]]] = {}
         for base, (babies, giants) in zip(bases, self._compiled[1]):
-            # Baby rotations rot_j(base): one shared decomposition.
-            baby_cts = dict(zip(babies, ev.rotate_hoisted(base, babies))) if babies else {}
+            # Baby rotations rot_j(base) share base's one decomposition.
+            baby_cts = {j: ev.rotate(base, j) for j in babies}
             for shift, terms in giants:
                 cts, pts = groups.setdefault(shift, ([], []))
                 cts.extend(baby_cts[j] for j, _ in terms)

@@ -361,36 +361,17 @@ class Evaluator:
         return self._apply_automorphism(ct, self.ring.conjugation_element)
 
     def _apply_automorphism(self, ct: Ciphertext, galois: int) -> Ciphertext:
-        c0 = ct.c0.automorphism(galois)
-        c1 = ct.c1.automorphism(galois)
-        u0, u1 = self.switcher.switch(c1, self.context.keys.galois_key(galois))
-        return Ciphertext(c0 + u0, u1, ct.level, ct.scale)
+        u0, u1 = self.switcher.apply(
+            self._permuted_digits(ct, galois), self.context.keys.galois_key(galois)
+        )
+        return Ciphertext(ct.c0.automorphism(galois) + u0, u1, ct.level, ct.scale)
 
-    def rotate_hoisted(self, ct: Ciphertext, amounts: list[int]) -> list[Ciphertext]:
-        """``[rotate(ct, r) for r in amounts]`` sharing one ModUp.
-
-        The digit decomposition commutes with the automorphism (a lane
-        permutation in evaluation form), so ``ct.c1`` is decomposed once
-        and each amount pays only the permutation, the inner product
-        with its Galois key and a ModDown.  Against :meth:`rotate` the
-        outputs differ by the fast-BConv overflow multiple of a digit
-        modulus — the same noise class, not the same bits.
-        """
-        ext = self.switcher.decompose(ct.c1)
-        out = []
-        for amount in amounts:
-            amount %= self.params.slots
-            if amount == 0:
-                out.append(ct)
-                continue
-            galois = self.ring.galois_element(amount)
-            perm = self.ring.automorphism_eval_permutation(galois)
-            u0, u1 = self.switcher.apply(
-                ext[:, :, perm], self.context.keys.galois_key(galois)
-            )
-            c0 = ct.c0.automorphism(galois)
-            out.append(Ciphertext(c0 + u0, u1, ct.level, ct.scale))
-        return out
+    def _permuted_digits(self, ct: Ciphertext, galois: int) -> np.ndarray:
+        """``ct.c1``'s digits after ``X -> X**galois``: the automorphism is a
+        lane permutation in evaluation form and commutes with ModUp, so
+        every rotation of ``ct`` permutes one memoised decomposition."""
+        perm = self.ring.automorphism_eval_permutation(galois)
+        return np.take(self.switcher.decompose(ct.c1), perm, axis=2)
 
     def rotate_sum(self, cts: Iterable[Ciphertext], amounts: Iterable[int]) -> Ciphertext:
         """``sum_i rotate(cts[i], amounts[i])`` paying one ModDown.
@@ -408,7 +389,7 @@ class Evaluator:
                 c0, c1 = _plus(c0, ct.c0), _plus(c1, ct.c1)
                 continue
             c0 = _plus(c0, ct.c0.automorphism(galois))
-            ext = self.switcher.decompose(ct.c1.automorphism(galois))
+            ext = self._permuted_digits(ct, galois)
             acc = self.switcher.inner(ext, self.context.keys.galois_key(galois), acc)
         if acc is not None:
             u0, u1 = self.switcher.mod_down(*acc)

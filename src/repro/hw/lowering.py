@@ -100,16 +100,20 @@ class OpLowering:
             rf_words=(mults + adds + 1) * limbs * self.n,
         )
 
-    def _keyswitch(self, limbs: int) -> FuWork:
-        digits = math.ceil(limbs / self.alpha)
-        out = self._ntt(limbs)  # INTT of the input polynomial
-        for d in range(digits):
+    def _mod_up(self, limbs: int) -> FuWork:
+        """INTT of the input polynomial, then per digit BConv + NTT to ``C + P``."""
+        out = self._ntt(limbs)
+        for d in range(math.ceil(limbs / self.alpha)):
             width = min(self.alpha, limbs - d * self.alpha)
             ext = limbs + self.k - width
             out = out + self._bconv(width, ext) + self._ntt(ext)
+        return out
+
+    def _keyswitch(self, limbs: int) -> FuWork:
         # Inner product with the evk digits (2 polynomials each); the
         # accumulations fuse with the multiplies (AccQ/AccP).
-        out = out + self._ew(digits * (limbs + self.k), mults=2)
+        digits = math.ceil(limbs / self.alpha)
+        out = self._mod_up(limbs) + self._ew(digits * (limbs + self.k), mults=2)
         # ModDown of both halves: INTT(K) + BConv(K->limbs) + NTT + mult.
         for _ in range(2):
             out = (

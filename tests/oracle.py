@@ -87,10 +87,28 @@ def decompose_oracle(params, poly) -> np.ndarray:
 
 def switch_oracle(params, poly, evk) -> tuple[np.ndarray, np.ndarray]:
     """Digit split -> BConv -> inner product mod each prime of ``C + P`` -> ModDown."""
-    active, aux = poly.moduli, params.aux_primes
+    return _inner_mod_down(params, poly.moduli, decompose_oracle(params, poly), evk)
+
+
+def rotate_oracle(params, ct, galois: int, evk) -> tuple[np.ndarray, np.ndarray]:
+    """``(c0, c1)`` of the rotation: decompose ``c1`` first, then permute the digits' lanes.
+
+    In evaluation form ``X -> X**galois`` sends lane ``k`` the value at
+    ``psi**((2k + 1) * galois)``, i.e. input lane ``((2k + 1) * galois mod 2N - 1) / 2``.
+    """
+    n = params.degree
+    perm = [((2 * k + 1) * galois % (2 * n) - 1) // 2 for k in range(n)]
+    u0, u1 = _inner_mod_down(params, ct.moduli, decompose_oracle(params, ct.c1)[:, :, perm], evk)
+    c0 = (ct.c0.limbs[:, perm].astype(object) + u0) % _column(ct.moduli)
+    return c0.astype(np.uint64), u1
+
+
+def _inner_mod_down(params, active, ext, evk) -> tuple[np.ndarray, np.ndarray]:
+    """Inner product of the extended digits with ``evk``, then the division by ``P``."""
+    aux = params.aux_primes
     total = len(params.q_primes)
     keep = [*range(len(active)), *range(total, total + len(aux))]
-    ext = decompose_oracle(params, poly).astype(object)
+    ext = ext.astype(object)
     p_inv = _column(pow(prod(aux), -1, q) for q in active)
     out = []
     for key in (evk.b, evk.a):

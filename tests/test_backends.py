@@ -25,7 +25,7 @@ from repro.rns import kernels
 from repro.rns.backend import NumpyBackend, resolve_backend
 from repro.rns.bconv import BaseConverter
 from repro.rns.poly import RnsPolynomial
-from tests.oracle import rescale_oracle, switch_oracle
+from tests.oracle import rescale_oracle, rotate_oracle, switch_oracle
 from tests.test_residency import _levels, _message, _preset
 
 WORD_PATTERNS = (28, 36, 50, 62)
@@ -292,7 +292,9 @@ class TestEvaluatorVsOracle:
 
     def test_hmult_and_rotate_bit_exact(self):
         """``multiply`` = tensor, oracle switch of ``d2``, oracle rescale;
-        ``rotate`` = lane permutation plus the oracle switch of ``c1``."""
+        ``rotate`` / ``conjugate`` = the decompose-first ``rotate_oracle``
+        on every word length, including a second rotation of the same
+        ciphertext (the memoised digits)."""
         ctx = _preset(36)
         params, ev = ctx.params, Evaluator(ctx)
         a, b = (ctx.encrypt(_message(ctx, seed)) for seed in (3, 4))
@@ -307,9 +309,15 @@ class TestEvaluatorVsOracle:
         assert np.array_equal(product.c0.limbs, rescale_oracle(poly(_exact_mul(a.c0, b.c0) + u0), 1))
         assert np.array_equal(product.c1.limbs, rescale_oracle(poly(d1 + u1), 1))
 
-        galois = ctx.ring.galois_element(1)
-        u0, u1 = switch_oracle(params, a.c1.automorphism(galois), ctx.keys.galois_key(galois))
-        rotated = ev.rotate(a, 1)
-        want_c0 = (a.c0.automorphism(galois).limbs.astype(object) + u0) % q_col
-        assert np.array_equal(rotated.c0.limbs, want_c0.astype(np.uint64))
-        assert np.array_equal(rotated.c1.limbs, u1)
+        for bits in WORD_PATTERNS:
+            ctx = _preset(bits)
+            ev, ct = Evaluator(ctx), ctx.encrypt(_message(ctx, 3))
+            for galois, rotated in (
+                (ctx.ring.galois_element(1), lambda: ev.rotate(ct, 1)),
+                (ctx.ring.galois_element(5), lambda: ev.rotate(ct, 5)),
+                (ctx.ring.conjugation_element, lambda: ev.conjugate(ct)),
+            ):
+                want = rotate_oracle(ctx.params, ct, galois, ctx.keys.galois_key(galois))
+                got = rotated()
+                assert np.array_equal(got.c0.limbs, want[0]), (bits, galois)
+                assert np.array_equal(got.c1.limbs, want[1]), (bits, galois)

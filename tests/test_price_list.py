@@ -14,6 +14,13 @@ kernel calls (lazy split products, fused Shoup columns, the DSU's Garner
 step inside ``_rescale_pair``) that the backend seam does not see.
 Plaintexts are built before counting starts — the list, like the
 paper, treats them as precomputed operands.
+
+One divergence is known and asserted: the list charges a ModUp per
+HROT, while the engine charges one per *source value* —
+``KeySwitcher.decompose`` is memoised per limb array, so every rotation
+of one ciphertext after the first skips it.  Single ops are counted on
+ciphertexts never switched before; the ``ops_n14`` round subtracts the
+one shared ModUp.  Which of the two the model should price is open.
 """
 
 from __future__ import annotations
@@ -82,17 +89,18 @@ class Engine:
                 word_bits=word_bits,
             )
         )
-        x = self.context.encrypt(np.full(params.slots, 0.5))
+        self.message = np.full(params.slots, 0.5)
+        x = self.context.encrypt(self.message)
         # Warm the lazily generated keys: key generation is not op work.
+        # ``x`` is never counted: its digits are memoised now.
         self.ev.multiply(x, x)
         for amount in (1, 2):
             self.ev.rotate(x, amount)
         self.ev.conjugate(x)
-        self.fresh = x
 
     def at(self, level: int):
-        """(ciphertext, limbs, drop, step-scale plaintext) at ``level``."""
-        ct = self.ev.drop_to_level(self.fresh, level)
+        """(never-switched ciphertext, limbs, drop, step-scale plaintext) at ``level``."""
+        ct = self.context.encrypt(self.message, level=level)
         step = self.params.step_at(level)
         pt = self.ev.encode_scalar(0.5, level, step.scale)
         return ct, len(ct.moduli), len(step.primes), pt
@@ -168,7 +176,9 @@ def test_engine_work_equals_the_price_list(
 
 
 def test_an_ops_round_costs_the_sum_of_its_ops(engine_work, native_engines):
-    """The ``ops_n14`` round of the end-to-end benchmark, at N = 2^10."""
+    """The ``ops_n14`` round of the end-to-end benchmark, at N = 2^10:
+    both rotations of ``r`` share one ModUp, so the round costs its five
+    listed ops minus one ``_mod_up``."""
     engine = native_engines[36]
     ev = engine.ev
     x, limbs, drop, _ = engine.at(5)
@@ -177,11 +187,16 @@ def test_an_ops_round_costs_the_sum_of_its_ops(engine_work, native_engines):
     r = ev.multiply(x, x)
     s = ev.add(ev.rotate(r, 1), ev.rotate(r, 2))
     ev.multiply_plain(s, pt, rescale=True)
-    assert (engine_work.limb_rows, engine_work.bconv_macs) == engine.priced(
+    ntt_rows, macs = engine.priced(
         HeOp(OpKind.HMULT, limbs, drop),
         HeOp(OpKind.HROT, low_limbs, count=2),
         HeOp(OpKind.HADD, low_limbs),
         HeOp(OpKind.PMULT, low_limbs, low_drop),
+    )
+    shared = engine.lowering._mod_up(low_limbs)
+    assert (engine_work.limb_rows, engine_work.bconv_macs) == (
+        ntt_rows - shared.ntt_words / engine.params.degree,
+        macs - shared.bconv_macs,
     )
 
 

@@ -1,9 +1,10 @@
 """Operand residency of the key-switch layer.
 
 Evaluation-key tables live on the key (one per key, every level a row
-slice), linear transforms compile their diagonals once, baby-step
-rotations share one decomposition, and the scratch pools are bounded by
-their largest request.  Bit-identity claims are checked against the
+slice), linear transforms compile their diagonals once, every rotation
+of a ciphertext shares its one memoised decomposition (which dies with
+the ciphertext), and the scratch pools are bounded by their largest
+request.  Bit-identity claims are checked against the
 Python-integer oracle in ``tests/oracle.py``.
 """
 
@@ -25,6 +26,7 @@ from repro.ckks.ops import Evaluator
 from repro.params.presets import build_native_ckks_params
 from repro.params.primes import find_ntt_primes
 from repro.rns import bconv, kernels
+from repro.rns.backend import NumpyBackend
 from repro.rns.bconv import BaseConverter
 from repro.rns.poly import RnsPolynomial
 from tests.oracle import decompose_oracle, switch_oracle
@@ -118,7 +120,7 @@ def test_switch_bit_identical_to_oracle(bits):
             assert np.array_equal(u1.limbs, w1)
 
 
-# -- (ii) decompose / apply and hoisted rotations -----------------------------
+# -- (ii) decompose / apply: one memoised ModUp per ciphertext ------------------
 
 
 def test_decompose_equals_mod_up():
@@ -131,7 +133,7 @@ def test_decompose_equals_mod_up():
 
 
 @pytest.mark.parametrize("slots", (256, 1 << 10), ids=("sparse", "full"))
-def test_rotate_hoisted_within_static_rotate_bound(slots):
+def test_repeated_rotations_within_static_rotate_bound(slots):
     params = make_params(degree=1 << 11, slots=slots, scale_bits=28, depth=3, dnum=3)
     ctx = CkksContext(params, seed=4)
     ev = Evaluator(ctx)
@@ -139,14 +141,93 @@ def test_rotate_hoisted_within_static_rotate_bound(slots):
     ct = ctx.encrypt(z)
     static = NoiseCheckEvaluator(NoiseParams(scale_bits=28.0))
     bound = static.rotate(static.encrypt(mag=2.0)).worst_error
-    amounts = [1, 2, 5]
-    hoisted = ev.rotate_hoisted(ct, amounts)
-    for amount, got in zip(amounts, hoisted):
-        want = np.roll(z, -amount)
+    for amount in (1, 2, 5):  # one ModUp, three switches
+        got = ev.rotate(ct, amount)
         assert (got.level, got.scale) == (ct.level, ct.scale)
-        assert np.max(np.abs(ctx.decrypt(got) - want)) <= bound
-        assert np.max(np.abs(ctx.decrypt(ev.rotate(ct, amount)) - want)) <= bound
-    assert ev.rotate_hoisted(ct, [0, slots])[0] is ct
+        assert np.max(np.abs(ctx.decrypt(got) - np.roll(z, -amount))) <= bound
+    assert ev.rotate(ct, 0) is ct
+    assert ev.rotate(ct, slots) is ct
+
+
+@pytest.mark.parametrize("op", ("rotate", "conjugate", "apply_switch_key"))
+def test_second_switch_of_a_ciphertext_skips_mod_up(op, monkeypatch):
+    """Counted at the backend seam: only the ModDown's ``2K`` INTT rows,
+    one BConv and ``2l`` NTT rows — no ModUp work."""
+    ctx = _preset(36)
+    ev = Evaluator(ctx)
+    keys = ctx.keys
+    evk = keys.make_switch_key(CkksContext(ctx.params, seed=5).keys.public_key())
+    keys.galois_key(ctx.ring.galois_element(2))  # keys are made before counting
+    keys.galois_key(ctx.ring.conjugation_element)
+    second = {
+        "rotate": lambda ct: ev.rotate(ct, 2),
+        "conjugate": ev.conjugate,
+        "apply_switch_key": lambda ct: ev.apply_switch_key(ct, evk),
+    }[op]
+    ct = ctx.encrypt(_message(ctx), level=2)
+    ev.rotate(ct, 1)  # the one ModUp of ct.c1
+    rows = {
+        name: _count_calls(monkeypatch, NumpyBackend, name)
+        for name in ("ntt_inverse_all", "ntt_forward_all", "bconv")
+    }
+    second(ct)
+    aux, level = len(ctx.params.aux_primes), len(ct.moduli)
+    assert [args[2].shape[0] for args in rows["ntt_inverse_all"]] == [2 * aux]
+    assert [args[2].shape[0] for args in rows["ntt_forward_all"]] == [2 * level]
+    assert len(rows["bconv"]) == 1
+    fresh = ctx.encrypt(_message(ctx), level=2)
+    second(fresh)  # a first switch pays the ModUp on top
+    assert len(rows["bconv"]) > 2
+
+
+def test_memo_never_serves_a_dead_or_different_polynomial():
+    ctx = _preset(36)
+    switcher = Evaluator(ctx).switcher
+    ids = []
+    c1 = None
+    for seed in range(12):
+        source = ctx.encrypt(_message(ctx, seed), level=1).c1
+        del c1
+        gc.collect()
+        # Allocated right after the previous array died: its address is reused.
+        c1 = RnsPolynomial(ctx.ring, source.moduli, source.limbs.copy(), True)
+        ids.append(id(c1.limbs))
+        assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
+    assert len(set(ids)) < len(ids)
+    # A stale entry planted under a live array's id is not served either.
+    stale = np.zeros_like(c1.limbs)
+    switcher._digits[id(c1.limbs)] = (weakref.ref(stale), np.zeros((1, 1, 1), np.uint64))
+    assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
+    del c1, source
+    gc.collect()
+    assert not switcher._digits
+
+
+def test_memo_is_empty_once_the_ciphertext_is_gone():
+    ctx = _preset(36)
+    ev = Evaluator(ctx)
+    ct = ctx.encrypt(_message(ctx))
+    ev.multiply(ct, ct)  # d2 is a temporary: its digits leave with it
+    assert not ev.switcher._digits
+    rotated = ev.rotate(ct, 1)
+    digits = weakref.ref(ev.switcher.decompose(ct.c1))
+    assert len(ev.switcher._digits) == 1 and digits() is not None
+    del ct, rotated
+    gc.collect()
+    assert not ev.switcher._digits
+    assert digits() is None
+
+
+def test_memoised_digits_are_read_only():
+    ctx = _preset(36)
+    switcher = Evaluator(ctx).switcher
+    c1 = ctx.encrypt(_message(ctx)).c1
+    ext = switcher.decompose(c1)
+    assert switcher.decompose(c1) is ext
+    with pytest.raises(ValueError, match="read-only"):
+        ext[0, 0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        ext += 1
 
 
 # -- (iii) compiled linear transforms -----------------------------------------
