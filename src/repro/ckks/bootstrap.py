@@ -8,9 +8,10 @@ full chain:
 1. **ModRaise** — reinterpret the base-modulus residues over every
    prime.  The plaintext becomes ``p + q0*I`` for a small integer
    polynomial ``I`` (``|I| <~ sqrt(h)``, h the secret Hamming weight).
-2. **CoeffToSlot** — a conjugate-carrying linear transform moving
-   coefficients into slots as ``c_j = w_j + i*w_{j+n}``, folded with the
-   normalization ``Delta / (2*q0*K)`` so EvalMod sees values in [-1, 1].
+2. **CoeffToSlot** — a C-linear transform (one complex matrix, no
+   conjugate part) moving coefficients into slots as
+   ``c_j = w_j + i*w_{j+n}``, folded with the normalization
+   ``Delta / (2*q0*K)`` so EvalMod sees values in [-1, 1].
 3. **EvalMod** — Chebyshev approximation of ``sin(2*pi*K*x)/(2*pi*K)``
    removes the ``q0*I`` multiples; an odd arcsine-style correction
    polynomial [Bae+ 22 / Kim+ 22-flavored] cancels the leading
@@ -92,7 +93,12 @@ class Bootstrapper:
     # -- precomputation -----------------------------------------------------------
 
     def _build_transforms(self, baby_steps: int | None) -> None:
-        """Numerically derive the CtS / StC matrices from the encoder."""
+        """Numerically derive the CtS / StC matrices from the encoder.
+
+        With full packing both maps are C-linear (every slot root
+        satisfies ``zeta^(N/2) = i``), so each is one complex matrix,
+        swept column by column, with no conjugate part.
+        """
         enc = self.context.encoder
         n = self.params.slots
         delta = self.params.scale
@@ -102,34 +108,20 @@ class Bootstrapper:
             m = enc.coeffs_from_slots(z)
             return m[:n] + 1j * m[n:]
 
-        cols_e = np.empty((n, n), dtype=np.complex128)
-        cols_ie = np.empty((n, n), dtype=np.complex128)
-        eye = np.eye(n)
-        for j in range(n):
-            cols_e[:, j] = g_map(eye[j])
-            cols_ie[:, j] = g_map(1j * eye[j])
-        a_cts = (cols_e - 1j * cols_ie) / 2
-        b_cts = (cols_e + 1j * cols_ie) / 2
-
-        # H: c -> z = slots(coeffs reassembled from Re/Im of c).
+        # H = G^-1: c -> z = slots(coeffs reassembled from Re/Im of c).
         def h_map(c: np.ndarray) -> np.ndarray:
-            m = np.concatenate([np.real(c), np.imag(c)])
-            return enc.slots_from_coeffs(m)
+            return enc.slots_from_coeffs(np.concatenate([np.real(c), np.imag(c)]))
 
-        hcols_e = np.empty((n, n), dtype=np.complex128)
-        hcols_ie = np.empty((n, n), dtype=np.complex128)
-        for j in range(n):
-            hcols_e[:, j] = h_map(eye[j].astype(np.complex128))
-            hcols_ie[:, j] = h_map(1j * eye[j])
-        a_stc = (hcols_e - 1j * hcols_ie) / 2
-        b_stc = (hcols_e + 1j * hcols_ie) / 2
+        eye = np.eye(n, dtype=np.complex128)
+        cts = np.stack([g_map(e) for e in eye], axis=1)
+        stc = np.stack([h_map(e) for e in eye], axis=1)
 
         # Fold normalizations: CtS divides by 2*q0*K/Delta (EvalMod
         # domain); StC multiplies back by q0/Delta.
         nu = delta / (2.0 * self.q0 * self.k_range)
-        self.cts = LinearTransform(a_cts * nu, b_cts * nu, baby_steps=baby_steps)
+        self.cts = LinearTransform(cts * nu, baby_steps=baby_steps)
         back = self.q0 * self.k_range / delta
-        self.stc = LinearTransform(a_stc * back, b_stc * back, baby_steps=baby_steps)
+        self.stc = LinearTransform(stc * back, baby_steps=baby_steps)
 
     def _build_evalmod(self) -> None:
         k = self.k_range

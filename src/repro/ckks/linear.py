@@ -6,8 +6,10 @@ rot_d(z)``, grouped baby-step/giant-step so only ``O(sqrt(n))``
 rotations are needed (paper S5's BSGS subroutine — the bootstrapping
 phase whose ``bs``/``gs`` split SHARP tunes to its memory capacity).
 
-R-linear maps that also involve the conjugate (needed by CoeffToSlot /
-SlotToCoeff) carry a second matrix applied to ``conj(z)``.
+R-linear maps that also involve the conjugate carry a second matrix
+applied to ``conj(z)``; one that is round-off against the first costs
+no conjugation and no rotation.  (Fully packed CoeffToSlot /
+SlotToCoeff are C-linear and carry none.)
 
 The diagonals are operands, not work: a transform compiles them into
 encoded plaintexts on its first application at an operating point and
@@ -118,14 +120,13 @@ class LinearTransform:
         point = (ev.context, ct.level, ct.scale, target_scale, bs)
         if self._compiled is None or self._compiled[0] != point:
             self._compiled = (point, self._compile(ev, ct, target_scale, bs, gs))
-        bases = [ct]
-        if self.conj_matrix is not None:
-            bases.append(ev.conjugate(ct))
-
         # Giant step -> every (baby ciphertext, diagonal) term of both
         # matrices that its rotation carries into place.
         groups: dict[int, tuple[list[Ciphertext], list[Plaintext]]] = {}
-        for base, (babies, giants) in zip(bases, self._compiled[1]):
+        for conj, (babies, giants) in zip((False, True), self._compiled[1]):
+            if not giants:  # round-off against the other part: no work
+                continue
+            base = ev.conjugate(ct) if conj else ct
             # Baby rotations rot_j(base) share base's one decomposition.
             baby_cts = {j: ev.rotate(base, j) for j in babies}
             for shift, terms in giants:
@@ -149,9 +150,11 @@ class LinearTransform:
         matrices = [self.matrix]
         if self.conj_matrix is not None:
             matrices.append(self.conj_matrix)
+        # One cut for the whole transform: a part that is round-off
+        # against the other compiles to no terms.
+        scale_cut = 1e-14 * (max(np.max(np.abs(m)) for m in matrices) + 1e-300)
         parts: list[_Part] = []
         for matrix in matrices:
-            scale_cut = 1e-14 * (np.max(np.abs(matrix)) + 1e-300)
             diags = self._diagonals(matrix, tol=scale_cut)
             giants = []
             for i in range(gs):

@@ -3,11 +3,12 @@
 Bootstrapping's EvalMod and the nonlinear functions of the workloads
 (sigmoid in HELR, sign/comparison in sorting, polynomial ReLU in
 ResNet) are all evaluated as Chebyshev interpolants with the
-Paterson-Stockmeyer strategy: build the baby Chebyshev polynomials
-``T_1 .. T_bs`` and the giants ``T_bs, T_2bs, T_4bs, ...`` with
-``log2(degree)`` multiplicative depth, then fold the coefficient vector
-recursively with Chebyshev-basis division (paper S2.3's "polynomial
-approximation ... to enable evaluation with HE ops").
+Paterson-Stockmeyer strategy: split the coefficient vector recursively
+by Chebyshev-basis division at the giants ``T_bs, T_2bs, T_4bs, ...``,
+then build exactly the Chebyshev polynomials the leaves and giants read
+(an odd polynomial needs no even baby) with ``log2(degree)``
+multiplicative depth (paper S2.3's "polynomial approximation ... to
+enable evaluation with HE ops").
 
 Scale discipline: every addition aligns operands to an exact (level,
 scale) point via :meth:`Evaluator.adjust`, so prime-vs-scale deviation
@@ -15,6 +16,8 @@ never accumulates.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -53,50 +56,32 @@ class ChebyshevEvaluator:
 
     # -- Chebyshev power ladder ----------------------------------------------------
 
-    def _build_basis(self, x: Ciphertext, degree: int) -> dict[int, Ciphertext]:
-        """T_1 .. T_bs and giant T_{2^j * bs} up to ``degree``.
+    def _build_basis(self, x: Ciphertext, used: set[int]) -> dict[int, Ciphertext]:
+        """T_k for every k in ``used``, and only what building them needs.
 
-        ``x`` must hold values in [-1, 1].  Every T_k is produced at the
-        deepest level it needs so later products meet naturally;
-        ``adjust`` fixes residual scale drift.
+        ``x`` must hold values in [-1, 1].  With ``a`` the largest power
+        of two below ``k``, ``T_k = 2*T_a*T_{k-a} - T_{2a-k}`` (``T_0 = 1``,
+        so ``T_{2a} = 2*T_a^2 - 1``): every operand has a smaller index,
+        and T_k sits at depth ``ceil(log2 k)``.  ``adjust`` fixes residual
+        scale drift.
         """
+        need = set(used)
+        for k in range(max(need), 1, -1):  # close under the recurrence
+            if k in need:
+                a = 1 << ((k - 1).bit_length() - 1)
+                need.update((a, k - a, 2 * a - k))
         ev = self.ev
         basis: dict[int, Ciphertext] = {1: x}
-        top = 2
-        while top <= min(degree, self.baby_steps):
-            half = top // 2
-            t_half = basis[half]
-            sq = ev.square(t_half)  # scale back to ~x.scale after rescale
-            doubled = ev.add(sq, sq)
-            basis[top] = ev.add_scalar(doubled, -1.0)
-            top *= 2
-        # Remaining baby indices via balanced splits (depth log2(k)):
-        # T_{a+b} = 2 T_a T_b - T_{a-b} with a-b in {0, 1}.
-        for k in range(3, min(degree, self.baby_steps) + 1):
-            if k in basis:
+        for k in sorted(need - {0, 1}):
+            a = 1 << ((k - 1).bit_length() - 1)
+            if 2 * a == k:
+                sq = ev.square(basis[a])
+                basis[k] = ev.add_scalar(ev.add(sq, sq), -1.0)
                 continue
-            a = (k + 1) // 2
-            b = k - a
-            basis[k] = self._cheb_product(basis[a], basis[b], basis.get(a - b))
-        giant = self.baby_steps
-        while giant * 2 <= degree:
-            sq = self.ev.square(basis[giant])
-            doubled = self.ev.add(sq, sq)
-            basis[giant * 2] = self.ev.add_scalar(doubled, -1.0)
-            giant *= 2
+            prod = ev.multiply(basis[a], basis[k - a])
+            lhs, corr = ev.match(ev.add(prod, prod), basis[2 * a - k])
+            basis[k] = ev.sub(lhs, corr)
         return basis
-
-    def _cheb_product(
-        self, ta: Ciphertext, tb: Ciphertext, ta_minus_b: Ciphertext | None
-    ) -> Ciphertext:
-        """2*T_a*T_b - T_{a-b} (``T_0 = 1`` when the index hits zero)."""
-        ev = self.ev
-        prod = ev.multiply(ta, tb)
-        doubled = ev.add(prod, prod)
-        if ta_minus_b is None:  # a == b, T_0 = 1
-            return ev.add_scalar(doubled, -1.0)
-        lhs, corr = ev.match(doubled, ta_minus_b)
-        return ev.sub(lhs, corr)
 
     # -- recursive Paterson-Stockmeyer ----------------------------------------------
 
@@ -109,33 +94,39 @@ class ChebyshevEvaluator:
         coeffs = np.trim_zeros(np.asarray(cheb_coeffs, dtype=np.float64), "b")
         if len(coeffs) == 0:
             coeffs = np.zeros(1)
-        degree = len(coeffs) - 1
-        if degree == 0:
-            zero = self.ev.multiply_scalar(x, 0.0)
-            return self.ev.add_scalar(zero, float(coeffs[0]))
-        basis = self._build_basis(x, max(degree, 2))
-        return self._eval_rec(coeffs, basis)
+        used = {1}
+        plan = self._plan(coeffs, used)
+        return self._run(plan, self._build_basis(x, used))
 
-    def _eval_rec(
-        self, coeffs: np.ndarray, basis: dict[int, Ciphertext]
-    ) -> Ciphertext:
+    def _plan(self, coeffs: np.ndarray, used: set[int]) -> Any:
+        """The Chebyshev-division recursion, run once.
+
+        A leaf is a coefficient block of degree <= bs, evaluated
+        directly; a node ``(split, quot, rem)`` is
+        ``quot * T_split + rem`` with ``rem`` a plan or a constant.
+        ``used`` collects every T_k a leaf or node reads.
+        """
         degree = len(coeffs) - 1
         if degree <= self.baby_steps:
-            return self._eval_direct(coeffs, basis)
+            used.update(k for k in range(1, degree + 1) if coeffs[k])
+            return coeffs
         split = self.baby_steps
         while split * 2 <= degree:
             split *= 2
-        # coeffs = quot * T_split + rem  (Chebyshev-basis division)
+        used.add(split)
         quot, rem = C.chebdiv(coeffs, self._t_poly(split))
-        q_ct = self._eval_rec(np.asarray(quot), basis)
-        prod = self.ev.multiply(q_ct, basis[split])
         rem = np.trim_zeros(np.asarray(rem), "b")
-        if len(rem) <= 1:  # constant remainder folds into the product
-            if len(rem) and abs(float(rem[0])) > 0:
-                prod = self.ev.add_scalar(prod, float(rem[0]))
-            return prod
-        r_ct = self._eval_rec(rem, basis)
-        lhs, r_adj = self.ev.match(prod, r_ct)
+        tail = self._plan(rem, used) if len(rem) > 1 else float(rem.sum())
+        return split, self._plan(np.asarray(quot), used), tail
+
+    def _run(self, plan: Any, basis: dict[int, Ciphertext]) -> Ciphertext:
+        if isinstance(plan, np.ndarray):
+            return self._eval_direct(plan, basis)
+        split, quot, rem = plan
+        prod = self.ev.multiply(self._run(quot, basis), basis[split])
+        if isinstance(rem, float):  # a constant remainder folds into the product
+            return self.ev.add_scalar(prod, rem) if rem else prod
+        lhs, r_adj = self.ev.match(prod, self._run(rem, basis))
         return self.ev.add(lhs, r_adj)
 
     @staticmethod
@@ -149,33 +140,24 @@ class ChebyshevEvaluator:
     ) -> Ciphertext:
         """Direct inner product against the baby basis at one level."""
         ev = self.ev
-        degree = len(coeffs) - 1
-        if degree == 0:  # constant carried on T_1's level
+        used = [k for k in range(len(coeffs) - 1, 0, -1) if coeffs[k]]
+        if not used:  # constant carried on T_1's level
             zero = ev.multiply_scalar(basis[1], 0.0)
             return ev.add_scalar(zero, float(coeffs[0]))
         # All terms are PMults of baby T's; evaluate each at the deepest
-        # baby level so the sum aligns.
-        target_level = min(basis[k].level for k in range(1, degree + 1)) - 1
-        target_scale = None
-        srcs, pts = [], []
-        for k in range(degree, 0, -1):
-            c = float(coeffs[k])
-            if abs(c) < 1e-300:
-                continue
-            src = ev.drop_to_level(basis[k], target_level + 1)
-            step_scale = ev.params.step_at(src.level).scale
-            if target_scale is None:
-                target_scale = src.scale  # keep the ladder's working scale
-            # Every product sits at target_scale * step_scale: one
-            # multiply-accumulate, one rescale.
-            srcs.append(src)
-            pts.append(ev.encode_scalar(c, src.level, target_scale * step_scale / src.scale))
-        if srcs:
-            acc = ev.rescale(ev.multiply_plain_sum(srcs, pts))
-            acc = Ciphertext(acc.c0, acc.c1, acc.level, target_scale)
-        else:  # only the constant term survives
-            any_t = basis[1]
-            acc = ev.multiply_scalar(ev.drop_to_level(any_t, target_level + 1), 0.0)
+        # level among the T_k used so the sum aligns.
+        level = min(basis[k].level for k in used)
+        srcs = [ev.drop_to_level(basis[k], level) for k in used]
+        # Every product sits at the ladder's working scale (the first
+        # term's) times the step scale: one multiply-accumulate, one rescale.
+        target_scale = srcs[0].scale
+        product_scale = target_scale * ev.params.step_at(level).scale
+        pts = [
+            ev.encode_scalar(float(coeffs[k]), level, product_scale / src.scale)
+            for k, src in zip(used, srcs)
+        ]
+        acc = ev.rescale(ev.multiply_plain_sum(srcs, pts))
+        acc = Ciphertext(acc.c0, acc.c1, acc.level, target_scale)
         if abs(float(coeffs[0])) > 0:
             acc = ev.add_scalar(acc, float(coeffs[0]))
         return acc

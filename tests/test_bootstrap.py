@@ -116,7 +116,7 @@ class TestBootstrap:
 def test_precision_floor_at_the_benchmark_parameters(seed):
     """``bootstrap_n9``'s parameters: one rescale and one ModDown per BSGS
     stage round less often than one per giant step (13.9-14.1 bits then,
-    15.1-15.5 now)."""
+    15.0-15.5 now)."""
     params = make_params(
         degree=1 << 9, slots=256, scale_bits=23, depth=2,
         boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
@@ -126,6 +126,28 @@ def test_precision_floor_at_the_benchmark_parameters(seed):
     out, report = Bootstrapper(ctx, Evaluator(ctx)).bootstrap(ctx.encrypt(m, level=0))
     assert report.output_level == 2
     assert -math.log2(np.max(np.abs(ctx.decrypt(out) - m))) >= 14.5
+
+
+def test_coeff_to_slot_and_slot_to_coeff_are_c_linear():
+    """Full packing puts ``i`` at every slot root's ``N/2``-th power, so
+    ``z -> m[:n] + i*m[n:]`` and its inverse need no conjugate part."""
+    params = make_params(
+        degree=1 << 9, slots=256, scale_bits=23, depth=2,
+        boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
+    )  # fmt: skip
+    ctx = CkksContext(params, seed=5)
+    bts = Bootstrapper(ctx, Evaluator(ctx))
+    assert bts.cts.conj_matrix is None and bts.stc.conj_matrix is None
+    n = params.slots
+    nu = params.scale / (2.0 * bts.q0 * bts.k_range)
+    back = bts.q0 * bts.k_range / params.scale
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        z = full_msg(rng, n=n)
+        m = ctx.encoder.coeffs_from_slots(z)
+        c = m[:n] + 1j * m[n:]
+        assert np.allclose(bts.cts.reference_apply(z), nu * c, rtol=0, atol=1e-12 * nu)
+        assert np.allclose(bts.stc.reference_apply(c), back * z, rtol=0, atol=1e-12 * back)
 
 
 class TestConstruction:

@@ -4,7 +4,9 @@
 for bit, ``rotate_sum`` a sum of ``rotate``s with one ModDown's rounding,
 and a whole ``LinearTransform.apply`` / ``ChebyshevEvaluator`` block one
 multiply-accumulate per giant step and **one** rescale — counted at the
-backend seam the way ``tests/test_price_list.py`` counts.
+backend seam the way ``tests/test_price_list.py`` counts.  A conjugate
+part that is round-off costs nothing, and the Chebyshev ladder builds
+only the T_k a polynomial reads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams
+from repro.ckks.bootstrap import Bootstrapper
+from repro.ckks.context import CkksContext, make_params
 from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.linear import LinearTransform, bsgs_split
 from repro.ckks.ops import Evaluator
@@ -122,6 +126,35 @@ def test_a_bsgs_stage_is_one_pass(small_context, small_evaluator, monkeypatch, b
     assert np.max(np.abs(ctx.decrypt(out) - lt.reference_apply(z))) < 1e-4
 
 
+def test_a_round_off_conjugate_part_costs_nothing(small_context, small_evaluator, monkeypatch):
+    """A conjugate part below the whole transform's cut compiles to no
+    terms: no conjugation, no baby rotations of ``conj(z)`` — the
+    C-linear stage's ``(bs-1) + (gs-1)`` inner products and
+    ``(bs-1) + 1`` ModDowns."""
+    ctx, ev = small_context, small_evaluator
+    n = ctx.params.slots
+    rng = np.random.default_rng(7)
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    z = _message(ctx, seed=7)
+    ct = ctx.encrypt(z)
+    bs, gs = bsgs_split(n)
+    seams = (
+        (NumpyBackend, "keyswitch_inner"),
+        (KeySwitcher, "mod_down"),
+        (NumpyBackend, "plain_inner"),
+    )
+    counts = []
+    for lt in (LinearTransform(m), LinearTransform(m, 1e-20 * noise)):
+        lt.apply(ev, ct)  # compile the diagonals, generate the keys
+        with monkeypatch.context() as patch:
+            calls = [_count_calls(patch, owner, name) for owner, name in seams]
+            out = lt.apply(ev, ct)
+        counts.append([len(seen) for seen in calls])
+        assert np.max(np.abs(ctx.decrypt(out) - m @ z)) < 1e-4
+    assert counts[0] == counts[1] == [(bs - 1) + (gs - 1), (bs - 1) + 1, 2 * gs]
+
+
 def test_a_chebyshev_block_rescales_once(small_context, small_evaluator, monkeypatch):
     ctx, ev = small_context, small_evaluator
     x = np.random.default_rng(6).uniform(-1, 1, ctx.params.slots)
@@ -141,6 +174,56 @@ def test_a_chebyshev_block_rescales_once(small_context, small_evaluator, monkeyp
     out = cheb.evaluate(ctx.encrypt(x), coeffs)
     assert len(per_block) >= 4 and max(degree for degree, _ in per_block) >= 3
     assert all(count == 1 for _, count in per_block)
+    want = np.polynomial.chebyshev.chebval(x, coeffs)
+    assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3
+
+
+def _built_bases(monkeypatch) -> list:
+    """Record the indices of every basis ``ChebyshevEvaluator`` builds."""
+    built: list = []
+    build = ChebyshevEvaluator._build_basis
+
+    def recorded(self, x, used):
+        basis = build(self, x, used)
+        built.append(sorted(basis))
+        return basis
+
+    monkeypatch.setattr(ChebyshevEvaluator, "_build_basis", recorded)
+    return built
+
+
+def test_the_evalmod_ladder_builds_only_the_t_k_the_sine_uses(monkeypatch):
+    params = make_params(
+        degree=1 << 9, slots=256, scale_bits=23, depth=2,
+        boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
+    )  # fmt: skip
+    ctx = CkksContext(params, seed=3)
+    ev = Evaluator(ctx)
+    coeffs = Bootstrapper(ctx, ev)._sin_coeffs  # odd, degree 69
+    x = np.random.default_rng(3).uniform(-1, 1, params.slots)
+    # Where CoeffToSlot leaves EvalMod's input.
+    ct = ctx.encrypt(x, level=params.max_level - 1, scale=2.0**params.boot_scale_bits)
+    built = _built_bases(monkeypatch)
+    multiplies = _count_calls(monkeypatch, Evaluator, "multiply")
+    squares = _count_calls(monkeypatch, Evaluator, "square")
+    out = ChebyshevEvaluator(ev, baby_steps=16).evaluate(ct, coeffs)
+    odd, powers = [3, 5, 7, 9, 11, 13, 15], [2, 4, 8, 16, 32, 64]
+    assert built == [sorted([1, *odd, *powers])]
+    # 13 basis products (a square per power of two), 4 giant-step products.
+    assert len(squares) == len(powers)
+    assert len(multiplies) == len(odd) + len(powers) + 4
+    want = np.polynomial.chebyshev.chebval(x, coeffs)
+    assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3
+
+
+def test_an_even_polynomial_builds_no_odd_t_k(small_context, small_evaluator, monkeypatch):
+    ctx, ev = small_context, small_evaluator
+    coeffs = chebyshev_fit(lambda t: np.cos(3 * t), 12)
+    coeffs[1::2] = 0.0
+    x = np.random.default_rng(8).uniform(-1, 1, ctx.params.slots)
+    built = _built_bases(monkeypatch)
+    out = ChebyshevEvaluator(ev, baby_steps=8).evaluate(ctx.encrypt(x), coeffs)
+    assert built == [[1, 2, 4, 6, 8]]  # T_6 = 2*T_4*T_2 - T_2
     want = np.polynomial.chebyshev.chebval(x, coeffs)
     assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3
 

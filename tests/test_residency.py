@@ -183,21 +183,26 @@ def test_second_switch_of_a_ciphertext_skips_mod_up(op, monkeypatch):
 def test_memo_never_serves_a_dead_or_different_polynomial():
     ctx = _preset(36)
     switcher = Evaluator(ctx).switcher
-    ids = []
     c1 = None
     for seed in range(12):
         source = ctx.encrypt(_message(ctx, seed), level=1).c1
         del c1
         gc.collect()
-        # Allocated right after the previous array died: its address is reused.
+        # Allocated right after the previous array died (its address may be reused).
         c1 = RnsPolynomial(ctx.ring, source.moduli, source.limbs.copy(), True)
-        ids.append(id(c1.limbs))
         assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
-    assert len(set(ids)) < len(ids)
-    # A stale entry planted under a live array's id is not served either.
+    # What a reused address looks like, planted under a live array's id so
+    # it does not hang on the allocator: an entry whose array is dead, and
+    # one whose array is a different, live one.  Neither is served.
+    dead = np.zeros_like(c1.limbs)
+    dead_ref = weakref.ref(dead)
+    del dead
+    gc.collect()
+    assert dead_ref() is None
     stale = np.zeros_like(c1.limbs)
-    switcher._digits[id(c1.limbs)] = (weakref.ref(stale), np.zeros((1, 1, 1), np.uint64))
-    assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
+    for ref in (dead_ref, weakref.ref(stale)):
+        switcher._digits[id(c1.limbs)] = (ref, np.zeros((1, 1, 1), np.uint64))
+        assert np.array_equal(switcher.decompose(c1), decompose_oracle(ctx.params, c1))
     del c1, source
     gc.collect()
     assert not switcher._digits
