@@ -2,13 +2,19 @@
 
 A complex matrix ``M`` acts on a ciphertext's slot vector as
 ``z -> M z`` via the diagonal method:  ``M z = sum_d diag_d(M) *
-rot_d(z)``, grouped baby-step/giant-step so only ``O(sqrt(n))``
-rotations are needed (paper S5's BSGS subroutine — the bootstrapping
-phase whose ``bs``/``gs`` split SHARP tunes to its memory capacity).
+rot_d(z)``, grouped baby-step/giant-step so only ``O(sqrt(D))``
+rotations are needed for ``D`` non-zero diagonals (paper S5's BSGS
+subroutine — the bootstrapping phase whose ``bs``/``gs`` split SHARP
+tunes to its memory capacity).
 
-R-linear maps that also involve the conjugate carry a second matrix
-applied to ``conj(z)``; one that is round-off against the first costs
-no conjugation and no rotation.  (Fully packed CoeffToSlot /
+A transform *is* its diagonals; no matrix is held.  ``bs`` counts
+strides (the offsets' gcd with ``n``), so a sparse stage such as a
+merged butterfly group of CoeffToSlot, offsets ``t * 2^k``, still splits
+into ``O(sqrt(D))`` baby and giant rotations.
+
+R-linear maps that also involve the conjugate carry a second diagonal
+set applied to ``conj(z)``; one that is round-off against the first
+costs no conjugation and no rotation.  (Fully packed CoeffToSlot /
 SlotToCoeff are C-linear and carry none.)
 
 The diagonals are operands, not work: a transform compiles them into
@@ -28,10 +34,13 @@ import numpy as np
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.ops import Evaluator
 
-__all__ = ["LinearTransform", "bsgs_split"]
+__all__ = ["Diagonals", "LinearTransform", "bsgs_split"]
 
-# One matrix of a transform, compiled: the baby rotation amounts it
-# needs, and per giant step ``i`` (rotation ``i * bs``) its
+# A slot matrix as its non-zero diagonals: offset d -> diag_d.
+Diagonals = dict[int, np.ndarray]
+
+# One part of a transform, compiled: the baby rotation amounts it
+# needs, and per giant step (a rotation by a multiple of ``bs``) its
 # ``(baby amount, pre-rotated diagonal plaintext)`` terms.
 _Part = tuple[list[int], list[tuple[int, list[tuple[int, Plaintext]]]]]
 
@@ -53,51 +62,59 @@ def bsgs_split(n_diagonals: int, baby: int | None = None) -> tuple[int, int]:
 
 @dataclass
 class LinearTransform:
-    """A (possibly conjugate-carrying) slot-space linear map."""
+    """A (possibly conjugate-carrying) slot-space linear map, held as its
+    diagonals ``{d: diag_d}`` with ``diag_d[j] = M[j, (j + d) % n]``."""
 
-    matrix: np.ndarray  # applied to z
-    conj_matrix: np.ndarray | None = None  # applied to conj(z)
-    baby_steps: int | None = None
+    diagonals: Diagonals  # applied to z
+    conj_diagonals: Diagonals | None = None  # applied to conj(z)
+    baby_steps: int | None = None  # in units of the offsets' stride
     # The one compiled plan: (operating point, per part: baby amounts and
     # giant steps of (baby, plaintext) terms).  Replaced when the point
-    # changes, so a transform holds at most 2n plaintexts.
+    # changes, so a transform holds one plaintext per diagonal.
     _compiled: tuple[Any, list[_Part]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        self.matrix = m
-        if self.conj_matrix is not None:
-            c = np.asarray(self.conj_matrix, dtype=np.complex128)
-            if c.shape != m.shape:
-                raise ValueError("conjugate matrix shape mismatch")
-            self.conj_matrix = c
+        parts = [self.diagonals, self.conj_diagonals or {}]
+        sizes = {len(v) for part in parts for v in part.values()}
+        if len(sizes) != 1:
+            raise ValueError("diagonals must be non-empty vectors of one length")
+        (self.size,) = sizes
+        # One cut for the whole transform: a diagonal (or a whole part)
+        # that is round-off against the largest entry is dropped.
+        cut = 1e-14 * max(np.max(np.abs(v)) for part in parts for v in part.values())
+        self.diagonals, conj = [
+            {d % self.size: np.asarray(v, dtype=np.complex128)
+             for d, v in part.items() if np.max(np.abs(v)) > cut}
+            for part in parts
+        ]  # fmt: skip
+        self.conj_diagonals = conj or None
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def from_matrix(
+        cls, matrix: np.ndarray, conj: np.ndarray | None = None, baby_steps: int | None = None
+    ) -> LinearTransform:
+        """The transform of a dense square ``matrix`` (and conjugate part)."""
+        if np.ndim(matrix) != 2 or len(matrix) != len(matrix[0]):
+            raise ValueError("matrix must be square")
+        j = np.arange(len(matrix))
+
+        def diagonals(a: np.ndarray) -> Diagonals:
+            return {d: np.asarray(a)[j, (j + d) % len(j)] for d in range(len(j))}
+
+        return cls(diagonals(matrix), None if conj is None else diagonals(conj), baby_steps)
 
     def reference_apply(self, z: np.ndarray) -> np.ndarray:
-        out = self.matrix @ z
-        if self.conj_matrix is not None:
-            out = out + self.conj_matrix @ np.conj(z)
-        return out
+        parts = ((self.diagonals, z), (self.conj_diagonals or {}, np.conj(z)))
+        terms = (v * np.roll(x, -d) for diags, x in parts for d, v in diags.items())
+        return sum(terms, np.zeros(self.size, dtype=np.complex128))
 
-    # -- diagonal extraction ------------------------------------------------------
-
-    @staticmethod
-    def _diagonals(matrix: np.ndarray, tol: float = 0.0) -> dict[int, np.ndarray]:
-        n = matrix.shape[0]
-        j = np.arange(n)
-        out = {}
-        for d in range(n):
-            diag = matrix[j, (j + d) % n]
-            if tol == 0.0 or np.max(np.abs(diag)) > tol:
-                out[d] = diag
-        return out
+    def baby_step(self) -> int:
+        """``bs`` in slots: a count of strides, the offsets' gcd with ``n``."""
+        offsets = {*self.diagonals, *(self.conj_diagonals or {})}
+        stride = math.gcd(self.size, *offsets)
+        return stride * (self.baby_steps or bsgs_split(len(offsets))[0])
 
     # -- homomorphic application -----------------------------------------------------
 
@@ -112,19 +129,17 @@ class LinearTransform:
         EvalMod scale: the diagonal plaintexts are encoded at whatever
         scale makes the post-rescale result land exactly there.
         """
-        n = self.size
-        if ev.params.slots != n:
+        if ev.params.slots != self.size:
             raise ValueError("transform size must equal the slot count")
         target_scale = output_scale if output_scale is not None else ct.scale
-        bs, gs = bsgs_split(n, self.baby_steps)
-        point = (ev.context, ct.level, ct.scale, target_scale, bs)
+        point = (ev.context, ct.level, ct.scale, target_scale)
         if self._compiled is None or self._compiled[0] != point:
-            self._compiled = (point, self._compile(ev, ct, target_scale, bs, gs))
+            self._compiled = (point, self._compile(ev, ct, target_scale))
         # Giant step -> every (baby ciphertext, diagonal) term of both
-        # matrices that its rotation carries into place.
+        # parts that its rotation carries into place.
         groups: dict[int, tuple[list[Ciphertext], list[Plaintext]]] = {}
         for conj, (babies, giants) in zip((False, True), self._compiled[1]):
-            if not giants:  # round-off against the other part: no work
+            if not giants:  # no (or a round-off) part: no work
                 continue
             base = ev.conjugate(ct) if conj else ct
             # Baby rotations rot_j(base) share base's one decomposition.
@@ -141,33 +156,19 @@ class LinearTransform:
         out = ev.rescale(ev.rotate_sum(sums, groups))
         return Ciphertext(out.c0, out.c1, out.level, target_scale)
 
-    def _compile(
-        self, ev: Evaluator, ct: Ciphertext, target_scale: float, bs: int, gs: int
-    ) -> list[_Part]:
-        """Extract the diagonals and encode them for ``ct``'s operating point."""
+    def _compile(self, ev: Evaluator, ct: Ciphertext, target_scale: float) -> list[_Part]:
+        """Encode the diagonals for ``ct``'s operating point."""
         # Rotations keep level and scale, so every baby shares ct's.
         pt_scale = target_scale * ev.params.step_at(ct.level).scale / ct.scale
-        matrices = [self.matrix]
-        if self.conj_matrix is not None:
-            matrices.append(self.conj_matrix)
-        # One cut for the whole transform: a part that is round-off
-        # against the other compiles to no terms.
-        scale_cut = 1e-14 * (max(np.max(np.abs(m)) for m in matrices) + 1e-300)
+        bs = self.baby_step()
         parts: list[_Part] = []
-        for matrix in matrices:
-            diags = self._diagonals(matrix, tol=scale_cut)
-            giants = []
-            for i in range(gs):
-                # Pre-rotate each diagonal so the outer rotation by
-                # i*bs lands it in place.
-                terms = [
-                    (j, ev.context.encode(
-                        np.roll(diags[i * bs + j], i * bs), level=ct.level, scale=pt_scale
-                    ))
-                    for j in range(bs)
-                    if i * bs + j in diags
-                ]
-                if terms:
-                    giants.append((i * bs, terms))
-            parts.append((sorted({d % bs for d in diags}), giants))
+        for diags in (self.diagonals, self.conj_diagonals or {}):
+            giants: dict[int, list[tuple[int, Plaintext]]] = {}
+            for d in sorted(diags):
+                # Pre-rotate each diagonal so the outer rotation by its
+                # giant shift lands it in place.
+                shift = d - d % bs
+                pt = ev.context.encode(np.roll(diags[d], shift), level=ct.level, scale=pt_scale)
+                giants.setdefault(shift, []).append((d % bs, pt))
+            parts.append((sorted({d % bs for d in diags}), list(giants.items())))
         return parts

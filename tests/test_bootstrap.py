@@ -1,13 +1,22 @@
 """Tests for CKKS bootstrapping (ModRaise / CtS / EvalMod / StC)."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.ckks.bootstrap import Bootstrapper
+from repro.ckks.bootstrap import Bootstrapper, butterfly_stages
 from repro.ckks.context import CkksContext, make_params
+from repro.ckks.encoder import CkksEncoder
+from repro.ckks.keyswitch import KeySwitcher
+from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
+from repro.rns.backend import NumpyBackend
+from repro.rns.poly import RingContext
+from repro.workloads.traces import CTS_STAGES
+from tests.test_residency import _count_calls
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +125,7 @@ class TestBootstrap:
 def test_precision_floor_at_the_benchmark_parameters(seed):
     """``bootstrap_n9``'s parameters: one rescale and one ModDown per BSGS
     stage round less often than one per giant step (13.9-14.1 bits then,
-    15.0-15.5 now)."""
+    15.0-15.6 now, with two butterfly stages per transform)."""
     params = make_params(
         degree=1 << 9, slots=256, scale_bits=23, depth=2,
         boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
@@ -128,26 +137,111 @@ def test_precision_floor_at_the_benchmark_parameters(seed):
     assert -math.log2(np.max(np.abs(ctx.decrypt(out) - m))) >= 14.5
 
 
-def test_coeff_to_slot_and_slot_to_coeff_are_c_linear():
-    """Full packing puts ``i`` at every slot root's ``N/2``-th power, so
-    ``z -> m[:n] + i*m[n:]`` and its inverse need no conjugate part."""
+@pytest.fixture(scope="module")
+def n9():
+    """``bootstrap_n9``'s parameters and a bootstrapper over them."""
     params = make_params(
         degree=1 << 9, slots=256, scale_bits=23, depth=2,
         boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
     )  # fmt: skip
     ctx = CkksContext(params, seed=5)
-    bts = Bootstrapper(ctx, Evaluator(ctx))
-    assert bts.cts.conj_matrix is None and bts.stc.conj_matrix is None
+    return ctx, Bootstrapper(ctx, Evaluator(ctx))
+
+
+def _bit_reversal(n: int) -> np.ndarray:
+    bits = n.bit_length() - 1
+    return np.array([int(f"{j:0{bits}b}"[::-1], 2) for j in range(n)])
+
+
+def _chain(stages, x: np.ndarray) -> np.ndarray:
+    return functools.reduce(lambda v, lt: lt.reference_apply(v), stages, x)
+
+
+def test_coeff_to_slot_and_slot_to_coeff_are_butterfly_stages(n9):
+    """``z = U c`` (``c = m[:n] + i*m[n:]``; full packing puts ``i`` at
+    every slot root's ``N/2``-th power, so no conjugate part) factors as
+    ``S_8 ... S_1 BR``.  The two spare levels make CtS and StC two merged
+    stages each: four butterflies, 31 diagonals ``{-15 .. 15}`` below and
+    16 at stride 16 above.  Neither applies ``BR``."""
+    ctx, bts = n9
+    params = ctx.params
     n = params.slots
     nu = params.scale / (2.0 * bts.q0 * bts.k_range)
     back = bts.q0 * bts.k_range / params.scale
+    low, high = sorted(d % n for d in range(-15, 16)), list(range(0, n, 16))
+    assert [sorted(lt.diagonals) for lt in bts.cts] == [high, low]
+    assert [sorted(lt.diagonals) for lt in bts.stc] == [low, high]
+    assert len(low) == 2 ** (4 + 1) - 1
+    assert all(lt.conj_diagonals is None for lt in bts.cts + bts.stc)
+    br = _bit_reversal(n)
     rng = np.random.default_rng(5)
     for _ in range(3):
         z = full_msg(rng, n=n)
         m = ctx.encoder.coeffs_from_slots(z)
-        c = m[:n] + 1j * m[n:]
-        assert np.allclose(bts.cts.reference_apply(z), nu * c, rtol=0, atol=1e-12 * nu)
-        assert np.allclose(bts.stc.reference_apply(c), back * z, rtol=0, atol=1e-12 * back)
+        c = (m[:n] + 1j * m[n:])[br]
+        assert np.allclose(_chain(bts.cts, z), nu * c, rtol=0, atol=1e-12 * nu)
+        assert np.allclose(_chain(bts.stc, c), back * z, rtol=0, atol=1e-12 * back)
+
+
+def test_eval_mod_is_two_levels_shallower_than_the_budget(n9):
+    """``c3*y^3`` as ``y^2 * (c3*y)``: the arcsine correction costs two
+    levels, so EvalMod consumes 8 + 2 = 10 (11 with ``(y^2*y)*c3``) and
+    ``boot_depth`` 14 leaves two spare levels for the transforms."""
+    ctx, bts = n9
+    params = ctx.params
+    level = params.max_level - len(bts.cts)
+    x = np.random.default_rng(7).uniform(-0.002, 0.002, params.slots)
+    shift = np.random.default_rng(8).integers(-3, 4, params.slots) / bts.k_range
+    ct = ctx.encrypt(x + shift, level=level, scale=2.0**params.boot_scale_bits)
+    out = bts._eval_mod(ct)
+    assert level - out.level == bts._evalmod_depth() == 10
+    assert params.boot_levels - 10 - 2 == len(bts.cts) + len(bts.stc) - 2
+    assert np.max(np.abs(ctx.decrypt(out).real - x)) < 1e-6
+
+
+@pytest.mark.slow
+def test_a_warm_bootstrap_counts_two_stages_per_transform(n9, monkeypatch):
+    """Per transform 16 inner products and 8 ModDowns where the dense
+    stage took 30 and 16; one rescale more per extra stage."""
+    ctx, bts = n9
+    z = full_msg(np.random.default_rng(6), n=ctx.params.slots)
+    bts.bootstrap(ctx.encrypt(z, level=0))  # compile the stages, generate the keys
+    seams = (
+        (NumpyBackend, "keyswitch_inner"),
+        (KeySwitcher, "mod_down"),
+        (NumpyBackend, "plain_inner"),
+        (Evaluator, "rescale"),
+    )
+    calls = [_count_calls(monkeypatch, owner, name) for owner, name in seams]
+    out, report = bts.bootstrap(ctx.encrypt(z, level=0))
+    assert [len(seen) for seen in calls] == [71, 55, 106, 78]
+    assert report.output_level == ctx.params.usable_level
+    assert -math.log2(np.max(np.abs(ctx.decrypt(out) - z))) >= 14.5
+
+
+@pytest.mark.slow
+def test_the_paper_scale_stage_plan_is_built_from_twiddles():
+    """Set_36's ring (N = 2^16) in the model's ``CTS_STAGES`` stages: no
+    2^15 x 2^15 matrix (16 GiB) is formed, and the chained stages are
+    the encoder's map."""
+    n = 1 << 15
+    tracemalloc.start()
+    cts = [LinearTransform(stage) for stage in butterfly_stages(n, CTS_STAGES, inverse=True)]
+    stc = [LinearTransform(stage) for stage in butterfly_stages(n, CTS_STAGES)]
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2**28
+    # Five butterflies a stage: 2^5 offsets at stride 2^10 on top (they
+    # wrap), 2^6 - 1 at strides 2^5 and 1 below.
+    assert [len(lt.diagonals) for lt in cts] == [32, 63, 63]
+    assert [lt.baby_step() for lt in cts] == [4 << 10, 8 << 5, 8]
+    encoder = CkksEncoder(RingContext(2 * n), n)
+    rng = np.random.default_rng(36)
+    z = full_msg(rng, n=n)
+    m = encoder.coeffs_from_slots(z)
+    c = (m[:n] + 1j * m[n:])[_bit_reversal(n)]
+    assert np.max(np.abs(_chain(cts, z) - c)) < 1e-9
+    assert np.max(np.abs(_chain(stc, c) - z)) < 1e-9
 
 
 class TestConstruction:

@@ -100,7 +100,7 @@ def test_a_bsgs_stage_is_one_pass(small_context, small_evaluator, monkeypatch, b
     ctx, ev = small_context, small_evaluator
     n = ctx.params.slots
     rng = np.random.default_rng(5)
-    lt = LinearTransform(
+    lt = LinearTransform.from_matrix(
         rng.standard_normal((n, n)) / n, rng.standard_normal((n, n)) / n, baby_steps=baby_steps
     )
     z = _message(ctx, seed=4)
@@ -145,7 +145,8 @@ def test_a_round_off_conjugate_part_costs_nothing(small_context, small_evaluator
         (NumpyBackend, "plain_inner"),
     )
     counts = []
-    for lt in (LinearTransform(m), LinearTransform(m, 1e-20 * noise)):
+    for conj in (None, 1e-20 * noise):
+        lt = LinearTransform.from_matrix(m, conj)
         lt.apply(ev, ct)  # compile the diagonals, generate the keys
         with monkeypatch.context() as patch:
             calls = [_count_calls(patch, owner, name) for owner, name in seams]
@@ -241,25 +242,36 @@ def _banded(n: int, diagonals, rng) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "diagonals, conj_diagonals, baby_steps",
+    "diagonals, conj_diagonals, baby_steps, inner_products",
     [
-        ((0, 3, 9), None, None),  # zero-shift only: no giant rotation, no key-switch sum
-        ((37,), None, None),  # a single diagonal in a single giant step
-        ((2, 19, 35), (5, 240), None),  # baby amounts 0 and 1 missing, parts differ
-        ((1, 6, 11, 200), (0, 7), 4),  # 64 giant steps, most of them empty
+        # zero-shift only: no giant rotation, no key-switch sum
+        ((0, 3, 9), None, 16, 2),
+        # a single diagonal: bs is one stride, so one giant step and no baby
+        ((37,), None, None, 1),
+        # baby amounts 0 and 1 missing, parts differ: conj + 2 + 1 babies, 3 giants
+        ((2, 19, 35), (5, 240), 16, 1 + 2 + 1 + 3),
+        # 64 giant steps, most of them empty: conj + 3 + 1 babies, 3 giants
+        ((1, 6, 11, 200), (0, 7), 4, 1 + 3 + 1 + 3),
+        # stride 16: bs = 4 strides (64 slots), gs = 4
+        (tuple(range(0, 256, 16)), None, None, (4 - 1) + (4 - 1)),
     ],
-    ids=("zero-shift", "single-diagonal", "missing-babies", "baby-steps-4"),
+    ids=("zero-shift", "single-diagonal", "missing-babies", "baby-steps-4", "stride-16"),
 )
 def test_degenerate_transforms_match_reference(
-    small_context, small_evaluator, diagonals, conj_diagonals, baby_steps
-):
+    small_context, small_evaluator, monkeypatch, diagonals, conj_diagonals, baby_steps,
+    inner_products,
+):  # fmt: skip
     ctx, ev = small_context, small_evaluator
     n = ctx.params.slots
     rng = np.random.default_rng(len(diagonals))
     conj = None if conj_diagonals is None else _banded(n, conj_diagonals, rng)
-    lt = LinearTransform(_banded(n, diagonals, rng), conj, baby_steps=baby_steps)
+    lt = LinearTransform.from_matrix(_banded(n, diagonals, rng), conj, baby_steps=baby_steps)
+    assert sorted(lt.diagonals) == sorted(diagonals)
     z = _message(ctx, seed=9)
     ct = ctx.encrypt(z)
+    lt.apply(ev, ct)  # compile the diagonals, generate the keys
+    inners = _count_calls(monkeypatch, NumpyBackend, "keyswitch_inner")
     out = lt.apply(ev, ct)
+    assert len(inners) == inner_products
     assert out.level == ct.level - 1 and out.scale == ct.scale
     assert np.max(np.abs(ctx.decrypt(out) - lt.reference_apply(z))) < 1e-4

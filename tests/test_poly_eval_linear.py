@@ -87,14 +87,14 @@ class TestBsgsSplit:
 class TestLinearTransform:
     def test_identity(self, small_context, small_evaluator, rng):
         z = rng.uniform(-1, 1, 256) + 1j * rng.uniform(-1, 1, 256)
-        lt = LinearTransform(np.eye(256))
+        lt = LinearTransform.from_matrix(np.eye(256))
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         assert np.max(np.abs(small_context.decrypt(out) - z)) < 1e-4
 
     def test_permutation_matrix(self, small_context, small_evaluator, rng):
         z = rng.uniform(-1, 1, 256)
         perm = np.roll(np.eye(256), 3, axis=1)  # shift
-        lt = LinearTransform(perm)
+        lt = LinearTransform.from_matrix(perm)
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         want = perm @ z
         assert np.max(np.abs(small_context.decrypt(out) - want)) < 1e-4
@@ -103,7 +103,7 @@ class TestLinearTransform:
         n = 256
         m = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / n
         z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        lt = LinearTransform(m)
+        lt = LinearTransform.from_matrix(m)
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         assert np.max(np.abs(small_context.decrypt(out) - m @ z)) < 1e-4
 
@@ -112,21 +112,21 @@ class TestLinearTransform:
         m = rng.normal(size=(n, n)) / n
         mc = rng.normal(size=(n, n)) / n
         z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        lt = LinearTransform(m, mc)
+        lt = LinearTransform.from_matrix(m, mc)
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         want = m @ z + mc @ np.conj(z)
         assert np.max(np.abs(small_context.decrypt(out) - want)) < 1e-4
 
     def test_consumes_one_level(self, small_context, small_evaluator, rng):
         z = rng.uniform(-1, 1, 256)
-        lt = LinearTransform(np.eye(256))
+        lt = LinearTransform.from_matrix(np.eye(256))
         ct = small_context.encrypt(z)
         out = lt.apply(small_evaluator, ct)
         assert out.level == ct.level - 1
 
     def test_output_scale_override(self, small_context, small_evaluator, rng):
         z = rng.uniform(-1, 1, 256)
-        lt = LinearTransform(np.eye(256))
+        lt = LinearTransform.from_matrix(np.eye(256))
         target = 2.0**30
         out = lt.apply(small_evaluator, small_context.encrypt(z), output_scale=target)
         assert out.scale == target
@@ -136,7 +136,7 @@ class TestLinearTransform:
         """A diagonal-only matrix needs no rotations at all."""
         z = rng.uniform(-1, 1, 256)
         d = rng.uniform(0.5, 1.5, 256)
-        lt = LinearTransform(np.diag(d))
+        lt = LinearTransform.from_matrix(np.diag(d))
         out = lt.apply(small_evaluator, small_context.encrypt(z))
         assert np.max(np.abs(small_context.decrypt(out) - d * z)) < 1e-4
 
@@ -145,14 +145,14 @@ class TestLinearTransform:
         m = rng.normal(size=(n, n))
         mc = rng.normal(size=(n, n))
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        lt = LinearTransform(m, mc)
+        lt = LinearTransform.from_matrix(m, mc)
         assert np.allclose(lt.reference_apply(z), m @ z + mc @ np.conj(z))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            LinearTransform(np.zeros((3, 4)))
+            LinearTransform.from_matrix(np.zeros((3, 4)))
 
     def test_rejects_size_mismatch(self, small_context, small_evaluator, rng):
-        lt = LinearTransform(np.eye(8))
+        lt = LinearTransform.from_matrix(np.eye(8))
         with pytest.raises(ValueError):
             lt.apply(small_evaluator, small_context.encrypt(rng.uniform(-1, 1, 256)))

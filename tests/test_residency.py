@@ -242,7 +242,7 @@ def test_linear_transform_compiles_once(small_context, small_evaluator, monkeypa
     ctx, ev = small_context, small_evaluator
     n = ctx.params.slots
     rng = np.random.default_rng(8)
-    lt = LinearTransform(
+    lt = LinearTransform.from_matrix(
         rng.standard_normal((n, n)) / n, rng.standard_normal((n, n)) / n, baby_steps=8
     )
     z = _message(ctx, seed=1)
