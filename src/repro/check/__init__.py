@@ -1,6 +1,6 @@
 """Static analysis for the FHE stack (``python -m repro.check``).
 
-Five passes, none of which execute any encryption:
+Checkers, none of which execute any encryption:
 
 * :mod:`repro.check.trace_check` — SSA well-formedness, modulus-chain
   bookkeeping and rescale legality over HE-op traces, plus structural
@@ -23,9 +23,12 @@ Five passes, none of which execute any encryption:
   artifact, with every declassification point allow-listed *and*
   re-checked against the RLWE masking discipline.
 
-:mod:`repro.check.mutations` keeps the verifier honest: a corpus of
-seeded violations (including injected secret leaks) that must all be
-caught.
+With :mod:`repro.check.equiv` (translation validation of schedules)
+they run as the six passes of :mod:`repro.check.cli` — ``bounds``,
+``traces``, ``ckks``, ``noise``, ``equiv``, ``secflow`` — and
+:mod:`repro.check.mutations` keeps each pass honest: one builder per
+pass of seeded violations (including injected secret leaks) that must
+all be caught.
 """
 
 from repro.check.admission import (

@@ -3,10 +3,16 @@
 A verifier that accepts everything is worthless, so :mod:`repro.check`
 ships its own adversarial test load: a corpus of known-bad artifacts,
 each derived from a *clean* shipped workload trace (or schedule, or
-program, or kernel configuration) by one surgical mutation, paired
-with the diagnostic codes the verifier must raise.  The CLI and the
-test suite both demand a 100% detection rate — any silently accepted
-mutant is a regression in the verifier itself.
+program, or kernel configuration, or module source) by one surgical
+mutation, paired with the diagnostic codes the verifier must raise.
+
+The corpus is one case builder per pass of ``python -m repro.check``
+(:func:`bounds_cases`, :func:`trace_cases`, :func:`ckks_cases`,
+:func:`noise_cases`, :func:`equiv_cases`, :func:`secflow_cases`); a
+pass's cases are its negative control, and :func:`build_corpus` is
+their concatenation.  The CLI and the test suite both demand a 100%
+detection rate — any silently accepted mutant is a regression in the
+verifier itself.
 """
 
 from __future__ import annotations
@@ -42,9 +48,14 @@ from repro.workloads.traces import helr_trace
 __all__ = [
     "MutationCase",
     "MutationResult",
+    "bounds_cases",
     "build_corpus",
+    "ckks_cases",
+    "equiv_cases",
+    "noise_cases",
     "run_corpus",
     "secflow_cases",
+    "trace_cases",
 ]
 
 
@@ -56,6 +67,12 @@ class MutationCase:
     kind: str  # "ssa" | "level" | "schedule" | "ckks" | "bounds" | "noise" | "equiv" | "secflow"
     run: Callable[[], CheckReport]
     expect_codes: tuple[str, ...]
+
+    def check(self) -> MutationResult:
+        """Run the case; ``caught`` means an *expected* error code fired."""
+        report = self.run()
+        caught = bool(report.error_codes() & set(self.expect_codes))
+        return MutationResult(case=self, report=report, caught=caught)
 
 
 @dataclass(frozen=True)
@@ -76,8 +93,9 @@ def _def_limbs(ops: list[HeOp], value: str) -> int:
     return ops[0].limbs  # external input
 
 
-def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
-    """Derive the corpus from a clean HELR trace at ``setting``.
+def _corpus_base(setting: WordLengthSetting) -> tuple[Trace, float]:
+    """The clean HELR trace every trace mutant derives from, and a
+    scratchpad capacity of three evaluation keys to schedule it at.
 
     Two training iterations deplete the level cursor, so the base
     trace crosses a full bootstrap: it contains ``MOD_RAISE``, DS-wide
@@ -90,13 +108,80 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         raise RuntimeError(
             "mutation corpus base trace fails verification:\n" + clean.render()
         )
+    return base, setting.evk_bytes(prng=True) * 3.0
+
+
+def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
+    """Every pass's cases, in pass order."""
+    return [
+        *bounds_cases(),
+        *trace_cases(setting),
+        *ckks_cases(),
+        *noise_cases(),
+        *equiv_cases(setting),
+        *secflow_cases(),
+    ]
+
+
+def run_corpus(setting: WordLengthSetting) -> list[MutationResult]:
+    """Run every case of :func:`build_corpus`."""
+    return [case.check() for case in build_corpus(setting)]
+
+
+def bounds_cases() -> list[MutationCase]:
+    """Kernel configurations whose overflow proofs must fail."""
+
+    def late_ntt_reduction() -> CheckReport:
+        # The inverse NTT's one reduction at 36 bits, taken a stage late:
+        # the doubled operand passes the float-quotient limit.
+        from repro.ntt.plan import lazy_schedule
+
+        q_max = (1 << 36) - 1
+        forward, inverse = lazy_schedule(q_max, 16)
+        late = (forward, tuple(stage + 1 for stage in inverse))
+        return proofs_report(
+            "ntt-late-reduction", (prove_lazy_ntt_schedule(q_max, 16, schedule=late),)
+        )
+
+    def wide_bconv_digits() -> CheckReport:
+        # 54-bit words as two 27-bit digits: eight source limbs already
+        # push a digit sum past the float64 mantissa.
+        proof = prove_bconv_matmul((1 << 54) - 1, src_count=8, digit_bits=27)
+        return proofs_report("bconv-wide-digits", (proof,))
+
+    def long_plain_inner() -> CheckReport:
+        # The lazy plaintext inner product's chunk one term too long at
+        # 36 bits: the shifted high part plus the low sum passes 2**63.
+        q_max = (1 << 36) - 1
+        proof = prove_lazy_plain_inner(q_max, kernels.lazy_inner_terms(q_max) + 1)
+        return proofs_report("plain-inner-long-chunk", (proof,))
+
+    return [
+        MutationCase(name, "bounds", run, ("KB-OVERFLOW",))
+        for name, run in (
+            ("word-bits-63", lambda: certify_report(63)),
+            ("word-bits-64", lambda: certify_report(64)),
+            ("ntt-late-reduction", late_ntt_reduction),
+            ("bconv-wide-digits", wide_bconv_digits),
+            ("plain-inner-long-chunk", long_plain_inner),
+        )
+    ]
+
+
+def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
+    """SSA, level and schedule-log mutants of the corpus base trace."""
+    base, capacity = _corpus_base(setting)
     ops = base.ops
     max_level = setting.max_level
-
-    def check(trace: Trace) -> Callable[[], CheckReport]:
-        return lambda: verify_trace(trace, setting)
-
     cases: list[MutationCase] = []
+
+    def mutant(
+        name: str, kind: str, mutated: list[HeOp], expect: tuple[str, ...]
+    ) -> None:
+        trace = _mutant(base, name, mutated)
+        cases.append(
+            MutationCase(name, kind, lambda: verify_trace(trace, setting), expect)
+        )
 
     # -- SSA violations -----------------------------------------------------
     drop_at = next(
@@ -104,73 +189,32 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         for i, op in enumerate(ops)
         if i > 0 and any(op.dst in later.srcs for later in ops[i + 1 :])
     )
-    cases.append(
-        MutationCase(
-            "dropped-def",
-            "ssa",
-            check(_mutant(base, "dropped-def", ops[:drop_at] + ops[drop_at + 1 :])),
-            ("TRC-UNDEF",),
-        )
+    mutant(
+        "dropped-def", "ssa", ops[:drop_at] + ops[drop_at + 1 :], ("TRC-UNDEF",)
     )
-
-    cases.append(
-        MutationCase(
-            "double-def",
-            "ssa",
-            check(
-                _mutant(
-                    base,
-                    "double-def",
-                    [ops[0], replace(ops[1], dst=ops[0].dst), *ops[2:]],
-                )
-            ),
-            ("TRC-REDEF", "TRC-UNDEF"),
-        )
+    mutant(
+        "double-def",
+        "ssa",
+        [ops[0], replace(ops[1], dst=ops[0].dst), *ops[2:]],
+        ("TRC-REDEF", "TRC-UNDEF"),
     )
-
-    moved = ops[:drop_at] + ops[drop_at + 1 :] + [ops[drop_at]]
-    cases.append(
-        MutationCase(
-            "use-before-def",
-            "ssa",
-            check(_mutant(base, "use-before-def", moved)),
-            ("TRC-UNDEF",),
-        )
+    mutant(
+        "use-before-def",
+        "ssa",
+        ops[:drop_at] + ops[drop_at + 1 :] + [ops[drop_at]],
+        ("TRC-UNDEF",),
     )
 
     ghost = [*ops]
-    ghost[len(ghost) // 2] = replace(
-        ghost[len(ghost) // 2],
-        srcs=("ghost_value",) + ghost[len(ghost) // 2].srcs[1:],
-    )
-    cases.append(
-        MutationCase(
-            "dangling-src",
-            "ssa",
-            check(_mutant(base, "dangling-src", ghost)),
-            ("TRC-UNDEF",),
-        )
-    )
+    mid = len(ghost) // 2
+    ghost[mid] = replace(ghost[mid], srcs=("ghost_value",) + ghost[mid].srcs[1:])
+    mutant("dangling-src", "ssa", ghost, ("TRC-UNDEF",))
 
     feeder = ops[-1].srcs[0]
-    dead = [
-        *ops[:-1],
-        HeOp(
-            OpKind.HADD,
-            _def_limbs(ops, feeder),
-            dst="dead_value",
-            srcs=(feeder,),
-        ),
-        ops[-1],
-    ]
-    cases.append(
-        MutationCase(
-            "dead-output",
-            "ssa",
-            check(_mutant(base, "dead-output", dead)),
-            ("TRC-DEAD",),
-        )
+    dead = HeOp(
+        OpKind.HADD, _def_limbs(ops, feeder), dst="dead_value", srcs=(feeder,)
     )
+    mutant("dead-output", "ssa", [*ops[:-1], dead, ops[-1]], ("TRC-DEAD",))
 
     # -- level / chain violations -------------------------------------------
     bump_at = next(
@@ -183,176 +227,221 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     )
     bumped = [*ops]
     bumped[bump_at] = replace(bumped[bump_at], limbs=bumped[bump_at].limbs + 1)
-    cases.append(
-        MutationCase(
-            "swapped-level",
-            "level",
-            check(_mutant(base, "swapped-level", bumped)),
-            ("TRC-LEVEL-SRC", "TRC-RESCALE"),
-        )
-    )
+    mutant("swapped-level", "level", bumped, ("TRC-LEVEL-SRC", "TRC-RESCALE"))
 
     ranged = [*ops]
     ranged[2] = replace(ranged[2], limbs=max_level + 5)
-    cases.append(
-        MutationCase(
-            "level-out-of-range",
-            "level",
-            check(_mutant(base, "level-out-of-range", ranged)),
-            ("TRC-LEVEL-RANGE",),
-        )
-    )
+    mutant("level-out-of-range", "level", ranged, ("TRC-LEVEL-RANGE",))
 
     rescale_at = next(i for i, op in enumerate(ops) if op.drop > 0)
     sunk = [*ops]
     sunk[rescale_at] = replace(sunk[rescale_at], drop=sunk[rescale_at].limbs)
-    cases.append(
-        MutationCase(
-            "below-base",
-            "level",
-            check(_mutant(base, "below-base", sunk)),
-            ("TRC-BASE", "TRC-RESCALE"),
-        )
-    )
+    mutant("below-base", "level", sunk, ("TRC-BASE", "TRC-RESCALE"))
 
     wide = [*ops]
     wide[rescale_at] = replace(wide[rescale_at], drop=wide[rescale_at].drop + 1)
-    cases.append(
-        MutationCase(
-            "rescale-width",
-            "level",
-            check(_mutant(base, "rescale-width", wide)),
-            ("TRC-RESCALE",),
-        )
-    )
+    mutant("rescale-width", "level", wide, ("TRC-RESCALE",))
 
     boot_ppl = setting.group("boot").primes_per_level
     if boot_ppl > 1:
         ds_at = next(i for i, op in enumerate(ops) if op.drop == boot_ppl)
         shifted = [*ops]
         shifted[ds_at] = replace(shifted[ds_at], limbs=shifted[ds_at].limbs - 1)
-        cases.append(
-            MutationCase(
-                "misaligned-rescale",
-                "level",
-                check(_mutant(base, "misaligned-rescale", shifted)),
-                ("TRC-RESCALE",),
-            )
-        )
+        mutant("misaligned-rescale", "level", shifted, ("TRC-RESCALE",))
 
     raise_at = next(
         i for i, op in enumerate(ops) if op.kind is OpKind.MOD_RAISE
     )
     lowered = [*ops]
     lowered[raise_at] = replace(lowered[raise_at], limbs=max_level - 1)
-    cases.append(
-        MutationCase(
-            "raise-not-top",
-            "level",
-            check(_mutant(base, "raise-not-top", lowered)),
-            ("TRC-RAISE", "TRC-LEVEL-SRC"),
-        )
-    )
+    mutant("raise-not-top", "level", lowered, ("TRC-RAISE", "TRC-LEVEL-SRC"))
 
     # -- schedule violations ------------------------------------------------
-    capacity = setting.evk_bytes(prng=True) * 3.0
     sched = schedule_trace(base, setting, capacity)
 
-    def forged(
-        log: ScheduleLog, name: str, expect: tuple[str, ...]
-    ) -> MutationCase:
+    def forged(log: ScheduleLog, name: str, expect: tuple[str, ...]) -> None:
         fake = ScheduledTrace(trace=sched.trace, liveness=sched.liveness, log=log)
-        return MutationCase(
-            name, "schedule", lambda: verify_schedule(fake, setting), expect
+        cases.append(
+            MutationCase(
+                name, "schedule", lambda: verify_schedule(fake, setting), expect
+            )
         )
 
+    policy = sched.log.policy
     events = list(sched.log.events)
-    cases.append(
-        forged(
-            ScheduleLog(sched.log.policy, capacity / 8.0, events),
-            "shrunk-capacity",
-            ("SCH-OCCUPANCY", "SCH-REPLAY"),
-        )
+    forged(
+        ScheduleLog(policy, capacity / 8.0, events),
+        "shrunk-capacity",
+        ("SCH-OCCUPANCY", "SCH-REPLAY"),
     )
-    cases.append(
-        forged(
-            ScheduleLog(sched.log.policy, capacity, events[:-1]),
-            "dropped-event",
-            ("SCH-COUNT",),
-        )
-    )
+    forged(ScheduleLog(policy, capacity, events[:-1]), "dropped-event", ("SCH-COUNT",))
     negative = [*events]
     negative[3] = replace(negative[3], fetch_bytes=-1.0)
-    cases.append(
-        forged(
-            ScheduleLog(sched.log.policy, capacity, negative),
-            "negative-traffic",
-            ("SCH-NEG", "SCH-REPLAY"),
-        )
+    forged(
+        ScheduleLog(policy, capacity, negative),
+        "negative-traffic",
+        ("SCH-NEG", "SCH-REPLAY"),
     )
     inflated = [*events]
     inflated[5] = replace(inflated[5], occupancy_bytes=capacity * 10.0)
-    cases.append(
-        forged(
-            ScheduleLog(sched.log.policy, capacity, inflated),
-            "occupancy-tamper",
-            ("SCH-OCCUPANCY", "SCH-REPLAY"),
-        )
+    forged(
+        ScheduleLog(policy, capacity, inflated),
+        "occupancy-tamper",
+        ("SCH-OCCUPANCY", "SCH-REPLAY"),
     )
-    cases.append(
-        forged(
-            ScheduleLog("fifo", capacity, events),
-            "unknown-policy",
-            ("SCH-POLICY",),
-        )
-    )
+    forged(ScheduleLog("fifo", capacity, events), "unknown-policy", ("SCH-POLICY",))
     other_kind = (
         OpKind.CONJ if sched.trace.ops[4].kind is not OpKind.CONJ else OpKind.HADD
     )
     mixed = [*events]
-    mixed[4] = ScheduleEvent(
-        index=mixed[4].index,
-        kind=other_kind,
-        hits=mixed[4].hits,
-        misses=mixed[4].misses,
-        fetch_bytes=mixed[4].fetch_bytes,
-        writeback_bytes=mixed[4].writeback_bytes,
-        spill_bytes=mixed[4].spill_bytes,
-        evictions=mixed[4].evictions,
-        fetched=mixed[4].fetched,
-        occupancy_bytes=mixed[4].occupancy_bytes,
-        live_values=mixed[4].live_values,
+    mixed[4] = replace(mixed[4], kind=other_kind)
+    forged(
+        ScheduleLog(policy, capacity, mixed), "kind-swap", ("SCH-KIND", "SCH-REPLAY")
     )
-    cases.append(
-        forged(
-            ScheduleLog(sched.log.policy, capacity, mixed),
-            "kind-swap",
-            ("SCH-KIND", "SCH-REPLAY"),
-        )
-    )
+    return cases
 
-    # -- translation-validation violations ----------------------------------
-    # Each mutant tampers with a *fused + scheduled* artifact — the
-    # transformed program the equivalence checker must refuse to certify
-    # against the clean source.  Trace mutants are re-scheduled from
-    # scratch so the schedule layer stays self-consistent and the catch
-    # is genuinely the equivalence layer's; log mutants keep the clean
-    # fused trace and forge the recorded decisions.
+
+def ckks_cases() -> list[MutationCase]:
+    """Evaluator programs that break the (level, scale) discipline."""
+    abstract = AbstractParams.synthetic(depth=4, scale_bits=35.0, base_bits=42.0)
+
+    def mismatch(ev: SymbolicEvaluator) -> None:
+        a = ev.fresh()
+        b = ev.fresh(scale=abstract.default_scale * 3.0)
+        ev.add(a, b)
+
+    def underflow(ev: SymbolicEvaluator) -> None:
+        ct = ev.fresh(level=0)
+        ev.rescale(ct)
+
+    def missing_rescale(ev: SymbolicEvaluator) -> None:
+        ct = ev.fresh()
+        for _ in range(3):
+            ct = ev.square(ct, rescale=False)
+
+    def case(
+        name: str, program: Callable[[SymbolicEvaluator], None], code: str
+    ) -> MutationCase:
+        return MutationCase(
+            f"ckks-{name}",
+            "ckks",
+            lambda: check_program(program, abstract, name),
+            (code,),
+        )
+
+    return [
+        case("scale-mismatch", mismatch, "CKKS-SCALE-MISMATCH"),
+        case("level-underflow", underflow, "CKKS-LEVEL-UNDERFLOW"),
+        case("missing-rescale", missing_rescale, "CKKS-SCALE-OVERFLOW"),
+    ]
+
+
+def noise_cases() -> list[MutationCase]:
+    """Noise programs and precision claims the noise domain must refuse."""
+
+    def inflated_scale() -> CheckReport:
+        # A 60-bit scale claimed on 28-bit words: no SS prime fits and a
+        # DS pair would need primes wider than the word.
+        from repro.workloads.noise_programs import noise_programs
+
+        program = noise_programs()["bootstrapping"]
+        params = NoiseParams(
+            scale_bits=60.0, boot_scale_bits=55.0, word_bits=28
+        )
+        report, _ = check_noise_program(program.build, params, "inflated-scale")
+        return report
+
+    def claim(word_bits: int, workload: str, floor: float) -> CheckReport:
+        return verify_claims(
+            [
+                PrecisionClaim(
+                    word_bits=word_bits,
+                    workload=workload,
+                    exploded=False,
+                    mean_floor_bits=floor,
+                )
+            ]
+        )
+
+    return [
+        MutationCase(
+            "noise-inflated-scale",
+            "noise",
+            inflated_scale,
+            ("NOISE-SCALE-UNREALIZABLE",),
+        ),
+        MutationCase(
+            # An analyzer that forgot the relative rescale-jitter term
+            # sees no drift, so it certifies the 28-bit explosion regime
+            # as clean — its claims must not survive re-derivation.
+            "noise-skipped-jitter",
+            "noise",
+            lambda: verify_claims(
+                claims_from_audit(run_audit((28, 36), include_jitter=False))
+            ),
+            ("NOISE-EXPLOSION-HIDDEN",),
+        ),
+        MutationCase(
+            # An analyzer that understates bootstrap noise overstates the
+            # bootstrapping precision floor at the robust scale.
+            "noise-understated-boot",
+            "noise",
+            lambda: verify_claims(
+                claims_from_audit(run_audit((36,), include_boot_noise=False))
+            ),
+            ("NOISE-CLAIM",),
+        ),
+        MutationCase(
+            "noise-hidden-explosion",
+            "noise",
+            lambda: claim(28, "helr", 14.7),
+            ("NOISE-EXPLOSION-HIDDEN",),
+        ),
+        MutationCase(
+            "noise-overclaimed-floor",
+            "noise",
+            lambda: claim(36, "bootstrapping", 23.5),
+            ("NOISE-CLAIM",),
+        ),
+    ]
+
+
+def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
+    """Tampered fused + scheduled artifacts the certifier must refuse.
+
+    Each mutant tampers with the transformed program the equivalence
+    checker must refuse to certify against the clean source.  Trace
+    mutants are re-scheduled from scratch so the schedule layer stays
+    self-consistent and the catch is genuinely the equivalence layer's;
+    log mutants keep the clean fused trace and forge the recorded
+    decisions.
+    """
+    base, capacity = _corpus_base(setting)
     esched = schedule_trace(base, setting, capacity, fuse=True)
     fops = esched.trace.ops
+    cases: list[MutationCase] = []
+
+    def equiv_case(
+        name: str, mutant: ScheduledTrace, expect: tuple[str, ...]
+    ) -> None:
+        cases.append(
+            MutationCase(
+                name,
+                "equiv",
+                lambda: check_equivalence(base, mutant, setting),
+                expect,
+            )
+        )
 
     def reschedule(tampered: list[HeOp]) -> ScheduledTrace:
         t = _mutant(base, "equiv", tampered)
         return schedule_trace(t, setting, capacity, fuse=False)
 
-    def equiv_case(
-        name: str, mutant: ScheduledTrace, expect: tuple[str, ...]
-    ) -> MutationCase:
-        return MutationCase(
-            name,
-            "equiv",
-            lambda: check_equivalence(base, mutant, setting),
-            expect,
+    def forged(events: list[ScheduleEvent]) -> ScheduledTrace:
+        return ScheduledTrace(
+            trace=esched.trace,
+            liveness=esched.liveness,
+            log=ScheduleLog(esched.log.policy, capacity, events),
         )
 
     # Wrong operand: rewire one op's input to a different live value of
@@ -382,9 +471,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     tampered[swap_at] = replace(
         tampered[swap_at], srcs=(alt,) + tampered[swap_at].srcs[1:]
     )
-    cases.append(
-        equiv_case("equiv-wrong-operand", reschedule(tampered), ("EQV-DAG",))
-    )
+    equiv_case("equiv-wrong-operand", reschedule(tampered), ("EQV-DAG",))
 
     # Reordered dependent ops: swap a producer with its consumer.  The
     # stale log keeps the op count so the bisimulation runs and sees a
@@ -401,9 +488,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         liveness=esched.liveness,
         log=esched.log,
     )
-    cases.append(
-        equiv_case("equiv-reordered-ops", reordered, ("EQV-DAG", "TRC-UNDEF"))
-    )
+    equiv_case("equiv-reordered-ops", reordered, ("EQV-DAG", "TRC-UNDEF"))
 
     # Dropped op: delete one fused multiply-add and wire its consumers
     # straight through to its first operand.
@@ -421,9 +506,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         )
         for op in tampered
     ]
-    cases.append(
-        equiv_case("equiv-dropped-op", reschedule(tampered), ("EQV-DAG",))
-    )
+    equiv_case("equiv-dropped-op", reschedule(tampered), ("EQV-DAG",))
 
     # Extra accumulation: bump one HAdd's repeat count.  Structurally
     # and level-wise pristine — only the canonical expression's
@@ -435,11 +518,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     tampered[hadd_at] = replace(
         tampered[hadd_at], count=tampered[hadd_at].count + 1
     )
-    cases.append(
-        equiv_case(
-            "equiv-extra-accumulation", reschedule(tampered), ("EQV-DAG",)
-        )
-    )
+    equiv_case("equiv-extra-accumulation", reschedule(tampered), ("EQV-DAG",))
 
     # Wrong rescale alignment in a fused region: a fused op forgets its
     # folded rescale, so its result lands one level too high.
@@ -450,12 +529,8 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         if op.kind in (OpKind.PMADD, OpKind.PMULT) and op.drop > 0
     )
     tampered[fused_at] = replace(tampered[fused_at], drop=0)
-    cases.append(
-        equiv_case(
-            "equiv-unaligned-fused-rescale",
-            reschedule(tampered),
-            ("EQV-LEVEL",),
-        )
+    equiv_case(
+        "equiv-unaligned-fused-rescale", reschedule(tampered), ("EQV-LEVEL",)
     )
 
     # Scale-drift swap: two ops at different chain positions trade
@@ -468,11 +543,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         tampered[a_at], drop=tampered[a_at].drop + tampered[b_at].drop
     )
     tampered[b_at] = replace(tampered[b_at], drop=0)
-    cases.append(
-        equiv_case(
-            "equiv-scale-drift-swap", reschedule(tampered), ("EQV-LEVEL",)
-        )
-    )
+    equiv_case("equiv-scale-drift-swap", reschedule(tampered), ("EQV-LEVEL",))
 
     # Wrong evaluation key: a rotation runs under a different key id.
     tampered = [*fops]
@@ -480,28 +551,16 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
         i for i, op in enumerate(tampered) if op.kind is OpKind.HROT
     )
     tampered[rot_at] = replace(tampered[rot_at], key_id="rot_9999")
-    cases.append(
-        equiv_case("equiv-wrong-evk", reschedule(tampered), ("EQV-DAG",))
-    )
+    equiv_case("equiv-wrong-evk", reschedule(tampered), ("EQV-DAG",))
 
     # Truncated trace: the scheduled artifact retires without ever
     # computing the source output.
-    tampered = list(fops[:-1])
-    cases.append(
-        equiv_case(
-            "equiv-missing-output", reschedule(tampered), ("EQV-OUTPUT",)
-        )
+    equiv_case(
+        "equiv-missing-output", reschedule(list(fops[:-1])), ("EQV-OUTPUT",)
     )
 
     # Dropped refill: the log claims a value was read on-chip at an op
     # where the recorded decisions never brought it back.
-    def forged_equiv(events: list[ScheduleEvent]) -> ScheduledTrace:
-        return ScheduledTrace(
-            trace=esched.trace,
-            liveness=esched.liveness,
-            log=ScheduleLog(esched.log.policy, capacity, events),
-        )
-
     events = list(esched.log.events)
     ct_fetch_at = next(
         i
@@ -513,13 +572,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     events[ct_fetch_at] = replace(
         e, fetched=tuple(f for f in e.fetched if f != keep)
     )
-    cases.append(
-        equiv_case(
-            "equiv-dropped-refill",
-            forged_equiv(events),
-            ("EQV-RESIDENCY",),
-        )
-    )
+    equiv_case("equiv-dropped-refill", forged(events), ("EQV-RESIDENCY",))
 
     # Evicted-evk key switch: the log pretends a key switch ran while
     # its evaluation key was never (re)fetched on-chip.
@@ -533,13 +586,7 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     events[evk_fetch_at] = replace(
         e, fetched=tuple(f for f in e.fetched if not f.startswith("evk:"))
     )
-    cases.append(
-        equiv_case(
-            "equiv-evicted-evk-keyswitch",
-            forged_equiv(events),
-            ("EQV-EVK",),
-        )
-    )
+    equiv_case("equiv-evicted-evk-keyswitch", forged(events), ("EQV-EVK",))
 
     # Hidden spill: an event's spill traffic is zeroed even though its
     # recorded evictions wrote dirty data back.
@@ -550,192 +597,14 @@ def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
     events[spill_at] = replace(
         events[spill_at], spill_bytes=0.0, writeback_bytes=0.0
     )
-    cases.append(
-        equiv_case(
-            "equiv-hidden-spill", forged_equiv(events), ("EQV-SPILL",)
-        )
-    )
+    equiv_case("equiv-hidden-spill", forged(events), ("EQV-SPILL",))
 
     # Phantom refill: the log invents a fetch of a value the op never
     # reads.
     events = list(esched.log.events)
     e = events[6]
     events[6] = replace(e, fetched=e.fetched + ("phantom_value",))
-    cases.append(
-        equiv_case(
-            "equiv-phantom-refill", forged_equiv(events), ("EQV-SPILL",)
-        )
-    )
-
-    # -- CKKS discipline violations -----------------------------------------
-    abstract = AbstractParams.synthetic(depth=4, scale_bits=35.0, base_bits=42.0)
-
-    def mismatch(ev: SymbolicEvaluator) -> None:
-        a = ev.fresh()
-        b = ev.fresh(scale=abstract.default_scale * 3.0)
-        ev.add(a, b)
-
-    def underflow(ev: SymbolicEvaluator) -> None:
-        ct = ev.fresh(level=0)
-        ev.rescale(ct)
-
-    def missing_rescale(ev: SymbolicEvaluator) -> None:
-        ct = ev.fresh()
-        for _ in range(3):
-            ct = ev.square(ct, rescale=False)
-
-    cases.append(
-        MutationCase(
-            "ckks-scale-mismatch",
-            "ckks",
-            lambda: check_program(mismatch, abstract, "scale-mismatch"),
-            ("CKKS-SCALE-MISMATCH",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            "ckks-level-underflow",
-            "ckks",
-            lambda: check_program(underflow, abstract, "level-underflow"),
-            ("CKKS-LEVEL-UNDERFLOW",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            "ckks-missing-rescale",
-            "ckks",
-            lambda: check_program(missing_rescale, abstract, "missing-rescale"),
-            ("CKKS-SCALE-OVERFLOW",),
-        )
-    )
-
-    # -- kernel bound violations --------------------------------------------
-    cases.append(
-        MutationCase(
-            "word-bits-63", "bounds", lambda: certify_report(63), ("KB-OVERFLOW",)
-        )
-    )
-    cases.append(
-        MutationCase(
-            "word-bits-64", "bounds", lambda: certify_report(64), ("KB-OVERFLOW",)
-        )
-    )
-
-
-    def late_ntt_reduction() -> CheckReport:
-        # The inverse NTT's one reduction at 36 bits, taken a stage late:
-        # the doubled operand passes the float-quotient limit.
-        from repro.ntt.plan import lazy_schedule
-
-        q_max = (1 << 36) - 1
-        forward, inverse = lazy_schedule(q_max, 16)
-        late = (forward, tuple(stage + 1 for stage in inverse))
-        return proofs_report(
-            "ntt-late-reduction", (prove_lazy_ntt_schedule(q_max, 16, schedule=late),)
-        )
-
-    def wide_bconv_digits() -> CheckReport:
-        # 54-bit words as two 27-bit digits: eight source limbs already
-        # push a digit sum past the float64 mantissa.
-        proof = prove_bconv_matmul((1 << 54) - 1, src_count=8, digit_bits=27)
-        return proofs_report("bconv-wide-digits", (proof,))
-
-    def long_plain_inner() -> CheckReport:
-        # The lazy plaintext inner product's chunk one term too long at
-        # 36 bits: the shifted high part plus the low sum passes 2**63.
-        q_max = (1 << 36) - 1
-        proof = prove_lazy_plain_inner(q_max, kernels.lazy_inner_terms(q_max) + 1)
-        return proofs_report("plain-inner-long-chunk", (proof,))
-
-    for name, run in (
-        ("ntt-late-reduction", late_ntt_reduction),
-        ("bconv-wide-digits", wide_bconv_digits),
-        ("plain-inner-long-chunk", long_plain_inner),
-    ):
-        cases.append(MutationCase(name, "bounds", run, ("KB-OVERFLOW",)))
-
-    # -- noise-domain violations --------------------------------------------
-    def inflated_scale() -> CheckReport:
-        # A 60-bit scale claimed on 28-bit words: no SS prime fits and a
-        # DS pair would need primes wider than the word.
-        from repro.workloads.noise_programs import noise_programs
-
-        program = noise_programs()["bootstrapping"]
-        params = NoiseParams(
-            scale_bits=60.0, boot_scale_bits=55.0, word_bits=28
-        )
-        report, _ = check_noise_program(program.build, params, "inflated-scale")
-        return report
-
-    cases.append(
-        MutationCase(
-            "noise-inflated-scale",
-            "noise",
-            inflated_scale,
-            ("NOISE-SCALE-UNREALIZABLE",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            # An analyzer that forgot the relative rescale-jitter term
-            # sees no drift, so it certifies the 28-bit explosion regime
-            # as clean — its claims must not survive re-derivation.
-            "noise-skipped-jitter",
-            "noise",
-            lambda: verify_claims(
-                claims_from_audit(run_audit((28, 36), include_jitter=False))
-            ),
-            ("NOISE-EXPLOSION-HIDDEN",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            # An analyzer that understates bootstrap noise overstates the
-            # bootstrapping precision floor at the robust scale.
-            "noise-understated-boot",
-            "noise",
-            lambda: verify_claims(
-                claims_from_audit(run_audit((36,), include_boot_noise=False))
-            ),
-            ("NOISE-CLAIM",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            "noise-hidden-explosion",
-            "noise",
-            lambda: verify_claims(
-                [
-                    PrecisionClaim(
-                        word_bits=28,
-                        workload="helr",
-                        exploded=False,
-                        mean_floor_bits=14.7,
-                    )
-                ]
-            ),
-            ("NOISE-EXPLOSION-HIDDEN",),
-        )
-    )
-    cases.append(
-        MutationCase(
-            "noise-overclaimed-floor",
-            "noise",
-            lambda: verify_claims(
-                [
-                    PrecisionClaim(
-                        word_bits=36,
-                        workload="bootstrapping",
-                        exploded=False,
-                        mean_floor_bits=23.5,
-                    )
-                ]
-            ),
-            ("NOISE-CLAIM",),
-        )
-    )
-
-    cases.extend(secflow_cases())
+    equiv_case("equiv-phantom-refill", forged(events), ("EQV-SPILL",))
     return cases
 
 
@@ -880,13 +749,3 @@ def secflow_cases() -> list[MutationCase]:
         )
     )
     return cases
-
-
-def run_corpus(setting: WordLengthSetting) -> list[MutationResult]:
-    """Run every case; ``caught`` means an *expected* error code fired."""
-    results: list[MutationResult] = []
-    for case in build_corpus(setting):
-        report = case.run()
-        caught = bool(report.error_codes() & set(case.expect_codes))
-        results.append(MutationResult(case=case, report=report, caught=caught))
-    return results

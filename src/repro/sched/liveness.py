@@ -32,7 +32,6 @@ class LiveRange:
     size_bytes: float
     def_index: int  # -1 for external inputs (live from trace start)
     uses: tuple[int, ...]  # op indices that consume the value, ascending
-    is_evk: bool = False
 
     @property
     def last_use(self) -> int:
@@ -178,7 +177,6 @@ def analyze_liveness(
             setting.evk_bytes(prng=prng_evk, limbs=evk_limbs[key]),
             -1,
             tuple(indices),
-            is_evk=True,
         )
         for key, indices in evk_uses.items()
     }

@@ -7,6 +7,7 @@ scheduler entry points, and Hypothesis properties: well-formed random
 traces verify clean while randomly injected violations always flag.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -440,9 +441,75 @@ class TestCli:
     def test_cli_passes_end_to_end(self, capsys):
         from repro.check.cli import main
 
-        assert main(["--skip-mutations"]) == 0
+        assert main([]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_every_mutant_runs_once_under_its_pass(self, setting, tmp_path):
+        from repro.check.cli import main
+
+        path = tmp_path / "check.json"
+        assert main(["--json", str(path)]) == 0
+        passes = json.loads(path.read_text())["passes"]
+        owner = {"ssa": "traces", "level": "traces", "schedule": "traces"}
+        listed = [(name, m) for name, p in passes.items() for m in p["mutants"]]
+        names = [m["name"] for _, m in listed]
+        assert sorted(names) == sorted(c.name for c in build_corpus(setting))
+        assert len(set(names)) == len(names)
+        for name, mutant in listed:
+            assert mutant["caught"] is True, mutant["name"]
+            assert owner.get(mutant["kind"], mutant["kind"]) == name
+
+    def test_named_passes_run_with_their_mutants(self, tmp_path):
+        from repro.check.cli import main
+
+        path = tmp_path / "check.json"
+        assert main(["equiv", "secflow", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        gates = [(g["pass"], g["subject"]) for g in payload["gates"]]
+        assert {p for p, _ in gates} == {"equiv", "secflow"}
+        assert ("equiv", "mutants") in gates and ("secflow", "mutants") in gates
+        assert sum(p == "equiv" for p, _ in gates) == 11  # 10 certificates
+        assert sum(p == "secflow" for p, _ in gates) == 2  # the analysis
+        assert len(payload["passes"]["equiv"]["mutants"]) == 12
+        assert len(payload["passes"]["secflow"]["mutants"]) == 10
+        assert payload["verdict"] == "PASS"
+
+    def test_unknown_pass_is_refused(self):
+        from repro.check.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["mutations"])
+
+    def test_json_and_markdown_reports(self, tmp_path):
+        from repro.check.cli import main
+
+        report, summary = tmp_path / "check.json", tmp_path / "check.md"
+        argv = ["bounds", "ckks", "--json", str(report), "--summary-md", str(summary)]
+        assert main(argv) == 0
+        payload = json.loads(report.read_text())
+        assert payload["verdict"] == "PASS"
+        assert [(g["pass"], g["subject"], g["ok"]) for g in payload["gates"]] == [
+            *(("bounds", f"word_bits={bits}", True) for bits in (28, 36, 50, 62)),
+            ("bounds", "derived-safe-bound", True),
+            ("bounds", "mutants", True),
+            ("ckks", "demo-chain", True),
+            ("ckks", "mutants", True),
+        ]
+        assert payload["gates_passed"] == payload["gates_total"] == 8
+        rows = {row["chain"]: row for row in payload["passes"]["bounds"]["rows"]}
+        assert {"mul_hi", "kernel_variable_mul", "lazy_plain_inner"} <= set(rows)
+        # 62-bit words prove the variable product with under a bit to spare.
+        assert 0 <= rows["kernel_variable_mul"]["62-bit headroom"] < 1.0
+        assert rows["kernel_variable_mul"]["36-bit headroom"] > 20.0
+
+        text = summary.read_text()
+        assert "## repro.check: ✅ PASS" in text
+        assert "8/8 gates passed" in text
+        assert "| pass | subject | ok |" in text
+        assert "| bounds | word_bits=62 | True |" in text
+        assert "| ckks | mutants | True |" in text
+        assert "### bounds" in text and "| kernel_variable_mul |" in text
 
     def test_cli_math_is_checked_not_asserted(self):
         # The CLI derives the safe bound instead of trusting the constant.
