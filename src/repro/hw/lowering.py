@@ -73,7 +73,7 @@ class OpLowering:
         self.setting = setting
         self.n = setting.degree
         self.k = setting.k
-        self.alpha = math.ceil(setting.max_level / setting.dnum)
+        self.alpha = setting.alpha
 
     # -- primary functions -----------------------------------------------------
 

@@ -7,8 +7,22 @@ and the reduction schedule.  ``forward_all``/``inverse_all`` then run
 strided butterfly passes with ``out=`` ufuncs — no table recomputation,
 no per-call shape dispatch, no allocation beyond the result.
 
-Two things keep the transform cheap:
+Three things keep the transform cheap:
 
+* **Long runs in every stage.**  A stage of butterfly span ``t`` read
+  straight off a row streams runs of ``t`` words, so the late stages
+  would crawl through 1 .. 16-word strides.  The plan splits at a
+  transpose point ``T`` derived from the degree alone — the largest
+  power of two with ``8 T**2 <= N`` (8 / 16 / 32 at ``N = 2**9`` /
+  ``2**11`` / ``2**14``): the head stages (span ``>= 2T``) run on the
+  row as it is, then one transpose turns each row into ``2T`` rows of
+  ``C = N / 2T >= 4T`` contiguous words and the tail stages (span
+  ``<= T``) run across those.  Every pass reads runs of at least
+  ``2T`` words, the transpose composes with the bit-reversal gather on
+  both ends, and each stage holds a compact copy of exactly the
+  twiddle columns it reads, already in its layout.  (SHARP's ten-step
+  NTTU splits the transform the same way so that every sub-transform
+  runs on local lanes, paper S4.2.)
 * **Lazy reduction.**  A 36-bit residue leaves 28 bits of a 64-bit lane
   unused, so the butterflies never repair their outputs.  Values are
   signed two's-complement representatives; a twiddle multiply is the
@@ -29,28 +43,26 @@ Two things keep the transform cheap:
 Canonical outputs are bit-identical to
 :class:`repro.ntt.reference.NttChain` (residues are unique), which
 ``tests/test_kernels_exact.py`` asserts.  Chains containing a modulus
-outside ``[2**14, 2**48)`` (the 50/62-bit presets) run the reference
-chain transforms behind the same interface.
+outside ``[2**14, 2**48)`` (the 50/62-bit presets), and degrees below 8
+where no transpose point exists, run the reference chain transforms
+behind the same interface.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
 
-from repro.ntt.reference import NttChain, NttContext
+from repro.ntt.reference import NttChain, NttContext, bit_reverse_indices
 from repro.rns import kernels
 
 __all__ = ["NttPlan", "lazy_schedule"]
 
 _INV_2_64 = 2.0**-64
-
-# Butterfly span at which the transform switches to the transposed chunk
-# layout (see NttPlan._tail_tables).
-_TAIL_T = 32
 
 # Working set of one block: half of a 2 MiB L2, the other half left to
 # the twiddles streaming through (each entry is read once per row).  Per
@@ -88,6 +100,32 @@ _Stage = tuple[tuple[int, ...], np.ndarray, np.ndarray]
 
 def _block_rows(degree: int) -> int:
     return max(1, _BLOCK_BYTES // (_BYTES_PER_COEFF * degree))
+
+
+@functools.cache
+def _layout(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Transpose point ``T`` of degree ``n`` (``8 T**2 <= n``) and the
+    gathers that fold the ``(2T, C)`` chunk transpose into the
+    bit-reversal: forward output ``j`` reads transposed ``p * C + c``
+    where ``rev[j] = c * 2T + p``; inverse input ``(p, c)`` reads
+    ``rev[c * 2T + p]``.  Shared read-only by every plan of the degree."""
+    t_split = 1 << (n.bit_length() - 4) // 2
+    chunk, rev = 2 * t_split, bit_reverse_indices(n)
+    fwd_perm = (rev % chunk) * (n // chunk) + rev // chunk
+    inv_perm = rev.reshape(-1, chunk).T.ravel()
+    fwd_perm.flags.writeable = inv_perm.flags.writeable = False
+    return t_split, fwd_perm, inv_perm
+
+
+def _columns(table: np.ndarray, m: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A compact copy of the twiddle columns ``m:2m`` in the layout of
+    the stage view ``shape``: group ``g`` at ``[g]`` for a head stage
+    ``(m, 2, t)``, group ``g = c * B + b`` at ``[b, c]`` for a tail stage
+    ``(B, 2, t, C)``."""
+    s = table[:, m : 2 * m]
+    if len(shape) == 3:
+        return s[:, :, None].copy()
+    return s.reshape(len(s), shape[3], shape[0]).transpose(0, 2, 1)[:, :, None, :].copy()
 
 
 def lazy_schedule(q_max: int, log_n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -143,9 +181,9 @@ class NttPlan:
     """Fused, blocked (L, N) limb-matrix transform plan.
 
     Built once per (chain, degree) by :meth:`repro.rns.poly.RingContext.plan`
-    and cached for the life of the ring; the per-modulus twiddle tables
-    are shared with the cached :class:`NttContext` objects, so a plan
-    costs one ``np.stack`` per table.
+    and cached for the life of the ring.  It holds each stage's twiddle
+    columns once (four ``(L, N)`` tables' worth, float mirrors included);
+    the degree-only gathers are shared by every plan of the degree.
 
     Plans are single-threaded objects (block scratch is module-wide).
     """
@@ -158,7 +196,7 @@ class NttPlan:
             raise ValueError("all contexts must share one degree")
         self.degree = degree
         self.moduli = tuple(c.modulus for c in contexts)
-        self.float_lane = all(
+        self.float_lane = degree >= 8 and all(
             kernels.FLOAT_BARRETT_MIN <= q < kernels.FLOAT_QHAT_LIMIT
             for q in self.moduli
         )
@@ -194,68 +232,20 @@ class NttPlan:
 
         # One entry per CT stage and its mirror GS stage: (view shape of
         # a row, twiddles, float mirrors).  A view shape is (groups, 2,
-        # span...) — axis 1 picks the u / v half.
-        self._tail = n >= 32 * _TAIL_T
-        head_t = 2 * _TAIL_T if self._tail else 1
+        # span...) — axis 1 picks the u / v half.  Head stages view the
+        # row as it is, tail stages the transposed (2T, C) chunk matrix.
+        t_split, self._fwd_perm, self._inv_perm = _layout(n)
+        self._chunk = 2 * t_split
+        self._head = (n // (2 * self._chunk)).bit_length()  # the stages of span >= 2T
         fwd: list[_Stage] = []
         inv: list[_Stage] = []
-        m = 1
-        while n // m > head_t:
-            shape, cols = (m, 2, n // (2 * m)), slice(m, 2 * m)
-            fwd.append((shape, psi[:, cols, None], psi_f[:, cols, None]))
-            inv.append((shape, psi_inv[:, cols, None], psi_inv_f[:, cols, None]))
-            m *= 2
-        self._head = len(fwd)
-        rev = contexts[0]._rev
-        self._fwd_perm = self._inv_perm = rev
-        if self._tail:
-            tail_fwd, tail_inv = self._tail_tables(psi, psi_f, psi_inv, psi_inv_f, rev)
-            fwd += tail_fwd
-            inv += tail_inv
+        for stage in range(n.bit_length() - 1):
+            m, t = 1 << stage, n >> (stage + 1)
+            shape = (m, 2, t) if stage < self._head else (t_split // t, 2, t, n // self._chunk)
+            fwd.append((shape, _columns(psi, m, shape), _columns(psi_f, m, shape)))
+            inv.append((shape, _columns(psi_inv, m, shape), _columns(psi_inv_f, m, shape)))
         self._fwd = fwd
         self._inv = inv[:0:-1]  # GS runs the CT stages backwards; stage 0 is fused
-
-    def _tail_tables(
-        self, psi: np.ndarray, psi_f: np.ndarray, psi_inv: np.ndarray, psi_inv_f: np.ndarray,
-        rev: np.ndarray,
-    ) -> tuple[list[_Stage], list[_Stage]]:  # fmt: skip
-        """Precompute the transposed-layout tables for the tail stages.
-
-        Once the butterfly span ``t`` drops to ``_TAIL_T`` every
-        remaining stage operates within contiguous chunks of ``2 * T``
-        elements, but the ufunc inner loops shrink to ``t`` elements and
-        strided access dominates (measured ~3x slower per stage than the
-        wide early stages).  Transposing those chunks once — positions
-        become the slow axis, the ``C = n / 2T`` chunk index the fast
-        one — restores long contiguous inner loops for all
-        ``log2(T) + 1`` tail stages.  Twiddles are re-laid-out here at
-        build time; the chunk transpose composes with the bit-reversal
-        gather on both ends, so it costs one extra copy per transform.
-        """
-        n, rows = self.degree, len(self.moduli)
-        chunk = 2 * _TAIL_T
-        c_count = n // chunk
-
-        def relayout(table: np.ndarray, m: int, b: int) -> np.ndarray:
-            # table[:, m:2m] indexed by group g = c*B + b -> (rows, B, 1, C)
-            s = table[:, m : 2 * m].reshape(rows, c_count, b)
-            return np.ascontiguousarray(s.transpose(0, 2, 1))[:, :, None, :]
-
-        fwd: list[_Stage] = []
-        inv: list[_Stage] = []
-        t = _TAIL_T
-        while t >= 1:
-            m, b = n // (2 * t), _TAIL_T // t
-            shape = (b, 2, t, c_count)
-            fwd.append((shape, relayout(psi, m, b), relayout(psi_f, m, b)))
-            inv.append((shape, relayout(psi_inv, m, b), relayout(psi_inv_f, m, b)))
-            t //= 2
-        # Forward output: natural j reads transposed flat p*C + c where
-        # rev[j] = c*chunk + p.  Inverse input: transposed (p, c) reads
-        # limbs[rev[c*chunk + p]].
-        self._fwd_perm = (rev % chunk) * c_count + rev // chunk
-        self._inv_perm = rev.reshape(c_count, chunk).T.reshape(-1)
-        return fwd, inv
 
     # -- transforms --------------------------------------------------------
 
@@ -299,13 +289,13 @@ class NttPlan:
         limbs = np.asarray(limbs, dtype=np.uint64)
         rows, n = limbs.shape
         out = np.empty((rows, n), dtype=np.uint64)
-        chunk = 2 * _TAIL_T
+        chunk = self._chunk
         for block, a, b, qhat, rem, f in self._blocks(limbs):
             np.copyto(a, limbs[block])
             for index, (shape, w, w_f) in enumerate(self._fwd):
                 if index in self._fwd_reduce:
                     self._reduce(a, block, qhat, f)
-                if self._tail and index == self._head:
+                if index == self._head:
                     np.copyto(
                         b.reshape(-1, chunk, n // chunk),
                         a.reshape(-1, n // chunk, chunk).transpose(0, 2, 1),
@@ -327,14 +317,14 @@ class NttPlan:
         limbs = np.asarray(limbs, dtype=np.uint64)
         rows, n = limbs.shape
         out = np.empty((rows, n), dtype=np.uint64)
-        chunk, half = 2 * _TAIL_T, n // 2
+        chunk, half = self._chunk, n // 2
         tail_stages = len(self._fwd) - self._head
         for block, a, b, qhat, rem, f in self._blocks(limbs):
             np.take(limbs[block], self._inv_perm, axis=1, out=a, mode="clip")
             for index, (shape, w, w_f) in enumerate(self._inv):
                 if index in self._inv_reduce:
                     self._reduce(a, block, qhat, f)
-                if self._tail and index == tail_stages:
+                if index == tail_stages:
                     np.copyto(
                         b.reshape(-1, n // chunk, chunk),
                         a.reshape(-1, chunk, n // chunk).transpose(0, 2, 1),

@@ -126,6 +126,11 @@ class WordLengthSetting:
         return len(self.q_primes)
 
     @property
+    def alpha(self) -> int:
+        """alpha = ceil(L / dnum): the limbs of one key-switch digit."""
+        return math.ceil(self.max_level / self.dnum)
+
+    @property
     def k(self) -> int:
         """K: the number of p_i primes composing P."""
         return len(self.aux_primes)
@@ -196,10 +201,9 @@ class WordLengthSetting:
         """
         if limbs is None:
             limbs = self.max_level
-        alpha = math.ceil(self.max_level / self.dnum)
         polys_per_digit = 1 if prng else 2
         return (
-            math.ceil(limbs / alpha)
+            math.ceil(limbs / self.alpha)
             * polys_per_digit
             * (limbs + self.k)
             * self.degree

@@ -96,9 +96,9 @@ class TestNttParity:
     def test_plan_matches_reference_chain(self, bits, degree):
         """Plan output == NttChain output, forward and inverse.
 
-        degree = 256 exercises the flat butterfly layout, 1024 the
-        transposed-tail layout; 50/62-bit chains run the reference
-        transforms inside the plan.
+        degree = 256 and 1024 split at different transpose points
+        (T = 4 and 8); 50/62-bit chains run the reference transforms
+        inside the plan.
         """
         moduli = _chain(2 * degree, bits, 2)
         contexts = [NttContext(degree, q) for q in moduli]

@@ -6,7 +6,8 @@ interesting if the canonical outputs are *exactly* those of the
 reference chain and of plain Python-integer arithmetic — on the inputs
 that stress the lazy bounds (all ``q - 1``, alternating ``0 / q - 1``)
 as much as on random ones, for every row count that changes the block
-walk, and with the wide-word chains still routed to the reference path.
+walk, at every degree (each has its own transpose point), and with the
+wide-word chains still routed to the reference path.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from tests.test_backends import _limbs
 WORD_BITS = (28, 36)
 DEGREES = (1 << 9, 1 << 12, 1 << 14)
 ROW_COUNTS = (1, 3, 12, 21)
+# Every transpose point T = 1 .. 32 at 1, 3 and 12 rows; 21 rows (a
+# partial last block at 2**14) at the three DEGREES.
+NTT_CASES = [(1 << k, rows) for k in range(3, 16) for rows in ROW_COUNTS[:3]] + [
+    (degree, ROW_COUNTS[3]) for degree in DEGREES
+]
 DST_ROWS = 5
 
 _PRIMES: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -83,8 +89,7 @@ def _check_ntt(degree: int, moduli: tuple[int, ...], x: np.ndarray) -> None:
         assert int(forward[row, slot]) == ntt_oracle(contexts[row], x[row], slot)
 
 
-@pytest.mark.parametrize("rows", ROW_COUNTS)
-@pytest.mark.parametrize("degree", DEGREES)
+@pytest.mark.parametrize(("degree", "rows"), NTT_CASES)
 @pytest.mark.parametrize("bits", WORD_BITS)
 def test_ntt_matches_reference_and_oracle(bits, degree, rows):
     moduli = _chain(degree, bits, rows)
@@ -139,6 +144,72 @@ def test_ntt_blocks_cover_partial_last_block(monkeypatch):
         monkeypatch.setattr(plan_module, "_block_rows", lambda degree, r=block_rows: r)
         assert np.array_equal(plan.forward_all(x), want)
         assert np.array_equal(plan.inverse_all(want), x)
+
+
+@pytest.mark.parametrize("degree", (2, 4))
+def test_degree_below_transpose_range_takes_reference_path(degree):
+    """No T >= 1 has 8 T**2 <= N below N = 8: the plan runs the
+    reference chain there, bit-identically, instead of a layout."""
+    moduli = _chain(degree, 36, 3)
+    contexts = _contexts(degree, moduli)
+    plan = NttPlan(contexts)
+    assert not plan.float_lane and not hasattr(plan, "_fwd")
+    x = _limbs(moduli, degree, seed=degree)
+    forward = plan.forward_all(x)
+    assert np.array_equal(forward, NttChain(contexts).forward_all(x.copy()))
+    assert np.array_equal(plan.inverse_all(forward), x)
+
+
+def _transpose_point(degree: int) -> int:
+    """The largest power of two T with 8 T**2 <= N."""
+    t = 1
+    while 8 * (2 * t) ** 2 <= degree:
+        t *= 2
+    return t
+
+
+def _run_words(view: np.ndarray) -> int:
+    """Length of the contiguous runs a view's innermost axes form."""
+    run = 1
+    for size, stride in zip(view.shape[::-1], view.strides[::-1]):
+        if stride != run * view.itemsize:
+            break
+        run *= size
+    return run
+
+
+@pytest.mark.parametrize("log_n", range(3, 17))
+def test_every_stage_streams_runs_of_at_least_2t_words(log_n):
+    """Each butterfly pass reads its u and v halves in contiguous runs of
+    at least 2T words — none of the 1 .. 16-word strides a flat layout
+    runs its late stages on."""
+    degree = 1 << log_n
+    plan = NttPlan(_contexts(degree, _chain(degree, 36, 1)))
+    assert len(plan._fwd) == log_n and len(plan._inv) == log_n - 1
+    floor = 2 * _transpose_point(degree)
+    row = np.zeros((1, degree), dtype=np.uint64)
+    for shape, _, _ in plan._fwd + plan._inv:
+        view = row.reshape((1,) + shape)
+        runs = {_run_words(view[:, :, half]) for half in (0, 1)}
+        assert min(runs) >= floor, (degree, shape, runs)
+
+
+@pytest.mark.parametrize("degree", (1 << 9, 1 << 11, 1 << 14))
+def test_plan_holds_its_twiddles_once(degree):
+    """The stage tables, counted once per owning buffer, are four (L, N)
+    tables' worth (twiddles and float mirrors, forward and inverse);
+    the degree-only gathers are shared by every plan of the degree."""
+    rows = 10
+    moduli = _chain(degree, 36, rows + 1)
+    plan = NttPlan(_contexts(degree, moduli[:rows]))
+    owners = {}
+    for _, *tables in plan._fwd + plan._inv:
+        for table in tables:
+            owner = table if table.base is None else table.base
+            owners[id(owner)] = owner
+    assert sum(owner.nbytes for owner in owners.values()) <= 4 * rows * degree * 8
+    other = NttPlan(_contexts(degree, moduli[1:]))
+    assert other._fwd_perm is plan._fwd_perm and other._inv_perm is plan._inv_perm
 
 
 def test_wide_chain_takes_reference_path():

@@ -79,13 +79,12 @@ class Engine:
         self.params = params
         self.context = CkksContext(params, seed=1)
         self.ev = Evaluator(self.context)
-        # The five attributes OpLowering reads off a setting.
+        # The attributes OpLowering reads off a setting (alpha = ceil(L / dnum)).
         self.lowering = OpLowering(
             SimpleNamespace(
                 degree=params.degree,
                 k=len(params.aux_primes),
-                max_level=len(params.q_primes),
-                dnum=params.dnum,
+                alpha=params.alpha,
                 word_bits=word_bits,
             )
         )
