@@ -29,10 +29,6 @@ class BsgsPlan:
     fits_on_chip: bool
     spill_bytes: float  # traffic when the baby set does not fit
 
-    @property
-    def compute_cost(self) -> int:
-        return self.rotations
-
 
 def balanced_split(d: int) -> tuple[int, int]:
     bs = 1 << round(math.log2(max(1.0, math.sqrt(d))))

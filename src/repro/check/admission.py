@@ -32,7 +32,6 @@ from repro.check.noise_check import (
 
 if TYPE_CHECKING:
     from repro.check.equiv import EquivCertificate
-    from repro.hw.isa import Trace
     from repro.params.presets import WordLengthSetting
     from repro.sched.trace import ScheduledTrace
     from repro.serve.program import EvalProgram
@@ -156,22 +155,25 @@ def certify_for_execution(
     capacity_bytes: float,
     policy: str = "belady",
     prng_evk: bool = True,
-) -> "tuple[Trace, ScheduledTrace, EquivCertificate]":
-    """Lower, fuse, schedule, and *prove* a program for the real engine.
+) -> "tuple[ScheduledTrace, EquivCertificate]":
+    """Record, fuse, schedule, and *prove* a program for the real engine.
 
-    The one-call path the service uses: the program is lowered to its
-    source trace, scheduled with fusion enabled, and the pair is run
-    through :func:`repro.check.equiv.certify_schedule`.  Returns the
-    source trace, the schedule, and the certificate the gated executor
-    (:func:`repro.sched.execute.execute_scheduled`) demands; raises
+    The one-call path the service uses: the program's source trace is
+    recorded (:class:`repro.serve.program.TraceRecorder`), scheduled
+    with fusion enabled, and the pair is run through
+    :func:`repro.check.equiv.certify_schedule`.  Returns the schedule
+    and the certificate the gated executor
+    (:func:`repro.sched.execute.execute_scheduled`) demands — the gate
+    re-records the source itself, so none is handed on; raises
     :class:`repro.check.equiv.EquivError` if the transformed trace
     cannot be proven equivalent — in which case nothing executable is
     returned at all.
     """
     from repro.check.equiv import certify_schedule
     from repro.sched.trace import schedule_trace
+    from repro.serve.program import TraceRecorder
 
-    source = program.lower_to_trace(setting)
+    source = TraceRecorder(setting).record(program)
     scheduled = schedule_trace(
         source,
         setting,
@@ -183,4 +185,4 @@ def certify_for_execution(
     certificate = certify_schedule(
         source, scheduled, setting, prng_evk=prng_evk
     )
-    return source, scheduled, certificate
+    return scheduled, certificate

@@ -586,8 +586,3 @@ def max_safe_word_bits(limit: int = 64) -> int:
         if certify_word_bits(bits).ok:
             best = bits
     return best
-
-
-def check_kernel_consistency() -> bool:
-    """The shipped fast-path constant matches the derived safe bound."""
-    return max_safe_word_bits() == kernels.FAST_MODULUS_BITS

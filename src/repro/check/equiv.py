@@ -47,10 +47,12 @@ real-engine execution path (:mod:`repro.sched.execute`,
 ``repro.serve``) demands before a scheduled trace may drive the
 evaluator.
 
-What is *not* checked: the program→trace lowering itself (the source
-trace is the trusted reference), plaintext constant values (the trace
-IR carries operand structure, not scalar payloads), and additive
-``sub``-vs-``add`` polarity (both lower to ``HADD`` in the trace IR).
+What is *not* checked: the program→trace recording itself (the source
+trace is the trusted reference), plaintext constant values below the
+trace name (the trace IR carries operand structure, not scalar
+payloads; a recorded serve trace binds them only through the program
+digest in its name), and additive ``sub``-vs-``add`` polarity (both
+record as ``HADD`` in the trace IR).
 """
 
 from __future__ import annotations

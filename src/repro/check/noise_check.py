@@ -353,20 +353,6 @@ class NoiseCheckEvaluator:
             return self._poison(call)
         return self._make(ct.mag, ct.drift, 0.0, 0.0, call)
 
-    def assume_mag(self, ct: NoiseState, mag: float, reason: str) -> NoiseState:
-        """Replace the magnitude bound with a program-declared invariant.
-
-        Trusted annotation (recorded in the summary): the program knows
-        a tighter bound than interval arithmetic derives — e.g. the
-        difference of two values in [0, 1] is in [-1, 1], not [-2, 2].
-        Drift and noise are preserved.
-        """
-        call = self._next()
-        if ct.poisoned:
-            return self._poison(call)
-        self.assumptions.append(f"@op{call}: |m| <= {mag:g} ({reason})")
-        return self._make(mag, ct.drift, ct.std, ct.worst, call)
-
     # -- additive ops --------------------------------------------------------
 
     def add(self, a: NoiseState, b: NoiseState) -> NoiseState:

@@ -41,14 +41,6 @@ class EfficiencyPoint:
     delay: float  # per level
     edp: float
 
-    def normalized_to(self, other: "EfficiencyPoint") -> dict:
-        return {
-            "word_bits": self.word_bits,
-            "energy": self.energy / other.energy,
-            "delay": self.delay / other.delay,
-            "edp": self.edp / other.edp,
-        }
-
 
 def efficiency_point(word_bits: int, hmults_per_level: int) -> EfficiencyPoint:
     setting = build_sharp_setting(word_bits)

@@ -58,10 +58,6 @@ class TenStepNtt:
         self._engine = FourStepNtt(n, self.modulus, rows=side, cols=side)
 
     @property
-    def lane_group_size(self) -> int:
-        return self.m
-
-    @property
     def lane_groups(self) -> int:
         return self.m
 

@@ -20,10 +20,6 @@ the double OF-Twist unit.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.ntt.reference import bit_reverse_indices
-
 __all__ = [
     "geometric_sequence",
     "phase1_twist_factors",
@@ -136,13 +132,3 @@ def common_ratios(seq: list[int], chunk: int, modulus: int) -> list[int]:
             raise ValueError(f"chunk at {i} is not geometric")
         out.append(sub[1] * pow(sub[0], -1, modulus) % modulus)
     return out
-
-
-def bit_reversed_rows(m: int) -> np.ndarray:
-    """The row visit order a lane group uses in phase 2 (paper S4.2).
-
-    Lane group ``g`` owns rows ``g, g+M, g+2M, ...`` of the M^2 x M^2
-    matrix; it must visit them with the *multiplier index* bit-reversed:
-    group 0 with M=4 visits rows 0 -> 8 -> 4 -> 12.
-    """
-    return bit_reverse_indices(m)

@@ -90,11 +90,6 @@ class LevelGroup:
     def log_q(self) -> float:
         return sum(math.log2(p) for p in self.primes)
 
-    def level_primes(self, index: int) -> tuple[int, ...]:
-        """The prime (or DS pair) consumed by the ``index``-th rescale."""
-        k = self.primes_per_level
-        return self.primes[index * k : (index + 1) * k]
-
 
 @dataclass(frozen=True)
 class WordLengthSetting:

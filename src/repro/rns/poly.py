@@ -232,9 +232,6 @@ class RnsPolynomial:
         if self.ntt_form != other.ntt_form:
             raise ValueError("representations differ (coeff vs evaluation)")
 
-    def _mods(self) -> np.ndarray:
-        return self.ring.mod_column(self.moduli)
-
     def _kernel(self) -> kernels.ModulusKernel:
         return self.ring.chain_kernel(self.moduli)
 

@@ -12,11 +12,14 @@ preserved the source program's semantics:
 * a certificate for a *different* source or schedule (digest
   mismatch), or from a different checker version -> same refusal.
 
-A certificate speaks about traces, so the gate is followed by a *bind*
-step: ``program`` must be the program ``source`` was lowered from, op
-for op (trace kind, ``dst``, ``srcs``, key identity, whether a level is
-spent).  A certificate minted for one program therefore cannot admit
-another that merely reuses its value names.
+The gate takes no source trace from its caller: it records ``program``
+over :class:`repro.serve.program.TraceRecorder` at
+``build_sharp_setting(certificate.word_bits)`` and checks the
+certificate against that (a schedule certified at any other setting is
+refused).  The recorded
+trace is named by the program's digest, so a certificate minted for
+any other program — another kind, level, key or constant — fails the
+source-digest check by construction.
 
 Execution is then ``program.run(evaluator, ct_in)`` — the one fold over
 the serve IR.  Fusion is a peephole that never reorders surviving ops
@@ -34,7 +37,6 @@ if TYPE_CHECKING:
     from repro.check.equiv import EquivCertificate
     from repro.ckks.cipher import Ciphertext
     from repro.ckks.ops import Evaluator
-    from repro.hw.isa import Trace
     from repro.sched.trace import ScheduledTrace
     from repro.serve.program import EvalProgram
 
@@ -48,37 +50,32 @@ class CertificateError(RuntimeError):
 
 def execute_scheduled(
     program: "EvalProgram",
-    source: "Trace",
     scheduled: "ScheduledTrace",
     evaluator: "Evaluator",
     ct_in: "Ciphertext",
     certificate: "EquivCertificate | None",
 ) -> "Ciphertext":
-    """Run a certified program on the real evaluator: gate, bind, fold.
+    """Run a certified program on the real evaluator: gate, then fold.
 
-    ``source`` is the unfused lowering of ``program`` (the artifact the
-    certificate's source digest binds to); ``scheduled`` is its fused +
-    allocated schedule.  The certificate is re-verified here — cheap
-    digest re-derivation — so a stale or transplanted certificate is
-    refused even if the caller believed it valid.
+    ``scheduled`` is the fused + allocated schedule of ``program``'s
+    source trace.  The certificate is re-verified here — the source is
+    re-recorded and both digests re-derived — so a stale or
+    transplanted certificate is refused even if the caller believed it
+    valid.
     """
     from repro.check.equiv import verify_certificate
+    from repro.params.presets import build_sharp_setting
+    from repro.serve.program import TraceRecorder
 
+    refusal = f"refusing to execute scheduled trace {scheduled.name!r}: "
     if certificate is None:
-        raise CertificateError(
-            f"refusing to execute scheduled trace {scheduled.name!r}: "
-            "no equivalence certificate was presented"
-        )
+        raise CertificateError(refusal + "no equivalence certificate was presented")
+    try:
+        setting = build_sharp_setting(certificate.word_bits)
+        source = TraceRecorder(setting).record(program)
+    except ValueError as exc:  # no such word length, or a ProgramError
+        raise CertificateError(refusal + str(exc)) from exc
     gate = verify_certificate(certificate, source, scheduled)
     if not gate.ok:
-        raise CertificateError(
-            f"refusing to execute scheduled trace {scheduled.name!r}: "
-            + "; ".join(d.message for d in gate.errors)
-        )
-
-    if not program.lowers_to(source):
-        raise CertificateError(
-            f"refusing to execute program {program.name!r}: it is not the "
-            f"program the certified source trace {source.name!r} was lowered from"
-        )
+        raise CertificateError(refusal + "; ".join(d.message for d in gate.errors))
     return program.run(evaluator, ct_in)

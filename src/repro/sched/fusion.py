@@ -38,10 +38,6 @@ class FusionReport:
     rescales_folded: int
     pmadds_formed: int
 
-    @property
-    def ops_removed(self) -> int:
-        return self.before_ops - self.after_ops
-
 
 def _use_counts(ops: list[HeOp]) -> dict[str, int]:
     counts: dict[str, int] = {}

@@ -85,14 +85,6 @@ class Liveness:
     def range_of(self, value: str) -> LiveRange:
         return self.ranges.get(value) or self.evk_ranges[value]
 
-    def live_count(self, index: int) -> int:
-        """Number of ciphertext values live across op ``index``."""
-        return self._live_counts[index]
-
-    def live_bytes(self, index: int) -> float:
-        """Bytes of live ciphertext values across op ``index``."""
-        return self._live_bytes[index]
-
     def working_set_bytes(self, index: int) -> float:
         """Live ciphertexts plus the evk op ``index`` streams."""
         op = self.trace.ops[index]

@@ -2,20 +2,24 @@
 
 A submitted job is *code*, not data: a straight-line SSA program over
 the CKKS evaluator ops of Table 1.  Everything kind-specific lives in
-one table, :data:`OPS` (operand count, scalar/rotation operand, scale
-matching, level cost, trace kind, evaluation key), and everything that
-walks a program is one of two folds over it:
+one table, :data:`OPS` (operand count, evaluator method, scalar or
+rotation operand, scale matching), and everything that walks a program
+is one fold over it, :meth:`EvalProgram.run`: ``run(domain, x)`` calls
+the evaluator method each op names on ``domain``.  The domains speak
+the real evaluator's vocabulary:
 
-* :meth:`EvalProgram.run` — ``run(domain, x)`` calls the evaluator
-  method each op names on ``domain``.  The domains speak the real
-  evaluator's vocabulary: :class:`repro.ckks.ops.Evaluator`
-  (ciphertexts; only reached through admission and the certificate
-  gate), :class:`repro.check.ckks_check.SymbolicEvaluator` (``(level,
-  scale)``) and :class:`repro.check.noise_check.NoiseCheckEvaluator`
-  (the noise budget).  What an op *means* in a domain is that domain's
-  method and nowhere else;
-* :meth:`EvalProgram.lower_to_trace` — an SSA-annotated
-  :class:`repro.hw.isa.Trace` for :func:`repro.sched.schedule_trace`.
+* :class:`repro.ckks.ops.Evaluator` — ciphertexts; only reached
+  through admission and the certificate gate;
+* :class:`repro.check.ckks_check.SymbolicEvaluator` — ``(level,
+  scale)``;
+* :class:`repro.check.noise_check.NoiseCheckEvaluator` — the noise
+  budget;
+* :class:`TraceRecorder` — ``(value id, normal level)``; each call
+  emits one SSA :class:`repro.hw.isa.HeOp`, so the fold records the
+  program's source trace for :func:`repro.sched.schedule_trace`.
+
+What an op *means* in a domain is that domain's method and nowhere
+else.
 
 Programs are single-input (one packed message vector per request —
 the unit the slot-packing batcher multiplexes), single-output, and
@@ -23,7 +27,8 @@ must be dead-code-free; :meth:`EvalProgram.validate` enforces the SSA
 discipline so a malformed program is rejected before any fold runs.
 ``to_json``/``from_json`` round-trip the IR over the wire, and
 :meth:`EvalProgram.digest` names it content-addressably — jobs with
-equal digests run the same SIMD program and may share a batch.
+equal digests run the same SIMD program and may share a batch, and a
+recorded trace carries the digest in its name.
 """
 
 from __future__ import annotations
@@ -34,13 +39,24 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, TypeVar
 
+from repro.hw.isa import OpKind, Trace
+from repro.workloads.traces import SsaEmitter
+
 if TYPE_CHECKING:
-    from repro.hw.isa import Trace
     from repro.params.presets import WordLengthSetting
 
-__all__ = ["ProgramError", "OpSpec", "OPS", "ProgramOp", "EvalProgram", "ProgramBuilder"]
+__all__ = [
+    "ProgramError",
+    "OpSpec",
+    "OPS",
+    "ProgramOp",
+    "EvalProgram",
+    "TraceRecorder",
+    "ProgramBuilder",
+]
 
 T = TypeVar("T")
+Recorded = tuple[str, int]  # a TraceRecorder value: (value id, normal level)
 
 
 class ProgramError(ValueError):
@@ -52,32 +68,24 @@ class OpSpec:
     """Everything the IR's consumers need to know about one op kind."""
 
     arity: int  # ciphertext operands
-    trace: str  # name of the repro.hw.isa.OpKind the lowering emits
     method: str  # evaluator method the fold calls on the domain
     operand: str | None = None  # ProgramOp field passed after the ciphertexts
     matched: bool = False  # operands are reconciled by ``match`` first
-    consumes_level: bool = False  # fused rescale in the lowered trace
-    key: str | None = None  # evk identity, formatted with the op's amount
 
 
 OPS: Mapping[str, OpSpec] = {
-    "add": OpSpec(2, "HADD", "add"),
-    "sub": OpSpec(2, "HADD", "sub"),
-    # ``match`` spends a plaintext multiply and a level only when both
-    # operands sit at the same level with drifted scales — the lowering
-    # charges that worst case (a PMADD with a level drop).
-    "add_matched": OpSpec(2, "PMADD", "add", matched=True, consumes_level=True),
-    "sub_matched": OpSpec(2, "PMADD", "sub", matched=True, consumes_level=True),
-    "multiply": OpSpec(2, "HMULT", "multiply", consumes_level=True, key="mult"),
-    "square": OpSpec(1, "HMULT", "square", consumes_level=True, key="mult"),
-    "negate": OpSpec(1, "PMULT", "negate"),
-    "multiply_scalar": OpSpec(
-        1, "PMULT", "multiply_scalar", operand="value", consumes_level=True
-    ),
-    "add_scalar": OpSpec(1, "HADD", "add_scalar", operand="value"),
-    "rotate": OpSpec(1, "HROT", "rotate", operand="amount", key="rot_{amount}"),
-    "conjugate": OpSpec(1, "CONJ", "conjugate", key="conj"),
-    "consume_level": OpSpec(1, "PMULT", "consume_level", consumes_level=True),
+    "add": OpSpec(2, "add"),
+    "sub": OpSpec(2, "sub"),
+    "add_matched": OpSpec(2, "add", matched=True),
+    "sub_matched": OpSpec(2, "sub", matched=True),
+    "multiply": OpSpec(2, "multiply"),
+    "square": OpSpec(1, "square"),
+    "negate": OpSpec(1, "negate"),
+    "multiply_scalar": OpSpec(1, "multiply_scalar", operand="value"),
+    "add_scalar": OpSpec(1, "add_scalar", operand="value"),
+    "rotate": OpSpec(1, "rotate", operand="amount"),
+    "conjugate": OpSpec(1, "conjugate"),
+    "consume_level": OpSpec(1, "consume_level"),
 }
 
 
@@ -90,12 +98,6 @@ class ProgramOp:
     srcs: tuple[str, ...]
     value: complex | None = None  # multiply_scalar / add_scalar constant
     amount: int | None = None  # rotate slot count
-
-    @property
-    def key_id(self) -> str | None:
-        """The evaluation key this op switches with, if any."""
-        key = OPS[self.kind].key
-        return None if key is None else key.format(amount=self.amount)
 
     def to_dict(self) -> dict[str, object]:
         value: list[float] | None = None
@@ -184,7 +186,7 @@ class EvalProgram:
         """Rotating programs cross slot-lane boundaries, so the batcher
         must run them exclusively (a shared ciphertext would leak slots
         between tenants)."""
-        return any(OPS[op.kind].trace in ("HROT", "CONJ") for op in self.ops)
+        return any(op.kind in ("rotate", "conjugate") for op in self.ops)
 
     # -- serialization ---------------------------------------------------------
 
@@ -222,7 +224,7 @@ class EvalProgram:
         """Content address (sha256 of the canonical JSON form)."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    # -- the fold and the lowering ---------------------------------------------
+    # -- the fold ----------------------------------------------------------------
 
     def run(self, domain: Any, x: T) -> T:
         """Fold the ops over ``domain``, starting from the input value ``x``.
@@ -242,55 +244,90 @@ class EvalProgram:
             env[op.dst] = getattr(domain, spec.method)(*args)
         return env[self.output]
 
-    def lower_to_trace(self, setting: "WordLengthSetting") -> "Trace":
-        """An SSA-annotated HE-op trace for the scheduler.
 
-        Values start at the setting's full normal-level budget; ops with
-        a fused rescale drop one level's worth of limbs.  Mixed-level
-        operands take the shallower operand's chain position (the
-        implicit align/mod-drop the trace checker permits).
-        """
-        from repro.hw.isa import HeOp, OpKind, Trace
+class TraceRecorder:
+    """The trace domain: values are ``(value id, normal level)``.
 
+    Each evaluator call emits one SSA op at the operands' shallower
+    chain position (the implicit align / mod-drop the trace checker
+    permits); an op that spends a level drops one level's worth of
+    limbs.  Values start at the setting's full normal-level budget, and
+    a program deeper than that raises :class:`ProgramError`.
+    """
+
+    def __init__(self, setting: "WordLengthSetting") -> None:
         normal = setting.group("normal")
-        base = setting.base_prime_count
-        ppl = normal.primes_per_level
-        level: dict[str, int] = {self.input: normal.levels}
-        ops: list[HeOp] = []
-        for op in self.ops:
-            spec = OPS[op.kind]
-            lvl = min(level[s] for s in op.srcs)
-            consumes = int(spec.consumes_level)
-            if lvl < consumes:
-                raise ProgramError(
-                    f"program depth exceeds the setting's {normal.levels} "
-                    f"normal levels at {op.dst!r}"
-                )
-            ops.append(
-                HeOp(
-                    OpKind[spec.trace],
-                    base + lvl * ppl,
-                    drop=ppl * consumes,
-                    key_id=op.key_id,
-                    dst=op.dst,
-                    srcs=op.srcs,
-                )
-            )
-            level[op.dst] = lvl - consumes
-        return Trace(name=f"serve_{self.name}_{self.digest()[:12]}", ops=ops)
+        self._levels = normal.levels
+        self._base = setting.base_prime_count
+        self._per_level = normal.primes_per_level
+        self._ssa = SsaEmitter()
+        self._matched = False
 
-    def lowers_to(self, trace: "Trace") -> bool:
-        """Does ``trace`` have the shape :meth:`lower_to_trace` gives this
-        program — op for op the same kind, names, key and level spending?
-        Limb counts depend on the setting and are not compared."""
-        shape = [
-            (OPS[op.kind].trace, op.dst, op.srcs, op.key_id, OPS[op.kind].consumes_level)
-            for op in self.ops
-        ]
-        return shape == [
-            (hop.kind.name, hop.dst, hop.srcs, hop.key_id, hop.drop > 0)
-            for hop in trace.ops
-        ]
+    def record(self, program: EvalProgram) -> Trace:
+        """``program.run(self, input)`` as a trace named by the program's digest."""
+        program.run(self, (self._ssa.fresh("in"), self._levels))
+        return Trace(name=f"serve_{program.name}_{program.digest()}", ops=self._ssa.ops)
+
+    def _emit(
+        self,
+        kind: OpKind,
+        srcs: tuple[Recorded, ...],
+        spends: bool = False,
+        key_id: str | None = None,
+    ) -> Recorded:
+        level = min(lvl for _, lvl in srcs)
+        if level < spends:
+            raise ProgramError(
+                f"program depth exceeds the setting's {self._levels} normal levels"
+            )
+        dst = self._ssa.emit(
+            kind,
+            self._base + level * self._per_level,
+            tuple(v for v, _ in srcs),
+            drop=self._per_level * spends,
+            key_id=key_id,
+        )
+        return dst, level - spends
+
+    def match(self, a: Recorded, b: Recorded) -> tuple[Recorded, Recorded]:
+        # The evaluator's ``match`` spends a plaintext multiply and a
+        # level only when both operands sit at the same level with
+        # drifted scales; the add / sub it feeds records that worst
+        # case, one PMADD with a level drop.
+        self._matched = True
+        return a, b
+
+    def add(self, a: Recorded, b: Recorded) -> Recorded:
+        matched, self._matched = self._matched, False
+        if matched:
+            return self._emit(OpKind.PMADD, (a, b), spends=True)
+        return self._emit(OpKind.HADD, (a, b))
+
+    sub = add
+
+    def multiply(self, a: Recorded, b: Recorded) -> Recorded:
+        return self._emit(OpKind.HMULT, (a, b), spends=True, key_id="mult")
+
+    def square(self, a: Recorded) -> Recorded:
+        return self._emit(OpKind.HMULT, (a,), spends=True, key_id="mult")
+
+    def negate(self, a: Recorded) -> Recorded:
+        return self._emit(OpKind.PMULT, (a,))
+
+    def multiply_scalar(self, a: Recorded, value: complex) -> Recorded:
+        return self._emit(OpKind.PMULT, (a,), spends=True)
+
+    def add_scalar(self, a: Recorded, value: complex) -> Recorded:
+        return self._emit(OpKind.HADD, (a,))
+
+    def rotate(self, a: Recorded, amount: int) -> Recorded:
+        return self._emit(OpKind.HROT, (a,), key_id=f"rot_{amount}")
+
+    def conjugate(self, a: Recorded) -> Recorded:
+        return self._emit(OpKind.CONJ, (a,), key_id="conj")
+
+    def consume_level(self, a: Recorded) -> Recorded:
+        return self._emit(OpKind.PMULT, (a,), spends=True)
 
 
 @dataclass

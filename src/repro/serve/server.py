@@ -57,7 +57,6 @@ from repro.serve.session import TenantSession
 if TYPE_CHECKING:
     from repro.check.equiv import EquivCertificate
     from repro.ckks.cipher import Ciphertext, Plaintext
-    from repro.hw.isa import Trace
     from repro.sched.trace import ScheduledTrace
 
 __all__ = ["FheServer", "ServerMetrics"]
@@ -176,7 +175,7 @@ class FheServer:
         self.metrics = ServerMetrics()
         self.sessions: dict[str, TenantSession] = {}  # live connections only
         self._certified: OrderedDict[
-            "tuple[int, str]", "tuple[Trace, ScheduledTrace, EquivCertificate]"
+            "tuple[int, str]", "tuple[ScheduledTrace, EquivCertificate]"
         ] = OrderedDict()
         # ``None`` wakes the batch worker when a session leaves.
         self._queue: asyncio.Queue[_PendingJob | None] = asyncio.Queue()
@@ -557,8 +556,8 @@ class FheServer:
 
     def _certified_schedule(
         self, preset: ServePreset, program: EvalProgram
-    ) -> "tuple[Trace, ScheduledTrace, EquivCertificate]":
-        """Lower, fuse, schedule, and certify — cached per program digest.
+    ) -> "tuple[ScheduledTrace, EquivCertificate]":
+        """Record, fuse, schedule, and certify — cached per program digest.
 
         Certification is static work, so programs that batch repeatedly
         (the common case: equal digests share a batch key) pay for the
@@ -597,19 +596,18 @@ class FheServer:
     ) -> "Ciphertext":
         """Run the program body through the certificate-gated executor.
 
-        The body is lowered to an HE-op trace, fused, and scheduled
+        The body is recorded as an HE-op trace, fused, and scheduled
         against the configured on-chip capacity; the resulting
-        ``ScheduledTrace`` is *proven equivalent* to the source lowering
-        by :mod:`repro.check.equiv` before
-        :func:`repro.sched.execute.execute_scheduled` lets it drive the
-        evaluator — an uncertified schedule cannot reach ciphertext.
+        ``ScheduledTrace`` is *proven equivalent* to the recorded source
+        by :mod:`repro.check.equiv`, and
+        :func:`repro.sched.execute.execute_scheduled` re-records the
+        source before it lets the program drive the evaluator — an
+        uncertified schedule cannot reach ciphertext.
         """
         from repro.sched.execute import execute_scheduled
 
-        source, scheduled, certificate = self._certified_schedule(preset, program)
-        out = execute_scheduled(
-            program, source, scheduled, preset.evaluator, packed, certificate
-        )
+        scheduled, certificate = self._certified_schedule(preset, program)
+        out = execute_scheduled(program, scheduled, preset.evaluator, packed, certificate)
         self.metrics.engine_invocations += len(program.ops)
         return out
 

@@ -20,10 +20,12 @@ BSGS working set the paper's Fig. 5(b) plots.  The annotations feed
 the :mod:`repro.sched` scheduling compiler, whose schedule is what
 the simulator prices traffic from.
 
-With ``explicit_rescale=True`` the builder emits each consuming op
-followed by a standalone ``RESCALE`` instead of folding the drop into
-the op — the *unfused* form that :mod:`repro.sched.fusion` re-fuses,
-so fusion savings can be measured.
+Every op is appended by one emitter, :meth:`SsaEmitter.emit`, which
+the serve recorder (:class:`repro.serve.program.TraceRecorder`) shares.
+With ``explicit_rescale=True`` it emits each consuming op followed by a
+standalone ``RESCALE`` instead of folding the drop into the op — the
+*unfused* form that :mod:`repro.sched.fusion` re-fuses, so fusion
+savings can be measured.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 
 __all__ = [
+    "SsaEmitter",
     "TraceBuilder",
     "bootstrap_trace",
     "helr_trace",
@@ -53,103 +56,91 @@ EVALMOD_HMULTS = 20  # Chebyshev ladder + PS products (both halves)
 EVALMOD_PMULTS = 40  # coefficient foldings
 
 
-class _ValueNamer:
-    """Monotonic SSA value-id generator (``v<n>_<hint>``)."""
+class SsaEmitter:
+    """The one SSA op emitter every trace producer shares.
 
-    def __init__(self) -> None:
+    :meth:`emit` names the value it defines ``v<n>_<hint>``, appends the
+    :class:`HeOp`, and — with ``explicit_rescale`` — splits a
+    level-dropping op into the op itself plus a standalone ``RESCALE``
+    carrying the drop.
+    """
+
+    def __init__(self, explicit_rescale: bool = False) -> None:
+        self.explicit_rescale = explicit_rescale
+        self.ops: list[HeOp] = []
         self._n = 0
 
-    def __call__(self, hint: str = "v") -> str:
+    def fresh(self, hint: str) -> str:
         self._n += 1
         return f"v{self._n}_{hint}"
 
+    def emit(
+        self,
+        kind: OpKind,
+        limbs: int,
+        srcs: tuple[str, ...],
+        drop: int = 0,
+        key_id: str | None = None,
+        count: float = 1.0,
+        hint: str | None = None,
+    ) -> str:
+        """Append ``kind`` over ``srcs``; return the value id it defines."""
+        if self.explicit_rescale and drop:
+            srcs = (self.emit(kind, limbs, srcs, 0, key_id, count, hint),)
+            kind, key_id, count, hint = OpKind.RESCALE, None, 1.0, None
+        dst = self.fresh(hint or kind.value)
+        self.ops.append(HeOp(kind, limbs, drop, key_id, count, dst=dst, srcs=srcs))
+        return dst
 
-def _bootstrap_ops(
-    setting: WordLengthSetting,
-    namer: _ValueNamer | None = None,
-    src: str | None = None,
-    explicit_rescale: bool = False,
-) -> tuple[list[HeOp], str]:
-    """The HE-op sequence of one full bootstrapping invocation.
 
-    Returns the ops and the SSA id of the refreshed ciphertext.
+def _bootstrap_ops(setting: WordLengthSetting, ssa: SsaEmitter, cur: str) -> str:
+    """Emit one full bootstrapping invocation of the value ``cur``.
+
+    Returns the SSA id of the refreshed ciphertext.
     """
-    namer = namer if namer is not None else _ValueNamer()
-    cur = src if src is not None else namer("boot_in")
-    ops: list[HeOp] = []
-
-    def emit(kind, limbs, drop=0, key_id=None, count=1.0, srcs=None):
-        nonlocal cur
-        use = tuple(srcs) if srcs is not None else (cur,)
-        if explicit_rescale and drop:
-            mid = namer(kind.value)
-            ops.append(HeOp(kind, limbs, 0, key_id, count, dst=mid, srcs=use))
-            dst = namer("rescale")
-            ops.append(HeOp(OpKind.RESCALE, limbs, drop, dst=dst, srcs=(mid,)))
-        else:
-            dst = namer(kind.value)
-            ops.append(HeOp(kind, limbs, drop, key_id, count, dst=dst, srcs=use))
-        cur = dst
-
-    def rotate_ladder(limbs: int, tag: str) -> list[str]:
-        temps = []
-        for r in range(LT_ROTATIONS_PER_STAGE):
-            t = namer("rot")
-            ops.append(
-                HeOp(OpKind.HROT, limbs, key_id=f"{tag}_{r}", dst=t, srcs=(cur,))
-            )
-            temps.append(t)
-        return temps
-
-    base = setting.base_prime_count
     boot = setting.group("boot")
     stc = setting.group("stc")
     normal = setting.group("normal")
 
-    total = setting.max_level
-    emit(OpKind.MOD_RAISE, total)
+    limbs = setting.max_level
+    cur = ssa.emit(OpKind.MOD_RAISE, limbs, (cur,))
 
-    limbs = total
+    def linear_stage(tag: str, drop: int) -> None:
+        # A BSGS rotation ladder off ``cur``, then the diagonal
+        # multiplications that accumulate it (one rescale per stage).
+        nonlocal cur, limbs
+        temps = tuple(
+            ssa.emit(OpKind.HROT, limbs, (cur,), key_id=f"{tag}_{r}", hint="rot")
+            for r in range(LT_ROTATIONS_PER_STAGE)
+        )
+        cur = ssa.emit(
+            OpKind.PMULT, limbs, (cur, *temps), drop, count=LT_PMULTS_PER_STAGE
+        )
+        limbs -= drop
+
     # CtS stages at the top boot levels.
     cts_levels = min(CTS_STAGES, boot.levels)
     for stage in range(cts_levels):
-        drop = boot.primes_per_level
-        temps = rotate_ladder(limbs, f"boot_cts{stage}")
-        emit(
-            OpKind.PMULT,
-            limbs,
-            drop=drop,
-            count=LT_PMULTS_PER_STAGE,
-            srcs=[cur, *temps],
-        )
-        limbs -= drop
+        linear_stage(f"boot_cts{stage}", boot.primes_per_level)
 
     evalmod_levels = boot.levels - cts_levels
-    if evalmod_levels:
-        hm = EVALMOD_HMULTS / evalmod_levels
-        pm = EVALMOD_PMULTS / evalmod_levels
-        for _ in range(evalmod_levels):
-            drop = boot.primes_per_level
-            # The HMult carries the level's rescale; the PMults of the
-            # same EvalMod level then run on its already-rescaled output.
-            emit(OpKind.HMULT, limbs, drop=drop, key_id="mult", count=hm)
-            emit(OpKind.PMULT, limbs - drop, count=pm)
-            limbs -= drop
-
-    for stage in range(min(STC_STAGES, stc.levels)):
-        drop = stc.primes_per_level
-        temps = rotate_ladder(limbs, f"boot_stc{stage}")
-        emit(
-            OpKind.PMULT,
-            limbs,
-            drop=drop,
-            count=LT_PMULTS_PER_STAGE,
-            srcs=[cur, *temps],
+    for _ in range(evalmod_levels):
+        drop = boot.primes_per_level
+        # The HMult carries the level's rescale; the PMults of the
+        # same EvalMod level then run on its already-rescaled output.
+        cur = ssa.emit(
+            OpKind.HMULT, limbs, (cur,), drop, "mult", EVALMOD_HMULTS / evalmod_levels
+        )
+        cur = ssa.emit(
+            OpKind.PMULT, limbs - drop, (cur,), count=EVALMOD_PMULTS / evalmod_levels
         )
         limbs -= drop
 
-    assert limbs == base + normal.levels * normal.primes_per_level
-    return ops, cur
+    for stage in range(min(STC_STAGES, stc.levels)):
+        linear_stage(f"boot_stc{stage}", stc.primes_per_level)
+
+    assert limbs == setting.base_prime_count + normal.levels * normal.primes_per_level
+    return cur
 
 
 @dataclass
@@ -163,10 +154,9 @@ class TraceBuilder:
     def __post_init__(self):
         self._normal = self.setting.group("normal")
         self._level = self._normal.levels  # normal levels remaining
-        self._ops: list[HeOp] = []
+        self._ssa = SsaEmitter(self.explicit_rescale)
         self.bootstrap_count = 0
-        self._namer = _ValueNamer()
-        self._cur = self._namer("input")  # external input ciphertext
+        self._cur = self._ssa.fresh("input")  # external input ciphertext
         self._pending: list[str] = []  # rotation outputs awaiting accumulation
 
     @property
@@ -178,14 +168,7 @@ class TraceBuilder:
 
     def _ensure_levels(self, needed: int) -> None:
         if self._level < needed:
-            ops, out = _bootstrap_ops(
-                self.setting,
-                namer=self._namer,
-                src=self._cur,
-                explicit_rescale=self.explicit_rescale,
-            )
-            self._ops.extend(ops)
-            self._cur = out
+            self._cur = _bootstrap_ops(self.setting, self._ssa, self._cur)
             self._level = self._normal.levels
             self.bootstrap_count += 1
 
@@ -199,54 +182,35 @@ class TraceBuilder:
         """Append ``count`` identical ops, consuming ``consumes`` levels each."""
         self._ensure_levels(consumes if consumes else 1)
         drop = self._normal.primes_per_level if consumes else 0
-        srcs = [self._cur]
+        srcs: tuple[str, ...] = (self._cur,)
         if kind in (OpKind.HADD, OpKind.PMADD) and self._pending:
-            srcs.extend(self._pending)
+            srcs += tuple(self._pending)
             self._pending.clear()
-        if self.explicit_rescale and drop:
-            mid = self._namer(kind.value)
-            self._ops.append(
-                HeOp(kind, self.limbs, 0, key_id, count, dst=mid, srcs=tuple(srcs))
-            )
-            dst = self._namer("rescale")
-            self._ops.append(
-                HeOp(OpKind.RESCALE, self.limbs, drop, dst=dst, srcs=(mid,))
-            )
-        else:
-            dst = self._namer(kind.value)
-            self._ops.append(
-                HeOp(kind, self.limbs, drop, key_id, count, dst=dst, srcs=tuple(srcs))
-            )
-        self._cur = dst
+        self._cur = self._ssa.emit(kind, self.limbs, srcs, drop, key_id, count)
         self._level -= consumes
 
     def rotations(self, how_many: int, tag: str) -> None:
         for r in range(how_many):
             self._ensure_levels(1)
-            dst = self._namer("rot")
-            self._ops.append(
-                HeOp(
-                    OpKind.HROT,
-                    self.limbs,
-                    key_id=f"{tag}_{r}",
-                    dst=dst,
-                    srcs=(self._cur,),
+            self._pending.append(
+                self._ssa.emit(
+                    OpKind.HROT, self.limbs, (self._cur,), key_id=f"{tag}_{r}", hint="rot"
                 )
             )
-            self._pending.append(dst)
 
     def build(self) -> Trace:
-        return Trace(name=self.name, ops=self._ops)
+        return Trace(name=self.name, ops=self._ssa.ops)
 
 
 def bootstrap_trace(
     setting: WordLengthSetting, explicit_rescale: bool = False
 ) -> Trace:
     """One bootstrapping invocation, normalized per effective level."""
-    ops, _ = _bootstrap_ops(setting, explicit_rescale=explicit_rescale)
+    ssa = SsaEmitter(explicit_rescale)
+    _bootstrap_ops(setting, ssa, ssa.fresh("boot_in"))
     return Trace(
         name="bootstrap",
-        ops=ops,
+        ops=ssa.ops,
         normalize=setting.group("normal").levels,
     )
 

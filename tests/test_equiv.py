@@ -36,7 +36,7 @@ from repro.sched import (
 )
 from repro.sched.events import ScheduleLog
 from repro.sched.trace import ScheduledTrace
-from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp
+from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp, TraceRecorder
 from repro.workloads.traces import evaluation_traces
 
 WORKLOADS = ("bootstrap", "helr256", "helr1024", "resnet20", "sorting")
@@ -253,31 +253,35 @@ def _poly_program() -> EvalProgram:
 class TestGatedExecution:
     def test_no_certificate_no_engine(self, setting, capacity):
         program = _poly_program()
-        source, scheduled, _ = certify_for_execution(program, setting, capacity)
+        scheduled, _ = certify_for_execution(program, setting, capacity)
         # evaluator=None proves the gate fires before any engine call.
         with pytest.raises(CertificateError, match="no equivalence certificate"):
-            execute_scheduled(program, source, scheduled, None, None, None)
+            execute_scheduled(program, scheduled, None, None, None)
 
     def test_forged_certificate_is_refused(self, setting, capacity):
         program = _poly_program()
-        source, scheduled, certificate = certify_for_execution(
-            program, setting, capacity
-        )
+        scheduled, certificate = certify_for_execution(program, setting, capacity)
         forged_cert = replace(certificate, schedule_digest="0" * 64)
         with pytest.raises(CertificateError):
-            execute_scheduled(
-                program, source, scheduled, None, None, forged_cert
-            )
+            execute_scheduled(program, scheduled, None, None, forged_cert)
 
     def test_transplanted_certificate_is_refused(self, setting, capacity):
         program = _poly_program()
-        source, scheduled, _ = certify_for_execution(program, setting, capacity)
+        scheduled, _ = certify_for_execution(program, setting, capacity)
         b = ProgramBuilder("other")
         other = b.build(b.negate(b.input))
-        _, _, other_cert = certify_for_execution(other, setting, capacity)
+        _, other_cert = certify_for_execution(other, setting, capacity)
         with pytest.raises(CertificateError):
+            execute_scheduled(program, scheduled, None, None, other_cert)
+
+    def test_unrecordable_certificate_is_refused(self, setting, capacity):
+        # A certificate naming a word length no setting exists for: the
+        # gate cannot re-record the source, so nothing runs.
+        program = _poly_program()
+        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        with pytest.raises(CertificateError, match="word length"):
             execute_scheduled(
-                program, source, scheduled, None, None, other_cert
+                program, scheduled, None, None, replace(certificate, word_bits=99)
             )
 
     @pytest.mark.parametrize(
@@ -286,37 +290,36 @@ class TestGatedExecution:
             (("negate", {}), ("square", {})),  # another trace kind
             (("negate", {}), ("consume_level", {})),  # same kind, spends a level
             (("rotate", {"amount": 1}), ("rotate", {"amount": 2})),  # another key
+            (  # same trace, another plaintext constant
+                ("multiply_scalar", {"value": 0.5}),
+                ("multiply_scalar", {"value": 2.0}),
+            ),
         ],
-        ids=["kind", "level", "key"],
+        ids=["kind", "level", "key", "constant"],
     )
     def test_transplanted_program_is_refused(
         self, setting, capacity, certified, impostor
     ):
         # A valid certificate for one program must not run another that
-        # merely reuses its value names: the gate binds program to source.
+        # merely reuses its value names: the gate re-records the source
+        # from the program it is given, named by that program's digest.
         kind, operands = certified
         program = EvalProgram("A", (ProgramOp(kind, "out", ("in",), **operands),))
-        source, scheduled, certificate = certify_for_execution(
-            program, setting, capacity
-        )
+        scheduled, certificate = certify_for_execution(program, setting, capacity)
         kind, operands = impostor
-        other = EvalProgram("B", (ProgramOp(kind, "out", ("in",), **operands),))
+        other = EvalProgram("A", (ProgramOp(kind, "out", ("in",), **operands),))
         # evaluator=None: any evaluator call would be an AttributeError.
-        with pytest.raises(CertificateError, match="not the program"):
-            execute_scheduled(other, source, scheduled, None, None, certificate)
+        with pytest.raises(CertificateError, match="source digest mismatch"):
+            execute_scheduled(other, scheduled, None, None, certificate)
 
     def test_certified_execution_matches_reference(
         self, setting, capacity, small_context, small_evaluator, rng
     ):
         program = _poly_program()
-        source, scheduled, certificate = certify_for_execution(
-            program, setting, capacity
-        )
+        scheduled, certificate = certify_for_execution(program, setting, capacity)
         m = rng.uniform(-1, 1, 256)
         ct = small_context.encrypt(m)
-        out = execute_scheduled(
-            program, source, scheduled, small_evaluator, ct, certificate
-        )
+        out = execute_scheduled(program, scheduled, small_evaluator, ct, certificate)
         got = np.real(small_context.decrypt(out))
         expected = 0.5 * m * m + m
         assert np.max(np.abs(got - expected)) < 1e-2
@@ -370,9 +373,8 @@ class TestHypothesis:
     )
     @given(program=program_traces())
     def test_random_programs_certify(self, setting, capacity, program):
-        source, scheduled, certificate = certify_for_execution(
-            program, setting, capacity
-        )
+        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        source = TraceRecorder(setting).record(program)
         assert verify_certificate(certificate, source, scheduled).ok
 
     @settings(
@@ -382,7 +384,8 @@ class TestHypothesis:
     )
     @given(program=program_traces(), data=st.data())
     def test_any_perturbation_is_flagged(self, setting, capacity, program, data):
-        source, scheduled, _ = certify_for_execution(program, setting, capacity)
+        scheduled, _ = certify_for_execution(program, setting, capacity)
+        source = TraceRecorder(setting).record(program)
         ops = list(scheduled.trace.ops)
         targets = [
             i for i, op in enumerate(ops) if op.kind is not OpKind.RESCALE

@@ -1,9 +1,10 @@
 """The serve IR has one table and one fold: both are checked here.
 
 * completeness — every :data:`OPS` row names something that exists in
-  all three domains, in the builder and in the trace ISA;
+  all four domains and in the builder;
+* the recorded trace rows of the two programs ``serve_mix`` runs;
 * a Hypothesis differential over programs drawn from all twelve kinds:
-  the symbolic domain, the real evaluator and the trace lowering are
+  the symbolic domain, the real evaluator and the trace recorder are
   three readings of one program and must agree on ``(level, scale)``.
 """
 
@@ -19,19 +20,42 @@ from hypothesis import strategies as st
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator
 from repro.check.noise_check import NoiseCheckEvaluator
 from repro.ckks.ops import Evaluator
-from repro.hw.isa import OpKind
 from repro.params.presets import build_sharp_setting
-from repro.serve.program import OPS, EvalProgram, ProgramBuilder, ProgramError
+from repro.serve.program import (
+    OPS,
+    EvalProgram,
+    ProgramBuilder,
+    ProgramError,
+    TraceRecorder,
+)
 
-DOMAINS = (Evaluator, SymbolicEvaluator, NoiseCheckEvaluator)
+DOMAINS = (Evaluator, SymbolicEvaluator, NoiseCheckEvaluator, TraceRecorder)
 LEVEL_BUDGET = 5  # small_context has 6 levels; stay inside them
+# Kinds that spend a level (in the recorder: a non-zero drop).
+SPENDS = {
+    "add_matched", "sub_matched", "multiply", "square", "multiply_scalar", "consume_level"
+}
+
+
+def record(program: EvalProgram):
+    return TraceRecorder(build_sharp_setting(36)).record(program)
+
+
+def ssa_shape(input_id: str, defs) -> list[tuple[int, ...]]:
+    """Each op's operands as def indices (0 = the input): SSA structure
+    up to value renaming."""
+    index = {input_id: 0}
+    shape = []
+    for k, (dst, srcs) in enumerate(defs, 1):
+        shape.append(tuple(index[s] for s in srcs))
+        index[dst] = k
+    return shape
 
 
 class TestTableCompleteness:
     @pytest.mark.parametrize("kind", sorted(OPS))
     def test_row_resolves_everywhere(self, kind):
         spec = OPS[kind]
-        assert spec.trace in OpKind.__members__
         assert spec.operand in (None, "value", "amount")
         assert callable(getattr(ProgramBuilder, kind))
         for domain in DOMAINS:
@@ -53,7 +77,7 @@ class TestTableCompleteness:
 
 
 def test_lowering_refuses_what_the_chain_cannot_hold():
-    # The level walk of lower_to_trace is the only depth check left.
+    # The recorder's level walk is the only depth check left.
     setting = build_sharp_setting(36)
     levels = setting.group("normal").levels
 
@@ -64,11 +88,34 @@ def test_lowering_refuses_what_the_chain_cannot_hold():
             v = b.square(v)
         return b.build(v)
 
-    assert squares(levels).lower_to_trace(setting).ops[-1].result_limbs == (
-        setting.base_prime_count
-    )
+    assert record(squares(levels)).ops[-1].result_limbs == setting.base_prime_count
     with pytest.raises(ProgramError, match="depth exceeds"):
-        squares(levels + 1).lower_to_trace(setting)
+        record(squares(levels + 1))
+
+
+def test_serve_mix_programs_record_their_rows():
+    # The two programs serve_mix runs, at 36 bits: (kind, limbs, drop, key).
+    b = ProgramBuilder("poly")
+    poly = b.build(b.add_matched(b.multiply_scalar(b.square(b.input), 0.5), b.input))
+    b = ProgramBuilder("rotsum")
+    pair = b.add(b.input, b.rotate(b.input, 1))
+    rotsum = b.build(b.add(pair, b.rotate(pair, 2)))
+
+    def rows(program: EvalProgram) -> list[tuple]:
+        return [(h.kind.name, h.limbs, h.drop, h.key_id) for h in record(program).ops]
+
+    assert rows(poly) == [
+        ("HMULT", 10, 1, "mult"),
+        ("PMULT", 9, 1, None),
+        ("PMADD", 8, 1, None),
+    ]
+    assert rows(rotsum) == [
+        ("HROT", 10, 0, "rot_1"),
+        ("HADD", 10, 0, None),
+        ("HROT", 10, 0, "rot_2"),
+        ("HADD", 10, 0, None),
+    ]
+    assert record(poly).name == f"serve_poly_{poly.digest()}"
 
 
 @st.composite
@@ -79,7 +126,7 @@ def programs(draw) -> EvalProgram:
     spent = 0
     for kind in draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=8)):
         spec = OPS[kind]
-        if spec.consumes_level:
+        if kind in SPENDS:
             if spent == LEVEL_BUDGET:
                 kind, spec = "negate", OPS["negate"]
             else:
@@ -119,12 +166,13 @@ class TestThreeReadingsAgree:
 
         setting = build_sharp_setting(36)
         normal = setting.group("normal")
-        trace = program.lower_to_trace(setting)
-        assert [(h.dst, h.srcs) for h in trace.ops] == [
-            (op.dst, op.srcs) for op in program.ops
-        ]
-        for k, hop in enumerate(trace.ops):
-            prefix = EvalProgram("prefix", program.ops[: k + 1], output=hop.dst)
+        trace = record(program)
+        assert ssa_shape(trace.ops[0].srcs[0], [(h.dst, h.srcs) for h in trace.ops]) == (
+            ssa_shape(program.input, [(op.dst, op.srcs) for op in program.ops])
+        )
+        assert [h.drop > 0 for h in trace.ops] == [op.kind in SPENDS for op in program.ops]
+        for k, (op, hop) in enumerate(zip(program.ops, trace.ops)):
+            prefix = EvalProgram("prefix", program.ops[: k + 1], output=op.dst)
             charged = normal.levels - (
                 (hop.result_limbs - setting.base_prime_count) // normal.primes_per_level
             )
