@@ -7,9 +7,8 @@ Component model calibrated to the paper's published totals:
   HBM PHY" on the 178.8 mm^2 die.
 * Logic areas use the ALU cost model with unit counts derived from the
   configuration (butterfly multipliers, systolic BConv MACs, EWE
-  datapaths).  The hierarchical NTTU discount (flat designs pay the
-  paper's 2.04x NTTU area) comes from the wiring analysis in
-  :mod:`repro.ntt.tenstep`.
+  datapaths).  Flat (non-hierarchical) designs pay the paper's 2.04x
+  NTTU area, the S6.5 constant ``FLAT_NTTU_PENALTY``.
 
 With these constants the model lands on 178.8 mm^2 for SHARP,
 ~147 mm^2 for SHARP_28, ~2x SHARP_28 for SHARP_64, and ~252 mm^2 for

@@ -5,8 +5,9 @@ the odd powers of a primitive ``2N``-th root of unity ``psi``, turning
 negacyclic convolution into element-wise multiplication (paper S2.2).
 This module implements the merged Cooley-Tukey / Gentleman-Sande
 algorithms of Longa & Naehrig, vectorized with numpy, as the bit-exact
-golden model against which the architectural four-step and ten-step
-engines are validated.
+golden model against which the fused :class:`~repro.ntt.plan.NttPlan`
+and the ten-step model are validated; the ten-step model's inner
+transforms are this module's butterflies.
 
 Butterflies use Harvey-style *lazy reduction* with Shoup precomputed
 twiddle quotients (:mod:`repro.rns.kernels`): intermediate values live

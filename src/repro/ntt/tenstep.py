@@ -1,20 +1,27 @@
 """SHARP's ten-step hierarchical NTT (paper S4.2).
 
-A limb of ``N`` coefficients is viewed as an ``M**2 x M**2`` matrix with
-``M = N**(1/4)``.  Each of a cluster's ``M`` lane groups (of ``M``
-adjacent lanes) performs an ``M**2``-point *four-step* NTT over a column
-(phase 1) and, after the single inter-lane-group transpose — the only
-semi-global connection in the design — over a row (phase 2), with
-bit-reversed row access enabling on-the-fly (double) twist generation.
+A limb of ``N`` coefficients is viewed as an ``S x S`` matrix with
+``S = M**2 = sqrt(N)`` and ``M = N**(1/4)``.  Each of a cluster's ``M``
+lane groups (of ``M`` adjacent lanes) runs ``S``-point transforms over
+a column (phase 1) and, after the single inter-lane-group transpose —
+the only semi-global connection in the design — over a row (phase 2).
 
-The functional transform is mathematically a Bailey decomposition with
-``R = C = M**2`` whose inner transforms are themselves four-step, so its
-output is identical to the flat four-step NTT and the reference NTT;
-the test suite asserts bit-exactness.  On top of the math, this module
-models the *dataflow*: how many words cross lane and lane-group
-boundaries, the horizontal bisection bandwidth of the NTT unit, and the
-total horizontal wire length — the quantities behind the paper's
-"six-fold bisection reduction" and "9.17x shorter wiring" claims.
+The functional transform is a Bailey split over the reference
+butterflies: twist by ``psi**j``, ``S``-point column transforms, the
+inter-phase twisting factors ``omega**(j1*k2)``, ``S``-point row
+transforms, transpose.  Each ``S``-point cyclic transform is
+:class:`~repro.ntt.reference.NttContext` of size ``S`` applied to its
+input untwisted by ``psi_S**-j``; that is exact because
+``nth_root_of_unity`` derives every root from one generator, so
+``psi_S = psi**S``.  The output is identical to the reference NTT (the
+tests assert bit-exactness).  How a lane regenerates the twisting
+factors on the fly is :mod:`repro.ntt.twiddle` (OF-Twist).
+
+On top of the math, this module models the *dataflow*: how many words
+cross lane and lane-group boundaries, the horizontal bisection
+bandwidth of the NTT unit, and the total horizontal wire length — the
+quantities behind the paper's "six-fold bisection reduction" and
+"9.17x shorter wiring" claims.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ntt.fourstep import FourStepNtt
+from repro.ntt.reference import NttContext
+from repro.ntt.twiddle import geometric_sequence
+from repro.rns.modmath import mod_inverse, nth_root_of_unity
 
 __all__ = [
     "TenStepNtt",
@@ -47,25 +56,54 @@ class TenStepNtt:
     modulus: int
 
     def __post_init__(self):
-        n = self.degree
+        n, q = self.degree, self.modulus
         quarter_bits = (n.bit_length() - 1) / 4.0
-        if not quarter_bits.is_integer():
+        if n & (n - 1) or not quarter_bits.is_integer():
             raise ValueError(
                 "ten-step NTT requires degree = M**4 for integer M (e.g. 2^16, 2^12)"
             )
         self.m = 1 << int(quarter_bits)
-        side = self.m * self.m
-        self._engine = FourStepNtt(n, self.modulus, rows=side, cols=side)
+        s = self.m * self.m
+        self._inner = NttContext(s, q)
+        psi = nth_root_of_unity(2 * n, q)
+        psi_inv = mod_inverse(psi, q)
 
-    @property
-    def lane_groups(self) -> int:
-        return self.m
+        def table(ratio, length):
+            return np.array(geometric_sequence(1, ratio, length, q), dtype=np.uint64)
+
+        self._twist = table(psi, n)
+        self._twist_inv = table(psi_inv, n)
+        # Untwist turning the inner negacyclic plan into a cyclic DFT.
+        self._untwist = table(self._inner.psi_inv, s)
+        self._untwist_inv = table(self._inner.psi, s)
+        # Inter-phase factors omega^(j1*k2): row j1 has ratio omega^j1.
+        omega, omega_inv = psi * psi % q, psi_inv * psi_inv % q
+        self._mid = np.array([table(pow(omega, j1, q), s) for j1 in range(s)])
+        self._mid_inv = np.array([table(pow(omega_inv, j1, q), s) for j1 in range(s)])
+
+    def _cyclic(self, b: np.ndarray) -> np.ndarray:
+        """``S``-point cyclic DFTs along the last axis."""
+        return self._inner.forward(self._inner.kernel.mul(b, self._untwist))
+
+    def _cyclic_inv(self, b: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`_cyclic`."""
+        return self._inner.kernel.mul(self._inner.inverse(b), self._untwist_inv)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._engine.forward(coeffs)
+        """Negacyclic NTT; natural order in and out, matches the reference."""
+        mul, s = self._inner.kernel.mul, self.m * self.m
+        a = mul(np.asarray(coeffs, dtype=np.uint64), self._twist)
+        y = self._cyclic(a.reshape(s, s).T)  # y[j1, k2], over j2 of a[j1 + S*j2]
+        t = self._cyclic(mul(y, self._mid).T)  # t[k2, k1], over j1
+        return t.T.reshape(self.degree)  # X[k2 + S*k1]
 
     def inverse(self, evals: np.ndarray) -> np.ndarray:
-        return self._engine.inverse(evals)
+        """Inverse negacyclic NTT; exact inverse of :meth:`forward`."""
+        mul, s = self._inner.kernel.mul, self.m * self.m
+        t = np.asarray(evals, dtype=np.uint64).reshape(s, s).T
+        y = mul(self._cyclic_inv(t).T, self._mid_inv)
+        a = self._cyclic_inv(y).T.reshape(self.degree)
+        return mul(a, self._twist_inv)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
-"""Tests for the NTT engines: reference, four-step, ten-step, OF-Twist."""
+"""Tests for the NTT models: reference, ten-step (a Bailey split over the
+reference butterflies), OF-Twist, NTTU dataflow."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ntt.cyclic import CyclicPlan
-from repro.ntt.fourstep import FourStepNtt
 from repro.ntt.reference import NttContext, bit_reverse_indices
 from repro.ntt.tenstep import (
     TenStepNtt,
@@ -118,72 +117,10 @@ class TestReferenceNtt:
             assert f[slot] == pow(ctx.psi, int(e) * k, q)
 
 
-class TestCyclicPlan:
-    def test_matches_brute_dft(self):
-        q, n = 97, 8
-        w = pow(5, 12, q)
-        plan = CyclicPlan(n, q, w)
-        rng = np.random.default_rng(2)
-        a = rng.integers(0, q, n).astype(np.uint64)
-        brute = np.array(
-            [sum(int(a[j]) * pow(w, j * k, q) for j in range(n)) % q for k in range(n)],
-            dtype=np.uint64,
-        )
-        assert np.array_equal(plan.forward(a), brute)
-
-    def test_batched_equals_rowwise(self):
-        q, n = 7681, 16
-        w = nth_root_of_unity(n, q)
-        plan = CyclicPlan(n, q, w)
-        rng = np.random.default_rng(5)
-        batch = rng.integers(0, q, (5, n)).astype(np.uint64)
-        full = plan.forward(batch)
-        for i in range(5):
-            assert np.array_equal(full[i], plan.forward(batch[i]))
-
-    def test_inverse_roundtrip(self):
-        q, n = 40961, 64
-        plan = CyclicPlan(n, q, nth_root_of_unity(n, q))
-        rng = np.random.default_rng(6)
-        a = rng.integers(0, q, n).astype(np.uint64)
-        assert np.array_equal(plan.inverse(plan.forward(a)), a)
-
-    def test_rejects_non_primitive_root(self):
-        with pytest.raises(ValueError):
-            CyclicPlan(8, 97, 1)
-
-
-class TestFourStep:
-    @pytest.mark.parametrize("n,q", CASES)
-    def test_bit_exact_vs_reference(self, n, q):
-        rng = np.random.default_rng(n)
-        ref = NttContext(n, q)
-        fs = FourStepNtt(n, q)
-        a = rng.integers(0, q, n).astype(np.uint64)
-        assert np.array_equal(fs.forward(a), ref.forward(a))
-
-    @pytest.mark.parametrize("n,q", CASES)
-    def test_roundtrip(self, n, q):
-        rng = np.random.default_rng(n + 1)
-        fs = FourStepNtt(n, q)
-        a = rng.integers(0, q, n).astype(np.uint64)
-        assert np.array_equal(fs.inverse(fs.forward(a)), a)
-
-    def test_non_square_split(self):
-        n, q = 128, 257
-        ref = NttContext(n, q)
-        fs = FourStepNtt(n, q)  # 8 x 16 split
-        assert fs.rows * fs.cols == n and fs.rows != fs.cols
-        a = np.random.default_rng(1).integers(0, q, n).astype(np.uint64)
-        assert np.array_equal(fs.forward(a), ref.forward(a))
-
-    def test_rejects_bad_split(self):
-        with pytest.raises(ValueError):
-            FourStepNtt(64, 257, rows=8, cols=16)
-
-
 class TestTenStep:
-    @pytest.mark.parametrize("n,q", [(256, 7681), (4096, 40961), (65536, 786433)])
+    CASES = [(16, 97), (256, 7681), (4096, 40961), (65536, 786433)]
+
+    @pytest.mark.parametrize("n,q", CASES)
     def test_bit_exact_vs_reference(self, n, q):
         rng = np.random.default_rng(n)
         ref = NttContext(n, q)
@@ -191,6 +128,21 @@ class TestTenStep:
         a = rng.integers(0, q, n).astype(np.uint64)
         assert np.array_equal(ts.forward(a), ref.forward(a))
         assert np.array_equal(ts.inverse(ts.forward(a)), a)
+
+    @pytest.mark.parametrize("n,q", CASES)
+    def test_roundtrip(self, n, q):
+        rng = np.random.default_rng(n + 1)
+        ts = TenStepNtt(n, q)
+        a = rng.integers(0, q, n).astype(np.uint64)
+        assert np.array_equal(ts.inverse(a), NttContext(n, q).inverse(a))
+        assert np.array_equal(ts.forward(ts.inverse(a)), a)
+
+    @pytest.mark.parametrize("n,q", CASES)
+    def test_inner_root_is_outer_root_power(self, n, q):
+        """psi_S = psi**S: the identity the Bailey split over
+        ``NttContext(S, q)`` depends on."""
+        s = TenStepNtt(n, q).m ** 2
+        assert pow(nth_root_of_unity(2 * n, q), s, q) == NttContext(s, q).psi
 
     def test_lane_group_geometry(self):
         ts = TenStepNtt(65536, 786433)

@@ -238,6 +238,43 @@ class TestProperties:
             assert a.signature() == b.signature()
 
 
+def _add(a, b):
+    return OpKind.HADD, (a, b), None
+
+
+def _rot(a, key):
+    return OpKind.HROT, (a,), key
+
+
+class TestMixedSizeWitness:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 10 (vi)")
+    def test_belady_not_worse_than_lru_on_evk_witness(self, setting):
+        """Fixed 24-op trace with rotation keys at 6 ciphertext slots.
+
+        Next-use MIN is optimal only when every block has one size; here
+        Belady moves 31 850 496 off-chip bytes against LRU's 28 311 552.
+        """
+        x = "x0"
+        rows = [
+            _add(x, x), _add(x, x), _add(x, x), _rot(x, "rot3"),
+            _add(x, x), _add(x, x), _add(x, x), _rot(x, "rot1"),
+            _add(x, x), _add(x, x), _add(x, x), _add(x, x),
+            _add(x, x), _add(x, x), _add(x, "t1"), _rot("t2", "rot0"),
+            _add(x, "t5"), _add("t8", "t9"), _rot("t11", "rot3"), _add("t7", x),
+            _add(x, "t1"), _add("t4", "t6"), _rot("t10", "rot1"),
+            (OpKind.PMULT, (x,), None),
+        ]
+        ops = [
+            HeOp(kind, LIMBS, key_id=key, dst=f"t{i + 1}", srcs=srcs)
+            for i, (kind, srcs, key) in enumerate(rows)
+        ]
+        tr = Trace("evk_witness", ops)
+        cap = 6.0 * ct_bytes(setting) + setting.evk_bytes(prng=True)
+        bel = ScratchpadAllocator(cap, "belady").run(tr, setting)
+        lru = ScratchpadAllocator(cap, "lru").run(tr, setting)
+        assert bel.offchip_bytes <= lru.offchip_bytes
+
+
 class TestDeterminism:
     def test_evaluation_trace_schedules_identically(self, sharp, setting):
         """Same trace, same config -> byte-identical event log."""
