@@ -22,7 +22,6 @@ __all__ = [
     "hmult_breakdown",
     "working_set_curve",
     "fig5_data",
-    "measured_working_set",
 ]
 
 MIB = 1 << 20
@@ -92,28 +91,6 @@ def working_set_curve(
             )
         )
     return points
-
-
-def measured_working_set(trace, setting: WordLengthSetting, prng: bool = True) -> dict:
-    """Fig. 5(b) measured mechanistically from an annotated trace.
-
-    Where :func:`working_set_curve` *assumes* a temporary count per
-    level, this runs :mod:`repro.sched.liveness` over the trace's SSA
-    dataflow and reports what the schedule actually keeps live — the
-    peak simultaneously-live ciphertext count, the peak working set in
-    MiB, and the per-limb maxima of the live-byte curve.
-    """
-    from repro.sched.liveness import analyze_liveness
-
-    live = analyze_liveness(trace, setting, prng_evk=prng)
-    by_limbs: dict = {}
-    for limbs, ws in live.working_set_curve():
-        by_limbs[limbs] = max(by_limbs.get(limbs, 0.0), ws / MIB)
-    return {
-        "peak_temporaries": live.peak_temporaries(),
-        "peak_working_set_mib": live.peak_working_set_bytes() / MIB,
-        "working_set_mib_by_limbs": dict(sorted(by_limbs.items())),
-    }
 
 
 def fig5_data(setting: WordLengthSetting, rf_main_mib: float = 180.0) -> dict:

@@ -62,8 +62,6 @@ from repro.check.equiv import (
 from repro.check.mutations import (
     MutationCase,
     MutationResult,
-    build_corpus,
-    run_corpus,
     secflow_cases,
 )
 from repro.check.secflow import (
@@ -121,8 +119,6 @@ __all__ = [
     "Severity",
     "MutationCase",
     "MutationResult",
-    "build_corpus",
-    "run_corpus",
     "secflow_cases",
     "secflow_check_default",
     "secflow_check_source",

@@ -119,15 +119,9 @@ class BoundCertificate:
             for step in proof.failures()
         )
 
-    def proof(self, chain: str) -> BoundProof:
-        for candidate in self.proofs:
-            if candidate.chain == chain:
-                return candidate
-        raise KeyError(chain)
-
 
 def prove_mul_hi(q_max: int) -> BoundProof:
-    """The 32-bit half-word decomposition of ``mul_hi`` / ``mul_wide``.
+    """The 32-bit half-word decomposition of ``mul_hi``.
 
     Every partial term is monotone in both operands, so evaluating the
     exact formula at ``a = b = 2**64 - 1`` bounds all inputs; the proof

@@ -199,28 +199,6 @@ class SymbolicEvaluator:
             AbstractCiphertext(level, b.scale, b.origin),
         )
 
-    def adjust(
-        self, ct: AbstractCiphertext, level: int, scale: float
-    ) -> AbstractCiphertext:
-        call = self._next("adjust")
-        if level > ct.level:
-            self.report.error(
-                "CKKS-LEVEL-RANGE",
-                f"cannot raise a ciphertext's level ({ct.level} -> {level})",
-                op_index=call,
-            )
-            return ct
-        if abs(ct.scale - scale) <= 1e-12 * scale:
-            return self._make(level, scale, call)
-        if level + 1 > ct.level:
-            self.report.error(
-                "CKKS-LEVEL-UNDERFLOW",
-                "scale correction needs one spare level",
-                op_index=call,
-            )
-            return self._make(level, scale, call)
-        return self._make(level, scale, call)
-
     def match(
         self, a: AbstractCiphertext, b: AbstractCiphertext
     ) -> tuple[AbstractCiphertext, AbstractCiphertext]:

@@ -83,16 +83,9 @@ class CheckReport:
         return [d for d in self.diagnostics if d.severity is Severity.ERROR]
 
     @property
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
-
-    @property
     def ok(self) -> bool:
         """True when the pass found no errors (warnings allowed)."""
         return not self.errors
-
-    def codes(self) -> set[str]:
-        return {d.code for d in self.diagnostics}
 
     def error_codes(self) -> set[str]:
         return {d.code for d in self.errors}

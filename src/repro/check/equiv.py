@@ -57,10 +57,8 @@ record as ``HADD`` in the trace IR).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.check.diagnostics import CheckReport
 from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams, NoiseState
@@ -552,29 +550,6 @@ class EquivCertificate:
             "scheduled_floor_bits": self.scheduled_floor_bits,
             "checker_version": self.checker_version,
         }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, object]) -> "EquivCertificate":
-        return cls(
-            source_digest=str(raw["source_digest"]),
-            schedule_digest=str(raw["schedule_digest"]),
-            word_bits=int(raw["word_bits"]),  # type: ignore[arg-type]
-            policy=str(raw["policy"]),
-            capacity_bytes=float(raw["capacity_bytes"]),  # type: ignore[arg-type]
-            source_floor_bits=float(raw["source_floor_bits"]),  # type: ignore[arg-type]
-            scheduled_floor_bits=float(raw["scheduled_floor_bits"]),  # type: ignore[arg-type]
-            checker_version=str(raw["checker_version"]),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "EquivCertificate":
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("certificate payload must be a JSON object")
-        return cls.from_dict(raw)
 
 
 def certify_schedule(

@@ -9,9 +9,9 @@ mutation, paired with the diagnostic codes the verifier must raise.
 The corpus is one case builder per pass of ``python -m repro.check``
 (:func:`bounds_cases`, :func:`trace_cases`, :func:`ckks_cases`,
 :func:`noise_cases`, :func:`equiv_cases`, :func:`secflow_cases`); a
-pass's cases are its negative control, and :func:`build_corpus` is
-their concatenation.  The CLI and the test suite both demand a 100%
-detection rate — any silently accepted mutant is a regression in the
+pass's cases are its negative control, and ``repro.check.cli.PASSES``
+names each pass's builder.  The CLI and the test suite both demand a
+100% detection rate — any silently accepted mutant is a regression in the
 verifier itself.
 """
 
@@ -49,11 +49,9 @@ __all__ = [
     "MutationCase",
     "MutationResult",
     "bounds_cases",
-    "build_corpus",
     "ckks_cases",
     "equiv_cases",
     "noise_cases",
-    "run_corpus",
     "secflow_cases",
     "trace_cases",
 ]
@@ -109,23 +107,6 @@ def _corpus_base(setting: WordLengthSetting) -> tuple[Trace, float]:
             "mutation corpus base trace fails verification:\n" + clean.render()
         )
     return base, setting.evk_bytes(prng=True) * 3.0
-
-
-def build_corpus(setting: WordLengthSetting) -> list[MutationCase]:
-    """Every pass's cases, in pass order."""
-    return [
-        *bounds_cases(),
-        *trace_cases(setting),
-        *ckks_cases(),
-        *noise_cases(),
-        *equiv_cases(setting),
-        *secflow_cases(),
-    ]
-
-
-def run_corpus(setting: WordLengthSetting) -> list[MutationResult]:
-    """Run every case of :func:`build_corpus`."""
-    return [case.check() for case in build_corpus(setting)]
 
 
 def bounds_cases() -> list[MutationCase]:

@@ -115,7 +115,7 @@ SOURCE_CLASSES = frozenset({"SecretKey"})
 # Method names with a declared (trusted) return label, overriding the
 # inferred summary: decryption consumes SECRET key material but hands
 # the *tenant* its own data.
-DECLARED_RETURNS: Mapping[str, int] = {"decrypt": TENANT, "decrypt_poly": TENANT}
+DECLARED_RETURNS: Mapping[str, int] = {"decrypt": TENANT}
 
 # (class, function, parameter) -> label: pre-encryption plaintext
 # enters the stack at the client submission boundary.

@@ -43,10 +43,3 @@ class Ciphertext:
     @property
     def moduli(self):
         return self.c0.moduli
-
-    @property
-    def limb_count(self) -> int:
-        return len(self.c0.moduli)
-
-    def copy(self) -> "Ciphertext":
-        return Ciphertext(self.c0.copy(), self.c1.copy(), self.level, self.scale)

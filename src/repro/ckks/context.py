@@ -56,10 +56,6 @@ class LevelStep:
             raise ValueError("a level step holds one (SS) or two (DS) primes")
 
     @property
-    def is_double(self) -> bool:
-        return len(self.primes) == 2
-
-    @property
     def scale(self) -> float:
         return float(math.prod(self.primes))
 
@@ -629,9 +625,4 @@ class CkksContext:
     def decrypt(self, ct: Ciphertext) -> np.ndarray:
         """Decrypt and decode to a complex message vector."""
         s = self.keys.secret_poly(ct.moduli)
-        pt = ct.c0 + ct.c1 * s
-        return self.encoder.decode(pt, ct.scale)
-
-    def decrypt_poly(self, ct: Ciphertext) -> Plaintext:
-        s = self.keys.secret_poly(ct.moduli)
-        return Plaintext(ct.c0 + ct.c1 * s, ct.scale)
+        return self.decode(Plaintext(ct.c0 + ct.c1 * s, ct.scale))

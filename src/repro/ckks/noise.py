@@ -83,9 +83,6 @@ class NoisyVector:
     values: np.ndarray
     ops: int = 0
 
-    def copy(self) -> "NoisyVector":
-        return NoisyVector(self.values.copy(), self.ops)
-
 
 class NoisyEvaluator:
     """Mirrors the Evaluator API on plain vectors with injected noise."""

@@ -21,10 +21,8 @@ scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "AluKind",
     "alu_area",
     "alu_power",
     "AREA_EXPONENT",
@@ -49,19 +47,6 @@ _KIND_FACTORS = {
     "barrett": 2.5,  # 2 multiplier stages + 2 conditional subtracts
     "adder": 0.04,  # word-length adder (linear structure dominates)
 }
-
-
-@dataclass(frozen=True)
-class AluKind:
-    """Handle for one ALU family with convenience accessors."""
-
-    name: str
-
-    def area(self, word_bits: int) -> float:
-        return alu_area(self.name, word_bits)
-
-    def power(self, word_bits: int) -> float:
-        return alu_power(self.name, word_bits)
 
 
 def _factor(kind: str) -> float:

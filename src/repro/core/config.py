@@ -20,8 +20,6 @@ __all__ = [
     "sharp64_config",
     "sharp_8cluster_config",
     "ark36_config",
-    "clake_plus_config",
-    "ALL_CONFIGS",
 ]
 
 MIB = 1 << 20
@@ -158,42 +156,3 @@ def ark36_config(rf_main_mib: int = 180) -> AcceleratorConfig:
         ew_adds_per_lane=2,
         onchip_bw_words=(20e12 + 72e12) / 1e9 / 8.0,
     )
-
-
-def clake_plus_config() -> AcceleratorConfig:
-    """CraterLake scaled to 7 nm (CLake+): 28-bit, 2048 lanes."""
-    return AcceleratorConfig(
-        name="CLake+",
-        word_bits=28,
-        clusters=8,
-        lanes_per_cluster=256,
-        frequency_hz=1e9,
-        rf_main_bytes=256 * MIB,
-        rf_coeff_bytes=26 * MIB,
-        offchip_bw_bytes=1e12,
-        onchip_bw_words=84e12 / 1e9 / 3.5,
-        noc_bw_words=8192,
-        bconv_macs_per_lane=60,
-        ew_mults_per_lane=5,
-        ew_adds_per_lane=5,
-        hierarchical_nttu=False,
-        two_d_bconv=True,
-        ewe=False,
-        prng_evk=True,
-        dsu=False,
-    )
-
-
-def ALL_CONFIGS() -> dict[str, AcceleratorConfig]:
-    return {
-        c.name: c
-        for c in (
-            sharp_config(),
-            sharp28_config(),
-            sharp64_config(),
-            sharp_8cluster_config(),
-            ark36_config(512),
-            ark36_config(180),
-            clake_plus_config(),
-        )
-    }

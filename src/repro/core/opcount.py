@@ -32,7 +32,6 @@ __all__ = [
     "counts_of",
     "hmult_counts",
     "hrot_counts",
-    "pmult_counts",
     "bootstrap_counts",
     "workload_counts",
     "weighted_ops",
@@ -53,24 +52,6 @@ class WorkCounts:
     elementwise_muls: float = 0.0  # Barrett modular mults
     adds: float = 0.0
     automorphism_words: float = 0.0  # permutation traffic, no mults
-
-    def __add__(self, other: "WorkCounts") -> "WorkCounts":
-        return WorkCounts(
-            self.ntt_butterfly_muls + other.ntt_butterfly_muls,
-            self.bconv_muls + other.bconv_muls,
-            self.elementwise_muls + other.elementwise_muls,
-            self.adds + other.adds,
-            self.automorphism_words + other.automorphism_words,
-        )
-
-    def scaled(self, factor: float) -> "WorkCounts":
-        return WorkCounts(
-            self.ntt_butterfly_muls * factor,
-            self.bconv_muls * factor,
-            self.elementwise_muls * factor,
-            self.adds * factor,
-            self.automorphism_words * factor,
-        )
 
     @property
     def total_muls(self) -> float:
@@ -106,10 +87,6 @@ def hmult_counts(setting: WordLengthSetting, limbs: int, drop: int) -> WorkCount
 
 def hrot_counts(setting: WordLengthSetting, limbs: int) -> WorkCounts:
     return counts_of(setting, [HeOp(OpKind.HROT, limbs)])
-
-
-def pmult_counts(setting: WordLengthSetting, limbs: int, drop: int) -> WorkCounts:
-    return counts_of(setting, [HeOp(OpKind.PMULT, limbs, drop)])
 
 
 def bootstrap_counts(setting: WordLengthSetting) -> WorkCounts:

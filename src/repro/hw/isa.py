@@ -17,9 +17,8 @@ traffic from the schedule, so it needs them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 __all__ = ["OpKind", "HeOp", "Trace"]
 
@@ -48,9 +47,6 @@ class HeOp:
     dst: str | None = None  # SSA value id this op defines
     srcs: tuple[str, ...] = ()  # SSA value ids this op consumes
 
-    def scaled(self, factor: float) -> "HeOp":
-        return replace(self, count=self.count * factor)
-
     @property
     def annotated(self) -> bool:
         return self.dst is not None
@@ -70,9 +66,6 @@ class Trace:
     # Divide reported runtimes by this to get the paper's unit of work
     # (per effective level for bootstrap, per iteration for HELR).
     normalize: float = 1.0
-
-    def extend(self, ops: Iterable[HeOp]) -> None:
-        self.ops.extend(ops)
 
     def op_count(self) -> float:
         return sum(op.count for op in self.ops)

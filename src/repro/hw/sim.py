@@ -83,16 +83,6 @@ class SimulationResult:
     def edap(self) -> float:
         return self.edp * self.area_mm2
 
-    def perf_per_area(self) -> float:
-        if not self.seconds:
-            return 0.0
-        return 1.0 / (self.seconds * self.area_mm2)
-
-    def perf_per_watt(self) -> float:
-        if not self.seconds or not self.power_w:
-            return 0.0
-        return 1.0 / (self.seconds * self.power_w)
-
 
 class Simulator:
     """Simulates traces on one accelerator configuration."""

@@ -13,20 +13,16 @@ table.  SHARP's ten-step NTT needs two refinements:
   sequence ``z, z^3, z^5, z^7, ...`` (ratio ``z**2``).  The *double
   OF-Twist unit* regenerates the whole pattern from just ``(z, z**2)``.
 
-This module provides the generators and the sequence-structure
-predicates that the property tests assert, plus a functional model of
-the double OF-Twist unit.
+This module provides the generators and a functional model of the
+double OF-Twist unit.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "geometric_sequence",
-    "phase1_twist_factors",
     "phase2_twist_factors",
     "DoubleOfTwistUnit",
-    "is_geometric",
-    "common_ratios",
 ]
 
 
@@ -38,15 +34,6 @@ def geometric_sequence(start: int, ratio: int, length: int, modulus: int) -> lis
         out.append(acc)
         acc = acc * ratio % modulus
     return out
-
-
-def phase1_twist_factors(zeta: int, m: int, modulus: int) -> list[int]:
-    """Phase-1 twisting factors at one lane: M copies of ``1..zeta^(M-1)``.
-
-    (Paper's example for M = 4:  1, z, z^2, z^3, 1, z, z^2, z^3, ...)
-    """
-    row = geometric_sequence(1, zeta, m, modulus)
-    return row * m
 
 
 def phase2_twist_factors(zeta: int, m: int, modulus: int) -> list[int]:
@@ -105,30 +92,3 @@ class DoubleOfTwistUnit:
 
     def stream(self, count: int) -> list[int]:
         return [self.step() for _ in range(count)]
-
-
-def is_geometric(seq: list[int], modulus: int) -> bool:
-    """True when ``seq`` is a geometric sequence mod ``modulus``.
-
-    Requires invertible elements (always true for our prime moduli and
-    nonzero roots of unity).
-    """
-    if len(seq) < 3:
-        return True
-    ratio = seq[1] * pow(seq[0], -1, modulus) % modulus
-    return all(
-        seq[i + 1] == seq[i] * ratio % modulus for i in range(len(seq) - 1)
-    )
-
-
-def common_ratios(seq: list[int], chunk: int, modulus: int) -> list[int]:
-    """Common ratio of each length-``chunk`` sub-sequence of ``seq``."""
-    out = []
-    for i in range(0, len(seq), chunk):
-        sub = seq[i : i + chunk]
-        if len(sub) < 2:
-            raise ValueError("chunks must have length >= 2")
-        if not is_geometric(sub, modulus):
-            raise ValueError(f"chunk at {i} is not geometric")
-        out.append(sub[1] * pow(sub[0], -1, modulus) % modulus)
-    return out

@@ -86,10 +86,6 @@ class LevelGroup:
     def is_double(self) -> bool:
         return self.primes_per_level == 2
 
-    @property
-    def log_q(self) -> float:
-        return sum(math.log2(p) for p in self.primes)
-
 
 @dataclass(frozen=True)
 class WordLengthSetting:
@@ -165,11 +161,6 @@ class WordLengthSetting:
     def base_prime_count(self) -> int:
         return len(self.group("base").primes)
 
-    @property
-    def always_ds(self) -> bool:
-        """True when every rescaling level uses double-prime scaling."""
-        return all(g.is_double for g in self.groups if g.name != "base")
-
     # --- storage sizes (paper S5, Fig. 5) --------------------------------
 
     def word_bytes(self) -> float:
@@ -204,10 +195,6 @@ class WordLengthSetting:
             * self.degree
             * self.word_bytes()
         )
-
-    def boot_depth(self) -> int:
-        """Levels consumed at the bootstrapping scale (CtS + EvalMod)."""
-        return self.group("boot").levels
 
     def describe(self) -> str:
         g = {grp.name: grp for grp in self.groups}

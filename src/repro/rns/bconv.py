@@ -32,7 +32,6 @@ import numpy as np
 from repro.rns import kernels
 from repro.rns.kernels import _i64
 from repro.rns.modmath import mod_inverse
-from repro.rns.poly import RnsPolynomial
 
 __all__ = ["BaseConverter"]
 
@@ -147,20 +146,6 @@ class BaseConverter:
             dtype=np.uint64,
         )
         return np.concatenate([words & _DIGIT_MASK, words >> _DIGIT_SHIFT]).astype(np.float64)
-
-    @property
-    def flop_shape(self) -> tuple[int, int]:
-        """(K, L): the matrix dimensions a BConvU must stream."""
-        return (len(self.dst_moduli), len(self.src_moduli))
-
-    def convert(self, poly: RnsPolynomial) -> RnsPolynomial:
-        """Convert limbs to the destination basis (coefficient form only)."""
-        if poly.ntt_form:
-            raise ValueError("BConv requires the coefficient representation")
-        if poly.moduli != self.src_moduli:
-            raise ValueError("polynomial basis does not match the converter")
-        rows = poly.ring.backend.bconv(self, poly.limbs)
-        return RnsPolynomial(poly.ring, self.dst_moduli, rows, ntt_form=False)
 
     def convert_rows(self, limbs: np.ndarray) -> np.ndarray:
         """Raw ``(L, N) -> (K, N)`` conversion (backend entry point)."""

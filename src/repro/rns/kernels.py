@@ -11,7 +11,7 @@ product is decomposed into narrow-word partial products.
 
 Three primitive families, all exact and all vectorized:
 
-* ``mul_wide`` / ``mul_hi`` — 64x64 -> 128-bit multiplication via 32-bit
+* ``mul_hi`` — the high half of a 64x64 -> 128-bit product via 32-bit
   half-words (the systolic-array partial-product decomposition).
 * Barrett reduction with a precomputed ``floor(2**64 / q)`` ratio — the
   EWE/BConvU reduction path — correct for any 64-bit input when
@@ -73,9 +73,6 @@ __all__ = [
     "FLOAT_OPERAND_LIMIT",
     "BCONV_DIGIT_BITS",
     "mul_hi",
-    "mul_wide",
-    "add_mod",
-    "sub_mod",
     "neg_mod",
     "shoup_precompute",
     "shoup_mul_lazy",
@@ -84,7 +81,6 @@ __all__ = [
     "ScratchPool",
     "ModulusKernel",
     "kernel_for",
-    "kernel_cache_stats",
 ]
 
 FAST_MODULUS_BITS = 62
@@ -117,7 +113,7 @@ BCONV_DIGIT_BITS = 18
 # Moduli below 2**41 admit a cheaper variable product than the full
 # 128-bit decomposition: split one operand at SPLIT_SHIFT bits, fold the
 # high part through lazy Barrett, and recombine — two vector multiplies
-# and two reductions instead of the four-partial-product mul_wide.  The
+# and two reductions instead of four 32-bit partial products.  The
 # bound chain (`repro.check.bounds.prove_narrow_split_mul`) keeps both
 # partials below 2**63, so the float lane may convert them through
 # int64 views (see `_i64`):
@@ -202,43 +198,6 @@ def mul_hi(a, b) -> np.ndarray:
 
 
 @_wrapping
-def mul_wide(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product as ``(hi, lo)`` uint64 pairs (elementwise)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    a_lo = a & _MASK32
-    a_hi = a >> _U32
-    b_lo = b & _MASK32
-    b_hi = b >> _U32
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    mid = (ll >> _U32) + (lh & _MASK32) + (hl & _MASK32)
-    hi = a_hi * b_hi + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    lo = (mid << _U32) | (ll & _MASK32)
-    return hi, lo
-
-
-@_wrapping
-def add_mod(a, b, q) -> np.ndarray:
-    """``(a + b) mod q`` for canonical residues; needs ``q < 2**63``.
-
-    ``s - q`` wraps past ``2**64`` exactly when ``s < q``, so the
-    minimum keeps ``s`` there and the reduced value otherwise — one
-    branch-free pass instead of a compare-and-select.
-    """
-    s = a + b
-    return np.minimum(s, s - q)
-
-
-@_wrapping
-def sub_mod(a, b, q) -> np.ndarray:
-    """``(a - b) mod q`` for canonical residues (min-trick, see add_mod)."""
-    d = a - b
-    return np.minimum(d, d + q)
-
-
-@_wrapping
 def neg_mod(a, q) -> np.ndarray:
     """``-a mod q`` for canonical residues."""
     zero = np.uint64(0)
@@ -318,10 +277,6 @@ class ScratchPool:
             views.append(flat[start : start + size].reshape(shape))
             start += size
         return views
-
-    @property
-    def nbytes(self) -> int:
-        return sum(flat.nbytes for flat in self._flat.values())
 
 
 # Intermediate scratch shared by every ModulusKernel: the float-lane ops
@@ -414,12 +369,6 @@ class ModulusKernel:
         """Any uint64 ``x`` to ``x mod q`` plus at most one ``q``."""
         return x - mul_hi(x, self.v64) * self.q
 
-    @_wrapping
-    def reduce64(self, x) -> np.ndarray:
-        """Any uint64 ``x`` reduced canonically to ``[0, q)``."""
-        r = self.reduce64_lazy(x)
-        return np.where(r >= self.q, r - self.q, r)
-
     def _collapse(self, r, tmp, lazy: bool) -> None:
         """Wrapped remainder in ``(-q, 3q)`` to ``[0, 2q)`` or canonical.
 
@@ -455,8 +404,8 @@ class ModulusKernel:
     def shoup_mul_f(self, a, w, w_shoup_f, lazy: bool = False, out=None) -> np.ndarray:
         """Constant multiply on the float-quotient lane.
 
-        ``w_shoup_f`` is the Shoup quotient scaled by ``2**-64`` (see
-        :meth:`shoup_f`); ``a`` may be lazy up to ``4q``.  Requires
+        ``w_shoup_f`` is the Shoup quotient of :meth:`shoup` scaled by
+        ``2**-64`` in float64; ``a`` may be lazy up to ``4q``.  Requires
         ``float_ok``; ``lazy=True`` returns ``[0, 2q)``; ``out`` may be
         ``a`` itself.
         """
@@ -468,10 +417,6 @@ class ModulusKernel:
         r -= u1
         self._collapse(r, u1, lazy)
         return r
-
-    def shoup_f(self, w) -> np.ndarray:
-        """Float64 mirror of :meth:`shoup` for :meth:`shoup_mul_f`."""
-        return self.shoup(w).astype(np.float64) * _INV_2_64
 
     @_wrapping
     def mul_f(self, a, b, out=None) -> np.ndarray:
@@ -523,7 +468,8 @@ class ModulusKernel:
             return (a * b) % self.q
         if self.split:
             r1 = self.reduce64_lazy(a * (b >> _SPLIT_SHIFT))
-            return self.reduce64((r1 << _SPLIT_SHIFT) + a * (b & _SPLIT_MASK))
+            r = self.reduce64_lazy((r1 << _SPLIT_SHIFT) + a * (b & _SPLIT_MASK))
+            return np.where(r >= self.q, r - self.q, r)
         hi = mul_hi(a, b)
         lo = a * b  # wraps mod 2**64 == the low product half
         t = shoup_mul_lazy(hi, self.r64, self.r64_shoup, self.q)
@@ -589,19 +535,8 @@ def kernel_for(moduli) -> ModulusKernel:
     Accepts a single modulus (scalar kernel) or a sequence of chain
     moduli (column-constant kernel).  The LRU bound keeps long-lived
     services (``repro.serve``) from accumulating one kernel per modulus
-    value forever; see :func:`kernel_cache_stats`.
+    value forever.
     """
     if isinstance(moduli, (int, np.integer)):
         return _kernel_cached((int(moduli),), True)
     return _kernel_cached(tuple(int(q) for q in moduli), False)
-
-
-def kernel_cache_stats() -> dict:
-    """Hit/miss/size counters for the :func:`kernel_for` LRU cache."""
-    info = _kernel_cached.cache_info()
-    return {
-        "hits": info.hits,
-        "misses": info.misses,
-        "maxsize": info.maxsize,
-        "currsize": info.currsize,
-    }

@@ -1,42 +1,21 @@
-"""Modular arithmetic primitives used throughout the CKKS stack.
+"""Scalar number theory for the RNS primes: modular inverse, a primality
+test, primitive roots and roots of unity (NTT twiddles, RNS base
+conversion, the prime search).
 
-SHARP's datapath is built from three ALU families (paper Fig. 2(a)):
-general multipliers, Montgomery modular multipliers [Montgomery 1985],
-and Barrett modular multipliers [Barrett 1986].  This module provides
-bit-exact software implementations of the reduction algorithms those
-units realize, so that the functional library exercises the very same
-arithmetic the accelerator would, plus scalar helpers (modular inverse,
-primitive roots) needed for NTT twiddle generation and RNS base
-conversion.
-
-All functions operate on Python ints or numpy object/int64 arrays; the
-vectorized NTT kernels in :mod:`repro.ntt` use numpy ``uint64``/Python
-int hybrids chosen per modulus width.
+The modular multipliers of SHARP's datapath (paper Fig. 2(a): general,
+Montgomery and Barrett) are priced in :mod:`repro.core.alu_model`; the
+vectorized kernels that run are in :mod:`repro.rns.kernels`, and their
+overflow bounds are proven in :mod:`repro.check.bounds`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.rns import kernels
-
 __all__ = [
     "mod_inverse",
-    "mod_pow",
     "is_probable_prime",
     "find_primitive_root",
     "nth_root_of_unity",
-    "BarrettReducer",
-    "MontgomeryReducer",
-    "mulmod",
 ]
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Modular exponentiation ``base ** exponent mod modulus``."""
-    return pow(base, exponent, modulus)
 
 
 def mod_inverse(value: int, modulus: int) -> int:
@@ -125,116 +104,3 @@ def nth_root_of_unity(n: int, prime: int) -> int:
     if pow(root, n // 2, prime) == 1:
         raise ArithmeticError("root is not primitive")  # pragma: no cover
     return root
-
-
-def mulmod(a, b, modulus: int):
-    """Elementwise ``a * b mod modulus`` for ints or numpy arrays.
-
-    For moduli below 2**31 the product of two residues fits in uint64 and
-    the plain numpy path is used; moduli up to 2**62 route through the
-    emulated-128-bit kernel (:mod:`repro.rns.kernels`), also exact; only
-    wider moduli fall back to Python object arithmetic.
-    """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if modulus < (1 << 31):
-            a64 = np.asarray(a, dtype=np.uint64)
-            b64 = np.asarray(b, dtype=np.uint64)
-            return (a64 * b64) % np.uint64(modulus)
-        if modulus < kernels.FAST_MODULUS_LIMIT:
-            return kernels.kernel_for(modulus).mul(
-                np.asarray(a, dtype=np.uint64), np.asarray(b, dtype=np.uint64)
-            )
-        ao = np.asarray(a, dtype=object)
-        bo = np.asarray(b, dtype=object)
-        return (ao * bo) % modulus
-    return a * b % modulus
-
-
-@dataclass(frozen=True)
-class BarrettReducer:
-    """Barrett modular reduction, the EWE/BConvU reduction algorithm.
-
-    Precomputes ``mu = floor(4**w / q)`` for a modulus ``q`` of bit
-    length ``w`` and reduces any ``x < q**2`` with two multiplications
-    and at most two conditional subtractions — exactly the structure
-    the synthesized Barrett modular multiplier of Fig. 2(a) has.
-    """
-
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 3:
-            raise ValueError("modulus must be >= 3")
-        w = self.modulus.bit_length()
-        object.__setattr__(self, "_shift", 2 * w)
-        object.__setattr__(self, "_mu", (1 << (2 * w)) // self.modulus)
-
-    @property
-    def word_bits(self) -> int:
-        return self.modulus.bit_length()
-
-    def reduce(self, x: int) -> int:
-        """Reduce ``0 <= x < modulus**2`` to ``x mod modulus``."""
-        q = self.modulus
-        t = x - ((x * self._mu) >> self._shift) * q
-        if t >= q:
-            t -= q
-        if t >= q:  # Barrett error bound allows one extra subtraction
-            t -= q
-        assert 0 <= t < q
-        return t
-
-    def mul(self, a: int, b: int) -> int:
-        """Modular multiplication via Barrett reduction."""
-        return self.reduce((a % self.modulus) * (b % self.modulus))
-
-
-@dataclass(frozen=True)
-class MontgomeryReducer:
-    """Montgomery modular multiplication, the NTTU butterfly algorithm.
-
-    Uses ``R = 2**r`` with ``r`` the modulus word size.  Operands are
-    mapped into the Montgomery domain (``a*R mod q``); ``mul`` multiplies
-    two domain values and returns a domain value, matching the twiddle
-    pre-scaling trick hardware NTTUs use.
-    """
-
-    modulus: int
-
-    def __post_init__(self):
-        q = self.modulus
-        if q % 2 == 0:
-            raise ValueError("Montgomery reduction requires an odd modulus")
-        r_bits = q.bit_length()
-        R = 1 << r_bits
-        q_inv = mod_inverse(q, R)
-        object.__setattr__(self, "_r_bits", r_bits)
-        object.__setattr__(self, "_mask", R - 1)
-        object.__setattr__(self, "_q_neg_inv", (-q_inv) % R)
-        object.__setattr__(self, "_r2", (R * R) % q)
-
-    @property
-    def r_bits(self) -> int:
-        return self._r_bits
-
-    def to_domain(self, a: int) -> int:
-        return self.redc((a % self.modulus) * self._r2)
-
-    def from_domain(self, a_mont: int) -> int:
-        return self.redc(a_mont)
-
-    def redc(self, t: int) -> int:
-        """Montgomery reduction of ``0 <= t < q * R``: returns ``t/R mod q``."""
-        m = (t & self._mask) * self._q_neg_inv & self._mask
-        u = (t + m * self.modulus) >> self._r_bits
-        if u >= self.modulus:
-            u -= self.modulus
-        return u
-
-    def mul(self, a_mont: int, b_mont: int) -> int:
-        """Product of two Montgomery-domain values, in the domain."""
-        return self.redc(a_mont * b_mont)
-
-    def mul_plain(self, a: int, b: int) -> int:
-        """Plain-domain modular multiplication routed through REDC."""
-        return self.from_domain(self.mul(self.to_domain(a), self.to_domain(b)))

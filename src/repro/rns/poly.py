@@ -176,17 +176,6 @@ class RnsPolynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(
-        cls, ring: RingContext, moduli: tuple[int, ...], ntt_form: bool = True
-    ) -> "RnsPolynomial":
-        return cls(
-            ring,
-            tuple(moduli),
-            np.zeros((len(moduli), ring.degree), dtype=np.uint64),
-            ntt_form,
-        )
-
-    @classmethod
     def from_int_coeffs(
         cls, ring: RingContext, moduli: tuple[int, ...], coeffs
     ) -> "RnsPolynomial":
@@ -206,9 +195,6 @@ class RnsPolynomial:
             for q in moduli:
                 rows.append((arr % q).astype(np.uint64))
         return cls(ring, moduli, np.stack(rows), ntt_form=False)
-
-    def copy(self) -> "RnsPolynomial":
-        return RnsPolynomial(self.ring, self.moduli, self.limbs.copy(), self.ntt_form)
 
     # -- representation changes -----------------------------------------------
 

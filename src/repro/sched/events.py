@@ -5,7 +5,7 @@ as one :class:`ScheduleEvent` per trace op: which values hit or missed
 on-chip, what was fetched, what was evicted (and whether the eviction
 had to write dirty data back), and the occupancy after the op retired.
 Benchmarks and tests consume the :class:`ScheduleLog` to explain *why*
-off-chip traffic happens — occupancy timelines, hit rates, and spill
+off-chip traffic happens — per-op occupancy, hit rates, and spill
 attribution by op kind — instead of trusting a closed-form estimate.
 """
 
@@ -58,14 +58,6 @@ class ScheduleLog:
         return sum(e.offchip_bytes for e in self.events)
 
     @property
-    def fetch_bytes(self) -> float:
-        return sum(e.fetch_bytes for e in self.events)
-
-    @property
-    def writeback_bytes(self) -> float:
-        return sum(e.writeback_bytes for e in self.events)
-
-    @property
     def spill_bytes(self) -> float:
         return sum(e.spill_bytes for e in self.events)
 
@@ -77,20 +69,9 @@ class ScheduleLog:
     def misses(self) -> int:
         return sum(e.misses for e in self.events)
 
-    @property
-    def eviction_count(self) -> int:
-        return sum(len(e.evictions) for e in self.events)
-
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 1.0
-
-    def occupancy_timeline(self) -> list[float]:
-        """Scratchpad occupancy (bytes) after each op."""
-        return [e.occupancy_bytes for e in self.events]
-
-    def peak_occupancy_bytes(self) -> float:
-        return max((e.occupancy_bytes for e in self.events), default=0.0)
 
     def spill_by_kind(self) -> dict[OpKind, float]:
         """Spill-byte attribution per op kind (who caused the traffic)."""
@@ -98,13 +79,6 @@ class ScheduleLog:
         for e in self.events:
             if e.spill_bytes:
                 out[e.kind] = out.get(e.kind, 0.0) + e.spill_bytes
-        return out
-
-    def offchip_by_kind(self) -> dict[OpKind, float]:
-        out: dict[OpKind, float] = {}
-        for e in self.events:
-            if e.offchip_bytes:
-                out[e.kind] = out.get(e.kind, 0.0) + e.offchip_bytes
         return out
 
     def signature(

@@ -1,13 +1,13 @@
 """Liveness analysis over SSA-annotated HE-op traces.
 
 Computes, for every value in a trace, its live range (definition op to
-last consuming op) and byte size, and from those the *exact* per-op
-working set — live ciphertext temporaries plus the evk the op streams.
-This reproduces the paper's Fig. 5(b) working-set curve
-mechanistically: the (bs + 1) simultaneously-live BSGS temporaries
-fall out of the rotation-ladder dataflow instead of being asserted.
+last consuming op) and byte size.  An op's working set is the bytes of
+the ranges live across it plus the evk it streams, which reproduces the
+paper's Fig. 5(b) working-set curve mechanistically: the (bs + 1)
+simultaneously-live BSGS temporaries fall out of the rotation-ladder
+dataflow instead of being asserted.
 
-Future-use distances (:meth:`Liveness.next_use`) are what the Belady
+Future-use distances (:meth:`LiveRange.next_use`) are what the Belady
 allocator in :mod:`repro.sched.alloc` keys its evictions off.
 """
 
@@ -37,10 +37,6 @@ class LiveRange:
     def last_use(self) -> int:
         return self.uses[-1] if self.uses else self.def_index
 
-    @property
-    def start(self) -> int:
-        return max(self.def_index, 0)
-
     def next_use(self, after: int) -> float:
         """First use strictly after op ``after`` (inf if none)."""
         i = bisect.bisect_right(self.uses, after)
@@ -48,7 +44,7 @@ class LiveRange:
 
 
 class Liveness:
-    """Live ranges plus per-op working-set accounting for one trace."""
+    """Live ranges of one trace's ciphertexts and evaluation keys."""
 
     def __init__(
         self,
@@ -59,56 +55,9 @@ class Liveness:
         self.trace = trace
         self.ranges = ranges  # ciphertext values
         self.evk_ranges = evk_ranges  # evaluation keys (one per key_id)
-        self._live_counts, self._live_bytes = self._sweep()
-
-    def _sweep(self) -> tuple[list[int], list[float]]:
-        n = len(self.trace.ops)
-        delta_count = [0] * (n + 1)
-        delta_bytes = [0.0] * (n + 1)
-        for r in self.ranges.values():
-            delta_count[r.start] += 1
-            delta_bytes[r.start] += r.size_bytes
-            delta_count[r.last_use + 1] -= 1
-            delta_bytes[r.last_use + 1] -= r.size_bytes
-        counts: list[int] = []
-        sizes: list[float] = []
-        c, b = 0, 0.0
-        for i in range(n):
-            c += delta_count[i]
-            b += delta_bytes[i]
-            counts.append(c)
-            sizes.append(b)
-        return counts, sizes
-
-    # -- queries -----------------------------------------------------------------
 
     def range_of(self, value: str) -> LiveRange:
         return self.ranges.get(value) or self.evk_ranges[value]
-
-    def working_set_bytes(self, index: int) -> float:
-        """Live ciphertexts plus the evk op ``index`` streams."""
-        op = self.trace.ops[index]
-        evk = 0.0
-        if op.key_id is not None:
-            evk = self.evk_ranges[f"evk:{op.key_id}"].size_bytes
-        return self._live_bytes[index] + evk
-
-    def peak_temporaries(self) -> int:
-        """Max simultaneously-live ciphertexts across the trace."""
-        return max(self._live_counts, default=0)
-
-    def peak_working_set_bytes(self) -> float:
-        return max(
-            (self.working_set_bytes(i) for i in range(len(self.trace.ops))),
-            default=0.0,
-        )
-
-    def working_set_curve(self) -> list[tuple[int, float]]:
-        """(limbs, working-set bytes) per op — Fig. 5(b), measured."""
-        return [
-            (op.limbs, self.working_set_bytes(i))
-            for i, op in enumerate(self.trace.ops)
-        ]
 
 
 def analyze_liveness(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.hw.isa import HeOp, Trace
 from repro.params.presets import WordLengthSetting
 from repro.sched.alloc import POLICIES, ScratchpadAllocator
-from repro.sched.events import ScheduleEvent, ScheduleLog
+from repro.sched.events import ScheduleLog
 from repro.sched.fusion import FusionReport, fuse_trace
 from repro.sched.liveness import Liveness, analyze_liveness
 
@@ -72,19 +72,12 @@ class ScheduledTrace:
         return self.trace.ops
 
     @property
-    def normalize(self) -> float:
-        return self.trace.normalize
-
-    @property
     def policy(self) -> str:
         return self.log.policy
 
     @property
     def capacity_bytes(self) -> float:
         return self.log.capacity_bytes
-
-    def event(self, index: int) -> ScheduleEvent:
-        return self.log.events[index]
 
     @property
     def offchip_bytes(self) -> float:

@@ -90,18 +90,13 @@ class FheClient:
             raise JobRejected(wire.decode_json(payload))
         if kind != wire.Kind.PARAMS:
             raise wire.WireError(f"expected PARAMS, got {kind.name}")
-        params_msg = wire.decode_json(payload)
-        spec = params_msg["spec"]
-        if not isinstance(spec, dict):
-            raise wire.WireError("PARAMS payload carries no parameter spec")
-        self.word_bits = int(params_msg["word_bits"])  # type: ignore[arg-type]
-        self.slots = int(params_msg["slots"])  # type: ignore[arg-type]
+        params, self.word_bits = wire.decode_params(payload)
+        self.slots = params.slots
 
         # The spec alone determines the ring, so the tenant context can
         # be built before the batch key arrives.
-        from repro.ckks.context import CkksContext, CkksParams
+        from repro.ckks.context import CkksContext
 
-        params = CkksParams.from_spec(spec)
         context = CkksContext(params, seed=self.seed)
         self._frame_limit = wire.frame_limit(params)
 

@@ -295,16 +295,7 @@ class FheServer:
             raise wire.WireError(f"negotiation failed: {exc}") from exc
 
         wire.write_frame(
-            writer,
-            wire.Kind.PARAMS,
-            wire.encode_json(
-                {
-                    "word_bits": word_bits,
-                    "slots": preset.slots,
-                    "scale_bits": float(preset.params.scale_bits),
-                    "spec": preset.params.to_spec(),
-                }
-            ),
+            writer, wire.Kind.PARAMS, wire.encode_params(preset.params, word_bits)
         )
         wire.write_frame(
             writer,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import struct
 from enum import IntEnum
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -55,13 +55,11 @@ __all__ = [
     "Kind",
     "WireError",
     "encode_frame",
-    "decode_frame",
     "encode_blobs",
     "decode_blobs",
     "encode_json",
     "decode_json",
     "encode_poly",
-    "decode_poly",
     "encode_ciphertext",
     "decode_ciphertext",
     "encode_public_key",
@@ -139,19 +137,6 @@ def _parse_header(header: bytes) -> tuple[Kind, int]:
         return Kind(kind_raw), length
     except ValueError as exc:
         raise WireError(f"unknown frame kind {kind_raw}") from exc
-
-
-def decode_frame(data: bytes) -> tuple[Kind, bytes]:
-    """Decode one complete frame; rejects anything malformed."""
-    if len(data) < _HEADER.size:
-        raise WireError(f"truncated header: {len(data)} < {_HEADER.size} bytes")
-    kind, length = _parse_header(data[: _HEADER.size])
-    payload = data[_HEADER.size :]
-    if len(payload) != length:
-        raise WireError(
-            f"payload truncated: header claims {length} bytes, got {len(payload)}"
-        )
-    return kind, payload
 
 
 # -- blob sequences ----------------------------------------------------------
@@ -247,13 +232,6 @@ def _decode_poly_at(
     return RnsPolynomial(ring, moduli, limbs, ntt_form=bool(ntt_flag)), offset
 
 
-def decode_poly(data: bytes, ring: "RingContext") -> RnsPolynomial:
-    poly, offset = _decode_poly_at(data, 0, ring)
-    if offset != len(data):
-        raise WireError(f"{len(data) - offset} trailing bytes after poly")
-    return poly
-
-
 # -- ciphertexts and keys ----------------------------------------------------
 
 
@@ -327,16 +305,18 @@ def decode_switch_key(data: bytes, ring: "RingContext") -> EvalKey:
 # -- parameters and programs -------------------------------------------------
 
 
-def encode_params(params: CkksParams) -> bytes:
-    return encode_json(params.to_spec())
+def encode_params(params: CkksParams, word_bits: int) -> bytes:
+    """The PARAMS message: the negotiated word length and the parameter spec."""
+    return encode_json({"word_bits": word_bits, "spec": params.to_spec()})
 
 
-def decode_params(data: bytes) -> CkksParams:
-    spec = decode_json(data)
+def decode_params(data: bytes) -> tuple[CkksParams, int]:
+    """``(params, word_bits)`` of a PARAMS message."""
+    message = decode_json(data)
     try:
-        return CkksParams.from_spec(spec)
+        return CkksParams.from_spec(message["spec"]), int(message["word_bits"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed parameter spec: {exc}") from exc
+        raise WireError(f"malformed PARAMS message: {exc}") from exc
 
 
 def encode_program(program: EvalProgram) -> bytes:
@@ -365,7 +345,15 @@ async def read_frame(reader: "asyncio.StreamReader", limit: int) -> tuple[Kind, 
     """
     import asyncio
 
-    kind, length = _parse_header(await reader.readexactly(_HEADER.size))
+    try:
+        header = await reader.readexactly(_HEADER.size)
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise
+        raise WireError(
+            f"truncated header: {len(exc.partial)} < {_HEADER.size} bytes"
+        ) from exc
+    kind, length = _parse_header(header)
     if length > limit:
         raise WireError(f"payload length {length} exceeds this connection's {limit} cap")
     try:
@@ -382,17 +370,3 @@ def write_frame(
     writer: "asyncio.StreamWriter", kind: Kind, payload: bytes = b""
 ) -> None:
     writer.write(encode_frame(kind, payload))
-
-
-def iter_frames(data: bytes) -> Iterator[tuple[Kind, bytes]]:
-    """Split a byte buffer holding back-to-back frames (sync helper)."""
-    offset = 0
-    while offset < len(data):
-        if offset + _HEADER.size > len(data):
-            raise WireError("truncated header in frame stream")
-        _, _, _, length = _HEADER.unpack_from(data, offset)
-        end = offset + _HEADER.size + length
-        if end > len(data):
-            raise WireError("truncated frame in frame stream")
-        yield decode_frame(data[offset:end])
-        offset = end

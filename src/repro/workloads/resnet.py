@@ -102,15 +102,6 @@ class SmallResNet:
             }
         )
 
-    def forward(self, x, act=_relu):
-        p = self.params
-        a1 = act(_conv2d(x, p["w1"], p["b1"]))
-        a2 = act(_conv2d(a1, p["w2"], p["b2"]) + a1)  # residual
-        a3 = act(_conv2d(a2, p["w3"], p["b3"], stride=2))
-        a4 = act(_conv2d(a3, p["w4"], p["b4"]) + a3)  # residual
-        pooled = a4.mean(axis=(2, 3))
-        return pooled @ p["wf"] + p["bf"]
-
     def activations(self, x, act):
         """Forward pass exposing each pre-activation (for noisy path)."""
         p = self.params

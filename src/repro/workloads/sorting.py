@@ -21,7 +21,6 @@ from repro.ckks.noise import NoiseModel, NoisyEvaluator, NoisyVector
 __all__ = [
     "SortResult",
     "noisy_bitonic_sort",
-    "sort_error_sweep",
     "sign_stage",
     "sort_stages",
     "SORT_LOG2N",
@@ -127,19 +126,3 @@ def noisy_bitonic_sort(
     finite = np.all(np.isfinite(out))
     err = float(np.max(np.abs(out - ref))) if finite else float("inf")
     return SortResult(out, err, exploded=(not finite) or err > 1.0)
-
-
-def sort_error_sweep(
-    scales,
-    boot_scales,
-    n: int = 1 << SORT_LOG2N,
-    seed: int = 0,
-) -> dict:
-    """Table 2's sorting row: max error per (scale, boot scale) pair."""
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 1.0, n)
-    out = {}
-    for bits, boot in zip(scales, boot_scales):
-        res = noisy_bitonic_sort(values, bits, boot, seed=seed)
-        out[bits] = res.max_error
-    return out

@@ -253,14 +253,13 @@ class TestBackendContract:
 class TestRegistry:
     def test_kernel_for_lru_identity_and_stats(self):
         q = _chain(2 * N, 36, 1)[0]
-        before = kernels.kernel_cache_stats()
+        before = kernels._kernel_cached.cache_info()
         k1 = kernel = kernels.kernel_for(q)
         k2 = kernels.kernel_for(q)
         assert k1 is k2
-        after = kernels.kernel_cache_stats()
-        assert after["hits"] > before["hits"]
-        assert set(after) == {"hits", "misses", "maxsize", "currsize"}
-        assert after["currsize"] <= after["maxsize"]
+        after = kernels._kernel_cached.cache_info()
+        assert after.hits > before.hits
+        assert after.currsize <= after.maxsize
         assert kernel.q == np.uint64(q)
 
 

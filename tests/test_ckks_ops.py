@@ -230,7 +230,7 @@ class TestMultiplicative:
 class TestDoublePrimeScaling:
     def test_ds_steps_are_pairs(self, ds_context):
         for step in ds_context.params.steps:
-            assert step.is_double
+            assert len(step.primes) == 2
             assert abs(math.log2(step.scale) - 35) < 0.2
 
     def test_ds_fresh_precision_higher(self, ds_context, rng):
@@ -243,7 +243,7 @@ class TestDoublePrimeScaling:
         m1, m2 = msg(rng), msg(rng)
         out = ds_evaluator.multiply(ds_context.encrypt(m1), ds_context.encrypt(m2))
         assert out.level == ds_context.params.usable_level - 1
-        assert out.limb_count == len(ds_context.params.active_moduli(out.level))
+        assert out.moduli == ds_context.params.active_moduli(out.level)
         assert np.max(np.abs(ds_context.decrypt(out) - m1 * m2)) < 1e-6
 
     def test_ds_deep_chain(self, ds_context, ds_evaluator, rng):

@@ -22,10 +22,10 @@ from repro.core.opcount import (
     counts_of,
     hmult_counts,
     hrot_counts,
-    pmult_counts,
     weighted_ops,
     workload_counts,
 )
+from repro.hw.isa import HeOp, OpKind
 from repro.params.presets import build_sharp_setting
 from repro.workloads.traces import bootstrap_trace
 
@@ -103,11 +103,9 @@ class TestOpCounts:
         assert shares[28] > shares[36] > shares[64]
 
     def test_workcounts_algebra(self):
-        a = WorkCounts(ntt_butterfly_muls=10, bconv_muls=4)
-        b = WorkCounts(elementwise_muls=6)
-        c = (a + b).scaled(2.0)
-        assert c.ntt_butterfly_muls == 20 and c.elementwise_muls == 12
+        c = WorkCounts(ntt_butterfly_muls=20, bconv_muls=8, elementwise_muls=12, adds=5)
         assert c.total_muls == 40
+        assert c.share("bconv_muls") == 0.2
 
 
 # (word, op, limbs, drop, (NTT butterflies, BConv MACs, element-wise
@@ -142,7 +140,7 @@ class TestOnePriceList:
         counts = {
             "hmult": lambda: hmult_counts(setting, limbs, drop),
             "hrot": lambda: hrot_counts(setting, limbs),
-            "pmult": lambda: pmult_counts(setting, limbs, drop),
+            "pmult": lambda: counts_of(setting, [HeOp(OpKind.PMULT, limbs, drop)]),
         }[op]()
         assert (
             counts.ntt_butterfly_muls,

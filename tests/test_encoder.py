@@ -143,5 +143,6 @@ class TestDecodeReconstruction:
         monkeypatch.setattr(
             RnsPolynomial, "to_int_coeffs", lambda self: calls.append(1) or original(self)
         )
-        encoder.decode(RnsPolynomial.zero(ring, moduli, ntt_form=False), 2.0**20)
+        zero = np.zeros((len(moduli), ring.degree), dtype=np.uint64)
+        encoder.decode(RnsPolynomial(ring, moduli, zero, ntt_form=False), 2.0**20)
         assert bool(calls) != vectorised

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.check import (
     CHECKER_VERSION,
-    EquivCertificate,
     EquivError,
     certify_for_execution,
     certify_schedule,
@@ -205,13 +204,6 @@ class TestPerturbations:
 
 
 class TestCertificate:
-    def test_json_round_trip(self, setting, pair):
-        trace, sched = pair
-        certificate = certify_schedule(trace, sched, setting)
-        again = EquivCertificate.from_json(certificate.to_json())
-        assert again == certificate
-        assert verify_certificate(again, trace, sched).ok
-
     def test_transplanted_certificate_is_refused(self, setting, capacity):
         traces = evaluation_traces(setting)
         pairs = {}

@@ -1,18 +1,13 @@
 """Unit and property tests for modular arithmetic primitives."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rns.modmath import (
-    BarrettReducer,
-    MontgomeryReducer,
     find_primitive_root,
     is_probable_prime,
     mod_inverse,
-    mod_pow,
-    mulmod,
     nth_root_of_unity,
 )
 
@@ -68,7 +63,7 @@ class TestRoots:
     def test_primitive_root_order(self, p):
         g = find_primitive_root(p)
         # g^(p-1) = 1 but no smaller prime-quotient power is 1.
-        assert mod_pow(g, p - 1, p) == 1
+        assert pow(g, p - 1, p) == 1
         n = p - 1
         d = 2
         factors = set()
@@ -81,76 +76,13 @@ class TestRoots:
         if n > 1:
             factors.add(n)
         for f in factors:
-            assert mod_pow(g, (p - 1) // f, p) != 1
+            assert pow(g, (p - 1) // f, p) != 1
 
     def test_nth_root_of_unity(self):
         root = nth_root_of_unity(32, 97)
-        assert mod_pow(root, 32, 97) == 1
-        assert mod_pow(root, 16, 97) != 1
+        assert pow(root, 32, 97) == 1
+        assert pow(root, 16, 97) != 1
 
     def test_nth_root_requires_divisibility(self):
         with pytest.raises(ValueError):
             nth_root_of_unity(64, 97)  # 96 not divisible by 64
-
-
-class TestBarrett:
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_reduce_matches_mod(self, p):
-        rng = np.random.default_rng(0)
-        reducer = BarrettReducer(p)
-        for _ in range(200):
-            x = int(rng.integers(0, p)) * int(rng.integers(0, p))
-            assert reducer.reduce(x) == x % p
-
-    def test_mul(self):
-        r = BarrettReducer(7681)
-        assert r.mul(1234, 4567) == 1234 * 4567 % 7681
-
-    @given(st.integers(min_value=0, max_value=7680), st.integers(min_value=0, max_value=7680))
-    def test_mul_property(self, a, b):
-        r = BarrettReducer(7681)
-        assert r.mul(a, b) == a * b % 7681
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(ValueError):
-            BarrettReducer(2)
-
-
-class TestMontgomery:
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_domain_roundtrip(self, p):
-        m = MontgomeryReducer(p)
-        for a in (0, 1, 17, p - 1):
-            assert m.from_domain(m.to_domain(a)) == a
-
-    @given(st.integers(min_value=0, max_value=40960), st.integers(min_value=0, max_value=40960))
-    def test_mul_plain_property(self, a, b):
-        m = MontgomeryReducer(40961)
-        assert m.mul_plain(a, b) == a * b % 40961
-
-    def test_rejects_even_modulus(self):
-        with pytest.raises(ValueError):
-            MontgomeryReducer(40962)
-
-
-class TestMulmod:
-    def test_scalar(self):
-        assert mulmod(12345, 67890, 7681) == 12345 * 67890 % 7681
-
-    def test_fast_array_path(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 2**30, 100, dtype=np.uint64)
-        b = rng.integers(0, 2**30, 100, dtype=np.uint64)
-        got = mulmod(a, b, 2**30 - 35)
-        want = np.array(
-            [int(x) * int(y) % (2**30 - 35) for x, y in zip(a, b)], dtype=np.uint64
-        )
-        assert np.array_equal(got, want)
-
-    def test_big_modulus_object_path(self):
-        q = (1 << 62) - 57
-        a = np.array([q - 1, 12345], dtype=object)
-        b = np.array([q - 2, 99999], dtype=object)
-        got = mulmod(a, b, q)
-        assert got[0] == (q - 1) * (q - 2) % q
-        assert got[1] == 12345 * 99999 % q

@@ -14,10 +14,7 @@ from repro.ntt.tenstep import (
 )
 from repro.ntt.twiddle import (
     DoubleOfTwistUnit,
-    common_ratios,
     geometric_sequence,
-    is_geometric,
-    phase1_twist_factors,
     phase2_twist_factors,
 )
 from repro.rns.modmath import nth_root_of_unity
@@ -184,21 +181,15 @@ class TestNttuDataflow:
 class TestOfTwist:
     Q = 7681
 
-    def test_phase1_structure(self):
-        zeta = pow(17, 5, self.Q)
-        seq = phase1_twist_factors(zeta, 4, self.Q)
-        assert len(seq) == 16
-        ratios = common_ratios(seq, 4, self.Q)
-        assert ratios == [zeta] * 4  # same common ratio everywhere
-
     def test_phase2_ratios_form_geometric_sequence(self):
         """The paper's key observation enabling the double OF-Twist."""
         zeta = pow(17, 5, self.Q)
         seq = phase2_twist_factors(zeta, 4, self.Q)
-        ratios = common_ratios(seq, 4, self.Q)
-        assert is_geometric(ratios, self.Q)
-        # Ratios are the odd powers zeta^1, zeta^3, zeta^5, zeta^7.
-        assert ratios == [pow(zeta, e, self.Q) for e in (1, 3, 5, 7)]
+        # Each row is geometric, and its ratio is the odd power zeta^(2j+1):
+        # the ratios form a geometric sequence of ratio zeta^2.
+        rows = [seq[i : i + 4] for i in range(0, len(seq), 4)]
+        ratios = [pow(zeta, e, self.Q) for e in (1, 3, 5, 7)]
+        assert rows == [geometric_sequence(1, r, 4, self.Q) for r in ratios]
 
     def test_double_of_twist_unit_streams_exactly(self):
         zeta = pow(17, 5, self.Q)
@@ -213,8 +204,3 @@ class TestOfTwist:
         unit = DoubleOfTwistUnit(zeta, zeta * zeta % self.Q, 8, self.Q)
         unit.stream(64)
         assert unit.multiplies == 64
-
-    def test_geometric_helpers(self):
-        seq = geometric_sequence(3, 5, 6, self.Q)
-        assert is_geometric(seq, self.Q)
-        assert not is_geometric([1, 2, 5], self.Q)

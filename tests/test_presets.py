@@ -33,9 +33,9 @@ class TestLEffRow:
         assert s36.base_prime_count == 2
 
     def test_short_words_always_ds(self, settings):
-        assert settings[28].always_ds
-        assert settings[32].always_ds
-        assert not settings[36].always_ds
+        assert settings[28].ss_prime_count == 0
+        assert settings[32].ss_prime_count == 0
+        assert settings[36].ss_prime_count > 0
 
     def test_set64_always_ss(self, settings):
         assert settings[64].ds_prime_count == 0

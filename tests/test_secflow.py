@@ -165,7 +165,7 @@ class TestLeakCorpus:
         fired = report.error_codes() & set(case.expect_codes)
         assert fired, (
             f"{case.name}: expected one of {case.expect_codes}, "
-            f"saw {sorted(report.codes()) or 'nothing'}"
+            f"saw {sorted(d.code for d in report.diagnostics) or 'nothing'}"
         )
 
     def test_clean_reinjection_stays_clean(self):
@@ -208,8 +208,15 @@ class TestRedaction:
 
     def test_wire_errors_never_echo_payload_bytes(self):
         payload = b"\xde\xad\xbe\xefSECRETSECRET" * 4
+
+        async def read() -> None:
+            reader = asyncio.StreamReader()
+            reader.feed_data(payload)
+            reader.feed_eof()
+            await wire.read_frame(reader, wire.HANDSHAKE_FRAME_LIMIT)
+
         with pytest.raises(wire.WireError) as exc_info:
-            wire.decode_frame(payload)
+            asyncio.run(read())
         assert b"SECRET" not in str(exc_info.value).encode()
 
         bad_json = b"\xff\xfe" + b"notutf8" + b"\xff" * 8

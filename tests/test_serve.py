@@ -365,13 +365,22 @@ def _raw_frame(version: int, kind: int, payload: bytes = b"") -> bytes:
 
 
 async def _replies(port: int, *frames: bytes) -> list[tuple[wire.Kind, bytes]]:
-    """Send raw bytes, then read to EOF: the server must answer and hang up."""
+    """Send raw bytes, then read frames to EOF: the server must answer and hang up."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(b"".join(frames))
     await writer.drain()
-    data = await asyncio.wait_for(reader.read(-1), timeout=10)  # never a hang
+
+    async def to_eof() -> list[tuple[wire.Kind, bytes]]:
+        replies = []
+        while True:
+            try:
+                replies.append(await wire.read_frame(reader, 1 << 32))
+            except asyncio.IncompleteReadError:
+                return replies
+
+    replies = await asyncio.wait_for(to_eof(), timeout=10)  # never a hang
     writer.close()
-    return list(wire.iter_frames(data))
+    return replies
 
 
 class TestCeremony:
@@ -409,6 +418,26 @@ class TestCeremony:
             await client.close()
 
         _run(scenario)
+
+    def test_malformed_params_is_a_wire_error(self):
+        async def peer(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            await wire.read_frame(reader, wire.HANDSHAKE_FRAME_LIMIT)
+            message = wire.encode_json({"word_bits": 36, "slots": 8, "spec": {}})
+            wire.write_frame(writer, wire.Kind.PARAMS, message)
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def scenario() -> None:
+            server = await asyncio.start_server(peer, "127.0.0.1", 0)
+            client = FheClient("127.0.0.1", server.sockets[0].getsockname()[1], seed=5)
+            with pytest.raises(wire.WireError, match="malformed PARAMS"):
+                await client.enroll(36, width=2)
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run(scenario())
 
     def test_old_peers_and_retired_frames_get_one_error_and_a_closed_door(self):
         async def scenario(server: FheServer) -> None:
@@ -462,7 +491,8 @@ class TestCiphertextState:
             return Ciphertext(ct.c0.from_ntt(), ct.c1.from_ntt(), ct.level, ct.scale)
         assert how == "chain"
         moduli = ct.moduli[:-1] + params.aux_primes[:1]
-        c0, c1 = (RnsPolynomial.zero(p.ring, moduli) for p in (ct.c0, ct.c1))
+        zero = np.zeros((len(moduli), ct.c0.ring.degree), dtype=np.uint64)
+        c0, c1 = (RnsPolynomial(p.ring, moduli, zero, True) for p in (ct.c0, ct.c1))
         return Ciphertext(c0, c1, ct.level, ct.scale)
 
     @pytest.mark.parametrize("how", ["level", "level-header", "scale", "form", "chain"])

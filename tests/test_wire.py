@@ -1,12 +1,15 @@
 """Wire-format round-trips (hypothesis) across the serve presets.
 
 Every serialized artifact — ciphertexts, public keys, switch keys,
-parameter specs, programs — must decode back bit-identical at each
+parameter messages, programs — must decode back bit-identical at each
 word length the service catalogues, and every malformed byte stream
 must be rejected with :class:`WireError`, never an exception escape.
+Frames go through :func:`wire.read_frame`, the parser the server runs.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -29,6 +32,18 @@ def _context(word_bits: int) -> CkksContext:
         params = build_native_ckks_params(word_bits, degree=1 << 10, depth=3)
         _CONTEXTS[word_bits] = CkksContext(params, seed=500 + word_bits)
     return _CONTEXTS[word_bits]
+
+
+def _read(data: bytes, limit: int = wire.HANDSHAKE_FRAME_LIMIT) -> tuple[wire.Kind, bytes]:
+    """One frame through the server's parser, from a stream that ends after ``data``."""
+
+    async def read() -> tuple[wire.Kind, bytes]:
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await wire.read_frame(reader, limit)
+
+    return asyncio.run(read())
 
 
 def _random_message(ctx: CkksContext, seed: int) -> np.ndarray:
@@ -92,7 +107,8 @@ class TestKeyRoundTrip:
     @PER_WORD_LENGTH
     def test_params_spec(self, word_bits: int):
         params = _context(word_bits).params
-        assert wire.decode_params(wire.encode_params(params)) == params
+        blob = wire.encode_params(params, word_bits)
+        assert wire.decode_params(blob) == (params, word_bits)
 
 
 # Program strategy: random well-formed straight-line chains.
@@ -129,8 +145,8 @@ class TestProgramRoundTrip:
     @given(program=programs())
     @settings(max_examples=20, deadline=None)
     def test_frame_roundtrip(self, program: EvalProgram):
-        frame = wire.encode_frame(wire.Kind.JOB, wire.encode_program(program))
-        kind, payload = wire.decode_frame(frame)
+        payload = wire.encode_program(program)
+        kind, payload = _read(wire.encode_frame(wire.Kind.JOB, payload), len(payload))
         assert kind == wire.Kind.JOB
         assert wire.decode_program(payload) == program
 
@@ -139,12 +155,22 @@ class TestRejection:
     def _frame(self) -> bytes:
         return wire.encode_frame(wire.Kind.STATS, wire.encode_json({"x": 1}))
 
-    @given(cut=st.integers(min_value=1, max_value=12))
-    @settings(max_examples=12, deadline=None)
+    @given(cut=st.integers(min_value=1, max_value=22))
+    @settings(max_examples=22, deadline=None)
     def test_truncation(self, cut: int):
         frame = self._frame()
-        with pytest.raises(wire.WireError):
-            wire.decode_frame(frame[: len(frame) - cut])
+        assert len(frame) == 23
+        with pytest.raises(wire.WireError, match="truncated"):
+            _read(frame[: len(frame) - cut])
+
+    def test_header_cut_is_not_a_hang_up(self):
+        """Only an EOF before the first header byte is a clean hang-up."""
+        frame = self._frame()
+        with pytest.raises(asyncio.IncompleteReadError):
+            _read(b"")
+        for kept in range(1, 16):
+            with pytest.raises(wire.WireError, match="truncated header"):
+                _read(frame[:kept])
 
     @given(version=st.integers(min_value=0, max_value=2**16 - 1))
     @settings(max_examples=20, deadline=None)
@@ -152,21 +178,29 @@ class TestRejection:
         frame = bytearray(self._frame())
         frame[4:6] = int(version).to_bytes(2, "little")
         if version == wire.VERSION:
-            assert wire.decode_frame(bytes(frame))
+            assert _read(bytes(frame)) == (wire.Kind.STATS, frame[16:])
         else:
             with pytest.raises(wire.WireError, match="version"):
-                wire.decode_frame(bytes(frame))
+                _read(bytes(frame))
 
     def test_bad_magic(self):
         frame = b"EVIL" + self._frame()[4:]
         with pytest.raises(wire.WireError, match="magic"):
-            wire.decode_frame(frame)
+            _read(frame)
 
     def test_unknown_kind(self):
         frame = bytearray(self._frame())
         frame[6:8] = (4242).to_bytes(2, "little")
         with pytest.raises(wire.WireError, match="kind"):
-            wire.decode_frame(bytes(frame))
+            _read(bytes(frame))
+
+    def test_malformed_params_message(self):
+        spec = _context(36).params.to_spec()
+        for message in ({"word_bits": 36}, {"word_bits": 36, "spec": {}},
+                        {"word_bits": 36, "spec": 7}, {"spec": spec},
+                        {"word_bits": "x", "spec": spec}):  # fmt: skip
+            with pytest.raises(wire.WireError, match="malformed PARAMS"):
+                wire.decode_params(wire.encode_json(message))
 
     def test_truncated_ciphertext_body(self):
         ctx = _context(36)
