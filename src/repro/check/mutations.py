@@ -41,7 +41,9 @@ from repro.check.wordlen_audit import (
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 from repro.rns import kernels
+from repro.sched.alloc import ScratchpadAllocator
 from repro.sched.events import ScheduleEvent, ScheduleLog
+from repro.sched.liveness import LiveRange, Liveness
 from repro.sched.trace import ScheduledTrace, schedule_trace
 from repro.workloads.traces import helr_trace
 
@@ -240,8 +242,10 @@ def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
     # -- schedule violations ------------------------------------------------
     sched = schedule_trace(base, setting, capacity)
 
-    def forged(log: ScheduleLog, name: str, expect: tuple[str, ...]) -> None:
-        fake = ScheduledTrace(trace=sched.trace, liveness=sched.liveness, log=log)
+    def forged(
+        log: ScheduleLog, name: str, expect: tuple[str, ...], live: Liveness = sched.liveness
+    ) -> None:
+        fake = ScheduledTrace(trace=sched.trace, liveness=live, log=log)
         cases.append(
             MutationCase(
                 name, "schedule", lambda: verify_schedule(fake, setting), expect
@@ -279,6 +283,15 @@ def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
     forged(
         ScheduleLog(policy, capacity, mixed), "kind-swap", ("SCH-KIND", "SCH-REPLAY")
     )
+
+    # Lying live ranges, a hundredth of every size, and a log the
+    # allocator made from them: it replays consistently with the lie.
+    def shrink(ranges: dict[str, LiveRange]) -> dict[str, LiveRange]:
+        return {v: replace(r, size_bytes=r.size_bytes / 100) for v, r in ranges.items()}
+
+    shrunk = Liveness(sched.trace, shrink(sched.liveness.ranges), shrink(sched.liveness.evk_ranges))
+    lying = ScratchpadAllocator(capacity, policy).run(sched.trace, setting, liveness=shrunk)
+    forged(lying, "forged-liveness", ("SCH-LIVENESS",), shrunk)
     return cases
 
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 from repro.hw.isa import OpKind
 
-__all__ = ["ScheduleEvent", "ScheduleLog"]
+__all__ = ["ScheduleEvent", "ScheduleLog", "Signature"]
+
+# One entry per event: every decision, byte counts rounded to 1e-3.
+Signature = tuple[
+    tuple[int, str, int, int, float, float, tuple[str, ...], tuple[str, ...], float], ...
+]
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,7 @@ class ScheduleLog:
                 out[e.kind] = out.get(e.kind, 0.0) + e.spill_bytes
         return out
 
-    def signature(
-        self,
-    ) -> tuple[
-        tuple[
-            int, str, int, int, float, float, tuple[str, ...], tuple[str, ...], float
-        ],
-        ...,
-    ]:
+    def signature(self) -> Signature:
         """Hashable digest of every decision — for determinism checks."""
         return tuple(
             (

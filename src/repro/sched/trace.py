@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from repro.hw.isa import HeOp, Trace
 from repro.params.presets import WordLengthSetting
 from repro.sched.alloc import POLICIES, ScratchpadAllocator
-from repro.sched.events import ScheduleLog
+from repro.sched.events import ScheduleLog, Signature
 from repro.sched.fusion import FusionReport, fuse_trace
 from repro.sched.liveness import Liveness, analyze_liveness
 
-__all__ = ["ScheduledTrace", "schedule_trace", "trace_digest"]
+__all__ = ["ScheduledTrace", "schedule_digest", "schedule_trace", "trace_digest"]
 
 
 def trace_digest(trace: Trace) -> str:
@@ -96,14 +96,19 @@ class ScheduledTrace:
         byte count lands on a different digest.  Equivalence
         certificates bind to this.
         """
-        payload = {
-            "trace": trace_digest(self.trace),
-            "policy": self.log.policy,
-            "capacity_bytes": self.log.capacity_bytes,
-            "events": [list(entry) for entry in self.log.signature()],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return schedule_digest(self, self.log.signature())
+
+
+def schedule_digest(sched: ScheduledTrace, signature: Signature) -> str:
+    """:meth:`ScheduledTrace.digest`, given ``sched.log``'s signature."""
+    payload = {
+        "trace": trace_digest(sched.trace),
+        "policy": sched.log.policy,
+        "capacity_bytes": sched.log.capacity_bytes,
+        "events": signature,  # JSON writes tuples as arrays
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def schedule_trace(
