@@ -52,7 +52,7 @@ def test_belady_vs_lru_traffic(benchmark, sharp_setting):
                     f"{bel.offchip_bytes / GB:.2f}",
                     f"{lru.offchip_bytes / GB:.2f}",
                     f"{100 * gap:.1f}%",
-                    f"{bel.log.hit_rate() * 100:.1f}%",
+                    f"{bel.hit_rate() * 100:.1f}%",
                     f"{bel.spill_bytes / GB:.3f}",
                 ]
             )
@@ -100,10 +100,13 @@ def test_scheduled_simulation(benchmark, sharp_setting):
 
     rows = []
     for name, tr in traces.items():
-        sched = sim.schedule(tr, policy="belady")
+        sched = sim.schedule(tr)
         res = benchmark(sim.run, sched) if name == "bootstrap" else sim.run(sched)
-        assert res.spill_bytes == sched.log.spill_bytes  # allocator-attributed
-        by_kind = sched.log.spill_by_kind()
+        assert res.spill_bytes == sched.spill_bytes  # allocator-attributed
+        by_kind: dict = {}  # spill bytes per op kind: who caused the traffic
+        for e in sched.events:
+            if e.spill_bytes:
+                by_kind[e.kind] = by_kind.get(e.kind, 0.0) + e.spill_bytes
         top = max(by_kind, key=by_kind.get).value if by_kind else "-"
         rows.append(
             [

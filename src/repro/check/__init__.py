@@ -4,7 +4,7 @@ Checkers, none of which execute any encryption:
 
 * :mod:`repro.check.trace_check` — SSA well-formedness, modulus-chain
   bookkeeping and rescale legality over HE-op traces, plus structural
-  and replay verification of recorded schedule logs;
+  and replay verification of recorded schedules;
 * :mod:`repro.check.ckks_check` — abstract ``(level, scale)``
   interpretation of evaluator call sequences;
 * :mod:`repro.check.bounds` — exact worst-case magnitude proofs for

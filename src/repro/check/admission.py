@@ -153,8 +153,6 @@ def certify_for_execution(
     program: "EvalProgram",
     setting: "WordLengthSetting",
     capacity_bytes: float,
-    policy: str = "belady",
-    prng_evk: bool = True,
 ) -> "tuple[ScheduledTrace, EquivCertificate]":
     """Record, fuse, schedule, and *prove* a program for the real engine.
 
@@ -174,15 +172,5 @@ def certify_for_execution(
     from repro.serve.program import TraceRecorder
 
     source = TraceRecorder(setting).record(program)
-    scheduled = schedule_trace(
-        source,
-        setting,
-        capacity_bytes,
-        policy=policy,
-        prng_evk=prng_evk,
-        fuse=True,
-    )
-    certificate = certify_schedule(
-        source, scheduled, setting, prng_evk=prng_evk
-    )
-    return scheduled, certificate
+    scheduled = schedule_trace(source, setting, capacity_bytes, fuse=True)
+    return scheduled, certify_schedule(source, scheduled, setting)

@@ -10,7 +10,7 @@ per pass:
 * ``traces`` — every shipped workload trace, in plain, explicit-
   rescale, and fused form, through the SSA/chain verifier; each is
   then scheduled at the SHARP scratchpad capacity and its recorded
-  schedule log verified (structure + deterministic replay);
+  schedule events verified (structure + deterministic replay);
 * ``ckks`` — a representative evaluator program over the abstract
   (level, scale) domain of a functional parameter set;
 * ``noise`` — the word-length robustness audit: every shipped

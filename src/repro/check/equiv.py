@@ -31,8 +31,8 @@ check; neither trace is executed.  Four layers, each with its own
   calibration the admission pass trusts); the scheduled trace's proven
   worst-case precision floor must be no weaker than the source's.
 * **Scratchpad-safety dataflow** (``EQV-RESIDENCY`` / ``EQV-EVK`` /
-  ``EQV-SPILL``) — the recorded :class:`~repro.sched.events.ScheduleLog`
-  is replayed from its *decisions alone* (fetch and eviction lists),
+  ``EQV-SPILL``) — the recorded :class:`~repro.sched.events.ScheduleEvent`
+  list is replayed from its *decisions alone* (fetch and eviction lists),
   independent of any eviction policy: no value may be read after an
   eviction without a refill, the evaluation key must be resident (or
   legitimately streamed) at every key-switch, every dirty eviction with
@@ -273,36 +273,34 @@ def _trace_noise_floor(trace: Trace, setting: WordLengthSetting) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scratchpad-safety dataflow over the recorded schedule log
+# Scratchpad-safety dataflow over the recorded schedule events
 # ---------------------------------------------------------------------------
 
 
-def _verify_log_dataflow(
+def _verify_dataflow(
     sched: ScheduledTrace, live: Liveness, report: CheckReport
 ) -> None:
-    """Replay the log's recorded decisions, policy-independently.
+    """Replay the recorded decisions, policy-independently.
 
     Unlike the deterministic-replay check (which re-runs the allocator
     and therefore trusts its policy code), this walk takes the recorded
     fetch and eviction lists as ground truth and derives everything
     else — residency, dirtiness, spill pairing, traffic bytes and
     occupancy — demanding consistency with the rest of each event.
-    Values are sized by ``live``, the liveness re-derived from the
-    trace, never by the artifact's own.
+    Values are sized by ``live``, the liveness derived from the trace.
     """
-    log = sched.log
     ops = sched.trace.ops
-    if len(log.events) != len(ops):
+    if len(sched.events) != len(ops):
         return  # SCH-COUNT already reported by the structural check
 
-    capacity = log.capacity_bytes
+    capacity = sched.capacity_bytes
     resident: dict[str, float] = {}
     dirty: set[str] = set()
     spilled: set[str] = set()
     streamed: set[str] = set()
     occupancy = 0.0
 
-    for i, (op, event) in enumerate(zip(ops, log.events)):
+    for i, (op, event) in enumerate(zip(ops, sched.events)):
         hits = 0
         misses = 0
         fetch_bytes = 0.0
@@ -425,31 +423,25 @@ def _verify_log_dataflow(
 
 
 def check_equivalence(
-    source: Trace,
-    sched: ScheduledTrace,
-    setting: WordLengthSetting,
-    prng_evk: bool = True,
+    source: Trace, sched: ScheduledTrace, setting: WordLengthSetting
 ) -> CheckReport:
     """Prove the scheduled trace computes the source program.
 
     Layered: structural/chain verification of both artifacts (the
     ``TRC-*``/``SCH-*`` rules), value-graph bisimulation modulo fusion,
     per-value level preservation, noise-floor preservation, and the
-    policy-independent scratchpad dataflow over the recorded log.
+    policy-independent scratchpad dataflow over the recorded events.
     """
-    return _check(source, sched, setting, prng_evk)[0]
+    return _check(source, sched, setting)[0]
 
 
 def _check(
-    source: Trace,
-    sched: ScheduledTrace,
-    setting: WordLengthSetting,
-    prng_evk: bool,
+    source: Trace, sched: ScheduledTrace, setting: WordLengthSetting
 ) -> tuple[CheckReport, tuple[float, float] | None, Signature | None]:
     """:func:`check_equivalence`'s report, the (source, scheduled) proven
     floors if it passed, and the recorded signature: what a certificate binds."""
     report = CheckReport("equiv", f"{source.name} -> {sched.name}")
-    schedule_report, live, signature = check_schedule(sched, setting, prng_evk)
+    schedule_report, live, signature = check_schedule(sched, setting)
     report.merge(schedule_report)
     if not source.annotated:
         report.error(
@@ -459,8 +451,14 @@ def _check(
         return report, None, signature
     if source.ops and sched.trace.ops:
         if live is not None:
-            _verify_log_dataflow(sched, live, report)
+            _verify_dataflow(sched, live, report)
         _check_values(source, sched.trace, report)
+    elif source.ops or sched.trace.ops:  # fail closed: one side computes nothing
+        report.error(
+            "EQV-OUTPUT",
+            f"source has {len(source.ops)} ops but the scheduled trace "
+            f"has {len(sched.trace.ops)}: one side has no output",
+        )
     if not report.ok:
         return report, None, signature
 
@@ -565,10 +563,7 @@ class EquivCertificate:
 
 
 def certify_schedule(
-    source: Trace,
-    sched: ScheduledTrace,
-    setting: WordLengthSetting,
-    prng_evk: bool = True,
+    source: Trace, sched: ScheduledTrace, setting: WordLengthSetting
 ) -> EquivCertificate:
     """Run the equivalence check and mint a certificate, or raise.
 
@@ -576,7 +571,7 @@ def certify_schedule(
     raises :class:`EquivError` carrying the full report, so no caller
     can accidentally treat a failed run as a weaker certificate.
     """
-    report, floors, signature = _check(source, sched, setting, prng_evk)
+    report, floors, signature = _check(source, sched, setting)
     if not report.ok or floors is None or signature is None:
         raise EquivError(report)
     return EquivCertificate(

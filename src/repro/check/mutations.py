@@ -41,9 +41,9 @@ from repro.check.wordlen_audit import (
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 from repro.rns import kernels
-from repro.sched.alloc import ScratchpadAllocator
-from repro.sched.events import ScheduleEvent, ScheduleLog
-from repro.sched.liveness import LiveRange, Liveness
+from repro.sched.alloc import allocate
+from repro.sched.events import ScheduleEvent
+from repro.sched.liveness import LiveRange, Liveness, analyze_liveness
 from repro.sched.trace import ScheduledTrace, schedule_trace
 from repro.workloads.traces import helr_trace
 
@@ -152,7 +152,7 @@ def bounds_cases() -> list[MutationCase]:
 
 
 def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
-    """SSA, level and schedule-log mutants of the corpus base trace."""
+    """SSA, level and schedule mutants of the corpus base trace."""
     base, capacity = _corpus_base(setting)
     ops = base.ops
     max_level = setting.max_level
@@ -243,55 +243,51 @@ def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
     sched = schedule_trace(base, setting, capacity)
 
     def forged(
-        log: ScheduleLog, name: str, expect: tuple[str, ...], live: Liveness = sched.liveness
+        events: list[ScheduleEvent],
+        name: str,
+        expect: tuple[str, ...],
+        policy: str = sched.policy,
+        capacity: float = capacity,
     ) -> None:
-        fake = ScheduledTrace(trace=sched.trace, liveness=live, log=log)
+        fake = ScheduledTrace(sched.trace, policy, capacity, events)
         cases.append(
             MutationCase(
                 name, "schedule", lambda: verify_schedule(fake, setting), expect
             )
         )
 
-    policy = sched.log.policy
-    events = list(sched.log.events)
+    events = sched.events
     forged(
-        ScheduleLog(policy, capacity / 8.0, events),
+        events,
         "shrunk-capacity",
         ("SCH-OCCUPANCY", "SCH-REPLAY"),
+        capacity=capacity / 8.0,
     )
-    forged(ScheduleLog(policy, capacity, events[:-1]), "dropped-event", ("SCH-COUNT",))
+    forged(events[:-1], "dropped-event", ("SCH-COUNT",))
     negative = [*events]
     negative[3] = replace(negative[3], fetch_bytes=-1.0)
-    forged(
-        ScheduleLog(policy, capacity, negative),
-        "negative-traffic",
-        ("SCH-NEG", "SCH-REPLAY"),
-    )
+    forged(negative, "negative-traffic", ("SCH-NEG", "SCH-REPLAY"))
     inflated = [*events]
     inflated[5] = replace(inflated[5], occupancy_bytes=capacity * 10.0)
-    forged(
-        ScheduleLog(policy, capacity, inflated),
-        "occupancy-tamper",
-        ("SCH-OCCUPANCY", "SCH-REPLAY"),
-    )
-    forged(ScheduleLog("fifo", capacity, events), "unknown-policy", ("SCH-POLICY",))
+    forged(inflated, "occupancy-tamper", ("SCH-OCCUPANCY", "SCH-REPLAY"))
+    forged(events, "unknown-policy", ("SCH-POLICY",), policy="fifo")
     other_kind = (
         OpKind.CONJ if sched.trace.ops[4].kind is not OpKind.CONJ else OpKind.HADD
     )
     mixed = [*events]
     mixed[4] = replace(mixed[4], kind=other_kind)
-    forged(
-        ScheduleLog(policy, capacity, mixed), "kind-swap", ("SCH-KIND", "SCH-REPLAY")
-    )
+    forged(mixed, "kind-swap", ("SCH-KIND", "SCH-REPLAY"))
 
-    # Lying live ranges, a hundredth of every size, and a log the
-    # allocator made from them: it replays consistently with the lie.
+    # Events the allocator made over lying live ranges, a hundredth of
+    # every size: they are self-consistent with the lie, but not with
+    # the ranges the trace defines, which are the only ones checked.
     def shrink(ranges: dict[str, LiveRange]) -> dict[str, LiveRange]:
         return {v: replace(r, size_bytes=r.size_bytes / 100) for v, r in ranges.items()}
 
-    shrunk = Liveness(sched.trace, shrink(sched.liveness.ranges), shrink(sched.liveness.evk_ranges))
-    lying = ScratchpadAllocator(capacity, policy).run(sched.trace, setting, liveness=shrunk)
-    forged(lying, "forged-liveness", ("SCH-LIVENESS",), shrunk)
+    honest = analyze_liveness(sched.trace, setting)
+    shrunk = Liveness(shrink(honest.ranges), shrink(honest.evk_ranges))
+    lying = allocate(sched.trace, shrunk, capacity, sched.policy)
+    forged(lying, "forged-liveness", ("SCH-REPLAY",))
     return cases
 
 
@@ -407,7 +403,7 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     checker must refuse to certify against the clean source.  Trace
     mutants are re-scheduled from scratch so the schedule layer stays
     self-consistent and the catch is genuinely the equivalence layer's;
-    log mutants keep the clean fused trace and forge the recorded
+    event mutants keep the clean fused trace and forge the recorded
     decisions.
     """
     base, capacity = _corpus_base(setting)
@@ -432,11 +428,7 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
         return schedule_trace(t, setting, capacity, fuse=False)
 
     def forged(events: list[ScheduleEvent]) -> ScheduledTrace:
-        return ScheduledTrace(
-            trace=esched.trace,
-            liveness=esched.liveness,
-            log=ScheduleLog(esched.log.policy, capacity, events),
-        )
+        return ScheduledTrace(esched.trace, esched.policy, capacity, events)
 
     # Wrong operand: rewire one op's input to a different live value of
     # the same chain position — SSA-clean, level-clean, caught only by
@@ -468,7 +460,7 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     equiv_case("equiv-wrong-operand", reschedule(tampered), ("EQV-DAG",))
 
     # Reordered dependent ops: swap a producer with its consumer.  The
-    # stale log keeps the op count so the bisimulation runs and sees a
+    # stale events keep the op count so the bisimulation runs and sees a
     # use of the value before the program defines it.
     tampered = [*fops]
     dep_at = next(
@@ -478,9 +470,10 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     )
     tampered[dep_at - 1], tampered[dep_at] = tampered[dep_at], tampered[dep_at - 1]
     reordered = ScheduledTrace(
-        trace=_mutant(base, "equiv-reorder", tampered),
-        liveness=esched.liveness,
-        log=esched.log,
+        _mutant(base, "equiv-reorder", tampered),
+        esched.policy,
+        capacity,
+        esched.events,
     )
     equiv_case("equiv-reordered-ops", reordered, ("EQV-DAG", "TRC-UNDEF"))
 
@@ -553,9 +546,17 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
         "equiv-missing-output", reschedule(list(fops[:-1])), ("EQV-OUTPUT",)
     )
 
-    # Dropped refill: the log claims a value was read on-chip at an op
+    # Emptied schedule: the artifact computes nothing at all, so every
+    # per-value layer has nothing to compare.
+    equiv_case(
+        "equiv-emptied-schedule",
+        schedule_trace(Trace(base.name, []), setting, capacity),
+        ("EQV-OUTPUT",),
+    )
+
+    # Dropped refill: the events claim a value was read on-chip at an op
     # where the recorded decisions never brought it back.
-    events = list(esched.log.events)
+    events = list(esched.events)
     ct_fetch_at = next(
         i
         for i, e in enumerate(events)
@@ -563,14 +564,12 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     )
     e = events[ct_fetch_at]
     keep = next(f for f in e.fetched if not f.startswith("evk:"))
-    events[ct_fetch_at] = replace(
-        e, fetched=tuple(f for f in e.fetched if f != keep)
-    )
+    events[ct_fetch_at] = replace(e, fetched=[f for f in e.fetched if f != keep])
     equiv_case("equiv-dropped-refill", forged(events), ("EQV-RESIDENCY",))
 
-    # Evicted-evk key switch: the log pretends a key switch ran while
+    # Evicted-evk key switch: the events pretend a key switch ran while
     # its evaluation key was never (re)fetched on-chip.
-    events = list(esched.log.events)
+    events = list(esched.events)
     evk_fetch_at = next(
         i
         for i, e in enumerate(events)
@@ -578,13 +577,13 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     )
     e = events[evk_fetch_at]
     events[evk_fetch_at] = replace(
-        e, fetched=tuple(f for f in e.fetched if not f.startswith("evk:"))
+        e, fetched=[f for f in e.fetched if not f.startswith("evk:")]
     )
     equiv_case("equiv-evicted-evk-keyswitch", forged(events), ("EQV-EVK",))
 
     # Hidden spill: an event's spill traffic is zeroed even though its
     # recorded evictions wrote dirty data back.
-    events = list(esched.log.events)
+    events = list(esched.events)
     spill_at = next(
         i for i, e in enumerate(events) if e.spill_bytes > 0
     )
@@ -593,11 +592,11 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
     )
     equiv_case("equiv-hidden-spill", forged(events), ("EQV-SPILL",))
 
-    # Phantom refill: the log invents a fetch of a value the op never
+    # Phantom refill: the events invent a fetch of a value the op never
     # reads.
-    events = list(esched.log.events)
+    events = list(esched.events)
     e = events[6]
-    events[6] = replace(e, fetched=e.fetched + ("phantom_value",))
+    events[6] = replace(e, fetched=[*e.fetched, "phantom_value"])
     equiv_case("equiv-phantom-refill", forged(events), ("EQV-SPILL",))
     return cases
 

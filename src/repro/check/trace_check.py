@@ -13,14 +13,13 @@ two abstract states:
   ``MOD_RAISE`` must land on the full chain, and no result may dip
   below the never-rescaled base.
 
-For a :class:`~repro.sched.trace.ScheduledTrace` the recorded
-:class:`~repro.sched.events.ScheduleLog` is additionally verified:
-structural alignment with the ops, live ranges equal to the ones the
-trace defines (re-derived, never trusted), non-negative traffic,
-occupancy within the declared capacity (modulo the allocator's
-documented single-op transient overflow), and — the strong check — a
-full deterministic *replay* of the allocator whose decision signature
-must reproduce the recorded one bit for bit.
+For a :class:`~repro.sched.trace.ScheduledTrace` the recorded events
+are additionally verified against the live ranges the trace defines
+(the artifact carries none): structural alignment with the ops,
+non-negative traffic, occupancy within the declared capacity (modulo
+the allocator's documented single-op transient overflow), and — the
+strong check — a full deterministic *replay* of the allocator whose
+decision signature must reproduce the recorded one bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 from repro.check.diagnostics import CheckReport
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
-from repro.sched.alloc import POLICIES, ScratchpadAllocator
-from repro.sched.events import Signature
+from repro.sched.alloc import POLICIES, allocate, check_budget
+from repro.sched.events import Signature, signature
 from repro.sched.liveness import Liveness, analyze_liveness
 from repro.sched.trace import ScheduledTrace
 
@@ -268,23 +267,21 @@ def _check_rescale(
         )
 
 
-def verify_schedule(
-    sched: ScheduledTrace, setting: WordLengthSetting, prng_evk: bool = True
-) -> CheckReport:
+def verify_schedule(sched: ScheduledTrace, setting: WordLengthSetting) -> CheckReport:
     """Verify a recorded schedule: structure, liveness, feasibility, replay.
 
-    Values are sized by the live ranges the trace defines, never the
-    artifact's own (``SCH-LIVENESS``).  The replay check is the strong
-    one — it re-runs the allocator under the log's declared policy and
-    capacity and demands the identical decision signature, so any
+    Values are sized by the live ranges the trace defines; a trace that
+    defines none is rejected (``SCH-LIVENESS``).  The replay check is
+    the strong one — it re-runs the allocator under the declared policy
+    and capacity and demands the identical decision signature, so any
     tampered or stale event is caught even when it looks locally
     plausible.
     """
-    return check_schedule(sched, setting, prng_evk)[0]
+    return check_schedule(sched, setting)[0]
 
 
 def check_schedule(
-    sched: ScheduledTrace, setting: WordLengthSetting, prng_evk: bool = True
+    sched: ScheduledTrace, setting: WordLengthSetting
 ) -> tuple[CheckReport, Liveness | None, Signature | None]:
     """:func:`verify_schedule`'s report, the derived liveness (None if the
     trace has none) and the recorded signature, for callers that go on."""
@@ -292,36 +289,27 @@ def check_schedule(
     report.merge(verify_trace(sched.trace, setting))
     rejected = (report, None, None)
 
-    log = sched.log
-    if log.policy not in POLICIES:
-        report.error(
-            "SCH-POLICY",
-            f"unknown eviction policy {log.policy!r}; pick from {POLICIES}",
-        )
-        return rejected
-    if not math.isfinite(log.capacity_bytes) or log.capacity_bytes <= 0:
-        report.error(
-            "SCH-CAPACITY",
-            f"scratchpad capacity {log.capacity_bytes!r} is not a "
-            "positive finite byte count",
-        )
+    capacity = sched.capacity_bytes
+    try:
+        check_budget(capacity, sched.policy)
+    except ValueError as exc:
+        code = "SCH-POLICY" if sched.policy not in POLICIES else "SCH-CAPACITY"
+        report.error(code, str(exc))
         return rejected
     ops = sched.trace.ops
-    if len(log.events) != len(ops):
+    if len(sched.events) != len(ops):
         report.error(
             "SCH-COUNT",
-            f"{len(log.events)} events recorded for {len(ops)} ops",
+            f"{len(sched.events)} events recorded for {len(ops)} ops",
         )
         return rejected
     try:
-        live = analyze_liveness(sched.trace, setting, prng_evk)
+        live = analyze_liveness(sched.trace, setting)
     except ValueError as exc:  # fail closed: nothing below can run without it
         report.error("SCH-LIVENESS", f"trace defines no live ranges: {exc}")
         return rejected
-    if (live.ranges, live.evk_ranges) != (sched.liveness.ranges, sched.liveness.evk_ranges):
-        report.error("SCH-LIVENESS", "live ranges differ from the ones the trace defines")
 
-    for i, (op, event) in enumerate(zip(ops, log.events)):
+    for i, (op, event) in enumerate(zip(ops, sched.events)):
         if event.index != i:
             report.error(
                 "SCH-INDEX", f"event carries index {event.index}", op_index=i
@@ -354,31 +342,29 @@ def check_schedule(
             )
         # Occupancy may exceed capacity only when one op's own pinned
         # working set does (the allocator's documented transient).
-        if event.occupancy_bytes > log.capacity_bytes + _BYTES_EPS:
+        if event.occupancy_bytes > capacity + _BYTES_EPS:
             pinned = _pinned_bytes(op, live)
             if event.occupancy_bytes > pinned + _BYTES_EPS:
                 report.error(
                     "SCH-OCCUPANCY",
                     f"occupancy {event.occupancy_bytes:.0f} B exceeds the "
-                    f"{log.capacity_bytes:.0f} B capacity beyond the op's own "
+                    f"{capacity:.0f} B capacity beyond the op's own "
                     f"working set ({pinned:.0f} B)",
                     op_index=i,
                 )
 
-    signature = log.signature()
+    recorded = signature(sched.events)
     if report.ok:
-        allocator = ScratchpadAllocator(log.capacity_bytes, policy=log.policy)
-        fresh = allocator.run(sched.trace, setting, prng_evk=prng_evk, liveness=live)
-        replayed = fresh.signature()
-        if signature != replayed:
-            index = _first_divergence(signature, replayed)
+        replayed = signature(allocate(sched.trace, live, capacity, sched.policy))
+        if recorded != replayed:
+            index = _first_divergence(recorded, replayed)
             report.error(
                 "SCH-REPLAY",
                 "recorded schedule does not replay deterministically "
                 "under its declared policy and capacity",
                 op_index=index,
             )
-    return report, live, signature
+    return report, live, recorded
 
 
 def _pinned_bytes(op: HeOp, live: Liveness) -> float:

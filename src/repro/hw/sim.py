@@ -130,17 +130,16 @@ class Simulator:
 
     # -- scheduling front-end ------------------------------------------------------
 
-    def schedule(self, trace: Trace, policy: str = "belady", fuse: bool = False):
-        """Schedule an annotated trace against this config's scratchpad."""
+    def schedule(self, trace: Trace):
+        """Schedule an annotated trace against this config's scratchpad
+        (Belady, unfused)."""
         from repro.sched.trace import schedule_trace
 
         return schedule_trace(
             trace,
             self.setting,
             capacity_bytes=self.config.onchip_capacity_bytes,
-            policy=policy,
             prng_evk=self.config.prng_evk,
-            fuse=fuse,
         )
 
     # -- the run loop ------------------------------------------------------------
@@ -149,14 +148,21 @@ class Simulator:
         """Price a :class:`repro.sched.ScheduledTrace`; a plain
         :class:`Trace` is first scheduled at this config's capacity
         (Belady, unfused).  Traffic comes from the allocator's per-op
-        decisions.  Each op shape is priced once, and its terms are added
-        op by op in trace order: the same floats as pricing each op."""
+        decisions, so a schedule whose event count differs from its op
+        count is refused.  Each op shape is priced once, and its terms
+        are added op by op in trace order: the same floats as pricing
+        each op."""
         from repro.sched.trace import ScheduledTrace
 
         sched = trace if isinstance(trace, ScheduledTrace) else self.schedule(trace)
+        if len(sched.events) != len(sched.ops):
+            raise ValueError(
+                f"schedule of {sched.name!r} records {len(sched.events)} "
+                f"events for {len(sched.ops)} ops"
+            )
         state = _RunState()
         prices: dict[tuple, _OpPrice] = {}
-        for op, event in zip(sched.trace.ops, sched.log.events):
+        for op, event in zip(sched.ops, sched.events):
             shape = op_shape(op)
             price = prices.get(shape)
             if price is None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.ntt.reference import NttContext
 from repro.ntt.twiddle import geometric_sequence
-from repro.rns.modmath import mod_inverse, nth_root_of_unity
+from repro.rns.modmath import nth_root_of_unity
 
 __all__ = [
     "TenStepNtt",
@@ -66,28 +66,20 @@ class TenStepNtt:
         s = self.m * self.m
         self._inner = NttContext(s, q)
         psi = nth_root_of_unity(2 * n, q)
-        psi_inv = mod_inverse(psi, q)
 
         def table(ratio, length):
             return np.array(geometric_sequence(1, ratio, length, q), dtype=np.uint64)
 
         self._twist = table(psi, n)
-        self._twist_inv = table(psi_inv, n)
         # Untwist turning the inner negacyclic plan into a cyclic DFT.
         self._untwist = table(self._inner.psi_inv, s)
-        self._untwist_inv = table(self._inner.psi, s)
         # Inter-phase factors omega^(j1*k2): row j1 has ratio omega^j1.
-        omega, omega_inv = psi * psi % q, psi_inv * psi_inv % q
+        omega = psi * psi % q
         self._mid = np.array([table(pow(omega, j1, q), s) for j1 in range(s)])
-        self._mid_inv = np.array([table(pow(omega_inv, j1, q), s) for j1 in range(s)])
 
     def _cyclic(self, b: np.ndarray) -> np.ndarray:
         """``S``-point cyclic DFTs along the last axis."""
         return self._inner.forward(self._inner.kernel.mul(b, self._untwist))
-
-    def _cyclic_inv(self, b: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_cyclic`."""
-        return self._inner.kernel.mul(self._inner.inverse(b), self._untwist_inv)
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT; natural order in and out, matches the reference."""
@@ -96,14 +88,6 @@ class TenStepNtt:
         y = self._cyclic(a.reshape(s, s).T)  # y[j1, k2], over j2 of a[j1 + S*j2]
         t = self._cyclic(mul(y, self._mid).T)  # t[k2, k1], over j1
         return t.T.reshape(self.degree)  # X[k2 + S*k1]
-
-    def inverse(self, evals: np.ndarray) -> np.ndarray:
-        """Inverse negacyclic NTT; exact inverse of :meth:`forward`."""
-        mul, s = self._inner.kernel.mul, self.m * self.m
-        t = np.asarray(evals, dtype=np.uint64).reshape(s, s).T
-        y = mul(self._cyclic_inv(t).T, self._mid_inv)
-        a = self._cyclic_inv(y).T.reshape(self.degree)
-        return mul(a, self._twist_inv)
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,8 @@ class Liveness:
     """Live ranges of one trace's ciphertexts and evaluation keys."""
 
     def __init__(
-        self,
-        trace: Trace,
-        ranges: dict[str, LiveRange],
-        evk_ranges: dict[str, LiveRange],
+        self, ranges: dict[str, LiveRange], evk_ranges: dict[str, LiveRange]
     ) -> None:
-        self.trace = trace
         self.ranges = ranges  # ciphertext values
         self.evk_ranges = evk_ranges  # evaluation keys (one per key_id)
 
@@ -121,4 +117,4 @@ def analyze_liveness(
         )
         for key, indices in evk_uses.items()
     }
-    return Liveness(trace, ranges, evk_ranges)
+    return Liveness(ranges, evk_ranges)

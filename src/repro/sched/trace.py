@@ -1,25 +1,24 @@
 """The scheduler's product: a trace plus its allocation decisions.
 
-A :class:`ScheduledTrace` bundles an (optionally fused) annotated
-trace with the liveness analysis and the scratchpad allocator's event
-log.  ``Simulator.run`` prices it: each op's off-chip bytes and spill
-traffic are the recorded decisions (a plain trace handed to ``run`` is
-scheduled first).
+A :class:`ScheduledTrace` is an (optionally fused) annotated trace,
+the policy and capacity it was scheduled under, and the scratchpad
+allocator's events.  ``Simulator.run`` prices it: each op's off-chip
+bytes and spill traffic are the recorded decisions (a plain trace
+handed to ``run`` is scheduled first).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from repro.hw.isa import HeOp, Trace
 from repro.params.presets import WordLengthSetting
-from repro.sched.alloc import POLICIES, ScratchpadAllocator
-from repro.sched.events import ScheduleLog, Signature
-from repro.sched.fusion import FusionReport, fuse_trace
-from repro.sched.liveness import Liveness, analyze_liveness
+from repro.sched.alloc import allocate, check_budget
+from repro.sched.events import ScheduleEvent, Signature, signature
+from repro.sched.fusion import fuse_trace
+from repro.sched.liveness import analyze_liveness
 
 __all__ = ["ScheduledTrace", "schedule_digest", "schedule_trace", "trace_digest"]
 
@@ -54,12 +53,14 @@ def trace_digest(trace: Trace) -> str:
 
 @dataclass
 class ScheduledTrace:
-    """An annotated trace with its schedule fully decided."""
+    """An annotated trace with its schedule fully decided: the eviction
+    policy and capacity it was scheduled under, and one allocator event
+    per op."""
 
     trace: Trace
-    liveness: Liveness
-    log: ScheduleLog
-    fusion: FusionReport | None = None
+    policy: str
+    capacity_bytes: float
+    events: list[ScheduleEvent]
 
     # -- Trace-compatible surface -------------------------------------------------
 
@@ -71,41 +72,40 @@ class ScheduledTrace:
     def ops(self) -> list[HeOp]:
         return self.trace.ops
 
-    @property
-    def policy(self) -> str:
-        return self.log.policy
-
-    @property
-    def capacity_bytes(self) -> float:
-        return self.log.capacity_bytes
+    # -- aggregate views ---------------------------------------------------------
 
     @property
     def offchip_bytes(self) -> float:
-        return self.log.offchip_bytes
+        return sum(e.offchip_bytes for e in self.events)
 
     @property
     def spill_bytes(self) -> float:
-        return self.log.spill_bytes
+        return sum(e.spill_bytes for e in self.events)
+
+    def hit_rate(self) -> float:
+        hits = sum(e.hits for e in self.events)
+        total = hits + sum(e.misses for e in self.events)
+        return hits / total if total else 1.0
 
     def digest(self) -> str:
         """Content digest of the whole scheduling artifact.
 
         Covers the (possibly fused) trace, the eviction policy and
         capacity, and the full per-op decision signature of the
-        schedule log — any tampering with an op, a fetch list, or a
-        byte count lands on a different digest.  Equivalence
-        certificates bind to this.
+        events — any tampering with an op, a fetch list, or a byte
+        count lands on a different digest.  Equivalence certificates
+        bind to this.
         """
-        return schedule_digest(self, self.log.signature())
+        return schedule_digest(self, signature(self.events))
 
 
-def schedule_digest(sched: ScheduledTrace, signature: Signature) -> str:
-    """:meth:`ScheduledTrace.digest`, given ``sched.log``'s signature."""
+def schedule_digest(sched: ScheduledTrace, decisions: Signature) -> str:
+    """:meth:`ScheduledTrace.digest`, given the signature of its events."""
     payload = {
         "trace": trace_digest(sched.trace),
-        "policy": sched.log.policy,
-        "capacity_bytes": sched.log.capacity_bytes,
-        "events": signature,  # JSON writes tuples as arrays
+        "policy": sched.policy,
+        "capacity_bytes": sched.capacity_bytes,
+        "events": decisions,  # JSON writes tuples as arrays
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -124,20 +124,9 @@ def schedule_trace(
     Rejects non-positive / non-finite capacities and unknown policies
     up front, before any fusion or liveness work runs.
     """
-    if policy not in POLICIES:
-        raise ValueError(
-            f"unknown eviction policy {policy!r}; pick from {POLICIES}"
-        )
-    if not math.isfinite(capacity_bytes) or capacity_bytes <= 0:
-        raise ValueError(
-            f"scratchpad capacity must be a positive finite byte count, "
-            f"got {capacity_bytes!r}"
-        )
-    report = None
+    check_budget(capacity_bytes, policy)
     if fuse:
-        trace, report = fuse_trace(trace)
-    liveness = analyze_liveness(trace, setting, prng_evk=prng_evk)
-    log = ScratchpadAllocator(capacity_bytes, policy=policy).run(
-        trace, setting, prng_evk=prng_evk, liveness=liveness
-    )
-    return ScheduledTrace(trace=trace, liveness=liveness, log=log, fusion=report)
+        trace, _ = fuse_trace(trace)
+    live = analyze_liveness(trace, setting, prng_evk=prng_evk)
+    events = allocate(trace, live, capacity_bytes, policy)
+    return ScheduledTrace(trace, policy, float(capacity_bytes), events)

@@ -33,7 +33,6 @@ from repro.sched import (
     schedule_trace,
     trace_digest,
 )
-from repro.sched.events import ScheduleLog
 from repro.sched.trace import ScheduledTrace
 from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp, TraceRecorder
 from repro.workloads.traces import evaluation_traces
@@ -61,14 +60,9 @@ def pair(setting):
 
 
 def forged(sched: ScheduledTrace, ops) -> ScheduledTrace:
-    """The same schedule with a tampered op list (log kept verbatim)."""
-    return ScheduledTrace(
-        trace=Trace(
-            name=sched.trace.name, ops=list(ops), normalize=sched.trace.normalize
-        ),
-        liveness=sched.liveness,
-        log=sched.log,
-    )
+    """The same schedule with a tampered op list (events kept verbatim)."""
+    trace = Trace(name=sched.trace.name, ops=list(ops), normalize=sched.trace.normalize)
+    return replace(sched, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +100,7 @@ class TestZeroFalsePositives:
 
     def test_tight_capacity_spilling_schedule_certifies(self, setting, pair):
         trace, sched = pair
-        assert sched.log.spill_bytes > 0  # the replay layer has real work
+        assert sched.spill_bytes > 0  # the replay layer has real work
         report = check_equivalence(trace, sched, setting)
         assert report.ok, report.render()
 
@@ -165,7 +159,7 @@ class TestPerturbations:
 
     def test_dropped_refill_is_flagged(self, setting, pair):
         trace, sched = pair
-        events = list(sched.log.events)
+        events = list(sched.events)
         at = next(
             i
             for i, e in enumerate(events)
@@ -173,27 +167,18 @@ class TestPerturbations:
         )
         keep = next(f for f in events[at].fetched if not f.startswith("evk:"))
         events[at] = replace(
-            events[at],
-            fetched=tuple(f for f in events[at].fetched if f != keep),
+            events[at], fetched=[f for f in events[at].fetched if f != keep]
         )
-        mutant = ScheduledTrace(
-            trace=sched.trace,
-            liveness=sched.liveness,
-            log=ScheduleLog(sched.log.policy, sched.log.capacity_bytes, events),
-        )
+        mutant = replace(sched, events=events)
         report = check_equivalence(trace, mutant, setting)
         assert {"EQV-RESIDENCY", "EQV-SPILL"} & report.error_codes()
 
     def test_hidden_spill_is_flagged(self, setting, pair):
         trace, sched = pair
-        events = list(sched.log.events)
+        events = list(sched.events)
         at = next(i for i, e in enumerate(events) if e.spill_bytes > 0)
         events[at] = replace(events[at], spill_bytes=0.0, writeback_bytes=0.0)
-        mutant = ScheduledTrace(
-            trace=sched.trace,
-            liveness=sched.liveness,
-            log=ScheduleLog(sched.log.policy, sched.log.capacity_bytes, events),
-        )
+        mutant = replace(sched, events=events)
         report = check_equivalence(trace, mutant, setting)
         assert "EQV-SPILL" in report.error_codes()
 
@@ -220,6 +205,32 @@ class TestCertificate:
         stale = replace(certificate, checker_version="equiv-0")
         report = verify_certificate(stale, trace, sched)
         assert "EQV-CERT" in report.error_codes()
+
+    @pytest.mark.parametrize(
+        "policy, digest",
+        [
+            ("belady", "05c334407f0804c4565dee50ca9a4cd3fded4748b131c695569a8f998533a314"),
+            ("lru", "2841085ea9ce59a45bf881b996415f1f29847a0101bb89c2fdfff048d848a7ac"),
+        ],
+    )
+    def test_schedule_digest_is_pinned(self, setting, capacity, policy, digest):
+        """The fused 36-bit HELR schedule certifies to these exact bytes."""
+        trace = evaluation_traces(setting)["helr256"]
+        sched = schedule_trace(trace, setting, capacity, policy=policy, fuse=True)
+        assert certify_schedule(trace, sched, setting).schedule_digest == digest
+
+    def test_empty_side_never_certifies(self, setting, capacity):
+        """A schedule with no ops does not stand in for a program, nor
+        does a program with no ops stand in for a schedule."""
+        trace = evaluation_traces(setting)["bootstrap"]
+        empty = Trace(trace.name, [])
+        for source, sched in (
+            (trace, schedule_trace(empty, setting, capacity)),
+            (empty, schedule_trace(trace, setting, capacity)),
+        ):
+            with pytest.raises(EquivError) as excinfo:
+                certify_schedule(source, sched, setting)
+            assert "EQV-OUTPUT" in excinfo.value.report.error_codes()
 
     def test_certify_raises_on_tampered_schedule(self, setting, pair):
         trace, sched = pair

@@ -25,6 +25,7 @@ from repro.core.config import (
 from repro.hw.lowering import FuWork
 from repro.hw.sim import Simulator
 from repro.params.presets import build_sharp_setting
+from repro.sched.liveness import analyze_liveness
 from repro.workloads.traces import evaluation_traces
 
 WORKLOADS = ("bootstrap", "helr256", "helr1024", "resnet20", "sorting")
@@ -47,9 +48,9 @@ class TestOneEvkSize:
         sim = Simulator(sharp_config().with_features(prng_evk=prng), setting)
         for name, trace in evaluation_traces(setting).items():
             sched = sim.schedule(trace)
-            live = sched.liveness
+            live = analyze_liveness(trace, setting, prng_evk=prng)
             first_fetch = {}
-            for event in sched.log.events:
+            for event in sched.events:
                 for value in event.fetched:
                     first_fetch.setdefault(value, event)
             top = {}

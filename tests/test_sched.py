@@ -6,6 +6,7 @@ simulator integration of :class:`ScheduledTrace`.
 """
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,11 @@ from repro.core.config import sharp_config
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.hw.sim import Simulator
 from repro.sched import (
-    ScratchpadAllocator,
+    allocate,
     analyze_liveness,
     fuse_trace,
     schedule_trace,
+    signature,
 )
 from repro.workloads.traces import (
     TraceBuilder,
@@ -54,37 +56,39 @@ def chain_trace(n=6, kind=OpKind.PMULT):
     return Trace("chain", ops)
 
 
-def _live_curve(live, size) -> list:
-    """Per op, ``size`` summed over the ciphertexts live across it."""
-    delta = [0] * (len(live.trace.ops) + 1)
+def _live_curve(trace, live, size) -> list:
+    """Per op of ``trace``, ``size`` summed over the ciphertexts live across it."""
+    delta = [0] * (len(trace.ops) + 1)
     for r in live.ranges.values():
         delta[max(r.def_index, 0)] += size(r)
         delta[r.last_use + 1] -= size(r)
     return list(itertools.accumulate(delta))[:-1]
 
 
-def _peak_live(live) -> int:
+def _peak_live(trace, live) -> int:
     """Most ciphertexts live across any one op."""
-    return max(_live_curve(live, lambda r: 1))
+    return max(_live_curve(trace, live, lambda r: 1))
 
 
 class TestLiveness:
     def test_ranges_of_chain(self, setting):
-        live = analyze_liveness(chain_trace(4), setting)
+        tr = chain_trace(4)
+        live = analyze_liveness(tr, setting)
         x0 = live.ranges["x0"]
         assert x0.def_index == -1 and x0.uses == (0,)
         t1 = live.ranges["t1"]
         assert t1.def_index == 0 and t1.last_use == 1
         # A chain keeps at most two ciphertexts live across any op.
-        assert _peak_live(live) == 2
+        assert _peak_live(tr, live) == 2
 
     def test_rotation_ladder_widens_working_set(self, setting):
         b = TraceBuilder(setting, "ladder")
         b.rotations(8, "ip")
         b.op(OpKind.PMADD, consumes=1)
-        live = analyze_liveness(b.build(), setting)
+        tr = b.build()
+        live = analyze_liveness(tr, setting)
         # input + 8 rotation temps live when the accumulate runs.
-        assert _peak_live(live) >= 9
+        assert _peak_live(tr, live) >= 9
 
     def test_evk_tracked_separately(self, setting):
         tr = bootstrap_trace(setting)
@@ -99,15 +103,16 @@ class TestLiveness:
 
     def test_working_set_matches_fig5_scale(self, setting):
         """Measured peak working set lands where Fig. 5(b) puts it."""
-        live = analyze_liveness(bootstrap_trace(setting), setting)
+        tr = bootstrap_trace(setting)
+        live = analyze_liveness(tr, setting)
         # The working set of an op: live ciphertexts plus the evk it streams.
         evk = [
             live.evk_ranges[f"evk:{op.key_id}"].size_bytes if op.key_id else 0.0
-            for op in live.trace.ops
+            for op in tr.ops
         ]
-        ct_bytes = _live_curve(live, lambda r: r.size_bytes)
+        ct_bytes = _live_curve(tr, live, lambda r: r.size_bytes)
         peak_mib = max(map(sum, zip(ct_bytes, evk))) / (1 << 20)
-        temps = _peak_live(live)
+        temps = _peak_live(tr, live)
         assert 4 <= temps <= 16  # the temporary counts Fig. 5(b) plots
         # Peak must exceed RF_main (that is why scheduling exists) but
         # stay within the same order of magnitude.
@@ -133,20 +138,18 @@ class TestLiveness:
 class TestAllocator:
     def test_everything_fits_no_spill(self, setting):
         tr = chain_trace(10)
-        log = ScratchpadAllocator(100 * ct_bytes(setting)).run(tr, setting)
-        assert log.spill_bytes == 0
-        assert all(e.writeback_bytes == 0 for e in log.events)
+        sched = schedule_trace(tr, setting, 100 * ct_bytes(setting))
+        assert sched.spill_bytes == 0
+        assert all(e.writeback_bytes == 0 for e in sched.events)
         # Only the external input is ever fetched.
-        assert sum(e.fetch_bytes for e in log.events) == ct_bytes(setting)
-        assert log.hit_rate() > 0.8
+        assert sum(e.fetch_bytes for e in sched.events) == ct_bytes(setting)
+        assert sched.hit_rate() > 0.8
 
     def test_chain_needs_only_two_slots(self, setting):
         """Dead values are freed: a chain runs spill-free in 2 ct slots."""
-        log = ScratchpadAllocator(2.5 * ct_bytes(setting)).run(
-            chain_trace(20), setting
-        )
-        assert log.spill_bytes == 0
-        assert max(e.occupancy_bytes for e in log.events) <= 2.5 * ct_bytes(setting)
+        sched = schedule_trace(chain_trace(20), setting, 2.5 * ct_bytes(setting))
+        assert sched.spill_bytes == 0
+        assert max(e.occupancy_bytes for e in sched.events) <= 2.5 * ct_bytes(setting)
 
     def test_capacity_pressure_causes_spills(self, setting):
         """Many long-lived values in a tight scratchpad must spill."""
@@ -157,9 +160,9 @@ class TestAllocator:
             for i in range(8)
         ]
         tr = Trace("fanout", ops)
-        log = ScratchpadAllocator(3.2 * ct_bytes(setting)).run(tr, setting)
-        assert log.spill_bytes > 0
-        assert any(e.evictions for e in log.events)
+        sched = schedule_trace(tr, setting, 3.2 * ct_bytes(setting))
+        assert sched.spill_bytes > 0
+        assert any(e.evictions for e in sched.events)
 
     def test_belady_beats_lru_on_adversarial_pattern(self, setting):
         """Scanning pattern where recency is the wrong signal."""
@@ -172,30 +175,31 @@ class TestAllocator:
                 )
         tr = Trace("scan", ops)
         cap = 3.5 * ct_bytes(setting)
-        bel = ScratchpadAllocator(cap, "belady").run(tr, setting)
-        lru = ScratchpadAllocator(cap, "lru").run(tr, setting)
+        bel = schedule_trace(tr, setting, cap, "belady")
+        lru = schedule_trace(tr, setting, cap, "lru")
         assert bel.offchip_bytes < lru.offchip_bytes
 
     def test_oversized_value_streams(self, setting):
         tr = chain_trace(3)
-        log = ScratchpadAllocator(0.5 * ct_bytes(setting)).run(tr, setting)
+        sched = schedule_trace(tr, setting, 0.5 * ct_bytes(setting))
         # Nothing fits: every value streams through, occupancy stays 0.
-        assert all(e.occupancy_bytes == 0 for e in log.events)
-        assert log.offchip_bytes > 0
+        assert all(e.occupancy_bytes == 0 for e in sched.events)
+        assert sched.offchip_bytes > 0
 
     def test_log_observability(self, setting):
         tr = helr_trace(setting, 256, iterations=1)
-        log = ScratchpadAllocator(64 * (1 << 20), "belady").run(tr, setting)
-        assert len(log.events) == len(tr.ops)
-        assert log.offchip_bytes == pytest.approx(
-            sum(e.fetch_bytes + e.writeback_bytes for e in log.events)
+        sched = schedule_trace(tr, setting, 64 * (1 << 20), "belady")
+        assert len(sched.events) == len(tr.ops)
+        assert sched.offchip_bytes == pytest.approx(
+            sum(e.fetch_bytes + e.writeback_bytes for e in sched.events)
         )
-        assert log.offchip_bytes > 0
-        assert all(e.occupancy_bytes >= 0 for e in log.events)
+        assert sched.offchip_bytes > 0
+        assert all(e.occupancy_bytes >= 0 for e in sched.events)
 
-    def test_unknown_policy_rejected(self):
+    def test_unknown_policy_rejected(self, setting):
+        tr = chain_trace(3)
         with pytest.raises(ValueError, match="policy"):
-            ScratchpadAllocator(1.0, "fifo")
+            allocate(tr, analyze_liveness(tr, setting), 1.0, "fifo")
 
 
 # -- Hypothesis: random annotated traces ------------------------------------------
@@ -230,8 +234,8 @@ class TestProperties:
     def test_belady_traffic_never_worse_than_lru(self, tr, slots, setting):
         """Belady's off-chip (and evicted) bytes <= LRU's, any trace."""
         cap = slots * ct_bytes(setting)
-        bel = ScratchpadAllocator(cap, "belady").run(tr, setting)
-        lru = ScratchpadAllocator(cap, "lru").run(tr, setting)
+        bel = schedule_trace(tr, setting, cap, "belady")
+        lru = schedule_trace(tr, setting, cap, "lru")
         # Note: only *total* traffic is compared.  Belady's writeback
         # component alone can exceed LRU's (it may evict a dirty value
         # with a distant use where LRU evicts a clean one), but the
@@ -243,8 +247,8 @@ class TestProperties:
     def test_belady_holds_with_evk_pressure(self, tr, slots, setting):
         """Same property with evks sharing the capacity budget."""
         cap = slots * ct_bytes(setting) + setting.evk_bytes(prng=True)
-        bel = ScratchpadAllocator(cap, "belady").run(tr, setting)
-        lru = ScratchpadAllocator(cap, "lru").run(tr, setting)
+        bel = schedule_trace(tr, setting, cap, "belady")
+        lru = schedule_trace(tr, setting, cap, "lru")
         assert bel.offchip_bytes <= lru.offchip_bytes + 1e-6
 
     @settings(max_examples=30, derandomize=True, deadline=None)
@@ -252,9 +256,9 @@ class TestProperties:
     def test_schedule_is_deterministic(self, tr, setting):
         cap = 4 * ct_bytes(setting) + setting.evk_bytes(prng=True)
         for policy in ("belady", "lru"):
-            a = ScratchpadAllocator(cap, policy).run(tr, setting)
-            b = ScratchpadAllocator(cap, policy).run(tr, setting)
-            assert a.signature() == b.signature()
+            a = schedule_trace(tr, setting, cap, policy)
+            b = schedule_trace(tr, setting, cap, policy)
+            assert signature(a.events) == signature(b.events)
 
 
 def _add(a, b):
@@ -289,8 +293,8 @@ class TestMixedSizeWitness:
         ]
         tr = Trace("evk_witness", ops)
         cap = 6.0 * ct_bytes(setting) + setting.evk_bytes(prng=True)
-        bel = ScratchpadAllocator(cap, "belady").run(tr, setting)
-        lru = ScratchpadAllocator(cap, "lru").run(tr, setting)
+        bel = schedule_trace(tr, setting, cap, "belady")
+        lru = schedule_trace(tr, setting, cap, "lru")
         assert bel.offchip_bytes <= lru.offchip_bytes
 
 
@@ -299,16 +303,16 @@ class TestDeterminism:
         """Same trace, same config -> byte-identical event log."""
         sim = Simulator(sharp)
         tr = evaluation_traces(setting)["helr256"]
-        first = sim.schedule(tr, "belady")
-        second = sim.schedule(tr, "belady")
-        assert first.log.signature() == second.log.signature()
+        first = sim.schedule(tr)
+        second = sim.schedule(tr)
+        assert signature(first.events) == signature(second.events)
 
     def test_regenerated_trace_schedules_identically(self, sharp, setting):
         """Trace generators are deterministic end to end."""
         sim = Simulator(sharp)
-        a = sim.schedule(helr_trace(setting, 256), "belady")
-        b = sim.schedule(helr_trace(setting, 256), "belady")
-        assert a.log.signature() == b.log.signature()
+        a = sim.schedule(helr_trace(setting, 256))
+        b = sim.schedule(helr_trace(setting, 256))
+        assert signature(a.events) == signature(b.events)
 
 
 class TestFusion:
@@ -338,7 +342,7 @@ class TestFusion:
         tr = evaluation_traces(setting, explicit_rescale=True)["sorting"]
         fused, report = fuse_trace(tr)
         live = analyze_liveness(fused, setting)  # raises on broken SSA
-        assert _peak_live(live) >= 2
+        assert _peak_live(fused, live) >= 2
         assert report.pmadds_formed > 0
 
     def test_fusion_never_fires_on_multi_use_values(self, setting):
@@ -359,17 +363,25 @@ class TestSimulatorIntegration:
     def test_scheduled_result_uses_allocator_bytes(self, sharp, setting):
         sim = Simulator(sharp)
         tr = evaluation_traces(setting)["bootstrap"]
-        sched = sim.schedule(tr, "belady")
+        sched = sim.schedule(tr)
         res = sim.run(sched)
         assert res.schedule_policy == "belady"
-        assert res.offchip_bytes == pytest.approx(sched.log.offchip_bytes)
-        assert res.spill_bytes == pytest.approx(sched.log.spill_bytes)
+        assert res.offchip_bytes == pytest.approx(sched.offchip_bytes)
+        assert res.spill_bytes == pytest.approx(sched.spill_bytes)
 
     def test_plain_trace_is_scheduled_then_priced(self, sharp, setting):
         """One path: run(trace) is run(schedule(trace)), field for field."""
         sim = Simulator(sharp)
         tr = evaluation_traces(setting)["helr256"]
         assert sim.run(tr) == sim.run(sim.schedule(tr))
+
+    def test_short_event_list_is_refused(self, sharp, setting):
+        """A schedule missing events is not priced as a shorter trace."""
+        sim = Simulator(sharp)
+        sched = sim.schedule(evaluation_traces(setting)["helr256"])
+        short = replace(sched, events=sched.events[:10])
+        with pytest.raises(ValueError, match="10 events for 305 ops"):
+            sim.run(short)
 
     def test_unannotated_trace_rejected_by_run(self, sharp):
         tr = Trace("bare", [HeOp(OpKind.HADD, LIMBS)])
@@ -385,6 +397,7 @@ class TestSimulatorIntegration:
             policy="belady",
             fuse=True,
         )
-        assert sched.fusion is not None
-        assert sched.fusion.rescales_folded > 0
-        assert len(sched.log.events) == len(sched.trace.ops)
+        fused, report = fuse_trace(tr)
+        assert report.rescales_folded > 0
+        assert sched.trace.ops == fused.ops
+        assert len(sched.events) == len(sched.trace.ops)
