@@ -33,6 +33,7 @@ all be caught.
 
 from repro.check.admission import (
     AdmissionVerdict,
+    FoldParams,
     admit_program,
     certify_for_execution,
 )
@@ -96,6 +97,7 @@ from repro.check.wordlen_audit import (
 
 __all__ = [
     "AdmissionVerdict",
+    "FoldParams",
     "admit_program",
     "certify_for_execution",
     "CHECKER_VERSION",

@@ -248,8 +248,11 @@ def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
         expect: tuple[str, ...],
         policy: str = sched.policy,
         capacity: float = capacity,
+        prng_evk: bool = sched.prng_evk,
     ) -> None:
-        fake = ScheduledTrace(sched.trace, policy, capacity, events)
+        fake = replace(
+            sched, policy=policy, capacity_bytes=capacity, prng_evk=prng_evk, events=events
+        )
         cases.append(
             MutationCase(
                 name, "schedule", lambda: verify_schedule(fake, setting), expect
@@ -271,6 +274,9 @@ def trace_cases(setting: WordLengthSetting) -> list[MutationCase]:
     inflated[5] = replace(inflated[5], occupancy_bytes=capacity * 10.0)
     forged(inflated, "occupancy-tamper", ("SCH-OCCUPANCY", "SCH-REPLAY"))
     forged(events, "unknown-policy", ("SCH-POLICY",), policy="fifo")
+    # An honest PRNG-key schedule relabelled as full-size keys: every
+    # key's bytes double in the replay, so its events no longer match.
+    forged(events, "flipped-prng-evk", ("SCH-REPLAY",), prng_evk=not sched.prng_evk)
     other_kind = (
         OpKind.CONJ if sched.trace.ops[4].kind is not OpKind.CONJ else OpKind.HADD
     )
@@ -428,7 +434,7 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
         return schedule_trace(t, setting, capacity, fuse=False)
 
     def forged(events: list[ScheduleEvent]) -> ScheduledTrace:
-        return ScheduledTrace(esched.trace, esched.policy, capacity, events)
+        return replace(esched, events=events)
 
     # Wrong operand: rewire one op's input to a different live value of
     # the same chain position — SSA-clean, level-clean, caught only by
@@ -469,12 +475,7 @@ def equiv_cases(setting: WordLengthSetting) -> list[MutationCase]:
         if tampered[i - 1].dst in tampered[i].srcs
     )
     tampered[dep_at - 1], tampered[dep_at] = tampered[dep_at], tampered[dep_at - 1]
-    reordered = ScheduledTrace(
-        _mutant(base, "equiv-reorder", tampered),
-        esched.policy,
-        capacity,
-        esched.events,
-    )
+    reordered = replace(esched, trace=_mutant(base, "equiv-reorder", tampered))
     equiv_case("equiv-reordered-ops", reordered, ("EQV-DAG", "TRC-UNDEF"))
 
     # Dropped op: delete one fused multiply-add and wire its consumers

@@ -367,8 +367,7 @@ class NoiseCheckEvaluator:
             call,
         )
 
-    def sub(self, a: NoiseState, b: NoiseState) -> NoiseState:
-        return self.add(a, b)
+    sub = add
 
     def negate(self, ct: NoiseState) -> NoiseState:
         """A sign flip moves no energy: noise-free, and not a charged call."""

@@ -270,10 +270,11 @@ def _check_rescale(
 def verify_schedule(sched: ScheduledTrace, setting: WordLengthSetting) -> CheckReport:
     """Verify a recorded schedule: structure, liveness, feasibility, replay.
 
-    Values are sized by the live ranges the trace defines; a trace that
-    defines none is rejected (``SCH-LIVENESS``).  The replay check is
-    the strong one — it re-runs the allocator under the declared policy
-    and capacity and demands the identical decision signature, so any
+    Values are sized by the live ranges the trace defines (keys as the
+    schedule declares); a trace that defines none is rejected
+    (``SCH-LIVENESS``).  The replay check is the strong one — it re-runs
+    the allocator under the declared policy, capacity and key sizing and
+    demands the identical decision signature, so any
     tampered or stale event is caught even when it looks locally
     plausible.
     """
@@ -304,7 +305,7 @@ def check_schedule(
         )
         return rejected
     try:
-        live = analyze_liveness(sched.trace, setting)
+        live = analyze_liveness(sched.trace, setting, prng_evk=sched.prng_evk)
     except ValueError as exc:  # fail closed: nothing below can run without it
         report.error("SCH-LIVENESS", f"trace defines no live ranges: {exc}")
         return rejected

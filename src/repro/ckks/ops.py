@@ -99,14 +99,18 @@ class Evaluator:
         A real constant is the constant polynomial ``round(value*scale)``,
         whose evaluation form is that residue in every lane: no FFT, no
         NTT, and the limb matrix is a read-only broadcast of one column.
-        Complex constants take the general encoder.
+        A complex constant ``a + bi`` is ``round(a*scale) +
+        round(b*scale) X^(N/2)`` (``X^(N/2)`` is ``i`` in every slot),
+        exact at any magnitude, with one NTT.
         """
         value = complex(value)
-        if value.imag:
-            return self.context.encode(
-                np.full(self.params.slots, value), level=level, scale=scale
-            )
         moduli = self.params.active_moduli(level)
+        if value.imag:
+            coeffs = [0] * self.ring.degree
+            coeffs[0] = round(value.real * scale)
+            coeffs[self.ring.degree // 2] = round(value.imag * scale)
+            poly = RnsPolynomial.from_int_coeffs(self.ring, moduli, coeffs)
+            return Plaintext(poly.to_ntt(), scale)
         const = round(value.real * scale)
         column = np.array([const % q for q in moduli], dtype=np.uint64).reshape(-1, 1)
         limbs = np.broadcast_to(column, (len(moduli), self.ring.degree))

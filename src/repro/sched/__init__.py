@@ -12,7 +12,7 @@ The pipeline between workload traces and the performance simulator:
 * :mod:`repro.sched.events` — :class:`ScheduleEvent`, the allocator's
   decisions for one op, which benchmarks and tests observe;
 * :mod:`repro.sched.trace` — :class:`ScheduledTrace`, the one schedule
-  record ``(trace, policy, capacity_bytes, events)`` that
+  record ``(trace, policy, capacity_bytes, prng_evk, events)`` that
   ``Simulator.run`` prices and :mod:`repro.check.equiv` certifies.
 """
 

@@ -12,21 +12,22 @@ preserved the source program's semantics:
 * a certificate for a *different* source or schedule (digest
   mismatch), or from a different checker version -> same refusal.
 
-The gate takes no source trace from its caller: it records ``program``
-over :class:`repro.serve.program.TraceRecorder` at
-``build_sharp_setting(certificate.word_bits)`` and checks the
-certificate against that (a schedule certified at any other setting is
-refused).  The recorded
+The gate takes no source trace from its caller: it folds ``program``
+over :class:`repro.check.admission.ProductFold` at the evaluator's own
+parameters (on ``certificate.word_bits``-bit words) from ``ct_in``'s
+level and scale — the abstract run admission recorded the certified
+trace with — so the certificate describes the run it gates, and a
+program that fold refuses (too deep for the chain) is refused.  The
 trace is named by the program's digest, so a certificate minted for
 any other program — another kind, level, key or constant — fails the
 source-digest check by construction.
 
-Execution is then ``program.run(evaluator, ct_in)`` — the one fold over
-the serve IR.  Fusion is a peephole that never reorders surviving ops
-(which is what the certificate's bisimulation layer proved), so running
-the source program in order computes exactly what the certified
-schedule computes; the schedule's own order and residency decisions
-matter to the accelerator model, not to the software evaluator.
+Execution is then ``program.run(evaluator, ct_in)``: fusion never
+reorders surviving ops (the certificate's bisimulation layer proved
+it), so running the source program in order computes what the
+certified schedule computes; the schedule's order and residency
+decisions matter to the accelerator model, not to the software
+evaluator.
 """
 
 from __future__ import annotations
@@ -63,19 +64,18 @@ def execute_scheduled(
     transplanted certificate is refused even if the caller believed it
     valid.
     """
+    from repro.check.admission import FoldParams, fold_body
     from repro.check.equiv import verify_certificate
-    from repro.params.presets import build_sharp_setting
-    from repro.serve.program import TraceRecorder
 
     refusal = f"refusing to execute scheduled trace {scheduled.name!r}: "
     if certificate is None:
         raise CertificateError(refusal + "no equivalence certificate was presented")
     try:
-        setting = build_sharp_setting(certificate.word_bits)
-        source = TraceRecorder(setting).record(program)
-    except ValueError as exc:  # no such word length, or a ProgramError
+        params = FoldParams.from_params(evaluator.params, certificate.word_bits)
+    except ValueError as exc:  # no word of that length holds the chain
         raise CertificateError(refusal + str(exc)) from exc
-    gate = verify_certificate(certificate, source, scheduled)
+    report, source = fold_body(program, params, ct_in.level, ct_in.scale)
+    gate = verify_certificate(certificate, source, scheduled) if report.ok else report
     if not gate.ok:
-        raise CertificateError(refusal + "; ".join(d.message for d in gate.errors))
+        raise CertificateError(refusal + "; ".join(f"{d.code}: {d.message}" for d in gate.errors))
     return program.run(evaluator, ct_in)

@@ -1,10 +1,10 @@
 """The scheduler's product: a trace plus its allocation decisions.
 
 A :class:`ScheduledTrace` is an (optionally fused) annotated trace,
-the policy and capacity it was scheduled under, and the scratchpad
-allocator's events.  ``Simulator.run`` prices it: each op's off-chip
-bytes and spill traffic are the recorded decisions (a plain trace
-handed to ``run`` is scheduled first).
+the policy, capacity and key sizing it was scheduled under, and the
+scratchpad allocator's events.  ``Simulator.run`` prices it: each op's
+off-chip bytes and spill traffic are the recorded decisions (a plain
+trace handed to ``run`` is scheduled first).
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def trace_digest(trace: Trace) -> str:
 @dataclass
 class ScheduledTrace:
     """An annotated trace with its schedule fully decided: the eviction
-    policy and capacity it was scheduled under, and one allocator event
-    per op."""
+    policy, capacity and key sizing (PRNG-compressed evks or not) it was
+    scheduled under, and one allocator event per op."""
 
     trace: Trace
     policy: str
     capacity_bytes: float
+    prng_evk: bool
     events: list[ScheduleEvent]
 
     # -- Trace-compatible surface -------------------------------------------------
@@ -93,8 +94,9 @@ class ScheduledTrace:
         Covers the (possibly fused) trace, the eviction policy and
         capacity, and the full per-op decision signature of the
         events — any tampering with an op, a fetch list, or a byte
-        count lands on a different digest.  Equivalence certificates
-        bind to this.
+        count lands on a different digest (the key sizing stays out:
+        the events' bytes bind it, and the replay refuses a flag that
+        disagrees).  Equivalence certificates bind to this.
         """
         return schedule_digest(self, signature(self.events))
 
@@ -129,4 +131,4 @@ def schedule_trace(
         trace, _ = fuse_trace(trace)
     live = analyze_liveness(trace, setting, prng_evk=prng_evk)
     events = allocate(trace, live, capacity_bytes, policy)
-    return ScheduledTrace(trace, policy, float(capacity_bytes), events)
+    return ScheduledTrace(trace, policy, float(capacity_bytes), prng_evk, events)

@@ -19,7 +19,7 @@ Programs travel as the SSA IR of :mod:`repro.serve.program`; all bytes
 on the wire use the versioned frames of :mod:`repro.serve.wire`.
 
 Run ``python -m repro.serve --smoke`` for a self-contained two-tenant
-demo (also the CI smoke gate).
+demo plus one job at every word length sold (also the CI smoke gate).
 """
 
 from repro.serve.batching import BatchJob, BatchPlan, plan_batches, service_wrapped

@@ -8,7 +8,10 @@ rejected at admission, and checks every observable invariant:
 * both tenants decrypt their own result within the proven floor;
 * neither tenant can see the other's lanes;
 * the rejected job reports its diagnostic codes and costs the engine
-  exactly zero evaluator invocations.
+  exactly zero evaluator invocations;
+* one job at every word length the service sells
+  (:data:`repro.serve.offline.SERVE_WORD_LENGTHS`) decrypts within its
+  proven floor.
 
 Exit status 0 means the full offline + online pipeline works.
 """
@@ -21,7 +24,8 @@ import sys
 
 import numpy as np
 
-from repro.serve.client import FheClient, JobRejected
+from repro.serve.client import FheClient, JobRejected, JobResult
+from repro.serve.offline import SERVE_WORD_LENGTHS
 from repro.serve.program import EvalProgram, ProgramBuilder
 from repro.serve.server import FheServer
 
@@ -50,6 +54,21 @@ def _too_deep_program(depth: int = 12) -> EvalProgram:
     return b.build(v)
 
 
+def _within_floor(name: str, res: JobResult, vals: list[float]) -> bool:
+    """Print one ``poly`` result against its proven floor; True if inside."""
+    want = np.array([0.5 * v * v + v for v in vals])
+    err = float(np.abs(res.values - want).max())
+    floor = res.proven_floor_bits
+    budget = 2.0 ** -floor if floor is not None else 1e-3
+    print(
+        f"{name}: err {err:.3e} vs proven floor 2^-{floor:.1f}"
+        f" = {budget:.3e} [{'ok' if err <= budget else 'FAIL'}]"
+        f" (batch size {res.meta['batch_size']},"
+        f" occupancy {res.meta['batch_occupancy']:.3f})"
+    )
+    return err <= budget
+
+
 async def _smoke() -> int:
     server = FheServer(batch_window=0.25)
     await server.start()
@@ -65,21 +84,7 @@ async def _smoke() -> int:
         res_a, res_b = await asyncio.gather(
             alice.submit(program, a_vals), bob.submit(program, b_vals)
         )
-        ok = True
-        for name, res, vals in (("alice", res_a, a_vals), ("bob", res_b, b_vals)):
-            want = np.array([0.5 * v * v + v for v in vals])
-            err = float(np.abs(res.values - want).max())
-            floor = res.proven_floor_bits
-            budget = 2.0 ** -floor if floor is not None else 1e-3
-            status = "ok" if err <= budget else "FAIL"
-            if err > budget:
-                ok = False
-            print(
-                f"{name}: err {err:.3e} vs proven floor 2^-{floor:.1f}"
-                f" = {budget:.3e} [{status}]"
-                f" (batch size {res.meta['batch_size']},"
-                f" occupancy {res.meta['batch_occupancy']:.3f})"
-            )
+        ok = _within_floor("alice", res_a, a_vals) & _within_floor("bob", res_b, b_vals)
 
         pre_reject = server.metrics.engine_invocations
         try:
@@ -101,6 +106,12 @@ async def _smoke() -> int:
             f"mean occupancy {stats['mean_batch_occupancy']:.3f}"
         )
         await asyncio.gather(alice.close(), bob.close())
+
+        for bits in SERVE_WORD_LENGTHS:
+            tier = FheClient("127.0.0.1", server.port, seed=300 + bits)
+            await tier.enroll(bits, width=4)
+            ok &= _within_floor(f"{bits}-bit", await tier.submit(program, a_vals), a_vals)
+            await tier.close()
         return 0 if ok else 1
     finally:
         await server.close()

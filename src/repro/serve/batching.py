@@ -23,7 +23,7 @@ The packing scheme (documented in DESIGN.md):
   to the tenant's key via its ``evk_out``.
 
 The admission wrapper :func:`service_wrapped` is that pipeline, folded
-over the static passes' own domains: level trim, the tenant's program
+over admission's abstract domain: level trim, the tenant's program
 (:meth:`EvalProgram.run`), mask-multiply, one key switch.  A program
 that only balances at the service's full level
 budget with nothing to spare is therefore rejected up front.
@@ -123,20 +123,14 @@ def plan_batches(
 def service_wrapped(program: EvalProgram, domain: Any, x: T, level: int) -> T:
     """Fold the program as the service actually runs it, for admission.
 
-    Wraps the tenant's circuit in the batching pipeline's fixed
-    overhead so whichever ``domain`` is folded charges for it:
-
-    * ingress ``drop_to_level`` — the fresh ciphertext is trimmed to
-      ``level`` (admission picks the lowest one the pipeline balances
-      at), so every op downstream runs on that many limbs; packing is a
-      HADD of ciphertexts already under the batch key, which costs
-      neither a level nor a key-switch noise term;
-    * egress ``consume_level`` — the egress lane mask is a plaintext
-      multiply and burns one level, so any program that ends at level 0
-      fails admission with ``CKKS-LEVEL-UNDERFLOW`` instead of failing
-      at egress time;
-    * egress ``rotate`` — stands in for the egress key switch (one
-      key-switch noise term, no level).
+    Wraps the tenant's circuit in the batching pipeline's fixed overhead
+    so the fold charges for it: the ingress ``drop_to_level`` trims the
+    fresh ciphertext to ``level`` (the lowest the pipeline balances at;
+    packing is a HADD under the batch key, costing neither a level nor
+    key-switch noise); the egress ``consume_level`` is the lane-mask
+    multiply, so a program ending at level 0 fails admission with
+    ``CKKS-LEVEL-UNDERFLOW`` instead of at egress; the egress ``rotate``
+    stands in for the egress key switch (one key-switch noise term).
     """
     served = program.run(domain, domain.drop_to_level(x, level))
     return domain.rotate(domain.consume_level(served), 1)

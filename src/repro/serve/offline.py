@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.check.ckks_check import AbstractParams
-from repro.check.noise_check import NoiseParams
+from repro.check.admission import FoldParams
 from repro.params.presets import negotiate_word_bits
 from repro.serve.session import TenantSession
 
@@ -58,31 +57,24 @@ class ServePreset:
     params: "CkksParams" = field(repr=False)
     context: "CkksContext" = field(repr=False)  # holds the shared batch secret
     evaluator: "Evaluator" = field(repr=False)
-    abstract: AbstractParams = field(repr=False)
-    noise: NoiseParams = field(repr=False)
+    fold_params: FoldParams = field(repr=False)  # what admission's fold reads
 
     @classmethod
     def build(cls, word_bits: int, seed: int) -> "ServePreset":
         from repro.ckks.context import CkksContext
         from repro.ckks.ops import Evaluator
-        from repro.params.presets import boot_plan, build_native_ckks_params
+        from repro.params.presets import build_native_ckks_params
 
         params = build_native_ckks_params(
             word_bits, degree=SERVE_DEGREE, depth=SERVE_DEPTH
         )
         context = CkksContext(params, seed=seed)
-        boot_scale, _ = boot_plan(word_bits)
         return cls(
             word_bits=word_bits,
             params=params,
             context=context,
             evaluator=Evaluator(context),
-            abstract=AbstractParams.from_params(params),
-            noise=NoiseParams(
-                scale_bits=float(params.scale_bits),
-                boot_scale_bits=boot_scale,
-                word_bits=word_bits,
-            ),
+            fold_params=FoldParams.from_params(params, word_bits),
         )
 
     @property

@@ -11,12 +11,12 @@ the real evaluator's vocabulary:
 * :class:`repro.ckks.ops.Evaluator` — ciphertexts; only reached
   through admission and the certificate gate;
 * :class:`repro.check.ckks_check.SymbolicEvaluator` — ``(level,
-  scale)``;
-* :class:`repro.check.noise_check.NoiseCheckEvaluator` — the noise
-  budget;
-* :class:`TraceRecorder` — ``(value id, normal level)``; each call
-  emits one SSA :class:`repro.hw.isa.HeOp`, so the fold records the
-  program's source trace for :func:`repro.sched.schedule_trace`.
+  scale)``; :class:`repro.check.noise_check.NoiseCheckEvaluator` — the
+  noise budget;
+* :class:`repro.check.admission.ProductFold` — their product plus an
+  SSA value id: each call applies both rules and emits one
+  :class:`repro.hw.isa.HeOp`, so one fold is admission's verdict and
+  the program's source trace for :func:`repro.sched.schedule_trace`.
 
 What an op *means* in a domain is that domain's method and nowhere
 else.
@@ -37,13 +37,7 @@ import cmath
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, TypeVar
-
-from repro.hw.isa import OpKind, Trace
-from repro.workloads.traces import SsaEmitter
-
-if TYPE_CHECKING:
-    from repro.params.presets import WordLengthSetting
+from typing import Any, Mapping, TypeVar
 
 __all__ = [
     "ProgramError",
@@ -51,12 +45,10 @@ __all__ = [
     "OPS",
     "ProgramOp",
     "EvalProgram",
-    "TraceRecorder",
     "ProgramBuilder",
 ]
 
 T = TypeVar("T")
-Recorded = tuple[str, int]  # a TraceRecorder value: (value id, normal level)
 
 
 class ProgramError(ValueError):
@@ -243,91 +235,6 @@ class EvalProgram:
                 args.append(getattr(op, spec.operand))
             env[op.dst] = getattr(domain, spec.method)(*args)
         return env[self.output]
-
-
-class TraceRecorder:
-    """The trace domain: values are ``(value id, normal level)``.
-
-    Each evaluator call emits one SSA op at the operands' shallower
-    chain position (the implicit align / mod-drop the trace checker
-    permits); an op that spends a level drops one level's worth of
-    limbs.  Values start at the setting's full normal-level budget, and
-    a program deeper than that raises :class:`ProgramError`.
-    """
-
-    def __init__(self, setting: "WordLengthSetting") -> None:
-        normal = setting.group("normal")
-        self._levels = normal.levels
-        self._base = setting.base_prime_count
-        self._per_level = normal.primes_per_level
-        self._ssa = SsaEmitter()
-        self._matched = False
-
-    def record(self, program: EvalProgram) -> Trace:
-        """``program.run(self, input)`` as a trace named by the program's digest."""
-        program.run(self, (self._ssa.fresh("in"), self._levels))
-        return Trace(name=f"serve_{program.name}_{program.digest()}", ops=self._ssa.ops)
-
-    def _emit(
-        self,
-        kind: OpKind,
-        srcs: tuple[Recorded, ...],
-        spends: bool = False,
-        key_id: str | None = None,
-    ) -> Recorded:
-        level = min(lvl for _, lvl in srcs)
-        if level < spends:
-            raise ProgramError(
-                f"program depth exceeds the setting's {self._levels} normal levels"
-            )
-        dst = self._ssa.emit(
-            kind,
-            self._base + level * self._per_level,
-            tuple(v for v, _ in srcs),
-            drop=self._per_level * spends,
-            key_id=key_id,
-        )
-        return dst, level - spends
-
-    def match(self, a: Recorded, b: Recorded) -> tuple[Recorded, Recorded]:
-        # The evaluator's ``match`` spends a plaintext multiply and a
-        # level only when both operands sit at the same level with
-        # drifted scales; the add / sub it feeds records that worst
-        # case, one PMADD with a level drop.
-        self._matched = True
-        return a, b
-
-    def add(self, a: Recorded, b: Recorded) -> Recorded:
-        matched, self._matched = self._matched, False
-        if matched:
-            return self._emit(OpKind.PMADD, (a, b), spends=True)
-        return self._emit(OpKind.HADD, (a, b))
-
-    sub = add
-
-    def multiply(self, a: Recorded, b: Recorded) -> Recorded:
-        return self._emit(OpKind.HMULT, (a, b), spends=True, key_id="mult")
-
-    def square(self, a: Recorded) -> Recorded:
-        return self._emit(OpKind.HMULT, (a,), spends=True, key_id="mult")
-
-    def negate(self, a: Recorded) -> Recorded:
-        return self._emit(OpKind.PMULT, (a,))
-
-    def multiply_scalar(self, a: Recorded, value: complex) -> Recorded:
-        return self._emit(OpKind.PMULT, (a,), spends=True)
-
-    def add_scalar(self, a: Recorded, value: complex) -> Recorded:
-        return self._emit(OpKind.HADD, (a,))
-
-    def rotate(self, a: Recorded, amount: int) -> Recorded:
-        return self._emit(OpKind.HROT, (a,), key_id=f"rot_{amount}")
-
-    def conjugate(self, a: Recorded) -> Recorded:
-        return self._emit(OpKind.CONJ, (a,), key_id="conj")
-
-    def consume_level(self, a: Recorded) -> Recorded:
-        return self._emit(OpKind.PMULT, (a,), spends=True)
 
 
 @dataclass

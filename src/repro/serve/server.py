@@ -8,13 +8,15 @@ Request lifecycle (the load-bearing design point is step 3):
    ciphertext the tenant encrypted to the preset's batch public key;
 3. **admit** — the program, wrapped in the batching pipeline's fixed
    overhead (:func:`repro.serve.batching.service_wrapped`), is folded
-   over the abstract domains of :mod:`repro.check.admission`.  A
-   rejected job is answered from the verdict's diagnostic codes and
-   *never reaches the engine*: the rejection path executes zero
-   evaluator operations, zero NTTs — the server's compute stays
-   reserved for jobs that are proven to succeed.  So is a ciphertext
-   not in the preset's fresh state (``WIRE-CT-STATE``): ingress is a
-   bare add, and it would fail its batch-mates too;
+   over :class:`repro.check.admission.ProductFold` on the preset's own
+   chain: one abstract run yields the level / scale verdict, the noise
+   verdict and the body's source trace.  A rejected job is answered
+   from the verdict's diagnostic codes and *never reaches the engine*:
+   the rejection path executes zero evaluator operations, zero NTTs —
+   the server's compute stays reserved for jobs that are proven to
+   succeed.  So is a ciphertext not in the preset's fresh state
+   (``WIRE-CT-STATE``): ingress is a bare add, and it would fail its
+   batch-mates too;
 4. **batch** — admitted jobs wait in the batch window.  A connection
    has one job in flight, so the window closes at the first of:
    ``max_batch`` jobs or a ring's worth of lanes (``full``), every live
@@ -24,11 +26,13 @@ Request lifecycle (the load-bearing design point is step 3):
    sessions' home lanes;
 5. **execute** — ingress drops each ciphertext to the level admission
    proved sufficient and adds it into the shared ciphertext (it is
-   already under the batch key); the program body runs through the
-   certificate gate (:meth:`FheServer._execute_scheduled`; certificates
-   are cached per program digest, least recently used evicted); egress
-   masks each session's lanes and switches them to the tenant key, the
-   one key switch the service adds to a job;
+   already under the batch key); the trace admission recorded for the
+   body is certified (certificates are cached per program digest, least
+   recently used evicted), and the body runs through the certificate
+   gate (:meth:`FheServer._execute_plan`), which re-records the
+   trace from the packed ciphertext at the engine's own parameters;
+   egress masks each session's lanes and switches them to the tenant
+   key, the one key switch the service adds to a job;
 6. **respond** — each tenant gets its lanes back under its own key,
    with per-request metrics (queue wait and what closed the window,
    verify time, ingress / program / egress time, batch occupancy) in
@@ -49,9 +53,8 @@ import numpy as np
 
 from repro.check.admission import AdmissionVerdict, admit_program
 from repro.serve import wire
-from repro.serve.batching import BatchJob, BatchPlan, plan_batches, service_wrapped
+from repro.serve.batching import BatchJob, BatchPlan, plan_batches
 from repro.serve.offline import ServeOffline, ServePreset
-from repro.serve.program import EvalProgram
 from repro.serve.session import TenantSession
 
 if TYPE_CHECKING:
@@ -338,14 +341,7 @@ class FheServer:
         # pipeline will actually run it.  Nothing past this point
         # executes unless every pass is clean.
         verdict = admit_program(
-            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
-            preset.abstract,
-            noise_program=lambda ev, level: service_wrapped(
-                program, ev, ev.encrypt(), level
-            ),
-            noise_params=preset.noise,
-            min_floor_bits=self.min_floor_bits,
-            label=job_id,
+            program, preset.fold_params, min_floor_bits=self.min_floor_bits, label=job_id
         )
         self.metrics.verify_seconds_total += verdict.verify_seconds
         if not verdict.admitted:
@@ -474,9 +470,9 @@ class FheServer:
         closed_by: str,
     ) -> None:
         t0 = time.perf_counter()
-        spare = lookup[plan.jobs[0].job_id].verdict.spare_levels  # same digest, same verdict
+        verdict = lookup[plan.jobs[0].job_id].verdict  # same digest, same verdict
         try:
-            outputs, stages = self._execute_plan(preset, plan, spare)
+            outputs, stages = self._execute_plan(preset, plan, verdict)
         except Exception as exc:  # noqa: BLE001 - propagate per-job
             for job in plan.jobs:
                 item = lookup[job.job_id]
@@ -505,11 +501,17 @@ class FheServer:
                 item.future.set_result((ct_out, meta))
 
     def _execute_plan(
-        self, preset: ServePreset, plan: BatchPlan, spare: int
+        self, preset: ServePreset, plan: BatchPlan, verdict: AdmissionVerdict
     ) -> tuple[list["Ciphertext"], dict[str, float]]:
-        """Trim and pack (HADD); run the scheduled trace; mask, egress-switch."""
+        """Trim and pack (HADD); certify admission's trace (once per program
+        digest) and run the body through the gate of
+        :func:`repro.sched.execute.execute_scheduled`; mask, egress-switch."""
+        from repro.check.admission import certify_for_execution
+        from repro.core.config import sharp_config
+        from repro.sched.execute import execute_scheduled
+
         ev = preset.evaluator
-        level = preset.abstract.fresh_level - spare
+        level = preset.params.usable_level - verdict.spare_levels
         t0 = time.perf_counter()
         packed = functools.reduce(
             ev.add, (ev.drop_to_level(job.ciphertext, level) for job in plan.jobs)
@@ -517,7 +519,24 @@ class FheServer:
         self.metrics.engine_invocations += plan.size - 1
         t1 = time.perf_counter()
 
-        out = self._execute_scheduled(preset, plan.program, packed)
+        digest = plan.program.digest()
+        key = (preset.word_bits, digest)
+        cached = self._certified.get(key)
+        if cached is not None:
+            self._certified.move_to_end(key)
+            self.metrics.certificate_hits += 1
+        else:
+            capacity = sharp_config().onchip_capacity_bytes
+            cached = certify_for_execution(verdict.trace, preset.fold_params.setting, capacity)
+            self._certified[key] = cached
+            if len(self._certified) > CERTIFICATE_CACHE_SIZE:
+                self._certified.popitem(last=False)
+            self.metrics.schedules_certified += 1
+            self.metrics.certified_digests.append(digest)
+            _log.info("schedule certified word_bits=%d program=%s", preset.word_bits, digest)
+        scheduled, certificate = cached
+        out = execute_scheduled(plan.program, scheduled, ev, packed, certificate)
+        self.metrics.engine_invocations += len(plan.program.ops)
         t2 = time.perf_counter()
 
         results: list[Ciphertext] = []
@@ -544,63 +563,6 @@ class FheServer:
                 mask, level=level, scale=preset.params.step_at(level).scale
             )
         return session.masks[level]
-
-    def _certified_schedule(
-        self, preset: ServePreset, program: EvalProgram
-    ) -> "tuple[ScheduledTrace, EquivCertificate]":
-        """Record, fuse, schedule, and certify — cached per program digest.
-
-        Certification is static work, so programs that batch repeatedly
-        (the common case: equal digests share a batch key) pay for the
-        equivalence proof once and re-verify only the cheap digest gate
-        on every execution.
-        """
-        from repro.check.admission import certify_for_execution
-        from repro.core.config import sharp_config
-        from repro.params.presets import build_sharp_setting
-
-        digest = program.digest()
-        key = (preset.word_bits, digest)
-        cached = self._certified.get(key)
-        if cached is not None:
-            self._certified.move_to_end(key)
-            self.metrics.certificate_hits += 1
-        else:
-            setting = build_sharp_setting(preset.word_bits)
-            cached = certify_for_execution(
-                program, setting, sharp_config().onchip_capacity_bytes
-            )
-            self._certified[key] = cached
-            if len(self._certified) > CERTIFICATE_CACHE_SIZE:
-                self._certified.popitem(last=False)
-            self.metrics.schedules_certified += 1
-            self.metrics.certified_digests.append(digest)
-            _log.info(
-                "schedule certified word_bits=%d program=%s",
-                preset.word_bits,
-                digest,
-            )
-        return cached
-
-    def _execute_scheduled(
-        self, preset: ServePreset, program: EvalProgram, packed: "Ciphertext"
-    ) -> "Ciphertext":
-        """Run the program body through the certificate-gated executor.
-
-        The body is recorded as an HE-op trace, fused, and scheduled
-        against the configured on-chip capacity; the resulting
-        ``ScheduledTrace`` is *proven equivalent* to the recorded source
-        by :mod:`repro.check.equiv`, and
-        :func:`repro.sched.execute.execute_scheduled` re-records the
-        source before it lets the program drive the evaluator — an
-        uncertified schedule cannot reach ciphertext.
-        """
-        from repro.sched.execute import execute_scheduled
-
-        scheduled, certificate = self._certified_schedule(preset, program)
-        out = execute_scheduled(program, scheduled, preset.evaluator, packed, certificate)
-        self.metrics.engine_invocations += len(program.ops)
-        return out
 
     # -- misc ----------------------------------------------------------------
 

@@ -21,7 +21,8 @@ the :mod:`repro.sched` scheduling compiler, whose schedule is what
 the simulator prices traffic from.
 
 Every op is appended by one emitter, :meth:`SsaEmitter.emit`, which
-the serve recorder (:class:`repro.serve.program.TraceRecorder`) shares.
+the served program's abstract run
+(:class:`repro.check.admission.ProductFold`) shares.
 With ``explicit_rescale=True`` it emits each consuming op followed by a
 standalone ``RESCALE`` instead of folding the drop into the op — the
 *unfused* form that :mod:`repro.sched.fusion` re-fuses, so fusion

@@ -146,6 +146,17 @@ class TestShippedTraces:
         report = verify_schedule(sched, setting)
         assert report.ok, report.render()
 
+    def test_full_size_key_schedule_verifies_clean(self, setting):
+        """A Fig. 8 schedule without PRNG keys records its key sizing, and
+        the replay sizes the keys the same way."""
+        from repro.hw.sim import Simulator
+
+        sim = Simulator(sharp_config().with_features(prng_evk=False))
+        sched = sim.schedule(evaluation_traces(sim.setting)["helr256"])
+        assert not sched.prng_evk
+        report = verify_schedule(sched, build_sharp_setting(36))
+        assert report.ok, report.render()
+
     def test_chain_regions_are_bottom_up(self, setting):
         regions = chain_regions(setting)
         assert [r.name for r in regions] == ["base", "normal", "stc", "boot"]
@@ -365,6 +376,7 @@ class TestMutationCorpus:
                 "double-def",
                 "dropped-def",
                 "dropped-event",
+                "flipped-prng-evk",
                 "forged-liveness",
                 "kind-swap",
                 "level-out-of-range",

@@ -10,6 +10,7 @@ schedule never does).
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.check import (
     CHECKER_VERSION,
     EquivError,
+    FoldParams,
     certify_for_execution,
     certify_schedule,
     check_equivalence,
@@ -34,7 +36,8 @@ from repro.sched import (
     trace_digest,
 )
 from repro.sched.trace import ScheduledTrace
-from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp, TraceRecorder
+from repro.check.admission import fold_body
+from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp
 from repro.workloads.traces import evaluation_traces
 
 WORKLOADS = ("bootstrap", "helr256", "helr1024", "resnet20", "sorting")
@@ -253,39 +256,83 @@ def _poly_program() -> EvalProgram:
     return b.build(b.add_matched(half, x))
 
 
+@pytest.fixture(scope="module")
+def chain(small_context):
+    """The engine's own chain, as the gate reads it: the small context's
+    parameters on 32-bit words (its primes stay below 2^30)."""
+    return FoldParams.from_params(small_context.params, 32)
+
+
+def record(program: EvalProgram, chain: FoldParams):
+    """The body's trace from a fresh ciphertext on ``chain``."""
+    report, trace = fold_body(
+        program, chain, chain.abstract.fresh_level, chain.abstract.default_scale
+    )
+    assert report.ok
+    return trace
+
+
+def certify(program: EvalProgram, chain: FoldParams, capacity: float):
+    return certify_for_execution(record(program, chain), chain.setting, capacity)
+
+
+def stubs(small_context):
+    """An engine holding only its parameters and a fresh ciphertext's
+    ``(level, scale)``: any evaluator call would be an AttributeError."""
+    params = small_context.params
+    return (
+        SimpleNamespace(params=params),
+        SimpleNamespace(level=params.usable_level, scale=params.scale),
+    )
+
+
 class TestGatedExecution:
-    def test_no_certificate_no_engine(self, setting, capacity):
+    def test_no_certificate_no_engine(self, chain, capacity):
         program = _poly_program()
-        scheduled, _ = certify_for_execution(program, setting, capacity)
+        scheduled, _ = certify(program, chain, capacity)
         # evaluator=None proves the gate fires before any engine call.
         with pytest.raises(CertificateError, match="no equivalence certificate"):
             execute_scheduled(program, scheduled, None, None, None)
 
-    def test_forged_certificate_is_refused(self, setting, capacity):
+    def test_forged_certificate_is_refused(self, chain, capacity, small_context):
         program = _poly_program()
-        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        scheduled, certificate = certify(program, chain, capacity)
         forged_cert = replace(certificate, schedule_digest="0" * 64)
         with pytest.raises(CertificateError):
-            execute_scheduled(program, scheduled, None, None, forged_cert)
+            execute_scheduled(program, scheduled, *stubs(small_context), forged_cert)
 
-    def test_transplanted_certificate_is_refused(self, setting, capacity):
+    def test_transplanted_certificate_is_refused(self, chain, capacity, small_context):
         program = _poly_program()
-        scheduled, _ = certify_for_execution(program, setting, capacity)
+        scheduled, _ = certify(program, chain, capacity)
         b = ProgramBuilder("other")
         other = b.build(b.negate(b.input))
-        _, other_cert = certify_for_execution(other, setting, capacity)
+        _, other_cert = certify(other, chain, capacity)
         with pytest.raises(CertificateError):
-            execute_scheduled(program, scheduled, None, None, other_cert)
+            execute_scheduled(program, scheduled, *stubs(small_context), other_cert)
 
-    def test_unrecordable_certificate_is_refused(self, setting, capacity):
-        # A certificate naming a word length no setting exists for: the
-        # gate cannot re-record the source, so nothing runs.
+    def test_unrecordable_certificate_is_refused(self, chain, capacity, small_context):
+        # A certificate naming a word length that cannot hold the
+        # engine's chain: the gate cannot re-record the source, so
+        # nothing runs.
         program = _poly_program()
-        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        scheduled, certificate = certify(program, chain, capacity)
         with pytest.raises(CertificateError, match="word length"):
             execute_scheduled(
-                program, scheduled, None, None, replace(certificate, word_bits=99)
+                program,
+                scheduled,
+                *stubs(small_context),
+                replace(certificate, word_bits=99),
             )
+
+    def test_relabelled_word_length_is_refused(self, chain, capacity, small_context):
+        # The source trace is named by its word length too, so a
+        # certificate relabelled to another word that holds the chain
+        # re-records a different source.
+        program = _poly_program()
+        scheduled, certificate = certify(program, chain, capacity)
+        relabelled = replace(certificate, word_bits=36)
+        with pytest.raises(CertificateError, match="source digest mismatch"):
+            execute_scheduled(program, scheduled, *stubs(small_context), relabelled)
 
     @pytest.mark.parametrize(
         "certified, impostor",
@@ -301,25 +348,24 @@ class TestGatedExecution:
         ids=["kind", "level", "key", "constant"],
     )
     def test_transplanted_program_is_refused(
-        self, setting, capacity, certified, impostor
+        self, chain, capacity, small_context, certified, impostor
     ):
         # A valid certificate for one program must not run another that
         # merely reuses its value names: the gate re-records the source
         # from the program it is given, named by that program's digest.
         kind, operands = certified
         program = EvalProgram("A", (ProgramOp(kind, "out", ("in",), **operands),))
-        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        scheduled, certificate = certify(program, chain, capacity)
         kind, operands = impostor
         other = EvalProgram("A", (ProgramOp(kind, "out", ("in",), **operands),))
-        # evaluator=None: any evaluator call would be an AttributeError.
         with pytest.raises(CertificateError, match="source digest mismatch"):
-            execute_scheduled(other, scheduled, None, None, certificate)
+            execute_scheduled(other, scheduled, *stubs(small_context), certificate)
 
     def test_certified_execution_matches_reference(
-        self, setting, capacity, small_context, small_evaluator, rng
+        self, chain, capacity, small_context, small_evaluator, rng
     ):
         program = _poly_program()
-        scheduled, certificate = certify_for_execution(program, setting, capacity)
+        scheduled, certificate = certify(program, chain, capacity)
         m = rng.uniform(-1, 1, 256)
         ct = small_context.encrypt(m)
         out = execute_scheduled(program, scheduled, small_evaluator, ct, certificate)
@@ -375,9 +421,9 @@ class TestHypothesis:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(program=program_traces())
-    def test_random_programs_certify(self, setting, capacity, program):
-        scheduled, certificate = certify_for_execution(program, setting, capacity)
-        source = TraceRecorder(setting).record(program)
+    def test_random_programs_certify(self, chain, capacity, program):
+        source = record(program, chain)
+        scheduled, certificate = certify_for_execution(source, chain.setting, capacity)
         assert verify_certificate(certificate, source, scheduled).ok
 
     @settings(
@@ -386,14 +432,14 @@ class TestHypothesis:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(program=program_traces(), data=st.data())
-    def test_any_perturbation_is_flagged(self, setting, capacity, program, data):
-        scheduled, _ = certify_for_execution(program, setting, capacity)
-        source = TraceRecorder(setting).record(program)
+    def test_any_perturbation_is_flagged(self, chain, capacity, program, data):
+        source = record(program, chain)
+        scheduled, _ = certify_for_execution(source, chain.setting, capacity)
         ops = list(scheduled.trace.ops)
         targets = [
             i for i, op in enumerate(ops) if op.kind is not OpKind.RESCALE
         ]
         at = data.draw(st.sampled_from(targets))
         ops[at] = replace(ops[at], count=ops[at].count + 1)
-        report = check_equivalence(source, forged(scheduled, ops), setting)
+        report = check_equivalence(source, forged(scheduled, ops), chain.setting)
         assert not report.ok

@@ -1,44 +1,55 @@
 """The serve IR has one table and one fold: both are checked here.
 
 * completeness — every :data:`OPS` row names something that exists in
-  all four domains and in the builder;
+  every domain and in the builder;
 * the recorded trace rows of the two programs ``serve_mix`` runs;
 * a Hypothesis differential over programs drawn from all twelve kinds:
-  the symbolic domain, the real evaluator and the trace recorder are
-  three readings of one program and must agree on ``(level, scale)``.
+  the product domain's symbolic component and the real evaluator must
+  agree on ``(level, scale)``, and the trace it records must hold each
+  value at the limbs of its symbolic level.
 """
 
 from __future__ import annotations
 
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.check.admission import (
+    FoldParams,
+    ProductFold,
+    admit_program,
+    certify_for_execution,
+    fold_body,
+)
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator
 from repro.check.noise_check import NoiseCheckEvaluator
 from repro.ckks.ops import Evaluator
-from repro.params.presets import build_sharp_setting
-from repro.serve.program import (
-    OPS,
-    EvalProgram,
-    ProgramBuilder,
-    ProgramError,
-    TraceRecorder,
-)
+from repro.core.config import sharp_config
+from repro.params.presets import build_native_ckks_params
+from repro.sched import CertificateError, execute_scheduled
+from repro.serve.offline import SERVE_DEGREE, SERVE_DEPTH
+from repro.serve.program import OPS, EvalProgram, ProgramBuilder
 
-DOMAINS = (Evaluator, SymbolicEvaluator, NoiseCheckEvaluator, TraceRecorder)
+DOMAINS = (Evaluator, SymbolicEvaluator, NoiseCheckEvaluator, ProductFold)
 LEVEL_BUDGET = 5  # small_context has 6 levels; stay inside them
-# Kinds that spend a level (in the recorder: a non-zero drop).
+# Kinds that may spend a level: the generator keeps them within the budget.
 SPENDS = {
     "add_matched", "sub_matched", "multiply", "square", "multiply_scalar", "consume_level"
 }
+# The 36-bit serve preset's chain: 2 base primes, 4 single-prime levels.
+SERVE_PARAMS = build_native_ckks_params(36, degree=SERVE_DEGREE, depth=SERVE_DEPTH)
+FOLD = FoldParams.from_params(SERVE_PARAMS, 36)
 
 
 def record(program: EvalProgram):
-    return TraceRecorder(build_sharp_setting(36)).record(program)
+    """The fold's report and the body's trace from a fresh ciphertext on
+    the 36-bit serve chain."""
+    return fold_body(program, FOLD, FOLD.abstract.fresh_level, FOLD.abstract.default_scale)
 
 
 def ssa_shape(input_id: str, defs) -> list[tuple[int, ...]]:
@@ -77,9 +88,10 @@ class TestTableCompleteness:
 
 
 def test_lowering_refuses_what_the_chain_cannot_hold():
-    # The recorder's level walk is the only depth check left.
-    setting = build_sharp_setting(36)
-    levels = setting.group("normal").levels
+    # The fold's level rule is the depth check: the chain's last level
+    # lands on the base, one more is CKKS-LEVEL-UNDERFLOW, and the gate
+    # refuses such a program before any evaluator call.
+    levels = FOLD.abstract.fresh_level
 
     def squares(n: int) -> EvalProgram:
         b = ProgramBuilder("deep")
@@ -88,13 +100,25 @@ def test_lowering_refuses_what_the_chain_cannot_hold():
             v = b.square(v)
         return b.build(v)
 
-    assert record(squares(levels)).ops[-1].result_limbs == setting.base_prime_count
-    with pytest.raises(ProgramError, match="depth exceeds"):
-        record(squares(levels + 1))
+    report, trace = record(squares(levels))
+    assert report.ok
+    assert trace.ops[-1].result_limbs == FOLD.setting.base_prime_count
+    report, _ = record(squares(levels + 1))
+    assert "CKKS-LEVEL-UNDERFLOW" in {d.code for d in report.errors}
+
+    scheduled, certificate = certify_for_execution(
+        trace, FOLD.setting, sharp_config().onchip_capacity_bytes
+    )
+    # Only params: any evaluator call would be an AttributeError.
+    engine = SimpleNamespace(params=SERVE_PARAMS)
+    ct_in = SimpleNamespace(level=levels, scale=SERVE_PARAMS.scale)
+    with pytest.raises(CertificateError, match="CKKS-LEVEL-UNDERFLOW"):
+        execute_scheduled(squares(levels + 1), scheduled, engine, ct_in, certificate)
 
 
 def test_serve_mix_programs_record_their_rows():
-    # The two programs serve_mix runs, at 36 bits: (kind, limbs, drop, key).
+    # The two programs serve_mix runs, as admission records them on the
+    # 36-bit serve chain after the ingress trim: (kind, limbs, drop, key).
     b = ProgramBuilder("poly")
     poly = b.build(b.add_matched(b.multiply_scalar(b.square(b.input), 0.5), b.input))
     b = ProgramBuilder("rotsum")
@@ -102,20 +126,21 @@ def test_serve_mix_programs_record_their_rows():
     rotsum = b.build(b.add(pair, b.rotate(pair, 2)))
 
     def rows(program: EvalProgram) -> list[tuple]:
-        return [(h.kind.name, h.limbs, h.drop, h.key_id) for h in record(program).ops]
+        trace = admit_program(program, FOLD).trace
+        return [(h.kind.name, h.limbs, h.drop, h.key_id) for h in trace.ops]
 
-    assert rows(poly) == [
-        ("HMULT", 10, 1, "mult"),
-        ("PMULT", 9, 1, None),
-        ("PMADD", 8, 1, None),
+    assert rows(poly) == [  # spare 1: the body starts at level 3
+        ("HMULT", 5, 1, "mult"),
+        ("PMULT", 4, 1, None),
+        ("PMADD", 3, 0, None),  # x is scale-corrected on its way down to level 1
     ]
-    assert rows(rotsum) == [
-        ("HROT", 10, 0, "rot_1"),
-        ("HADD", 10, 0, None),
-        ("HROT", 10, 0, "rot_2"),
-        ("HADD", 10, 0, None),
+    assert rows(rotsum) == [  # spare 3: the body runs at level 1
+        ("HROT", 3, 0, "rot_1"),
+        ("HADD", 3, 0, None),
+        ("HROT", 3, 0, "rot_2"),
+        ("HADD", 3, 0, None),
     ]
-    assert record(poly).name == f"serve_poly_{poly.digest()}"
+    assert admit_program(poly, FOLD).trace.name == f"serve_poly_36b_{poly.digest()}"
 
 
 @st.composite
@@ -150,31 +175,28 @@ class TestThreeReadingsAgree:
     )
     @given(program=programs())
     def test_symbolic_real_and_trace(self, small_context, small_evaluator, program):
-        params = AbstractParams.from_params(small_context.params)
+        params = small_context.params
+        fold = FoldParams.from_params(params, 32)
 
         def symbolic(prog: EvalProgram):
-            ev = SymbolicEvaluator(params)
+            ev = SymbolicEvaluator(AbstractParams.from_params(params))
             return ev.report, prog.run(ev, ev.fresh())
 
         report, abstract = symbolic(program)
         assume(report.ok)
+        folded_report, trace = fold_body(program, fold, params.usable_level, params.scale)
+        assert folded_report.diagnostics == report.diagnostics
 
         ct = small_context.encrypt(np.linspace(-0.5, 0.5, small_context.params.slots))
         out = program.run(small_evaluator, ct)  # clean report: must not raise
         assert out.level == abstract.level
         assert out.scale == pytest.approx(abstract.scale, rel=1e-9)
 
-        setting = build_sharp_setting(36)
-        normal = setting.group("normal")
-        trace = record(program)
         assert ssa_shape(trace.ops[0].srcs[0], [(h.dst, h.srcs) for h in trace.ops]) == (
             ssa_shape(program.input, [(op.dst, op.srcs) for op in program.ops])
         )
-        assert [h.drop > 0 for h in trace.ops] == [op.kind in SPENDS for op in program.ops]
+        # Every recorded value sits at the limbs of its symbolic level.
         for k, (op, hop) in enumerate(zip(program.ops, trace.ops)):
             prefix = EvalProgram("prefix", program.ops[: k + 1], output=op.dst)
-            charged = normal.levels - (
-                (hop.result_limbs - setting.base_prime_count) // normal.primes_per_level
-            )
-            consumed = params.fresh_level - symbolic(prefix)[1].level
-            assert charged >= consumed
+            level = symbolic(prefix)[1].level
+            assert hop.result_limbs == len(params.active_moduli(level))

@@ -423,9 +423,13 @@ def test_real_scalar_fast_path(small_context, small_evaluator, value, monkeypatc
         got, want = ctx.decrypt(new), ctx.decrypt(old)
         assert np.max(np.abs(got - want)) <= 2.0**-40 * max(1.0, np.max(np.abs(want)))
     assert len(encodes) == 1  # only _general_encoding's reference encode
-    # Complex constants still go through the encoder.
+    # A complex constant a + bi is a + b X^(N/2), exact, without the encoder.
+    pt = ev.encode_scalar(value * 1j, ct.level, step_scale)
+    constant[0], constant[ctx.params.degree // 2] = 0, round(value * step_scale)
+    reference = RnsPolynomial.from_int_coeffs(ctx.ring, ct.moduli, constant).to_ntt()
+    assert np.array_equal(pt.poly.limbs, reference.limbs)
     rotated = ev.multiply_scalar(ct, 1j)
-    assert len(encodes) == 2
+    assert len(encodes) == 1
     assert np.max(np.abs(ctx.decrypt(rotated) - 1j * z)) < 1e-4
 
 

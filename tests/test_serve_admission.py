@@ -2,7 +2,9 @@
 
 The table drives the load-bearing claim of the serve subsystem: a
 malformed job is refused with the right diagnostic code *before* the
-engine runs — zero evaluator invocations, zero NTTs.
+engine runs — zero evaluator invocations, zero NTTs.  The audit holds
+the other direction: an admitted program runs as admission proved, at
+every word length the service sells.
 """
 
 from __future__ import annotations
@@ -12,29 +14,29 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.check import AbstractParams, NoiseParams, admit_program
-from repro.check.admission import AdmissionVerdict
+from repro.check import FoldParams, admit_program
+from repro.check.admission import AdmissionVerdict, ProductFold, fold_body
 from repro.check.ckks_check import SymbolicEvaluator
 from repro.ckks.context import CkksContext
-from repro.params.presets import boot_plan, build_native_ckks_params
+from repro.params.presets import build_native_ckks_params
+from repro.sched import trace_digest
 from repro.serve import wire
 from repro.serve.batching import BatchJob, plan_batches, service_wrapped
 from repro.serve.client import FheClient, JobRejected
-from repro.serve.offline import ServeOffline, TenantKeys
-from repro.serve.program import EvalProgram, ProgramBuilder, ProgramError
+from repro.serve.offline import SERVE_WORD_LENGTHS, ServeOffline, TenantKeys
+from repro.serve.program import OPS, EvalProgram, ProgramBuilder, ProgramError
 from repro.serve.server import FheServer
-from repro.workloads.noise_programs import noise_programs
 
 # Mirrors the serve preset shape: depth-4 chain on real 36-bit primes
 # (real primes matter — a synthetic power-of-two chain has no RNS scale
 # drift, so the scale-mismatch rejection would never fire).
-PARAMS = AbstractParams.from_params(
-    build_native_ckks_params(36, degree=1 << 10, depth=4)
-)
-NOISE = NoiseParams(
-    scale_bits=35.0, boot_scale_bits=boot_plan(36)[0], word_bits=36
-)
+FOLD = FoldParams.from_params(build_native_ckks_params(36, degree=1 << 10, depth=4), 36)
+NOISE = FOLD.noise
+# Every tier the service sells, built once for the tests that run jobs.
+OFFLINE = ServeOffline(word_lengths=SERVE_WORD_LENGTHS, seed=99)
 
 
 def _scale_mismatch() -> EvalProgram:
@@ -69,12 +71,7 @@ def _rotate_conjugate() -> EvalProgram:
 class TestAdmissionTable:
     def _admit(self, program: EvalProgram, **kwargs: object) -> AdmissionVerdict:
         return admit_program(
-            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
-            PARAMS,
-            noise_program=lambda ev, level: service_wrapped(program, ev, ev.encrypt(), level),
-            noise_params=NOISE,
-            label=program.name,
-            **kwargs,  # type: ignore[arg-type]
+            program, FOLD, label=program.name, **kwargs  # type: ignore[arg-type]
         )
 
     def test_well_formed_admitted(self):
@@ -101,25 +98,17 @@ class TestAdmissionTable:
         assert not verdict.admitted
         assert "CKKS-LEVEL-UNDERFLOW" in verdict.error_codes
 
-    def test_noise_explosion_at_28_bits(self):
-        # The HELR workload's budget explodes at 28-bit words — the
-        # paper's robustness boundary, reproduced as a rejection.
-        helr = noise_programs()["helr"]
-        verdict = admit_program(
-            lambda ev, level: _well_formed().run(ev, ev.fresh()),
-            PARAMS,
-            noise_program=lambda ev, level: helr.build(ev),
-            noise_params=NoiseParams(
-                scale_bits=27.0,
-                boot_scale_bits=boot_plan(28)[0],
-                word_bits=28,
-                message_ratio=helr.message_ratio,
-            ),
-            label="helr@28",
-        )
-        assert not verdict.admitted
-        assert "NOISE-EXPLOSION" in verdict.error_codes
-        assert verdict.noise is not None and verdict.noise.exploded
+    def test_noise_floor_at_28_bits(self):
+        # The paper's robustness boundary, reproduced as a rejection: a
+        # depth-3 program keeps 11.8 proven bits on 36-bit words and 3.8
+        # on 28-bit ones, so a 5-bit target refuses it at 28 bits only.
+        program = _level_underflow(3)
+        verdicts = {
+            bits: admit_program(program, OFFLINE.preset(bits).fold_params, 5.0)
+            for bits in (28, 36)
+        }
+        assert verdicts[36].admitted
+        assert verdicts[28].error_codes == ("NOISE-FLOOR",)
 
     def test_floor_rule(self):
         # Healthy program, but the negotiated floor demands more bits
@@ -176,13 +165,35 @@ def _rotsum() -> EvalProgram:
     return b.build(b.add(pair, b.rotate(pair, 2)))
 
 
+def _serve(program: EvalProgram, bits: int, values, verdict: AdmissionVerdict):
+    """Run one job end to end on the ``bits`` tier exactly as the server's
+    batch worker does; returns the tenant-decrypted slots and the
+    ciphertexts in and out."""
+    preset = OFFLINE.preset(bits)
+    tenant = _tenant(bits)
+    session = OFFLINE.enroll(bits, 4, tenant.context.keys.public_key())
+    message = np.zeros(preset.slots, dtype=complex)
+    message[session.lane_offset : session.lane_offset + 4] = values
+    ct = tenant.context.encrypt(message, public_key=tenant.batch_pk)
+    job = BatchJob("j", session, program, ct)
+    (plan,) = plan_batches([(bits, job)], preset.slots, 16)
+    (ct_out,), _ = FheServer(offline=OFFLINE)._execute_plan(preset, plan, verdict)
+    lanes = slice(session.lane_offset, session.lane_offset + 4)
+    return message, tenant.context.decrypt(ct_out), lanes, ct, ct_out
+
+
+@functools.lru_cache(maxsize=None)
+def _tenant(bits: int) -> TenantKeys:
+    preset = OFFLINE.preset(bits)
+    return TenantKeys(CkksContext(preset.params, seed=bits), preset.batch_public_key())
+
+
 class TestAdmissionModelsWhatRuns:
     """The abstract fold and the engine walk the same trimmed pipeline:
-    the ``(level, scale)`` admission proves is the one that comes back."""
+    the ``(level, scale)`` admission proves is the one that comes back,
+    at every word length the service sells."""
 
-    OFFLINE = ServeOffline(word_lengths=(28, 36), seed=99)
-
-    @pytest.mark.parametrize("bits", [28, 36])
+    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
     @pytest.mark.parametrize(
         "build, spare, lane0",  # lane0: the first home lane's value, from the four sent
         [
@@ -194,33 +205,143 @@ class TestAdmissionModelsWhatRuns:
     )
     def test_abstract_end_state_is_the_real_one(self, bits, build, spare, lane0):
         program = build()
-        preset = self.OFFLINE.preset(bits)
-        verdict = admit_program(
-            lambda ev, level: service_wrapped(program, ev, ev.fresh(), level),
-            preset.abstract,
-            noise_program=lambda ev, level: service_wrapped(program, ev, ev.encrypt(), level),
-            noise_params=preset.noise,
-        )
+        preset = OFFLINE.preset(bits)
+        verdict = admit_program(program, preset.fold_params)
         assert verdict.admitted and verdict.spare_levels == spare
-        ev = SymbolicEvaluator(preset.abstract)
-        proven = service_wrapped(program, ev, ev.fresh(), preset.abstract.fresh_level - spare)
+        ev = SymbolicEvaluator(preset.fold_params.abstract)
+        level = preset.params.usable_level - spare
+        proven = service_wrapped(program, ev, ev.fresh(), level)
         assert ev.report.ok and proven.level == 0
 
-        tenant = TenantKeys(CkksContext(preset.params, seed=bits), preset.batch_public_key())
-        session = self.OFFLINE.enroll(bits, 4, tenant.context.keys.public_key())
         values = [0.5, -0.25, 0.125, 0.75]
-        message = np.zeros(preset.slots)
-        message[session.lane_offset : session.lane_offset + 4] = values
-        ct = tenant.context.encrypt(message, public_key=tenant.batch_pk)
-        job = BatchJob("j", session, program, ct)
-        (plan,) = plan_batches([(bits, job)], preset.slots, 16)
-        server = FheServer(offline=self.OFFLINE)
-        (ct_out,), _ = server._execute_plan(preset, plan, verdict.spare_levels)
+        _, got, lanes, ct, ct_out = _serve(program, bits, values, verdict)
+        # The certified trace starts on the packed ciphertext's limbs.
+        packed = preset.evaluator.drop_to_level(ct, level)
+        assert verdict.trace.ops[0].limbs == len(packed.moduli)
         assert ct_out.level == proven.level
         assert ct_out.scale == pytest.approx(proven.scale, rel=1e-12)
         # ... and it still decrypts to the program's value inside the floor.
-        got = tenant.context.decrypt(ct_out)[session.lane_offset]
-        assert abs(got - lane0(values)) <= 2.0 ** -verdict.proven_floor_bits
+        assert abs(got[lanes][0] - lane0(values)) <= 2.0 ** -verdict.proven_floor_bits
+
+
+def test_wide_complex_constants_encode_on_62_bit_words():
+    # |2 + 0.5i| at a 2^61 scale overflowed the slot encoder's 2^62
+    # coefficient range, so an admitted job failed to execute.
+    preset = OFFLINE.preset(62)
+    ev, ctx = preset.evaluator, preset.context
+    z = np.linspace(-1, 1, preset.slots)
+    ct = ctx.encrypt(z)
+    for out, want in (
+        (ev.add_scalar(ct, 2 + 0.5j), z + 2 + 0.5j),
+        (ev.multiply_scalar(ct, -3 + 2j), z * (-3 + 2j)),
+    ):
+        assert np.max(np.abs(ctx.decrypt(out) - want)) < 2.0**-40
+
+
+class Plain:
+    """What a program means on the slot vector: the reference fold."""
+
+    def match(self, a, b):
+        return a, b
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def multiply(self, a, b):
+        return a * b
+
+    def square(self, a):
+        return a * a
+
+    def negate(self, a):
+        return -a
+
+    def multiply_scalar(self, a, value):
+        return a * value
+
+    def add_scalar(self, a, value):
+        return a + value
+
+    def rotate(self, a, amount):
+        return np.roll(a, -amount)
+
+    def conjugate(self, a):
+        return np.conj(a)
+
+    def consume_level(self, a):
+        return a
+
+
+SPENDS = {"add_matched", "sub_matched", "multiply", "square", "multiply_scalar", "consume_level"}
+
+
+@st.composite
+def served_programs(draw) -> EvalProgram:
+    """Programs over every OPS kind: each op reads the latest value, and a
+    two-operand op's second operand reaches back anywhere (a DAG)."""
+    b = ProgramBuilder("audit")
+    values = [b.input]
+    spent = 0
+    for kind in draw(st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=6)):
+        spec = OPS[kind]
+        if kind in SPENDS:
+            if spent == 3:  # the egress mask needs the fourth level
+                kind, spec = "negate", OPS["negate"]
+            spent += 1
+        args: list[object] = [values[-1]]
+        if spec.arity == 2:
+            args.append(draw(st.sampled_from(values)))
+        if spec.operand == "value":
+            args.append(complex(draw(st.floats(-2, 2)), draw(st.sampled_from((0.0, 0.5)))))
+        elif spec.operand == "amount":
+            args.append(draw(st.sampled_from((1, 2))))
+        values.append(getattr(b, kind)(*args))
+    return b.build(values[-1])
+
+
+def _audit(bits: int, program: EvalProgram, values: list[float]) -> None:
+    preset = OFFLINE.preset(bits)
+    verdict = admit_program(program, preset.fold_params, min_floor_bits=1.0)
+    if not verdict.admitted:
+        return
+    domain = ProductFold(preset.fold_params)
+    level = preset.params.usable_level - verdict.spare_levels
+    _, end, _ = service_wrapped(program, domain, domain.fresh(), level)
+    message, got, lanes, ct, ct_out = _serve(program, bits, values, verdict)
+    assert ct_out.level == end.level
+    assert ct_out.scale == pytest.approx(end.scale, rel=1e-12)
+    want = program.run(Plain(), message)
+    assert np.max(np.abs(got[lanes] - want[lanes])) <= 2.0 ** -verdict.proven_floor_bits
+    # The gate's re-record is the trace admission recorded.
+    packed = preset.evaluator.drop_to_level(ct, level)
+    gate_params = FoldParams.from_params(preset.evaluator.params, bits)
+    report, source = fold_body(program, gate_params, packed.level, packed.scale)
+    assert report.ok and trace_digest(source) == trace_digest(verdict.trace)
+
+
+AUDIT_VALUES = st.lists(st.floats(-1, 1), min_size=4, max_size=4)
+
+
+class TestAdmissionAudit:
+    """Every static verdict audited against the engine: an admitted
+    program ends at the fold's level and scale, every served lane is
+    within the proven floor, and the gate re-records admission's trace."""
+
+    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
+    @settings(max_examples=12, deadline=None)
+    @given(program=served_programs(), values=AUDIT_VALUES)
+    def test_admitted_programs_run_as_proven(self, bits, program, values):
+        _audit(bits, program, values)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
+    @settings(max_examples=60, deadline=None)
+    @given(program=served_programs(), values=AUDIT_VALUES)
+    def test_admitted_programs_run_as_proven_wide(self, bits, program, values):
+        _audit(bits, program, values)
 
 
 class TestNonFiniteConstants:
