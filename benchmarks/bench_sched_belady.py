@@ -7,10 +7,16 @@ capacity.  This bench quantifies the first two with the repro.sched
 pipeline: off-chip traffic under Belady vs the LRU baseline at the
 SHARP scratchpad and at a constrained 96 MiB sweep point, and the
 scheduled-op savings of the fusion pass on every evaluation workload.
+It also prints where one compile cell's time goes — schedule, certify,
+simulate — without asserting on it (wall-clock varies by machine).
 """
+
+import math
+import time
 
 from conftest import print_table
 
+from repro.check import certify_schedule
 from repro.core.config import sharp_config
 from repro.hw.sim import Simulator
 from repro.sched import fuse_trace, schedule_trace
@@ -120,5 +126,35 @@ def test_scheduled_simulation(benchmark, sharp_setting):
     print_table(
         "Scheduled simulation on SHARP (ms/unit; traffic GB)",
         ["workload", "ms", "offchip", "spill", "top spiller"],
+        rows,
+    )
+
+
+def test_compile_pipeline_split(sharp_setting):
+    """One compile cell per trace, as ``compile_sweep`` runs it (36-bit,
+    Belady, fused, SHARP capacity): best of 3, each on freshly built
+    traces, in ms.  Printed only — no timing is asserted."""
+    config = sharp_config()
+    capacity = config.onchip_capacity_bytes
+    simulator = Simulator(config, sharp_setting)
+    best: dict[str, list[float]] = {}
+    for _ in range(3):
+        for name, trace in evaluation_traces(sharp_setting).items():
+            t0 = time.perf_counter()
+            sched = schedule_trace(trace, sharp_setting, capacity, fuse=True)
+            t1 = time.perf_counter()
+            certify_schedule(trace, sched, sharp_setting)
+            t2 = time.perf_counter()
+            simulator.run(sched)
+            t3 = time.perf_counter()
+            cell = best.setdefault(name, [math.inf] * 3)
+            cell[:] = map(min, cell, (t1 - t0, t2 - t1, t3 - t2))
+    rows = [
+        [name, f"{1e3 * s:.1f}", f"{1e3 * c:.1f}", f"{1e3 * m:.1f}", f"{c / s:.1f}x"]
+        for name, (s, c, m) in best.items()
+    ]
+    print_table(
+        "Compile pipeline per trace (ms, best of 3)",
+        ["workload", "schedule", "certify", "simulate", "certify / schedule"],
         rows,
     )

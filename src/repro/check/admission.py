@@ -234,24 +234,22 @@ def admit_program(
 
     The program is folded as the batching pipeline runs it
     (:func:`repro.serve.batching.service_wrapped`), from a fresh
-    ciphertext at the full chain first; the level that fold ends at is
-    spare, and the verdict — with the body's trace — is about the fold
-    *trimmed* by that many levels, the pipeline the server runs.
-    ``min_floor_bits`` (if set) rejects a program whose *proven*
-    precision floor lands below it with ``NOISE-FLOOR``.
+    ciphertext at the full chain, by the level rule alone first; the
+    level that run ends at is spare, and the verdict — with the body's
+    trace — is the one product fold *trimmed* by that many levels, the
+    pipeline the server runs.  ``min_floor_bits`` (if set) rejects a
+    program whose *proven* precision floor lands below it with
+    ``NOISE-FLOOR``.
     """
     from repro.serve.batching import service_wrapped
 
     t0 = time.perf_counter()
-
-    def fold(level: int) -> tuple[ProductFold, Folded]:
-        domain = ProductFold(params, label)
-        return domain, service_wrapped(program, domain, domain.fresh(), level)
-
-    domain, (_, end, _) = fold(params.abstract.fresh_level)
-    spare = end.level if domain.symbolic.report.ok else 0
-    if spare:
-        domain, _ = fold(params.abstract.fresh_level - spare)
+    fresh_level = params.abstract.fresh_level
+    levels = SymbolicEvaluator(params.abstract, CheckReport("ckks", label))
+    end = service_wrapped(program, levels, levels.fresh(), fresh_level)
+    spare = end.level if levels.report.ok else 0
+    domain = ProductFold(params, label)
+    service_wrapped(program, domain, domain.fresh(), fresh_level - spare)
 
     noise_report, summary = domain.noise.report, domain.noise.summary()
     if min_floor_bits is not None and noise_report.ok:

@@ -62,11 +62,11 @@ from dataclasses import dataclass
 
 from repro.check.diagnostics import CheckReport
 from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams, NoiseState
-from repro.check.trace_check import check_schedule
-from repro.hw.isa import OpKind, Trace
+from repro.check.trace_check import TraceWalk, check_events
+from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 from repro.sched.events import Signature
-from repro.sched.liveness import INFINITY, Liveness
+from repro.sched.liveness import Liveness
 from repro.sched.trace import ScheduledTrace, schedule_digest, trace_digest
 
 __all__ = [
@@ -86,6 +86,10 @@ CHECKER_VERSION = "equiv-1"
 FLOOR_TOLERANCE_BITS = 0.01
 
 _BYTES_EPS = 0.5
+_ACCOUNTS = (
+    "hits", "misses", "fetch_bytes", "writeback_bytes", "spill_bytes", "occupancy_bytes",
+    "live_values",
+)  # fmt: skip
 
 
 class EquivError(ValueError):
@@ -118,15 +122,8 @@ class _ExprBuilder:
         self._intern: dict[_NodeKey, int] = {}
         self._acc: dict[int, tuple[float, tuple[int, ...]]] = {}
 
-    def _node(self, key: _NodeKey) -> int:
-        node = self._intern.get(key)
-        if node is None:
-            node = len(self._intern)
-            self._intern[key] = node
-        return node
-
     def leaf(self, value: str) -> int:
-        return self._node(("leaf", value))
+        return self._intern.setdefault(("leaf", value), len(self._intern))
 
     def op(
         self,
@@ -138,7 +135,8 @@ class _ExprBuilder:
     ) -> int:
         if commutative:
             children = tuple(sorted(children))
-        return self._node(("op", kind, key_id, round(count, 9), children))
+        key = ("op", kind, key_id, round(count, 9), children)
+        return self._intern.setdefault(key, len(self._intern))
 
     def acc(self, count: float, children: tuple[int, ...]) -> int:
         """An additive accumulation, flattened modulo associativity.
@@ -158,118 +156,97 @@ class _ExprBuilder:
             else:
                 flat.append(child)
         ordered = tuple(sorted(flat))
-        node = self._node(("acc", round(total, 9), ordered))
+        key = ("acc", round(total, 9), ordered)
+        node = self._intern.setdefault(key, len(self._intern))
         self._acc.setdefault(node, (total, ordered))
         return node
 
 
-def _message_exprs(trace: Trace, builder: _ExprBuilder) -> dict[str, int]:
-    """Canonical expression id for every SSA value of ``trace``."""
-    env: dict[str, int] = {}
+@dataclass
+class _TraceFacts:
+    """What one walk of a trace yields for the equivalence layers."""
 
-    def get(value: str) -> int:
-        node = env.get(value)
-        if node is None:
-            node = builder.leaf(value)  # external input
-            env[value] = node
-        return node
-
-    for op in trace.ops:
-        srcs = tuple(get(s) for s in op.srcs)
-        if op.kind is OpKind.RESCALE:
-            # Message identity; the level effect is checked separately.
-            node = srcs[0]
-        elif op.kind is OpKind.HADD:
-            node = builder.acc(op.count, srcs)
-        elif op.kind in (OpKind.PMULT, OpKind.PMADD):
-            # The defining equation of PMADD formation:
-            #   PMADD(c, s0..sn) == HADD_1(PMULT(c, s0), s1..sn)
-            # and a multi-src PMULT absorbs its trailing operands
-            # without spending an accumulation pass — so both expand to
-            # a plaintext multiply of the first operand plus an
-            # accumulation over the rest, with pass count 1 vs 0.
-            mul = builder.op(OpKind.PMULT.value, op.key_id, op.count, srcs[:1])
-            passes = 1.0 if op.kind is OpKind.PMADD else 0.0
-            node = builder.acc(passes, (mul,) + srcs[1:])
-        elif op.kind is OpKind.HMULT:
-            node = builder.op(
-                op.kind.value, op.key_id, op.count, srcs, commutative=True
-            )
-        else:
-            node = builder.op(op.kind.value, op.key_id, op.count, srcs)
-        if op.dst is not None:
-            env[op.dst] = node
-    return env
+    exprs: dict[str, int]  # canonical expression id of every SSA value
+    defs: dict[str, HeOp]  # each defined value's (last) defining op
+    floor: float  # proven precision floor of the noise walk
 
 
-def _value_limbs(trace: Trace) -> dict[str, int]:
-    """Post-rescale chain position of every value (externals at first use)."""
-    limbs: dict[str, int] = {}
-    for op in trace.ops:
-        for src in op.srcs:
-            limbs.setdefault(src, op.limbs)
-        if op.dst is not None:
-            limbs[op.dst] = op.result_limbs
-    return limbs
+def _walk(
+    trace: Trace,
+    setting: WordLengthSetting,
+    builder: _ExprBuilder,
+    check: TraceWalk | None = None,
+) -> _TraceFacts:
+    """One pass over ``trace``: each value's canonical expression and
+    defining op (whose ``result_limbs`` is its chain position), the noise
+    walk's proven floor, and — given ``check`` — the trace verifier's rules.
 
+    Expressions: ``RESCALE`` is a message identity (its level effect is
+    checked separately); ``PMULT`` and ``PMADD`` expand by the defining
+    equation of PMADD formation, ``PMADD(c, s0..sn) == HADD_1(PMULT(c,
+    s0), s1..sn)`` — a multi-src ``PMULT`` absorbs its trailing operands
+    without an accumulation pass — so each is a plaintext multiply of
+    the first operand plus an accumulation over the rest (1 vs 0 passes).
 
-# ---------------------------------------------------------------------------
-# Noise-envelope walk (reusing the admission pass's transfer functions)
-# ---------------------------------------------------------------------------
-
-
-def _trace_noise_floor(trace: Trace, setting: WordLengthSetting) -> float:
-    """Proven precision floor of one trace's noise walk.
-
-    Each HE op maps onto the :class:`NoiseCheckEvaluator` transfer
-    function of the evaluator call it lowers: ``HADD`` accumulates,
-    ``PMULT``/``PMADD`` charge a plaintext multiply (the fused op adds
-    its accumulands afterwards), ``HMULT`` the full cross-noise +
-    key-switch product, rotations one key switch, ``RESCALE`` the
-    relative jitter.  ``MOD_RAISE`` and ``DS_ACCUM`` are
-    noise-identities here — the bootstrap noise lives in the EvalMod
-    multiplies the trace already spells out.  Repeat counts describe
-    parallel identical ops and do not compound per-value noise.
+    Noise: each op maps onto the :class:`NoiseCheckEvaluator` transfer
+    function of the call it lowers: ``HADD`` accumulates, ``PMULT`` /
+    ``PMADD`` a plaintext multiply (the fused op adds its accumulands
+    after), ``HMULT`` the cross-noise + key-switch product, rotations one
+    key switch, ``RESCALE`` the relative jitter; ``MOD_RAISE`` and
+    ``DS_ACCUM`` are identities (the bootstrap noise lives in the EvalMod
+    multiplies the trace spells out).  Repeat counts describe parallel
+    identical ops and do not compound noise.  A value no op defines (or
+    the operand of an op without one) enters as a fresh encryption.
     """
-    params = NoiseParams(
-        scale_bits=setting.normal_scale_bits,
-        boot_scale_bits=setting.boot_scale_bits,
-        word_bits=setting.word_bits,
-    )
+    params = NoiseParams(setting.normal_scale_bits, setting.boot_scale_bits, setting.word_bits)
     ev = NoiseCheckEvaluator(params, CheckReport("noise", trace.name))
-    env: dict[str, NoiseState] = {}
+    exprs: dict[str, int] = {}
+    states: dict[str, NoiseState] = {}
+    defs: dict[str, HeOp] = {}
+    step = check.step if check is not None and check.active else None
 
-    def get(value: str) -> NoiseState:
-        state = env.get(value)
-        if state is None:
-            state = ev.encrypt(mag=1.0)
-            env[value] = state
-        return state
-
-    for op in trace.ops:
-        operands = [get(s) for s in op.srcs]
+    for i, op in enumerate(trace.ops):
+        if step is not None:
+            step(i, op)
+        for src in op.srcs:
+            if src not in exprs:  # an external input, at its first use
+                exprs[src] = builder.leaf(src)
+                states[src] = ev.encrypt(mag=1.0)
+        nodes = tuple(map(exprs.__getitem__, op.srcs))
+        operands = list(map(states.__getitem__, op.srcs)) or [ev.encrypt(mag=1.0)]
         first = operands[0]
-        if op.kind is OpKind.HADD:
-            out = first
+        kind = op.kind
+        if kind is OpKind.HROT or kind is OpKind.CONJ:
+            node = builder.op(kind.value, op.key_id, op.count, nodes)
+            state = ev.rotate(first)
+        elif kind is OpKind.PMULT or kind is OpKind.PMADD:
+            mul = builder.op(OpKind.PMULT.value, op.key_id, op.count, nodes[:1])
+            passes = 1.0 if kind is OpKind.PMADD else 0.0
+            node = builder.acc(passes, (mul,) + nodes[1:])
+            state = ev.multiply_plain(first, pt_mag=1.0)
+            if kind is OpKind.PMADD:
+                for other in operands[1:]:
+                    state = ev.add(state, other)
+        elif kind is OpKind.HMULT:
+            node = builder.op(kind.value, op.key_id, op.count, nodes, commutative=True)
+            state = ev.multiply(first, operands[1] if len(operands) > 1 else first)
+        elif kind is OpKind.HADD:
+            node = builder.acc(op.count, nodes)
+            state = first
             for other in operands[1:]:
-                out = ev.add(out, other)
-        elif op.kind is OpKind.PMULT:
-            out = ev.multiply_plain(first, pt_mag=1.0)
-        elif op.kind is OpKind.PMADD:
-            out = ev.multiply_plain(first, pt_mag=1.0)
-            for other in operands[1:]:
-                out = ev.add(out, other)
-        elif op.kind is OpKind.HMULT:
-            out = ev.multiply(first, operands[1] if len(operands) > 1 else first)
-        elif op.kind in (OpKind.HROT, OpKind.CONJ):
-            out = ev.rotate(first)
-        elif op.kind is OpKind.RESCALE:
-            out = ev.rescale(first)
+                state = ev.add(state, other)
+        elif kind is OpKind.RESCALE:
+            node = nodes[0]
+            state = ev.rescale(first)
         else:  # MOD_RAISE / DS_ACCUM: noise-identities in this walk
-            out = first
-        if op.dst is not None:
-            env[op.dst] = out
-    return ev.summary().proven_floor_bits
+            node = builder.op(kind.value, op.key_id, op.count, nodes)
+            state = first
+        dst = op.dst
+        if dst is not None:
+            exprs[dst] = node
+            states[dst] = state
+            defs[dst] = op
+    return _TraceFacts(exprs, defs, ev.summary().proven_floor_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +271,8 @@ def _verify_dataflow(
         return  # SCH-COUNT already reported by the structural check
 
     capacity = sched.capacity_bytes
+    # Ciphertexts and keys in one map (a ciphertext id shadows a key id).
+    ranges = {**live.evk_ranges, **live.ranges}
     resident: dict[str, float] = {}
     dirty: set[str] = set()
     spilled: set[str] = set()
@@ -324,26 +303,25 @@ def _verify_dataflow(
                 )
                 continue
             occupancy -= size
-            if victim in dirty and live.range_of(victim).next_use(i) != INFINITY:
-                spilled.add(victim)
-                writeback_bytes += size
-                spill_bytes += size
-            dirty.discard(victim)
+            if victim in dirty:
+                dirty.discard(victim)
+                later = ranges[victim].uses
+                if later and later[-1] > i:  # used again
+                    spilled.add(victim)
+                    writeback_bytes += size
+                    spill_bytes += size
 
         # 2. Operand residency: every read must be a hit, a recorded
         # refill, or a legitimate stream (value wider than the whole
         # scratchpad).
         refills = list(event.fetched)
-        srcs = dict.fromkeys(op.srcs)
-        needed = [(src, live.ranges[src].size_bytes) for src in srcs]
+        srcs = op.unique_srcs
         key = None if op.key_id is None else f"evk:{op.key_id}"
-        if key is not None:
-            needed.append((key, live.evk_ranges[key].size_bytes))
-
-        for value, size in needed:
+        for value in srcs if key is None else (*srcs, key):
             if value in resident:
                 hits += 1
                 continue
+            size = ranges[value].size_bytes
             misses += 1
             fetch_bytes += size
             if value in streamed:
@@ -376,7 +354,7 @@ def _verify_dataflow(
         # 3. Define the result on-chip (or stream it, spilling).
         dst = op.dst
         if dst is not None:
-            dsize = live.ranges[dst].size_bytes
+            dsize = ranges[dst].size_bytes
             if dsize > capacity:
                 streamed.add(dst)
                 spilled.add(dst)
@@ -388,33 +366,32 @@ def _verify_dataflow(
                 dirty.add(dst)
 
         # 4. Retire values whose last use just passed (both policies do).
-        retire = [*srcs] + ([dst] if dst is not None else [])
-        for value in retire:
-            r = live.ranges.get(value)
-            if r is not None and r.last_use <= i and value in resident:
+        for value in srcs if dst is None else (*srcs, dst):
+            if value in resident and ranges[value].last_use <= i:
                 occupancy -= resident.pop(value)
                 dirty.discard(value)
-        if key is not None and live.evk_ranges[key].last_use <= i and key in resident:
+        if key is not None and key in resident and ranges[key].last_use <= i:
             occupancy -= resident.pop(key)
 
         # 5. The derived accounting must reproduce the recorded event.
-        checks: tuple[tuple[str, float, float], ...] = (
-            ("hits", float(hits), float(event.hits)),
-            ("misses", float(misses), float(event.misses)),
-            ("fetch_bytes", fetch_bytes, event.fetch_bytes),
-            ("writeback_bytes", writeback_bytes, event.writeback_bytes),
-            ("spill_bytes", spill_bytes, event.spill_bytes),
-            ("occupancy_bytes", occupancy, event.occupancy_bytes),
-            ("live_values", float(len(resident)), float(event.live_values)),
-        )
-        for label, derived, recorded in checks:
-            if abs(derived - recorded) > _BYTES_EPS:
-                report.error(
-                    "EQV-SPILL",
-                    f"{label} derived from the recorded decisions is "
-                    f"{derived:.1f} but the event claims {recorded:.1f}",
-                    op_index=i,
-                )
+        derived = (hits, misses, fetch_bytes, writeback_bytes, spill_bytes, occupancy)
+        recorded = (
+            event.hits, event.misses, event.fetch_bytes, event.writeback_bytes,
+            event.spill_bytes, event.occupancy_bytes,
+        )  # fmt: skip
+        if derived != recorded or len(resident) != event.live_values:
+            for label, mine, theirs in zip(
+                _ACCOUNTS,
+                (*map(float, derived), float(len(resident))),
+                (*map(float, recorded), float(event.live_values)),
+            ):
+                if abs(mine - theirs) > _BYTES_EPS:
+                    report.error(
+                        "EQV-SPILL",
+                        f"{label} derived from the recorded decisions is "
+                        f"{mine:.1f} but the event claims {theirs:.1f}",
+                        op_index=i,
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +416,18 @@ def _check(
     source: Trace, sched: ScheduledTrace, setting: WordLengthSetting
 ) -> tuple[CheckReport, tuple[float, float] | None, Signature | None]:
     """:func:`check_equivalence`'s report, the (source, scheduled) proven
-    floors if it passed, and the recorded signature: what a certificate binds."""
+    floors if it passed, and the recorded signature: what a certificate binds.
+    Each trace is walked once (:func:`_walk`, the scheduled one with the
+    trace verifier); the events get their own passes (:func:`check_events`,
+    then the dataflow)."""
     report = CheckReport("equiv", f"{source.name} -> {sched.name}")
-    schedule_report, live, signature = check_schedule(sched, setting)
-    report.merge(schedule_report)
-    if not source.annotated:
+    builder = _ExprBuilder()
+    src = _walk(source, setting, builder) if source.annotated else None
+    verifier = TraceWalk(sched.trace, setting)
+    new = _walk(sched.trace, setting, builder, verifier)
+    report.merge(verifier.finish())
+    live, signature = check_events(sched, setting, report)
+    if src is None:
         report.error(
             "TRC-UNANNOTATED",
             "source trace lacks SSA annotations; equivalence needs dataflow",
@@ -452,7 +436,7 @@ def _check(
     if source.ops and sched.trace.ops:
         if live is not None:
             _verify_dataflow(sched, live, report)
-        _check_values(source, sched.trace, report)
+        _check_values(source, sched.trace, src, new, report)
     elif source.ops or sched.trace.ops:  # fail closed: one side computes nothing
         report.error(
             "EQV-OUTPUT",
@@ -463,29 +447,30 @@ def _check(
         return report, None, signature
 
     # -- noise-envelope preservation ----------------------------------------
-    src_floor = _trace_noise_floor(source, setting)
-    new_floor = _trace_noise_floor(sched.trace, setting)
-    if new_floor < src_floor - FLOOR_TOLERANCE_BITS:
+    if new.floor < src.floor - FLOOR_TOLERANCE_BITS:
         report.error(
             "EQV-NOISE",
-            f"scheduled trace's proven floor ({new_floor:.2f} bits) "
-            f"is weaker than the source's ({src_floor:.2f} bits)",
+            f"scheduled trace's proven floor ({new.floor:.2f} bits) "
+            f"is weaker than the source's ({src.floor:.2f} bits)",
         )
-    return report, (src_floor, new_floor), signature
+    return report, (src.floor, new.floor), signature
 
 
-def _check_values(source: Trace, scheduled: Trace, report: CheckReport) -> None:
+def _check_values(
+    source: Trace,
+    scheduled: Trace,
+    src: _TraceFacts,
+    new: _TraceFacts,
+    report: CheckReport,
+) -> None:
     """Value-graph bisimulation and per-value level preservation."""
-    builder = _ExprBuilder()
-    src_exprs = _message_exprs(source, builder)
-    new_exprs = _message_exprs(scheduled, builder)
-    src_defined = {op.dst for op in source.ops if op.dst is not None}
     dag_clean = True
+    moved: list[tuple[int, str]] = []  # (op index, value) whose level moved
     for i, op in enumerate(scheduled.ops):
         dst = op.dst
-        if dst is None or dst not in src_defined:
+        if dst is None or dst not in src.defs:
             continue  # fusion-fresh intermediates match via their consumers
-        if new_exprs[dst] != src_exprs[dst]:
+        if new.exprs[dst] != src.exprs[dst]:
             dag_clean = False
             report.error(
                 "EQV-DAG",
@@ -494,10 +479,12 @@ def _check_values(source: Trace, scheduled: Trace, report: CheckReport) -> None:
                 op_index=i,
                 value=dst,
             )
+        if new.defs[dst].result_limbs != src.defs[dst].result_limbs:
+            moved.append((i, dst))
     src_out = source.ops[-1].dst
     new_out = scheduled.ops[-1].dst
     if src_out is not None and new_out is not None:
-        if src_exprs.get(src_out) != new_exprs.get(new_out):
+        if src.exprs.get(src_out) != new.exprs.get(new_out):
             if dag_clean:  # don't bury the root cause twice
                 report.error(
                     "EQV-OUTPUT",
@@ -508,21 +495,15 @@ def _check_values(source: Trace, scheduled: Trace, report: CheckReport) -> None:
                 )
 
     # -- symbolic level preservation ----------------------------------------
-    src_limbs = _value_limbs(source)
-    new_limbs = _value_limbs(scheduled)
-    for i, op in enumerate(scheduled.ops):
-        dst = op.dst
-        if dst is None or dst not in src_limbs or dst not in src_defined:
-            continue
-        if new_limbs[dst] != src_limbs[dst]:
-            report.error(
-                "EQV-LEVEL",
-                f"value lands at {new_limbs[dst]} limbs but the source "
-                f"program puts it at {src_limbs[dst]} — a fused rescale "
-                "changed the net drop",
-                op_index=i,
-                value=dst,
-            )
+    for i, dst in moved:
+        report.error(
+            "EQV-LEVEL",
+            f"value lands at {new.defs[dst].result_limbs} limbs but the source "
+            f"program puts it at {src.defs[dst].result_limbs} — a fused rescale "
+            "changed the net drop",
+            op_index=i,
+            value=dst,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,18 @@ from repro.check.diagnostics import CheckReport
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 from repro.sched.alloc import POLICIES, allocate, check_budget
-from repro.sched.events import Signature, signature
+from repro.sched.events import ScheduleEvent, Signature, decision, signature
 from repro.sched.liveness import Liveness, analyze_liveness
 from repro.sched.trace import ScheduledTrace
 
-__all__ = ["ChainRegion", "chain_regions", "check_schedule", "verify_trace", "verify_schedule"]
+__all__ = [
+    "ChainRegion", "TraceWalk", "chain_regions", "check_events", "replay_divergence",
+    "verify_schedule", "verify_trace",
+]  # fmt: skip
 
 # Occupancy comparisons tolerate float bookkeeping noise.
 _BYTES_EPS = 0.5
+_AMOUNTS = ("hits", "misses", "fetch_bytes", "writeback_bytes", "spill_bytes", "occupancy_bytes")
 
 
 @dataclass(frozen=True)
@@ -83,49 +87,51 @@ def _region_of(regions: tuple[ChainRegion, ...], limb_index: int) -> ChainRegion
 
 def verify_trace(trace: Trace, setting: WordLengthSetting) -> CheckReport:
     """Run the SSA + chain abstract interpreter over one trace."""
-    report = CheckReport("trace", trace.name)
-    if not trace.ops:
-        report.warning("TRC-EMPTY", "trace has no ops")
-        return report
-    if not trace.annotated:
-        report.error(
-            "TRC-UNANNOTATED",
-            "trace lacks SSA dst/srcs annotations on every op; "
-            "the verifier (and the scheduler) need full dataflow",
-        )
-        return report
+    walk = TraceWalk(trace, setting)
+    if walk.active:
+        for i, op in enumerate(trace.ops):
+            walk.step(i, op)
+    return walk.finish()
 
-    regions = chain_regions(setting)
-    max_level = setting.max_level
-    base_count = setting.base_prime_count
 
-    defs: dict[str, int] = {}  # value id -> defining op index
-    value_limbs: dict[str, int] = {}  # value id -> active limbs
-    externals: dict[str, int] = {}  # trace inputs -> first-use op index
-    used: set[str] = set()
+class TraceWalk:
+    """:func:`verify_trace`'s interpreter, fed one op at a time (to
+    :meth:`step`, while :attr:`active`), so a caller walking the trace for
+    facts of its own runs these rules in the same pass."""
 
-    for i, op in enumerate(trace.ops):
-        if op.dst is None:
-            continue
-        if op.dst in defs:
-            report.error(
-                "TRC-REDEF",
-                f"value defined twice (first at op {defs[op.dst]})",
-                op_index=i,
-                value=op.dst,
+    def __init__(self, trace: Trace, setting: WordLengthSetting) -> None:
+        self.report = CheckReport("trace", trace.name)
+        self.active = False
+        if not trace.ops:
+            self.report.warning("TRC-EMPTY", "trace has no ops")
+            return
+        if not trace.annotated:
+            self.report.error(
+                "TRC-UNANNOTATED",
+                "trace lacks SSA dst/srcs annotations on every op; "
+                "the verifier (and the scheduler) need full dataflow",
             )
-        else:
-            defs[op.dst] = i
+            return
+        self.active = True
+        self._last = len(trace.ops) - 1
+        self._regions = chain_regions(setting)
+        self._max_level = setting.max_level
+        self._base_count = setting.base_prime_count
+        # Double definitions lead the report, ahead of the op-ordered rest.
+        self._redefined = CheckReport("trace", trace.name)
+        self._defs: dict[str, int] = {}  # value id -> defining op index
+        self._value_limbs: dict[str, int] = {}  # value id -> active limbs
+        self._externals: dict[str, int] = {}  # trace inputs -> first-use op index
+        self._used: set[str] = set()
 
-    defs.clear()
+    def step(self, i: int, op: HeOp) -> None:
+        report, defs, value_limbs = self.report, self._defs, self._value_limbs
+        externals, max_level = self._externals, self._max_level
 
-    for i, op in enumerate(trace.ops):
         # -- SSA environment ------------------------------------------------
-        for src in dict.fromkeys(op.srcs):
-            used.add(src)
-            if src in defs:
-                continue
-            if src in externals:
+        for src in op.unique_srcs:
+            self._used.add(src)
+            if src in defs or src in externals:
                 continue
             if i == 0:
                 # Trace inputs enter through the first op's operands.
@@ -142,9 +148,7 @@ def verify_trace(trace: Trace, setting: WordLengthSetting) -> CheckReport:
 
         # -- chain position -------------------------------------------------
         if op.count <= 0:
-            report.error(
-                "TRC-COUNT", f"non-positive repeat count {op.count}", op_index=i
-            )
+            report.error("TRC-COUNT", f"non-positive repeat count {op.count}", op_index=i)
         if not 1 <= op.limbs <= max_level:
             report.error(
                 "TRC-LEVEL-RANGE",
@@ -188,35 +192,47 @@ def verify_trace(trace: Trace, setting: WordLengthSetting) -> CheckReport:
             if op.drop < 0:
                 report.error("TRC-RESCALE", f"negative drop {op.drop}", op_index=i)
             elif op.drop > 0:
-                _check_rescale(report, regions, base_count, i, op.limbs, op.drop)
+                _check_rescale(report, self._regions, self._base_count, i, op.limbs, op.drop)
 
-        if op.result_limbs < base_count and op.kind is not OpKind.MOD_RAISE:
+        if op.result_limbs < self._base_count and op.kind is not OpKind.MOD_RAISE:
             report.error(
                 "TRC-BASE",
                 f"result at {op.result_limbs} limbs dips below the "
-                f"never-rescaled base ({base_count})",
+                f"never-rescaled base ({self._base_count})",
                 op_index=i,
             )
 
-        if op.dst is not None and op.dst in externals:
-            report.error(
-                "TRC-REDEF", "op redefines a trace input", op_index=i, value=op.dst
-            )
-        if op.dst is not None and op.dst not in defs:
-            defs[op.dst] = i
-            value_limbs[op.dst] = op.result_limbs
-
-    # -- dead outputs -------------------------------------------------------
-    last = len(trace.ops) - 1
-    for dst, index in defs.items():
-        if dst not in used and index != last:
-            report.error(
-                "TRC-DEAD",
-                "op defines a value no later op consumes",
-                op_index=index,
+        dst = op.dst
+        if dst is None:
+            return
+        if dst in externals:
+            report.error("TRC-REDEF", "op redefines a trace input", op_index=i, value=dst)
+        if dst in defs:
+            self._redefined.error(
+                "TRC-REDEF",
+                f"value defined twice (first at op {defs[dst]})",
+                op_index=i,
                 value=dst,
             )
-    return report
+        else:
+            defs[dst] = i
+            value_limbs[dst] = op.result_limbs
+
+    def finish(self) -> CheckReport:
+        """The report, with the dead-output rule applied once every op is in."""
+        if not self.active:
+            return self.report
+        report = self._redefined
+        report.merge(self.report)
+        for dst, index in self._defs.items():
+            if dst not in self._used and index != self._last:
+                report.error(
+                    "TRC-DEAD",
+                    "op defines a value no later op consumes",
+                    op_index=index,
+                    value=dst,
+                )
+        return report
 
 
 def _check_rescale(
@@ -268,72 +284,61 @@ def _check_rescale(
 
 
 def verify_schedule(sched: ScheduledTrace, setting: WordLengthSetting) -> CheckReport:
-    """Verify a recorded schedule: structure, liveness, feasibility, replay.
-
-    Values are sized by the live ranges the trace defines (keys as the
-    schedule declares); a trace that defines none is rejected
-    (``SCH-LIVENESS``).  The replay check is the strong one — it re-runs
-    the allocator under the declared policy, capacity and key sizing and
-    demands the identical decision signature, so any
-    tampered or stale event is caught even when it looks locally
-    plausible.
-    """
-    return check_schedule(sched, setting)[0]
-
-
-def check_schedule(
-    sched: ScheduledTrace, setting: WordLengthSetting
-) -> tuple[CheckReport, Liveness | None, Signature | None]:
-    """:func:`verify_schedule`'s report, the derived liveness (None if the
-    trace has none) and the recorded signature, for callers that go on."""
+    """Verify a recorded schedule: the trace's own rules, then its events'
+    (:func:`check_events`)."""
     report = CheckReport("schedule", sched.name)
     report.merge(verify_trace(sched.trace, setting))
-    rejected = (report, None, None)
+    check_events(sched, setting, report)
+    return report
 
+
+def check_events(
+    sched: ScheduledTrace, setting: WordLengthSetting, report: CheckReport
+) -> tuple[Liveness | None, Signature | None]:
+    """A schedule's event rules, into ``report``: structure, liveness,
+    feasibility, replay.  Values are sized by the live ranges the trace
+    defines (keys as the schedule declares); a trace that defines none
+    is rejected (``SCH-LIVENESS``).  The replay check is the strong one
+    — it re-runs the allocator under the declared policy, capacity and
+    key sizing and demands the identical decision signature, so any
+    tampered or stale event is caught even when it looks locally
+    plausible.  Returns the derived liveness (None if the trace has
+    none) and the recorded signature, for callers that go on."""
     capacity = sched.capacity_bytes
     try:
         check_budget(capacity, sched.policy)
     except ValueError as exc:
         code = "SCH-POLICY" if sched.policy not in POLICIES else "SCH-CAPACITY"
         report.error(code, str(exc))
-        return rejected
+        return None, None
     ops = sched.trace.ops
     if len(sched.events) != len(ops):
-        report.error(
-            "SCH-COUNT",
-            f"{len(sched.events)} events recorded for {len(ops)} ops",
-        )
-        return rejected
+        report.error("SCH-COUNT", f"{len(sched.events)} events recorded for {len(ops)} ops")
+        return None, None
     try:
         live = analyze_liveness(sched.trace, setting, prng_evk=sched.prng_evk)
     except ValueError as exc:  # fail closed: nothing below can run without it
         report.error("SCH-LIVENESS", f"trace defines no live ranges: {exc}")
-        return rejected
+        return None, None
 
     for i, (op, event) in enumerate(zip(ops, sched.events)):
         if event.index != i:
-            report.error(
-                "SCH-INDEX", f"event carries index {event.index}", op_index=i
-            )
+            report.error("SCH-INDEX", f"event carries index {event.index}", op_index=i)
         if event.kind is not op.kind:
             report.error(
                 "SCH-KIND",
                 f"event kind {event.kind.value} but op is {op.kind.value}",
                 op_index=i,
             )
-        for label, amount in (
-            ("hits", float(event.hits)),
-            ("misses", float(event.misses)),
-            ("fetch_bytes", event.fetch_bytes),
-            ("writeback_bytes", event.writeback_bytes),
-            ("spill_bytes", event.spill_bytes),
-            ("occupancy_bytes", event.occupancy_bytes),
-        ):
-            if not math.isfinite(amount) or amount < 0:
-                report.error(
-                    "SCH-NEG", f"{label} is {amount!r}", op_index=i
-                )
-        operands = len(dict.fromkeys(op.srcs)) + (1 if op.key_id is not None else 0)
+        amounts = (
+            float(event.hits), float(event.misses), event.fetch_bytes,
+            event.writeback_bytes, event.spill_bytes, event.occupancy_bytes,
+        )  # fmt: skip
+        if min(amounts) < 0 or not math.isfinite(sum(amounts)):  # else all are fine
+            for label, amount in zip(_AMOUNTS, amounts):
+                if not math.isfinite(amount) or amount < 0:
+                    report.error("SCH-NEG", f"{label} is {amount!r}", op_index=i)
+        operands = len(op.unique_srcs) + (1 if op.key_id is not None else 0)
         if event.hits + event.misses != operands:
             report.error(
                 "SCH-OPERANDS",
@@ -356,36 +361,37 @@ def check_schedule(
 
     recorded = signature(sched.events)
     if report.ok:
-        replayed = signature(allocate(sched.trace, live, capacity, sched.policy))
-        if recorded != replayed:
-            index = _first_divergence(recorded, replayed)
+        replayed = allocate(sched.trace, live, capacity, sched.policy)
+        index = replay_divergence(recorded, replayed)
+        if index is not None:
             report.error(
                 "SCH-REPLAY",
                 "recorded schedule does not replay deterministically "
                 "under its declared policy and capacity",
                 op_index=index,
             )
-    return report, live, recorded
+    return live, recorded
+
+
+def replay_divergence(recorded: Signature, replayed: list[ScheduleEvent]) -> int | None:
+    """Index of the first replayed event whose signature entry differs
+    from the recorded one (the shorter length if one runs out first), or
+    None; no replayed signature is built past the first difference."""
+    for i, (entry, event) in enumerate(zip(recorded, replayed)):
+        if entry != decision(event):
+            return i
+    if len(recorded) != len(replayed):
+        return min(len(recorded), len(replayed))
+    return None
 
 
 def _pinned_bytes(op: HeOp, live: Liveness) -> float:
     """Bytes one op pins at once: unique srcs + evk + dst."""
     total = 0.0
-    for src in dict.fromkeys(op.srcs):
+    for src in op.unique_srcs:
         total += live.ranges[src].size_bytes
     if op.key_id is not None:
         total += live.evk_ranges[f"evk:{op.key_id}"].size_bytes
     if op.dst is not None and op.dst not in op.srcs:
         total += live.ranges[op.dst].size_bytes
     return total
-
-
-def _first_divergence(
-    a: tuple[tuple[object, ...], ...], b: tuple[tuple[object, ...], ...]
-) -> int | None:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    if len(a) != len(b):
-        return min(len(a), len(b))
-    return None

@@ -17,10 +17,14 @@ traffic from the schedule, so it needs them too.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
-__all__ = ["OpKind", "HeOp", "Trace"]
+__all__ = ["OpKind", "HeOp", "Trace", "json_text"]
 
 
 class OpKind(Enum):
@@ -46,15 +50,42 @@ class HeOp:
     count: float = 1.0  # repeat factor (identical ops fused in traces)
     dst: str | None = None  # SSA value id this op defines
     srcs: tuple[str, ...] = ()  # SSA value ids this op consumes
+    # ``srcs`` without repeats, in order — the values the op reads, derived once.
+    unique_srcs: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def annotated(self) -> bool:
-        return self.dst is not None
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "unique_srcs", tuple(dict.fromkeys(self.srcs)))
 
     @property
     def result_limbs(self) -> int:
         """Active limbs of the value this op defines (post-rescale)."""
         return self.limbs - self.drop
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """The op's fields as ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
+        writes them, for :func:`repro.sched.trace.trace_digest`; built once
+        per op object, which a fused schedule mostly shares with its source."""
+        return (
+            f'{{"count":{json_text(self.count)},"drop":{json_text(self.drop)},'
+            f'"dst":{json_text(self.dst)},"key_id":{json_text(self.key_id)},'
+            f'"kind":{json_text(self.kind.value)},"limbs":{json_text(self.limbs)},'
+            f'"srcs":[{",".join(map(json_text, self.srcs))}]}}'
+        )
+
+
+def json_text(value: object) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+    the scalar types a trace holds written without the encoder call."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -74,4 +105,4 @@ class Trace:
     def annotated(self) -> bool:
         """True when every op carries SSA dataflow annotations (an
         empty trace has none to miss)."""
-        return all(op.annotated for op in self.ops)
+        return all(op.dst is not None for op in self.ops)

@@ -29,7 +29,7 @@ import math
 
 from repro.hw.isa import Trace
 from repro.sched.events import ScheduleEvent
-from repro.sched.liveness import INFINITY, Liveness
+from repro.sched.liveness import Liveness
 
 __all__ = ["POLICIES", "allocate", "check_budget"]
 
@@ -60,114 +60,98 @@ def allocate(
     """
     check_budget(capacity_bytes, policy)
     capacity = float(capacity_bytes)
+    belady = policy == "belady"
     events: list[ScheduleEvent] = []
+
+    # Ciphertexts and keys in one map (a ciphertext id shadows a key id).
+    ranges = {**live.evk_ranges, **live.ranges}
 
     resident: dict[str, float] = {}  # value id -> bytes
     dirty: set[str] = set()  # produced on-chip, not yet written back
     spilled: set[str] = set()  # evicted dirty; re-fetch is spill traffic
     streamed: set[str] = set()  # larger than the whole scratchpad
+    # Eviction score, set at each touch: Belady's next use (an untouched
+    # resident is unused in between, so it stays its next use; inf for
+    # none) or LRU's negated recency.  Highest goes first; ties on the id.
+    score: dict[str, float] = {}
     clock = 0
-    last_touch: dict[str, int] = {}
     occupancy = 0.0
 
-    def touch(value: str) -> None:
-        nonlocal clock
-        clock += 1
-        last_touch[value] = clock
-
-    def victim_order(value: str, index: int) -> tuple[float, str]:
-        if policy == "belady":
-            # Farthest future use goes first; dead-end values
-            # (inf) beat everything.  Ties break on the id so the
-            # schedule is deterministic.
-            return (live.range_of(value).next_use(index), value)
-        # LRU: negate recency so the least recent ranks highest.
-        return (float(-last_touch[value]), value)
-
     def evict_for(
-        size: float, index: int, pinned: set[str], ev: ScheduleEvent
+        need: float, index: int, pinned: set[str], ev: ScheduleEvent
     ) -> None:
+        """Evict until ``need`` more bytes fit (called when they do not)."""
         nonlocal occupancy
-        if occupancy + size <= capacity:
-            return
-        # Evicting moves no score, so residents are ranked once per
-        # call; if they run out, the op's working set overflows.
-        unpinned = (v for v in resident if v not in pinned)
-        for victim in sorted(
-            unpinned, key=lambda v: victim_order(v, index), reverse=True
-        ):
-            if occupancy + size <= capacity:
+        # Evicting moves no score, so residents are ranked once per call;
+        # if they run out, the op's working set overflows.
+        ranked = [(score[v], v) for v in resident if v not in pinned]
+        ranked.sort(reverse=True)
+        for _, victim in ranked:
+            if occupancy + need <= capacity:
                 break
             vsize = resident.pop(victim)
             occupancy -= vsize
             ev.evictions.append(victim)
-            if victim in dirty and live.range_of(victim).next_use(index) != INFINITY:
+            if victim in dirty:
                 dirty.discard(victim)
-                spilled.add(victim)
-                ev.writeback_bytes += vsize
-                ev.spill_bytes += vsize
-            else:
-                dirty.discard(victim)
-
-    def bring_in(
-        value: str, size: float, index: int, pinned: set[str], ev: ScheduleEvent
-    ) -> None:
-        nonlocal occupancy
-        ev.misses += 1
-        ev.fetch_bytes += size
-        ev.fetched.append(value)
-        if value in spilled:
-            ev.spill_bytes += size  # re-fetch of spilled data
-        if size > capacity:
-            streamed.add(value)  # stream through, never resident
-            return
-        evict_for(size, index, pinned, ev)
-        resident[value] = size
-        occupancy += size
+                later = ranges[victim].uses
+                if later and later[-1] > index:  # used again: write it back
+                    spilled.add(victim)
+                    ev.writeback_bytes += vsize
+                    ev.spill_bytes += vsize
 
     for i, op in enumerate(trace.ops):
         dst = op.dst
         if dst is None:  # pragma: no cover - liveness demands annotations
             raise ValueError(f"op {i} of {trace.name!r} lacks a dst value")
         ev = ScheduleEvent(i, op.kind)
-        srcs = dict.fromkeys(op.srcs)
-        needed = [(src, live.ranges[src].size_bytes) for src in srcs]
+        srcs = op.unique_srcs
         key = None if op.key_id is None else f"evk:{op.key_id}"
-        if key is not None:
-            needed.append((key, live.evk_ranges[key].size_bytes))
-        pinned = {v for v, _ in needed} | {dst}
+        needed = srcs if key is None else (*srcs, key)
+        pinned = {*needed, dst}
 
-        for value, size in needed:
-            touch(value)
+        for value in needed:
+            score[value] = ranges[value].next_use(i) if belady else -(clock := clock + 1)
             if value in resident:
                 ev.hits += 1
-            elif value in streamed:
-                ev.misses += 1
-                ev.fetch_bytes += size  # re-streamed every use
-            else:
-                bring_in(value, size, i, pinned, ev)
+                continue
+            vsize = ranges[value].size_bytes
+            ev.misses += 1
+            ev.fetch_bytes += vsize
+            if value in streamed:
+                continue  # re-streamed every use
+            ev.fetched.append(value)
+            if value in spilled:
+                ev.spill_bytes += vsize  # re-fetch of spilled data
+            if vsize > capacity:
+                streamed.add(value)  # stream through, never resident
+                continue
+            if occupancy + vsize > capacity:
+                evict_for(vsize, i, pinned, ev)
+            resident[value] = vsize
+            occupancy += vsize
 
         # Define the result on-chip (dirty until written back).
-        dsize = live.ranges[dst].size_bytes
-        touch(dst)
+        dsize = ranges[dst].size_bytes
+        score[dst] = ranges[dst].next_use(i) if belady else -(clock := clock + 1)
         if dsize > capacity:
             streamed.add(dst)
             ev.writeback_bytes += dsize  # can only live off-chip
             ev.spill_bytes += dsize
             spilled.add(dst)
         else:
-            evict_for(dsize, i, pinned, ev)
+            if occupancy + dsize > capacity:
+                evict_for(dsize, i, pinned, ev)
             resident[dst] = dsize
             occupancy += dsize
             dirty.add(dst)
 
         # Retire dead values: anything whose last use just passed.
-        for value in [*srcs, dst]:
-            r = live.ranges.get(value)
-            if r is not None and r.last_use <= i and value in resident:
+        for value in (*srcs, dst):
+            if value in resident and ranges[value].last_use <= i:
                 occupancy -= resident.pop(value)
                 dirty.discard(value)
-        if key is not None and live.evk_ranges[key].last_use <= i and key in resident:
+        if key is not None and key in resident and ranges[key].last_use <= i:
             occupancy -= resident.pop(key)
 
         ev.occupancy_bytes = occupancy

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 from repro.hw.isa import OpKind
 
-__all__ = ["ScheduleEvent", "Signature", "signature"]
+__all__ = ["Decision", "ScheduleEvent", "Signature", "decision", "signature"]
 
 # One entry per event: every decision, byte counts rounded to 1e-3.
-Signature = tuple[
-    tuple[int, str, int, int, float, float, tuple[str, ...], tuple[str, ...], float], ...
-]
+Decision = tuple[int, str, int, int, float, float, tuple[str, ...], tuple[str, ...], float]
+Signature = tuple[Decision, ...]
 
 
 @dataclass
@@ -49,17 +48,24 @@ class ScheduleEvent:
 
 def signature(events: list[ScheduleEvent]) -> Signature:
     """Hashable digest of every decision — for determinism checks."""
-    return tuple(
-        (
-            e.index,
-            e.kind.value,
-            e.hits,
-            e.misses,
-            round(e.fetch_bytes, 3),
-            round(e.writeback_bytes, 3),
-            tuple(e.evictions),
-            tuple(e.fetched),
-            round(e.occupancy_bytes, 3),
-        )
-        for e in events
+    return tuple(map(decision, events))
+
+
+def decision(e: ScheduleEvent) -> Decision:
+    """One event's signature entry: its decisions, byte counts rounded to
+    1e-3 (an integral float already is, so it skips ``round``)."""
+    return (
+        e.index,
+        e.kind.value,
+        e.hits,
+        e.misses,
+        _rounded(e.fetch_bytes),
+        _rounded(e.writeback_bytes),
+        tuple(e.evictions),
+        tuple(e.fetched),
+        _rounded(e.occupancy_bytes),
     )
+
+
+def _rounded(amount: float) -> float:
+    return amount if type(amount) is float and amount.is_integer() else round(amount, 3)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cache
 
 from repro.hw.isa import Trace
 from repro.params.presets import WordLengthSetting
@@ -52,9 +53,6 @@ class Liveness:
         self.ranges = ranges  # ciphertext values
         self.evk_ranges = evk_ranges  # evaluation keys (one per key_id)
 
-    def range_of(self, value: str) -> LiveRange:
-        return self.ranges.get(value) or self.evk_ranges[value]
-
 
 def analyze_liveness(
     trace: Trace, setting: WordLengthSetting, prng_evk: bool = True
@@ -78,16 +76,17 @@ def analyze_liveness(
     uses: dict[str, list[int]] = {}
     evk_uses: dict[str, list[int]] = {}
     evk_limbs: dict[str, int] = {}
+    ciphertext_bytes = cache(setting.ciphertext_bytes)  # a few limb counts
 
     for i, op in enumerate(trace.ops):
-        for src in op.srcs:
+        for src in op.unique_srcs:
             if src not in defs:
                 # External input: live from the start, sized at the
                 # limb count of its first consumer.
                 defs[src] = -1
-                sizes[src] = setting.ciphertext_bytes(op.limbs)
-            uses.setdefault(src, [])
-            if not uses[src] or uses[src][-1] != i:
+                sizes[src] = ciphertext_bytes(op.limbs)
+                uses[src] = [i]
+            else:
                 uses[src].append(i)
         if op.dst is None:  # pragma: no cover - guarded by trace.annotated
             raise ValueError(f"op {i} of {trace.name!r} lacks a dst value")
@@ -96,13 +95,11 @@ def analyze_liveness(
                 f"value {op.dst!r} redefined at op {i} of {trace.name!r}"
             )
         defs[op.dst] = i
-        sizes[op.dst] = setting.ciphertext_bytes(op.result_limbs)
-        uses.setdefault(op.dst, [])
+        sizes[op.dst] = ciphertext_bytes(op.result_limbs)
+        uses[op.dst] = []
         if op.key_id is not None:
             key = f"evk:{op.key_id}"
-            evk_uses.setdefault(key, [])
-            if not evk_uses[key] or evk_uses[key][-1] != i:
-                evk_uses[key].append(i)
+            evk_uses.setdefault(key, []).append(i)
             evk_limbs[key] = max(evk_limbs.get(key, 0), op.limbs)
 
     ranges = {

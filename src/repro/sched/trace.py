@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from repro.hw.isa import HeOp, Trace
+from repro.hw.isa import HeOp, Trace, json_text
 from repro.params.presets import WordLengthSetting
 from repro.sched.alloc import allocate, check_budget
 from repro.sched.events import ScheduleEvent, Signature, signature
@@ -26,28 +26,15 @@ __all__ = ["ScheduledTrace", "schedule_digest", "schedule_trace", "trace_digest"
 def trace_digest(trace: Trace) -> str:
     """Content digest of a trace: name, normalize, and every op field.
 
-    The canonical form is JSON with sorted keys, so the digest is
-    stable across processes and Python versions; two traces share a
-    digest iff they are op-for-op identical.  Equivalence certificates
-    (:mod:`repro.check.equiv`) bind to this.
+    The canonical form is what ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` writes for ``{"name", "normalize", "ops":
+    [op, ...]}``, assembled key by key (each op's object is
+    :attr:`HeOp.canonical_json`); two traces share a digest iff they are
+    op-for-op identical.  Certificates bind to it, so its bytes are pinned.
     """
-    payload = {
-        "name": trace.name,
-        "normalize": trace.normalize,
-        "ops": [
-            {
-                "kind": op.kind.value,
-                "limbs": op.limbs,
-                "drop": op.drop,
-                "key_id": op.key_id,
-                "count": op.count,
-                "dst": op.dst,
-                "srcs": list(op.srcs),
-            }
-            for op in trace.ops
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    ops = ",".join(op.canonical_json for op in trace.ops)
+    name, normalize = json_text(trace.name), json_text(trace.normalize)
+    blob = f'{{"name":{name},"normalize":{normalize},"ops":[{ops}]}}'
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -102,14 +89,14 @@ class ScheduledTrace:
 
 
 def schedule_digest(sched: ScheduledTrace, decisions: Signature) -> str:
-    """:meth:`ScheduledTrace.digest`, given the signature of its events."""
-    payload = {
-        "trace": trace_digest(sched.trace),
-        "policy": sched.policy,
-        "capacity_bytes": sched.capacity_bytes,
-        "events": decisions,  # JSON writes tuples as arrays
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """:meth:`ScheduledTrace.digest`, given the signature of its events:
+    the canonical JSON of ``{"capacity_bytes", "events": decisions,
+    "policy", "trace": trace_digest(sched.trace)}``, keys sorted."""
+    events = json.dumps(decisions, separators=(",", ":"))  # tuples as arrays
+    blob = (
+        f'{{"capacity_bytes":{json_text(sched.capacity_bytes)},"events":{events},'
+        f'"policy":{json_text(sched.policy)},"trace":{json_text(trace_digest(sched.trace))}}}'
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -128,9 +128,11 @@ class EvalProgram:
     ops: tuple[ProgramOp, ...]
     input: str = "in"
     output: str = "out"
+    _digest: str = field(init=False, repr=False, compare=False)  # a served job reads it 5x
 
     def __post_init__(self) -> None:
         self.validate()
+        object.__setattr__(self, "_digest", hashlib.sha256(self.to_json().encode()).hexdigest())
 
     # -- structure -----------------------------------------------------------
 
@@ -214,7 +216,7 @@ class EvalProgram:
 
     def digest(self) -> str:
         """Content address (sha256 of the canonical JSON form)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return self._digest
 
     # -- the fold ----------------------------------------------------------------
 

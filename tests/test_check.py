@@ -25,15 +25,18 @@ from repro.check import (
     verify_schedule,
     verify_trace,
 )
+from repro.check import trace_check
 from repro.check.bounds import prove_variable_product
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator
 from repro.check.cli import PASSES
 from repro.check.diagnostics import CheckReport, Diagnostic, Severity
+from repro.check.trace_check import replay_divergence
 from repro.core.config import sharp_config
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import build_sharp_setting
 from repro.rns import kernels
 from repro.sched import allocate, analyze_liveness, fuse_trace, schedule_trace
+from repro.sched.events import signature
 from repro.sched.liveness import Liveness
 from repro.workloads.traces import evaluation_traces, helr_trace
 
@@ -284,6 +287,50 @@ class TestTraceDiagnostics:
         report.error("E-NOW", "an error")
         assert not report.ok and report.error_codes() == {"E-NOW"}
 
+
+
+class TestReplay:
+    """The replay compares each replayed event with the recorded
+    signature field by field and reports the first that differs."""
+
+    @pytest.fixture(scope="class")
+    def helr256(self, setting):
+        trace = evaluation_traces(setting)["helr256"]
+        return schedule_trace(trace, setting, sharp_config().onchip_capacity_bytes, fuse=True)
+
+    @pytest.mark.parametrize("field", ["fetch_bytes", "writeback_bytes", "evictions"])
+    @pytest.mark.parametrize("where", [0, 0.5, 1], ids=["first", "middle", "last"])
+    def test_tampered_event_is_reported_at_its_index(self, setting, helr256, field, where):
+        k = round(where * (len(helr256.events) - 1))
+        event = helr256.events[k]
+        if field == "evictions":
+            tampered = replace(event, evictions=[*event.evictions, "phantom"])
+        else:
+            tampered = replace(event, **{field: getattr(event, field) + 1.0})
+        events = [*helr256.events]
+        events[k] = tampered
+        report = verify_schedule(replace(helr256, events=events), setting)
+        assert [(d.code, d.op_index) for d in report.errors] == [("SCH-REPLAY", k)]
+
+    def test_bytes_compare_at_the_signature_rounding(self, setting, helr256):
+        """A drift below the signature's 1e-3 rounding is not a difference."""
+        events = [*helr256.events]
+        events[1] = replace(events[1], fetch_bytes=events[1].fetch_bytes + 1e-4)
+        assert verify_schedule(replace(helr256, events=events), setting).ok
+
+    def test_truncated_replay_is_reported_at_the_shorter_length(
+        self, setting, helr256, monkeypatch
+    ):
+        recorded = signature(helr256.events)
+        n = len(recorded) // 2
+        assert replay_divergence(recorded, helr256.events) is None
+        assert replay_divergence(recorded, helr256.events[:n]) == n
+        assert replay_divergence(recorded[:n], helr256.events) == n
+        # ... and through the verifier, when the allocator comes up short.
+        replay = trace_check.allocate
+        monkeypatch.setattr(trace_check, "allocate", lambda *args: replay(*args)[:n])
+        report = verify_schedule(helr256, setting)
+        assert [(d.code, d.op_index) for d in report.errors] == [("SCH-REPLAY", n)]
 
 class TestCkksDiagnostics:
     def params(self, depth=4):

@@ -9,6 +9,8 @@ random serve programs (fuse + schedule always certifies; a perturbed
 schedule never does).
 """
 
+import hashlib
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -27,7 +29,7 @@ from repro.check import (
     verify_certificate,
 )
 from repro.core.config import sharp_config
-from repro.hw.isa import OpKind, Trace
+from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import build_sharp_setting
 from repro.sched import (
     CertificateError,
@@ -35,7 +37,7 @@ from repro.sched import (
     schedule_trace,
     trace_digest,
 )
-from repro.sched.trace import ScheduledTrace
+from repro.sched.trace import ScheduledTrace, schedule_digest
 from repro.check.admission import fold_body
 from repro.serve.program import EvalProgram, ProgramBuilder, ProgramOp
 from repro.workloads.traces import evaluation_traces
@@ -191,6 +193,86 @@ class TestPerturbations:
 # ---------------------------------------------------------------------------
 
 
+# The evaluation traces' digests at 36 bits, per rescale mode.
+TRACE_DIGESTS = {
+    False: {
+        "bootstrap": "12852de9c7f3d42603080f70b0ed5ef73387fb7dd5974bc959e011c202183db6",
+        "helr256": "1df3a59509c20750fb8e0b9f0ab51b69ca811bb248e93e3971854a7db6abe3ef",
+        "helr1024": "ff0c67bc786e86c203f5c5793f689075c7be6b45d806d46355d0e3ccda43fe2b",
+        "resnet20": "49efa68d056d4001ae7a56280d76138db7d90f5a2603bdef6517d8325820b8be",
+        "sorting": "d8646de0f43ad985e87192244a06598c30529ddae8f9c8758627b5663afcaa65",
+    },
+    True: {
+        "bootstrap": "cb906e1336e3b62e97e6aa7863cae999a6b5353e06b4f8f7616496b47c41e81f",
+        "helr256": "0dcc14feaad26db35429bfee8b6348dbd726ec44c4d1f8fcbcaccde3514f7805",
+        "helr1024": "b901b539b70052d4cb2afcbb71eab2f15b0e224d064c75bc632138a5f80f8878",
+        "resnet20": "c2afeebd9cd3fc5d4f8ca192d79b366aaa21f35924ccd2707ca6ea3500bb2f8e",
+        "sorting": "13322bf5b8c46c5f0c586dabb7b15ff4a15594d5fbd9ee9749df710483fe7418",
+    },
+}
+
+
+def _sha256_json(payload: object) -> str:
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def reference_trace_digest(trace: Trace) -> str:
+    """The canonical form as ``json.dumps`` writes it."""
+    ops = [
+        {
+            "kind": op.kind.value,
+            "limbs": op.limbs,
+            "drop": op.drop,
+            "key_id": op.key_id,
+            "count": op.count,
+            "dst": op.dst,
+            "srcs": list(op.srcs),
+        }
+        for op in trace.ops
+    ]
+    return _sha256_json({"name": trace.name, "normalize": trace.normalize, "ops": ops})
+
+
+def reference_schedule_digest(sched: ScheduledTrace) -> str:
+    return _sha256_json(
+        {
+            "trace": reference_trace_digest(sched.trace),
+            "policy": sched.policy,
+            "capacity_bytes": sched.capacity_bytes,
+            "events": [],
+        }
+    )
+
+
+# Ids that need escaping (quote, backslash, control and non-ASCII
+# characters) beside plain ones.
+value_ids = st.one_of(
+    st.sampled_from(["x", '"', "\\", 'a"b\\c', "é", "\u2028", "\n", "日本"]),
+    st.text(max_size=6),
+)
+counts = st.one_of(
+    st.integers(-3, 1 << 70), st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def canonical_traces(draw) -> Trace:
+    ops = [
+        HeOp(
+            draw(st.sampled_from(list(OpKind))),
+            draw(st.integers(-2, 70)),
+            drop=draw(st.integers(-1, 3)),
+            key_id=draw(st.none() | value_ids),
+            count=draw(counts),
+            dst=draw(st.none() | value_ids),
+            srcs=tuple(draw(st.lists(value_ids, max_size=3))),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return Trace(draw(value_ids), ops, normalize=draw(counts))
+
+
 class TestCertificate:
     def test_transplanted_certificate_is_refused(self, setting, capacity):
         traces = evaluation_traces(setting)
@@ -221,6 +303,21 @@ class TestCertificate:
         trace = evaluation_traces(setting)["helr256"]
         sched = schedule_trace(trace, setting, capacity, policy=policy, fuse=True)
         assert certify_schedule(trace, sched, setting).schedule_digest == digest
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["folded", "explicit"])
+    def test_trace_digests_are_pinned(self, setting, explicit):
+        """The 36-bit evaluation traces digest to these exact bytes (read
+        when the canonical form was built by ``json.dumps``)."""
+        traces = evaluation_traces(setting, explicit_rescale=explicit)
+        assert {name: trace_digest(t) for name, t in traces.items()} == TRACE_DIGESTS[explicit]
+
+    @settings(max_examples=60, deadline=None)
+    @given(trace=canonical_traces(), capacity=counts, policy=value_ids)
+    def test_canonical_form_is_json_dumps(self, trace, capacity, policy):
+        """The hand-built canonical bytes are ``json.dumps(sort_keys=True)``'s."""
+        assert trace_digest(trace) == reference_trace_digest(trace)
+        sched = ScheduledTrace(trace, policy, capacity, True, [])
+        assert schedule_digest(sched, ()) == reference_schedule_digest(sched)
 
     def test_empty_side_never_certifies(self, setting, capacity):
         """A schedule with no ops does not stand in for a program, nor

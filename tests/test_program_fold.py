@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 from types import SimpleNamespace
 
@@ -141,6 +142,20 @@ def test_serve_mix_programs_record_their_rows():
         ("HADD", 3, 0, None),
     ]
     assert admit_program(poly, FOLD).trace.name == f"serve_poly_36b_{poly.digest()}"
+
+
+def test_program_digest_is_derived_once(monkeypatch):
+    """A served job reads its program's digest at admission, batching,
+    trace naming, the certificate cache and the gate: it is taken once,
+    when the program is built, and never re-serialised."""
+    b = ProgramBuilder("poly")
+    poly = b.build(b.add_matched(b.multiply_scalar(b.square(b.input), 0.5), b.input))
+    assert poly.digest() == hashlib.sha256(poly.to_json().encode("utf-8")).hexdigest()
+    serialised = []
+    monkeypatch.setattr(EvalProgram, "to_json", lambda self: serialised.append(self))
+    digest = poly.digest()
+    assert admit_program(poly, FOLD).trace.name.endswith(digest)
+    assert poly.digest() == digest and serialised == []
 
 
 @st.composite

@@ -117,6 +117,17 @@ class TestAdmissionTable:
         assert not verdict.admitted
         assert "NOISE-FLOOR" in verdict.error_codes
 
+    def test_one_product_fold_per_admission(self, monkeypatch):
+        """Spare levels are read off the level rule alone, so the product
+        fold runs once, at the trimmed level."""
+        folds = []
+        init = ProductFold.__init__
+        monkeypatch.setattr(
+            ProductFold, "__init__", lambda self, *args: folds.append(init(self, *args))
+        )
+        verdict = self._admit(_well_formed())
+        assert verdict.admitted and verdict.spare_levels == 1 and len(folds) == 1
+
     def test_verdict_is_machine_readable(self):
         verdict = self._admit(_scale_mismatch())
         payload = verdict.to_dict()
