@@ -97,9 +97,11 @@ def power_ratio_64_to_28() -> float:
     )
 
 
-def scaling_table(word_lengths=(28, 32, 36, 40, 44, 48, 52, 56, 60, 64)):
+def scaling_table(
+    word_lengths: tuple[int, ...] = (28, 32, 36, 40, 44, 48, 52, 56, 60, 64),
+) -> list[dict[str, float]]:
     """Fig. 2(a) data: per-kind area and power across word lengths."""
-    rows = []
+    rows: list[dict[str, float]] = []
     for w in word_lengths:
         rows.append(
             {

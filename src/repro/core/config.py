@@ -50,7 +50,6 @@ class AcceleratorConfig:
     two_d_bconv: bool = True
     ewe: bool = True
     prng_evk: bool = True
-    dsu: bool = True
 
     @property
     def total_lanes(self) -> int:

@@ -19,7 +19,7 @@ Request lifecycle (the load-bearing design point is step 3):
    batch-mates too;
 4. **batch** — admitted jobs wait in the batch window.  A connection
    has one job in flight, so the window closes at the first of:
-   ``max_batch`` jobs or a ring's worth of lanes (``full``), every live
+   ``MAX_BATCH`` jobs or a ring's worth of lanes (``full``), every live
    session already in it (``drained``), ``batch_window`` seconds
    (``deadline``); :func:`repro.serve.batching.plan_batches` then packs
    jobs sharing a ``(word_bits, program digest)`` batch key at their
@@ -74,6 +74,8 @@ _log = logging.getLogger("repro.serve.server")
 # A long-lived server's memory must not grow with the number of jobs or
 # of distinct programs it has seen.
 CERTIFICATE_CACHE_SIZE = 64  # certified schedules kept, least recently used out
+MAX_BATCH = 16  # jobs packed into one batch at most
+MIN_FLOOR_BITS = 1.0  # admission refuses a program whose proven floor is lower
 METRIC_WINDOW = 4096  # most recent samples each STATS series keeps
 
 
@@ -166,15 +168,11 @@ class FheServer:
         *,
         offline: ServeOffline | None = None,
         batch_window: float = 0.05,
-        max_batch: int = 16,
-        min_floor_bits: float = 1.0,
     ):
         self.host = host
         self.port = port
         self.offline = offline if offline is not None else ServeOffline()
         self.batch_window = batch_window
-        self.max_batch = max_batch
-        self.min_floor_bits = min_floor_bits
         self.metrics = ServerMetrics()
         self.sessions: dict[str, TenantSession] = {}  # live connections only
         self._certified: OrderedDict[
@@ -341,7 +339,7 @@ class FheServer:
         # pipeline will actually run it.  Nothing past this point
         # executes unless every pass is clean.
         verdict = admit_program(
-            program, preset.fold_params, min_floor_bits=self.min_floor_bits, label=job_id
+            program, preset.fold_params, min_floor_bits=MIN_FLOOR_BITS, label=job_id
         )
         self.metrics.verify_seconds_total += verdict.verify_seconds
         if not verdict.admitted:
@@ -427,7 +425,7 @@ class FheServer:
 
     def _window_closed(self, batch: list[_PendingJob], slots: int) -> str | None:
         """Why the batch window is shut already, or ``None`` to keep waiting."""
-        if len(batch) >= self.max_batch or sum(item.job.width for item in batch) >= slots:
+        if len(batch) >= MAX_BATCH or sum(item.job.width for item in batch) >= slots:
             return "full"
         # One job in flight per connection: when every live session is
         # in the window, nobody is left who could join it.
@@ -455,7 +453,7 @@ class FheServer:
             self.metrics.window_closed_by[closed_by] += 1
             lookup = {item.job.job_id: item for item in batch}
             plans = plan_batches(
-                [(item.word_bits, item.job) for item in batch], slots, self.max_batch
+                [(item.word_bits, item.job) for item in batch], slots, MAX_BATCH
             )
             for plan in plans:
                 self._run_plan(self.offline.preset(plan.word_bits), plan, lookup, closed_by)

@@ -15,7 +15,7 @@ from repro.core.alu_model import (
     power_ratio_64_to_28,
     scaling_table,
 )
-from repro.core.efficiency import best_word_length, efficiency_point, efficiency_sweep
+from repro.core.efficiency import efficiency_point, efficiency_sweep
 from repro.core.opcount import (
     WorkCounts,
     bootstrap_counts,
@@ -183,10 +183,6 @@ class TestOnePriceList:
 
 
 class TestEfficiency:
-    def test_36_is_the_minimum(self):
-        assert best_word_length("narrow") == 36
-        assert best_word_length("wide") == 36
-
     def test_set64_ratios_in_paper_band(self):
         p36 = efficiency_point(36, 1)
         p64 = efficiency_point(64, 1)

@@ -109,6 +109,24 @@ class TestZeroFalsePositives:
         report = check_equivalence(trace, sched, setting)
         assert report.ok, report.render()
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bootstrap",
+            # The noise walk treats MOD_RAISE as a noise identity, so no
+            # bootstrap resets the noise and the floor reaches ~ -1000 bits.
+            *(
+                pytest.param(n, marks=pytest.mark.xfail(strict=True, reason="ROADMAP 5"))
+                for n in ("helr256", "helr1024", "resnet20", "sorting")
+            ),
+        ],
+    )
+    def test_proven_floor_is_a_precision(self, setting, capacity, name):
+        trace = evaluation_traces(setting)[name]
+        sched = schedule_trace(trace, setting, capacity, fuse=True)
+        floor = certify_schedule(trace, sched, setting).source_floor_bits
+        assert 0 < floor < float("inf"), floor
+
 
 # ---------------------------------------------------------------------------
 # Every single-op perturbation is flagged

@@ -361,13 +361,14 @@ class TestFusion:
 
 class TestSimulatorIntegration:
     def test_scheduled_result_uses_allocator_bytes(self, sharp, setting):
+        """Traffic is the allocator's, to the bit, on every workload."""
         sim = Simulator(sharp)
-        tr = evaluation_traces(setting)["bootstrap"]
-        sched = sim.schedule(tr)
-        res = sim.run(sched)
-        assert res.schedule_policy == "belady"
-        assert res.offchip_bytes == pytest.approx(sched.offchip_bytes)
-        assert res.spill_bytes == pytest.approx(sched.spill_bytes)
+        for tr in evaluation_traces(setting).values():
+            sched = sim.schedule(tr)
+            res = sim.run(sched)
+            assert res.schedule_policy == "belady"
+            assert res.offchip_bytes == sched.offchip_bytes, tr.name
+            assert res.spill_bytes == sched.spill_bytes, tr.name
 
     def test_plain_trace_is_scheduled_then_priced(self, sharp, setting):
         """One path: run(trace) is run(schedule(trace)), field for field."""

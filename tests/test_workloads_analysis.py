@@ -124,11 +124,6 @@ class TestSorting:
 
 
 class TestWorkingSet:
-    def test_fig5_sizes(self, s36):
-        data = fig5_data(s36)
-        assert data["max_ciphertext_mib"] == pytest.approx(19.7, abs=0.3)
-        assert data["evk_mib"] == pytest.approx(40.3, abs=1.5)
-
     def test_capacity_binds_only_high_levels(self, s36):
         data = fig5_data(s36)
         assert data["binding_limbs"]
@@ -147,15 +142,6 @@ class TestWorkingSet:
 class TestBsgs:
     def test_balanced_split(self):
         assert balanced_split(64) == (8, 8)
-
-    def test_fine_tune_fits(self, s36):
-        cap = 198 * (1 << 20)
-        tuned = plan_bsgs(s36, s36.max_level, cap, fine_tune=True)
-        balanced = plan_bsgs(s36, s36.max_level, cap, fine_tune=False)
-        assert tuned.fits_on_chip
-        assert not balanced.fits_on_chip
-        assert tuned.bs < balanced.bs
-        assert tuned.rotations > balanced.rotations
 
     def test_low_levels_stay_balanced(self, s36):
         cap = 198 * (1 << 20)
