@@ -17,6 +17,8 @@ from repro.params.presets import WordLengthSetting
 
 __all__ = ["BsgsPlan", "plan_bsgs", "balanced_split"]
 
+DIAGONALS = 64  # nonzero diagonals of the transform being planned
+
 
 @dataclass(frozen=True)
 class BsgsPlan:
@@ -56,18 +58,18 @@ def plan_bsgs(
     setting: WordLengthSetting,
     limbs: int,
     capacity_bytes: float,
-    d: int = 64,
-    prng: bool = True,
     fine_tune: bool = True,
 ) -> BsgsPlan:
-    """Choose the BSGS split for a transform at ``limbs`` active limbs.
+    """Choose the BSGS split for a ``DIAGONALS``-diagonal transform at
+    ``limbs`` active limbs, its key PRNG-compressed.
 
     With ``fine_tune`` the largest power-of-two ``bs`` whose ``bs + 1``
     ciphertexts (plus the evk) fit on-chip is selected; otherwise the
     compute-optimal balanced split is used regardless of capacity.
     """
+    d = DIAGONALS
     ct_bytes = setting.ciphertext_bytes(limbs)
-    evk_bytes = setting.evk_bytes(prng=prng, limbs=limbs)
+    evk_bytes = setting.evk_bytes(prng=True, limbs=limbs)
     bs_balanced, _ = balanced_split(d)
     if not fine_tune:
         return _plan(bs_balanced, d, ct_bytes, evk_bytes, capacity_bytes)

@@ -58,7 +58,7 @@ from repro.hw.isa import HeOp, OpKind, Trace
 from repro.hw.lowering import OpLowering
 from repro.hw.sim import SimulationResult, Simulator
 from repro.ntt.tenstep import flat_nttu_dataflow, hierarchical_nttu_dataflow
-from repro.params.presets import build_setting, build_sharp_setting
+from repro.params.presets import build_sharp_setting
 from repro.sched import fuse_trace, schedule_trace
 from repro.workloads.datasets import make_cifar_like, make_mnist_like
 from repro.workloads.helr import train_noisy, train_plain
@@ -176,7 +176,7 @@ def fig2a() -> Iterator[Row]:
     for name, ratio, paper in (("area", area, 5.01), ("power", power, 5.37)):
         yield Row(
             "Fig. 2(a)", f"64b / 28b ALU {name}, gmean", f"{paper}×", f"{ratio:.2f}×",
-            *near(ratio, paper, 0.05),
+            *near(ratio, paper, 0.02),
         )
 
 
@@ -200,7 +200,7 @@ def fig2b() -> Iterator[Row]:
 def fig2c() -> Iterator[Row]:
     paper_ops = {("narrow", 28): "1.95×", ("wide", 28): "1.73×"}
     paper_bconv = {("narrow", 28): "30%", ("narrow", 36): "27%", ("narrow", 64): "20%"}
-    bands = {"narrow": (1.6, 2.3), "wide": (1.4, 2.1)}
+    bands = {"narrow": (1.7, 2.2), "wide": (1.4, 2.1)}
     for label, hmults in (("narrow", 1), ("wide", 30)):
         ops: dict[int, float] = {}
         bconv: dict[int, float] = {}
@@ -351,11 +351,10 @@ def table3() -> Iterator[Row]:
 
 def nttu_dataflow() -> Iterator[Row]:
     flat, hier = flat_nttu_dataflow(256, 65536), hierarchical_nttu_dataflow(256, 65536)
-    cut = flat.bisection_words_per_cycle / hier.bisection_words_per_cycle
+    bisection = (flat.bisection_words_per_cycle, hier.bisection_words_per_cycle)
     yield Row(
         "§4.2", "NTTU horizontal bisection, flat → ten-step (words / cycle)", "768 → 128",
-        f"{flat.bisection_words_per_cycle} → {hier.bisection_words_per_cycle}",
-        "6× cut", cut == 6.0,
+        f"{bisection[0]} → {bisection[1]}", "= paper", bisection == (768, 128),
     )
     local = hier.horizontal_wire_length - hier.semi_global_wire_length
     yield Row(
@@ -570,7 +569,7 @@ def fig8() -> Iterator[Row]:
     flat, hier = chip_area(ark180), chip_area(steps["+Hierarchy"])
     cut = flat.nttu / hier.nttu
     yield Row(
-        "Fig. 8", "NTTU area, flat / hierarchical", "2.04×", f"{cut:.2f}×", *near(cut, 2.04, 0.05)
+        "Fig. 8", "NTTU area, flat / hierarchical", "2.04×", f"{cut:.2f}×", *near(cut, 2.04, 0.01)
     )
     yield Row(
         "Fig. 8", "chip area, ARK36-180 → +Hierarchy", "—",
@@ -641,7 +640,7 @@ def scheduling() -> Iterator[Row]:
 
 
 def ablations() -> Iterator[Row]:
-    settings = {d: build_setting(36, dnum=d) for d in (2, 3, 4)}
+    settings = {d: build_sharp_setting(36, dnum=d) for d in (2, 3, 4)}
     for d, s in settings.items():
         previous = settings.get(d - 1)
         grows = previous is None or (
@@ -653,7 +652,7 @@ def ablations() -> Iterator[Row]:
             f"{hmult_counts(s, s.max_level, 1).total_muls / 1e6:.0f}M muls",
             *(UNCHECKED if previous is None else ("L_eff, evk ≥ dnum − 1's", grows)),
         )
-    setting = build_setting(36)
+    setting = build_sharp_setting(36)
     prng = setting.evk_bytes(prng=True, limbs=setting.max_level)
     plain = setting.evk_bytes(prng=False, limbs=setting.max_level)
     yield Row(

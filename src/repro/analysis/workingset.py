@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 MIB = 1 << 20
+RF_MAIN_MIB = 180.0  # SHARP's RF_main capacity
+TEMPORARIES = (4, 6, 8, 16)  # live temporary ciphertexts Fig. 5(b) plots
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,13 @@ def hmult_breakdown(setting: WordLengthSetting, limbs: int) -> dict:
     }
 
 
-def working_set_curve(
-    setting: WordLengthSetting,
-    temporaries=(4, 6, 8, 16),
-    prng: bool = True,
-) -> list[LevelPoint]:
-    """Fig. 5 data points across the whole chain."""
+def working_set_curve(setting: WordLengthSetting) -> list[LevelPoint]:
+    """Fig. 5 data points across the whole chain (PRNG-compressed keys)."""
     points = []
     for limbs in _limb_ladder(setting):
         if limbs < setting.base_prime_count + 2:
             continue
-        evk_mib = setting.evk_bytes(prng=prng, limbs=limbs) / MIB
+        evk_mib = setting.evk_bytes(prng=True, limbs=limbs) / MIB
         ct_mib = setting.ciphertext_bytes(limbs) / MIB
         shares = hmult_breakdown(setting, limbs)
         points.append(
@@ -86,23 +84,23 @@ def working_set_curve(
                 ciphertext_mib=ct_mib,
                 evk_mib=evk_mib,
                 working_set_mib={
-                    t: t * ct_mib + evk_mib for t in temporaries
+                    t: t * ct_mib + evk_mib for t in TEMPORARIES
                 },
             )
         )
     return points
 
 
-def fig5_data(setting: WordLengthSetting, rf_main_mib: float = 180.0) -> dict:
+def fig5_data(setting: WordLengthSetting) -> dict:
     """Everything Fig. 5 plots, plus the capacity line."""
     curve = working_set_curve(setting)
     return {
         "points": curve,
-        "capacity_mib": rf_main_mib,
+        "capacity_mib": RF_MAIN_MIB,
         "max_ciphertext_mib": curve[0].ciphertext_mib,
         "evk_mib": curve[0].evk_mib,
         # Observation (11): the level below which even 16 temporaries fit.
         "binding_limbs": [
-            p.limbs for p in curve if p.working_set_mib[16] > rf_main_mib
+            p.limbs for p in curve if p.working_set_mib[16] > RF_MAIN_MIB
         ],
     }

@@ -393,18 +393,17 @@ def prove_lazy_plain_inner(q_max: int, terms: int | None = None) -> BoundProof:
     return BoundProof("lazy_plain_inner", q_max, steps)
 
 
-def prove_bconv_accumulator(
-    q_max: int, terms: int = DEFAULT_BCONV_TERMS
-) -> BoundProof:
+def prove_bconv_accumulator(q_max: int) -> BoundProof:
     """``ModulusKernel.sum_mod``: the BConv matmul-style accumulation.
 
     Terms are canonical residues (< q); each splits into 32-bit halves
-    whose per-half sums across ``terms`` addends must not overflow,
-    and the folded halves repeat the t + u < 2**64 pattern.
+    whose per-half sums across ``DEFAULT_BCONV_TERMS`` addends must not
+    overflow, and the folded halves repeat the t + u < 2**64 pattern.
     """
     q = q_max
     term = q - 1  # canonical residue inputs
     mask = (1 << 32) - 1
+    terms = DEFAULT_BCONV_TERMS
     lo_sum = (term & mask) * terms
     hi_sum = (term >> 32) * terms
     s = (2 * q - 1) + (2 * q - 1)
@@ -521,9 +520,7 @@ def _boot_pair_product_bits(word_bits: int) -> int:
     return int(boot_scale) + 1
 
 
-def certify_word_bits(
-    word_bits: int, bconv_terms: int = DEFAULT_BCONV_TERMS
-) -> BoundCertificate:
+def certify_word_bits(word_bits: int) -> BoundCertificate:
     """Prove (or refute) uint64 safety of every kernel chain.
 
     ``q_max = 2**word_bits - 1`` bounds every prime a ``word_bits``
@@ -543,9 +540,9 @@ def certify_word_bits(
         prove_float_qhat_shoup(q_max),
         prove_float_split_mul(q_max),
         prove_lazy_plain_inner(q_max),
-        prove_bconv_accumulator(q_max, terms=bconv_terms),
+        prove_bconv_accumulator(q_max),
         prove_lazy_ntt_schedule(q_max),
-        prove_bconv_matmul(q_max, src_count=bconv_terms),
+        prove_bconv_matmul(q_max),
         prove_ds_reconstruction(1 << _boot_pair_product_bits(word_bits)),
     )
     return BoundCertificate(word_bits=word_bits, q_max=q_max, proofs=proofs)
@@ -564,19 +561,17 @@ def proofs_report(subject: str, proofs: tuple[BoundProof, ...]) -> CheckReport:
     return report
 
 
-def certify_report(
-    word_bits: int, bconv_terms: int = DEFAULT_BCONV_TERMS
-) -> CheckReport:
+def certify_report(word_bits: int) -> CheckReport:
     """Certificate rendered as a :class:`CheckReport` (KB-* codes)."""
-    certificate = certify_word_bits(word_bits, bconv_terms=bconv_terms)
+    certificate = certify_word_bits(word_bits)
     return proofs_report(f"word_bits={word_bits}", certificate.proofs)
 
 
-def max_safe_word_bits(limit: int = 64) -> int:
-    """Largest ``word_bits`` whose certificate proves — derived, not
-    asserted.  Must (and does) agree with ``kernels.FAST_MODULUS_BITS``."""
+def max_safe_word_bits() -> int:
+    """Largest ``word_bits`` up to 64 whose certificate proves — derived,
+    not asserted.  Must (and does) agree with ``kernels.FAST_MODULUS_BITS``."""
     best = 0
-    for bits in range(3, limit + 1):
+    for bits in range(3, 65):
         if certify_word_bits(bits).ok:
             best = bits
     return best

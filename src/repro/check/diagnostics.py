@@ -67,16 +67,8 @@ class CheckReport:
             Diagnostic(code, Severity.ERROR, message, op_index, value)
         )
 
-    def warning(
-        self,
-        code: str,
-        message: str,
-        op_index: int | None = None,
-        value: str | None = None,
-    ) -> None:
-        self.diagnostics.append(
-            Diagnostic(code, Severity.WARNING, message, op_index, value)
-        )
+    def warning(self, code: str, message: str, op_index: int | None = None) -> None:
+        self.diagnostics.append(Diagnostic(code, Severity.WARNING, message, op_index))
 
     @property
     def errors(self) -> list[Diagnostic]:

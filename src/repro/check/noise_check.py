@@ -680,13 +680,6 @@ def _fitted(
     return chebyshev_fit(fn, degree, interval=interval)
 
 
-def _grid(interval: tuple[float, float], samples: int = 2001) -> object:
-    import numpy as np
-
-    lo, hi = interval
-    return np.linspace(lo, hi, samples)
-
-
 def _eval_fitted(
     fn: Callable[[float], float],
     degree: int,
@@ -727,7 +720,7 @@ def fitted_poly_bias(
     """Max |p - fn| over the interval: the fit's approximation error."""
     import numpy as np
 
-    x = _grid(interval)
+    x = np.linspace(*interval, 2001)
     exact = np.array([fn(float(v)) for v in x])  # type: ignore[union-attr]
     return float(np.max(np.abs(_eval_fitted(fn, degree, interval, x) - exact)))
 
@@ -738,16 +731,16 @@ def fitted_sign_spec(
     degree: int,
     stages: tuple[tuple[float, float], ...],
     depth_ops: int,
-    eps_tolerance: float = 1e-2,
 ) -> SignSpec:
     """Measure the composite fitted sign chain's (eps, delta).
 
     Composes the per-stage fitted interpolants numerically on a dense
     grid; ``delta`` is the smallest threshold above which the composite
-    agrees with sign(x) to within ``eps_tolerance``.
+    agrees with sign(x) to within 1e-2.
     """
     import numpy as np
 
+    eps_tolerance = 1e-2
     lo0, hi0 = stages[0]
     halfwidth = max(abs(lo0), abs(hi0))
     x = np.linspace(1e-4, 1.0, 4000)

@@ -59,6 +59,7 @@ __all__ = [
 # The word-length presets the kernel bound prover certifies — the same
 # sweep, seen from the noise side.
 SWEEP_WORD_BITS = (28, 36, 50, 62)
+CLAIM_TOLERANCE_BITS = 0.25  # an over-claimed floor within this passes
 
 # What SHARP's S3 / Table 2 says each regime must look like.
 EXPECTED_REGIMES: Mapping[int, str] = {
@@ -252,17 +253,11 @@ def run_audit(
     return AuditResult(entries=tuple(entries))
 
 
-def scale_audit(
-    scale_bits: float, boot_scale_bits: float, word_bits: int | None = None
-) -> tuple[AuditEntry, ...]:
+def scale_audit(scale_bits: float, boot_scale_bits: float) -> tuple[AuditEntry, ...]:
     """One Fig. 1 scale point: every workload at an explicit scale pair."""
     from repro.workloads.noise_programs import noise_programs
 
-    params = NoiseParams(
-        scale_bits=scale_bits,
-        boot_scale_bits=boot_scale_bits,
-        word_bits=word_bits,
-    )
+    params = NoiseParams(scale_bits=scale_bits, boot_scale_bits=boot_scale_bits)
     return tuple(_audit_one(params, workload) for workload in noise_programs())
 
 
@@ -294,14 +289,12 @@ def claims_from_audit(result: AuditResult) -> tuple[PrecisionClaim, ...]:
     )
 
 
-def verify_claims(
-    claims: Iterable[PrecisionClaim], tolerance_bits: float = 0.25
-) -> CheckReport:
+def verify_claims(claims: Iterable[PrecisionClaim]) -> CheckReport:
     """Re-derive every claim with the trusted analyzer.
 
     A claim that hides an explosion the trusted analyzer proves
     (``NOISE-EXPLOSION-HIDDEN``), invents one it refutes, or overstates
-    a precision floor by more than ``tolerance_bits``
+    a precision floor by more than ``CLAIM_TOLERANCE_BITS``
     (``NOISE-CLAIM``) is an error.  Conservative *under*-claims within
     reason are accepted — an analyzer may legitimately be looser than
     this one, never tighter than the noise allows.
@@ -338,11 +331,11 @@ def verify_claims(
             continue
         if claim.exploded:
             continue
-        if claim.mean_floor_bits > actual.mean_floor_bits + tolerance_bits:
+        if claim.mean_floor_bits > actual.mean_floor_bits + CLAIM_TOLERANCE_BITS:
             report.error(
                 "NOISE-CLAIM",
                 f"{where}: claimed floor {claim.mean_floor_bits:.2f} bits "
                 f"overstates the derived {actual.mean_floor_bits:.2f} bits "
-                f"by more than {tolerance_bits:g}",
+                f"by more than {CLAIM_TOLERANCE_BITS:g}",
             )
     return report

@@ -101,14 +101,7 @@ class BootstrapReport:
 class Bootstrapper:
     """Bootstraps fully packed ciphertexts of one context."""
 
-    def __init__(
-        self,
-        context: CkksContext,
-        evaluator: Evaluator,
-        k_range: int | None = None,
-        sin_degree: int | None = None,
-        arcsine_correction: bool = True,
-    ):
+    def __init__(self, context: CkksContext, evaluator: Evaluator):
         params = context.params
         if params.slots != params.degree // 2:
             raise ValueError("bootstrapping requires full packing (slots = N/2)")
@@ -117,17 +110,11 @@ class Bootstrapper:
         self.context = context
         self.ev = evaluator
         self.params = params
-        h = params.hamming_weight
-        if k_range is None:
-            # |I| <~ sqrt(h) with overwhelming probability; one extra
-            # unit absorbs the message itself.
-            k_range = max(4, int(1.6 * math.sqrt(h)) + 1)
-        self.k_range = k_range
-        if sin_degree is None:
-            # Chebyshev coefficients of sin(a*x) die once n > a = 2*pi*K.
-            sin_degree = int(2 * math.pi * k_range) + 26
-        self.sin_degree = sin_degree
-        self.arcsine_correction = arcsine_correction
+        # |I| <~ sqrt(h) with overwhelming probability; one extra unit
+        # absorbs the message itself.
+        self.k_range = max(4, int(1.6 * math.sqrt(params.hamming_weight)) + 1)
+        # Chebyshev coefficients of sin(a*x) die once n > a = 2*pi*K.
+        self.sin_degree = int(2 * math.pi * self.k_range) + 26
         self.q0 = math.prod(params.base_primes)
         self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)
         self._cheb = ChebyshevEvaluator(evaluator, baby_steps=16)
@@ -170,7 +157,7 @@ class Bootstrapper:
             return max(prod, tail) + (tail == prod)
 
         plan = self._cheb._plan(np.trim_zeros(self._sin_coeffs, "b"), set())
-        return depth(plan) + 2 * self.arcsine_correction
+        return depth(plan) + 2
 
     def _build_evalmod(self) -> None:
         k = self.k_range
@@ -218,8 +205,6 @@ class Bootstrapper:
     def _eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """sin-based modular reduction on values in [-1, 1]."""
         y = self._cheb.evaluate(ct, self._sin_coeffs)
-        if not self.arcsine_correction:
-            return y
         # x ~ y + (2*pi*K)^2 / 6 * y^3 cancels the cubic sine error; as
         # y^2 * (c3*y) it is two levels deep, not three.
         ev = self.ev

@@ -28,15 +28,15 @@ from repro.ckks.ops import Evaluator
 __all__ = ["ChebyshevEvaluator", "chebyshev_fit"]
 
 
-def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0), samples: int | None = None):
-    """Chebyshev interpolation of ``fn`` over ``interval``.
+def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)):
+    """Chebyshev interpolation of ``fn`` over ``interval``, sampled at
+    ``2 * degree + 16`` Chebyshev nodes.
 
     Returns coefficients in the Chebyshev basis *on the normalized
     domain* [-1, 1]; callers must map their inputs accordingly.
     """
     lo, hi = interval
-    if samples is None:
-        samples = 2 * degree + 16
+    samples = 2 * degree + 16
     # Chebyshev nodes on [-1, 1] mapped into the interval.
     theta = (np.arange(samples) + 0.5) * np.pi / samples
     x = np.cos(theta)

@@ -97,12 +97,10 @@ def power_ratio_64_to_28() -> float:
     )
 
 
-def scaling_table(
-    word_lengths: tuple[int, ...] = (28, 32, 36, 40, 44, 48, 52, 56, 60, 64),
-) -> list[dict[str, float]]:
-    """Fig. 2(a) data: per-kind area and power across word lengths."""
+def scaling_table() -> list[dict[str, float]]:
+    """Fig. 2(a) data: per-kind area and power at 28, 32, ..., 64 bits."""
     rows: list[dict[str, float]] = []
-    for w in word_lengths:
+    for w in range(28, 65, 4):
         rows.append(
             {
                 "word_bits": w,

@@ -3,7 +3,6 @@
 from repro.params.presets import (
     WORD_LENGTHS,
     WordLengthSetting,
-    build_setting,
     build_sharp_setting,
 )
 from repro.params.primes import PrimeScarcityError
@@ -12,7 +11,6 @@ from repro.params.security import max_log_pq
 __all__ = [
     "WORD_LENGTHS",
     "WordLengthSetting",
-    "build_setting",
     "build_sharp_setting",
     "PrimeScarcityError",
     "max_log_pq",

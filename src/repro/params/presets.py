@@ -32,8 +32,10 @@ levels at the *normal* scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.params.primes import (
     PrimeScarcityError,
@@ -47,7 +49,6 @@ from repro.params.security import max_log_pq
 __all__ = [
     "LevelGroup",
     "WordLengthSetting",
-    "build_setting",
     "build_sharp_setting",
     "build_native_ckks_params",
     "WORD_LENGTHS",
@@ -68,6 +69,7 @@ REDUCED_BOOT_SCALE_BITS = 55  # Set_28's relieved bootstrapping scale
 BOOT_DEPTH_SS = 10  # CtS + EvalMod levels at the boot scale (SS realization)
 STC_DEPTH = 3  # SlotToCoeff levels at the normal scale
 BASE_LOG = 58  # modulus bits reserved for the never-rescaled base
+DEGREE = 1 << 16  # the paper's ring degree N
 
 DEFAULT_DNUM = 3
 
@@ -283,15 +285,11 @@ def _build_group(
 
 
 def _try_build(
-    word_bits: int,
-    degree: int,
-    dnum: int,
-    normal_scale_bits: float,
-    l_eff: int,
-    budget: int,
+    word_bits: int, dnum: int, normal_scale_bits: float, l_eff: int
 ) -> WordLengthSetting | None:
     """Build a full chain for a candidate L_eff; None if over budget."""
-    two_n = 2 * degree
+    two_n = 2 * DEGREE
+    budget = max_log_pq(DEGREE)
     boot_scale, boot_depth = _boot_plan(word_bits)
     boot_is_ds = boot_scale + 1 > word_bits
     exclude: set[int] = set()
@@ -321,7 +319,7 @@ def _try_build(
 
     setting = WordLengthSetting(
         word_bits=word_bits,
-        degree=degree,
+        degree=DEGREE,
         dnum=dnum,
         normal_scale_bits=normal_scale_bits,
         boot_scale_bits=boot_scale,
@@ -335,32 +333,23 @@ def _try_build(
     return setting
 
 
-def build_setting(
-    word_bits: int,
-    degree: int = 1 << 16,
-    dnum: int = DEFAULT_DNUM,
-    normal_scale_bits: float = DEFAULT_NORMAL_SCALE_BITS,
-    max_l_eff: int = 40,
-) -> WordLengthSetting:
-    """Construct ``Set_{word_bits}`` with the largest feasible L_eff.
+@lru_cache(maxsize=None)  # a setting takes up to seconds of prime search
+def build_sharp_setting(word_bits: int, dnum: int = DEFAULT_DNUM) -> WordLengthSetting:
+    """Construct ``Set_{word_bits}`` at N = 2^16 with the largest
+    feasible L_eff.
 
-    ``normal_scale_bits`` is a *minimum*: when the word cannot realize
-    it (SS does not fit, DS pairs scarce), the scale is raised to the
-    smallest supportable value, reproducing observation (3).
+    The normal scale is ``DEFAULT_NORMAL_SCALE_BITS`` when the word can
+    realize it; otherwise (SS does not fit, DS pairs scarce) it is
+    raised to the smallest supportable value, reproducing observation
+    (3).
     """
     if word_bits < 24 or word_bits > 64:
         raise ValueError("word length must be within [24, 64] bits")
-    two_n = 2 * degree
-    budget = max_log_pq(degree)
-
     best: WordLengthSetting | None = None
-    for l_eff in range(1, max_l_eff + 1):
-        levels_needed = STC_DEPTH + l_eff
-        scale = _supportable_scale(
-            two_n, normal_scale_bits, levels_needed, word_bits
-        )
+    for l_eff in itertools.count(1):
+        scale = _supportable_scale(STC_DEPTH + l_eff, word_bits)
         try:
-            setting = _try_build(word_bits, degree, dnum, scale, l_eff, budget)
+            setting = _try_build(word_bits, dnum, scale, l_eff)
         except PrimeScarcityError:
             break
         if setting is None:
@@ -368,20 +357,19 @@ def build_setting(
         best = setting
     if best is None:
         raise PrimeScarcityError(
-            f"no feasible parameter set for {word_bits}-bit words at N={degree}"
+            f"no feasible parameter set for {word_bits}-bit words at N={DEGREE}"
         )
     return best
 
 
-def _supportable_scale(
-    two_n: int, requested_bits: float, levels: int, word_bits: int
-) -> float:
-    """Smallest realizable normal scale >= the requested one."""
+def _supportable_scale(levels: int, word_bits: int) -> float:
+    """Smallest realizable normal scale >= the default one."""
+    requested_bits = DEFAULT_NORMAL_SCALE_BITS
     # SS path: a prime near the scale must fit the word.
     if requested_bits + 1 <= word_bits:
         return requested_bits
     # DS path: need `levels` distinct pairs.
-    min_bits = min_ds_scale_bits(two_n, levels, word_bits)
+    min_bits = min_ds_scale_bits(2 * DEGREE, levels, word_bits)
     return float(max(min_bits, requested_bits))
 
 
@@ -413,10 +401,6 @@ def build_native_ckks_params(
     degree: int = 1 << 12,
     slots: int | None = None,
     depth: int = 8,
-    boot_scale_bits: float | None = None,
-    boot_depth: int = 0,
-    dnum: int = DEFAULT_DNUM,
-    hamming_weight: int | None = None,
 ):
     """Functional ``CkksParams`` on *native* ``word_bits``-wide primes.
 
@@ -433,28 +417,5 @@ def build_native_ckks_params(
         slots=slots,
         scale_bits=float(word_bits - 1),
         depth=depth,
-        boot_scale_bits=boot_scale_bits,
-        boot_depth=boot_depth,
-        dnum=dnum,
-        hamming_weight=hamming_weight,
         word_bits=word_bits,
     )
-
-
-# Cache: settings at N=2^16 take a few seconds of prime search each.
-_SETTING_CACHE: dict[tuple, WordLengthSetting] = {}
-
-
-def build_sharp_setting(
-    word_bits: int = 36,
-    degree: int = 1 << 16,
-    dnum: int = DEFAULT_DNUM,
-    normal_scale_bits: float = DEFAULT_NORMAL_SCALE_BITS,
-) -> WordLengthSetting:
-    """Cached accessor for the settings used throughout the evaluation."""
-    key = (word_bits, degree, dnum, normal_scale_bits)
-    if key not in _SETTING_CACHE:
-        _SETTING_CACHE[key] = build_setting(
-            word_bits, degree, dnum, normal_scale_bits
-        )
-    return _SETTING_CACHE[key]

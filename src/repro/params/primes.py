@@ -212,26 +212,21 @@ def find_ds_pairs(
     return pairs
 
 
-def min_ds_scale_bits(
-    two_n: int,
-    num_pairs: int,
-    word_bits: int,
-    lo_bits: int = 30,
-    hi_bits: int = 64,
-) -> int:
-    """Smallest integer scale (in bits) DS can realize with ``num_pairs`` levels.
+def min_ds_scale_bits(two_n: int, num_pairs: int, word_bits: int) -> int:
+    """Smallest integer scale in [30, 64] bits DS can realize with
+    ``num_pairs`` levels.
 
     Linear scan — the supportability predicate is monotone in practice
     but cheap enough not to need bisection.
     """
-    for bits in range(lo_bits, hi_bits + 1):
+    for bits in range(30, 65):
         try:
             find_ds_pairs(two_n, float(bits), num_pairs, word_bits)
             return bits
         except PrimeScarcityError:
             continue
     raise PrimeScarcityError(
-        f"no DS-supportable scale in [{lo_bits}, {hi_bits}] bits for "
+        f"no DS-supportable scale in [30, 64] bits for "
         f"{num_pairs} pairs on {word_bits}-bit words"
     )
 

@@ -401,13 +401,13 @@ class ModulusKernel:
         return r
 
     @_wrapping
-    def shoup_mul_f(self, a, w, w_shoup_f, lazy: bool = False, out=None) -> np.ndarray:
+    def shoup_mul_f(self, a, w, w_shoup_f, out=None) -> np.ndarray:
         """Constant multiply on the float-quotient lane.
 
         ``w_shoup_f`` is the Shoup quotient of :meth:`shoup` scaled by
         ``2**-64`` in float64; ``a`` may be lazy up to ``4q``.  Requires
-        ``float_ok``; ``lazy=True`` returns ``[0, 2q)``; ``out`` may be
-        ``a`` itself.
+        ``float_ok``; the result is canonical; ``out`` may be ``a``
+        itself.
         """
         shape = np.broadcast(a, w, self.q).shape
         (u1,), (f,) = _POOL.take(np.uint64, shape), _POOL.take(np.float64, shape)
@@ -415,21 +415,20 @@ class ModulusKernel:
         float_qhat_times_q(a, w_shoup_f, self.q, u1, f)
         np.multiply(a, w, out=r)
         r -= u1
-        self._collapse(r, u1, lazy)
+        self._collapse(r, u1, lazy=False)
         return r
 
     @_wrapping
-    def mul_f(self, a, b, out=None) -> np.ndarray:
+    def mul_f(self, a, b) -> np.ndarray:
         """Variable product on the float-quotient lane (``q < 2**41``).
 
         Same split-operand shape as the integer split regime, but both
         reductions run on float64 quotients: ~60% of the vector passes.
-        Requires ``float_ok and split``; ``out`` must not alias an
-        operand.
+        Requires ``float_ok and split``.
         """
         shape = np.broadcast(a, b, self.q).shape
         (u1, u2), (f,) = _POOL.take(np.uint64, shape, shape), _POOL.take(np.float64, shape)
-        t = np.empty(shape, dtype=np.uint64) if out is None else out
+        t = np.empty(shape, dtype=np.uint64)
         if np.shape(b) == shape:
             bh = np.right_shift(b, _SPLIT_SHIFT, out=u2)
         else:
@@ -491,12 +490,11 @@ class ModulusKernel:
         return shoup_precompute(arr.reshape(-1, 1).astype(object), self.q.astype(object))
 
     @_wrapping
-    def mul_const(self, a, w, w_shoup=None) -> np.ndarray:
+    def mul_const(self, a, w) -> np.ndarray:
         """``a * w mod q`` with constant ``w`` (per-row in chain mode)."""
-        if w_shoup is None:
-            w_shoup = self.shoup(w)
-            if not (np.isscalar(self.q) or self.q.ndim == 0):
-                w = np.asarray(w, dtype=np.uint64).reshape(-1, 1)
+        w_shoup = self.shoup(w)
+        if not (np.isscalar(self.q) or self.q.ndim == 0):
+            w = np.asarray(w, dtype=np.uint64).reshape(-1, 1)
         return shoup_mul(a, w, w_shoup, self.q)
 
     # -- wide accumulation -----------------------------------------------

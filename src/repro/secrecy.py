@@ -54,13 +54,10 @@ def declassified(reason: str) -> Callable[[_F], _F]:
     return mark
 
 
-def redacted_digest(data: bytes, bits: int = 32) -> str:
+def redacted_digest(data: bytes) -> str:
     """A short, safe-to-print fingerprint of secret bytes.
 
-    Returns ``sha256:<hex>`` truncated to ``bits`` bits (default 32 —
-    enough to tell two keys apart in a log, far too little to invert).
+    Returns ``sha256:<hex>`` truncated to 32 bits — enough to tell two
+    keys apart in a log, far too little to invert.
     """
-    if bits % 4 or not 4 <= bits <= 256:
-        raise ValueError("bits must be a multiple of 4 in [4, 256]")
-    hexdigest = hashlib.sha256(data).hexdigest()
-    return f"sha256:{hexdigest[: bits // 4]}"
+    return f"sha256:{hashlib.sha256(data).hexdigest()[:8]}"

@@ -45,11 +45,11 @@ def _poly_program() -> EvalProgram:
     return b.build(out)
 
 
-def _too_deep_program(depth: int = 12) -> EvalProgram:
-    """Squares until any realistic level budget is gone."""
+def _too_deep_program() -> EvalProgram:
+    """Twelve squarings: more than any realistic level budget."""
     b = ProgramBuilder("too_deep")
     v = b.input
-    for _ in range(depth):
+    for _ in range(12):
         v = b.square(v)
     return b.build(v)
 

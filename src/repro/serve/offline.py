@@ -103,24 +103,19 @@ class ServePreset:
 class ServeOffline:
     """The server's offline state: preset cache plus enrollment."""
 
-    def __init__(
-        self,
-        word_lengths: tuple[int, ...] = SERVE_WORD_LENGTHS,
-        seed: int = 2023,
-    ):
-        self.word_lengths = tuple(sorted(word_lengths))
+    def __init__(self, seed: int = 2023):
         self.seed = seed
         self._presets: dict[int, ServePreset] = {}
 
     def negotiate(self, requested_bits: int) -> int:
         """Smallest catalogued word length covering the request."""
-        return negotiate_word_bits(requested_bits, supported=self.word_lengths)
+        return negotiate_word_bits(requested_bits, supported=SERVE_WORD_LENGTHS)
 
     def preset(self, word_bits: int) -> ServePreset:
-        if word_bits not in self.word_lengths:
+        if word_bits not in SERVE_WORD_LENGTHS:
             raise ValueError(
                 f"word length {word_bits} is not in the catalogue "
-                f"{self.word_lengths}"
+                f"{SERVE_WORD_LENGTHS}"
             )
         if word_bits not in self._presets:
             # Distinct seed per preset so batch secrets never repeat

@@ -327,13 +327,16 @@ class FheServer:
         session.jobs_submitted += 1
         job_id = session.next_job_id()
 
-        blobs = wire.decode_blobs(payload)
-        if len(blobs) != 3:
-            self._send_error(writer, f"JOB frame needs 3 blobs, got {len(blobs)}")
-            await writer.drain()
+        # A malformed job is refused alone; the session stays open.
+        try:
+            blobs = wire.decode_blobs(payload)
+            if len(blobs) != 3:
+                raise wire.WireError(f"JOB frame needs 3 blobs, got {len(blobs)}")
+            _meta, program_blob, ct_blob = blobs
+            program = wire.decode_program(program_blob)
+        except wire.WireError as exc:
+            await self._refuse(session, writer, job_id, ["WIRE-JOB"], str(exc))
             return
-        _meta, program_blob, ct_blob = blobs
-        program = wire.decode_program(program_blob)
 
         # Admission: static verification of the program as the batching
         # pipeline will actually run it.  Nothing past this point
@@ -356,7 +359,11 @@ class FheServer:
         # Only now is the ciphertext worth decoding.  Ingress is a bare
         # add into a ciphertext shared with other tenants, so anything
         # but the preset's fresh state is refused here, for this job only.
-        ct_in = wire.decode_ciphertext(ct_blob, preset.context.ring)
+        try:
+            ct_in = wire.decode_ciphertext(ct_blob, preset.context.ring)
+        except wire.WireError as exc:
+            await self._refuse(session, writer, job_id, ["WIRE-JOB"], str(exc))
+            return
         fresh = preset.params.usable_level
         if not (
             ct_in.level == fresh

@@ -33,11 +33,7 @@ class BinaryImages:
 
 
 def make_mnist_like(
-    train: int = 4096,
-    test: int = 1984,
-    side: int = 14,
-    seed: int = 3,
-    separation: float = 1.35,
+    train: int = 4096, test: int = 1984, separation: float = 1.35
 ) -> BinaryImages:
     """A 14x14 two-class task mimicking MNIST 3-vs-8 difficulty.
 
@@ -45,7 +41,8 @@ def make_mnist_like(
     deformation and pixel noise; ``separation`` is tuned so a logistic
     regression tops out around the paper's 96% reference accuracy.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
+    side = 14
     d = side * side
 
     def smooth_prototype() -> np.ndarray:
@@ -94,21 +91,15 @@ class MultiClassImages:
     classes: int
 
 
-def make_cifar_like(
-    train: int = 3000,
-    test: int = 1000,
-    side: int = 8,
-    channels: int = 3,
-    classes: int = 10,
-    seed: int = 5,
-) -> MultiClassImages:
+def make_cifar_like(train: int = 3000, test: int = 1000) -> MultiClassImages:
     """A 10-class image task with CIFAR-like statistics (downscaled).
 
     Classes are random low-frequency color templates plus texture
     noise; a small residual CNN reaches ~90% clean accuracy, standing
     in for ResNet-20's 92.18% CIFAR-10 reference.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
+    side, channels, classes = 8, 3, 10
     freq = np.fft.fftfreq(side)
     mask = 1.0 / (1.0 + 8.0 * (np.abs(freq[:, None]) + np.abs(freq[None, :])))
 

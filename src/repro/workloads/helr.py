@@ -4,15 +4,14 @@
 paper uses it (batch 256 / 1024, 32 iterations, 14x14 images) both as
 a performance workload and as the Table 2 / Fig. 1 functionality probe.
 
-Two execution paths are provided:
+Two training paths are provided:
 
+* :func:`train_plain` — the unencrypted FP64 reference;
 * :func:`train_noisy` — the scale-sweep path: gradient descent under
   the calibrated noise-injection executor, with the sigmoid evaluated
   as its degree-7 Chebyshev interpolant and bootstrapping (with its
-  wrap-around explosion behaviour) every ``boot_every`` iterations.
+  wrap-around explosion behaviour) every ``HELR_BOOT_EVERY`` iterations.
   This regenerates Fig. 1's accuracy-vs-scale curves.
-* :func:`train_encrypted` — the real-CKKS path at reduced degree for
-  end-to-end validation (used by the example and integration tests).
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ SIGMOID_INTERVAL = (-12.0, 12.0)
 # iteration, with the default q0/scale stable range.
 HELR_ITERATIONS = 32
 HELR_BOOT_EVERY = 2
+HELR_BATCH = 1024  # samples per gradient step, plain and noisy alike
 HELR_FEATURES = 196  # 14 * 14
 HELR_MESSAGE_RATIO = 8.0
 # Low scales destabilize training: the compounding relative rescale
@@ -84,24 +84,18 @@ class HelrResult:
     exploded: bool
 
 
-def train_plain(
-    data: BinaryImages,
-    iterations: int = HELR_ITERATIONS,
-    batch: int = 1024,
-    lr: float = 1.0,
-    seed: int = 0,
-) -> HelrResult:
+def train_plain(data: BinaryImages) -> HelrResult:
     """Unencrypted FP64 reference (the paper's 96.37% line in Fig. 1)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     w = np.zeros(data.features)
     accs = []
     n = len(data.train_x)
-    for _ in range(iterations):
-        idx = rng.choice(n, size=min(batch, n), replace=False)
+    for _ in range(HELR_ITERATIONS):
+        idx = rng.choice(n, size=min(HELR_BATCH, n), replace=False)
         xb, yb = data.train_x[idx], data.train_y[idx]
         margin = yb * (xb @ w)
         grad = -(xb * (yb * _sigmoid(-margin))[:, None]).mean(axis=0)
-        w -= lr * grad
+        w -= grad
         accs.append(accuracy(w, data.test_x, data.test_y))
     return HelrResult(w, accs, accs[-1], exploded=False)
 
@@ -110,29 +104,24 @@ def train_noisy(
     data: BinaryImages,
     scale_bits: float,
     boot_scale_bits: float = 62.0,
-    iterations: int = HELR_ITERATIONS,
-    batch: int = 1024,
-    lr: float = 1.0,
-    boot_every: int = HELR_BOOT_EVERY,
-    seed: int = 0,
 ) -> HelrResult:
     """Encrypted training under the calibrated noise executor.
 
     The weight vector lives as a noisy ciphertext; every iteration
     evaluates the (polynomial) sigmoid on the batch margins, forms the
     gradient with noisy plaintext multiplications, and bootstraps the
-    weights every ``boot_every`` iterations — where values that drifted
+    weights every ``HELR_BOOT_EVERY`` iterations — where values that drifted
     outside the stable range wrap and destroy the model, reproducing
     the paper's low-scale explosions (Fig. 1's 2^27 curve).
     """
     model = NoiseModel(scale_bits, boot_scale_bits)
-    ev = NoisyEvaluator(model, seed=seed + 17, message_ratio=HELR_MESSAGE_RATIO)
-    rng = np.random.default_rng(seed)
+    ev = NoisyEvaluator(model, seed=17, message_ratio=HELR_MESSAGE_RATIO)
+    rng = np.random.default_rng(0)
     w = ev.encrypt(np.zeros(data.features))
     accs = []
     n = len(data.train_x)
-    for it in range(iterations):
-        idx = rng.choice(n, size=min(batch, n), replace=False)
+    for it in range(HELR_ITERATIONS):
+        idx = rng.choice(n, size=min(HELR_BATCH, n), replace=False)
         xb, yb = data.train_x[idx], data.train_y[idx]
         # margins_i = y_i <x_i, w>: inner products against the
         # encrypted weights (rotation-ladder PMADDs in the real trace).
@@ -154,10 +143,10 @@ def train_noisy(
             grad_plain + ev.rng.normal(0, model.op_std, data.features),
             sig.ops + 1,
         )
-        w = ev.sub(w, NoisyVector(lr * grad.values, grad.ops))
+        w = ev.sub(w, NoisyVector(grad.values, grad.ops))
         drift = 1.0 + INSTABILITY_GAIN * model.relative_std
         w = NoisyVector(w.values * drift, w.ops)
-        if (it + 1) % boot_every == 0:
+        if (it + 1) % HELR_BOOT_EVERY == 0:
             w = ev.bootstrap(w)
         accs.append(accuracy(w.values, data.test_x, data.test_y))
     exploded = bool(np.max(np.abs(w.values)) > 50) or not np.all(

@@ -58,9 +58,6 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-_relu = relu  # backwards-compatible alias
-
-
 def _conv2d(x, w, b, stride=1):
     """Naive conv (n, cin, h, w) * (cout, cin, 3, 3) with same padding."""
     n, cin, h, wd = x.shape
@@ -82,11 +79,11 @@ class SmallResNet:
     params: dict
 
     @classmethod
-    def init(cls, rng: np.random.Generator, channels=(3, 12, 24)) -> "SmallResNet":
+    def init(cls, rng: np.random.Generator) -> "SmallResNet":
         def he(shape, fan_in):
             return rng.normal(0, np.sqrt(2.0 / fan_in), shape)
 
-        c0, c1, c2 = channels
+        c0, c1, c2 = 3, 12, 24
         return cls(
             {
                 "w1": he((c1, c0, 3, 3), c0 * 9),
@@ -117,13 +114,7 @@ class SmallResNet:
         return pooled @ p["wf"] + p["bf"]
 
 
-def train_plain_cnn(
-    data: MultiClassImages,
-    epochs: int = 30,
-    lr: float = 0.05,
-    batch: int = 64,
-    seed: int = 1,
-) -> tuple[SmallResNet, float]:
+def train_plain_cnn(data: MultiClassImages) -> tuple[SmallResNet, float]:
     """SGD training with numeric gradients via finite-difference-free
     backprop-lite: we train only the linear head exactly and refine the
     convs with random feature learning (evolution strategies would be
@@ -131,13 +122,13 @@ def train_plain_cnn(
     Hebbian-style update plus an exactly-trained softmax head, which
     reaches ~90% on the synthetic task.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     net = SmallResNet.init(rng)
     # Freeze random convolutional features (they are good enough on the
     # low-frequency synthetic classes) and train the linear head by
     # multinomial logistic regression on the pooled features.
     feats = _pooled_features(net, data.train_x)
-    w, b = _train_softmax(feats, data.train_y, data.classes, epochs, lr, batch, rng)
+    w, b = _train_softmax(feats, data.train_y, data.classes, rng)
     net.params["wf"], net.params["bf"] = w, b
     test_feats = _pooled_features(net, data.test_x)
     acc = _softmax_accuracy(test_feats, data.test_y, w, b)
@@ -146,14 +137,15 @@ def train_plain_cnn(
 
 def _pooled_features(net: SmallResNet, x: np.ndarray) -> np.ndarray:
     p = net.params
-    a1 = _relu(_conv2d(x, p["w1"], p["b1"]))
-    a2 = _relu(_conv2d(a1, p["w2"], p["b2"]) + a1)
-    a3 = _relu(_conv2d(a2, p["w3"], p["b3"], stride=2))
-    a4 = _relu(_conv2d(a3, p["w4"], p["b4"]) + a3)
+    a1 = relu(_conv2d(x, p["w1"], p["b1"]))
+    a2 = relu(_conv2d(a1, p["w2"], p["b2"]) + a1)
+    a3 = relu(_conv2d(a2, p["w3"], p["b3"], stride=2))
+    a4 = relu(_conv2d(a3, p["w4"], p["b4"]) + a3)
     return a4.mean(axis=(2, 3))
 
 
-def _train_softmax(feats, labels, classes, epochs, lr, batch, rng):
+def _train_softmax(feats, labels, classes, rng):
+    epochs, lr, batch = 30, 0.05, 64
     d = feats.shape[1]
     w = np.zeros((d, classes))
     b = np.zeros(classes)
@@ -190,7 +182,6 @@ def noisy_inference(
     scale_bits: float,
     boot_scale_bits: float = 62.0,
     samples: int = 500,
-    seed: int = 0,
 ) -> ResnetResult:
     """Encrypted inference under the calibrated noise executor.
 
@@ -200,14 +191,14 @@ def noisy_inference(
     the stable range) — the Table 2 ResNet-20 row's mechanics.
     """
     model = NoiseModel(scale_bits, boot_scale_bits)
-    ev = NoisyEvaluator(model, seed=seed, message_ratio=RESNET_MESSAGE_RATIO)
+    ev = NoisyEvaluator(model, seed=0, message_ratio=RESNET_MESSAGE_RATIO)
     x = data.test_x[:samples]
     y = data.test_y[:samples]
     drift = 1.0 + INSTABILITY_GAIN * model.relative_std
 
     def act(pre: np.ndarray, layer: int) -> np.ndarray:
         flat = NoisyVector(pre.reshape(-1) * drift**2)
-        out = ev.poly_eval(flat, _relu, RELU_DEGREE, RELU_INTERVAL, depth_ops=4)
+        out = ev.poly_eval(flat, relu, RELU_DEGREE, RELU_INTERVAL, depth_ops=4)
         out = ev.bootstrap(out)
         return out.values.reshape(pre.shape)
 

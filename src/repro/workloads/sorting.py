@@ -66,9 +66,6 @@ def sign_stage(t):
     return np.tanh(9.0 * t)
 
 
-_sign_stage = sign_stage  # backwards-compatible alias
-
-
 @dataclass
 class SortResult:
     values: np.ndarray
@@ -80,8 +77,6 @@ def noisy_bitonic_sort(
     values: np.ndarray,
     scale_bits: float,
     boot_scale_bits: float = 62.0,
-    boot_every: int = SORT_BOOT_EVERY,
-    seed: int = 0,
 ) -> SortResult:
     """Bitonic sort under the calibrated noise executor.
 
@@ -95,7 +90,7 @@ def noisy_bitonic_sort(
     if 1 << k != n:
         raise ValueError("length must be a power of two")
     model = NoiseModel(scale_bits, boot_scale_bits)
-    ev = NoisyEvaluator(model, seed=seed, message_ratio=SORT_MESSAGE_RATIO)
+    ev = NoisyEvaluator(model, seed=0, message_ratio=SORT_MESSAGE_RATIO)
     ct = ev.encrypt(values)
     stage = 0
     for phase in range(1, k + 1):
@@ -110,7 +105,7 @@ def noisy_bitonic_sort(
             diff = NoisyVector(a - b, ct.ops + 1)
             s = diff
             for interval in SIGN_STAGES:
-                s = ev.poly_eval(s, _sign_stage, SIGN_DEGREE, interval, depth_ops=4)
+                s = ev.poly_eval(s, sign_stage, SIGN_DEGREE, interval, depth_ops=4)
             # max(a,b) = (a + b + (a-b)*sign)/2 ; min flips the sign.
             prod = ev.multiply(diff, s)
             hi = (a + b + prod.values) / 2.0
@@ -119,7 +114,7 @@ def noisy_bitonic_sort(
             drift = 1.0 + INSTABILITY_GAIN * model.relative_std
             ct = NoisyVector(np.where(want_lo, lo, hi) * drift, prod.ops + 1)
             stage += 1
-            if stage % boot_every == 0:
+            if stage % SORT_BOOT_EVERY == 0:
                 ct = ev.bootstrap(ct)
     out = ct.values
     ref = np.sort(values)

@@ -280,16 +280,14 @@ def resnet20_trace(
     return b.build()
 
 
-def sorting_trace(
-    setting: WordLengthSetting, log_elems: int = 14, explicit_rescale: bool = False
-) -> Trace:
+def sorting_trace(setting: WordLengthSetting, explicit_rescale: bool = False) -> Trace:
     """Two-way bitonic sorting of 2^14 packed values [52].
 
-    ``k*(k+1)/2`` comparator stages; each stage evaluates a composite
-    sign polynomial (depth ~8) on rotated pairs.
+    ``k*(k+1)/2`` = 105 comparator stages for ``k = 14``; each stage
+    evaluates a composite sign polynomial (depth ~8) on rotated pairs.
     """
     b = TraceBuilder(setting, "sorting", explicit_rescale=explicit_rescale)
-    stages = log_elems * (log_elems + 1) // 2
+    stages = 14 * 15 // 2
     for stage in range(stages):
         # Reserve the stage's full depth (5 consumed levels + the
         # accumulate) before rotating, so a bootstrap never fires while

@@ -261,6 +261,7 @@ class TestConstruction:
             Bootstrapper(ctx, Evaluator(ctx))
 
     def test_k_range_tracks_hamming_weight(self, boot_context, boot_evaluator):
-        b = Bootstrapper(boot_context, boot_evaluator, k_range=11)
-        assert b.k_range == 11
-        assert b.sin_degree > 2 * math.pi * 11
+        b = Bootstrapper(boot_context, boot_evaluator)
+        h = boot_context.params.hamming_weight
+        assert b.k_range == max(4, int(1.6 * math.sqrt(h)) + 1) == 7
+        assert b.sin_degree > 2 * math.pi * b.k_range

@@ -679,4 +679,4 @@ class TestCli:
 
     def test_cli_math_is_checked_not_asserted(self):
         # The CLI derives the safe bound instead of trusting the constant.
-        assert max_safe_word_bits(limit=63) == 62
+        assert max_safe_word_bits() == 62

@@ -71,11 +71,6 @@ class TestArea:
         a28 = chip_area(sharp28_config()).total
         assert a64 / a28 == pytest.approx(2.12, abs=0.3)
 
-    def test_flat_nttu_penalty(self):
-        hier = chip_area(sharp_config())
-        flat = chip_area(sharp_config().with_features(hierarchical_nttu=False))
-        assert flat.nttu / hier.nttu == pytest.approx(2.04, abs=0.01)
-
     def test_8cluster_area(self):
         assert chip_area(sharp_8cluster_config()).total == pytest.approx(
             251.5, abs=20
@@ -131,12 +126,6 @@ class TestLowering:
             for op in trace.ops:
                 work = first.setdefault(op_shape(op), lowering.lower(op))
                 assert lowering.lower(op) == work, op
-
-    def test_prng_halves_evk_traffic(self, sharp):
-        setting = sharp.setting()
-        assert setting.evk_bytes(prng=False, limbs=35) == pytest.approx(
-            2 * setting.evk_bytes(prng=True, limbs=35)
-        )
 
 
 class TestTraces:

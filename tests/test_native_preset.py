@@ -101,9 +101,7 @@ class TestNativeBootstrap:
 
     @pytest.fixture(scope="class")
     def boot_pair(self):
-        native = CkksContext(
-            build_native_ckks_params(word_bits=36, **self.BOOT), seed=99
-        )
+        native = CkksContext(make_params(scale_bits=35.0, word_bits=36, **self.BOOT), seed=99)
         ds = CkksContext(make_params(scale_bits=35, **self.BOOT), seed=99)
         return native, ds
 

@@ -142,14 +142,6 @@ class TestTenStep:
 
 
 class TestNttuDataflow:
-    def test_bisection_matches_table4(self):
-        """ARK: 768 words/cycle; SHARP: 128 — the six-fold reduction."""
-        flat = flat_nttu_dataflow(256, 65536)
-        hier = hierarchical_nttu_dataflow(256, 65536)
-        assert flat.bisection_words_per_cycle == 768
-        assert hier.bisection_words_per_cycle == 128
-        assert flat.bisection_words_per_cycle / hier.bisection_words_per_cycle == 6.0
-
     def test_wiring_reduction_order_of_magnitude(self):
         """Paper: 9.17x shorter horizontal wiring; our model gives ~8.5x
         for the local networks."""

@@ -4,10 +4,7 @@ import math
 
 import pytest
 
-from repro.params.presets import (
-    build_setting,
-    build_sharp_setting,
-)
+from repro.params.presets import build_sharp_setting
 from repro.params.security import max_log_pq
 
 # The paper's Fig. 2(b) row, reproduced mechanistically by the budget model.
@@ -113,9 +110,9 @@ class TestSecurityBudget:
 class TestBuilderValidation:
     def test_rejects_extreme_word_lengths(self):
         with pytest.raises(ValueError):
-            build_setting(20)
+            build_sharp_setting(20)
         with pytest.raises(ValueError):
-            build_setting(72)
+            build_sharp_setting(72)
 
     def test_describe_mentions_key_facts(self):
         text = build_sharp_setting(36).describe()

@@ -36,7 +36,7 @@ from repro.serve.server import FheServer
 FOLD = FoldParams.from_params(build_native_ckks_params(36, degree=1 << 10, depth=4), 36)
 NOISE = FOLD.noise
 # Every tier the service sells, built once for the tests that run jobs.
-OFFLINE = ServeOffline(word_lengths=SERVE_WORD_LENGTHS, seed=99)
+OFFLINE = ServeOffline(seed=99)
 
 
 def _scale_mismatch() -> EvalProgram:
@@ -382,6 +382,8 @@ class TestNonFiniteConstants:
             wire.decode_program(bad.encode("utf-8"))
 
     def test_server_refuses_raw_job_frame(self):
+        # Each malformed JOB is refused alone, as that job; the session
+        # stays open and the next job on it runs.
         async def scenario() -> None:
             server = FheServer(batch_window=0.01)
             await server.start()
@@ -391,23 +393,38 @@ class TestNonFiniteConstants:
                 good = _well_formed().to_json()
                 assert "[0.5,0.0]" in good
                 ct = client.keys.context.encrypt(np.zeros(client.slots))
-                wire.write_frame(
-                    client._writer,
-                    wire.Kind.JOB,
-                    wire.encode_blobs(
-                        [
-                            wire.encode_json({"program": "poly"}),
-                            good.replace("[0.5,0.0]", "[NaN,0.0]").encode("utf-8"),
-                            wire.encode_ciphertext(ct),
-                        ]
-                    ),
-                )
-                await client._writer.drain()
-                kind, payload = await wire.read_frame(client._reader, client._frame_limit)
-                assert kind == wire.Kind.ERROR
-                assert "invalid program" in wire.decode_json(payload)["error"]
+                bad_programs = {
+                    "invalid program": good.replace("[0.5,0.0]", "[NaN,0.0]").encode("utf-8"),
+                    "not valid JSON": b'{"ops": [',
+                }
+                for expected, program_blob in bad_programs.items():
+                    wire.write_frame(
+                        client._writer,
+                        wire.Kind.JOB,
+                        wire.encode_blobs(
+                            [
+                                wire.encode_json({"program": "poly"}),
+                                program_blob,
+                                wire.encode_ciphertext(ct),
+                            ]
+                        ),
+                    )
+                    await client._writer.drain()
+                    kind, payload = await wire.read_frame(client._reader, client._frame_limit)
+                    assert kind == wire.Kind.ERROR
+                    error = wire.decode_json(payload)
+                    assert expected in error["error"]
+                    assert error["job_id"].startswith(client.session_id)
+                    assert error["codes"] == ["WIRE-JOB"]
                 assert server.metrics.engine_invocations == 0
                 assert server.metrics.jobs_admitted == 0
+                values = [0.5, -0.25]
+                result = await client.submit(_well_formed(), values)
+                want = [0.5 * v * v + v for v in values]
+                assert np.allclose(result.values[: len(values)].real, want, atol=1e-3)
+                jobs = (await client.stats())["jobs"]
+                assert (jobs["submitted"], jobs["admitted"], jobs["rejected"]) == (3, 1, 2)
+                assert jobs["submitted"] == jobs["admitted"] + jobs["rejected"]
                 await client.close()
             finally:
                 await server.close()

@@ -68,12 +68,12 @@ class TestHelr:
         return make_mnist_like(train=1024, test=512, separation=0.75)
 
     def test_plain_reference_accuracy(self, data):
-        r = train_plain(data, iterations=16)
+        r = train_plain(data)
         assert r.final_accuracy > 0.9
 
     def test_scale_cliff(self, data):
-        low = train_noisy(data, 27, 55, iterations=24)
-        high = train_noisy(data, 35, 62, iterations=24)
+        low = train_noisy(data, 27, 55)
+        high = train_noisy(data, 35, 62)
         assert low.final_accuracy < 0.75
         assert high.final_accuracy > 0.9
 
