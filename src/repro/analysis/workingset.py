@@ -56,7 +56,7 @@ def _limb_ladder(setting: WordLengthSetting) -> list[int]:
 
 def hmult_breakdown(setting: WordLengthSetting, limbs: int) -> dict:
     """Fraction of HMult's multiplier work per primary function."""
-    drop = 1 if not setting.group("normal").is_double else 2
+    drop = setting.group("normal").primes_per_level
     counts = hmult_counts(setting, limbs, min(drop, limbs - 1))
     total = counts.total_muls
     return {

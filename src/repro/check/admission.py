@@ -63,7 +63,10 @@ class FoldParams:
         widest = max(p.bit_length() for p in params.full_basis)
         if not widest <= word_bits <= max(WORD_LENGTHS):
             raise ValueError(f"{word_bits} bits is not a word length for {widest}-bit primes")
-        boot_scale, _ = boot_plan(word_bits)
+        if params.boot_levels and params.boot_scale_bits:
+            boot_scale = params.boot_scale_bits
+        else:
+            boot_scale, _ = boot_plan(word_bits)
         usable, base = params.usable_level, params.base_primes
 
         def group(name: str, scale_bits: float, steps: "tuple[LevelStep, ...]") -> LevelGroup:
@@ -73,7 +76,7 @@ class FoldParams:
 
         groups = (
             LevelGroup("base", math.log2(math.prod(base)), 1, len(base), base),
-            group("boot", params.boot_scale_bits or boot_scale, params.steps[usable:]),
+            group("boot", boot_scale, params.steps[usable:]),
             group("stc", params.scale_bits, ()),
             group("normal", params.scale_bits, params.steps[:usable]),
         )

@@ -514,9 +514,9 @@ def _boot_pair_product_bits(word_bits: int) -> int:
     the word length.  One extra bit covers primes sitting just above
     the half-scale target.
     """
-    from repro.params.presets import _boot_plan
+    from repro.params.presets import boot_plan
 
-    boot_scale, _depth = _boot_plan(word_bits)
+    boot_scale, _depth = boot_plan(word_bits)
     return int(boot_scale) + 1
 
 

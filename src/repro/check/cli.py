@@ -78,7 +78,7 @@ from repro.check.wordlen_audit import (
     verify_claims,
 )
 from repro.core.config import sharp_config
-from repro.params.presets import WordLengthSetting, build_sharp_setting
+from repro.params.presets import NATIVE_WORD_LENGTHS, WordLengthSetting, build_sharp_setting
 from repro.rns import kernels
 from repro.sched.fusion import fuse_trace
 from repro.sched.trace import schedule_trace
@@ -87,8 +87,6 @@ from repro.workloads.traces import evaluation_traces
 __all__ = ["PASSES", "Pass", "PassRun", "main", "render_markdown_summary"]
 
 Row = dict[str, Any]
-
-PROVE_BITS = (28, 36, 50, 62)
 
 # The shipped traces are verified at SHARP's operating point: the
 # 36-bit Set_k chain, Belady eviction.
@@ -161,7 +159,7 @@ def _setting() -> WordLengthSetting:
 
 def _bounds(out: PassRun) -> None:
     headroom: dict[str, Row] = {}
-    for bits in PROVE_BITS:
+    for bits in NATIVE_WORD_LENGTHS:
         certificate = certify_word_bits(bits)
         out.gate(f"word_bits={bits}", certificate.ok)
         out.lines.extend(

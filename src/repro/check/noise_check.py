@@ -44,6 +44,7 @@ from typing import Callable
 
 from repro.ckks import calibration
 from repro.check.diagnostics import CheckReport
+from repro.params.primes import level_width
 
 __all__ = [
     "K_SIGMA",
@@ -70,17 +71,6 @@ _POISON = float("inf")
 def _quad(*stds: float) -> float:
     """Quadrature accumulation of independent noise standard deviations."""
     return math.sqrt(sum(s * s for s in stds))
-
-
-def _realizable(scale_bits: float, word_bits: int) -> bool:
-    """Can a ``scale_bits`` scale be realized on ``word_bits`` words?
-
-    Single-prime scaling needs a prime near the scale to fit the word
-    (``scale + 1 <= word``); double-prime scaling realizes the scale as
-    a pair of half-width primes (``scale <= 2 * word - 1``), mirroring
-    :func:`repro.params.presets._boot_plan`.
-    """
-    return scale_bits + 1.0 <= word_bits or scale_bits <= 2.0 * word_bits - 1.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ class NoiseParams:
             ("normal", self.scale_bits),
             ("bootstrapping", self.boot_scale_bits),
         ):
-            if not _realizable(bits, self.word_bits):
+            if not level_width(bits, self.word_bits):
                 report.error(
                     "NOISE-SCALE-UNREALIZABLE",
                     f"claimed {name} scale 2^{bits:g} cannot be realized on "

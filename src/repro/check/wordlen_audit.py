@@ -39,10 +39,9 @@ from repro.check.noise_check import (
     NoiseSummary,
     check_noise_program,
 )
-from repro.params.presets import boot_plan, native_scale_bits
+from repro.params.presets import NATIVE_WORD_LENGTHS, boot_plan, native_scale_bits
 
 __all__ = [
-    "SWEEP_WORD_BITS",
     "EXPECTED_REGIMES",
     "PAPER_FRESH_PRECISION_AT_35",
     "PAPER_BOOT_PRECISION_AT_35",
@@ -56,9 +55,6 @@ __all__ = [
     "verify_claims",
 ]
 
-# The word-length presets the kernel bound prover certifies — the same
-# sweep, seen from the noise side.
-SWEEP_WORD_BITS = (28, 36, 50, 62)
 CLAIM_TOLERANCE_BITS = 0.25  # an over-claimed floor within this passes
 
 # What SHARP's S3 / Table 2 says each regime must look like.
@@ -236,7 +232,7 @@ def _audit_one(params: NoiseParams, workload: str) -> AuditEntry:
 
 
 def run_audit(
-    words: Iterable[int] = SWEEP_WORD_BITS,
+    words: Iterable[int] = NATIVE_WORD_LENGTHS,
     include_jitter: bool = True,
     include_boot_noise: bool = True,
 ) -> AuditResult:

@@ -20,12 +20,7 @@ import numpy as np
 
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
-from repro.params.primes import (
-    PrimeScarcityError,
-    find_aux_primes,
-    find_ds_pairs,
-    find_ss_primes,
-)
+from repro.params.primes import find_aux_primes, realize_levels
 from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RingContext, RnsPolynomial
@@ -41,7 +36,6 @@ __all__ = [
     "make_params",
 ]
 
-_FAST_PRIME_BITS = 30  # SS only when the scale fits comfortably below 2^31
 _BASE_HEADROOM_BITS = 7  # base modulus margin above the scale for decode
 
 
@@ -192,36 +186,6 @@ class CkksParams:
         )
 
 
-def _steps_for_scale(
-    two_n: int,
-    scale_bits: float,
-    count: int,
-    exclude: set[int],
-    word_bits: int = _FAST_PRIME_BITS + 1,
-) -> list[LevelStep]:
-    """Realize ``count`` rescale steps of one scale, SS first then DS.
-
-    ``word_bits`` is the machine-word width primes must fit in.  A scale
-    within one bit of the word is realized by single primes (SS); wider
-    scales fall back to double-prime pairs (DS).  With a 36-bit word —
-    SHARP's robust word length — the paper's 35-bit scale runs SS on
-    single native primes.
-    """
-    if count <= 0:
-        return []
-    if scale_bits + 1 <= word_bits:
-        try:
-            primes = find_ss_primes(two_n, scale_bits, count, word_bits, exclude=exclude)
-            exclude.update(primes)
-            return [LevelStep((p,)) for p in primes]
-        except PrimeScarcityError:
-            pass  # not enough single primes near the scale: pair up
-    pairs = find_ds_pairs(two_n, scale_bits, count, word_bits, exclude=exclude)
-    for a, b in pairs:
-        exclude.update((a, b))
-    return [LevelStep((a, b)) for a, b in pairs]
-
-
 def make_params(
     degree: int = 1 << 12,
     slots: int | None = None,
@@ -231,7 +195,7 @@ def make_params(
     boot_depth: int = 0,
     dnum: int = 3,
     hamming_weight: int | None = None,
-    word_bits: int | None = None,
+    word_bits: int = 31,
 ) -> CkksParams:
     """Build a functional parameter set.
 
@@ -246,25 +210,24 @@ def make_params(
     if slots is None:
         slots = degree // 4
     two_n = 2 * degree
-    if word_bits is None:
-        word_bits = _FAST_PRIME_BITS + 1
     if not 4 <= word_bits <= 62:
         raise ValueError("word_bits must be in [4, 62]")
     exclude: set[int] = set()
 
-    base_bits = scale_bits + _BASE_HEADROOM_BITS
-    base_steps = _steps_for_scale(two_n, base_bits, 1, exclude, word_bits)
-    base_primes = base_steps[0].primes
+    def realize(bits: float, count: int) -> list[LevelStep]:
+        levels = realize_levels(two_n, bits, count, word_bits, exclude)
+        return [LevelStep(level) for level in levels]
+
+    (base,) = realize(scale_bits + _BASE_HEADROOM_BITS, 1)
+    base_primes = base.primes
 
     boot_steps: list[LevelStep] = []
     if boot_depth:
         if boot_scale_bits is None:
             raise ValueError("boot_depth > 0 requires boot_scale_bits")
-        boot_steps = _steps_for_scale(
-            two_n, boot_scale_bits, boot_depth, exclude, word_bits
-        )
+        boot_steps = realize(boot_scale_bits, boot_depth)
 
-    normal_steps = _steps_for_scale(two_n, scale_bits, depth, exclude, word_bits)
+    normal_steps = realize(scale_bits, depth)
 
     # Normal levels first, bootstrap levels last: rescaling consumes the
     # chain from the end, and after ModRaise the bootstrap pipeline must

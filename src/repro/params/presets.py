@@ -40,9 +40,10 @@ from functools import lru_cache
 from repro.params.primes import (
     PrimeScarcityError,
     find_aux_primes,
-    find_ds_pairs,
-    find_ss_primes,
+    level_width,
+    max_scale_bits,
     min_ds_scale_bits,
+    realize_levels,
 )
 from repro.params.security import max_log_pq
 
@@ -52,16 +53,20 @@ __all__ = [
     "build_sharp_setting",
     "build_native_ckks_params",
     "WORD_LENGTHS",
+    "NATIVE_WORD_LENGTHS",
     "DEFAULT_NORMAL_SCALE_BITS",
     "DEFAULT_BOOT_SCALE_BITS",
     "BOOT_DEPTH_SS",
     "STC_DEPTH",
     "boot_plan",
     "native_scale_bits",
-    "negotiate_word_bits",
 ]
 
 WORD_LENGTHS = (28, 32, 36, 40, 44, 48, 52, 56, 60, 64)
+# The words that run natively (every prime below the 2^62 kernel limit):
+# the bound prover certifies them, the noise audit sweeps them and the
+# service sells them.
+NATIVE_WORD_LENGTHS = (28, 36, 50, 62)
 
 DEFAULT_NORMAL_SCALE_BITS = 35  # minimum robust normal scale (observation (1))
 DEFAULT_BOOT_SCALE_BITS = 62  # bootstrapping scale used by Set_32..Set_64
@@ -216,45 +221,28 @@ class WordLengthSetting:
         return "\n".join(lines)
 
 
-def _boot_plan(word_bits: int) -> tuple[float, int]:
-    """(boot scale bits, boot depth) for a word length.
+def boot_plan(word_bits: int) -> tuple[float, int]:
+    """``(boot scale bits, boot depth)`` for a word length.
 
-    The boot scale is 2^62 realized as SS when a ~2^62 prime fits the
-    word, and as a DS pair (two ~2^31 primes) otherwise.  Words shorter
-    than 33 bits cannot host a 2^31 DS factor, so the scale drops to the
-    largest DS-realizable value (2^55 for 28-bit words) and the depth
-    grows to recover precision.
+    The boot scale is 2^62, realized as SS when a ~2^62 prime fits the
+    word and as a DS pair otherwise (one more level).  Words too short
+    for a 2^62 pair drop to the largest DS scale, at most 2^55 (28-bit
+    words), and pay a further level to recover precision.  The chain
+    builder, the static noise audit and the bound prover all read it.
     """
     scale = float(DEFAULT_BOOT_SCALE_BITS)
-    if scale + 1 <= word_bits:  # SS prime near 2^62 fits
-        return scale, BOOT_DEPTH_SS
-    if scale / 2 + 1 <= word_bits:  # DS pair of ~2^31 primes fits
-        return scale, BOOT_DEPTH_SS + 1
-    # Largest DS-realizable scale: a pair of near-word-sized primes.
-    scale = float(min(REDUCED_BOOT_SCALE_BITS, 2 * word_bits - 1))
-    return scale, BOOT_DEPTH_SS + 2
-
-
-def boot_plan(word_bits: int) -> tuple[float, int]:
-    """Public accessor for the per-word bootstrapping plan.
-
-    Returns ``(boot_scale_bits, boot_depth)`` — consumed by the static
-    noise audit (:mod:`repro.check.wordlen_audit`) so its word-length
-    sweep uses exactly the bootstrapping scales the chains are built
-    with.
-    """
-    return _boot_plan(word_bits)
+    width = level_width(scale, word_bits)
+    if width:
+        return scale, BOOT_DEPTH_SS + width - 1
+    reduced = min(REDUCED_BOOT_SCALE_BITS, max_scale_bits(word_bits, double=True))
+    return float(reduced), BOOT_DEPTH_SS + 2
 
 
 def native_scale_bits(word_bits: int) -> float:
-    """Largest single-prime (SS) normal scale a word length can host.
-
-    An SS prime near ``2**s`` needs ``s + 1 <= word_bits``: the sweep
-    scale of the word-length audit (36-bit words run the paper's 35-bit
-    robust scale; 28-bit words are forced down to 2^27 — the explosion
-    regime of Table 2).
-    """
-    return float(word_bits - 1)
+    """Largest single-prime (SS) normal scale a word length can host:
+    36-bit words run the paper's 35-bit robust scale, 28-bit words are
+    forced down to 2^27 (the explosion regime of Table 2)."""
+    return float(max_scale_bits(word_bits))
 
 
 def _build_group(
@@ -267,21 +255,9 @@ def _build_group(
     force_ds: bool = False,
 ) -> LevelGroup:
     """Realize ``levels`` rescaling levels of one scale as SS or DS."""
-    if not force_ds:
-        try:
-            primes = find_ss_primes(
-                two_n, scale_bits, levels, word_bits, exclude=exclude
-            )
-            group = LevelGroup(name, scale_bits, levels, 1, tuple(primes))
-            exclude.update(group.primes)
-            return group
-        except PrimeScarcityError:
-            pass
-    pairs = find_ds_pairs(two_n, scale_bits, levels, word_bits, exclude=exclude)
-    flat = tuple(p for pair in pairs for p in pair)
-    group = LevelGroup(name, scale_bits, levels, 2, flat)
-    exclude.update(group.primes)
-    return group
+    realized = realize_levels(two_n, scale_bits, levels, word_bits, exclude, force_ds)
+    flat = tuple(p for level in realized for p in level)
+    return LevelGroup(name, scale_bits, levels, len(realized[0]), flat)
 
 
 def _try_build(
@@ -290,8 +266,8 @@ def _try_build(
     """Build a full chain for a candidate L_eff; None if over budget."""
     two_n = 2 * DEGREE
     budget = max_log_pq(DEGREE)
-    boot_scale, boot_depth = _boot_plan(word_bits)
-    boot_is_ds = boot_scale + 1 > word_bits
+    boot_scale, boot_depth = boot_plan(word_bits)
+    boot_is_ds = level_width(boot_scale, word_bits) != 1
     exclude: set[int] = set()
 
     # Build the normal-scale groups first: their DS small-side primes are
@@ -365,35 +341,11 @@ def build_sharp_setting(word_bits: int, dnum: int = DEFAULT_DNUM) -> WordLengthS
 def _supportable_scale(levels: int, word_bits: int) -> float:
     """Smallest realizable normal scale >= the default one."""
     requested_bits = DEFAULT_NORMAL_SCALE_BITS
-    # SS path: a prime near the scale must fit the word.
-    if requested_bits + 1 <= word_bits:
+    if level_width(requested_bits, word_bits) == 1:
         return requested_bits
     # DS path: need `levels` distinct pairs.
     min_bits = min_ds_scale_bits(2 * DEGREE, levels, word_bits)
     return float(max(min_bits, requested_bits))
-
-
-def negotiate_word_bits(
-    requested_bits: int,
-    supported: tuple[int, ...] = WORD_LENGTHS,
-) -> int:
-    """Smallest supported machine word at least ``requested_bits`` wide.
-
-    The ``repro.serve`` offline phase negotiates each tenant's parameter
-    preset through this: a tenant states the narrowest word it will
-    accept (a proxy for its precision demand — the native scale is
-    ``word_bits - 1``), and the service answers with the cheapest preset
-    it actually hosts.  Raises ``ValueError`` when no supported word is
-    wide enough, so impossible demands fail at negotiation time rather
-    than at admission time.
-    """
-    for bits in sorted(supported):
-        if bits >= requested_bits:
-            return bits
-    raise ValueError(
-        f"no supported word length >= {requested_bits} bits "
-        f"(supported: {tuple(sorted(supported))})"
-    )
 
 
 def build_native_ckks_params(
@@ -404,10 +356,10 @@ def build_native_ckks_params(
 ):
     """Functional ``CkksParams`` on *native* ``word_bits``-wide primes.
 
-    The normal scale is ``word_bits - 1`` — Set_36's 35-bit robust scale
-    for the default word — realized as single primes that run directly
-    on the wide kernel fast path (:mod:`repro.rns.kernels`), with no
-    double-prime emulation anywhere in the chain.  The CKKS layer picks
+    The normal scale is :func:`native_scale_bits` — Set_36's 35-bit
+    robust scale for the default word — realized as single primes that
+    run directly on the wide kernel fast path (:mod:`repro.rns.kernels`),
+    with no double-prime emulation anywhere in the chain.  The CKKS layer picks
     the preset up unchanged: only the primes are wider.
     """
     from repro.ckks.context import make_params  # params must not import ckks eagerly
@@ -415,7 +367,7 @@ def build_native_ckks_params(
     return make_params(
         degree=degree,
         slots=slots,
-        scale_bits=float(word_bits - 1),
+        scale_bits=native_scale_bits(word_bits),
         depth=depth,
         word_bits=word_bits,
     )

@@ -32,6 +32,9 @@ __all__ = [
     "find_ss_primes",
     "find_ds_pairs",
     "find_aux_primes",
+    "max_scale_bits",
+    "level_width",
+    "realize_levels",
     "min_ds_scale_bits",
     "relative_deviation",
     "MAX_SS_DEVIATION",
@@ -52,6 +55,28 @@ class PrimeScarcityError(ValueError):
 def relative_deviation(value: float, target: float) -> float:
     """``|value - target| / target`` — distance from the scale."""
     return abs(value - target) / target
+
+
+def max_scale_bits(word_bits: int, double: bool = False) -> int:
+    """The fit rule (S3.1): the widest scale one level realizes on
+    ``word_bits``-bit words.
+
+    A single prime near ``2**s`` fits the word when ``s + 1 <= word``
+    (SS); a pair of primes, each below ``2**word``, reaches
+    ``s <= 2 * word - 1`` (DS).
+    """
+    return 2 * word_bits - 1 if double else word_bits - 1
+
+
+def level_width(scale_bits: float, word_bits: int) -> int:
+    """Primes per level of a ``scale_bits`` scale on ``word_bits``-bit
+    words: 1 (SS) when one prime fits, 2 (DS) when only a pair does, 0
+    when the scale is not realizable at all."""
+    if scale_bits <= max_scale_bits(word_bits):
+        return 1
+    if scale_bits <= max_scale_bits(word_bits, double=True):
+        return 2
+    return 0
 
 
 def find_ntt_primes(
@@ -210,6 +235,32 @@ def find_ds_pairs(
             f"{word_bits}-bit words (mod {two_n}), needed {num_pairs}"
         )
     return pairs
+
+
+def realize_levels(
+    two_n: int,
+    scale_bits: float,
+    count: int,
+    word_bits: int,
+    exclude: set[int],
+    force_ds: bool = False,
+) -> list[tuple[int, ...]]:
+    """Realize ``count`` rescaling levels of one scale: single primes (SS)
+    when the scale fits the word and enough primes exist near it, prime
+    pairs (DS) otherwise or when ``force_ds``.  The chosen primes join
+    ``exclude``."""
+    levels: list[tuple[int, ...]] | None = None
+    if not force_ds and level_width(scale_bits, word_bits) == 1:
+        try:
+            primes = find_ss_primes(two_n, scale_bits, count, word_bits, exclude=exclude)
+            levels = [(p,) for p in primes]
+        except PrimeScarcityError:
+            pass  # not enough single primes near the scale: pair up
+    if levels is None:
+        levels = list(find_ds_pairs(two_n, scale_bits, count, word_bits, exclude=exclude))
+    for level in levels:
+        exclude.update(level)
+    return levels
 
 
 def min_ds_scale_bits(two_n: int, num_pairs: int, word_bits: int) -> int:

@@ -49,23 +49,17 @@ _DIGIT_MASK = np.uint64((1 << _DIGIT_BITS) - 1)
 class BaseConverter:
     """Precomputed base conversion from ``src_moduli`` to ``dst_moduli``.
 
-    The *centered* variant (default) estimates the CRT overflow count
+    The conversion is *centered*: it estimates the CRT overflow count
     ``e = round(sum_i y_i / q_i)`` in floating point and subtracts
-    ``e * Q``, producing the representative nearest zero.  Without it
-    the output carries a positive bias of up to ``L/2 * Q`` which — once
+    ``e * Q``, producing the representative nearest zero.  Without that
+    the output would carry a positive bias of up to ``L/2 * Q`` which — once
     divided down in ModDown — becomes a low-frequency error that the
     canonical embedding amplifies by ``O(N)`` in the worst slot.
     """
 
-    def __init__(
-        self,
-        src_moduli: Sequence[int],
-        dst_moduli: Sequence[int],
-        centered: bool = True,
-    ) -> None:
+    def __init__(self, src_moduli: Sequence[int], dst_moduli: Sequence[int]) -> None:
         self.src_moduli = tuple(src_moduli)
         self.dst_moduli = tuple(dst_moduli)
-        self.centered = centered
         if set(self.src_moduli) & set(self.dst_moduli):
             raise ValueError("source and destination bases must be disjoint")
         for q in self.src_moduli + self.dst_moduli:
@@ -139,10 +133,7 @@ class BaseConverter:
             for row, p in zip(table, self.dst_moduli)
         ]
         words = np.array(
-            [
-                row + high + ([c] if self.centered else [])
-                for row, high, c in zip(table, shifted, corr)
-            ],
+            [row + high + [c] for row, high, c in zip(table, shifted, corr)],
             dtype=np.uint64,
         )
         return np.concatenate([words & _DIGIT_MASK, words >> _DIGIT_SHIFT]).astype(np.float64)
@@ -165,7 +156,7 @@ class BaseConverter:
         """Word-split dense matmul: one dgemm, one reduction per row.
 
         The right operand stacks the low digits of ``y``, its high
-        digits and (centered) the overflow count; ``_digits @ operand``
+        digits and the overflow count; ``_digits @ operand``
         yields ``S0`` over ``S1`` exactly (sums below ``2**53``), and
         ``S0 + (S1 << 18) < 2**63`` is congruent to the converted value,
         so one float-Barrett pass canonicalizes it.  Canonical outputs
@@ -186,10 +177,10 @@ class BaseConverter:
         np.copyto(operand[:src_count], _i64(digit))
         np.right_shift(y, _DIGIT_SHIFT, out=digit)
         np.copyto(operand[src_count : 2 * src_count], _i64(digit))
-        if self.centered:  # overflow count e = round(sum_i y_i / q_i)
-            np.copyto(ratio, _i64(y))
-            ratio *= self._src_inv_float
-            np.rint(np.sum(ratio, axis=0, out=operand[-1]), out=operand[-1])
+        # overflow count e = round(sum_i y_i / q_i)
+        np.copyto(ratio, _i64(y))
+        ratio *= self._src_inv_float
+        np.rint(np.sum(ratio, axis=0, out=operand[-1]), out=operand[-1])
         np.matmul(self._digits, operand, out=sums)
         out = np.empty((dst_count, width), dtype=np.uint64)
         np.copyto(_i64(out), sums[:dst_count], casting="unsafe")
@@ -201,8 +192,7 @@ class BaseConverter:
     def _convert_rows_wide(self, limbs: np.ndarray) -> np.ndarray:
         """Per-destination-row Shoup/sum_mod loop (any modulus < 2**62)."""
         y = self._scaled_src(limbs)
-        if self.centered:
-            overflow = np.rint((y * self._src_inv_float).sum(axis=0)).astype(np.uint64)
+        overflow = np.rint((y * self._src_inv_float).sum(axis=0)).astype(np.uint64)
         out_rows = []
         for j, kern in enumerate(self._dst_kernels):
             # terms[i] = y_i * table[j, i] mod p_j, lazy in [0, 2p_j):
@@ -214,12 +204,8 @@ class BaseConverter:
                 kern.q,
             )
             acc = kern.sum_mod(terms, axis=0)
-            if self.centered:
-                corr = kernels.shoup_mul(
-                    overflow, self._corr[j], self._corr_shoup[j], kern.q
-                )
-                acc = kern.add(acc, corr)
-            out_rows.append(acc)
+            corr = kernels.shoup_mul(overflow, self._corr[j], self._corr_shoup[j], kern.q)
+            out_rows.append(kern.add(acc, corr))
         return np.stack(out_rows)
 
 

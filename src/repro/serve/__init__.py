@@ -24,12 +24,7 @@ demo plus one job at every word length sold (also the CI smoke gate).
 
 from repro.serve.batching import BatchJob, BatchPlan, plan_batches, service_wrapped
 from repro.serve.client import FheClient, JobRejected, JobResult
-from repro.serve.offline import (
-    SERVE_WORD_LENGTHS,
-    ServeOffline,
-    ServePreset,
-    TenantKeys,
-)
+from repro.serve.offline import ServeOffline, ServePreset, TenantKeys
 from repro.serve.program import EvalProgram, ProgramBuilder, ProgramError, ProgramOp
 from repro.serve.server import FheServer, ServerMetrics
 from repro.serve.session import TenantSession
@@ -43,7 +38,6 @@ __all__ = [
     "FheClient",
     "JobRejected",
     "JobResult",
-    "SERVE_WORD_LENGTHS",
     "ServeOffline",
     "ServePreset",
     "TenantKeys",

@@ -10,7 +10,7 @@ rejected at admission, and checks every observable invariant:
 * the rejected job reports its diagnostic codes and costs the engine
   exactly zero evaluator invocations;
 * one job at every word length the service sells
-  (:data:`repro.serve.offline.SERVE_WORD_LENGTHS`) decrypts within its
+  (:data:`repro.params.presets.NATIVE_WORD_LENGTHS`) decrypts within its
   proven floor.
 
 Exit status 0 means the full offline + online pipeline works.
@@ -24,8 +24,8 @@ import sys
 
 import numpy as np
 
+from repro.params.presets import NATIVE_WORD_LENGTHS
 from repro.serve.client import FheClient, JobRejected, JobResult
-from repro.serve.offline import SERVE_WORD_LENGTHS
 from repro.serve.program import EvalProgram, ProgramBuilder
 from repro.serve.server import FheServer
 
@@ -107,7 +107,7 @@ async def _smoke() -> int:
         )
         await asyncio.gather(alice.close(), bob.close())
 
-        for bits in SERVE_WORD_LENGTHS:
+        for bits in NATIVE_WORD_LENGTHS:
             tier = FheClient("127.0.0.1", server.port, seed=300 + bits)
             await tier.enroll(bits, width=4)
             ok &= _within_floor(f"{bits}-bit", await tier.submit(program, a_vals), a_vals)

@@ -4,8 +4,8 @@ Everything here happens once per tenant (or once per preset), before
 any job is submitted:
 
 1. the client asks for a word length; the server answers with the
-   smallest supported preset that covers it
-   (:func:`repro.params.presets.negotiate_word_bits`) and ships the
+   smallest catalogued preset that covers it
+   (:meth:`ServeOffline.negotiate`) and ships the
    full parameter spec plus the batch public key;
 2. the client builds its own :class:`~repro.ckks.context.CkksContext`
    from the spec (the tenant secret is sampled client-side and never
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.check.admission import FoldParams
-from repro.params.presets import negotiate_word_bits
+from repro.params.presets import NATIVE_WORD_LENGTHS
 from repro.serve.session import TenantSession
 
 if TYPE_CHECKING:
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from repro.rns.poly import RnsPolynomial
 
 __all__ = [
-    "SERVE_WORD_LENGTHS",
     "SERVE_DEGREE",
     "SERVE_DEPTH",
     "ServePreset",
@@ -42,9 +41,8 @@ __all__ = [
     "TenantKeys",
 ]
 
-# The service catalogue: every word length the paper's robustness sweep
-# proves out, at a ring small enough for interactive latency.
-SERVE_WORD_LENGTHS: tuple[int, ...] = (28, 36, 50, 62)
+# The service sells every native word length, at a ring small enough for
+# interactive latency.
 SERVE_DEGREE = 1 << 11
 SERVE_DEPTH = 4
 
@@ -108,14 +106,24 @@ class ServeOffline:
         self._presets: dict[int, ServePreset] = {}
 
     def negotiate(self, requested_bits: int) -> int:
-        """Smallest catalogued word length covering the request."""
-        return negotiate_word_bits(requested_bits, supported=SERVE_WORD_LENGTHS)
+        """Smallest catalogued word length at least ``requested_bits`` wide.
+
+        A tenant states the narrowest word it accepts (a proxy for its
+        precision demand: the native scale is one bit below the word);
+        an impossible demand raises ``ValueError`` here rather than at
+        admission."""
+        for bits in NATIVE_WORD_LENGTHS:
+            if bits >= requested_bits:
+                return bits
+        raise ValueError(
+            f"no word length >= {requested_bits} bits in the catalogue {NATIVE_WORD_LENGTHS}"
+        )
 
     def preset(self, word_bits: int) -> ServePreset:
-        if word_bits not in SERVE_WORD_LENGTHS:
+        if word_bits not in NATIVE_WORD_LENGTHS:
             raise ValueError(
                 f"word length {word_bits} is not in the catalogue "
-                f"{SERVE_WORD_LENGTHS}"
+                f"{NATIVE_WORD_LENGTHS}"
             )
         if word_bits not in self._presets:
             # Distinct seed per preset so batch secrets never repeat

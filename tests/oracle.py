@@ -23,8 +23,8 @@ def crt(residues, moduli) -> int:
     return sum(int(r) * (big // q) * pow(big // q, -1, q) for r, q in zip(residues, moduli)) % big
 
 
-def bconv_oracle(src, dst, limbs, columns=None, centered=True) -> np.ndarray:
-    """HPS base conversion of the chosen columns; ``centered`` subtracts the overflow count."""
+def bconv_oracle(src, dst, limbs, columns=None) -> np.ndarray:
+    """Centered HPS base conversion of the chosen columns: the overflow count is subtracted."""
     big = prod(src)
     inverses = [pow(big // q % q, -1, q) for q in src]
     columns = range(limbs.shape[1]) if columns is None else columns
@@ -32,8 +32,7 @@ def bconv_oracle(src, dst, limbs, columns=None, centered=True) -> np.ndarray:
     for k, column in enumerate(columns):
         y = [int(limbs[i, column]) * inv % q for i, (q, inv) in enumerate(zip(src, inverses))]
         total = sum(yi * (big // q) for yi, q in zip(y, src))
-        if centered:
-            total -= round(sum(Fraction(yi, q) for yi, q in zip(y, src))) * big
+        total -= round(sum(Fraction(yi, q) for yi, q in zip(y, src))) * big
         out[:, k] = [total % p for p in dst]
     return out
 

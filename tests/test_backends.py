@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.ckks.ops import Evaluator
 from repro.ntt.plan import NttPlan
 from repro.ntt.reference import NttChain, NttContext
+from repro.params.presets import NATIVE_WORD_LENGTHS
 from repro.params.primes import find_ntt_primes
 from repro.rns import kernels
 from repro.rns.backend import NumpyBackend, resolve_backend
@@ -27,8 +28,6 @@ from repro.rns.bconv import BaseConverter
 from repro.rns.poly import RnsPolynomial
 from tests.oracle import rescale_oracle, rotate_oracle, switch_oracle
 from tests.test_residency import _levels, _message, _preset
-
-WORD_PATTERNS = (28, 36, 50, 62)
 
 N = 64  # elementwise / keyswitch degree (two_n = 128 NTT-friendly)
 
@@ -67,7 +66,7 @@ def _limbs(moduli, n: int, seed: int) -> np.ndarray:
 
 
 class TestElementwiseParity:
-    @pytest.mark.parametrize("bits", WORD_PATTERNS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_mul_add_match_numpy(self, bits, seed):
@@ -91,7 +90,7 @@ class TestElementwiseParity:
 
 
 class TestNttParity:
-    @pytest.mark.parametrize("bits", WORD_PATTERNS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @pytest.mark.parametrize("degree", (256, 1024))
     def test_plan_matches_reference_chain(self, bits, degree):
         """Plan output == NttChain output, forward and inverse.
@@ -130,13 +129,13 @@ class TestNttParity:
 
 
 class TestBconvParity:
-    @pytest.mark.parametrize("bits", WORD_PATTERNS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_backends_match_legacy_rows(self, bits, seed):
         src = _chain(2 * N, bits, 3)
         dst = _primes(2 * N, bits - 1, 2, exclude=set(src))
-        conv = BaseConverter(src, dst, centered=False)
+        conv = BaseConverter(src, dst)
         limbs = _limbs(src, N, seed)
         want = conv._convert_rows_wide(limbs)
         assert np.array_equal(conv.convert_rows(limbs), want)
@@ -147,7 +146,7 @@ class TestBconvParity:
 
 
 class TestKeyswitchInnerParity:
-    @pytest.mark.parametrize("bits", WORD_PATTERNS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=5, deadline=None)
     def test_backends_match_naive_sum(self, bits, seed):
@@ -198,7 +197,7 @@ class TestPlainInnerParity:
         n = kernels.lazy_inner_terms(kern.q_max)
         return (1, n, n + 1, 2 * n + 3) if n < 200 else (1, 2, 7)
 
-    @pytest.mark.parametrize("bits", (28, 36, 40, *WORD_PATTERNS[2:]))
+    @pytest.mark.parametrize("bits", (28, 36, 40, *NATIVE_WORD_LENGTHS[2:]))
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_matches_python_integers(self, bits, data):
@@ -272,7 +271,7 @@ def _exact_mul(a, b):
 
 
 class TestEvaluatorVsOracle:
-    @pytest.mark.parametrize("bits", (*WORD_PATTERNS, "ds"))
+    @pytest.mark.parametrize("bits", (*NATIVE_WORD_LENGTHS, "ds"))
     def test_rescale_and_tensor_cross_bit_exact(self, bits):
         """SS single primes on the four word lengths, a DS pair on ``ds``."""
         ctx = _preset(bits)
@@ -308,7 +307,7 @@ class TestEvaluatorVsOracle:
         assert np.array_equal(product.c0.limbs, rescale_oracle(poly(_exact_mul(a.c0, b.c0) + u0), 1))
         assert np.array_equal(product.c1.limbs, rescale_oracle(poly(d1 + u1), 1))
 
-        for bits in WORD_PATTERNS:
+        for bits in NATIVE_WORD_LENGTHS:
             ctx = _preset(bits)
             ev, ct = Evaluator(ctx), ctx.encrypt(_message(ctx, 3))
             for galois, rotated in (

@@ -33,7 +33,7 @@ from repro.check.diagnostics import CheckReport, Diagnostic, Severity
 from repro.check.trace_check import replay_divergence
 from repro.core.config import sharp_config
 from repro.hw.isa import HeOp, OpKind, Trace
-from repro.params.presets import build_sharp_setting
+from repro.params.presets import NATIVE_WORD_LENGTHS, build_sharp_setting
 from repro.rns import kernels
 from repro.sched import allocate, analyze_liveness, fuse_trace, schedule_trace
 from repro.sched.events import signature
@@ -85,7 +85,7 @@ def chain_trace(n=6, kind=OpKind.PMULT, limbs=LIMBS):
 
 
 class TestBounds:
-    @pytest.mark.parametrize("bits", [28, 36, 50, 62])
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     def test_preset_word_lengths_prove(self, bits):
         certificate = certify_word_bits(bits)
         assert certificate.ok, certificate.failures()
@@ -656,7 +656,7 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["verdict"] == "PASS"
         assert [(g["pass"], g["subject"], g["ok"]) for g in payload["gates"]] == [
-            *(("bounds", f"word_bits={bits}", True) for bits in (28, 36, 50, 62)),
+            *(("bounds", f"word_bits={bits}", True) for bits in NATIVE_WORD_LENGTHS),
             ("bounds", "derived-safe-bound", True),
             ("bounds", "mutants", True),
             ("ckks", "demo-chain", True),

@@ -13,6 +13,7 @@ import pytest
 
 from repro.ckks.cipher import Ciphertext
 from repro.ckks.context import make_params
+from repro.params.presets import NATIVE_WORD_LENGTHS
 
 TOL = 1e-4
 
@@ -89,7 +90,7 @@ class TestEncryptDecrypt:
             pk_b, pk_a = other.keys.public_key()
             small_context.encrypt(m, public_key=(pk_b.drop_limbs(6), pk_a.drop_limbs(6)))
 
-    @pytest.mark.parametrize("bits", [28, 36, 50, 62])
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     def test_public_key_noise_is_inside_the_modelled_fresh_term(self, bits):
         """What a serve tenant does — encrypt to the batch key at the
         preset's scale — must stay under ``NoiseParams.fresh_std``, the

@@ -233,18 +233,20 @@ def _check_bconv(conv: BaseConverter, x: np.ndarray) -> None:
     assert got.dtype == np.uint64
     assert np.array_equal(got, conv._convert_rows_wide(x))
     columns = [0, 1, x.shape[1] // 2, x.shape[1] - 1]
-    want = bconv_oracle(conv.src_moduli, conv.dst_moduli, x, columns, conv.centered)
+    want = bconv_oracle(conv.src_moduli, conv.dst_moduli, x, columns)
     assert np.array_equal(got[:, columns], want)
 
 
-@pytest.mark.parametrize("centered", (True, False))
+# Every converter is centered; the one-value parameter keeps each id's
+# "-True" suffix from when a non-centered converter existed beside it.
+@pytest.mark.parametrize("centered", (True,))
 @pytest.mark.parametrize("rows", ROW_COUNTS)
 @pytest.mark.parametrize("degree", DEGREES)
 @pytest.mark.parametrize("bits", WORD_BITS)
 def test_bconv_matches_row_loop_and_oracle(bits, degree, rows, centered):
     src = _chain(degree, bits, rows)
     dst = _chain(degree, bits, DST_ROWS, skip=rows)
-    conv = BaseConverter(src, dst, centered=centered)
+    conv = BaseConverter(src, dst)
     assert conv._matmul_ok
     for x in _edge_inputs(src, degree).values():
         _check_bconv(conv, x)

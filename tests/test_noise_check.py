@@ -33,12 +33,12 @@ from repro.check.wordlen_audit import (
     PAPER_BOOT_PRECISION_AT_35,
     PAPER_FRESH_PRECISION_AT_35,
     PrecisionClaim,
-    SWEEP_WORD_BITS,
     claims_from_audit,
     run_audit,
     scale_audit,
     verify_claims,
 )
+from repro.params.presets import NATIVE_WORD_LENGTHS
 
 HYPO = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -197,7 +197,7 @@ class TestTransferFunctions:
 
 class TestWordlenAudit:
     def test_regimes_match_the_paper(self, audit):
-        for word in SWEEP_WORD_BITS:
+        for word in NATIVE_WORD_LENGTHS:
             expected = "explosion" if EXPECTED_REGIMES[word] == "explosion" else "robust"
             assert audit.regime(word) == expected, word
 

@@ -1,10 +1,18 @@
 """Tests for the Set_k word-length settings (paper Fig. 2(b))."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
-from repro.params.presets import build_sharp_setting
+from repro.params.presets import (
+    NATIVE_WORD_LENGTHS,
+    _build_group,
+    build_native_ckks_params,
+    build_sharp_setting,
+)
+from repro.params.primes import level_width, realize_levels
 from repro.params.security import max_log_pq
 
 # The paper's Fig. 2(b) row, reproduced mechanistically by the budget model.
@@ -117,3 +125,50 @@ class TestBuilderValidation:
     def test_describe_mentions_key_facts(self):
         text = build_sharp_setting(36).describe()
         assert "L=35" in text and "K=12" in text and "L_eff=8" in text
+
+
+class TestOneFitRule:
+    """Every chain the model and the engine build reads one fit rule and
+    one level realizer (``repro.params.primes``)."""
+
+    # sha256 of the realized primes below, pinned before the chain
+    # builder and ``make_params`` shared the realizer.
+    CHAINS_DIGEST = "73caa41d1b8ef771599b861a6ac9254d0da35b5b618c416d247df04035afd407"
+
+    def test_realized_chains_are_pinned(self, small_context, ds_context, boot_context):
+        rows: dict[str, object] = {}
+        for w in (*range(27, 62), 63, 64):
+            s = build_sharp_setting(w)
+            rows[f"set{w}"] = [
+                [g.name, g.scale_bits, g.primes_per_level, list(g.primes)] for g in s.groups
+            ] + [list(s.aux_primes)]
+        for w in NATIVE_WORD_LENGTHS:
+            rows[f"native{w}"] = build_native_ckks_params(w, degree=1 << 11, depth=4).to_spec()
+        for name, context in (("small", small_context), ("ds", ds_context), ("boot", boot_context)):
+            rows[name] = context.params.to_spec()
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.CHAINS_DIGEST
+
+    def test_set62_is_the_mid_word_chain(self):
+        """62-bit words take the 2^62 boot scale as DS pairs, as every
+        mid word does, so Set_62 is Set_61's chain."""
+        s62, s61 = build_sharp_setting(62), build_sharp_setting(61)
+        assert s62.group("boot").is_double
+        assert (s62.q_primes, s62.aux_primes) == (s61.q_primes, s61.aux_primes)
+
+    # (scale bits, word bits) -> primes per level the fit rule gives.
+    FIT_PAIRS = {(35.5, 36): 2, (35, 36): 1, (47, 32): 2, (55, 28): 2, (62, 32): 2, (62, 64): 1}
+
+    @pytest.mark.parametrize(("scale_bits", "word_bits"), FIT_PAIRS)
+    def test_model_and_engine_realize_the_same_levels(self, scale_bits, word_bits):
+        two_n, width = 2 << 12, self.FIT_PAIRS[scale_bits, word_bits]
+        model = _build_group("normal", two_n, scale_bits, 3, word_bits, set())
+        engine = realize_levels(two_n, scale_bits, 3, word_bits, set())
+        assert level_width(scale_bits, word_bits) == model.primes_per_level == width
+        assert [model.primes[i : i + width] for i in range(0, 3 * width, width)] == engine
+
+    def test_engine_pairs_a_scale_one_bit_short_of_the_word(self):
+        from repro.ckks.context import make_params
+
+        params = make_params(degree=1 << 12, scale_bits=35.5, depth=3, word_bits=36)
+        assert [len(step.primes) for step in params.steps] == [2, 2, 2]

@@ -29,9 +29,10 @@ from repro.check.admission import (
 )
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator
 from repro.check.noise_check import NoiseCheckEvaluator
+from repro.ckks.context import make_params
 from repro.ckks.ops import Evaluator
 from repro.core.config import sharp_config
-from repro.params.presets import build_native_ckks_params
+from repro.params.presets import boot_plan, build_native_ckks_params
 from repro.sched import CertificateError, execute_scheduled
 from repro.serve.offline import SERVE_DEGREE, SERVE_DEPTH
 from repro.serve.program import OPS, EvalProgram, ProgramBuilder
@@ -115,6 +116,24 @@ def test_lowering_refuses_what_the_chain_cannot_hold():
     ct_in = SimpleNamespace(level=levels, scale=SERVE_PARAMS.scale)
     with pytest.raises(CertificateError, match="CKKS-LEVEL-UNDERFLOW"):
         execute_scheduled(squares(levels + 1), scheduled, engine, ct_in, certificate)
+
+
+def test_projected_chain_declares_one_boot_scale():
+    """A chain with boot levels keeps its own boot scale in the group, the
+    setting and the noise domain; one without them reads the word's plan."""
+    params = make_params(
+        scale_bits=35.0, word_bits=36, degree=1 << 10, depth=3, boot_scale_bits=45, boot_depth=4
+    )
+    fold = FoldParams.from_params(params, 36)
+    assert fold.setting.group("boot").levels == 4
+    assert (
+        fold.setting.group("boot").scale_bits
+        == fold.setting.boot_scale_bits
+        == fold.noise.boot_scale_bits
+        == 45
+    )
+    assert FOLD.setting.group("boot").levels == 0
+    assert FOLD.setting.boot_scale_bits == FOLD.noise.boot_scale_bits == boot_plan(36)[0]
 
 
 def test_serve_mix_programs_record_their_rows():

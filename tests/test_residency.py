@@ -23,7 +23,7 @@ from repro.ckks.bootstrap import Bootstrapper
 from repro.ckks.context import CkksContext, EvalKey, make_params
 from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
-from repro.params.presets import build_native_ckks_params
+from repro.params.presets import NATIVE_WORD_LENGTHS, build_native_ckks_params
 from repro.params.primes import find_ntt_primes
 from repro.rns import bconv, kernels
 from repro.rns.backend import NumpyBackend
@@ -107,7 +107,7 @@ def _levels(ctx: CkksContext) -> tuple[int, int, int]:
     return top, top // 2, 0
 
 
-@pytest.mark.parametrize("bits", (28, 36, 50, 62))
+@pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
 def test_switch_bit_identical_to_oracle(bits):
     ctx = _preset(bits)
     switcher = Evaluator(ctx).switcher
@@ -124,7 +124,7 @@ def test_switch_bit_identical_to_oracle(bits):
 
 
 def test_decompose_equals_mod_up():
-    for bits in (28, 36, 50, 62):
+    for bits in NATIVE_WORD_LENGTHS:
         ctx = _preset(bits)
         switcher = Evaluator(ctx).switcher
         for level in _levels(ctx):

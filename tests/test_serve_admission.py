@@ -21,12 +21,12 @@ from repro.check import FoldParams, admit_program
 from repro.check.admission import AdmissionVerdict, ProductFold, fold_body
 from repro.check.ckks_check import SymbolicEvaluator
 from repro.ckks.context import CkksContext
-from repro.params.presets import build_native_ckks_params
+from repro.params.presets import NATIVE_WORD_LENGTHS, build_native_ckks_params
 from repro.sched import trace_digest
 from repro.serve import wire
 from repro.serve.batching import BatchJob, plan_batches, service_wrapped
 from repro.serve.client import FheClient, JobRejected
-from repro.serve.offline import SERVE_WORD_LENGTHS, ServeOffline, TenantKeys
+from repro.serve.offline import ServeOffline, TenantKeys
 from repro.serve.program import OPS, EvalProgram, ProgramBuilder, ProgramError
 from repro.serve.server import FheServer
 
@@ -204,7 +204,7 @@ class TestAdmissionModelsWhatRuns:
     the ``(level, scale)`` admission proves is the one that comes back,
     at every word length the service sells."""
 
-    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @pytest.mark.parametrize(
         "build, spare, lane0",  # lane0: the first home lane's value, from the four sent
         [
@@ -341,14 +341,14 @@ class TestAdmissionAudit:
     program ends at the fold's level and scale, every served lane is
     within the proven floor, and the gate re-records admission's trace."""
 
-    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @settings(max_examples=12, deadline=None)
     @given(program=served_programs(), values=AUDIT_VALUES)
     def test_admitted_programs_run_as_proven(self, bits, program, values):
         _audit(bits, program, values)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("bits", SERVE_WORD_LENGTHS)
+    @pytest.mark.parametrize("bits", NATIVE_WORD_LENGTHS)
     @settings(max_examples=60, deadline=None)
     @given(program=served_programs(), values=AUDIT_VALUES)
     def test_admitted_programs_run_as_proven_wide(self, bits, program, values):

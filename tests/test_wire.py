@@ -17,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks.context import CkksContext
-from repro.params.presets import build_native_ckks_params
+from repro.params.presets import NATIVE_WORD_LENGTHS, build_native_ckks_params
 from repro.serve import wire
 from repro.serve.program import EvalProgram, ProgramBuilder
 
-WORD_LENGTHS = (28, 36, 50, 62)
-PER_WORD_LENGTH = pytest.mark.parametrize("word_bits", WORD_LENGTHS)
+PER_WORD_LENGTH = pytest.mark.parametrize("word_bits", NATIVE_WORD_LENGTHS)
 
 _CONTEXTS: dict[int, CkksContext] = {}
 
@@ -54,7 +53,7 @@ def _random_message(ctx: CkksContext, seed: int) -> np.ndarray:
 
 class TestCiphertextRoundTrip:
     @given(
-        word_bits=st.sampled_from(WORD_LENGTHS),
+        word_bits=st.sampled_from(NATIVE_WORD_LENGTHS),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=12, deadline=None)
@@ -71,7 +70,7 @@ class TestCiphertextRoundTrip:
             assert (theirs.limbs == mine.limbs).all()
 
     @given(
-        word_bits=st.sampled_from(WORD_LENGTHS),
+        word_bits=st.sampled_from(NATIVE_WORD_LENGTHS),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=8, deadline=None)
