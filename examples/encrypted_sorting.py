@@ -25,7 +25,7 @@ def main() -> None:
     print("\nreal-CKKS compare-exchange on 256 values:")
     from repro.ckks.context import CkksContext, make_params
     from repro.ckks.ops import Evaluator
-    from repro.ckks.poly_eval import ChebyshevEvaluator, chebyshev_fit
+    from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
 
     params = make_params(degree=1 << 11, slots=256, scale_bits=28, depth=8)
     ctx = CkksContext(params)
@@ -34,7 +34,7 @@ def main() -> None:
     b = rng.uniform(0, 1, 256)
     ct_diff = ctx.encrypt(a - b)
     sign_fit = chebyshev_fit(lambda t: np.tanh(8 * t), 15)
-    sgn = ChebyshevEvaluator(ev, baby_steps=4).evaluate(ct_diff, sign_fit)
+    sgn = ChebyshevEvaluator(ev).evaluate(ct_diff, PolyPlan(sign_fit, baby_steps=4))
     # max(a, b) = (a + b)/2 + (a - b)/2 * sign(a - b)
     half_diff = ev.multiply_scalar(ct_diff, 0.5)
     prod = ev.multiply(half_diff, sgn)

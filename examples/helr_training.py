@@ -33,7 +33,7 @@ def main() -> None:
     print("\nreal-CKKS sanity pass (one encrypted inner-product + sigmoid):")
     from repro.ckks.context import CkksContext, make_params
     from repro.ckks.ops import Evaluator
-    from repro.ckks.poly_eval import ChebyshevEvaluator, chebyshev_fit
+    from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
 
     params = make_params(degree=1 << 11, slots=256, scale_bits=28, depth=6)
     ctx = CkksContext(params)
@@ -41,7 +41,7 @@ def main() -> None:
     margins = np.clip(data.train_x[:256] @ ref.weights, -1, 1)
     ct = ctx.encrypt(margins)
     coeffs = chebyshev_fit(lambda t: 1 / (1 + np.exp(-4 * t)), 7)
-    out = ChebyshevEvaluator(ev, baby_steps=4).evaluate(ct, coeffs)
+    out = ChebyshevEvaluator(ev).evaluate(ct, PolyPlan(coeffs, baby_steps=4))
     got = ctx.decrypt(out).real
     want = np.polynomial.chebyshev.chebval(margins, coeffs)
     print(f"  encrypted sigmoid max error: {np.max(np.abs(got - want)):.2e}")

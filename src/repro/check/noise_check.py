@@ -55,8 +55,7 @@ __all__ = [
     "SignSpec",
     "NoiseCheckEvaluator",
     "check_noise_program",
-    "fitted_poly_gain",
-    "fitted_poly_bias",
+    "fitted_poly_spec",
     "fitted_sign_spec",
 ]
 
@@ -661,15 +660,6 @@ def check_noise_program(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _fitted(
-    fn: Callable[[float], float], degree: int, interval: tuple[float, float]
-) -> object:
-    from repro.ckks.poly_eval import chebyshev_fit
-
-    return chebyshev_fit(fn, degree, interval=interval)
-
-
 def _eval_fitted(
     fn: Callable[[float], float],
     degree: int,
@@ -678,41 +668,46 @@ def _eval_fitted(
 ) -> object:
     from numpy.polynomial import chebyshev as C
 
+    from repro.ckks.poly_eval import fitted_plan
+
     lo, hi = interval
     t = (x - lo) * 2.0 / (hi - lo) - 1.0  # type: ignore[operator]
-    return C.chebval(t, _fitted(fn, degree, interval))
+    return C.chebval(t, fitted_plan(fn, degree, interval).coeffs)
 
 
-@lru_cache(maxsize=64)
-def fitted_poly_gain(
+@lru_cache(maxsize=16)
+def fitted_poly_spec(
     fn: Callable[[float], float],
     degree: int,
     interval: tuple[float, float],
-) -> float:
-    """Max |p'| of the *fitted* interpolant over the interval, in input
-    units — the amplification factor input error suffers."""
+    *,
+    out_mag: float,
+    cap: float | None,
+    preserve_drift: bool,
+) -> PolySpec:
+    """The :class:`PolySpec` of ``fn``'s fitted interpolant, read off the
+    one cached fit (:func:`repro.ckks.poly_eval.fitted_plan`): ``gain`` is
+    max |p'| over the interval in input units, ``bias`` max |p - fn|, and
+    ``depth_ops`` the depth of the plan the engine runs."""
     import numpy as np
     from numpy.polynomial import chebyshev as C
 
-    coeffs = _fitted(fn, degree, interval)
-    deriv = C.chebder(coeffs)
-    t = np.linspace(-1.0, 1.0, 4001)
+    from repro.ckks.poly_eval import fitted_plan
+
+    plan = fitted_plan(fn, degree, interval)
     lo, hi = interval
-    return float(np.max(np.abs(C.chebval(t, deriv))) * 2.0 / (hi - lo))
-
-
-@lru_cache(maxsize=64)
-def fitted_poly_bias(
-    fn: Callable[[float], float],
-    degree: int,
-    interval: tuple[float, float],
-) -> float:
-    """Max |p - fn| over the interval: the fit's approximation error."""
-    import numpy as np
-
-    x = np.linspace(*interval, 2001)
-    exact = np.array([fn(float(v)) for v in x])  # type: ignore[union-attr]
-    return float(np.max(np.abs(_eval_fitted(fn, degree, interval, x) - exact)))
+    slope = C.chebval(np.linspace(-1.0, 1.0, 4001), C.chebder(plan.coeffs))
+    x = np.linspace(lo, hi, 2001)
+    exact = np.array([fn(float(v)) for v in x])
+    return PolySpec(
+        interval=interval,
+        out_mag=out_mag,
+        gain=float(np.max(np.abs(slope)) * 2.0 / (hi - lo)),
+        depth_ops=plan.depth,
+        bias=float(np.max(np.abs(_eval_fitted(fn, degree, interval, x) - exact))),
+        cap=cap,
+        preserve_drift=preserve_drift,
+    )
 
 
 @lru_cache(maxsize=16)
@@ -720,15 +715,17 @@ def fitted_sign_spec(
     fn: Callable[[float], float],
     degree: int,
     stages: tuple[tuple[float, float], ...],
-    depth_ops: int,
 ) -> SignSpec:
     """Measure the composite fitted sign chain's (eps, delta).
 
     Composes the per-stage fitted interpolants numerically on a dense
     grid; ``delta`` is the smallest threshold above which the composite
-    agrees with sign(x) to within 1e-2.
+    agrees with sign(x) to within 1e-2.  The depth charged is every
+    stage plan's plus the multiply that recombines ``(a - b) * sign``.
     """
     import numpy as np
+
+    from repro.ckks.poly_eval import fitted_plan
 
     eps_tolerance = 1e-2
     lo0, hi0 = stages[0]
@@ -746,5 +743,5 @@ def fitted_sign_spec(
         halfwidth=halfwidth,
         eps=max(eps, 1e-9),
         delta=max(delta, 1e-9),
-        depth_ops=depth_ops,
+        depth_ops=sum(fitted_plan(fn, degree, interval).depth for interval in stages) + 1,
     )

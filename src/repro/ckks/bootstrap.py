@@ -41,7 +41,7 @@ from repro.ckks.cipher import Ciphertext
 from repro.ckks.context import CkksContext
 from repro.ckks.linear import Diagonals, LinearTransform
 from repro.ckks.ops import Evaluator
-from repro.ckks.poly_eval import ChebyshevEvaluator, chebyshev_fit
+from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
 from repro.rns.poly import RnsPolynomial
 
 __all__ = ["Bootstrapper", "BootstrapReport", "butterfly_stages"]
@@ -114,11 +114,16 @@ class Bootstrapper:
         # absorbs the message itself.
         self.k_range = max(4, int(1.6 * math.sqrt(params.hamming_weight)) + 1)
         # Chebyshev coefficients of sin(a*x) die once n > a = 2*pi*K.
-        self.sin_degree = int(2 * math.pi * self.k_range) + 26
+        a = 2.0 * math.pi * self.k_range
+        self.sin_degree = int(a) + 26
+        sin_coeffs = chebyshev_fit(lambda x: math.sin(a * x) * (1.0 / a), self.sin_degree)
+        # Keep only the odd part: sin is odd, and dropping the noise in
+        # even coefficients halves the evaluation cost.
+        sin_coeffs[0::2] = 0.0
+        self._sin_plan = PolyPlan(sin_coeffs, baby_steps=16)
         self.q0 = math.prod(params.base_primes)
         self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)
-        self._cheb = ChebyshevEvaluator(evaluator, baby_steps=16)
-        self._build_evalmod()
+        self._cheb = ChebyshevEvaluator(evaluator)
         self._build_transforms()
 
     # -- precomputation -----------------------------------------------------------
@@ -128,7 +133,8 @@ class Bootstrapper:
         allows: two, plus EvalMod's spare levels handed out CtS first."""
         n, delta = self.params.slots, self.params.scale
         log_n = n.bit_length() - 1
-        spare = max(0, self.params.boot_levels - self._evalmod_depth() - 2)
+        # EvalMod is the sine plan plus the arcsine correction's two levels.
+        spare = max(0, self.params.boot_levels - (self._sin_plan.depth + 2) - 2)
         cts = butterfly_stages(n, min(log_n, 1 + (spare + 1) // 2), inverse=True)
         stc = butterfly_stages(n, min(log_n, 1 + spare // 2))
         # Fold normalizations: CtS divides by 2*q0*K/Delta (EvalMod
@@ -139,35 +145,6 @@ class Bootstrapper:
         stc[-1] = {d: v * back for d, v in stc[-1].items()}
         self.cts = [LinearTransform(stage) for stage in cts]
         self.stc = [LinearTransform(stage) for stage in stc]
-
-    def _evalmod_depth(self) -> int:
-        """Levels :meth:`_eval_mod` consumes, read off the Chebyshev plan:
-        ``T_k`` sits at depth ``ceil(log2 k)``, a leaf or a product adds
-        one, and so does matching two equally deep branches (their scales
-        differ); the arcsine correction adds two."""
-
-        def depth(plan) -> int:
-            if isinstance(plan, np.ndarray):  # T_(i+1) is ceil(log2(i+1)) deep
-                return 1 + max((int(i).bit_length() for i in np.flatnonzero(plan[1:])), default=0)
-            split, quot, rem = plan
-            prod = 1 + max(depth(quot), (split - 1).bit_length())
-            if isinstance(rem, float):  # a constant folds into the product
-                return prod
-            tail = depth(rem)
-            return max(prod, tail) + (tail == prod)
-
-        plan = self._cheb._plan(np.trim_zeros(self._sin_coeffs, "b"), set())
-        return depth(plan) + 2
-
-    def _build_evalmod(self) -> None:
-        k = self.k_range
-        scale = 1.0 / (2.0 * math.pi * k)
-        self._sin_coeffs = chebyshev_fit(
-            lambda x: math.sin(2.0 * math.pi * k * x) * scale, self.sin_degree
-        )
-        # Keep only the odd part: sin is odd, and dropping the noise in
-        # even coefficients halves the evaluation cost.
-        self._sin_coeffs[0::2] = 0.0
 
     # -- building blocks -----------------------------------------------------------
 
@@ -204,7 +181,7 @@ class Bootstrapper:
 
     def _eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """sin-based modular reduction on values in [-1, 1]."""
-        y = self._cheb.evaluate(ct, self._sin_coeffs)
+        y = self._cheb.evaluate(ct, self._sin_plan)
         # x ~ y + (2*pi*K)^2 / 6 * y^3 cancels the cubic sine error; as
         # y^2 * (c3*y) it is two levels deep, not three.
         ev = self.ev

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.encoder import CkksEncoder
-from repro.params.primes import find_aux_primes, realize_levels
+from repro.params.primes import find_aux_primes, max_scale_bits, realize_levels
 from repro.rns import kernels
 from repro.rns.modmath import mod_inverse
 from repro.rns.poly import RingContext, RnsPolynomial
@@ -212,6 +212,11 @@ def make_params(
     two_n = 2 * degree
     if not 4 <= word_bits <= 62:
         raise ValueError("word_bits must be in [4, 62]")
+    if scale_bits + _BASE_HEADROOM_BITS > (limit := max_scale_bits(word_bits, double=True)):
+        raise ValueError(
+            f"scale 2^{scale_bits:g} plus the base's {_BASE_HEADROOM_BITS} bits of headroom "
+            f"exceeds the {word_bits}-bit word's DS limit of 2^{limit}"
+        )
     exclude: set[int] = set()
 
     def realize(bits: float, count: int) -> list[LevelStep]:

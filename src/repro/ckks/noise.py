@@ -32,7 +32,7 @@ from repro.ckks.calibration import (
     OP_OFFSET_BITS,
     RELATIVE_OFFSET_BITS,
 )
-from repro.ckks.poly_eval import chebyshev_fit
+from repro.ckks.poly_eval import fitted_plan
 
 __all__ = [
     "NoiseModel",
@@ -165,26 +165,24 @@ class NoisyEvaluator:
     def poly_eval(
         self,
         a: NoisyVector,
-        fn: Callable[[np.ndarray], np.ndarray],
+        fn: Callable[[float], float],
         degree: int,
         interval: tuple[float, float],
-        depth_ops: int | None = None,
     ) -> NoisyVector:
         """Evaluate ``fn`` via its Chebyshev interpolant on ``interval``.
 
         The *fitted polynomial* is evaluated at the actual inputs: it
         matches ``fn`` inside the interval and diverges violently
-        outside it — the genuine error-explosion mechanism.
+        outside it — the genuine error-explosion mechanism.  The noise
+        charged is one rescale deviation per level of the interpolant's
+        :class:`~repro.ckks.poly_eval.PolyPlan`.
         """
-        coeffs = chebyshev_fit(fn, degree, interval=interval)
+        plan = fitted_plan(fn, degree, interval)
         lo, hi = interval
         x = (a.values - lo) * 2.0 / (hi - lo) - 1.0
-        out = C.chebval(x, coeffs)
-        if depth_ops is None:
-            depth_ops = max(1, int(math.log2(degree + 1)))
-        # One multiplicative rescale deviation per consumed level.
-        rel = self.model.relative_std * math.sqrt(depth_ops)
+        out = C.chebval(x, plan.coeffs)
+        rel = self.model.relative_std * math.sqrt(plan.depth)
         out = out * (1.0 + self._noise(out.shape, rel))
-        std = self.model.op_std * math.sqrt(depth_ops)
+        std = self.model.op_std * math.sqrt(plan.depth)
         out = out + self._noise(out.shape, std)
-        return NoisyVector(out, a.ops + depth_ops)
+        return NoisyVector(out, a.ops + plan.depth)

@@ -131,13 +131,7 @@ def train_noisy(
             w.ops + 1,
         )
         # sigma(-margin) via the fitted degree-7 Chebyshev sigmoid.
-        sig = ev.poly_eval(
-            margins,
-            sigmoid_neg,
-            SIGMOID_DEGREE,
-            SIGMOID_INTERVAL,
-            depth_ops=3,
-        )
+        sig = ev.poly_eval(margins, sigmoid_neg, SIGMOID_DEGREE, SIGMOID_INTERVAL)
         grad_plain = -(xb * (yb * sig.values)[:, None]).mean(axis=0)
         grad = NoisyVector(
             grad_plain + ev.rng.normal(0, model.op_std, data.features),

@@ -7,7 +7,8 @@ calibrated :class:`repro.ckks.noise.NoisyEvaluator` — the same
 iteration/stage/layer counts, the same bootstrap cadence, the same
 ``INSTABILITY_GAIN`` drift steps, and the very same fitted Chebyshev
 interpolants (characterized numerically, never evaluated on
-ciphertext data).  The structural constants are imported from the
+ciphertext data) at the depth of the plan the engine runs for them
+(:func:`repro.ckks.poly_eval.fitted_plan`).  The structural constants are imported from the
 workload modules themselves, so the two paths cannot drift apart.
 
 Magnitude declarations (``encrypt(mag=...)``, ``out_mag``) are the
@@ -35,13 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.check.noise_check import (
-    NoiseCheckEvaluator,
-    PolySpec,
-    fitted_poly_bias,
-    fitted_poly_gain,
-    fitted_sign_spec,
-)
+from repro.check.noise_check import NoiseCheckEvaluator, fitted_poly_spec, fitted_sign_spec
 from repro.workloads import helr, resnet, sorting
 
 __all__ = [
@@ -65,12 +60,6 @@ RESNET_CONV_GAIN = 2.0  # operator-norm bound of one He-normalized conv + residu
 RESNET_CONV_FAN_IN = 108  # 12 channels x 3x3 taps of rotation-ladder PMADDs
 SORT_VALUE_MAG = 1.0
 
-# Multiplicative depth charged per nonlinear block (mirrors the
-# empirical paths' depth_ops arguments).
-_HELR_SIGMOID_DEPTH = 3
-_RESNET_RELU_DEPTH = 4
-_SORT_SIGN_DEPTH = 4 * len(sorting.SIGN_STAGES) + 1  # stages + recombine multiply
-
 
 @dataclass(frozen=True)
 class NoiseProgram:
@@ -83,17 +72,13 @@ class NoiseProgram:
 
 
 def _helr_program(ev: NoiseCheckEvaluator) -> None:
-    spec = PolySpec(
-        interval=helr.SIGMOID_INTERVAL,
+    spec = fitted_poly_spec(
+        helr.sigmoid_neg,
+        helr.SIGMOID_DEGREE,
+        helr.SIGMOID_INTERVAL,
         out_mag=1.0,
-        gain=fitted_poly_gain(
-            helr.sigmoid_neg, helr.SIGMOID_DEGREE, helr.SIGMOID_INTERVAL
-        ),
-        bias=fitted_poly_bias(
-            helr.sigmoid_neg, helr.SIGMOID_DEGREE, helr.SIGMOID_INTERVAL
-        ),
-        depth_ops=_HELR_SIGMOID_DEPTH,
         cap=1.0,  # a bounded sigmoid can never be off by more than its range
+        preserve_drift=False,
     )
     w = ev.encrypt(mag=HELR_W_MAG)
     for it in range(helr.HELR_ITERATIONS):
@@ -119,12 +104,12 @@ def _helr_program(ev: NoiseCheckEvaluator) -> None:
 
 
 def _resnet_program(ev: NoiseCheckEvaluator) -> None:
-    spec = PolySpec(
-        interval=resnet.RELU_INTERVAL,
+    spec = fitted_poly_spec(
+        resnet.relu,
+        resnet.RELU_DEGREE,
+        resnet.RELU_INTERVAL,
         out_mag=RESNET_PRE_ACT_MAG,
-        gain=fitted_poly_gain(resnet.relu, resnet.RELU_DEGREE, resnet.RELU_INTERVAL),
-        bias=fitted_poly_bias(resnet.relu, resnet.RELU_DEGREE, resnet.RELU_INTERVAL),
-        depth_ops=_RESNET_RELU_DEPTH,
+        cap=None,
         # Polynomial ReLU is quasi-linear: a uniform scale error on the
         # input scales the output, so drift survives the activation.
         preserve_drift=True,
@@ -148,10 +133,7 @@ def _resnet_program(ev: NoiseCheckEvaluator) -> None:
 
 def _sorting_program(ev: NoiseCheckEvaluator) -> None:
     spec = fitted_sign_spec(
-        sorting.sign_stage,
-        sorting.SIGN_DEGREE,
-        tuple(sorting.SIGN_STAGES),
-        depth_ops=_SORT_SIGN_DEPTH,
+        sorting.sign_stage, sorting.SIGN_DEGREE, tuple(sorting.SIGN_STAGES)
     )
     ct = ev.encrypt(mag=SORT_VALUE_MAG)
     stages = sorting.sort_stages(sorting.SORT_LOG2N)

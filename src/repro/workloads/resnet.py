@@ -198,7 +198,7 @@ def noisy_inference(
 
     def act(pre: np.ndarray, layer: int) -> np.ndarray:
         flat = NoisyVector(pre.reshape(-1) * drift**2)
-        out = ev.poly_eval(flat, relu, RELU_DEGREE, RELU_INTERVAL, depth_ops=4)
+        out = ev.poly_eval(flat, relu, RELU_DEGREE, RELU_INTERVAL)
         out = ev.bootstrap(out)
         return out.values.reshape(pre.shape)
 

@@ -105,7 +105,7 @@ def noisy_bitonic_sort(
             diff = NoisyVector(a - b, ct.ops + 1)
             s = diff
             for interval in SIGN_STAGES:
-                s = ev.poly_eval(s, sign_stage, SIGN_DEGREE, interval, depth_ops=4)
+                s = ev.poly_eval(s, sign_stage, SIGN_DEGREE, interval)
             # max(a,b) = (a + b + (a-b)*sign)/2 ; min flips the sign.
             prod = ev.multiply(diff, s)
             hi = (a + b + prod.values) / 2.0

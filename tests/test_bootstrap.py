@@ -13,6 +13,7 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
+from repro.ckks.poly_eval import ChebyshevEvaluator
 from repro.rns.backend import NumpyBackend
 from repro.rns.poly import RingContext
 from repro.workloads.traces import CTS_STAGES
@@ -194,9 +195,58 @@ def test_eval_mod_is_two_levels_shallower_than_the_budget(n9):
     shift = np.random.default_rng(8).integers(-3, 4, params.slots) / bts.k_range
     ct = ctx.encrypt(x + shift, level=level, scale=2.0**params.boot_scale_bits)
     out = bts._eval_mod(ct)
-    assert level - out.level == bts._evalmod_depth() == 10
+    assert level - out.level == bts._sin_plan.depth + 2 == 10
     assert params.boot_levels - 10 - 2 == len(bts.cts) + len(bts.stc) - 2
     assert np.max(np.abs(ctx.decrypt(out).real - x)) < 1e-6
+
+
+def _spent_per_call(monkeypatch, owner, name: str, seams: dict) -> list:
+    """Wrap ``owner.name(self, ct, ...)``; per call, record how many calls
+    each of ``seams``' lists gained and how many levels ``ct`` lost."""
+    spent: list = []
+    original = getattr(owner, name)
+
+    def counted(self, ct, *args):
+        before = {key: len(calls) for key, calls in seams.items()}
+        out = original(self, ct, *args)
+        gained = {key: len(calls) - before[key] for key, calls in seams.items()}
+        spent.append({**gained, "levels": ct.level - out.level})
+        return out
+
+    monkeypatch.setattr(owner, name, counted)
+    return spent
+
+
+def test_a_bootstrap_spends_what_the_sine_plan_says(n9, monkeypatch):
+    """Both EvalMods run the sine plan as planned: 17 products (6 of
+    them squares), 5 multiply-accumulates and 8 levels each, plus the
+    arcsine correction's multiply, square and two levels.  A bootstrap
+    makes 38 ciphertext products: 24 ``multiply`` calls from outside
+    ``square`` and 14 squares."""
+    ctx, bts = n9
+    plan = bts._sin_plan
+    seams = {
+        name: _count_calls(monkeypatch, Evaluator, name)
+        for name in ("multiply", "square", "multiply_plain_sum")
+    }
+    per_evaluate = _spent_per_call(monkeypatch, ChebyshevEvaluator, "evaluate", seams)
+    per_eval_mod = _spent_per_call(monkeypatch, Bootstrapper, "_eval_mod", seams)
+    z = full_msg(np.random.default_rng(9), n=ctx.params.slots)
+    bts.bootstrap(ctx.encrypt(z, level=0))
+    # ``square`` calls ``multiply``, so the multiply count is every product.
+    planned = {
+        "multiply": plan.products,
+        "square": plan.squares,
+        "multiply_plain_sum": plan.plain_sums,
+        "levels": plan.depth,
+    }
+    assert per_evaluate == [planned] * 2
+    assert list(planned.values()) == [17, 6, 5, 8]
+    corrected = {**planned, "multiply": plan.products + 2, "square": plan.squares + 1}
+    assert per_eval_mod == [{**corrected, "levels": plan.depth + 2}] * 2
+    assert plan.depth + 2 == 10
+    products, squares = len(seams["multiply"]), len(seams["square"])
+    assert (products - squares, squares) == (24, 14)
 
 
 @pytest.mark.slow

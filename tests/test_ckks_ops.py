@@ -257,6 +257,27 @@ class TestDoublePrimeScaling:
         assert np.max(np.abs(ds_context.decrypt(ct) - expect)) < 1e-4
 
 
+    @pytest.mark.parametrize("scale_bits, word_bits", [(55, 28), (62, 32)])
+    def test_a_scale_without_base_headroom_is_refused_by_name(
+        self, monkeypatch, scale_bits, word_bits
+    ):
+        """The base modulus sits 7 bits above the scale, so a scale within
+        7 bits of the word's DS limit (``2 * word - 1``) cannot be built.
+        The refusal names the requested scale, the headroom and the limit,
+        and comes before any prime search."""
+        from repro.ckks import context
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched for primes")
+
+        monkeypatch.setattr(context, "realize_levels", no_search)
+        limit = 2 * word_bits - 1
+        with pytest.raises(
+            ValueError, match=rf"scale 2\^{scale_bits} .*7 bits of headroom.*DS limit of 2\^{limit}"
+        ):
+            make_params(degree=1 << 12, scale_bits=scale_bits, depth=3, word_bits=word_bits)
+
+
 class TestRotation:
     @pytest.mark.parametrize("amount", [1, 3, 100, 255])
     def test_hrot(self, small_context, small_evaluator, rng, amount):

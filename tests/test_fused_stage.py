@@ -22,7 +22,7 @@ from repro.ckks.context import CkksContext, make_params
 from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.linear import LinearTransform, bsgs_split
 from repro.ckks.ops import Evaluator
-from repro.ckks.poly_eval import ChebyshevEvaluator, chebyshev_fit
+from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
 from repro.rns.backend import NumpyBackend
 from tests.test_residency import _count_calls, _message, _preset
 
@@ -160,7 +160,7 @@ def test_a_chebyshev_block_rescales_once(small_context, small_evaluator, monkeyp
     ctx, ev = small_context, small_evaluator
     x = np.random.default_rng(6).uniform(-1, 1, ctx.params.slots)
     coeffs = chebyshev_fit(lambda t: np.tanh(2 * t), 21)
-    cheb = ChebyshevEvaluator(ev, baby_steps=4)
+    cheb = ChebyshevEvaluator(ev)
     rescales = _count_calls(monkeypatch, Evaluator, "rescale")
     per_block = []
     direct = ChebyshevEvaluator._eval_direct
@@ -172,7 +172,7 @@ def test_a_chebyshev_block_rescales_once(small_context, small_evaluator, monkeyp
         return out
 
     monkeypatch.setattr(ChebyshevEvaluator, "_eval_direct", counted)
-    out = cheb.evaluate(ctx.encrypt(x), coeffs)
+    out = cheb.evaluate(ctx.encrypt(x), PolyPlan(coeffs, baby_steps=4))
     assert len(per_block) >= 4 and max(degree for degree, _ in per_block) >= 3
     assert all(count == 1 for _, count in per_block)
     want = np.polynomial.chebyshev.chebval(x, coeffs)
@@ -184,8 +184,8 @@ def _built_bases(monkeypatch) -> list:
     built: list = []
     build = ChebyshevEvaluator._build_basis
 
-    def recorded(self, x, used):
-        basis = build(self, x, used)
+    def recorded(self, x, ladder):
+        basis = build(self, x, ladder)
         built.append(sorted(basis))
         return basis
 
@@ -200,20 +200,20 @@ def test_the_evalmod_ladder_builds_only_the_t_k_the_sine_uses(monkeypatch):
     )  # fmt: skip
     ctx = CkksContext(params, seed=3)
     ev = Evaluator(ctx)
-    coeffs = Bootstrapper(ctx, ev)._sin_coeffs  # odd, degree 69
+    plan = Bootstrapper(ctx, ev)._sin_plan  # odd, degree 69, baby steps 16
     x = np.random.default_rng(3).uniform(-1, 1, params.slots)
     # Where CoeffToSlot leaves EvalMod's input.
     ct = ctx.encrypt(x, level=params.max_level - 1, scale=2.0**params.boot_scale_bits)
     built = _built_bases(monkeypatch)
     multiplies = _count_calls(monkeypatch, Evaluator, "multiply")
     squares = _count_calls(monkeypatch, Evaluator, "square")
-    out = ChebyshevEvaluator(ev, baby_steps=16).evaluate(ct, coeffs)
+    out = ChebyshevEvaluator(ev).evaluate(ct, plan)
     odd, powers = [3, 5, 7, 9, 11, 13, 15], [2, 4, 8, 16, 32, 64]
     assert built == [sorted([1, *odd, *powers])]
     # 13 basis products (a square per power of two), 4 giant-step products.
     assert len(squares) == len(powers)
     assert len(multiplies) == len(odd) + len(powers) + 4
-    want = np.polynomial.chebyshev.chebval(x, coeffs)
+    want = np.polynomial.chebyshev.chebval(x, plan.coeffs)
     assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3
 
 
@@ -223,7 +223,7 @@ def test_an_even_polynomial_builds_no_odd_t_k(small_context, small_evaluator, mo
     coeffs[1::2] = 0.0
     x = np.random.default_rng(8).uniform(-1, 1, ctx.params.slots)
     built = _built_bases(monkeypatch)
-    out = ChebyshevEvaluator(ev, baby_steps=8).evaluate(ctx.encrypt(x), coeffs)
+    out = ChebyshevEvaluator(ev).evaluate(ctx.encrypt(x), PolyPlan(coeffs, baby_steps=8))
     assert built == [[1, 2, 4, 6, 8]]  # T_6 = 2*T_4*T_2 - T_2
     want = np.polynomial.chebyshev.chebval(x, coeffs)
     assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3

@@ -5,7 +5,9 @@ import pytest
 from numpy.polynomial import chebyshev as C
 
 from repro.ckks.linear import LinearTransform, bsgs_split
-from repro.ckks.poly_eval import ChebyshevEvaluator, chebyshev_fit
+from repro.ckks.ops import Evaluator
+from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
+from tests.test_residency import _count_calls
 
 
 class TestChebyshevFit:
@@ -37,8 +39,8 @@ class TestChebyshevEvaluator:
     def test_matches_plain_eval(self, small_context, small_evaluator, rng, degree):
         x = rng.uniform(-1, 1, 256)
         coeffs = chebyshev_fit(lambda t: np.tanh(2 * t), degree)
-        cheb = ChebyshevEvaluator(small_evaluator, baby_steps=4)
-        out = cheb.evaluate(small_context.encrypt(x), coeffs)
+        cheb = ChebyshevEvaluator(small_evaluator)
+        out = cheb.evaluate(small_context.encrypt(x), PolyPlan(coeffs, baby_steps=4))
         want = C.chebval(x, coeffs)
         got = small_context.decrypt(out).real
         assert np.max(np.abs(got - want)) < 1e-3
@@ -46,27 +48,61 @@ class TestChebyshevEvaluator:
     def test_constant_polynomial(self, small_context, small_evaluator, rng):
         x = rng.uniform(-1, 1, 256)
         cheb = ChebyshevEvaluator(small_evaluator)
-        out = cheb.evaluate(small_context.encrypt(x), np.array([0.75]))
+        out = cheb.evaluate(small_context.encrypt(x), PolyPlan(np.array([0.75])))
         assert np.max(np.abs(small_context.decrypt(out).real - 0.75)) < 1e-3
 
     def test_linear_polynomial(self, small_context, small_evaluator, rng):
         x = rng.uniform(-1, 1, 256)
         cheb = ChebyshevEvaluator(small_evaluator)
-        out = cheb.evaluate(small_context.encrypt(x), np.array([0.25, 0.5]))
+        out = cheb.evaluate(small_context.encrypt(x), PolyPlan(np.array([0.25, 0.5])))
         want = 0.25 + 0.5 * x
         assert np.max(np.abs(small_context.decrypt(out).real - want)) < 1e-3
 
     def test_depth_is_logarithmic(self, small_context, small_evaluator, rng):
         x = rng.uniform(-1, 1, 256)
-        cheb = ChebyshevEvaluator(small_evaluator, baby_steps=4)
+        cheb = ChebyshevEvaluator(small_evaluator)
         coeffs = chebyshev_fit(lambda t: np.sin(3 * t), 15)
-        out = cheb.evaluate(small_context.encrypt(x), coeffs)
+        out = cheb.evaluate(small_context.encrypt(x), PolyPlan(coeffs, baby_steps=4))
         used = small_context.params.usable_level - out.level
         assert used <= 6  # log2(15) + margin, far below 15
 
-    def test_rejects_bad_baby_steps(self, small_evaluator):
+    @pytest.mark.parametrize(
+        "parity, fn, degree, baby_steps",
+        [
+            (1, lambda t: np.sin(3 * t), 15, 4),
+            (0, lambda t: np.cos(3 * t), 12, 8),
+            (None, lambda t: np.exp(t) / 3, 21, 4),
+        ],
+        ids=["odd", "even", "dense"],
+    )
+    def test_spends_what_its_plan_says(
+        self, small_context, small_evaluator, monkeypatch, rng, parity, fn, degree, baby_steps
+    ):
+        coeffs = chebyshev_fit(fn, degree)
+        if parity is not None:
+            coeffs[1 - parity :: 2] = 0.0
+        plan = PolyPlan(coeffs, baby_steps=baby_steps)
+        calls = {
+            name: _count_calls(monkeypatch, Evaluator, name)
+            for name in ("multiply", "square", "multiply_plain_sum")
+        }
+        x = rng.uniform(-1, 1, 256)
+        ct = small_context.encrypt(x)
+        out = ChebyshevEvaluator(small_evaluator).evaluate(ct, plan)
+        # ``square`` calls ``multiply``, so the multiply count is every product.
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "multiply": plan.products,
+            "square": plan.squares,
+            "multiply_plain_sum": plan.plain_sums,
+        }
+        assert sum(len(pts) for _, _, pts in calls["multiply_plain_sum"]) == plan.plain_terms
+        assert ct.level - out.level == plan.depth
+        got = small_context.decrypt(out).real
+        assert np.max(np.abs(got - C.chebval(x, coeffs))) < 1e-3
+
+    def test_rejects_bad_baby_steps(self):
         with pytest.raises(ValueError):
-            ChebyshevEvaluator(small_evaluator, baby_steps=3)
+            PolyPlan(np.ones(12), baby_steps=3)
 
 
 class TestBsgsSplit:
