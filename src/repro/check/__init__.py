@@ -23,7 +23,9 @@ Checkers, none of which execute any encryption:
   artifact, with every declassification point allow-listed *and*
   re-checked against the RLWE masking discipline.
 
-With :mod:`repro.check.equiv` (translation validation of schedules)
+With :mod:`repro.check.equiv` (translation validation of schedules:
+dataflow, levels and residency; a certificate proves equivalence, and
+the precision floors stay with ``noise_check`` and admission's fold)
 they run as the six passes of :mod:`repro.check.cli` — ``bounds``,
 ``traces``, ``ckks``, ``noise``, ``equiv``, ``secflow`` — and
 :mod:`repro.check.mutations` keeps each pass honest: one builder per

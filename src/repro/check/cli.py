@@ -22,8 +22,8 @@ per pass:
   re-derivation;
 * ``equiv`` — translation validation: every shipped workload trace is
   fused + scheduled at the SHARP capacity and the pair must *certify*
-  (value-graph bisimulation, level/scale and noise-floor preservation,
-  scratchpad dataflow replay);
+  (value-graph bisimulation, level/scale preservation, scratchpad
+  dataflow replay);
 * ``secflow`` — information-flow verification: the whole serve/ckks
   stack is taint-analyzed to prove no secret key material, sampling
   seed, or pre-encryption plaintext reaches a wire frame, log line,
@@ -284,13 +284,7 @@ def _equiv(out: PassRun) -> None:
                 row["error_codes"] = sorted(exc.report.error_codes())
                 continue
             row.update(certificate.to_dict())
-            out.gate(
-                subject,
-                True,
-                f"certified {len(trace.ops)} -> {len(sched.trace.ops)} ops, "
-                f"proven floor {certificate.source_floor_bits:.2f} -> "
-                f"{certificate.scheduled_floor_bits:.2f} bits",
-            )
+            out.gate(subject, True, f"certified {len(trace.ops)} -> {len(sched.trace.ops)} ops")
 
 
 def _secflow(out: PassRun) -> None:

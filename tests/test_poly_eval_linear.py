@@ -6,7 +6,8 @@ from numpy.polynomial import chebyshev as C
 
 from repro.ckks.linear import LinearTransform, bsgs_split
 from repro.ckks.ops import Evaluator
-from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
+from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit, fitted_plan
+from repro.workloads import helr, resnet, sorting
 from tests.test_residency import _count_calls
 
 
@@ -32,6 +33,26 @@ class TestChebyshevFit:
             for d in (7, 15, 31)
         ]
         assert errs[0] > errs[1] > errs[2]
+
+    @pytest.mark.parametrize(
+        "fn, degree, interval, counts",
+        [
+            *(
+                (sorting.sign_stage, sorting.SIGN_DEGREE, iv, (9, 12, 6))
+                for iv in sorted(set(sorting.SIGN_STAGES))
+            ),
+            (helr.sigmoid_neg, helr.SIGMOID_DEGREE, helr.SIGMOID_INTERVAL, (5, 4, 4)),
+            (resnet.relu, resnet.RELU_DEGREE, resnet.RELU_INTERVAL, (8, 11, 6)),
+        ],
+        ids=["sign-1.6", "sign-1.02", "sigmoid", "relu"],
+    )
+    def test_activation_plans_carry_no_rounding_noise(self, fn, degree, interval, counts):
+        """(products, plain terms, depth) of each workload activation's
+        plan: the fit keeps no coefficient at the float64 rounding level,
+        so the plan builds no T_k and encodes no term for rounding noise
+        (with it: sign 10 / 21, sigmoid 6 / 7, ReLU 11 / 24)."""
+        plan = fitted_plan(fn, degree, interval)
+        assert (plan.products, plan.plain_terms, plan.depth) == counts
 
 
 class TestChebyshevEvaluator:
