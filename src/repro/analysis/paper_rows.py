@@ -40,8 +40,8 @@ from repro.analysis.published import (
 )
 from repro.analysis.workingset import fig5_data
 from repro.check import certify_schedule, verify_trace
-from repro.check.wordlen_audit import scale_audit
-from repro.ckks.noise import NoiseModel
+from repro.check.wordlen_audit import PAPER_BOOT_PRECISION, PAPER_FRESH_PRECISION, scale_audit
+from repro.ckks.calibration import NoiseModel
 from repro.core.alu_model import area_ratio_64_to_28, power_ratio_64_to_28, scaling_table
 from repro.core.config import (
     AcceleratorConfig,
@@ -72,11 +72,9 @@ MIB = 1 << 20
 GB = 1e9
 WORKLOADS = ("bootstrap", "helr256", "helr1024", "resnet20", "sorting")
 SWEEP_WORDS = (28, 32, 36, 48, 64)
-# (normal scale bits, boot scale bits): Table 2's SS / DS pairs, and the
-# paper's fresh and bootstrapped precision at each (bits).
+# (normal scale bits, boot scale bits): Table 2's SS / DS pairs.  The
+# paper's precision at each is ``wordlen_audit.PAPER_*_PRECISION``.
 SCALE_POINTS = [(27, 55), (29, 59), (31, 60), (33, 62), (35, 62), (37, 64), (39, 64)]
-PAPER_FRESH = [14.19, 16.32, 18.44, 20.34, 22.39, 24.43, 26.43]
-PAPER_BOOT = [13.37, 14.86, 17.28, 19.29, 21.86, 23.78, 25.50]
 UNCHECKED = ("", True)
 
 
@@ -253,7 +251,8 @@ def fig3() -> Iterator[Row]:
 
 
 def table2_precision() -> Iterator[Row]:
-    for (bits, boot), pf, pb in zip(SCALE_POINTS, PAPER_FRESH, PAPER_BOOT):
+    for bits, boot in SCALE_POINTS:
+        pf, pb = PAPER_FRESH_PRECISION[bits], PAPER_BOOT_PRECISION[bits]
         m = NoiseModel(bits, boot)
         fresh, booted = -math.log2(m.fresh_std), -math.log2(m.boot_std)
         yield Row(
@@ -310,7 +309,8 @@ def table2_static() -> Iterator[Row]:
     # HELR / sorting recover at 2^29, ResNet-20 only at 2^33.
     explodes = {(27, "helr"), (27, "resnet20"), (27, "sorting"), (29, "resnet20"), (31, "resnet20")}
     survives = {(29, "helr"), (29, "sorting"), (33, "resnet20")}
-    for (bits, boot), pb in zip(SCALE_POINTS, PAPER_BOOT):
+    for bits, boot in SCALE_POINTS:
+        pb = PAPER_BOOT_PRECISION[bits]
         entries = {e.workload: e for e in scale_audit(float(bits), float(boot))}
         for workload in ("helr", "resnet20", "sorting", "bootstrapping"):
             e = entries[workload]

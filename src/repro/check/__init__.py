@@ -11,11 +11,12 @@ Checkers, none of which execute any encryption:
   the lazy-reduction kernel and butterfly chains;
 * :mod:`repro.check.noise_check` — abstract interpretation over the
   noise domain (worst-case bound + average-case estimate, drift from
-  the relative rescale jitter), sharing its per-op standard deviations
-  with the empirical executor via :mod:`repro.ckks.calibration`;
+  the relative rescale jitter), whose ``NoiseParams`` extends the one
+  calibrated :class:`repro.ckks.calibration.NoiseModel` the empirical
+  executor injects from;
 * :mod:`repro.check.wordlen_audit` — the word-length robustness sweep
-  that statically re-derives Table 2 / Fig. 1 and re-derives any
-  externally-presented precision claims;
+  that statically re-derives Table 2 / Fig. 1, and the one statement of
+  Table 2's published precision column;
 * :mod:`repro.check.secflow` — whole-stack information-flow
   verification: an interprocedural taint analysis proving secret key
   material, sampling state, and pre-encryption plaintexts cannot reach
@@ -90,11 +91,8 @@ from repro.check.trace_check import (
 from repro.check.wordlen_audit import (
     AuditEntry,
     AuditResult,
-    PrecisionClaim,
-    claims_from_audit,
     run_audit,
     scale_audit,
-    verify_claims,
 )
 
 __all__ = [
@@ -140,9 +138,6 @@ __all__ = [
     "check_noise_program",
     "AuditEntry",
     "AuditResult",
-    "PrecisionClaim",
-    "claims_from_audit",
     "run_audit",
     "scale_audit",
-    "verify_claims",
 ]

@@ -7,19 +7,20 @@ per pass:
 * ``bounds`` — kernel bound certificates for the word-length presets
   (must prove), plus the consistency check that the derived safe bound
   equals the shipped ``kernels.FAST_MODULUS_BITS``;
-* ``traces`` — every shipped workload trace, in plain, explicit-
-  rescale, and fused form, through the SSA/chain verifier; each is
-  then scheduled at the SHARP scratchpad capacity and its recorded
-  schedule events verified (structure + deterministic replay);
+* ``traces`` — every shipped workload trace, in plain and explicit-
+  rescale form, through the SSA/chain verifier; each is then scheduled
+  at the SHARP scratchpad capacity and its recorded schedule events
+  verified (structure + deterministic replay).  The fused form is
+  walked by ``equiv``, whose certification runs the same verifier over
+  the scheduled trace;
 * ``ckks`` — a representative evaluator program over the abstract
   (level, scale) domain of a functional parameter set;
 * ``noise`` — the word-length robustness audit: every shipped
   workload noise program abstract-interpreted over the noise domain
   at each word-length preset; the 28-bit regime must be *proved* to
   explode, the 36/50/62-bit regimes must prove their precision floors
-  with zero false positives, the 36-bit bootstrapping floor must land
-  within a bit of Table 2, and the audit's claims must survive
-  re-derivation;
+  with zero false positives, and the 36-bit bootstrapping floor must
+  land within a bit of Table 2;
 * ``equiv`` — translation validation: every shipped workload trace is
   fused + scheduled at the SHARP capacity and the pair must *certify*
   (value-graph bisimulation, level/scale preservation, scratchpad
@@ -40,7 +41,7 @@ each pass's summary rows (kernel-chain headrooms, audit cells, schedule
 certificates, information-flow findings) and every mutant's verdict;
 ``--summary-md PATH`` renders the same gates and rows as a
 GitHub-flavored markdown job summary.  Exit status 0 means every gate
-passed; any failed proof, hidden explosion, dirty trace, uncertifiable
+passed; any failed proof, missed explosion, dirty trace, uncertifiable
 schedule, leak, or accepted mutant is a non-zero exit, which is what CI
 gates on.
 """
@@ -70,17 +71,10 @@ from repro.check.mutations import (
 )
 from repro.check.secflow import DEFAULT_MODULES, check_default
 from repro.check.trace_check import verify_schedule, verify_trace
-from repro.check.wordlen_audit import (
-    EXPECTED_REGIMES,
-    PAPER_BOOT_PRECISION_AT_35,
-    claims_from_audit,
-    run_audit,
-    verify_claims,
-)
+from repro.check.wordlen_audit import EXPECTED_REGIMES, PAPER_BOOT_PRECISION, run_audit
 from repro.core.config import sharp_config
 from repro.params.presets import NATIVE_WORD_LENGTHS, WordLengthSetting, build_sharp_setting
 from repro.rns import kernels
-from repro.sched.fusion import fuse_trace
 from repro.sched.trace import schedule_trace
 from repro.workloads.traces import evaluation_traces
 
@@ -192,11 +186,6 @@ def _traces(out: PassRun) -> None:
             report = verify_trace(trace, setting)
             report.subject = f"{name}{variant}"
             out.report(report)
-            if variant:
-                fused, _ = fuse_trace(trace)
-                fused_report = verify_trace(fused, setting)
-                fused_report.subject = f"{name}{variant}+fused"
-                out.report(fused_report)
 
     capacity = sharp_config().onchip_capacity_bytes
     for name, trace in evaluation_traces(setting).items():
@@ -249,17 +238,14 @@ def _noise(out: PassRun) -> None:
             f"derived {regime}, Table 2 says {expected}",
         )
     boot36 = audit.entry(36, "bootstrapping").mean_floor_bits
-    delta = abs(boot36 - PAPER_BOOT_PRECISION_AT_35)
+    paper = PAPER_BOOT_PRECISION[35]
+    delta = abs(boot36 - paper)
     out.gate(
         "table2-boot-anchor",
         delta <= ANCHOR_TOLERANCE_BITS,
         f"36-bit bootstrapping floor {boot36:.2f} bits, Table 2 "
-        f"{PAPER_BOOT_PRECISION_AT_35}, delta {delta:.2f} "
-        f"(tolerance {ANCHOR_TOLERANCE_BITS})",
+        f"{paper}, delta {delta:.2f} (tolerance {ANCHOR_TOLERANCE_BITS})",
     )
-    claim_report = verify_claims(claims_from_audit(audit))
-    claim_report.subject = "claims-rederive"
-    out.report(claim_report)
 
 
 def _equiv(out: PassRun) -> None:

@@ -32,12 +32,6 @@ from repro.check.diagnostics import CheckReport
 from repro.check.equiv import check_equivalence
 from repro.check.noise_check import NoiseParams, check_noise_program
 from repro.check.trace_check import verify_schedule, verify_trace
-from repro.check.wordlen_audit import (
-    PrecisionClaim,
-    claims_from_audit,
-    run_audit,
-    verify_claims,
-)
 from repro.hw.isa import HeOp, OpKind, Trace
 from repro.params.presets import WordLengthSetting
 from repro.rns import kernels
@@ -333,7 +327,7 @@ def ckks_cases() -> list[MutationCase]:
 
 
 def noise_cases() -> list[MutationCase]:
-    """Noise programs and precision claims the noise domain must refuse."""
+    """Noise programs the noise domain must refuse."""
 
     def inflated_scale() -> CheckReport:
         # A 60-bit scale claimed on 28-bit words: no SS prime fits and a
@@ -347,57 +341,12 @@ def noise_cases() -> list[MutationCase]:
         report, _ = check_noise_program(program.build, params, "inflated-scale")
         return report
 
-    def claim(word_bits: int, workload: str, floor: float) -> CheckReport:
-        return verify_claims(
-            [
-                PrecisionClaim(
-                    word_bits=word_bits,
-                    workload=workload,
-                    exploded=False,
-                    mean_floor_bits=floor,
-                )
-            ]
-        )
-
     return [
         MutationCase(
             "noise-inflated-scale",
             "noise",
             inflated_scale,
             ("NOISE-SCALE-UNREALIZABLE",),
-        ),
-        MutationCase(
-            # An analyzer that forgot the relative rescale-jitter term
-            # sees no drift, so it certifies the 28-bit explosion regime
-            # as clean — its claims must not survive re-derivation.
-            "noise-skipped-jitter",
-            "noise",
-            lambda: verify_claims(
-                claims_from_audit(run_audit((28, 36), include_jitter=False))
-            ),
-            ("NOISE-EXPLOSION-HIDDEN",),
-        ),
-        MutationCase(
-            # An analyzer that understates bootstrap noise overstates the
-            # bootstrapping precision floor at the robust scale.
-            "noise-understated-boot",
-            "noise",
-            lambda: verify_claims(
-                claims_from_audit(run_audit((36,), include_boot_noise=False))
-            ),
-            ("NOISE-CLAIM",),
-        ),
-        MutationCase(
-            "noise-hidden-explosion",
-            "noise",
-            lambda: claim(28, "helr", 14.7),
-            ("NOISE-EXPLOSION-HIDDEN",),
-        ),
-        MutationCase(
-            "noise-overclaimed-floor",
-            "noise",
-            lambda: claim(36, "bootstrapping", 23.5),
-            ("NOISE-CLAIM",),
         ),
     ]
 

@@ -21,10 +21,11 @@ Abstract state (:class:`NoiseState`), all in the message domain:
   linearly, each injection taken at ``K_SIGMA`` standard deviations,
   plus deterministic polynomial-approximation bias terms).
 
-Every per-op standard deviation comes from
-:mod:`repro.ckks.calibration` — the same module the empirical
-:class:`repro.ckks.noise.NoisyEvaluator` injects from, so the static
-transfer functions and the executor cannot drift apart.
+Every per-op standard deviation is a property of
+:class:`repro.ckks.calibration.NoiseModel`, which :class:`NoiseParams`
+extends and the empirical :class:`repro.ckks.noise.NoisyEvaluator`
+injects from, so the static transfer functions and the executor cannot
+drift apart.
 
 Explosion checks (``NOISE-EXPLOSION``, ``NOISE-BOOT-RANGE``) compare
 the high-probability value envelope ``mag * drift + K_SIGMA * std``
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from repro.ckks import calibration
+from repro.ckks.calibration import NoiseModel
 from repro.check.diagnostics import CheckReport
 from repro.params.primes import level_width
 
@@ -73,42 +74,18 @@ def _quad(*stds: float) -> float:
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """The noise-domain slice of a parameter set.
+class NoiseParams(NoiseModel):
+    """The noise-domain slice of a parameter set: the calibrated
+    :class:`~repro.ckks.calibration.NoiseModel` plus what the static pass
+    checks against it.
 
     ``word_bits`` enables the realization check (a program claiming a
-    scale its machine word cannot host is flagged); ``include_jitter``
-    and ``include_boot_noise`` are ablation knobs used by the mutation
-    corpus to manufacture analyzers that "forgot" a noise source —
-    their claims must be caught by :func:`repro.check.wordlen_audit.verify_claims`.
+    scale its machine word cannot host is flagged); ``message_ratio`` is
+    the bootstrap's stable range (``q0 / scale``).
     """
 
-    scale_bits: float
-    boot_scale_bits: float = 62.0
     word_bits: int | None = None
     message_ratio: float = 8.0
-    include_jitter: bool = True
-    include_boot_noise: bool = True
-
-    @property
-    def fresh_std(self) -> float:
-        return calibration.fresh_std(self.scale_bits)
-
-    @property
-    def op_std(self) -> float:
-        return calibration.op_std(self.scale_bits)
-
-    @property
-    def relative_std(self) -> float:
-        if not self.include_jitter:
-            return 0.0
-        return calibration.relative_std(self.scale_bits)
-
-    @property
-    def boot_std(self) -> float:
-        if not self.include_boot_noise:
-            return 0.0
-        return calibration.boot_std(self.scale_bits, self.boot_scale_bits)
 
     def validate_into(self, report: CheckReport) -> None:
         """Realization discipline: the claimed scales must fit the word."""
@@ -225,13 +202,9 @@ class NoiseSummary:
 
     mean_floor_bits: float  # min over the run of -log2(std)
     proven_floor_bits: float  # min over the run of -log2(worst_error)
-    floor_op: int  # op index where the mean floor was reached
     exploded: bool
     explosion_op: int | None
     max_drift: float  # largest drift factor reached
-    rescale_jitters: int  # rescale-jitter events charged
-    bootstraps: int
-    assumptions: tuple[str, ...]  # program-declared magnitude invariants
 
     @property
     def drift_bits(self) -> float:
@@ -242,7 +215,6 @@ class NoiseSummary:
 class _Floor:
     mean_bits: float = math.inf
     proven_bits: float = math.inf
-    op: int = 0
 
 
 class NoiseCheckEvaluator:
@@ -266,9 +238,6 @@ class NoiseCheckEvaluator:
         self.exploded = False
         self.explosion_op: int | None = None
         self.max_drift = 1.0
-        self.rescale_jitters = 0
-        self.bootstraps = 0
-        self.assumptions: list[str] = []
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -282,9 +251,9 @@ class NoiseCheckEvaluator:
         state = NoiseState(mag=mag, drift=drift, std=std, worst=worst, origin=call)
         if not state.poisoned:
             self.max_drift = max(self.max_drift, drift)
-            if state.mean_precision_bits < self._floor.mean_bits:
-                self._floor.mean_bits = state.mean_precision_bits
-                self._floor.op = call
+            self._floor.mean_bits = min(
+                self._floor.mean_bits, state.mean_precision_bits
+            )
             self._floor.proven_bits = min(
                 self._floor.proven_bits, state.proven_precision_bits
             )
@@ -314,13 +283,9 @@ class NoiseCheckEvaluator:
         return NoiseSummary(
             mean_floor_bits=-math.inf if self.exploded else floor.mean_bits,
             proven_floor_bits=-math.inf if self.exploded else floor.proven_bits,
-            floor_op=floor.op,
             exploded=self.exploded,
             explosion_op=self.explosion_op,
             max_drift=self.max_drift,
-            rescale_jitters=self.rescale_jitters,
-            bootstraps=self.bootstraps,
-            assumptions=tuple(self.assumptions),
         )
 
     # -- sources and annotations ---------------------------------------------
@@ -390,7 +355,6 @@ class NoiseCheckEvaluator:
         ma, mb = a.message_bound, b.message_bound
         cross_worst = a.worst * mb + b.worst * ma + a.worst * b.worst
         value_bound = (ma + a.worst) * (mb + b.worst)
-        self.rescale_jitters += 1
         worst = (
             cross_worst
             + value_bound * K_SIGMA * p.relative_std
@@ -406,7 +370,6 @@ class NoiseCheckEvaluator:
             return self._poison(call)
         p = self.params
         out_bound = ct.message_bound * pt_mag + ct.worst * pt_mag
-        self.rescale_jitters += 1
         worst = (
             ct.worst * pt_mag
             + out_bound * K_SIGMA * p.relative_std
@@ -477,7 +440,6 @@ class NoiseCheckEvaluator:
             return self._poison(call)
         p = self.params
         bound = ct.message_bound + ct.worst
-        self.rescale_jitters += 1
         return self._make(
             ct.mag,
             ct.drift,
@@ -567,7 +529,6 @@ class NoiseCheckEvaluator:
             prop_worst = spec.gain * (ct.worst + ct.mag * (ct.drift - 1.0))
         if spec.cap is not None:
             prop_worst = min(prop_worst, spec.cap)
-        self.rescale_jitters += spec.depth_ops
         worst = prop_worst + spec.bias + K_SIGMA * (jitter + ks)
         std = _quad(spec.gain * ct.std, jitter, ks)
         return self._make(spec.out_mag, drift, std, worst, call)
@@ -608,7 +569,6 @@ class NoiseCheckEvaluator:
         bias = 0.5 * max(ct.message_bound * sign.eps, 2.0 * sign.delta)
         jitter = ct.message_bound * p.relative_std * depth
         ks = p.op_std * depth
-        self.rescale_jitters += sign.depth_ops
         return self._make(
             ct.mag,
             ct.drift,
@@ -632,7 +592,6 @@ class NoiseCheckEvaluator:
                 + " — coefficients wrap modulo q0 and the message is destroyed",
                 call,
             )
-        self.bootstraps += 1
         boot = self.params.boot_std
         return self._make(
             ct.mag,

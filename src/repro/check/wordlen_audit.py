@@ -17,45 +17,32 @@ words are *proved* to explode (every iterative workload's drift leaves
 its fitted interval mid-run), while 36-bit and wider words prove
 precision floors that clear every workload's target — with the
 bootstrapping floor landing within a bit of Table 2's measurement.
-
-:func:`verify_claims` closes the loop the same way the schedule
-verifier replays its allocator: any externally-presented set of
-precision claims is re-derived with the trusted analyzer, so a claim
-produced by an analyzer that "forgot" the rescale jitter or the
-bootstrap noise (the mutation corpus manufactures exactly those) is
-flagged rather than trusted.
+Table 2's published precision column is stated here once
+(:data:`PAPER_FRESH_PRECISION` / :data:`PAPER_BOOT_PRECISION`, keyed by
+scale bits): the CLI's anchor gate and :mod:`repro.analysis.paper_rows`
+both read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Mapping
 
-from repro.ckks import calibration
 from repro.check.diagnostics import CheckReport
-from repro.check.noise_check import (
-    NoiseParams,
-    NoiseSummary,
-    check_noise_program,
-)
+from repro.check.noise_check import NoiseParams, check_noise_program
 from repro.params.presets import NATIVE_WORD_LENGTHS, boot_plan, native_scale_bits
 
 __all__ = [
     "EXPECTED_REGIMES",
-    "PAPER_FRESH_PRECISION_AT_35",
-    "PAPER_BOOT_PRECISION_AT_35",
+    "PAPER_FRESH_PRECISION",
+    "PAPER_BOOT_PRECISION",
     "AuditEntry",
     "AuditResult",
-    "PrecisionClaim",
     "audit_params",
     "run_audit",
     "scale_audit",
-    "claims_from_audit",
-    "verify_claims",
 ]
-
-CLAIM_TOLERANCE_BITS = 0.25  # an over-claimed floor within this passes
 
 # What SHARP's S3 / Table 2 says each regime must look like.
 EXPECTED_REGIMES: Mapping[int, str] = {
@@ -65,10 +52,15 @@ EXPECTED_REGIMES: Mapping[int, str] = {
     62: "robust",
 }
 
-# Table 2 anchors at the paper's 2^35 scale (bits of precision): the
-# audit's 36-bit row must land within one bit of these.
-PAPER_FRESH_PRECISION_AT_35 = 22.39
-PAPER_BOOT_PRECISION_AT_35 = 21.86
+# Table 2's measured fresh and bootstrapped precision (bits), keyed by
+# the normal scale's bits.  The audit's 36-bit row (scale 2^35) must land
+# within one bit of the 35 entries.
+PAPER_FRESH_PRECISION: Mapping[int, float] = {
+    27: 14.19, 29: 16.32, 31: 18.44, 33: 20.34, 35: 22.39, 37: 24.43, 39: 26.43,
+}
+PAPER_BOOT_PRECISION: Mapping[int, float] = {
+    27: 13.37, 29: 14.86, 31: 17.28, 33: 19.29, 35: 21.86, 37: 23.78, 39: 25.50,
+}
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,6 @@ class AuditEntry:
     exploded: bool
     explosion_op: int | None
     report: CheckReport
-    summary: NoiseSummary
 
     @property
     def passed(self) -> bool:
@@ -181,19 +172,13 @@ class AuditResult:
         return "\n".join(lines)
 
 
-def audit_params(
-    word_bits: int,
-    include_jitter: bool = True,
-    include_boot_noise: bool = True,
-) -> NoiseParams:
+def audit_params(word_bits: int) -> NoiseParams:
     """The noise parameters one word-length preset sweeps at."""
     boot_scale, _ = boot_plan(word_bits)
     return NoiseParams(
         scale_bits=native_scale_bits(word_bits),
         boot_scale_bits=boot_scale,
         word_bits=word_bits,
-        include_jitter=include_jitter,
-        include_boot_noise=include_boot_noise,
     )
 
 
@@ -201,14 +186,7 @@ def _audit_one(params: NoiseParams, workload: str) -> AuditEntry:
     from repro.workloads.noise_programs import noise_programs
 
     program = noise_programs()[workload]
-    run_params = NoiseParams(
-        scale_bits=params.scale_bits,
-        boot_scale_bits=params.boot_scale_bits,
-        word_bits=params.word_bits,
-        message_ratio=program.message_ratio,
-        include_jitter=params.include_jitter,
-        include_boot_noise=params.include_boot_noise,
-    )
+    run_params = replace(params, message_ratio=program.message_ratio)
     label = f"{workload}@{params.scale_bits:g}"
     report, summary = check_noise_program(program.build, run_params, label)
     return AuditEntry(
@@ -219,31 +197,22 @@ def _audit_one(params: NoiseParams, workload: str) -> AuditEntry:
         target_bits=program.target_bits,
         mean_floor_bits=summary.mean_floor_bits,
         proven_floor_bits=summary.proven_floor_bits,
-        fresh_precision_bits=-math.log2(calibration.fresh_std(params.scale_bits)),
-        boot_precision_bits=-math.log2(
-            calibration.boot_std(params.scale_bits, params.boot_scale_bits)
-        ),
+        fresh_precision_bits=-math.log2(params.fresh_std),
+        boot_precision_bits=-math.log2(params.boot_std),
         drift_bits=summary.drift_bits,
         exploded=summary.exploded,
         explosion_op=summary.explosion_op,
         report=report,
-        summary=summary,
     )
 
 
-def run_audit(
-    words: Iterable[int] = NATIVE_WORD_LENGTHS,
-    include_jitter: bool = True,
-    include_boot_noise: bool = True,
-) -> AuditResult:
-    """Run every shipped workload noise program at every word length."""
+def run_audit() -> AuditResult:
+    """Run every shipped workload noise program at every native word length."""
     from repro.workloads.noise_programs import noise_programs
 
     entries = [
-        _audit_one(
-            audit_params(word, include_jitter, include_boot_noise), workload
-        )
-        for word in words
+        _audit_one(audit_params(word), workload)
+        for word in NATIVE_WORD_LENGTHS
         for workload in noise_programs()
     ]
     return AuditResult(entries=tuple(entries))
@@ -255,83 +224,3 @@ def scale_audit(scale_bits: float, boot_scale_bits: float) -> tuple[AuditEntry, 
 
     params = NoiseParams(scale_bits=scale_bits, boot_scale_bits=boot_scale_bits)
     return tuple(_audit_one(params, workload) for workload in noise_programs())
-
-
-# ---------------------------------------------------------------------------
-# Claim verification (re-derivation, like schedule replay)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrecisionClaim:
-    """An externally-presented claim about one sweep cell."""
-
-    word_bits: int
-    workload: str
-    exploded: bool
-    mean_floor_bits: float  # -inf allowed when claiming an explosion
-
-
-def claims_from_audit(result: AuditResult) -> tuple[PrecisionClaim, ...]:
-    return tuple(
-        PrecisionClaim(
-            word_bits=e.word_bits,
-            workload=e.workload,
-            exploded=e.exploded,
-            mean_floor_bits=e.mean_floor_bits,
-        )
-        for e in result.entries
-        if e.word_bits is not None
-    )
-
-
-def verify_claims(claims: Iterable[PrecisionClaim]) -> CheckReport:
-    """Re-derive every claim with the trusted analyzer.
-
-    A claim that hides an explosion the trusted analyzer proves
-    (``NOISE-EXPLOSION-HIDDEN``), invents one it refutes, or overstates
-    a precision floor by more than ``CLAIM_TOLERANCE_BITS``
-    (``NOISE-CLAIM``) is an error.  Conservative *under*-claims within
-    reason are accepted — an analyzer may legitimately be looser than
-    this one, never tighter than the noise allows.
-    """
-    report = CheckReport("noise", "precision-claims")
-    claims = list(claims)
-    words = sorted({c.word_bits for c in claims})
-    trusted = run_audit(words)
-    for claim in claims:
-        try:
-            actual = trusted.entry(claim.word_bits, claim.workload)
-        except KeyError:
-            report.error(
-                "NOISE-CLAIM",
-                f"claim for unknown workload {claim.workload!r} at "
-                f"{claim.word_bits}-bit words",
-            )
-            continue
-        where = f"{claim.workload}@{claim.word_bits}"
-        if actual.exploded and not claim.exploded:
-            report.error(
-                "NOISE-EXPLOSION-HIDDEN",
-                f"{where}: claim reports a finite floor but the trusted "
-                f"analyzer proves an explosion at op {actual.explosion_op}",
-                op_index=actual.explosion_op,
-            )
-            continue
-        if claim.exploded and not actual.exploded:
-            report.error(
-                "NOISE-CLAIM",
-                f"{where}: claim invents an explosion the trusted analyzer "
-                f"refutes (floor {actual.mean_floor_bits:.2f} bits)",
-            )
-            continue
-        if claim.exploded:
-            continue
-        if claim.mean_floor_bits > actual.mean_floor_bits + CLAIM_TOLERANCE_BITS:
-            report.error(
-                "NOISE-CLAIM",
-                f"{where}: claimed floor {claim.mean_floor_bits:.2f} bits "
-                f"overstates the derived {actual.mean_floor_bits:.2f} bits "
-                f"by more than {CLAIM_TOLERANCE_BITS:g}",
-            )
-    return report

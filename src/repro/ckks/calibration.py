@@ -1,16 +1,18 @@
 """Single source of truth for the calibrated CKKS noise magnitudes.
 
-Both consumers of the Table 2 noise calibration import from here:
+:class:`NoiseModel` is the one statement of the per-op noise standard
+deviations.  Both Table 2 twins read it:
 
 * the *empirical* :class:`repro.ckks.noise.NoisyEvaluator`, which
   injects these standard deviations into concrete numpy vectors; and
-* the *static* :mod:`repro.check.noise_check` pass, which propagates
-  them symbolically through evaluator programs.
+* the *static* :mod:`repro.check.noise_check` pass, whose
+  ``NoiseParams`` is a ``NoiseModel`` with the word length and message
+  ratio added, and which propagates them symbolically through evaluator
+  programs.
 
-Keeping the per-op standard-deviation formulas in one module is what
-makes the static analyzer's validation meaningful: the bound it proves
-and the noise the executor injects can never drift apart, because they
-are literally the same numbers (tests/test_noise_check.py pins this).
+So the bound the static analyzer proves and the noise the executor
+injects cannot drift apart: they are the same properties of the same
+class.
 
 Calibration against the paper's Table 2 measurements at ``N = 2**16``:
 precision = scale_bits - offset (fresh ~ 12.6 bits below the scale,
@@ -24,16 +26,15 @@ explosions while ``2**35`` keeps it at ``2**-18``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 __all__ = [
     "FRESH_OFFSET_BITS",
     "OP_OFFSET_BITS",
     "BOOT_OFFSET_BITS",
     "RELATIVE_OFFSET_BITS",
     "BOOT_CAP_OFFSET_BITS",
-    "fresh_std",
-    "op_std",
-    "relative_std",
-    "boot_std",
+    "NoiseModel",
 ]
 
 # Calibration against Table 2 (N = 2^16): precision = scale_bits - offset.
@@ -50,24 +51,32 @@ RELATIVE_OFFSET_BITS = 17.0
 BOOT_CAP_OFFSET_BITS = 36.5
 
 
-def fresh_std(scale_bits: float) -> float:
-    """Message-domain noise std of a fresh encryption."""
-    return 2.0 ** -(scale_bits - FRESH_OFFSET_BITS)
+@dataclass(frozen=True)
+class NoiseModel:
+    """Per-op message-domain noise standard deviations at one scale pair."""
 
+    scale_bits: float
+    boot_scale_bits: float = 62.0
 
-def op_std(scale_bits: float) -> float:
-    """Additive noise std of one key-switched op (HMult/HRot/PMult)."""
-    return 2.0 ** -(scale_bits - OP_OFFSET_BITS)
+    @property
+    def fresh_std(self) -> float:
+        """Noise std of a fresh encryption."""
+        return 2.0 ** -(self.scale_bits - FRESH_OFFSET_BITS)
 
+    @property
+    def op_std(self) -> float:
+        """Additive noise std of one key-switched op (HMult/HRot/PMult)."""
+        return 2.0 ** -(self.scale_bits - OP_OFFSET_BITS)
 
-def relative_std(scale_bits: float) -> float:
-    """Relative (multiplicative) std of one rescale's prime-vs-scale
-    deviation: order ``2N / scale`` at N = 2^16."""
-    return 2.0 ** -(scale_bits - RELATIVE_OFFSET_BITS)
+    @property
+    def relative_std(self) -> float:
+        """Relative (multiplicative) std of one rescale's prime-vs-scale
+        deviation: order ``2N / scale`` at N = 2^16."""
+        return 2.0 ** -(self.scale_bits - RELATIVE_OFFSET_BITS)
 
-
-def boot_std(scale_bits: float, boot_scale_bits: float = 62.0) -> float:
-    """Noise std of one bootstrap, capped by the bootstrapping scale."""
-    base = 2.0 ** -(scale_bits - BOOT_OFFSET_BITS)
-    cap = 2.0 ** -(boot_scale_bits - BOOT_CAP_OFFSET_BITS)
-    return max(base, cap)
+    @property
+    def boot_std(self) -> float:
+        """Noise std of one bootstrap, capped by the bootstrapping scale."""
+        base = 2.0 ** -(self.scale_bits - BOOT_OFFSET_BITS)
+        cap = 2.0 ** -(self.boot_scale_bits - BOOT_CAP_OFFSET_BITS)
+        return max(base, cap)

@@ -9,11 +9,11 @@ approximation evaluates its *fitted Chebyshev interpolant* (not the
 ideal function), so values that leave the approximation interval
 diverge exactly the way the paper's "error explosions" do (S3.1).
 
-Noise magnitudes are calibrated to the paper's Table 2 measurements at
-``N = 2**16`` (fresh precision ~ ``log2(scale) - 12.6`` bits, bootstrap
-precision ~ ``log2(scale) - 13.3`` bits) and cross-checked in shape
-against this repo's exact implementation at reduced degree, which
-shows the same per-bit slope (see tests/test_noise.py).
+Noise magnitudes are :class:`repro.ckks.calibration.NoiseModel`'s, the
+one calibration the static :mod:`repro.check.noise_check` pass reads
+too: fitted to the paper's Table 2 measurements at ``N = 2**16`` (fresh
+precision ~ ``log2(scale) - 12.6`` bits, bootstrap precision
+~ ``log2(scale) - 13.3`` bits).
 """
 
 from __future__ import annotations
@@ -25,55 +25,10 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from repro.ckks import calibration
-from repro.ckks.calibration import (
-    BOOT_OFFSET_BITS,
-    FRESH_OFFSET_BITS,
-    OP_OFFSET_BITS,
-    RELATIVE_OFFSET_BITS,
-)
+from repro.ckks.calibration import NoiseModel
 from repro.ckks.poly_eval import fitted_plan
 
-__all__ = [
-    "NoiseModel",
-    "NoisyVector",
-    "NoisyEvaluator",
-    # Re-exported from repro.ckks.calibration (the single source of
-    # truth shared with the static noise_check pass).
-    "FRESH_OFFSET_BITS",
-    "BOOT_OFFSET_BITS",
-    "OP_OFFSET_BITS",
-    "RELATIVE_OFFSET_BITS",
-]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-op message-domain noise standard deviations.
-
-    Every formula delegates to :mod:`repro.ckks.calibration`, the
-    module the static :mod:`repro.check.noise_check` pass consumes too
-    — the empirical executor and the static analyzer cannot disagree.
-    """
-
-    scale_bits: float
-    boot_scale_bits: float = 62.0
-
-    @property
-    def fresh_std(self) -> float:
-        return calibration.fresh_std(self.scale_bits)
-
-    @property
-    def op_std(self) -> float:
-        return calibration.op_std(self.scale_bits)
-
-    @property
-    def relative_std(self) -> float:
-        return calibration.relative_std(self.scale_bits)
-
-    @property
-    def boot_std(self) -> float:
-        return calibration.boot_std(self.scale_bits, self.boot_scale_bits)
+__all__ = ["NoisyVector", "NoisyEvaluator"]
 
 
 @dataclass
@@ -95,7 +50,6 @@ class NoisyEvaluator:
         self.model = model
         self.rng = np.random.default_rng(seed)
         self.message_ratio = message_ratio
-        self.bootstrap_count = 0
 
     # -- noise helpers ----------------------------------------------------------
 
@@ -153,7 +107,6 @@ class NoisyEvaluator:
         wrap modulo ``q0`` and the message is destroyed — the paper's
         instability for values outside the stable range.
         """
-        self.bootstrap_count += 1
         headroom = self.message_ratio
         v = a.values
         wrapped = np.mod(v + headroom, 2 * headroom) - headroom

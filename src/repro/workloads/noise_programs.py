@@ -13,8 +13,8 @@ workload modules themselves, so the two paths cannot drift apart.
 
 Magnitude declarations (``encrypt(mag=...)``, ``out_mag``) are the
 only workload-specific inputs the empirical path does not share; each
-is a conservative bound on the corresponding empirical value range and
-is recorded in the run's assumption list where it is not derivable.
+is a conservative bound on the corresponding empirical value range,
+written into the program below, and the analyzer takes it on trust.
 
 Soundness notes for the two loop macros used here:
 

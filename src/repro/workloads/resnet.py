@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ckks.noise import NoiseModel, NoisyEvaluator, NoisyVector
+from repro.ckks.calibration import NoiseModel
+from repro.ckks.noise import NoisyEvaluator, NoisyVector
 from repro.workloads.datasets import MultiClassImages
 
 __all__ = [

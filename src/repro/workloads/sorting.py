@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ckks.noise import NoiseModel, NoisyEvaluator, NoisyVector
+from repro.ckks.calibration import NoiseModel
+from repro.ckks.noise import NoisyEvaluator, NoisyVector
 
 __all__ = [
     "SortResult",

@@ -438,13 +438,7 @@ class TestMutationCorpus:
                 "use-before-def",
             ],
             "ckks": ["ckks-level-underflow", "ckks-missing-rescale", "ckks-scale-mismatch"],
-            "noise": [
-                "noise-hidden-explosion",
-                "noise-inflated-scale",
-                "noise-overclaimed-floor",
-                "noise-skipped-jitter",
-                "noise-understated-boot",
-            ],
+            "noise": ["noise-inflated-scale"],
             "equiv": [
                 "equiv-dropped-op",
                 "equiv-dropped-refill",

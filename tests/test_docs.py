@@ -4,15 +4,19 @@ Every dotted ``repro.…`` name (and every name a ``from repro.… import``
 line in their examples imports) must import or be an attribute of an
 importable module, and every backticked ``src/`` / ``tests/`` /
 ``benchmarks/`` / ``examples/`` path must exist — with each
-``::``-separated test or class after it defined in that file.  A
-renamed symbol or moved file fails here instead of leaving the prose
-stale.
+``::``-separated test or class after it defined in that file.  Every
+backticked diagnostic code (``NOISE-EXPLOSION``, ``EQV-DAG``, …) must be
+a string literal somewhere in ``src/``, so a checker can emit it.  A
+renamed symbol, moved file or deleted code fails here instead of leaving
+the prose stale.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ DOCS = ("README.md", "DESIGN.md")
 _DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 _FROM_IMPORT = re.compile(r"^from (repro(?:\.\w+)*) import ([\w, ]+)$", re.MULTILINE)
 _PATH = re.compile(r"`((?:src|tests|benchmarks|examples)/[^`\s]+)`")
+_CODE = re.compile(r"`([A-Z]+(?:-[A-Z0-9]+)+)`")
 
 
 def _names() -> list[str]:
@@ -40,6 +45,23 @@ def _paths() -> list[str]:
     for doc in DOCS:
         found.update(_PATH.findall((ROOT / doc).read_text()))
     return sorted(found)
+
+
+def _codes() -> list[str]:
+    found: set[str] = set()
+    for doc in DOCS:
+        found.update(_CODE.findall((ROOT / doc).read_text()))
+    return sorted(found)
+
+
+@lru_cache(maxsize=None)
+def _source_strings() -> frozenset[str]:
+    strings: set[str] = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    return frozenset(strings)
 
 
 def _resolves(dotted: str) -> bool:
@@ -60,7 +82,7 @@ def _resolves(dotted: str) -> bool:
 
 def test_docs_name_things():
     # Guards the scan itself: an empty match set would pass vacuously.
-    assert len(_names()) > 50 and len(_paths()) > 10
+    assert len(_names()) > 50 and len(_paths()) > 10 and len(_codes()) > 10
 
 
 @pytest.mark.parametrize("name", _names())
@@ -79,3 +101,10 @@ def test_path_exists(path):
             assert re.search(rf"^\s*(?:class|def) {re.escape(member)}\b", source, re.MULTILINE), (
                 f"{path}: {member} is not defined in {file}"
             )
+
+
+@pytest.mark.parametrize("code", _codes())
+def test_diagnostic_code_is_emitted(code):
+    assert code in _source_strings(), (
+        f"{code} is named in {' / '.join(DOCS)} but no string in src/ holds it"
+    )

@@ -1,13 +1,12 @@
 """Tests for the static noise-budget analyzer and the word-length audit.
 
-Covers: the single-source calibration contract (the empirical executor
-and the static pass literally share their per-op standard deviations),
-the abstract transfer functions (precision anchors, poison
-propagation, realization discipline), the word-length audit's Table 2
-regimes and anchors, claim re-derivation against ablated analyzers,
-and the Hypothesis domination property: for random small evaluator
-programs the static worst-case bound always dominates the empirical
-``NoisyEvaluator`` error.
+Covers: the single-source calibration contract (the static pass's
+``NoiseParams`` is the empirical executor's ``NoiseModel``), the
+abstract transfer functions (precision anchors, poison propagation,
+realization discipline), the word-length audit's Table 2 regimes and
+anchors, and the Hypothesis domination property: for random small
+evaluator programs the static worst-case bound always dominates the
+empirical ``NoisyEvaluator`` error.
 """
 
 import json
@@ -19,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import calibration
-from repro.ckks.noise import NoiseModel, NoisyEvaluator
+from repro.ckks.calibration import NoiseModel
+from repro.ckks.noise import NoisyEvaluator
 from repro.check.diagnostics import CheckReport
 from repro.check.noise_check import (
     K_SIGMA,
@@ -30,13 +30,10 @@ from repro.check.noise_check import (
 )
 from repro.check.wordlen_audit import (
     EXPECTED_REGIMES,
-    PAPER_BOOT_PRECISION_AT_35,
-    PAPER_FRESH_PRECISION_AT_35,
-    PrecisionClaim,
-    claims_from_audit,
+    PAPER_BOOT_PRECISION,
+    PAPER_FRESH_PRECISION,
     run_audit,
     scale_audit,
-    verify_claims,
 )
 from repro.params.presets import NATIVE_WORD_LENGTHS
 
@@ -58,11 +55,16 @@ class TestCalibrationSingleSource:
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_model_delegates_to_calibration(self, scale):
+        # Each std is 2^-(scale - offset) with the calibrated offset;
+        # the boot std's cap sits 36.5 bits below the boot scale.
         model = NoiseModel(scale, boot_scale_bits=62.0)
-        assert model.fresh_std == calibration.fresh_std(scale)
-        assert model.op_std == calibration.op_std(scale)
-        assert model.relative_std == calibration.relative_std(scale)
-        assert model.boot_std == calibration.boot_std(scale, 62.0)
+        assert model.fresh_std == 2.0 ** -(scale - calibration.FRESH_OFFSET_BITS)
+        assert model.op_std == 2.0 ** -(scale - calibration.OP_OFFSET_BITS)
+        assert model.relative_std == 2.0 ** -(scale - calibration.RELATIVE_OFFSET_BITS)
+        assert model.boot_std == max(
+            2.0 ** -(scale - calibration.BOOT_OFFSET_BITS),
+            2.0 ** -(62.0 - calibration.BOOT_CAP_OFFSET_BITS),
+        )
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_params_delegate_to_calibration(self, scale):
@@ -73,26 +75,11 @@ class TestCalibrationSingleSource:
         assert params.relative_std == model.relative_std
         assert params.boot_std == model.boot_std
 
-    def test_reexported_constants_are_the_same_objects(self):
-        from repro.ckks import noise
-
-        assert noise.FRESH_OFFSET_BITS is calibration.FRESH_OFFSET_BITS
-        assert noise.BOOT_OFFSET_BITS is calibration.BOOT_OFFSET_BITS
-        assert noise.OP_OFFSET_BITS is calibration.OP_OFFSET_BITS
-        assert noise.RELATIVE_OFFSET_BITS is calibration.RELATIVE_OFFSET_BITS
-
     def test_boot_cap_binds_at_wide_scales(self):
         # At a 49-bit scale the 62-bit boot scale's expressiveness cap
         # (not the per-boot noise) limits precision.
-        assert calibration.boot_std(49.0, 62.0) == 2.0 ** -(62.0 - 36.5)
-        assert calibration.boot_std(35.0, 62.0) == 2.0 ** -(35.0 - 13.3)
-
-    def test_ablation_knobs(self):
-        params = NoiseParams(
-            scale_bits=35.0, include_jitter=False, include_boot_noise=False
-        )
-        assert params.relative_std == 0.0
-        assert params.boot_std == 0.0
+        assert NoiseModel(49.0, 62.0).boot_std == 2.0 ** -(62.0 - 36.5)
+        assert NoiseModel(35.0, 62.0).boot_std == 2.0 ** -(35.0 - 13.3)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +92,7 @@ class TestTransferFunctions:
         ev = NoiseCheckEvaluator(NoiseParams(scale_bits=35.0))
         ct = ev.encrypt()
         assert ct.mean_precision_bits == pytest.approx(35.0 - 12.6)
-        assert ct.worst_error == pytest.approx(K_SIGMA * calibration.fresh_std(35.0))
+        assert ct.worst_error == pytest.approx(K_SIGMA * NoiseModel(35.0).fresh_std)
 
     def test_add_is_quadrature_mean_linear_worst(self):
         ev = NoiseCheckEvaluator(NoiseParams(scale_bits=35.0))
@@ -131,7 +118,6 @@ class TestTransferFunctions:
         ev2 = NoiseCheckEvaluator(params)
         big = ev2.rescale(ev2.encrypt(mag=100.0))
         assert big.std > small.std  # relative error: bigger values, more noise
-        assert ev.rescale_jitters == 1
 
     def test_explosion_has_provenance_and_poisons(self):
         ev = NoiseCheckEvaluator(NoiseParams(scale_bits=35.0))
@@ -224,11 +210,11 @@ class TestWordlenAudit:
 
     def test_table2_boot_anchor_within_one_bit(self, audit):
         entry = audit.entry(36, "bootstrapping")
-        assert abs(entry.mean_floor_bits - PAPER_BOOT_PRECISION_AT_35) <= 1.0
+        assert abs(entry.mean_floor_bits - PAPER_BOOT_PRECISION[35]) <= 1.0
 
     def test_table2_fresh_anchor_within_one_bit(self, audit):
         entry = audit.entry(36, "helr")
-        assert abs(entry.fresh_precision_bits - PAPER_FRESH_PRECISION_AT_35) <= 1.0
+        assert abs(entry.fresh_precision_bits - PAPER_FRESH_PRECISION[35]) <= 1.0
 
     def test_wider_words_never_lower_floors(self, audit):
         for workload in ("helr", "resnet20", "sorting", "bootstrapping"):
@@ -260,51 +246,6 @@ class TestWordlenAudit:
     def test_entry_to_dict_is_json_serializable(self, audit):
         payload = [e.to_dict() for e in audit.entries]
         json.dumps(payload)  # must not raise (infinities mapped to null)
-
-
-# ---------------------------------------------------------------------------
-# Claim re-derivation
-# ---------------------------------------------------------------------------
-
-
-class TestClaimVerification:
-    def test_clean_claims_verify(self, audit):
-        report = verify_claims(claims_from_audit(audit))
-        assert report.ok, report.render()
-
-    def test_jitter_blind_analyzer_is_caught(self):
-        lying = claims_from_audit(run_audit((28, 36), include_jitter=False))
-        report = verify_claims(lying)
-        assert "NOISE-EXPLOSION-HIDDEN" in report.error_codes()
-
-    def test_boot_understating_analyzer_is_caught(self):
-        lying = claims_from_audit(run_audit((36,), include_boot_noise=False))
-        report = verify_claims(lying)
-        assert "NOISE-CLAIM" in report.error_codes()
-
-    def test_invented_explosion_is_flagged(self):
-        claim = PrecisionClaim(
-            word_bits=36, workload="helr", exploded=True, mean_floor_bits=-math.inf
-        )
-        report = verify_claims([claim])
-        assert "NOISE-CLAIM" in report.error_codes()
-
-    def test_conservative_underclaim_is_accepted(self, audit):
-        entry = audit.entry(36, "sorting")
-        claim = PrecisionClaim(
-            word_bits=36,
-            workload="sorting",
-            exploded=False,
-            mean_floor_bits=entry.mean_floor_bits - 3.0,
-        )
-        assert verify_claims([claim]).ok
-
-    def test_unknown_workload_is_flagged(self):
-        claim = PrecisionClaim(
-            word_bits=36, workload="nonesuch", exploded=False, mean_floor_bits=1.0
-        )
-        report = verify_claims([claim])
-        assert "NOISE-CLAIM" in report.error_codes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 from repro.analysis.bsgs import balanced_split, plan_bsgs
 from repro.analysis.published import PRIOR_ACCELERATORS, baseline_runtime
 from repro.analysis.workingset import fig5_data, hmult_breakdown, working_set_curve
-from repro.ckks.noise import NoiseModel, NoisyEvaluator
+from repro.ckks.calibration import NoiseModel
+from repro.ckks.noise import NoisyEvaluator
 from repro.params.presets import build_sharp_setting
 from repro.workloads.datasets import make_cifar_like, make_mnist_like
 from repro.workloads.helr import accuracy, train_noisy, train_plain
