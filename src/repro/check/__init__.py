@@ -12,8 +12,8 @@ Checkers, none of which execute any encryption:
 * :mod:`repro.check.noise_check` — abstract interpretation over the
   noise domain (worst-case bound + average-case estimate, drift from
   the relative rescale jitter), whose ``NoiseParams`` extends the one
-  calibrated :class:`repro.ckks.calibration.NoiseModel` the empirical
-  executor injects from;
+  calibrated :class:`repro.ckks.calibration.NoiseModel` the sampling
+  domain injects from — the bounding domain of the Table 2 programs;
 * :mod:`repro.check.wordlen_audit` — the word-length robustness sweep
   that statically re-derives Table 2 / Fig. 1, and the one statement of
   Table 2's published precision column;

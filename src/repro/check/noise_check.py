@@ -21,11 +21,15 @@ Abstract state (:class:`NoiseState`), all in the message domain:
   linearly, each injection taken at ``K_SIGMA`` standard deviations,
   plus deterministic polynomial-approximation bias terms).
 
-Every per-op standard deviation is a property of
-:class:`repro.ckks.calibration.NoiseModel`, which :class:`NoiseParams`
-extends and the empirical :class:`repro.ckks.noise.NoisyEvaluator`
-injects from, so the static transfer functions and the executor cannot
-drift apart.
+:class:`NoiseCheckEvaluator` is the bounding domain of the Table 2
+programs (``helr.program``, ``sorting.program``, ``resnet.program``);
+:class:`repro.ckks.noise.NoisyEvaluator` is their sampling domain.  The
+programs are written once and folded over both: an op's plaintext
+operand is the sampling domain's and is ignored here, and a declared
+magnitude is this domain's and is ignored there.  Every per-op standard
+deviation is a property of :class:`repro.ckks.calibration.NoiseModel`,
+which :class:`NoiseParams` extends and the sampling domain injects
+from, so the two domains cannot drift apart.
 
 Explosion checks (``NOISE-EXPLOSION``, ``NOISE-BOOT-RANGE``) compare
 the high-probability value envelope ``mag * drift + K_SIGMA * std``
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.ckks.calibration import NoiseModel
 from repro.check.diagnostics import CheckReport
@@ -218,8 +222,8 @@ class _Floor:
 
 
 class NoiseCheckEvaluator:
-    """Mirror of :class:`repro.ckks.noise.NoisyEvaluator` over the
-    abstract noise domain.
+    """The bounding domain of the programs
+    :class:`repro.ckks.noise.NoisyEvaluator` samples.
 
     Violations never raise — they accumulate in the report (with
     op-index provenance) so one run surfaces every problem.  Once a
@@ -290,7 +294,7 @@ class NoiseCheckEvaluator:
 
     # -- sources and annotations ---------------------------------------------
 
-    def encrypt(self, mag: float = 1.0) -> NoiseState:
+    def encrypt(self, values: object = None, mag: float = 1.0) -> NoiseState:
         call = self._next()
         std = self.params.fresh_std
         return self._make(mag, 1.0, std, K_SIGMA * std, call)
@@ -391,16 +395,17 @@ class NoiseCheckEvaluator:
     def linear(
         self,
         ct: NoiseState,
+        plain: object,
         out_mag: float,
         gain: float = 1.0,
         fan_in: int = 1,
         label: str | None = None,
     ) -> NoiseState:
-        """A plaintext linear map (rotation-ladder inner products).
+        """A plaintext linear map ``plain`` (rotation-ladder inner products).
 
         ``gain`` bounds the map's operator norm (how much input noise
         can be amplified); ``fan_in`` scales the key-switch noise of
-        the rotation ladder, matching the empirical executor's
+        the rotation ladder, matching the sampling domain's
         ``op_std * sqrt(fan_in)`` injection.  Drift is preserved — a
         uniform scale error on the input scales the output uniformly.
         """
@@ -451,10 +456,9 @@ class NoiseCheckEvaluator:
     def amplify(self, ct: NoiseState, gain: float, label: str | None = None) -> NoiseState:
         """One workload-calibrated drift step: ``drift *= 1 + gain * rel``.
 
-        This is the static twin of the workloads' ``INSTABILITY_GAIN``
-        multiplication — the compounding relative rescale error that
-        inflates values until they leave a fitted interval or the
-        bootstrap stable range.
+        The programs apply it with their ``INSTABILITY_GAIN``: the
+        compounding relative rescale error that inflates values until
+        they leave a fitted interval or the bootstrap stable range.
         """
         del label
         call = self._next()
@@ -463,14 +467,8 @@ class NoiseCheckEvaluator:
         factor = 1.0 + gain * self.params.relative_std
         return self._make(ct.mag, ct.drift * factor, ct.std, ct.worst, call)
 
-    def descend(
-        self,
-        w: NoiseState,
-        step: NoiseState,
-        lr: float = 1.0,
-        label: str | None = None,
-    ) -> NoiseState:
-        """A non-expansive iterative update ``w' = w - lr * step``.
+    def descend(self, w: NoiseState, step: NoiseState, label: str | None = None) -> NoiseState:
+        """A non-expansive iterative update ``w' = w - step``.
 
         Gradient descent on a smooth convex loss with a stable learning
         rate is non-expansive in the iterate (``|I - lr H| <= 1``), so
@@ -486,22 +484,34 @@ class NoiseCheckEvaluator:
         return self._make(
             w.mag,
             max(w.drift, step.drift),
-            _quad(w.std, lr * step.std),
-            w.worst + lr * step.worst,
+            _quad(w.std, step.std),
+            w.worst + step.worst,
             call,
         )
 
     # -- nonlinear ops --------------------------------------------------------
 
     def poly_eval(
-        self, ct: NoiseState, spec: PolySpec, label: str | None = None
+        self,
+        ct: NoiseState,
+        fn: Callable[[float], float],
+        degree: int,
+        interval: tuple[float, float],
+        out_mag: float,
+        cap: float | None = None,
+        preserve_drift: bool = False,
+        label: str | None = None,
     ) -> NoiseState:
-        """Evaluate a fitted Chebyshev interpolant described by ``spec``.
+        """Evaluate ``fn``'s fitted Chebyshev interpolant on ``interval``,
+        characterized by :func:`fitted_poly_spec`.
 
         The value envelope must stay inside the fitted interval: beyond
         it the interpolant diverges violently — the genuine
         error-explosion mechanism, flagged with op provenance.
         """
+        spec = fitted_poly_spec(
+            fn, degree, interval, out_mag=out_mag, cap=cap, preserve_drift=preserve_drift
+        )
         call = self._next()
         if ct.poisoned:
             return self._poison(call)
@@ -534,7 +544,14 @@ class NoiseCheckEvaluator:
         return self._make(spec.out_mag, drift, std, worst, call)
 
     def compare_exchange(
-        self, ct: NoiseState, sign: SignSpec, label: str | None = None
+        self,
+        ct: NoiseState,
+        fn: Callable[[float], float],
+        degree: int,
+        stages: Sequence[tuple[float, float]],
+        partner: object,
+        want_lo: object,
+        label: str | None = None,
     ) -> NoiseState:
         """One bitonic compare-exchange over a packed vector.
 
@@ -546,8 +563,10 @@ class NoiseCheckEvaluator:
         multiply's key-switch noise and rescale jitter.  The pairwise
         difference must stay inside the first sign stage's fitted
         interval — drifted values escaping it is Table 2's 5.2e+75
-        sorting explosion.
+        sorting explosion.  The comparator is characterized by
+        :func:`fitted_sign_spec`; the stage's masks are ignored.
         """
+        sign = fitted_sign_spec(fn, degree, tuple(stages))
         call = self._next()
         if ct.poisoned:
             return self._poison(call)
@@ -619,21 +638,6 @@ def check_noise_program(
 # ---------------------------------------------------------------------------
 
 
-def _eval_fitted(
-    fn: Callable[[float], float],
-    degree: int,
-    interval: tuple[float, float],
-    x: object,
-) -> object:
-    from numpy.polynomial import chebyshev as C
-
-    from repro.ckks.poly_eval import fitted_plan
-
-    lo, hi = interval
-    t = (x - lo) * 2.0 / (hi - lo) - 1.0  # type: ignore[operator]
-    return C.chebval(t, fitted_plan(fn, degree, interval).coeffs)
-
-
 @lru_cache(maxsize=16)
 def fitted_poly_spec(
     fn: Callable[[float], float],
@@ -651,6 +655,7 @@ def fitted_poly_spec(
     import numpy as np
     from numpy.polynomial import chebyshev as C
 
+    from repro.ckks.noise import fitted_eval
     from repro.ckks.poly_eval import fitted_plan
 
     plan = fitted_plan(fn, degree, interval)
@@ -663,7 +668,7 @@ def fitted_poly_spec(
         out_mag=out_mag,
         gain=float(np.max(np.abs(slope)) * 2.0 / (hi - lo)),
         depth_ops=plan.depth,
-        bias=float(np.max(np.abs(_eval_fitted(fn, degree, interval, x) - exact))),
+        bias=float(np.max(np.abs(fitted_eval(fn, degree, interval, x) - exact))),
         cap=cap,
         preserve_drift=preserve_drift,
     )
@@ -684,6 +689,7 @@ def fitted_sign_spec(
     """
     import numpy as np
 
+    from repro.ckks.noise import fitted_eval
     from repro.ckks.poly_eval import fitted_plan
 
     eps_tolerance = 1e-2
@@ -692,7 +698,7 @@ def fitted_sign_spec(
     x = np.linspace(1e-4, 1.0, 4000)
     y = x
     for interval in stages:
-        y = _eval_fitted(fn, degree, interval, y)
+        y = fitted_eval(fn, degree, interval, y)
     err = np.abs(y - 1.0)  # sign(x) = +1 on the positive grid
     bad = err > eps_tolerance
     delta = float(x[int(np.max(np.nonzero(bad)[0])) + 1]) if bool(np.any(bad)) else float(x[0])

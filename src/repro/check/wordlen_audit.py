@@ -1,8 +1,9 @@
 """Word-length robustness audit: the static Table 2 / Fig. 1 twin.
 
 Re-derives the paper's scale sweep *statically*: for each word-length
-preset the sweep runs every shipped workload noise program
-(:mod:`repro.workloads.noise_programs`) through the
+preset the sweep runs every shipped workload's Table 2 program
+(registered in :mod:`repro.workloads.noise_programs`; the same programs
+Table 2's sampled rows run) through the
 :mod:`repro.check.noise_check` abstract interpreter at the largest
 normal scale the word can host (``word - 1`` bits, SS-realized) and
 the bootstrapping scale the chain builder actually plans for that word

@@ -1,17 +1,16 @@
 """Single source of truth for the calibrated CKKS noise magnitudes.
 
 :class:`NoiseModel` is the one statement of the per-op noise standard
-deviations.  Both Table 2 twins read it:
+deviations.  Both domains the Table 2 programs are folded over read it:
 
-* the *empirical* :class:`repro.ckks.noise.NoisyEvaluator`, which
+* the sampling domain, :class:`repro.ckks.noise.NoisyEvaluator`, which
   injects these standard deviations into concrete numpy vectors; and
-* the *static* :mod:`repro.check.noise_check` pass, whose
-  ``NoiseParams`` is a ``NoiseModel`` with the word length and message
-  ratio added, and which propagates them symbolically through evaluator
-  programs.
+* the bounding domain, :class:`repro.check.noise_check.NoiseCheckEvaluator`,
+  whose ``NoiseParams`` is a ``NoiseModel`` with the word length and
+  message ratio added, and which propagates them symbolically.
 
-So the bound the static analyzer proves and the noise the executor
-injects cannot drift apart: they are the same properties of the same
+So the bound the static analyzer proves and the noise the samples
+carry cannot drift apart: they are the same properties of the same
 class.
 
 Calibration against the paper's Table 2 measurements at ``N = 2**16``:

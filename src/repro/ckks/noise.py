@@ -1,26 +1,27 @@
-"""Calibrated CKKS noise-injection executor (for Table 2 / Fig. 1).
+"""The sampling domain of the Table 2 / Fig. 1 programs.
 
 Running ResNet-20 or 32 HELR training iterations under the real
 Python CKKS stack at the paper's ``N = 2**16`` is computationally out
-of reach, so the scale-sweep functionality experiments use this
-executor: computations run on plain numpy vectors while every HE op
-injects the noise the real scheme would add, and every polynomial
-approximation evaluates its *fitted Chebyshev interpolant* (not the
-ideal function), so values that leave the approximation interval
-diverge exactly the way the paper's "error explosions" do (S3.1).
+of reach, so each workload's one Table 2 program (``helr.program`` and
+its siblings) is folded over this domain: a ciphertext is the numpy
+array of its values, every HE op injects the noise the real scheme
+would add, and every polynomial approximation evaluates its *fitted
+Chebyshev interpolant* (not the ideal function), so values that leave
+the approximation interval diverge exactly the way the paper's "error
+explosions" do (S3.1).  :mod:`repro.check.noise_check` is the bounding
+domain of the same programs.
 
-Noise magnitudes are :class:`repro.ckks.calibration.NoiseModel`'s, the
-one calibration the static :mod:`repro.check.noise_check` pass reads
-too: fitted to the paper's Table 2 measurements at ``N = 2**16`` (fresh
-precision ~ ``log2(scale) - 12.6`` bits, bootstrap precision
-~ ``log2(scale) - 13.3`` bits).
+Every sampled transfer function lives here.  Noise magnitudes are
+:class:`repro.ckks.calibration.NoiseModel`'s, the one calibration the
+bounding domain reads too: fitted to the paper's Table 2 measurements
+at ``N = 2**16`` (fresh precision ~ ``log2(scale) - 12.6`` bits,
+bootstrap precision ~ ``log2(scale) - 13.3`` bits).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -28,19 +29,24 @@ from numpy.polynomial import chebyshev as C
 from repro.ckks.calibration import NoiseModel
 from repro.ckks.poly_eval import fitted_plan
 
-__all__ = ["NoisyVector", "NoisyEvaluator"]
+__all__ = ["NoisyEvaluator", "fitted_eval"]
 
 
-@dataclass
-class NoisyVector:
-    """A 'ciphertext' of the noisy executor: values plus op depth."""
-
-    values: np.ndarray
-    ops: int = 0
+def fitted_eval(
+    fn: Callable[[float], float], degree: int, interval: tuple[float, float], x: np.ndarray
+) -> np.ndarray:
+    """``fn``'s fitted interpolant on ``interval`` at ``x``, noise-free: the
+    one cached fit (:func:`repro.ckks.poly_eval.fitted_plan`) both domains read."""
+    lo, hi = interval
+    return C.chebval((x - lo) * 2.0 / (hi - lo) - 1.0, fitted_plan(fn, degree, interval).coeffs)
 
 
 class NoisyEvaluator:
-    """Mirrors the Evaluator API on plain vectors with injected noise."""
+    """The evaluator vocabulary on plain vectors with injected noise.
+
+    What only the bounding domain reads (declared magnitudes, gains,
+    labels) is accepted and ignored, so one program runs over both.
+    """
 
     def __init__(
         self, model: NoiseModel, seed: int = 0, message_ratio: float = 8.0
@@ -51,28 +57,27 @@ class NoisyEvaluator:
         self.rng = np.random.default_rng(seed)
         self.message_ratio = message_ratio
 
-    # -- noise helpers ----------------------------------------------------------
-
     def _noise(self, shape: object, std: float) -> np.ndarray:
         return self.rng.normal(0.0, std, shape)
 
-    def encrypt(self, values: object) -> NoisyVector:
+    def encrypt(self, values: object, mag: float = 1.0) -> np.ndarray:
         v = np.asarray(values, dtype=np.float64)
-        return NoisyVector(v + self._noise(v.shape, self.model.fresh_std))
+        return v + self._noise(v.shape, self.model.fresh_std)
 
-    def decrypt(self, ct: NoisyVector) -> np.ndarray:
-        return ct.values
+    def ghost(self, ct: np.ndarray) -> np.ndarray:
+        """The bounding domain's noise-free carrier; a sample is its own."""
+        return ct
 
     # -- ops ---------------------------------------------------------------------
 
-    def add(self, a: NoisyVector, b: NoisyVector) -> NoisyVector:
-        return NoisyVector(a.values + b.values, max(a.ops, b.ops) + 1)
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
 
-    def sub(self, a: NoisyVector, b: NoisyVector) -> NoisyVector:
-        return NoisyVector(a.values - b.values, max(a.ops, b.ops) + 1)
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a - b
 
-    def add_plain(self, a: NoisyVector, plain: object) -> NoisyVector:
-        return NoisyVector(a.values + np.asarray(plain), a.ops)
+    def add_plain(self, a: np.ndarray, plain: object) -> np.ndarray:
+        return a + np.asarray(plain)
 
     def _rescale_jitter(self, values: np.ndarray) -> np.ndarray:
         """Multiplicative prime-vs-scale deviation of one rescale."""
@@ -80,48 +85,67 @@ class NoisyEvaluator:
             1.0 + self._noise(values.shape, self.model.relative_std)
         )
 
-    def multiply(self, a: NoisyVector, b: NoisyVector) -> NoisyVector:
-        out = self._rescale_jitter(a.values * b.values)
-        out = out + self._noise(out.shape, self.model.op_std)
-        return NoisyVector(out, max(a.ops, b.ops) + 1)
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = self._rescale_jitter(a * b)
+        return out + self._noise(out.shape, self.model.op_std)
 
-    def multiply_plain(self, a: NoisyVector, plain: object) -> NoisyVector:
-        out = self._rescale_jitter(a.values * np.asarray(plain))
-        out = out + self._noise(out.shape, self.model.op_std)
-        return NoisyVector(out, a.ops + 1)
+    def multiply_plain(self, a: np.ndarray, plain: object) -> np.ndarray:
+        out = self._rescale_jitter(a * np.asarray(plain))
+        return out + self._noise(out.shape, self.model.op_std)
 
-    def multiply_scalar(self, a: NoisyVector, c: float) -> NoisyVector:
-        out = self._rescale_jitter(a.values * c)
-        out = out + self._noise(a.values.shape, self.model.op_std)
-        return NoisyVector(out, a.ops + 1)
+    def multiply_scalar(self, a: np.ndarray, c: float) -> np.ndarray:
+        out = self._rescale_jitter(a * c)
+        return out + self._noise(a.shape, self.model.op_std)
 
-    def rotate(self, a: NoisyVector, r: int) -> NoisyVector:
-        out = np.roll(a.values, -r) + self._noise(a.values.shape, self.model.op_std)
-        return NoisyVector(out, a.ops)
+    def rotate(self, a: np.ndarray, r: int) -> np.ndarray:
+        return np.roll(a, -r) + self._noise(a.shape, self.model.op_std)
 
-    def bootstrap(self, a: NoisyVector) -> NoisyVector:
+    def linear(
+        self,
+        ct: np.ndarray,
+        plain: Callable[[np.ndarray], np.ndarray],
+        out_mag: float,
+        gain: float = 1.0,
+        fan_in: int = 1,
+        label: str | None = None,
+    ) -> np.ndarray:
+        """The plaintext map ``plain``, plus its ``fan_in``-term rotation
+        ladder's key-switch noise."""
+        out = plain(ct)
+        return out + self._noise(out.shape, self.model.op_std * math.sqrt(fan_in))
+
+    def amplify(self, ct: np.ndarray, gain: float, label: str | None = None) -> np.ndarray:
+        """One workload-calibrated drift step: ``x * (1 + gain * rel)``."""
+        return ct * (1.0 + gain * self.model.relative_std)
+
+    def descend(self, w: np.ndarray, step: np.ndarray, label: str | None = None) -> np.ndarray:
+        return w - step
+
+    def bootstrap(self, a: np.ndarray, label: str | None = None) -> np.ndarray:
         """Refresh; values outside the EvalMod range explode.
 
-        The base modulus gives ``2**7`` headroom over the scale (the
-        same margin the functional presets use): coefficients beyond it
-        wrap modulo ``q0`` and the message is destroyed — the paper's
-        instability for values outside the stable range.
+        The base modulus gives ``message_ratio`` headroom over the
+        scale: coefficients beyond it wrap modulo ``q0`` and the message
+        is destroyed — the paper's instability for values outside the
+        stable range.
         """
         headroom = self.message_ratio
-        v = a.values
-        wrapped = np.mod(v + headroom, 2 * headroom) - headroom
-        out = wrapped + self._noise(v.shape, self.model.boot_std)
-        return NoisyVector(out, 0)
+        wrapped = np.mod(a + headroom, 2 * headroom) - headroom
+        return wrapped + self._noise(a.shape, self.model.boot_std)
 
     # -- polynomial approximation --------------------------------------------------
 
     def poly_eval(
         self,
-        a: NoisyVector,
+        a: np.ndarray,
         fn: Callable[[float], float],
         degree: int,
         interval: tuple[float, float],
-    ) -> NoisyVector:
+        out_mag: float,
+        cap: float | None = None,
+        preserve_drift: bool = False,
+        label: str | None = None,
+    ) -> np.ndarray:
         """Evaluate ``fn`` via its Chebyshev interpolant on ``interval``.
 
         The *fitted polynomial* is evaluated at the actual inputs: it
@@ -130,12 +154,29 @@ class NoisyEvaluator:
         charged is one rescale deviation per level of the interpolant's
         :class:`~repro.ckks.poly_eval.PolyPlan`.
         """
-        plan = fitted_plan(fn, degree, interval)
-        lo, hi = interval
-        x = (a.values - lo) * 2.0 / (hi - lo) - 1.0
-        out = C.chebval(x, plan.coeffs)
-        rel = self.model.relative_std * math.sqrt(plan.depth)
-        out = out * (1.0 + self._noise(out.shape, rel))
-        std = self.model.op_std * math.sqrt(plan.depth)
-        out = out + self._noise(out.shape, std)
-        return NoisyVector(out, a.ops + plan.depth)
+        depth = math.sqrt(fitted_plan(fn, degree, interval).depth)
+        out = fitted_eval(fn, degree, interval, a)
+        out = out * (1.0 + self._noise(out.shape, self.model.relative_std * depth))
+        return out + self._noise(out.shape, self.model.op_std * depth)
+
+    def compare_exchange(
+        self,
+        ct: np.ndarray,
+        fn: Callable[[float], float],
+        degree: int,
+        stages: Sequence[tuple[float, float]],
+        partner: np.ndarray,
+        want_lo: np.ndarray,
+        label: str | None = None,
+    ) -> np.ndarray:
+        """One bitonic compare-exchange: each slot meets ``ct[partner]``,
+        ``(min, max) = (a + b -/+ (a - b) * sign(a - b)) / 2`` with the
+        composite sign (``fn``'s interpolant on each of ``stages``), and
+        the slots where ``want_lo`` holds keep the minimum."""
+        b = ct[partner]
+        diff = ct - b
+        s = diff
+        for interval in stages:
+            s = self.poly_eval(s, fn, degree, interval, out_mag=1.0)
+        prod = self.multiply(diff, s)
+        return np.where(want_lo, (ct + b - prod) / 2.0, (ct + b + prod) / 2.0)

@@ -156,7 +156,6 @@ class TraceBuilder:
         self._normal = self.setting.group("normal")
         self._level = self._normal.levels  # normal levels remaining
         self._ssa = SsaEmitter(self.explicit_rescale)
-        self.bootstrap_count = 0
         self._cur = self._ssa.fresh("input")  # external input ciphertext
         self._pending: list[str] = []  # rotation outputs awaiting accumulation
 
@@ -171,7 +170,6 @@ class TraceBuilder:
         if self._level < needed:
             self._cur = _bootstrap_ops(self.setting, self._ssa, self._cur)
             self._level = self._normal.levels
-            self.bootstrap_count += 1
 
     def op(
         self,

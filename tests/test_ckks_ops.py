@@ -133,6 +133,23 @@ class TestEncryptDecrypt:
         assert bits == 62 or public > 8 * symmetric
 
 
+class TestSwitchKey:
+    def test_switched_ciphertext_decrypts_under_the_destination_secret(
+        self, small_context, small_evaluator, rng
+    ):
+        from repro.ckks.context import CkksContext
+
+        dst = CkksContext(small_context.params, seed=77)
+        evk = small_context.keys.make_switch_key(dst.keys.public_key())
+        m = msg(rng)
+        for level in (6, 1):
+            ct = small_context.encrypt(m, level=level)
+            out = small_evaluator.apply_switch_key(ct, evk)
+            assert (out.level, out.scale) == (ct.level, ct.scale)
+            assert np.max(np.abs(dst.decrypt(out) - m)) < 1e-3
+            assert np.max(np.abs(small_context.decrypt(out) - m)) > 1.0
+
+
 class TestAdditive:
     def test_hadd(self, small_context, small_evaluator, rng):
         m1, m2 = msg(rng), msg(rng)

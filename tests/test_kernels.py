@@ -107,6 +107,16 @@ class TestModulusKernel:
         assert [int(v) for v in got] == ref
 
 
+@pytest.mark.parametrize(
+    "q_max, terms",
+    [((1 << 36) - 1, 126), ((1 << 31) - 1, 4094), (kernels.NARROW_SPLIT_LIMIT - 1, 2)],
+    ids=["36-bit", "31-bit", "split-limit"],
+)
+def test_lazy_inner_terms_are_the_documented_counts(q_max, terms):
+    """A lower count is still correct, only slower: pin the docstring's."""
+    assert kernels.lazy_inner_terms(q_max) == terms
+
+
 class TestChainKernel:
     def test_chain_mode_matches_scalar_kernels(self):
         mods = [PRIMES[28], PRIMES[36], PRIMES[50]]

@@ -25,7 +25,6 @@ from repro.check.noise_check import (
     K_SIGMA,
     NoiseCheckEvaluator,
     NoiseParams,
-    PolySpec,
     check_noise_program,
 )
 from repro.check.wordlen_audit import (
@@ -121,9 +120,8 @@ class TestTransferFunctions:
 
     def test_explosion_has_provenance_and_poisons(self):
         ev = NoiseCheckEvaluator(NoiseParams(scale_bits=35.0))
-        spec = PolySpec(interval=(-1.0, 1.0), out_mag=1.0, gain=1.0, depth_ops=1)
         ct = ev.encrypt(mag=5.0)  # way outside the fitted interval
-        out = ev.poly_eval(ct, spec, label="tight poly")
+        out = ev.poly_eval(ct, np.tanh, 7, (-1.0, 1.0), out_mag=1.0, label="tight poly")
         assert ev.exploded and ev.explosion_op == 1
         # Downstream ops stay silent: one explosion, one diagnostic.
         out = ev.add(out, ev.encrypt())
@@ -324,7 +322,7 @@ def _run_empirical(ops, scale_bits, seed):
         elif kind == "bootstrap":
             ct = ev.bootstrap(ct)
             ref = np.mod(ref + ev.message_ratio, 2 * ev.message_ratio) - ev.message_ratio
-    return float(np.max(np.abs(ct.values - ref)))
+    return float(np.max(np.abs(ct - ref)))
 
 
 class TestDomination:

@@ -1,0 +1,175 @@
+"""Each Table 2 program folded over both noise domains.
+
+HELR, sorting and ResNet are each written once (``helr.program``,
+``sorting.program``, ``resnet.program``) and run over the sampling
+domain (``NoisyEvaluator``) and the bounding domain
+(``NoiseCheckEvaluator``).  Folded at equal size, the two domains must
+see the same ``(op, label)`` sequence; wherever an op carries the
+program's state, the proven worst error must bound the sampled error
+against a noise-free run of the same program; and each magnitude the
+bounding domain takes on trust must bound what the samples reach.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.check.noise_check import NoiseCheckEvaluator, NoiseParams
+from repro.ckks.calibration import NoiseModel
+from repro.ckks.noise import NoisyEvaluator
+from repro.workloads import helr, resnet, sorting
+from repro.workloads.datasets import make_cifar_like, make_mnist_like
+
+# (scale bits, bootstrapping scale bits), as Table 2's rows pair them;
+# no program explodes in the bounding domain at these.
+SCALES = ((33, 62), (35, 62), (37, 64), (39, 64))
+
+
+class Recorder:
+    """Forwards every op to ``ev`` and records ``(op, label, output)``."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        self.steps = []
+
+    def __getattr__(self, name):
+        op = getattr(self.ev, name)
+
+        def call(*args, **kwargs):
+            out = op(*args, **kwargs)
+            self.steps.append((name, kwargs.get("label"), out))
+            return out
+
+        return call
+
+
+class Workload:
+    """One program, its data, and how each domain runs it."""
+
+    def __init__(self, name, sampled, bounded, message_ratio, seed, ghost_derived=()):
+        self.name = name
+        self.sampled = sampled  # ev -> output, with the data
+        self.bounded = bounded  # ev -> output, without
+        self.message_ratio = message_ratio
+        self.seed = seed
+        # Ops computed from a noise-free carrier (``ghost``): their
+        # bound leaves out the carried noise by design.
+        self.ghost_derived = frozenset(ghost_derived)
+
+    def sample(self, scale_bits, boot_scale_bits):
+        model = NoiseModel(scale_bits, boot_scale_bits)
+        rec = Recorder(NoisyEvaluator(model, self.seed, self.message_ratio))
+        self.sampled(rec)
+        return rec.steps
+
+    def bound(self, scale_bits, boot_scale_bits):
+        params = NoiseParams(
+            scale_bits=scale_bits,
+            boot_scale_bits=boot_scale_bits,
+            message_ratio=self.message_ratio,
+        )
+        rec = Recorder(NoiseCheckEvaluator(params))
+        self.bounded(rec)
+        assert not rec.ev.exploded, f"{self.name} explodes at 2^{scale_bits}"
+        return rec.steps
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    images = make_mnist_like(separation=0.75)
+    cifar = make_cifar_like()
+    net, _ = resnet.train_plain_cnn(cifar)
+    pre = net.stem(cifar.test_x[:300])
+    values = np.random.default_rng(1).uniform(0, 1, 1 << sorting.SORT_LOG2N)
+    return {
+        "helr": Workload(
+            "helr",
+            lambda ev: helr.program(ev, images),
+            helr.program,
+            helr.HELR_MESSAGE_RATIO,
+            seed=17,
+            ghost_derived=("linear", "poly_eval"),
+        ),
+        "sorting": Workload(
+            "sorting",
+            lambda ev: sorting.program(ev, sorting.SORT_LOG2N, values),
+            lambda ev: sorting.program(ev, sorting.SORT_LOG2N),
+            sorting.SORT_MESSAGE_RATIO,
+            seed=0,
+        ),
+        "resnet20": Workload(
+            "resnet20",
+            lambda ev: resnet.program(ev, net, pre),
+            resnet.program,
+            resnet.RESNET_MESSAGE_RATIO,
+            seed=0,
+        ),
+    }
+
+
+NAMES = ("helr", "sorting", "resnet20")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_both_domains_run_the_same_ops(workloads, name):
+    w = workloads[name]
+    sampled = [(op, label) for op, label, _ in w.sample(39, 64)]
+    bounded = [(op, label) for op, label, _ in w.bound(39, 64)]
+    assert sampled == bounded
+    assert sum(label is not None for _, label in sampled) > 10
+
+
+@pytest.mark.parametrize("scale_bits, boot_scale_bits", SCALES)
+@pytest.mark.parametrize("name", NAMES)
+def test_proven_worst_error_bounds_the_sampled_error(
+    workloads, name, scale_bits, boot_scale_bits
+):
+    w = workloads[name]
+    noisy = w.sample(scale_bits, boot_scale_bits)
+    clean = w.sample(math.inf, math.inf)  # every std zero: the noise-free run
+    bounded = w.bound(scale_bits, boot_scale_bits)
+    checked = 0
+    for (op, label, x), (_, _, ref), (_, _, state) in zip(noisy, clean, bounded):
+        if label is None or op in w.ghost_derived:
+            continue
+        err = float(np.max(np.abs(x - ref)))
+        assert err <= state.worst_error, (
+            f"{name} {label} at 2^{scale_bits}: sampled error {err:.3g} "
+            f"> proven {state.worst_error:.3g}"
+        )
+        checked += 1
+    assert checked == {"helr": 80, "sorting": 227, "resnet20": 19}[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            "helr",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    "ROADMAP 3 / 16: HELR_MARGIN_MAG declares |margins| <= 4.0, "
+                    "but the margins reach 9.72 sampled at 2^39 (9.77 at 2^35, "
+                    "17.70 at 2^29; 10.17 under train_plain's weights), outside "
+                    "the sigmoid's +/-12 interval at 2^29"
+                ),
+            ),
+        ),
+        "sorting",
+        "resnet20",
+    ],
+)
+def test_declared_magnitudes_bound_the_samples(workloads, name):
+    w = workloads[name]
+    for (op, label, x), (_, _, state) in zip(w.sample(39, 64), w.bound(39, 64)):
+        if label is None:
+            continue
+        reached = float(np.max(np.abs(x)))
+        assert reached <= state.message_bound, (
+            f"{name} {label}: sampled |value| reaches {reached:.3g}, "
+            f"declared bound {state.message_bound:.3g}"
+        )

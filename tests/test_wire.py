@@ -201,11 +201,20 @@ class TestRejection:
             with pytest.raises(wire.WireError, match="malformed PARAMS"):
                 wire.decode_params(wire.encode_json(message))
 
-    def test_truncated_ciphertext_body(self):
+    @pytest.mark.parametrize(
+        "where, match",
+        [("c1 header", "truncated poly header"), ("c1 body", "truncated poly body")],
+        ids=["header", "body"],
+    )
+    def test_truncated_ciphertext_body(self, where: str, match: str):
         ctx = _context(36)
-        blob = wire.encode_ciphertext(ctx.encrypt(_random_message(ctx, 1)))
-        with pytest.raises(wire.WireError):
-            wire.decode_ciphertext(blob[:-8], ctx.ring)
+        ct = ctx.encrypt(_random_message(ctx, 1))
+        blob = wire.encode_ciphertext(ct)
+        # 4 of c1's 9 header bytes, or all of c1 but its last residue.
+        c1_at = len(blob) - len(wire.encode_poly(ct.c1))
+        kept = c1_at + 4 if where == "c1 header" else len(blob) - 8
+        with pytest.raises(wire.WireError, match=match):
+            wire.decode_ciphertext(blob[:kept], ctx.ring)
 
     def test_tampered_residue_rejected(self):
         ctx = _context(36)

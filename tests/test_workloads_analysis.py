@@ -37,30 +37,30 @@ class TestNoiseModel:
     def test_executor_roundtrip_precision(self):
         ev = NoisyEvaluator(NoiseModel(35, 62), seed=1)
         v = np.linspace(-1, 1, 256)
-        err = np.max(np.abs(ev.decrypt(ev.encrypt(v)) - v))
+        err = np.max(np.abs(ev.encrypt(v) - v))
         assert err < 2**-18
 
     def test_multiplication_jitter_scales(self):
         big = NoisyEvaluator(NoiseModel(27, 55), seed=1)
         small = NoisyEvaluator(NoiseModel(39, 64), seed=1)
         v = np.full(4096, 0.5)
-        eb = np.std(big.multiply_plain(big.encrypt(v), 1.0).values - 0.5)
-        es = np.std(small.multiply_plain(small.encrypt(v), 1.0).values - 0.5)
+        eb = np.std(big.multiply_plain(big.encrypt(v), 1.0) - 0.5)
+        es = np.std(small.multiply_plain(small.encrypt(v), 1.0) - 0.5)
         assert eb > 100 * es
 
     def test_bootstrap_wraps_outside_stable_range(self):
         ev = NoisyEvaluator(NoiseModel(35, 62), seed=1, message_ratio=8.0)
         inside = ev.bootstrap(ev.encrypt(np.full(8, 3.0)))
         outside = ev.bootstrap(ev.encrypt(np.full(8, 9.0)))
-        assert np.allclose(inside.values, 3.0, atol=1e-3)
-        assert not np.allclose(outside.values, 9.0, atol=1.0)  # wrapped
+        assert np.allclose(inside, 3.0, atol=1e-3)
+        assert not np.allclose(outside, 9.0, atol=1.0)  # wrapped
 
     def test_poly_eval_diverges_outside_interval(self):
         ev = NoisyEvaluator(NoiseModel(35, 62), seed=1)
         ct = ev.encrypt(np.array([0.5, 3.0]))
-        out = ev.poly_eval(ct, np.tanh, 23, (-1.0, 1.0))
-        assert abs(out.values[0] - np.tanh(0.5)) < 1e-3
-        assert abs(out.values[1]) > 10  # Chebyshev divergence
+        out = ev.poly_eval(ct, np.tanh, 23, (-1.0, 1.0), out_mag=1.0)
+        assert abs(out[0] - np.tanh(0.5)) < 1e-3
+        assert abs(out[1]) > 10  # Chebyshev divergence
 
 
 class TestHelr:
