@@ -10,10 +10,12 @@ caused it:
 
 * ``CKKS-SCALE-MISMATCH`` — additive operands whose scales differ
   beyond the evaluator's relative tolerance (the exact condition that
-  raises ``"scale mismatch"`` at runtime);
+  raises ``"scale mismatch"`` at runtime), or a ``rescale_to`` pin as far off;
 * ``CKKS-LEVEL-UNDERFLOW`` — a rescale (explicit, or implied by a
   multiply with ``rescale=True``) at level 0, or an ``adjust`` without
   its spare level;
+* ``CKKS-LEVEL-RANGE`` — a level raised other than by a level-0
+  ``mod_raise``, or the terms of one sum at different levels;
 * ``CKKS-SCALE-OVERFLOW`` — an accumulated scale exceeding the active
   modulus at the value's level: the signal of a *missing rescale* that
   would corrupt the message;
@@ -21,16 +23,19 @@ caused it:
   pending on one value: legal (BSGS ladders hold products at scale²)
   but a drift site worth an explicit rescale;
 * ``CKKS-SCALE-DRIFT`` (warning) — a rescaled value landing measurably
-  off the parameter set's default scale, the drift ``adjust``/``match``
-  exist to repair.
+  off its level's working scale (:meth:`AbstractParams.working_scale`),
+  the drift ``adjust``/``match`` exist to repair.
 
 Programs are plain callables taking the symbolic evaluator, so the
-same closure can drive the real evaluator afterwards.
+same closure can drive the real evaluator afterwards; the bootstrap
+(``repro.ckks.bootstrap.Bootstrapper``) is one, step for step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,6 +68,12 @@ class AbstractParams:
     @property
     def max_level(self) -> int:
         return len(self.step_scales)
+
+    def working_scale(self, level: int) -> float:
+        """The scale values at ``level`` work at: the step they rescale by
+        next (so a bootstrap's levels work at its larger scale), or the
+        default scale at level 0."""
+        return self.step_scales[level - 1] if level >= 1 else self.default_scale
 
     def budget_log2(self, level: int) -> float:
         """log2 of the active modulus at ``level`` remaining steps."""
@@ -140,7 +151,7 @@ class SymbolicEvaluator:
                 "is missing upstream",
                 op_index=call,
             )
-        elif ct.scale > self.params.default_scale**2 * 2.0:
+        elif ct.scale > self.params.working_scale(ct.level) ** 2 * 2.0:
             self.report.warning(
                 "CKKS-SCALE-STACKED",
                 f"more than two scale factors pending "
@@ -199,6 +210,30 @@ class SymbolicEvaluator:
             AbstractCiphertext(level, b.scale, b.origin),
         )
 
+    def adjust(self, ct: AbstractCiphertext, level: int, scale: float) -> AbstractCiphertext:
+        return self._adjust(ct, level, scale, self._next("adjust"))
+
+    def _adjust(
+        self, ct: AbstractCiphertext, level: int, scale: float, call: int
+    ) -> AbstractCiphertext:
+        if level > ct.level:
+            self.report.error(
+                "CKKS-LEVEL-RANGE",
+                f"cannot raise a ciphertext's level ({ct.level} -> {level})",
+                op_index=call,
+            )
+            return ct
+        if abs(ct.scale - scale) <= 1e-12 * scale:
+            return self._make(level, ct.scale, call)
+        if level + 1 > ct.level:
+            self.report.error(
+                "CKKS-LEVEL-UNDERFLOW",
+                "scale correction needs one spare level",
+                op_index=call,
+            )
+            return ct
+        return self._make(level, scale, call)
+
     def match(
         self, a: AbstractCiphertext, b: AbstractCiphertext
     ) -> tuple[AbstractCiphertext, AbstractCiphertext]:
@@ -206,19 +241,20 @@ class SymbolicEvaluator:
         target = min(a.level, b.level)
         if abs(a.scale - b.scale) <= 1e-12 * max(a.scale, b.scale):
             return self.align(a, b)
-        if a.level == b.level and target < 1:
+        if a.level > target:
+            return self._adjust(a, target, b.scale, call), b
+        if b.level > target:
+            return a, self._adjust(b, target, a.scale, call)
+        if target < 1:
             self.report.error(
                 "CKKS-LEVEL-UNDERFLOW",
                 "cannot reconcile scales at level 0",
                 op_index=call,
             )
-            return self.align(a, b)
-        if a.level == b.level:
-            target -= 1
-        scale = b.scale if a.level > b.level else a.scale
+            return a, b
         return (
-            AbstractCiphertext(target, scale, call),
-            AbstractCiphertext(target, scale, call),
+            self._adjust(a, target - 1, a.scale, call),
+            self._adjust(b, target - 1, a.scale, call),
         )
 
     # -- additive ops ----------------------------------------------------------
@@ -267,12 +303,12 @@ class SymbolicEvaluator:
         if level < 1:
             return level, scale
         new_scale = scale / step
-        drift = abs(math.log2(new_scale) - math.log2(self.params.default_scale))
+        drift = abs(math.log2(new_scale) - math.log2(self.params.working_scale(level - 1)))
         if drift > _DRIFT_WARN_BITS:
             self.report.warning(
                 "CKKS-SCALE-DRIFT",
-                f"rescaled value lands {drift:.2f} bits off the default "
-                "scale; adjust/match before mixing branches",
+                f"rescaled value lands {drift:.2f} bits off its level's "
+                "working scale; adjust/match before mixing branches",
                 op_index=call,
             )
         return level - 1, new_scale
@@ -300,11 +336,7 @@ class SymbolicEvaluator:
     ) -> AbstractCiphertext:
         call = self._next("multiply_plain")
         if pt_scale is None:
-            pt_scale = (
-                self.params.step_scales[ct.level - 1]
-                if ct.level >= 1
-                else self.params.default_scale
-            )
+            pt_scale = self.params.working_scale(ct.level)
         level, scale = ct.level, ct.scale * pt_scale
         if rescale:
             level, scale = self._rescale_state(level, scale, call)
@@ -316,12 +348,48 @@ class SymbolicEvaluator:
         """A constant is encoded at the step scale, whatever its value."""
         return self.multiply_plain(ct, pt_scale=None, rescale=rescale)
 
+    def encode(self, values: object, ct: AbstractCiphertext, scale: float) -> float:
+        """The operand landing a product with ``ct``, rescaled, at ``scale``:
+        a plaintext is its scale."""
+        call = self._next("encode")
+        return scale * self._step_scale(ct.level, call) / ct.scale
+
+    def _sum(
+        self, cts: Sequence[AbstractCiphertext], scales: Iterable[float], what: str, call: int
+    ) -> AbstractCiphertext:
+        """One sum of terms over ``cts``: their one level, their one scale."""
+        levels = sorted({ct.level for ct in cts})
+        if len(levels) > 1:
+            self.report.error(
+                "CKKS-LEVEL-RANGE", f"{what} operands at levels {levels}", op_index=call
+            )
+        scale = functools.reduce(lambda a, b: self._check_scales(a, b, call), scales)
+        return self._make(levels[0], scale, call)
+
+    def multiply_plain_sum(
+        self, cts: Sequence[AbstractCiphertext], pts: Sequence[float]
+    ) -> AbstractCiphertext:
+        call = self._next("multiply_plain_sum")
+        scales = (ct.scale * pt for ct, pt in zip(cts, pts))
+        return self._sum(cts, scales, "multiply-accumulate", call)
+
     # -- rescaling / rotations --------------------------------------------------
 
     def rescale(self, ct: AbstractCiphertext) -> AbstractCiphertext:
         call = self._next("rescale")
         level, scale = self._rescale_state(ct.level, ct.scale, call)
         return self._make(level, scale, call)
+
+    def rescale_to(self, ct: AbstractCiphertext, scale: float) -> AbstractCiphertext:
+        call = self._next("rescale_to")
+        landed = ct.scale / self._step_scale(ct.level, call)
+        if ct.level >= 1 and abs(landed - scale) > _SCALE_MATCH_TOLERANCE * max(landed, scale):
+            self.report.error(
+                "CKKS-SCALE-MISMATCH",
+                f"rescale lands at {landed:g}, too far to pin at {scale:g}",
+                op_index=call,
+            )
+        return self._make(ct.level - 1, scale, call)
 
     def consume_level(self, ct: AbstractCiphertext) -> AbstractCiphertext:
         call = self._next("consume_level")
@@ -337,6 +405,29 @@ class SymbolicEvaluator:
 
     def conjugate(self, ct: AbstractCiphertext) -> AbstractCiphertext:
         call = self._next("conjugate")
+        return self._make(ct.level, ct.scale, call)
+
+    def rotate_sum(
+        self, cts: Iterable[AbstractCiphertext], amounts: Iterable[int]
+    ) -> AbstractCiphertext:
+        call = self._next("rotate_sum")
+        terms = [ct for ct, _ in zip(cts, amounts)]
+        return self._sum(terms, (ct.scale for ct in terms), "rotation sum", call)
+
+    # -- bootstrapping steps ----------------------------------------------------
+
+    def mod_raise(self, ct: AbstractCiphertext) -> AbstractCiphertext:
+        call = self._next("mod_raise")
+        if ct.level != 0:
+            self.report.error(
+                "CKKS-LEVEL-RANGE",
+                f"mod_raise expects a level-0 ciphertext, not level {ct.level}",
+                op_index=call,
+            )
+        return self._make(self.params.max_level, ct.scale, call)
+
+    def multiply_by_i(self, ct: AbstractCiphertext, sign: int) -> AbstractCiphertext:
+        call = self._next("multiply_by_i")
         return self._make(ct.level, ct.scale, call)
 
 

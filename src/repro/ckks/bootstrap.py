@@ -26,23 +26,28 @@ full chain:
    ``q0/Delta`` factor is folded into the last stage.
 
 Levels EvalMod leaves spare become extra CtS / StC stages, CtS first
-(it runs on the widest chain).  Fully packed (``slots = N/2``) only;
-the real and imaginary EvalMod pipelines are the [Cheon+ 18] flow.
+(it runs on the widest chain); a budget without a level for each
+transform is refused.  Fully packed (``slots = N/2``) only; the real and
+imaginary EvalMod pipelines are the [Cheon+ 18] flow.
+The pipeline is a program over the evaluator's vocabulary (it reads
+only the context's parameters), so ``SymbolicEvaluator`` runs it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext
-from repro.ckks.context import CkksContext
 from repro.ckks.linear import Diagonals, LinearTransform
 from repro.ckks.ops import Evaluator
 from repro.ckks.poly_eval import ChebyshevEvaluator, PolyPlan, chebyshev_fit
-from repro.rns.poly import RnsPolynomial
+
+if TYPE_CHECKING:
+    from repro.ckks.context import CkksContext
 
 __all__ = ["Bootstrapper", "BootstrapReport", "butterfly_stages"]
 
@@ -107,7 +112,6 @@ class Bootstrapper:
             raise ValueError("bootstrapping requires full packing (slots = N/2)")
         if not params.boot_levels or params.boot_scale_bits is None:
             raise ValueError("parameters carry no bootstrapping levels")
-        self.context = context
         self.ev = evaluator
         self.params = params
         # |I| <~ sqrt(h) with overwhelming probability; one extra unit
@@ -120,7 +124,6 @@ class Bootstrapper:
         sin_coeffs = chebyshev_fit(lambda x: math.sin(a * x) * (1.0 / a), self.sin_degree)
         self._sin_plan = PolyPlan(sin_coeffs, baby_steps=16)
         self.q0 = math.prod(params.base_primes)
-        self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)
         self._cheb = ChebyshevEvaluator(evaluator)
         self._build_transforms()
 
@@ -132,7 +135,13 @@ class Bootstrapper:
         n, delta = self.params.slots, self.params.scale
         log_n = n.bit_length() - 1
         # EvalMod is the sine plan plus the arcsine correction's two levels.
-        spare = max(0, self.params.boot_levels - (self._sin_plan.depth + 2) - 2)
+        need = self._sin_plan.depth + 2 + 2
+        if self.params.boot_levels < need:
+            raise ValueError(
+                f"bootstrapping needs {need} levels (EvalMod {need - 2} and a stage per "
+                f"transform), the chain has {self.params.boot_levels} boot levels"
+            )
+        spare = self.params.boot_levels - need
         cts = butterfly_stages(n, min(log_n, 1 + (spare + 1) // 2), inverse=True)
         stc = butterfly_stages(n, min(log_n, 1 + spare // 2))
         # Fold normalizations: CtS divides by 2*q0*K/Delta (EvalMod
@@ -148,34 +157,7 @@ class Bootstrapper:
 
     def mod_raise(self, ct: Ciphertext) -> Ciphertext:
         """Reinterpret base-level residues over the full chain."""
-        if ct.level != 0:
-            raise ValueError("mod_raise expects a level-0 ciphertext")
-        target = self.params.active_moduli(self.params.max_level)
-        ring = self.context.ring
-
-        def raise_poly(poly: RnsPolynomial) -> RnsPolynomial:
-            ints = poly.to_int_coeffs()  # centered lift mod q0
-            return RnsPolynomial.from_int_coeffs(ring, target, ints).to_ntt()
-
-        return Ciphertext(
-            raise_poly(ct.c0),
-            raise_poly(ct.c1),
-            self.params.max_level,
-            ct.scale,
-        )
-
-    def _mul_by_i(self, ct: Ciphertext, sign: int) -> Ciphertext:
-        """Exact multiplication by +-i (the monomial X^(N/2))."""
-        mono = self._monomials.get((ct.moduli, sign))
-        if mono is None:
-            n = self.params.degree
-            coeffs = np.zeros(n, dtype=np.int64)
-            coeffs[n // 2] = sign
-            mono = RnsPolynomial.from_int_coeffs(
-                self.context.ring, ct.moduli, coeffs
-            ).to_ntt()
-            self._monomials[(ct.moduli, sign)] = mono
-        return Ciphertext(ct.c0 * mono, ct.c1 * mono, ct.level, ct.scale)
+        return self.ev.mod_raise(ct)
 
     def _eval_mod(self, ct: Ciphertext) -> Ciphertext:
         """sin-based modular reduction on values in [-1, 1]."""
@@ -185,8 +167,7 @@ class Bootstrapper:
         ev = self.ev
         c3 = (2.0 * math.pi * self.k_range) ** 2 / 6.0
         corr = ev.multiply(ev.square(y), ev.multiply_scalar(y, c3, rescale=True))
-        y_al = ev.adjust(y, corr.level, corr.scale)
-        return ev.add(y_al, corr)
+        return ev.add(ev.adjust(y, corr.level, corr.scale), corr)
 
     def _transform(
         self, stages: list[LinearTransform], ct: Ciphertext, scale: float
@@ -209,49 +190,36 @@ class Bootstrapper:
         the same scale with the message error limited by the EvalMod
         approximation quality.
         """
-        params = self.params
+        params, ev = self.params, self.ev
         input_level = ct.level
-        if ct.level > 0:
-            # Burn remaining levels while pinning the scale exactly to
-            # the canonical working point the CtS matrices assume.
-            ct = self.ev.adjust(ct, 0, params.scale)
-        elif abs(ct.scale - params.scale) > 1e-9 * params.scale:
-            raise ValueError(
-                "level-0 ciphertext scale differs from the canonical scale; "
-                "adjust before the last rescale"
-            )
-        raised = self.mod_raise(ct)
+        # Burn remaining levels while pinning the scale exactly to the
+        # canonical working point the CtS matrices assume (a level-0
+        # input off it has no level to spend and is refused).
+        raised = self.mod_raise(ev.adjust(ct, 0, params.scale))
 
         # CoeffToSlot (a level per stage): slots become (w_j + i*w_{j+n})
         # * nu in bit-reversed order, lifted to the EvalMod working scale.
         c = self._transform(self.cts, raised, 2.0 ** float(params.boot_scale_bits))
 
-        ev = self.ev
         c_conj = ev.conjugate(c)
         ct_r = ev.add(c, c_conj)
-        ct_i = self._mul_by_i(ev.sub(c, c_conj), -1)
+        ct_i = ev.multiply_by_i(ev.sub(c, c_conj), -1)
 
-        # EvalMod on both coefficient halves.
-        m_r = self._eval_mod(ct_r)
-        m_i = self._eval_mod(ct_i)
-
-        # Recombine and return to coefficient order (a level per stage).
-        m_r, m_i = ev.match(m_r, m_i)
-        combined = ev.add(m_r, self._mul_by_i(m_i, 1))
-        out = self._transform(self.stc, combined, params.scale)
-
+        # EvalMod on both coefficient halves, recombined and returned to
+        # coefficient order (a level per stage).
+        m_r, m_i = ev.match(self._eval_mod(ct_r), self._eval_mod(ct_i))
+        combined = ev.add(m_r, ev.multiply_by_i(m_i, 1))
         # The pipeline's normalizations cancel exactly: (2*q0*K/Delta)
         # in, sin prefactor 1/(2*pi*K) folded into the fit, (q0/Delta)
         # out — net slot values are the original message at scale Delta.
-        out = Ciphertext(out.c0, out.c1, out.level, params.scale)
+        out = self._transform(self.stc, combined, params.scale)
         # Any unused bootstrap budget is dropped: the application only
         # ever sees normal levels (the paper's L_eff).
         out = ev.drop_to_level(out, min(out.level, params.usable_level))
-        report = BootstrapReport(
+        return out, BootstrapReport(
             input_level=input_level,
             output_level=out.level,
             levels_consumed=params.max_level - out.level,
             sin_degree=self.sin_degree,
             k_range=self.k_range,
         )
-        return out, report

@@ -126,13 +126,11 @@ class LinearTransform:
         ``output_scale`` sets the exact scale of the result (default:
         the input's scale).  Bootstrapping uses this to move a
         ciphertext between the normal working scale and the larger
-        EvalMod scale: the diagonal plaintexts are encoded at whatever
-        scale makes the post-rescale result land exactly there.
+        EvalMod scale: the diagonals are encoded as operands that land
+        the stage's one rescale exactly there (:meth:`Evaluator.encode`).
         """
-        if ev.params.slots != self.size:
-            raise ValueError("transform size must equal the slot count")
         target_scale = output_scale if output_scale is not None else ct.scale
-        point = (ev.context, ct.level, ct.scale, target_scale)
+        point = (ev, ct.level, ct.scale, target_scale)
         if self._compiled is None or self._compiled[0] != point:
             self._compiled = (point, self._compile(ev, ct, target_scale))
         # Giant step -> every (baby ciphertext, diagonal) term of both
@@ -153,13 +151,11 @@ class LinearTransform:
         # One multiply-accumulate per giant step, one ModDown for all
         # the giant rotations, one rescale for the stage.
         sums = (ev.multiply_plain_sum(cts, pts) for cts, pts in groups.values())
-        out = ev.rescale(ev.rotate_sum(sums, groups))
-        return Ciphertext(out.c0, out.c1, out.level, target_scale)
+        return ev.rescale_to(ev.rotate_sum(sums, groups), target_scale)
 
     def _compile(self, ev: Evaluator, ct: Ciphertext, target_scale: float) -> list[_Part]:
-        """Encode the diagonals for ``ct``'s operating point."""
-        # Rotations keep level and scale, so every baby shares ct's.
-        pt_scale = target_scale * ev.params.step_at(ct.level).scale / ct.scale
+        """Encode the diagonals for ``ct``'s operating point (every baby
+        shares it); the encoder refuses a diagonal of the wrong length."""
         bs = self.baby_step()
         parts: list[_Part] = []
         for diags in (self.diagonals, self.conj_diagonals or {}):
@@ -168,7 +164,7 @@ class LinearTransform:
                 # Pre-rotate each diagonal so the outer rotation by its
                 # giant shift lands it in place.
                 shift = d - d % bs
-                pt = ev.context.encode(np.roll(diags[d], shift), level=ct.level, scale=pt_scale)
+                pt = ev.encode(np.roll(diags[d], shift), ct, target_scale)
                 giants.setdefault(shift, []).append((d % bs, pt))
             parts.append((sorted({d % bs for d in diags}), list(giants.items())))
         return parts

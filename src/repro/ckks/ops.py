@@ -9,6 +9,11 @@ Rescaling supports both single-prime (SS) and double-prime (DS) steps;
 the DS path reconstructs each coefficient from the two dropped limbs
 with Garner's CRT — the double-word accumulation SHARP assigns to its
 DSU (paper S4.5, Eq. 4).
+
+This is the one module that builds ciphertexts: the bootstrap, the
+linear transforms and the Chebyshev evaluator are programs over its
+vocabulary, which ``repro.check.ckks_check.SymbolicEvaluator`` also
+speaks, so they run without keys too.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ class Evaluator:
         # (remaining, dropped) -> cached rescale constants (doubled-chain
         # kernel, drop^-1 Shoup columns).
         self._rescale_consts: dict[tuple, tuple] = {}
+        self._monomials: dict[tuple, RnsPolynomial] = {}  # (chain, sign) -> +-X^(N/2)
 
     # -- level and scale alignment ----------------------------------------------
 
@@ -116,6 +122,14 @@ class Evaluator:
         limbs = np.broadcast_to(column, (len(moduli), self.ring.degree))
         return Plaintext(RnsPolynomial(self.ring, moduli, limbs, ntt_form=True), scale)
 
+    def encode(self, values, ct: Ciphertext, scale: float) -> Plaintext:
+        """``values`` (a constant, or one per slot) as the operand whose product
+        with ``ct``, rescaled, lands at ``scale``: encoded at ``scale * step / ct.scale``."""
+        pt_scale = scale * self.params.step_at(ct.level).scale / ct.scale
+        if np.ndim(values) == 0:
+            return self.encode_scalar(values, ct.level, pt_scale)
+        return self.context.encode(values, level=ct.level, scale=pt_scale)
+
     # -- multiplicative ops ---------------------------------------------------------
 
     def multiply_plain(
@@ -185,9 +199,8 @@ class Evaluator:
         Needed because RNS primes only approximate the scale: two
         computation branches drift apart by the primes' deviation and
         could no longer be added.  When the scale already matches, this
-        is a plain modulus drop; otherwise one level is spent on a
-        constant multiplication whose plaintext scale is chosen so the
-        following rescale lands *exactly* on ``scale``.
+        is a plain modulus drop; otherwise one level is spent on a 1
+        encoded to land *exactly* on ``scale``.
         """
         if level > ct.level:
             raise ValueError("cannot raise a ciphertext's level")
@@ -196,12 +209,8 @@ class Evaluator:
         if level + 1 > ct.level:
             raise ValueError("scale correction needs one spare level")
         ct = self.drop_to_level(ct, level + 1)
-        step_scale = self.params.step_at(ct.level).scale
-        pt_scale = scale * step_scale / ct.scale
-        pt = self.encode_scalar(1.0, ct.level, pt_scale)
-        out = self.multiply_plain(ct, pt, rescale=True)
-        # Guard against float bookkeeping drift.
-        return Ciphertext(out.c0, out.c1, out.level, scale)
+        product = self.multiply_plain(ct, self.encode(1.0, ct, scale), rescale=False)
+        return self.rescale_to(product, scale)
 
     def match(self, a: Ciphertext, b: Ciphertext) -> tuple[Ciphertext, Ciphertext]:
         """Bring two ciphertexts to a common exact (level, scale) point.
@@ -219,21 +228,12 @@ class Evaluator:
             return self.drop_to_level(a, target), self.adjust(b, target, a.scale)
         if target < 1:
             raise ValueError("cannot reconcile scales at level 0")
-        a2 = self.adjust(a, target - 1, a.scale)
-        b2 = self.adjust(b, target - 1, a.scale)
-        return a2, b2
+        return self.adjust(a, target - 1, a.scale), self.adjust(b, target - 1, a.scale)
 
     def consume_level(self, ct: Ciphertext) -> Ciphertext:
-        """Burn one level without changing the value or the scale.
-
-        Multiplies by an encoding of 1 at exactly the step scale, then
-        rescales — handy for driving ciphertexts to level 0 in tests and
-        workload schedules.
-        """
-        step_scale = self.params.step_at(ct.level).scale
-        pt = self.encode_scalar(1.0, ct.level, step_scale)
-        out = self.multiply_plain(ct, pt, rescale=True)
-        return Ciphertext(out.c0, out.c1, out.level, ct.scale)
+        """Burn one level without changing the value or the scale (a 1 at
+        the step scale): drives ciphertexts to level 0 in tests and schedules."""
+        return self.rescale_to(self.multiply_scalar(ct, 1.0, rescale=False), ct.scale)
 
     # -- rescaling ----------------------------------------------------------------
 
@@ -244,6 +244,13 @@ class Evaluator:
         step = self.params.step_at(ct.level)
         c0, c1 = self._rescale_pair(ct.c0, ct.c1, step.primes)
         return Ciphertext(c0, c1, ct.level - 1, ct.scale / step.scale)
+
+    def rescale_to(self, ct: Ciphertext, scale: float) -> Ciphertext:
+        """Rescale, then pin the scale to the ``scale`` an :meth:`encode` operand
+        lands on: the pin drops float bookkeeping drift, and refuses more."""
+        out = self.rescale(ct)
+        self._check_scales(out.scale, scale)
+        return Ciphertext(out.c0, out.c1, out.level, scale)
 
     def _rescale_pair(
         self,
@@ -399,6 +406,31 @@ class Evaluator:
             u0, u1 = self.switcher.mod_down(*acc)
             c0, c1 = c0 + u0, _plus(c1, u1)
         return Ciphertext(c0, c1, ct.level, scale)
+
+    # -- bootstrapping steps ----------------------------------------------------------
+
+    def mod_raise(self, ct: Ciphertext) -> Ciphertext:
+        """ModRaise: a level-0 ciphertext's residues, centered mod ``q0``, over the full chain."""
+        if ct.level != 0:
+            raise ValueError("mod_raise expects a level-0 ciphertext")
+        top = self.params.max_level
+        moduli = self.params.active_moduli(top)
+        c0, c1 = (
+            RnsPolynomial.from_int_coeffs(self.ring, moduli, p.to_int_coeffs()).to_ntt()
+            for p in (ct.c0, ct.c1)
+        )
+        return Ciphertext(c0, c1, top, ct.scale)
+
+    def multiply_by_i(self, ct: Ciphertext, sign: int) -> Ciphertext:
+        """Exact multiplication by ``sign * i``, the monomial ``sign *
+        X^(N/2)``: one NTT per chain and sign, cached."""
+        mono = self._monomials.get((ct.moduli, sign))
+        if mono is None:
+            coeffs = np.zeros(self.ring.degree, dtype=np.int64)
+            coeffs[self.ring.degree // 2] = sign
+            mono = RnsPolynomial.from_int_coeffs(self.ring, ct.moduli, coeffs).to_ntt()
+            self._monomials[(ct.moduli, sign)] = mono
+        return Ciphertext(ct.c0 * mono, ct.c1 * mono, ct.level, ct.scale)
 
     # -- re-encryption ----------------------------------------------------------------
 

@@ -16,8 +16,9 @@ statement of a polynomial's depth and operation counts:
 it, and the workloads' noise twins charge :func:`fitted_plan`'s depth.
 
 Scale discipline: every addition aligns operands to an exact (level,
-scale) point via :meth:`Evaluator.adjust`, so prime-vs-scale deviation
-never accumulates.
+scale) point via :meth:`Evaluator.match`, so prime-vs-scale deviation
+never accumulates.  Over the evaluator's vocabulary alone, the
+evaluator also runs on ``SymbolicEvaluator`` (no keys).
 """
 
 from __future__ import annotations
@@ -189,16 +190,11 @@ class ChebyshevEvaluator:
         # level among the T_k used so the sum aligns.
         level = min(basis[k].level for k in used)
         srcs = [ev.drop_to_level(basis[k], level) for k in used]
-        # Every product sits at the ladder's working scale (the first
-        # term's) times the step scale: one multiply-accumulate, one rescale.
-        target_scale = srcs[0].scale
-        product_scale = target_scale * ev.params.step_at(level).scale
-        pts = [
-            ev.encode_scalar(float(coeffs[k]), level, product_scale / src.scale)
-            for k, src in zip(used, srcs)
-        ]
-        acc = ev.rescale(ev.multiply_plain_sum(srcs, pts))
-        acc = Ciphertext(acc.c0, acc.c1, acc.level, target_scale)
+        # Every product lands at the ladder's working scale (the first
+        # term's): one multiply-accumulate, one rescale.
+        scale = srcs[0].scale
+        pts = [ev.encode(float(coeffs[k]), src, scale) for k, src in zip(used, srcs)]
+        acc = ev.rescale_to(ev.multiply_plain_sum(srcs, pts), scale)
         if abs(float(coeffs[0])) > 0:
             acc = ev.add_scalar(acc, float(coeffs[0]))
         return acc

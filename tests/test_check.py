@@ -383,6 +383,25 @@ class TestCkksDiagnostics:
         assert report.ok
         assert any(d.code == "CKKS-SCALE-STACKED" for d in _warnings(report))
 
+    def test_adjust_and_match_at_an_equal_scale_spend_no_level(self):
+        report = CheckReport("ckks", "equal")
+        ev = SymbolicEvaluator(self.params(), report)
+        ct = ev.fresh()
+        out = ev.adjust(ct, ct.level, ct.scale)
+        assert (out.level, out.scale) == (ct.level, ct.scale)
+        a, b = ev.match(ct, ev.fresh())
+        assert a.level == b.level == ct.level
+        assert not report.diagnostics
+
+    def test_adjust_refuses_a_correction_without_a_spare_level(self):
+        def program(ev):
+            ct = ev.fresh()
+            ev.adjust(ct, ct.level, ct.scale * 1.5)
+
+        report = check_program(program, self.params(), "no-spare")
+        (bad,) = report.errors
+        assert bad.code == "CKKS-LEVEL-UNDERFLOW" and "needs one spare level" in bad.message
+
     def test_drift_warning_on_uneven_step(self):
         params = AbstractParams(
             step_scales=(2.0**33,),  # 2 bits below the default scale

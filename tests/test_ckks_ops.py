@@ -347,6 +347,23 @@ class TestLevelScaleManagement:
         assert out.scale == target
         assert np.max(np.abs(small_context.decrypt(out) - m * m)) < TOL
 
+    def test_adjust_at_an_equal_scale_spends_no_level(self, small_context, small_evaluator, rng):
+        ct = small_context.encrypt(msg(rng))
+        out = small_evaluator.adjust(ct, ct.level, ct.scale)
+        assert (out.level, out.scale) == (ct.level, ct.scale)
+
+    def test_match_at_an_equal_scale_spends_no_level(self, small_context, small_evaluator, rng):
+        m = msg(rng)
+        a, b = small_evaluator.match(small_context.encrypt(m), small_context.encrypt(m))
+        assert a.level == b.level == small_context.params.usable_level
+
+    def test_adjust_refuses_a_correction_without_a_spare_level(
+        self, small_context, small_evaluator, rng
+    ):
+        ct = small_context.encrypt(msg(rng))
+        with pytest.raises(ValueError, match="needs one spare level"):
+            small_evaluator.adjust(ct, ct.level, ct.scale * 1.5)
+
     def test_match_reconciles_branches(self, small_context, small_evaluator, rng):
         m = msg(rng)
         ev = small_evaluator

@@ -22,28 +22,11 @@ from repro.ckks.calibration import NoiseModel
 from repro.ckks.noise import NoisyEvaluator
 from repro.workloads import helr, resnet, sorting
 from repro.workloads.datasets import make_cifar_like, make_mnist_like
+from tests.recorder import Recorder
 
 # (scale bits, bootstrapping scale bits), as Table 2's rows pair them;
 # no program explodes in the bounding domain at these.
 SCALES = ((33, 62), (35, 62), (37, 64), (39, 64))
-
-
-class Recorder:
-    """Forwards every op to ``ev`` and records ``(op, label, output)``."""
-
-    def __init__(self, ev):
-        self.ev = ev
-        self.steps = []
-
-    def __getattr__(self, name):
-        op = getattr(self.ev, name)
-
-        def call(*args, **kwargs):
-            out = op(*args, **kwargs)
-            self.steps.append((name, kwargs.get("label"), out))
-            return out
-
-        return call
 
 
 class Workload:
