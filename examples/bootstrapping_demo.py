@@ -1,9 +1,10 @@
 """Full CKKS bootstrapping, end to end, on real ciphertexts.
 
 Exhausts a ciphertext's levels, then refreshes it through ModRaise ->
-CoeffToSlot -> EvalMod (Chebyshev sine + arcsine correction) ->
-SlotToCoeff, and keeps computing on the result — the capability that
-separates FHE from leveled HE (paper S2.3).
+CoeffToSlot -> EvalMod (Chebyshev cosine, double angles, and an
+arcsine correction where it buys precision) -> SlotToCoeff, and keeps
+computing on the result — the capability that separates FHE from
+leveled HE (paper S2.3).
 
 Run:  python examples/bootstrapping_demo.py     (~1 min)
 """
@@ -30,9 +31,11 @@ def main() -> None:
     )
     ctx = CkksContext(params)
     ev = Evaluator(ctx)
-    print("precomputing CtS/StC transforms and the sine ladder ...")
+    print("precomputing CtS/StC transforms and the EvalMod plan ...")
     bts = Bootstrapper(ctx, ev)
-    print(f"K = {bts.k_range}, sine degree = {bts.sin_degree}, "
+    plan = bts.eval_mod
+    print(f"K = {bts.k_range}, cosine degree = {len(plan.cosine.coeffs) - 1}, "
+          f"{plan.doublings} double angles, arcsine {'on' if plan.arcsine else 'off'}, "
           f"boot budget = {params.boot_levels} levels")
 
     rng = np.random.default_rng(0)

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.check.ckks_check import AbstractParams, SymbolicEvaluator
-from repro.ckks.bootstrap import Bootstrapper, butterfly_stages
+from repro.ckks.bootstrap import Bootstrapper, EvalModPlan, butterfly_stages
 from repro.ckks.cipher import Plaintext
 from repro.ckks.context import CkksContext, make_params
 from repro.ckks.encoder import CkksEncoder
 from repro.ckks.keyswitch import KeySwitcher
 from repro.ckks.linear import LinearTransform
 from repro.ckks.ops import Evaluator
-from repro.ckks.poly_eval import PolyPlan
 from repro.rns.backend import NumpyBackend
 from repro.rns.poly import RingContext
 from repro.workloads.traces import CTS_STAGES
@@ -160,7 +159,7 @@ def test_a_bootstrap_at_the_benchmark_parameters_is_bit_stable():
     digest.update(repr((out.level, out.scale)).encode())
     assert (out.level, out.scale) == (2, 2.0**23)
     assert digest.hexdigest() == (
-        "74b2449de3f7bd924bcb2cf0e6cdf0eabca4aa587c3748d3e38b9c0d16c43b0f"
+        "0375b1842fb7c12093358a13ac57dd29658171b6acbad613f7fff1d879532a15"
     )
 
 
@@ -187,14 +186,18 @@ def _chain(stages, x: np.ndarray) -> np.ndarray:
 def test_coeff_to_slot_and_slot_to_coeff_are_butterfly_stages(n9):
     """``z = U c`` (``c = m[:n] + i*m[n:]``; full packing puts ``i`` at
     every slot root's ``N/2``-th power, so no conjugate part) factors as
-    ``S_8 ... S_1 BR``.  The two spare levels make CtS and StC two merged
-    stages each: four butterflies, 31 diagonals ``{-15 .. 15}`` below and
-    16 at stride 16 above.  Neither applies ``BR``."""
+    ``S_8 ... S_1 BR``.  EvalMod's 10 levels leave two spare, which make
+    CtS and StC two merged stages each: four butterflies, 31 diagonals
+    ``{-15 .. 15}`` below and 16 at stride 16 above.  Neither applies
+    ``BR``; StC's last stage also takes the sine's ``1/(2*pi*K)``."""
     ctx, bts = n9
     params = ctx.params
     n = params.slots
+    spare = params.boot_levels - bts.eval_mod.depth - 2
+    assert (bts.eval_mod.depth, spare) == (10, 2)
+    assert (len(bts.cts), len(bts.stc)) == (1 + (spare + 1) // 2, 1 + spare // 2) == (2, 2)
     nu = params.scale / (2.0 * bts.q0 * bts.k_range)
-    back = bts.q0 * bts.k_range / params.scale
+    back = bts.q0 * bts.k_range / params.scale / (2.0 * math.pi * bts.k_range)
     low, high = sorted(d % n for d in range(-15, 16)), list(range(0, n, 16))
     assert [sorted(lt.diagonals) for lt in bts.cts] == [high, low]
     assert [sorted(lt.diagonals) for lt in bts.stc] == [low, high]
@@ -211,50 +214,94 @@ def test_coeff_to_slot_and_slot_to_coeff_are_butterfly_stages(n9):
 
 
 def test_eval_mod_is_two_levels_shallower_than_the_budget(n9):
-    """``c3*y^3`` as ``y^2 * (c3*y)``: the arcsine correction costs two
-    levels, so EvalMod consumes 8 + 2 = 10 (11 with ``(y^2*y)*c3``) and
-    ``boot_depth`` 14 leaves two spare levels for the transforms."""
+    """EvalMod is the cosine's 5 levels and 5 double angles, with no
+    arcsine correction at this scale: 10 levels, so ``boot_depth`` 14
+    leaves two spare levels for the transforms.  Its output is
+    ``sin(2*pi*K*x)``, which StC scales back by ``1/(2*pi*K)``."""
     ctx, bts = n9
     params = ctx.params
+    plan = bts.eval_mod
     level = params.max_level - len(bts.cts)
     x = np.random.default_rng(7).uniform(-0.002, 0.002, params.slots)
     shift = np.random.default_rng(8).integers(-3, 4, params.slots) / bts.k_range
     ct = ctx.encrypt(x + shift, level=level, scale=2.0**params.boot_scale_bits)
     out = bts._eval_mod(ct)
-    assert level - out.level == bts._sin_plan.depth + 2 == 10
+    assert level - out.level == plan.depth == plan.cosine.depth + plan.doublings == 5 + 5
+    assert not plan.arcsine
     assert params.boot_levels - 10 - 2 == len(bts.cts) + len(bts.stc) - 2
-    assert np.max(np.abs(ctx.decrypt(out).real - x)) < 1e-6
+    want = np.sin(2.0 * math.pi * bts.k_range * x)
+    assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-6 * 2.0 * math.pi * bts.k_range
 
 
-def test_the_sine_plan_is_its_odd_part(n9):
-    """The sine's fit is odd by itself: zeroing its even coefficients
-    changes neither the coefficients nor the plan (17 products, 35
-    plaintext terms, depth 8 at K = 7)."""
+def test_the_cosine_plan_is_the_derived_series(n9):
+    """At K = 7 and ``q0 = 2^30`` the derivation keeps 5 double angles of
+    a degree-12 cosine: 6 products (3 of them squares), 10 plaintext
+    terms and depth 5.  The shifted cosine is neither odd nor even, so
+    its plan reads every T_k up to its baby step."""
     _, bts = n9
-    plan = bts._sin_plan
-    odd = plan.coeffs.copy()
-    odd[0::2] = 0.0
-    twin = PolyPlan(odd, baby_steps=plan.baby_steps)
-
-    def shape(p: PolyPlan) -> tuple:
-        return (p.ladder, p.products, p.squares, p.plain_sums, p.plain_terms, p.depth)
-
-    assert np.array_equal(plan.coeffs, twin.coeffs) and shape(plan) == shape(twin)
-    assert (bts.k_range, plan.products, plan.plain_terms, plan.depth) == (7, 17, 35, 8)
+    plan = bts.eval_mod
+    cosine = plan.cosine
+    assert (bts.k_range, plan.doublings, len(cosine.coeffs) - 1) == (7, 5, 12)
+    assert (cosine.products, cosine.squares, cosine.plain_terms, cosine.depth) == (6, 3, 10, 5)
+    assert cosine.ladder == (2, 3, 4, 8) and cosine.baby_steps == 4
+    assert np.all(cosine.coeffs != 0)
+    assert (plan.products, plan.depth) == (6 + 5, 5 + 5)
 
 
-def test_a_bootstrap_spends_what_the_sine_plan_says(n9):
+def _cosine_then_doubled(plan: EvalModPlan, x: np.ndarray) -> np.ndarray:
+    c = np.polynomial.chebyshev.chebval(x, plan.cosine.coeffs)
+    for _ in range(plan.doublings):
+        c = 2.0 * c * c - 1.0
+    return c
+
+
+@pytest.mark.parametrize("scale_bits", (23, 35))
+def test_the_derived_eval_mod_meets_its_target(scale_bits):
+    """For K = 4 .. 13 at ``q0 = 2^7 Delta``, the derived cosine doubled
+    ``doublings`` times in float64 is ``sin(2*pi*K*x)`` on [-1, 1] to the
+    derived target ``pi / q0``; the arcsine correction is kept at
+    ``Delta = 2^35`` (its cubic error is above the target) and dropped
+    at ``2^23``."""
+    x = np.linspace(-1.0, 1.0, 20001)
+    scale = 2.0**scale_bits
+    q0 = scale * 2.0**7
+    for k_range in range(4, 14):
+        plan = EvalModPlan.derive(k_range, scale, q0, 1 << 10, 2.0**50)
+        err = np.max(np.abs(_cosine_then_doubled(plan, x) - np.sin(2.0 * math.pi * k_range * x)))
+        assert plan.target == math.pi / q0
+        assert err <= plan.target, (k_range, err)
+        assert plan.arcsine == (scale_bits == 35)
+
+
+def test_the_arcsine_is_kept_only_where_it_buys_bits():
+    """``bootstrap_n9``'s parameters (``Delta = 2^23``, ``q0 = 2^30``, N =
+    2^9) drop the correction; the 35-bit native pair of
+    ``test_native_preset`` (``Delta = 2^35``, ``q0 = 2^42``, N = 2^10)
+    keeps it, two levels deeper (K = 7 at h = 16 for both)."""
+    boot = dict(depth=2, boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16)
+    n9 = make_params(degree=1 << 9, slots=256, scale_bits=23, **boot)
+    native = make_params(degree=1 << 10, slots=512, scale_bits=35.0, word_bits=36, **boot)
+    plans = []
+    for params in (n9, native):
+        q0 = math.prod(params.base_primes)
+        assert round(math.log2(q0 / params.scale)) == 7
+        plans.append(EvalModPlan.derive(7, params.scale, q0, params.degree, 2.0**50))
+    assert [plan.arcsine for plan in plans] == [False, True]
+    assert [plan.depth for plan in plans] == [5 + 5, 6 + 3 + 2]
+
+
+def test_a_bootstrap_spends_what_the_eval_mod_plan_says(n9):
     """Folded over the symbolic domain (no keys), both EvalMods run the
-    sine plan as planned: 17 products (6 of them squares), 5
-    multiply-accumulates and 8 levels each, plus the arcsine
-    correction's multiply, square and two levels.  A bootstrap makes 38
-    ciphertext products: 24 ``multiply`` calls and 14 squares."""
+    cosine plan as planned, 6 products (3 of them squares), 3
+    multiply-accumulates and 5 levels, then 5 double angles, a square
+    and a level each.  A bootstrap makes 22 ciphertext products: 6
+    ``multiply`` calls and 16 squares."""
     ctx, _ = n9
     params = ctx.params
     symbolic = SymbolicEvaluator(AbstractParams.from_params(params))
     rec = Recorder(symbolic)
     bts = Bootstrapper(ctx, rec)
-    plan = bts._sin_plan
+    plan = bts.eval_mod.cosine
 
     def spent(run, ct) -> tuple[dict, list]:
         start = len(rec.steps)
@@ -279,15 +326,17 @@ def test_a_bootstrap_spends_what_the_sine_plan_says(n9):
         "levels": plan.depth,
     }
     assert per_evaluate == planned
-    assert list(planned.values()) == [17, 6, 5, 8]
-    corrected = {**planned, "multiply": plan.products + 2, "square": plan.squares + 1}
-    assert per_eval_mod == {**corrected, "levels": plan.depth + 2}
-    assert plan.depth + 2 == 10
+    assert list(planned.values()) == [6, 3, 3, 5]
+    r = bts.eval_mod.doublings
+    doubled = {**planned, "multiply": plan.products + r, "square": plan.squares + r}
+    assert per_eval_mod == {**doubled, "levels": plan.depth + r}
+    assert bts.eval_mod.products == plan.products + r == 11
     # The bootstrap runs that EvalMod twice, back to back.
     twice = eval_mod_ops * 2
     assert any(ops[i : i + len(twice)] == twice for i in range(len(ops)))
     products, squares = per_bootstrap["multiply"], per_bootstrap["square"]
-    assert (products - squares, squares) == (24, 14)
+    assert products == 2 * bts.eval_mod.products
+    assert (products - squares, squares) == (6, 16)
     assert not symbolic.report.diagnostics
 
 
@@ -314,10 +363,13 @@ def test_the_bootstrap_runs_step_for_step_over_both_domains(chain, request):
     real = Recorder(Evaluator(ctx))
     symbolic = Recorder(SymbolicEvaluator(AbstractParams.from_params(params)))
     m = full_msg(np.random.default_rng(3), n=params.slots)
-    Bootstrapper(ctx, real).bootstrap(ctx.encrypt(m, level=0))
+    bts = Bootstrapper(ctx, real)
+    bts.bootstrap(ctx.encrypt(m, level=0))
     out, _ = Bootstrapper(ctx, symbolic).bootstrap(symbolic.ev.fresh(level=0))
     assert [op for op, _, _ in real.steps] == [op for op, _, _ in symbolic.steps]
-    assert len(real.steps) > 400
+    # 278 calls at both chains, 22 of them products (both EvalMods).
+    products = sum(op in ("multiply", "square") for op, _, _ in real.steps)
+    assert len(real.steps) > 250 and products == 2 * bts.eval_mod.products == 22
     for (op, _, x), (_, _, y) in zip(real.steps, symbolic.steps):
         xs, ys = _points(x), _points(y)
         assert len(xs) == len(ys)
@@ -351,7 +403,9 @@ def test_a_boot_budget_short_of_a_stage_per_transform_is_refused(boot_depth):
 @pytest.mark.slow
 def test_a_warm_bootstrap_counts_two_stages_per_transform(n9, monkeypatch):
     """Per transform 16 inner products and 8 ModDowns where the dense
-    stage took 30 and 16; one rescale more per extra stage."""
+    stage took 30 and 16; one rescale more per extra stage.  Each of
+    EvalMod's 22 products is one inner product and one ModDown (with the
+    degree-69 sine and the arcsine, 38 products: 71 / 55 / 106 / 78)."""
     ctx, bts = n9
     z = full_msg(np.random.default_rng(6), n=ctx.params.slots)
     bts.bootstrap(ctx.encrypt(z, level=0))  # compile the stages, generate the keys
@@ -363,7 +417,7 @@ def test_a_warm_bootstrap_counts_two_stages_per_transform(n9, monkeypatch):
     )
     calls = [_count_calls(monkeypatch, owner, name) for owner, name in seams]
     out, report = bts.bootstrap(ctx.encrypt(z, level=0))
-    assert [len(seen) for seen in calls] == [71, 55, 106, 78]
+    assert [len(seen) for seen in calls] == [55, 39, 82, 38]
     assert report.output_level == ctx.params.usable_level
     assert -math.log2(np.max(np.abs(ctx.decrypt(out) - z))) >= 14.5
 
@@ -413,4 +467,8 @@ class TestConstruction:
         b = Bootstrapper(boot_context, boot_evaluator)
         h = boot_context.params.hamming_weight
         assert b.k_range == max(4, int(1.6 * math.sqrt(h)) + 1) == 7
-        assert b.sin_degree > 2 * math.pi * b.k_range
+        # Each double angle halves the cosine's width 2*pi*K; past the
+        # width its Chebyshev coefficients fall off factorially.
+        width = 2 * math.pi * b.k_range / 2**b.eval_mod.doublings
+        assert len(b.eval_mod.cosine.coeffs) - 1 > width
+        assert (b.eval_mod.doublings, len(b.eval_mod.cosine.coeffs) - 1) == (5, 12)

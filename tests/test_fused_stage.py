@@ -193,14 +193,14 @@ def _built_bases(monkeypatch) -> list:
     return built
 
 
-def test_the_evalmod_ladder_builds_only_the_t_k_the_sine_uses(monkeypatch):
+def test_the_evalmod_ladder_builds_only_the_t_k_the_cosine_uses(monkeypatch):
     params = make_params(
         degree=1 << 9, slots=256, scale_bits=23, depth=2,
         boot_scale_bits=50, boot_depth=14, dnum=4, hamming_weight=16,
     )  # fmt: skip
     ctx = CkksContext(params, seed=3)
     ev = Evaluator(ctx)
-    plan = Bootstrapper(ctx, ev)._sin_plan  # odd, degree 69, baby steps 16
+    plan = Bootstrapper(ctx, ev).eval_mod.cosine  # degree 12, baby steps 4
     x = np.random.default_rng(3).uniform(-1, 1, params.slots)
     # Where CoeffToSlot leaves EvalMod's input.
     ct = ctx.encrypt(x, level=params.max_level - 1, scale=2.0**params.boot_scale_bits)
@@ -208,11 +208,12 @@ def test_the_evalmod_ladder_builds_only_the_t_k_the_sine_uses(monkeypatch):
     multiplies = _count_calls(monkeypatch, Evaluator, "multiply")
     squares = _count_calls(monkeypatch, Evaluator, "square")
     out = ChebyshevEvaluator(ev).evaluate(ct, plan)
-    odd, powers = [3, 5, 7, 9, 11, 13, 15], [2, 4, 8, 16, 32, 64]
-    assert built == [sorted([1, *odd, *powers])]
-    # 13 basis products (a square per power of two), 4 giant-step products.
+    babies, powers = [3], [2, 4, 8]
+    assert plan.ladder == tuple(sorted(babies + powers))
+    assert built == [sorted([1, *babies, *powers])]
+    # 4 basis products (a square per power of two), 2 giant-step products.
     assert len(squares) == len(powers)
-    assert len(multiplies) == len(odd) + len(powers) + 4
+    assert len(multiplies) == len(babies) + len(powers) + 2 == plan.products
     want = np.polynomial.chebyshev.chebval(x, plan.coeffs)
     assert np.max(np.abs(ctx.decrypt(out).real - want)) < 1e-3
 
